@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench race
+.PHONY: build test check bench benchmark race
 
 build:
 	$(GO) build ./...
@@ -17,3 +17,8 @@ check:
 
 bench:
 	$(GO) run ./cmd/benchharness -exp all
+
+# benchmark is the repository's one performance benchmark (benchmark/README.md),
+# scaled to 5 s windows; the driver's form is `sh benchmark/run.sh`.
+benchmark:
+	$(GO) run ./benchmark -duration 5

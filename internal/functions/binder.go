@@ -28,12 +28,13 @@ import (
 // StandardBinder returns the bento.APIBinder installing the full function
 // API. iasKey may be nil when composition never targets SGX containers.
 func StandardBinder() bento.APIBinder {
+	zc := new(zlibCodecs) // shared by every container this binder serves
 	return func(b *bento.Binding) {
 		st := &apiState{b: b}
 		m := b.Container.Machine()
 		m.Bind("requests", st.requestsObject())
 		m.Bind("http", st.requestsObject())
-		m.Bind("zlib", zlibObject())
+		m.Bind("zlib", zlibObject(zc))
 		m.Bind("os", osObject())
 		m.Bind("erasure", erasureObject())
 		if b.Stem != nil {
@@ -116,29 +117,104 @@ func splitURL(url string) (domain, path string) {
 
 // --- zlib --------------------------------------------------------------------
 
-func zlibObject() *interp.Object {
+// zlibKeep is how many idle compressors and decompressors a zlibCodecs
+// parks. A deflate compressor is ~650 KB of tables and window, built and
+// zeroed by every zlib.NewWriter — most of what one Browser invocation
+// used to allocate. A fixed free list rather than a sync.Pool: at this
+// size the collector runs every couple of invocations and would empty a
+// pool before its second use.
+const zlibKeep = 2
+
+// maxInflate caps what one decompress call may produce.
+const maxInflate = 64 << 20
+
+// zlibCodecs recycles zlib writers and readers through Reset, which
+// restores exactly the state NewWriter/NewReader would build, so output
+// is byte-identical to a fresh codec's. Safe for concurrent use.
+type zlibCodecs struct {
+	writers freeList[*zlib.Writer]
+	readers freeList[io.ReadCloser] // each also a zlib.Resetter
+}
+
+// freeList parks up to zlibKeep idle values. A caller that finds it
+// empty builds a fresh value; one that finds it full drops its own.
+type freeList[T any] struct {
+	mu   sync.Mutex
+	idle []T
+}
+
+func (f *freeList[T]) get() (v T, ok bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if n := len(f.idle); n > 0 {
+		v, f.idle = f.idle[n-1], f.idle[:n-1]
+		return v, true
+	}
+	return v, false
+}
+
+func (f *freeList[T]) put(v T) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.idle) < zlibKeep {
+		f.idle = append(f.idle, v)
+	}
+}
+
+func (zc *zlibCodecs) compress(data []byte) []byte {
+	// Deflate's worst case is stored blocks: 5 bytes per 64 KB block,
+	// plus the zlib header and checksum.
+	buf := bytes.NewBuffer(make([]byte, 0, len(data)+len(data)/64+64))
+	w, ok := zc.writers.get()
+	if ok {
+		w.Reset(buf)
+	} else {
+		w = zlib.NewWriter(buf)
+	}
+	w.Write(data)
+	w.Close()
+	zc.writers.put(w)
+	return buf.Bytes()
+}
+
+// decompress inflates the zlib stream at the start of payload, up to
+// maxInflate bytes; whatever follows the stream is ignored.
+func (zc *zlibCodecs) decompress(payload []byte) ([]byte, error) {
+	src := bytes.NewReader(payload)
+	r, ok := zc.readers.get()
+	var err error
+	if ok {
+		err = r.(zlib.Resetter).Reset(src, nil)
+	} else if r, err = zlib.NewReader(src); err != nil {
+		return nil, err
+	}
+	defer zc.readers.put(r) // a reader that failed is as good as new after Reset
+	if err != nil {
+		return nil, err
+	}
+	var out bytes.Buffer
+	out.Grow(len(payload))
+	if _, err := out.ReadFrom(io.LimitReader(r, maxInflate)); err != nil {
+		return nil, err
+	}
+	return out.Bytes(), nil
+}
+
+func zlibObject(zc *zlibCodecs) *interp.Object {
 	return interp.NewObject("zlib", map[string]interp.BuiltinFn{
 		"compress": func(args []interp.Value) (interp.Value, error) {
 			data, err := bytesArg(args, 0, "compress")
 			if err != nil {
 				return nil, err
 			}
-			var buf bytes.Buffer
-			w := zlib.NewWriter(&buf)
-			w.Write(data)
-			w.Close()
-			return interp.Bytes(buf.Bytes()), nil
+			return interp.Bytes(zc.compress(data)), nil
 		},
 		"decompress": func(args []interp.Value) (interp.Value, error) {
 			data, err := bytesArg(args, 0, "decompress")
 			if err != nil {
 				return nil, err
 			}
-			r, err := zlib.NewReader(bytes.NewReader(data))
-			if err != nil {
-				return nil, fmt.Errorf("zlib: %w", err)
-			}
-			out, err := io.ReadAll(io.LimitReader(r, 64<<20))
+			out, err := zc.decompress(data)
 			if err != nil {
 				return nil, fmt.Errorf("zlib: %w", err)
 			}
@@ -710,17 +786,16 @@ func ComposedManifest(image, name string) *policy.Manifest {
 	}
 }
 
+// unpadCodecs serves UnpadBrowser, the one client-side zlib user; only
+// its reader list is ever filled.
+var unpadCodecs zlibCodecs
+
 // zlibDecompressPrefix inflates the zlib stream at the start of payload,
 // ignoring trailing padding bytes.
 func zlibDecompressPrefix(payload []byte) ([]byte, error) {
-	r, err := zlib.NewReader(bytes.NewReader(payload))
+	out, err := unpadCodecs.decompress(payload)
 	if err != nil {
 		return nil, fmt.Errorf("functions: payload is not a zlib stream: %w", err)
-	}
-	defer r.Close()
-	out, err := io.ReadAll(io.LimitReader(r, 64<<20))
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }

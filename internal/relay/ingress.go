@@ -117,7 +117,10 @@ func (r *Relay) serveLight(conn simnet.LightConn) {
 }
 
 // onDeliver is the inbound link's delivery callback (dispatcher
-// context: must not block or park).
+// context: must not block or park). data is a simnet chunk lent for the
+// call (LightConn): every path below either finishes with the bytes
+// before returning (in-place decrypt, WriteAsync and PackRelay copy) or
+// copies them first (frameBuf's carry, the backlog, the helper's frame).
 func (lc *lightCircuit) onDeliver(data []byte, eof bool) {
 	if len(data) > 0 {
 		lc.inBuf.feed(data, lc.onFrame)
@@ -499,6 +502,12 @@ func (lc *lightCircuit) handleBegin(hdr cell.RelayHeader, data []byte) bool {
 	lc.streams[streamID] = remote
 	lc.mu.Unlock()
 	r.m.streamsOpened.Inc()
+	// CONNECTED first: installing the callback flushes whatever the
+	// destination has already sent (and its hang-up) as DATA and END.
+	if lc.sendBackward(cell.RelayHeader{StreamID: streamID, Cmd: cell.RelayConnected}, nil) != nil {
+		lc.closeStream(streamID)
+		return false
+	}
 	if rl, ok := remote.(simnet.LightConn); ok {
 		rl.SetDeliverFunc(func(data []byte, eof bool) {
 			lc.streamBackward(streamID, data, eof)
@@ -506,7 +515,7 @@ func (lc *lightCircuit) handleBegin(hdr cell.RelayHeader, data []byte) bool {
 	} else {
 		go lc.exitReaderLight(streamID, remote)
 	}
-	return lc.sendBackward(cell.RelayHeader{StreamID: streamID, Cmd: cell.RelayConnected}, nil) == nil
+	return true
 }
 
 // streamBackward turns exit-destination bytes into backward DATA cells

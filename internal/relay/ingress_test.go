@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -18,11 +19,23 @@ import (
 	"github.com/bento-nfv/bento/internal/torclient"
 )
 
+// pinOneP runs the test on one P. The event core's settle decides the
+// system is quiescent when three Gosched rounds see no bridge activity,
+// which holds only if a runnable goroutine cannot be mid-computation on
+// another P (benchmark/README.md, "Recorded limits"): on 2 P a helper
+// still inside its ntor handshake is sprinted past and the client's
+// 10-virtual-minute control timeout fires at wall time 0.
+func pinOneP(t testing.TB) {
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // buildLightNet is a light-ingress overlay on the event clock: nRelays
 // relays (Guard+Exit, accept-all) served entirely through deliver
 // callbacks, published into a consensus.
 func buildLightNet(t testing.TB, nRelays int) (*simnet.Network, []*Relay, *dirauth.Consensus) {
 	t.Helper()
+	pinOneP(t)
 	clock := simnet.NewEventClock()
 	n := simnet.NewNetwork(clock, 2*time.Millisecond)
 	n.SetObs(obs.NewRegistry())

@@ -623,8 +623,15 @@ func (r *Relay) handleBegin(ce *circuitEnd, hdr cell.RelayHeader, data []byte) b
 	ce.mu.Unlock()
 
 	r.m.streamsOpened.Inc()
+	// CONNECTED goes out before the reader exists: a destination that
+	// answers and hangs up at once must not get its DATA or END onto the
+	// circuit ahead of it (the client would read "stream refused").
+	if ce.sendBackward(cell.RelayHeader{StreamID: hdr.StreamID, Cmd: cell.RelayConnected}, nil) != nil {
+		ce.closeStream(hdr.StreamID)
+		return false
+	}
 	go ce.exitReader(hdr.StreamID, remote)
-	return ce.sendBackward(cell.RelayHeader{StreamID: hdr.StreamID, Cmd: cell.RelayConnected}, nil) == nil
+	return true
 }
 
 // exitReader pumps data from the external destination back down the

@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"bytes"
 	"io"
 	"math/rand"
 	"net"
@@ -21,15 +20,6 @@ const (
 	// maxChunk is the largest unit a Write is split into.
 	maxChunk = 32 * 1024
 )
-
-// txChunk is one queued transmission: either a data chunk stamped with
-// its virtual delivery time, or the EOF marker a Close enqueues behind
-// the in-flight data.
-type txChunk struct {
-	data []byte
-	at   time.Duration // virtual delivery time
-	eof  bool
-}
 
 // conn is one endpoint of an emulated connection. Since the event-core
 // refactor it owns no goroutines: the transmit side is a state machine
@@ -51,8 +41,9 @@ type conn struct {
 	// nil when chaos is disabled.
 	chaosRng *rand.Rand
 
-	// Receive side.
-	buf           bytes.Buffer
+	// Receive side. rx holds the very chunks the peer's Write filled: the
+	// bytes are copied once in (Write) and once out (Read).
+	rx            ChunkQueue
 	eof           bool // peer closed; EOF after buffer drains
 	deliverFn     func(data []byte, eof bool)
 	readers       []*parker
@@ -61,8 +52,12 @@ type conn struct {
 	rdTimer       *VTimer
 	senderWaiting bool // peer's tx paused until our buffer drains
 
-	// Transmit side (state machine).
-	txq          []txChunk
+	// Transmit side (state machine). The queue holds pooled chunks, each
+	// stamped with its virtual delivery time; a Close queues an EOF marker
+	// behind the in-flight data.
+	txq          chunkList
+	txLen        int           // chunks queued, for the outQueueLen window
+	txFireFn     func()        // c.txFire, bound once: arming must not allocate
 	txScheduled  bool          // a delivery timer for the head is armed
 	txStalled    bool          // head blocked on a partition; heal wake registered
 	txWaitDrain  bool          // paused until the peer's buffer drains
@@ -84,9 +79,11 @@ type LightConn interface {
 	net.Conn
 	// SetDeliverFunc routes deliveries to fn instead of the read buffer.
 	// fn runs in timer/dispatcher context and must not block; under the
-	// event core all callbacks are serialized on the dispatcher. Any
-	// bytes already buffered are handed to fn immediately. A nil fn
-	// restores buffered reads.
+	// event core all callbacks are serialized on the dispatcher. data is a
+	// pooled chunk lent for the duration of the call: fn may modify it in
+	// place but must copy whatever it keeps, because the chunk is recycled
+	// the moment fn returns. Any bytes already buffered are handed to fn
+	// immediately, chunk by chunk. A nil fn restores buffered reads.
 	SetDeliverFunc(fn func(data []byte, eof bool))
 	// WriteAsync queues p for delivery without ever blocking the caller:
 	// egress pacing is folded into the delivery timestamp (a bucket
@@ -112,8 +109,8 @@ func newConnPair(client, server *Host, cport, sport int) (*conn, *conn) {
 		remote:     addr{client.name, cport},
 		clock:      server.net.clock,
 	}
-	cl.peer = sv
-	sv.peer = cl
+	cl.peer, cl.txFireFn = sv, cl.txFire
+	sv.peer, sv.txFireFn = cl, sv.txFire
 	if ch := client.net.Chaos(); ch != nil {
 		cl.chaosRng = ch.connRng(client.name, server.name)
 		sv.chaosRng = ch.connRng(server.name, client.name)
@@ -139,16 +136,19 @@ func (c *conn) wakeWritersLocked() {
 	c.writers = nil
 }
 
-// enqueueLocked appends a transmission and arms the delivery timer if
-// the state machine is idle. Delivery stamps are monotone per conn: a
-// chunk delayed by a chaos retransmission holds back everything behind
-// it, like TCP head-of-line blocking.
-func (c *conn) enqueueLocked(data []byte, at time.Duration, eof bool) {
+// enqueueLocked takes ownership of ch, appends it to the transmit queue
+// and arms the delivery timer if the state machine is idle. Delivery
+// stamps are monotone per conn: a chunk delayed by a chaos
+// retransmission holds back everything behind it, like TCP head-of-line
+// blocking.
+func (c *conn) enqueueLocked(ch *chunk, at time.Duration) {
 	if at < c.lastAt {
 		at = c.lastAt
 	}
 	c.lastAt = at
-	c.txq = append(c.txq, txChunk{data: data, at: at, eof: eof})
+	ch.at = at
+	c.txq.push(ch)
+	c.txLen++
 	if !c.txScheduled && !c.txStalled && !c.txWaitDrain {
 		c.armTxLocked()
 	}
@@ -157,8 +157,8 @@ func (c *conn) enqueueLocked(data []byte, at time.Duration, eof bool) {
 // armTxLocked schedules the head chunk's delivery event.
 func (c *conn) armTxLocked() {
 	c.txScheduled = true
-	d := c.txq[0].at - c.clock.Now()
-	c.clock.AfterFunc(d, c.txFire)
+	d := c.txq.head.at - c.clock.Now()
+	c.clock.AfterFunc(d, c.txFireFn)
 }
 
 // txFire is the delivery event: it drains every due chunk, pausing on
@@ -167,13 +167,12 @@ func (c *conn) armTxLocked() {
 func (c *conn) txFire() {
 	c.mu.Lock()
 	for {
-		if len(c.txq) == 0 {
+		head := c.txq.head
+		if head == nil {
 			c.txScheduled = false
-			c.txq = nil
 			c.mu.Unlock()
 			return
 		}
-		head := c.txq[0]
 		if now := c.clock.Now(); head.at > now {
 			// Event core: chunks maturing later in the *current jiffy* are
 			// drained by this event rather than re-armed. The wheel cannot
@@ -200,15 +199,18 @@ func (c *conn) txFire() {
 				return
 			}
 		}
-		c.txq = c.txq[1:]
+		c.txq.pop()
+		c.txLen--
 		c.wakeWritersLocked()
 		c.mu.Unlock()
 
+		// The chunk leaves this conn here: the peer queues it, lends it to
+		// its deliver callback, or drops it.
 		var full bool
 		if head.eof {
 			c.peer.deliverEOF()
 		} else {
-			full = c.peer.deliver(head.data)
+			full = c.peer.deliver(head)
 		}
 
 		c.mu.Lock()
@@ -230,29 +232,32 @@ func (c *conn) txResume() {
 	c.mu.Lock()
 	c.txStalled = false
 	c.txWaitDrain = false
-	if !c.txScheduled && len(c.txq) > 0 {
+	if !c.txScheduled && c.txq.head != nil {
 		c.armTxLocked()
 	}
 	c.mu.Unlock()
 }
 
-// deliver appends data to the read buffer (or hands it to the deliver
-// callback) and reports whether the buffer is over its flow-control
-// limit.
-func (c *conn) deliver(data []byte) (full bool) {
+// deliver takes ownership of ch: it joins the read queue as is, or is
+// lent to the deliver callback for the duration of the call and recycled
+// when that returns. deliver reports whether the queue is over its
+// flow-control limit.
+func (c *conn) deliver(ch *chunk) (full bool) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
+		putChunk(ch)
 		return false
 	}
 	if fn := c.deliverFn; fn != nil {
 		c.mu.Unlock()
-		fn(data, false)
+		fn(ch.data, false)
+		putChunk(ch)
 		return false
 	}
-	c.buf.Write(data)
+	c.rx.push(ch)
 	c.wakeReadersLocked()
-	full = c.buf.Len() > readBufMax
+	full = c.rx.Len() > readBufMax
 	c.mu.Unlock()
 	return full
 }
@@ -263,7 +268,7 @@ func (c *conn) deliver(data []byte) (full bool) {
 func (c *conn) requestDrainWake() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed || c.deliverFn != nil || c.buf.Len() <= readBufMax {
+	if c.closed || c.deliverFn != nil || c.rx.Len() <= readBufMax {
 		return true
 	}
 	c.senderWaiting = true
@@ -285,22 +290,34 @@ func (c *conn) deliverEOF() {
 	}
 }
 
-// SetDeliverFunc implements LightConn.
+// SetDeliverFunc implements LightConn. Buffered chunks are flushed
+// before fn is installed, so a delivery racing the call queues behind
+// them instead of overtaking them, and an EOF that arrived while the
+// conn still had no callback is handed over too.
 func (c *conn) SetDeliverFunc(fn func(data []byte, eof bool)) {
 	c.mu.Lock()
+	if fn == nil {
+		c.deliverFn = nil
+		c.mu.Unlock()
+		return
+	}
+	for c.rx.Len() > 0 {
+		pending, off := c.rx.take()
+		c.mu.Unlock()
+		for ch := pending.pop(); ch != nil; ch = pending.pop() {
+			fn(ch.data[off:], false)
+			off = 0
+			putChunk(ch)
+		}
+		c.mu.Lock()
+	}
 	c.deliverFn = fn
-	var pending []byte
-	if fn != nil && c.buf.Len() > 0 {
-		pending = append([]byte(nil), c.buf.Bytes()...)
-		c.buf.Reset()
-	}
-	resume := fn != nil && c.senderWaiting
-	if resume {
-		c.senderWaiting = false
-	}
+	eof := c.eof && !c.closed
+	resume := c.senderWaiting
+	c.senderWaiting = false
 	c.mu.Unlock()
-	if len(pending) > 0 {
-		fn(pending, false)
+	if eof {
+		fn(nil, true)
 	}
 	if resume {
 		c.peer.txResume()
@@ -315,9 +332,9 @@ func (c *conn) Read(p []byte) (int, error) {
 			c.mu.Unlock()
 			return 0, os.ErrDeadlineExceeded
 		}
-		if c.buf.Len() > 0 {
-			n, _ := c.buf.Read(p)
-			resume := c.senderWaiting && c.buf.Len() <= readBufMax
+		if c.rx.Len() > 0 {
+			n := c.rx.Read(p)
+			resume := c.senderWaiting && c.rx.Len() <= readBufMax
 			if resume {
 				c.senderWaiting = false
 			}
@@ -371,7 +388,7 @@ func (c *conn) Write(p []byte) (int, error) {
 				c.mu.Unlock()
 				return total, os.ErrDeadlineExceeded
 			}
-			if len(c.txq) < outQueueLen {
+			if c.txLen < outQueueLen {
 				break
 			}
 			pk := c.clock.newParker()
@@ -392,21 +409,23 @@ func (c *conn) Write(p []byte) (int, error) {
 				return total, os.ErrDeadlineExceeded
 			}
 		}
-		data := make([]byte, n)
-		copy(data, p[:n])
+		ch := getChunk(n)
+		copy(ch.data, p)
 		c.mu.Lock()
 		if c.closed {
 			c.mu.Unlock()
+			putChunk(ch)
 			return total, net.ErrClosed
 		}
 		at, sever := c.stampLocked(n)
 		if sever {
 			c.mu.Unlock()
+			putChunk(ch)
 			c.peer.Close()
 			c.Close()
 			return total, net.ErrClosed
 		}
-		c.enqueueLocked(data, at, false)
+		c.enqueueLocked(ch, at)
 		c.mu.Unlock()
 		if m != nil {
 			m.bytesSent.Add(int64(n))
@@ -421,19 +440,17 @@ func (c *conn) Write(p []byte) (int, error) {
 // WriteAsync implements LightConn.
 func (c *conn) WriteAsync(p []byte) error {
 	m := c.localHost.net.metrics()
-	for len(p) > 0 || len(p) == 0 {
+	for len(p) > 0 {
 		n := len(p)
 		if n > maxChunk {
 			n = maxChunk
 		}
-		if n == 0 {
-			return nil
-		}
-		data := make([]byte, n)
-		copy(data, p[:n])
+		ch := getChunk(n)
+		copy(ch.data, p)
 		c.mu.Lock()
 		if c.closed {
 			c.mu.Unlock()
+			putChunk(ch)
 			return net.ErrClosed
 		}
 		var pacing time.Duration
@@ -443,11 +460,12 @@ func (c *conn) WriteAsync(p []byte) error {
 		at, sever := c.stampLocked(n)
 		if sever {
 			c.mu.Unlock()
+			putChunk(ch)
 			c.peer.Close()
 			c.Close()
 			return net.ErrClosed
 		}
-		c.enqueueLocked(data, at+pacing, false)
+		c.enqueueLocked(ch, at+pacing)
 		c.mu.Unlock()
 		if m != nil {
 			m.bytesSent.Add(int64(n))
@@ -487,7 +505,7 @@ func (c *conn) Close() error {
 	if now := c.clock.Now(); eofAt < now {
 		eofAt = now
 	}
-	c.enqueueLocked(nil, eofAt, true)
+	c.enqueueLocked(&chunk{eof: true}, eofAt)
 	c.wakeReadersLocked()
 	c.wakeWritersLocked()
 	resume := c.senderWaiting

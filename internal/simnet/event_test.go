@@ -8,14 +8,22 @@ import (
 	"math/rand"
 	"net"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 )
 
 // eventClock returns an event-driven clock and registers its shutdown.
+// The test runs on one P from here on: the event core's settle takes
+// three quiet Gosched rounds for quiescence, which is sound only when a
+// woken goroutine cannot still be running on another P
+// (benchmark/README.md, "Recorded limits"). On 2 P, ten runs of this
+// package saw six event-core test failures; on one P, twenty saw none.
 func eventClock(t *testing.T) *Clock {
 	t.Helper()
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	c := NewEventClock()
 	t.Cleanup(c.Stop)
 	return c

@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -80,6 +81,7 @@ func TestSitesServed(t *testing.T) {
 // discrete-event clock, proving the full stack's goroutine code
 // interoperates with the virtual-time scheduler.
 func TestSitesServedEventClock(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // settle is unsound on 2 P: benchmark/README.md, "Recorded limits"
 	site := webfarm.NamedSite("hello.web", 2000, nil)
 	w, err := New(Config{Relays: 3, Sites: []*webfarm.Site{site}, EventClock: true})
 	if err != nil {
@@ -105,6 +107,7 @@ func TestSitesServedEventClock(t *testing.T) {
 // have sampled once per virtual interval along the way — not once per
 // wall interval (which would be zero samples).
 func TestWindowerOnEventClock(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // settle is unsound on 2 P: benchmark/README.md, "Recorded limits"
 	site := webfarm.NamedSite("hello.web", 2000, nil)
 	reg := obs.NewRegistry()
 	w, err := New(Config{

@@ -504,7 +504,8 @@ func (circ *Circuit) handleRelay(payload []byte) {
 func (circ *Circuit) awaitCtrl(cmd cell.RelayCommand) (ctrlMsg, error) {
 	unblock := circ.client.Clock().Blocking()
 	defer unblock()
-	deadline := circ.client.Clock().After(circ.client.CtrlTimeout())
+	deadline, stop := circ.client.ctrlDeadline()
+	defer stop()
 	for {
 		select {
 		case m := <-circ.ctrl:

@@ -67,6 +67,17 @@ func (c *Client) CtrlTimeout() time.Duration {
 	return c.ctrl
 }
 
+// ctrlDeadline returns a channel closed once CtrlTimeout of virtual time
+// has passed, and the func that disarms it. Control waits must call stop
+// when they return: a Clock.After timer cannot be stopped, so each
+// completed round-trip would strand a timer and its channel for the full
+// timeout (ten virtual minutes by default).
+func (c *Client) ctrlDeadline() (expired <-chan struct{}, stop func() bool) {
+	ch := make(chan struct{})
+	t := c.Clock().AfterFunc(c.CtrlTimeout(), func() { close(ch) })
+	return ch, t.Stop
+}
+
 // Clock returns the virtual clock of the client's host.
 func (c *Client) Clock() *simnet.Clock { return c.host.Clock() }
 

@@ -1,7 +1,6 @@
 package torclient
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -10,6 +9,7 @@ import (
 	"time"
 
 	"github.com/bento-nfv/bento/internal/cell"
+	"github.com/bento-nfv/bento/internal/simnet"
 )
 
 // Stream is an anonymous byte stream carried over a circuit. It implements
@@ -23,7 +23,7 @@ type Stream struct {
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	buf  bytes.Buffer
+	buf  simnet.ChunkQueue // unread DATA payloads; drained chunks go back to the pool
 	eof  bool
 	err  error
 	// Deadlines are stored as virtual instants so all timeout arithmetic
@@ -80,6 +80,8 @@ func (circ *Circuit) openStream(target string) (net.Conn, error) {
 	}
 	unblock := circ.client.Clock().Blocking()
 	defer unblock()
+	deadline, stop := circ.client.ctrlDeadline()
+	defer stop()
 	select {
 	case <-s.ready:
 		if s.readyErr != nil {
@@ -92,7 +94,7 @@ func (circ *Circuit) openStream(target string) (net.Conn, error) {
 			return nil, fmt.Errorf("%w: %v", ErrCircuitClosed, cause)
 		}
 		return nil, ErrCircuitClosed
-	case <-circ.client.Clock().After(circ.client.CtrlTimeout()):
+	case <-deadline:
 		// A BEGIN that never comes back means the circuit is stalled;
 		// tear it down so its hops are avoided on the rebuild.
 		err := fmt.Errorf("torclient: timeout opening stream to %s", target)
@@ -149,7 +151,7 @@ func (s *Stream) Read(p []byte) (int, error) {
 	defer s.mu.Unlock()
 	for {
 		if s.buf.Len() > 0 {
-			return s.buf.Read(p)
+			return s.buf.Read(p), nil
 		}
 		if s.err != nil {
 			return 0, s.err

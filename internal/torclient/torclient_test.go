@@ -32,7 +32,13 @@ type testNet struct {
 // policies), a destination web host, and a client host.
 func buildTestNet(t testing.TB, nRelays int) *testNet {
 	t.Helper()
-	n := simnet.NewNetwork(simnet.NewClock(0.0005), 2*time.Millisecond)
+	return buildTestNetOn(t, simnet.NewNetwork(simnet.NewClock(0.0005), 2*time.Millisecond), nRelays)
+}
+
+// buildTestNetOn is buildTestNet on a network (and so a clock) of the
+// caller's choosing.
+func buildTestNetOn(t testing.TB, n *simnet.Network, nRelays int) *testNet {
+	t.Helper()
 	auth, err := dirauth.NewAuthority()
 	if err != nil {
 		t.Fatal(err)

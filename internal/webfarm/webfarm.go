@@ -14,6 +14,7 @@ import (
 	"net"
 	"strconv"
 	"strings"
+	"sync"
 
 	"github.com/bento-nfv/bento/internal/simnet"
 )
@@ -37,6 +38,12 @@ type Site struct {
 	// incompressible pseudorandom filler.
 	Compressible bool
 	seed         int64
+
+	// bodies memoises Body per path: the farm is a fixture, and
+	// regenerating a page per request made the fixture the largest
+	// allocator of a fetch.
+	mu     sync.Mutex
+	bodies map[string][]byte
 }
 
 // TotalSize is the page weight: HTML plus all resources.
@@ -83,8 +90,26 @@ func NamedSite(domain string, htmlSize int, resourceSizes []int) *Site {
 
 // Body returns the deterministic bytes served at path, or nil for an
 // unknown path. The HTML at "/" begins with a resource manifest the
-// fetcher follows, padded with deterministic filler to HTMLSize.
+// fetcher follows, padded with deterministic filler to HTMLSize. The
+// bytes are generated once per path and shared between callers, who must
+// not modify them; set the site's fields before the first call.
 func (s *Site) Body(path string) []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	body, ok := s.bodies[path]
+	if !ok {
+		body = s.generate(path)
+		if body != nil { // unknown paths are not worth remembering
+			if s.bodies == nil {
+				s.bodies = make(map[string][]byte)
+			}
+			s.bodies[path] = body
+		}
+	}
+	return body
+}
+
+func (s *Site) generate(path string) []byte {
 	if path == "/" || path == "/index.html" {
 		var b strings.Builder
 		for _, r := range s.Resources {

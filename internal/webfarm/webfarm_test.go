@@ -2,6 +2,7 @@ package webfarm
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 	"time"
 
@@ -142,5 +143,38 @@ func TestFillerDeterministic(t *testing.T) {
 	}
 	if bytes.Equal(a, c) {
 		t.Fatal("filler ignores seed")
+	}
+}
+
+// TestBodyMemoised: a page is generated once per (site, path) and then
+// served from memory, also under concurrent requests; unknown paths are
+// neither served nor remembered.
+func TestBodyMemoised(t *testing.T) {
+	s := NamedSite("memo.web", 4000, []int{3000})
+	fresh := NamedSite("memo.web", 4000, []int{3000})
+	for _, path := range []string{"/", "/r0"} {
+		first := s.Body(path)
+		if !bytes.Equal(first, fresh.generate(path)) {
+			t.Fatalf("%s: memoised body differs from a generated one", path)
+		}
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if again := s.Body(path); &again[0] != &first[0] {
+					t.Errorf("%s: regenerated on a repeat request", path)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	for i := 0; i < 3; i++ {
+		if s.Body("/nope") != nil {
+			t.Fatal("unknown path served")
+		}
+	}
+	if len(s.bodies) != 2 {
+		t.Fatalf("%d paths remembered, want 2", len(s.bodies))
 	}
 }

@@ -23,6 +23,9 @@ go build ./...
 echo "==> go test"
 go test ./...
 
+echo "==> repo benchmark self-tests (smoke of all five workloads, probes, ledger)"
+go test -count=1 ./benchmark
+
 echo "==> go test -race (cell, simnet, torclient, bento, otr, relay, obs, interp, fleet)"
 go test -race -count=1 ./internal/cell/ ./internal/simnet/ ./internal/torclient/ ./internal/bento/ \
     ./internal/otr/ ./internal/relay/ ./internal/obs/ ./internal/interp/ ./internal/fleet/
@@ -37,6 +40,15 @@ echo "==> telemetry regression smoke (instrumented hot path and live sampler mus
 go test -count=1 -run='TestInstrumentedMicroAllocFree|TestWindowedMicroAllocFree' ./internal/bench/
 go test -count=1 -run='TestMiddleHopForwardAllocFree' ./internal/relay/
 go test -count=1 -run='TestHotPathAllocFree|TestWindowerSampleAllocFree' ./internal/obs/
+go test -count=1 -run='TestConnWriteReadAllocFree|TestConnWriteAsyncDeliverAllocFree|TestConnSizeofPinned' ./internal/simnet/
+
+echo "==> poison-on-recycle (recycled simnet chunks filled with 0xDB: nobody may keep a lent slice)"
+go test -count=1 -tags simnet_poison ./internal/simnet/ ./internal/relay/ ./internal/torclient/ \
+    ./internal/hs/ ./internal/bento/ ./internal/testbed/
+go run -tags simnet_poison ./cmd/benchharness -exp scale -scaleout /dev/null -maxhostbytes 10240
+
+echo "==> zlib codec reuse under race (functions is not in the package race list above)"
+go test -race -count=1 -run='TestZlibReused' ./internal/functions/
 
 echo "==> multi-core alloc smoke (worker batched forward path at GOMAXPROCS=4)"
 # AllocsPerRun pins GOMAXPROCS to 1 during the measured section; running
