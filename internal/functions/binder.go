@@ -28,7 +28,7 @@ import (
 // StandardBinder returns the bento.APIBinder installing the full function
 // API. iasKey may be nil when composition never targets SGX containers.
 func StandardBinder() bento.APIBinder {
-	zc := new(zlibCodecs) // shared by every container this binder serves
+	zc := newZlibCodecs() // shared by every container this binder serves
 	return func(b *bento.Binding) {
 		st := &apiState{b: b}
 		m := b.Container.Machine()
@@ -130,34 +130,18 @@ const maxInflate = 64 << 20
 
 // zlibCodecs recycles zlib writers and readers through Reset, which
 // restores exactly the state NewWriter/NewReader would build, so output
-// is byte-identical to a fresh codec's. Safe for concurrent use.
+// is byte-identical to a fresh codec's. Each channel parks up to zlibKeep
+// idle codecs: a caller that finds it empty builds a fresh one, one that
+// finds it full drops its own. Safe for concurrent use.
 type zlibCodecs struct {
-	writers freeList[*zlib.Writer]
-	readers freeList[io.ReadCloser] // each also a zlib.Resetter
+	writers chan *zlib.Writer
+	readers chan io.ReadCloser // each also a zlib.Resetter
 }
 
-// freeList parks up to zlibKeep idle values. A caller that finds it
-// empty builds a fresh value; one that finds it full drops its own.
-type freeList[T any] struct {
-	mu   sync.Mutex
-	idle []T
-}
-
-func (f *freeList[T]) get() (v T, ok bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if n := len(f.idle); n > 0 {
-		v, f.idle = f.idle[n-1], f.idle[:n-1]
-		return v, true
-	}
-	return v, false
-}
-
-func (f *freeList[T]) put(v T) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if len(f.idle) < zlibKeep {
-		f.idle = append(f.idle, v)
+func newZlibCodecs() *zlibCodecs {
+	return &zlibCodecs{
+		writers: make(chan *zlib.Writer, zlibKeep),
+		readers: make(chan io.ReadCloser, zlibKeep),
 	}
 }
 
@@ -165,15 +149,19 @@ func (zc *zlibCodecs) compress(data []byte) []byte {
 	// Deflate's worst case is stored blocks: 5 bytes per 64 KB block,
 	// plus the zlib header and checksum.
 	buf := bytes.NewBuffer(make([]byte, 0, len(data)+len(data)/64+64))
-	w, ok := zc.writers.get()
-	if ok {
+	var w *zlib.Writer
+	select {
+	case w = <-zc.writers:
 		w.Reset(buf)
-	} else {
+	default:
 		w = zlib.NewWriter(buf)
 	}
 	w.Write(data)
 	w.Close()
-	zc.writers.put(w)
+	select {
+	case zc.writers <- w:
+	default:
+	}
 	return buf.Bytes()
 }
 
@@ -181,14 +169,22 @@ func (zc *zlibCodecs) compress(data []byte) []byte {
 // maxInflate bytes; whatever follows the stream is ignored.
 func (zc *zlibCodecs) decompress(payload []byte) ([]byte, error) {
 	src := bytes.NewReader(payload)
-	r, ok := zc.readers.get()
+	var r io.ReadCloser
 	var err error
-	if ok {
+	select {
+	case r = <-zc.readers:
 		err = r.(zlib.Resetter).Reset(src, nil)
-	} else if r, err = zlib.NewReader(src); err != nil {
-		return nil, err
+	default:
+		if r, err = zlib.NewReader(src); err != nil {
+			return nil, err
+		}
 	}
-	defer zc.readers.put(r) // a reader that failed is as good as new after Reset
+	defer func() { // a reader that failed is as good as new after Reset
+		select {
+		case zc.readers <- r:
+		default:
+		}
+	}()
 	if err != nil {
 		return nil, err
 	}
@@ -786,9 +782,9 @@ func ComposedManifest(image, name string) *policy.Manifest {
 	}
 }
 
-// unpadCodecs serves UnpadBrowser, the one client-side zlib user; only
-// its reader list is ever filled.
-var unpadCodecs zlibCodecs
+// unpadCodecs serves UnpadBrowser, the one client-side zlib user (its
+// writers stay empty).
+var unpadCodecs = newZlibCodecs()
 
 // zlibDecompressPrefix inflates the zlib stream at the start of payload,
 // ignoring trailing padding bytes.

@@ -59,7 +59,7 @@ func seededInput(rng *mrand.Rand) []byte {
 // forth and reused ~100 times), must compress to exactly what a fresh
 // zlib.NewWriter produces and inflate back to the input.
 func TestZlibReusedCodecsMatchFresh(t *testing.T) {
-	zc := new(zlibCodecs)
+	zc := newZlibCodecs()
 	machines := []*interp.Machine{zlibMachine(t, zc), zlibMachine(t, zc)}
 	rng := mrand.New(mrand.NewSource(20210823))
 	for i := 0; i < 200; i++ {
@@ -86,7 +86,7 @@ func TestZlibReusedCodecsMatchFresh(t *testing.T) {
 			t.Fatalf("input %d: round trip lost data", i)
 		}
 	}
-	if w, r := len(zc.writers.idle), len(zc.readers.idle); w == 0 || w > zlibKeep || r == 0 || r > zlibKeep {
+	if w, r := len(zc.writers), len(zc.readers); w == 0 || w > zlibKeep || r == 0 || r > zlibKeep {
 		t.Fatalf("free lists hold %d writers, %d readers; want 1..%d of each", w, r, zlibKeep)
 	}
 }
@@ -95,7 +95,7 @@ func TestZlibReusedCodecsMatchFresh(t *testing.T) {
 // good streams must still reject a corrupt one, recover afterwards, and
 // stop at the end of the stream when Browser padding follows it.
 func TestZlibReusedReaderStillChecks(t *testing.T) {
-	zc := new(zlibCodecs)
+	zc := newZlibCodecs()
 	page := bytes.Repeat([]byte("the quick brown fox "), 4000)
 	good := zc.compress(page)
 	inflate := func(name string, payload []byte, wantErr bool) {
@@ -134,7 +134,7 @@ func TestZlibReusedReaderStillChecks(t *testing.T) {
 	if _, err := UnpadBrowser(flipped); err == nil {
 		t.Fatal("UnpadBrowser accepted a corrupt reply")
 	}
-	if n := len(zc.readers.idle); n != 1 {
+	if n := len(zc.readers); n != 1 {
 		t.Fatalf("%d readers parked after sequential use, want 1", n)
 	}
 }

@@ -19,13 +19,15 @@ import (
 	"github.com/bento-nfv/bento/internal/torclient"
 )
 
-// pinOneP runs the test on one P. The event core's settle decides the
-// system is quiescent when three Gosched rounds see no bridge activity,
-// which holds only if a runnable goroutine cannot be mid-computation on
-// another P (benchmark/README.md, "Recorded limits"): on 2 P a helper
-// still inside its ntor handshake is sprinted past and the client's
-// 10-virtual-minute control timeout fires at wall time 0.
-func pinOneP(t testing.TB) {
+// onOneP runs the rest of the test on one P. The event core's settle
+// decides the system is quiescent when three Gosched rounds see no bridge
+// activity, which holds only if a runnable goroutine cannot be
+// mid-computation on another P (benchmark/README.md, "Recorded limits"):
+// on 2 P a helper still inside its ntor handshake is sprinted past and
+// the client's 10-virtual-minute control timeout fires at wall time 0.
+// Only the tests that build circuits through torclient call this.
+func onOneP(t *testing.T) {
+	t.Helper()
 	prev := runtime.GOMAXPROCS(1)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
@@ -35,7 +37,6 @@ func pinOneP(t testing.TB) {
 // callbacks, published into a consensus.
 func buildLightNet(t testing.TB, nRelays int) (*simnet.Network, []*Relay, *dirauth.Consensus) {
 	t.Helper()
-	pinOneP(t)
 	clock := simnet.NewEventClock()
 	n := simnet.NewNetwork(clock, 2*time.Millisecond)
 	n.SetObs(obs.NewRegistry())
@@ -79,6 +80,7 @@ func buildLightNet(t testing.TB, nRelays int) (*simnet.Network, []*Relay, *dirau
 // ntor handshakes, an exit stream, echoed data spanning multiple cells —
 // through relays that own zero per-link goroutines.
 func TestLightIngressThreeHopEcho(t *testing.T) {
+	onOneP(t) // unpinned on 2 P: "timeout waiting for EXTENDED" in 71 of 120 runs, parent 7 of 10
 	n, relays, cons := buildLightNet(t, 3)
 
 	echoHost := n.AddHost("dest", 0)
@@ -285,6 +287,7 @@ func TestLightIngressRendezvousSplice(t *testing.T) {
 // TestLightIngressDestroyPropagates kills the far relay of an extended
 // light circuit and expects the DESTROY to reach the client.
 func TestLightIngressDestroyPropagates(t *testing.T) {
+	onOneP(t) // unpinned on 2 P: "timeout waiting for EXTENDED" in 28 of 120 runs, parent 4 of 10
 	n, relays, cons := buildLightNet(t, 2)
 
 	cliHost := n.AddHost("client", 0)

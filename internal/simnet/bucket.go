@@ -110,6 +110,12 @@ func (tb *TokenBucket) TakeUntil(n int, deadline time.Duration) bool {
 		} else {
 			deficit := chunk - tb.tokens
 			wait = time.Duration(deficit / tb.rate * float64(time.Second))
+			if wait <= 0 {
+				// A deficit worth less than a nanosecond of refill truncates
+				// to zero; retrying without sleeping spins with the clock
+				// standing still (forever, on the event core).
+				wait = time.Nanosecond
+			}
 			if deadline > 0 {
 				if left := deadline - tb.clock.Now(); wait > left {
 					wait = left

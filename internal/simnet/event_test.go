@@ -14,16 +14,22 @@ import (
 	"time"
 )
 
-// eventClock returns an event-driven clock and registers its shutdown.
-// The test runs on one P from here on: the event core's settle takes
-// three quiet Gosched rounds for quiescence, which is sound only when a
-// woken goroutine cannot still be running on another P
-// (benchmark/README.md, "Recorded limits"). On 2 P, ten runs of this
-// package saw six event-core test failures; on one P, twenty saw none.
-func eventClock(t *testing.T) *Clock {
+// onOneP runs the rest of the test on one P. The event core's settle
+// takes three quiet Gosched rounds for quiescence, which is sound only
+// when a woken goroutine cannot still be running on another P
+// (benchmark/README.md, "Recorded limits"); on 2 P virtual time can run
+// ahead of such a goroutine. Only tests measured flaky for that reason
+// call this, each with its rate; the rest, the Stop-versus-dispatcher
+// races in sched_test.go above all, need their second P.
+func onOneP(t *testing.T) {
 	t.Helper()
 	prev := runtime.GOMAXPROCS(1)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// eventClock returns an event-driven clock and registers its shutdown.
+func eventClock(t *testing.T) *Clock {
+	t.Helper()
 	c := NewEventClock()
 	t.Cleanup(c.Stop)
 	return c
@@ -262,6 +268,7 @@ func TestDifferentialDeliveryOrder(t *testing.T) {
 	// The legacy core runs at true speed (scale 1.0) so wall jitter stays
 	// far below the 5ms event separation.
 	legacy := runTaggedWorkload(t, NewClock(1.0))
+	onOneP(t) // unpinned on 2 P: the event order was off in 9 of 150 package runs (the parent failed this test in 3 of 10)
 	ev := runTaggedWorkload(t, eventClock(t))
 	if len(legacy) != 10 || len(ev) != 10 {
 		t.Fatalf("lost deliveries: legacy=%d event=%d", len(legacy), len(ev))
@@ -479,6 +486,7 @@ func runChaosWorkload(t *testing.T) []string {
 }
 
 func TestChaosEventLogDeterministic(t *testing.T) {
+	onOneP(t) // unpinned on 2 P: failed 26 of 150 package runs, parent 1 of 10
 	first := runChaosWorkload(t)
 	second := runChaosWorkload(t)
 	if len(first) == 0 {

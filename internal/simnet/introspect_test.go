@@ -11,6 +11,7 @@ import (
 // by the telemetry gauges: per-host live endpoint counts and egress
 // token-bucket backlog, plus the registry gauges built on them.
 func TestQueueIntrospection(t *testing.T) {
+	onOneP(t) // unpinned on 2 P: failed 7 of 150 package runs ("backlog never became visible"), parent 2 of 10
 	clock := eventClock(t)
 	n := NewNetwork(clock, 1*time.Millisecond)
 	reg := obs.NewRegistry()

@@ -305,6 +305,26 @@ func TestTokenBucketUnlimited(t *testing.T) {
 	}
 }
 
+// TestTokenBucketSubNanosecondDeficit: a deficit that refills in less
+// than a nanosecond used to compute a zero wait, and Take retried without
+// sleeping while the event clock, waiting for it to park, stood still.
+// TestQueueIntrospection hung on exactly this in 2 of 150 runs on 2 P.
+func TestTokenBucketSubNanosecondDeficit(t *testing.T) {
+	clock := eventClock(t)
+	tb := NewTokenBucket(clock, 1024, 1000)
+	tb.tokens = 1000 - 1e-9
+	done := make(chan struct{})
+	go func() {
+		tb.Take(1000)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Take spins on a deficit below one nanosecond of refill")
+	}
+}
+
 func TestListenerDoublePort(t *testing.T) {
 	n := newTestNet(t, 0)
 	h := n.AddHost("h", 0)

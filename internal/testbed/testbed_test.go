@@ -1,7 +1,6 @@
 package testbed
 
 import (
-	"runtime"
 	"testing"
 	"time"
 
@@ -81,7 +80,6 @@ func TestSitesServed(t *testing.T) {
 // discrete-event clock, proving the full stack's goroutine code
 // interoperates with the virtual-time scheduler.
 func TestSitesServedEventClock(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // settle is unsound on 2 P: benchmark/README.md, "Recorded limits"
 	site := webfarm.NamedSite("hello.web", 2000, nil)
 	w, err := New(Config{Relays: 3, Sites: []*webfarm.Site{site}, EventClock: true})
 	if err != nil {
@@ -107,7 +105,6 @@ func TestSitesServedEventClock(t *testing.T) {
 // have sampled once per virtual interval along the way — not once per
 // wall interval (which would be zero samples).
 func TestWindowerOnEventClock(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // settle is unsound on 2 P: benchmark/README.md, "Recorded limits"
 	site := webfarm.NamedSite("hello.web", 2000, nil)
 	reg := obs.NewRegistry()
 	w, err := New(Config{

@@ -8,6 +8,7 @@ package torclient
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/bento-nfv/bento/internal/dirauth"
@@ -72,11 +73,23 @@ func (c *Client) CtrlTimeout() time.Duration {
 // when they return: a Clock.After timer cannot be stopped, so each
 // completed round-trip would strand a timer and its channel for the full
 // timeout (ten virtual minutes by default).
-func (c *Client) ctrlDeadline() (expired <-chan struct{}, stop func() bool) {
+func (c *Client) ctrlDeadline() (expired <-chan struct{}, stop func()) {
 	ch := make(chan struct{})
-	t := c.Clock().AfterFunc(c.CtrlTimeout(), func() { close(ch) })
-	return ch, t.Stop
+	ctrlDeadlinesArmed.Add(1)
+	t := c.Clock().AfterFunc(c.CtrlTimeout(), func() {
+		ctrlDeadlinesArmed.Add(-1)
+		close(ch)
+	})
+	return ch, func() {
+		if t.Stop() {
+			ctrlDeadlinesArmed.Add(-1)
+		}
+	}
 }
+
+// ctrlDeadlinesArmed counts ctrlDeadline timers neither stopped nor
+// fired, across all clients; the leak test requires it back at zero.
+var ctrlDeadlinesArmed atomic.Int64
 
 // Clock returns the virtual clock of the client's host.
 func (c *Client) Clock() *simnet.Clock { return c.host.Clock() }

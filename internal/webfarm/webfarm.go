@@ -38,12 +38,6 @@ type Site struct {
 	// incompressible pseudorandom filler.
 	Compressible bool
 	seed         int64
-
-	// bodies memoises Body per path: the farm is a fixture, and
-	// regenerating a page per request made the fixture the largest
-	// allocator of a fetch.
-	mu     sync.Mutex
-	bodies map[string][]byte
 }
 
 // TotalSize is the page weight: HTML plus all resources.
@@ -90,26 +84,8 @@ func NamedSite(domain string, htmlSize int, resourceSizes []int) *Site {
 
 // Body returns the deterministic bytes served at path, or nil for an
 // unknown path. The HTML at "/" begins with a resource manifest the
-// fetcher follows, padded with deterministic filler to HTMLSize. The
-// bytes are generated once per path and shared between callers, who must
-// not modify them; set the site's fields before the first call.
+// fetcher follows, padded with deterministic filler to HTMLSize.
 func (s *Site) Body(path string) []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	body, ok := s.bodies[path]
-	if !ok {
-		body = s.generate(path)
-		if body != nil { // unknown paths are not worth remembering
-			if s.bodies == nil {
-				s.bodies = make(map[string][]byte)
-			}
-			s.bodies[path] = body
-		}
-	}
-	return body
-}
-
-func (s *Site) generate(path string) []byte {
 	if path == "/" || path == "/index.html" {
 		var b strings.Builder
 		for _, r := range s.Resources {
@@ -173,6 +149,17 @@ type Server struct {
 	ln    net.Listener
 	sites map[string]*Site
 	first *Site
+
+	// bodies memoises Body per (site, path): the farm is a fixture, and
+	// regenerating a page per request made it the largest allocator of a
+	// fetch. A site's fields must not change once it is being served.
+	mu     sync.Mutex
+	bodies map[bodyKey][]byte
+}
+
+type bodyKey struct {
+	site *Site
+	path string
 }
 
 // Serve starts serving the given sites on the host's HTTP port.
@@ -184,7 +171,7 @@ func Serve(host *simnet.Host, sites ...*Site) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	srv := &Server{ln: ln, sites: make(map[string]*Site), first: sites[0]}
+	srv := &Server{ln: ln, sites: make(map[string]*Site), first: sites[0], bodies: make(map[bodyKey][]byte)}
 	for _, s := range sites {
 		srv.sites[s.Domain] = s
 	}
@@ -223,7 +210,7 @@ func (s *Server) handle(conn net.Conn) {
 			writeResponse(conn, 405, nil)
 			return
 		}
-		body := site.Body(path)
+		body := s.body(site, path)
 		if body == nil {
 			if err := writeResponse(conn, 404, nil); err != nil {
 				return
@@ -234,6 +221,21 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		}
 	}
+}
+
+// body is site.Body(path), generated once and shared between requests.
+func (s *Server) body(site *Site, path string) []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	k := bodyKey{site, path}
+	body, ok := s.bodies[k]
+	if !ok {
+		body = site.Body(path)
+		if body != nil { // unknown paths are not worth remembering
+			s.bodies[k] = body
+		}
+	}
+	return body
 }
 
 func readRequest(r *bufio.Reader) (method, path, host string, err error) {

@@ -146,15 +146,15 @@ func TestFillerDeterministic(t *testing.T) {
 	}
 }
 
-// TestBodyMemoised: a page is generated once per (site, path) and then
-// served from memory, also under concurrent requests; unknown paths are
-// neither served nor remembered.
+// TestBodyMemoised: the server generates a page once per (site, path) and
+// then serves it from memory, also under concurrent requests; unknown
+// paths are neither served nor remembered.
 func TestBodyMemoised(t *testing.T) {
-	s := NamedSite("memo.web", 4000, []int{3000})
-	fresh := NamedSite("memo.web", 4000, []int{3000})
+	site := NamedSite("memo.web", 4000, []int{3000})
+	srv := &Server{bodies: make(map[bodyKey][]byte)}
 	for _, path := range []string{"/", "/r0"} {
-		first := s.Body(path)
-		if !bytes.Equal(first, fresh.generate(path)) {
+		first := srv.body(site, path)
+		if !bytes.Equal(first, site.Body(path)) {
 			t.Fatalf("%s: memoised body differs from a generated one", path)
 		}
 		var wg sync.WaitGroup
@@ -162,7 +162,7 @@ func TestBodyMemoised(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if again := s.Body(path); &again[0] != &first[0] {
+				if again := srv.body(site, path); &again[0] != &first[0] {
 					t.Errorf("%s: regenerated on a repeat request", path)
 				}
 			}()
@@ -170,11 +170,11 @@ func TestBodyMemoised(t *testing.T) {
 		wg.Wait()
 	}
 	for i := 0; i < 3; i++ {
-		if s.Body("/nope") != nil {
+		if srv.body(site, "/nope") != nil {
 			t.Fatal("unknown path served")
 		}
 	}
-	if len(s.bodies) != 2 {
-		t.Fatalf("%d paths remembered, want 2", len(s.bodies))
+	if len(srv.bodies) != 2 {
+		t.Fatalf("%d paths remembered, want 2", len(srv.bodies))
 	}
 }
