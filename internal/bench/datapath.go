@@ -28,7 +28,7 @@ type DatapathConfig struct {
 	// end-to-end test.
 	Bytes int
 	// MicroCells is the number of cells pumped through the middle-hop
-	// microbenchmark per variant.
+	// microbenchmark.
 	MicroCells int
 	// ClockScale maps virtual to real time; the datapath experiment wants
 	// the emulation CPU-bound, so it runs with near-zero link delay.
@@ -75,18 +75,18 @@ type DatapathResult struct {
 	// Middle-hop forwarding microbenchmark: read one cell, peel this
 	// hop's layer, fail recognition, re-address, and write it out —
 	// the steady-state inner loop of every relay on every circuit.
-	MicroLegacyCellsPerSec float64 `json:"micro_legacy_cells_per_sec"`
 	MicroPooledCellsPerSec float64 `json:"micro_pooled_cells_per_sec"`
-	MicroSpeedup           float64 `json:"micro_speedup"`
 
 	// Sharded worker-pool sweep: aggregate middle-hop forwarding
 	// throughput across ParallelCircuits circuits, keyed by the
 	// GOMAXPROCS value the measurement ran at. ParallelScaling4x is
-	// rate(4)/rate(1); HostCPUs records how many cores the host
-	// actually had, since scaling numbers taken on a box with fewer
-	// cores than GOMAXPROCS measure scheduler overhead, not speedup.
+	// rate(4)/rate(1) and is measured only on a host with at least four
+	// cores (HostCPUs): with fewer, the ratio is scheduler overhead, not
+	// speedup, so it is written as null and ParallelScaling says
+	// "unmeasured" instead of a number that looks like a result.
 	ParallelForwardCellsPerSec map[string]float64 `json:"parallel_forward_cells_per_sec,omitempty"`
-	ParallelScaling4x          float64            `json:"parallel_scaling_4x,omitempty"`
+	ParallelScaling4x          *float64           `json:"parallel_scaling_4x"`
+	ParallelScaling            string             `json:"parallel_scaling"`
 	HostCPUs                   int                `json:"host_cpus"`
 
 	// ForwardFloorCellsPerSec is the regression floor for the
@@ -114,11 +114,7 @@ func (r *DatapathResult) String() string {
 	fmt.Fprintf(&b, "  backward (exit->client): %10.0f cells/s  %7.2f MB/s\n",
 		r.BackwardCellsPerSec, r.BackwardMBPerSec)
 	fmt.Fprintf(&b, "\nmiddle-hop forward microbenchmark (%d cells):\n", r.MicroCells)
-	fmt.Fprintf(&b, "  allocating codec (legacy): %10.0f cells/s\n", r.MicroLegacyCellsPerSec)
-	if r.MicroPooledCellsPerSec > 0 {
-		fmt.Fprintf(&b, "  zero-copy pooled codec:    %10.0f cells/s  (%.2fx)\n",
-			r.MicroPooledCellsPerSec, r.MicroSpeedup)
-	}
+	fmt.Fprintf(&b, "  zero-copy pooled codec:    %10.0f cells/s\n", r.MicroPooledCellsPerSec)
 	if len(r.ParallelForwardCellsPerSec) > 0 {
 		fmt.Fprintf(&b, "\nsharded worker-pool sweep (%d-core host):\n", r.HostCPUs)
 		for _, p := range []int{1, 2, 4, 8, 16} {
@@ -128,8 +124,10 @@ func (r *DatapathResult) String() string {
 			}
 			fmt.Fprintf(&b, "  GOMAXPROCS=%-2d %10.0f cells/s\n", p, rate)
 		}
-		if r.ParallelScaling4x > 0 {
-			fmt.Fprintf(&b, "  scaling 4x/1x: %.2fx\n", r.ParallelScaling4x)
+		if r.ParallelScaling4x != nil {
+			fmt.Fprintf(&b, "  scaling 4x/1x: %.2fx\n", *r.ParallelScaling4x)
+		} else {
+			fmt.Fprintf(&b, "  scaling 4x/1x: %s\n", r.ParallelScaling)
 		}
 	}
 	return b.String()
@@ -161,6 +159,7 @@ func RunDatapath(cfg DatapathConfig) (*DatapathResult, error) {
 		Bytes:                   cfg.Bytes,
 		MicroCells:              cfg.MicroCells,
 		Seed:                    cfg.Seed,
+		ParallelScaling:         "unmeasured",
 		HostCPUs:                runtime.NumCPU(),
 		ForwardFloorCellsPerSec: DatapathForwardFloor,
 	}
@@ -168,7 +167,7 @@ func RunDatapath(cfg DatapathConfig) (*DatapathResult, error) {
 	if err := runDatapathE2E(cfg, res); err != nil {
 		return nil, err
 	}
-	runDatapathMicro(cfg, res)
+	res.MicroPooledCellsPerSec = runMicroPooled(cfg.MicroCells)
 	runDatapathParallel(cfg, res)
 	return res, nil
 }
@@ -194,8 +193,10 @@ func runDatapathParallel(cfg DatapathConfig, res *DatapathResult) {
 	}
 	r1, ok1 := res.ParallelForwardCellsPerSec["1"]
 	r4, ok4 := res.ParallelForwardCellsPerSec["4"]
-	if ok1 && ok4 && r1 > 0 {
-		res.ParallelScaling4x = r4 / r1
+	if ok1 && ok4 && r1 > 0 && res.HostCPUs >= 4 {
+		scaling := r4 / r1
+		res.ParallelScaling4x = &scaling
+		res.ParallelScaling = "measured"
 	}
 }
 
@@ -339,17 +340,6 @@ func serveDatapathSink(conn io.ReadWriteCloser) {
 	}
 }
 
-// runDatapathMicro measures one relay's forwarding inner loop in
-// isolation: read a cell, apply this hop's forward keystream, fail
-// recognition, re-address it to the next hop, and write it out.
-func runDatapathMicro(cfg DatapathConfig, res *DatapathResult) {
-	res.MicroLegacyCellsPerSec = runMicroLegacy(cfg.MicroCells)
-	res.MicroPooledCellsPerSec = runMicroPooled(cfg.MicroCells)
-	if res.MicroLegacyCellsPerSec > 0 && res.MicroPooledCellsPerSec > 0 {
-		res.MicroSpeedup = res.MicroPooledCellsPerSec / res.MicroLegacyCellsPerSec
-	}
-}
-
 // microLayer builds one relay-side crypto layer from fixed key material.
 func microLayer() *otr.Layer {
 	keys := make([]byte, otr.KeyMaterialLen)
@@ -386,36 +376,13 @@ func microFrame() []byte {
 	return frame
 }
 
-// runMicroLegacy is the pre-refactor forwarding loop: allocating
-// cell.Read, an intermediate Cell value, and an allocating Marshal on the
-// way out (kept in the cell package as the compatibility codec).
-func runMicroLegacy(cells int) float64 {
-	layer := microLayer()
-	src := &ringReader{frame: microFrame()}
-	start := time.Now()
-	for i := 0; i < cells; i++ {
-		c, err := cell.Read(src)
-		if err != nil {
-			panic(err)
-		}
-		payload := c.Payload[:]
-		layer.ApplyForward(payload)
-		if cell.Recognized(payload) && layer.VerifyForward(payload, cell.DigestOffset) {
-			continue // not expected: frames are addressed further down
-		}
-		fwd := &cell.Cell{CircID: 9, Cmd: cell.CmdRelay}
-		copy(fwd.Payload[:], payload)
-		if err := cell.Write(io.Discard, fwd); err != nil {
-			panic(err)
-		}
-	}
-	return float64(cells) / time.Since(start).Seconds()
-}
-
-// runMicroPooled is the post-refactor forwarding loop: one reused wire
-// buffer, in-place decrypt, in-place circuit-ID rewrite, and batched
-// writes (mirroring the per-link BatchWriter, which coalesces up to a
-// bounded number of queued cells into a single conn.Write).
+// runMicroPooled measures one relay's forwarding inner loop in
+// isolation — read a cell, apply this hop's forward keystream, fail
+// recognition, re-address it to the next hop, and write it out — on the
+// zero-copy codec: one reused wire buffer, in-place decrypt, in-place
+// circuit-ID rewrite, and batched writes (mirroring the per-link
+// BatchWriter, which coalesces up to a bounded number of queued cells
+// into a single conn.Write).
 func runMicroPooled(cells int) float64 {
 	const batchCells = 64
 	layer := microLayer()

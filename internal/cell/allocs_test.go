@@ -137,3 +137,43 @@ func TestReadIntoAllocFree(t *testing.T) {
 		t.Fatal("ReadInto corrupted the cell")
 	}
 }
+
+// burstRing serves the same frame forever and reports whole frames as
+// already delivered: a saturated link as cell.ReadRun sees one.
+type burstRing struct {
+	ringReader
+	held int // bytes Buffered reports
+}
+
+func (r *burstRing) Buffered() int { return r.held }
+
+// TestReadRunAllocFree: the reassembler is on the path of every cell a
+// link reader takes and must not allocate once the pools are warm,
+// for a lone cell and for a full run.
+func TestReadRunAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	src := &cell.Cell{CircID: 3, Cmd: cell.CmdRelay}
+	ring := &burstRing{ringReader: ringReader{frame: src.Marshal()}}
+	first := make([]byte, cell.Size)
+	cycle := func() {
+		for _, held := range []int{0, 40 * cell.Size} {
+			ring.held = held
+			run, err := cell.ReadRun(ring, first)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := 1 + min(held/cell.Size, cell.BurstCells-1); run.N != want {
+				t.Fatalf("run of %d cells, want %d", run.N, want)
+			}
+			cell.PutBurst(run)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Fatalf("ReadRun allocates %.2f times per two runs, want 0", allocs)
+	}
+}

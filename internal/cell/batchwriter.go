@@ -36,9 +36,9 @@ const maxBatchCells = 256
 // wire order (rolling digests) must enqueue under the same lock that
 // guards the crypto; enqueue order then equals wire order end to end.
 //
-// Ownership: enqueue copies the frame into a writer-owned buffer before
-// returning or writing, so callers may reuse their wire buffer
-// immediately.
+// Ownership: callers may reuse their wire buffer the moment an enqueue
+// returns — a queued frame is copied into the writer's pending buffer,
+// an inline one has been written (and copied by the conn) by then.
 type BatchWriter struct {
 	conn io.WriteCloser
 	// flushObs, when non-nil, records the size of every link write in
@@ -76,36 +76,20 @@ func NewBatchWriterObs(conn io.WriteCloser, flush *obs.Histogram) *BatchWriter {
 	return w
 }
 
-// WriteFrame queues one wire frame (exactly Size bytes), writing it
-// inline when the link is idle. It blocks only when the link is
-// maxBatchCells behind.
+// WriteFrame queues one wire frame (exactly Size bytes): the one-cell
+// case of WriteFrames.
 func (w *BatchWriter) WriteFrame(frame []byte) error {
-	w.mu.Lock()
-	for len(w.pending) >= maxBatchCells*Size && w.err == nil && !w.closed {
-		w.hasSpace.Wait()
-	}
-	if err := w.failedLocked(); err != nil {
-		w.mu.Unlock()
-		return err
-	}
-	if !w.writing && len(w.pending) == 0 {
-		buf := append(w.spare[:0], frame[:Size]...)
-		return w.writeInlineLocked(buf)
-	}
-	w.pending = append(w.pending, frame[:Size]...)
-	w.hasData.Signal()
-	w.mu.Unlock()
-	return nil
+	return w.WriteFrames(frame[:Size])
 }
 
 // WriteFrames queues len(frames)/Size wire frames — a contiguous run of
 // whole cells — under one lock acquisition, writing them inline when the
 // link is idle. Batched senders (the client's multi-cell data path, a
-// relay worker emitting a decrypted run) use this to amortize the
-// per-cell lock/signal cost across the run. Like WriteFrame it blocks
-// while the link is maxBatchCells behind; the space check happens once
-// for the whole run, so a large batch may overshoot the bound by up to
-// its own size (the bound is backpressure, not a hard buffer limit).
+// relay's backward pump moving a run) use this to amortize the per-cell
+// lock/signal cost across the run. It blocks while the link is
+// maxBatchCells behind; the space check happens once for the whole run,
+// so a large batch may overshoot the bound by up to its own size (the
+// bound is backpressure, not a hard buffer limit).
 func (w *BatchWriter) WriteFrames(frames []byte) error {
 	if len(frames)%Size != 0 {
 		return errors.New("cell: WriteFrames requires whole frames")
@@ -119,8 +103,7 @@ func (w *BatchWriter) WriteFrames(frames []byte) error {
 		return err
 	}
 	if !w.writing && len(w.pending) == 0 {
-		buf := append(w.spare[:0], frames...)
-		return w.writeInlineLocked(buf)
+		return w.writeInlineLocked(frames)
 	}
 	w.pending = append(w.pending, frames...)
 	w.hasData.Signal()
@@ -128,15 +111,21 @@ func (w *BatchWriter) WriteFrames(frames []byte) error {
 	return nil
 }
 
-// TryWriteFrame queues one wire frame without ever blocking: it returns
+// TryWriteFrames queues a run of whole wire frames without ever
+// blocking — one lock, one flusher signal for the run: it returns
 // (false, nil) when the link is maxBatchCells behind instead of waiting
-// for space. It also never takes the idle-inline path — the frame is
-// always handed to the flusher — because the underlying Write can stall
-// (a partitioned or rate-limited link), and Try callers are exactly the
-// ones that must not be stalled by one slow link. Relay workers use this
-// on the forward path and divert to a per-circuit spill queue on false,
-// so one congested circuit cannot head-of-line-block its worker.
-func (w *BatchWriter) TryWriteFrame(frame []byte) (bool, error) {
+// for space (the run is taken whole or not at all; like WriteFrames it
+// may overshoot the bound by its own size). It also never takes the
+// idle-inline path — the run is always handed to the flusher — because
+// the underlying Write can stall (a partitioned or rate-limited link),
+// and Try callers are exactly the ones that must not be stalled by one
+// slow link. Relay workers use this on the forward path and divert to a
+// per-circuit spill queue on false, so one congested circuit cannot
+// head-of-line-block its worker.
+func (w *BatchWriter) TryWriteFrames(frames []byte) (bool, error) {
+	if len(frames)%Size != 0 {
+		return false, errors.New("cell: TryWriteFrames requires whole frames")
+	}
 	w.mu.Lock()
 	if err := w.failedLocked(); err != nil {
 		w.mu.Unlock()
@@ -146,7 +135,7 @@ func (w *BatchWriter) TryWriteFrame(frame []byte) (bool, error) {
 		w.mu.Unlock()
 		return false, nil
 	}
-	w.pending = append(w.pending, frame[:Size]...)
+	w.pending = append(w.pending, frames...)
 	w.hasData.Signal()
 	w.mu.Unlock()
 	return true, nil
@@ -177,8 +166,9 @@ func (w *BatchWriter) WriteCell(c *Cell) error {
 		return err
 	}
 	if !w.writing && len(w.pending) == 0 {
-		buf := c.AppendWire(w.spare[:0])
-		return w.writeInlineLocked(buf)
+		// spare is the writer's alone while writing is set.
+		w.spare = c.AppendWire(w.spare[:0])
+		return w.writeInlineLocked(w.spare)
 	}
 	w.pending = c.AppendWire(w.pending)
 	w.hasData.Signal()
@@ -187,15 +177,17 @@ func (w *BatchWriter) WriteCell(c *Cell) error {
 }
 
 // writeInlineLocked performs the idle-link fast path: the caller becomes
-// the writer for buf (built from w.spare). Called with w.mu held and
-// w.writing false; unlocks around the Write and returns unlocked.
+// the writer for buf — its own frames, written where they are (the conn
+// copies before Write returns, and the caller cannot touch them until
+// this does), so an idle link costs a run no copy and the writer no
+// buffer. Called with w.mu held and w.writing false; unlocks around the
+// Write and returns unlocked.
 func (w *BatchWriter) writeInlineLocked(buf []byte) error {
 	w.writing = true
 	w.mu.Unlock()
 	w.flushObs.Observe(int64(len(buf) / Size))
 	_, err := w.conn.Write(buf)
 	w.mu.Lock()
-	w.spare = buf
 	w.writing = false
 	if err != nil && w.err == nil {
 		w.err = err

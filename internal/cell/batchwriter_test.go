@@ -211,15 +211,15 @@ func TestBatchWriterTryWriteFrame(t *testing.T) {
 	frame := make([]byte, Size)
 	// First frame: Try hands to the flusher (never inline), which then
 	// blocks in conn.Write holding the spare buffer.
-	ok, err := w.TryWriteFrame(frame)
+	ok, err := w.TryWriteFrames(frame)
 	if !ok || err != nil {
-		t.Fatalf("first TryWriteFrame = %v, %v", ok, err)
+		t.Fatalf("first TryWriteFrames = %v, %v", ok, err)
 	}
 	// Fill pending to the bound while the flusher is stuck.
 	accepted := 1
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		ok, err := w.TryWriteFrame(frame)
+		ok, err := w.TryWriteFrames(frame)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +228,7 @@ func TestBatchWriterTryWriteFrame(t *testing.T) {
 		}
 		accepted++
 		if time.Now().After(deadline) {
-			t.Fatal("TryWriteFrame never reported a full writer")
+			t.Fatal("TryWriteFrames never reported a full writer")
 		}
 	}
 	if accepted < maxBatchCells {
@@ -241,8 +241,8 @@ func TestBatchWriterTryWriteFrame(t *testing.T) {
 	if len(data) != accepted*Size {
 		t.Fatalf("%d frames accepted but %d bytes arrived", accepted, len(data))
 	}
-	if _, err := w.TryWriteFrame(frame); err != ErrWriterClosed {
-		t.Fatalf("TryWriteFrame after Close: %v, want ErrWriterClosed", err)
+	if _, err := w.TryWriteFrames(frame); err != ErrWriterClosed {
+		t.Fatalf("TryWriteFrames after Close: %v, want ErrWriterClosed", err)
 	}
 }
 

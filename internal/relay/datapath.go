@@ -13,30 +13,38 @@ import (
 	"github.com/bento-nfv/bento/internal/cell"
 	"github.com/bento-nfv/bento/internal/obs"
 	"github.com/bento-nfv/bento/internal/otr"
+	"github.com/bento-nfv/bento/internal/simnet"
 )
 
-// The relay forward path is pipelined: link readers decrypt nothing —
-// they pull whole pooled frames off the wire and enqueue them on the
-// run queue of the circuit's affinity worker (hash of circuit ID →
-// worker). Each worker drains its queue into a small batch, runs
-// batched AES-CTR over consecutive same-circuit runs, and finishes
-// every cell in order: recognition check, dispatch or circuit-ID
-// rewrite, and hand-off of the still-pooled frame to the next link's
-// BatchWriter. Cells of one circuit always land on one worker in read
+// The relay forward path is pipelined, and what moves through it is a
+// run of cells, not a cell: link readers decrypt nothing — they pull
+// every whole cell the link already holds (cell.ReadRun, at most
+// cell.BurstCells) into one pooled burst and enqueue it on the run
+// queue of the circuit's affinity worker (hash of circuit ID → worker).
+// Each worker drains its queue into a small batch, runs batched AES-CTR
+// over consecutive same-circuit runs, and finishes every cell in order:
+// recognition check, then dispatch, or circuit-ID rewrite and hand-off
+// of the run's forwarded cells to the next link's BatchWriter in one
+// enqueue. Cells of one circuit always land on one worker in read
 // order, so per-circuit crypto state needs no locking and cell order is
 // preserved end to end; distinct circuits proceed in parallel with no
-// global lock anywhere on the path.
+// global lock anywhere on the path. A lone cell is a run of one and
+// takes the same path.
 const (
-	// maxFwdBatch caps the cells a worker drains per pass — both the
-	// batched-crypto span and the latency bound a queued cell can wait
-	// behind.
+	// maxFwdBatch is the cell count at which a worker stops draining
+	// further runs into one pass — both the batched-crypto span and the
+	// latency bound a queued cell can wait behind. A pass holds at most
+	// maxFwdBatch-1+cell.BurstCells cells.
 	maxFwdBatch = 32
-	// fwdQueueDepth bounds each worker's run queue. Enqueue blocks when
-	// the worker is this far behind, pushing backpressure onto the
-	// inbound link reader (and from there to the sender), exactly as the
-	// old one-goroutine-per-circuit model did via the read loop.
-	fwdQueueDepth = 512
-	// maxSpillCells bounds a circuit's spill queue (frames diverted when
+	// fwdQueueDepth bounds each worker's run queue, in runs of up to
+	// cell.BurstCells cells: at most 1024 cells, which with the drain pass
+	// and the writer bound must fit the gap below maxSpillCells (see
+	// spillHighWater). Enqueue blocks when the worker is this far behind,
+	// pushing backpressure onto the inbound link reader (and from there
+	// to the sender), exactly as the old one-goroutine-per-circuit model
+	// did via the read loop.
+	fwdQueueDepth = 64
+	// maxSpillCells bounds a circuit's spill queue (cells diverted when
 	// its egress link is full). Beyond it the circuit is killed rather
 	// than letting one dead link accumulate unbounded memory.
 	maxSpillCells = 4096
@@ -45,18 +53,28 @@ const (
 	// toward the sender, exactly the role the old per-circuit goroutine
 	// played by blocking on the egress write. Workers never block, so
 	// the gap to maxSpillCells absorbs everything already in flight
-	// (worker queue + drain batch + writer bound) and the kill bound is
-	// unreachable for a healthy-but-slow circuit.
+	// (worker queue + drain pass + writer bound, all counted in cells:
+	// 64×16 + 47 + 272) and the kill bound is unreachable for a
+	// healthy-but-slow circuit.
 	spillHighWater = maxSpillCells / 2
 )
 
-// fwdTask is one unit of forward-path work: a pooled inbound frame for
-// a circuit, or — with a nil frame — the teardown sentinel the link
-// reader enqueues after the final cell, so teardown happens on the
-// worker strictly after every cell that preceded it.
+// fwdTask is one unit of forward-path work: a run of inbound RELAY
+// cells for a circuit, in a pooled burst the worker now owns, or — with
+// a nil run — the teardown sentinel the link reader enqueues after the
+// final cell, so teardown happens on the worker strictly after every
+// cell that preceded it.
 type fwdTask struct {
-	ce    *circuitEnd
-	frame *[cell.Size]byte
+	ce  *circuitEnd
+	run *cell.Burst
+}
+
+// cells is what the task counts for toward a drain pass.
+func (t fwdTask) cells() int {
+	if t.run == nil {
+		return 1
+	}
+	return t.run.N
 }
 
 // forwarder owns the relay's worker pool: one bounded run queue per
@@ -115,38 +133,41 @@ func (f *forwarder) run(idx int) {
 	defer f.wg.Done()
 	q := f.queues[idx]
 	batch := make([]fwdTask, 0, maxFwdBatch)
-	payloads := make([][]byte, 0, maxFwdBatch)
+	payloads := make([][]byte, 0, maxFwdBatch+cell.BurstCells)
 	var scratch otr.CryptScratch
 	for t := range q {
 		batch = append(batch[:0], t)
+		cells := t.cells()
 	fill:
-		for len(batch) < maxFwdBatch {
+		for cells < maxFwdBatch {
 			select {
 			case t2, ok := <-q:
 				if !ok {
 					break fill
 				}
 				batch = append(batch, t2)
+				cells += t2.cells()
 			default:
 				break fill
 			}
 		}
 		f.depth[idx].Set(int64(len(q)))
-		f.r.m.batchCells.Observe(int64(len(batch)))
+		f.r.m.batchCells.Observe(int64(cells))
 		payloads = f.process(batch, payloads, &scratch)
 	}
 }
 
-// process decrypts and finishes one drained batch. Consecutive cells of
+// process decrypts and finishes one drained batch. Consecutive runs of
 // the same circuit become one batched ApplyForward pass (one keystream
-// generation for the whole run — byte-identical to per-cell calls);
+// generation for all their cells — byte-identical to per-cell calls);
 // every cell is then finished strictly in batch order, so per-circuit
-// ordering survives batching. It returns the payload scratch slice so
-// its capacity is reused across batches.
+// ordering survives batching. It consumes the runs (back to the pool)
+// and returns the payload scratch slice so its capacity is reused
+// across batches.
 func (f *forwarder) process(batch []fwdTask, payloads [][]byte, scratch *otr.CryptScratch) [][]byte {
 	for i := 0; i < len(batch); {
 		t := batch[i]
-		if t.frame == nil {
+		if t.run == nil {
 			// Teardown sentinel: run it off-worker — teardown flushes and
 			// closes writers, which may block on a congested link, and no
 			// later task for this circuit exists (the sentinel is the link
@@ -156,76 +177,123 @@ func (f *forwarder) process(batch []fwdTask, payloads [][]byte, scratch *otr.Cry
 			continue
 		}
 		j := i + 1
-		for j < len(batch) && batch[j].ce == t.ce && batch[j].frame != nil {
+		for j < len(batch) && batch[j].ce == t.ce && batch[j].run != nil {
 			j++
 		}
-		run := batch[i:j]
-		if t.ce.destroyed.Load() {
-			for _, rt := range run {
-				cell.PutWire(rt.frame)
-			}
-			i = j
-			continue
-		}
-		payloads = payloads[:0]
-		for _, rt := range run {
-			payloads = append(payloads, cell.WirePayload(rt.frame[:]))
-		}
-		t.ce.layer.ApplyForwardBatch(payloads, scratch)
-		for _, rt := range run {
-			f.finishCell(rt.ce, rt.frame)
-		}
+		same := batch[i:j]
 		i = j
+		if !t.ce.destroyed.Load() {
+			payloads = payloads[:0]
+			for _, rt := range same {
+				for k := 0; k < rt.run.N; k++ {
+					payloads = append(payloads, cell.WirePayload(rt.run.Frame(k)))
+				}
+			}
+			t.ce.layer.ApplyForwardBatch(payloads, scratch)
+			for _, rt := range same {
+				f.finishRun(rt.ce, rt.run)
+			}
+		}
+		for _, rt := range same {
+			cell.PutBurst(rt.run)
+		}
 	}
 	return payloads
 }
 
-// finishCell completes one already-decrypted forward cell: recognition
-// and dispatch if it is addressed to this hop, otherwise circuit-ID
-// rewrite and hand-off toward the next hop. It consumes the frame (pool
-// return or ownership transfer to the spill queue).
-func (f *forwarder) finishCell(ce *circuitEnd, frame *[cell.Size]byte) {
+// finishRun completes one already-decrypted run, cell by cell in order.
+// Every cell gets its own recognition check and digest verification;
+// what the run shares is the hand-offs around them. Consecutive cells
+// addressed past this hop form a span that leaves through one writer
+// enqueue (forwardSpan); consecutive recognized DATA cells of one stream
+// are gathered in place into one destination write. Both are flushed
+// before any other recognized command is dispatched and at the end of
+// the run, so what a stream's destination and the next hop see — DATA
+// before END, CREATE before the cells sent behind an EXTEND — is in the
+// order the cells arrived. The run stays the caller's.
+func (f *forwarder) finishRun(ce *circuitEnd, run *cell.Burst) {
 	r := f.r
-	wire := frame[:]
-	payload := cell.WirePayload(wire)
-	if cell.Recognized(payload) && ce.layer.VerifyForward(payload, cell.DigestOffset) {
+	data := exitData{ce: ce, run: run}
+	span := 0 // first cell of the forward span being collected
+	for k := 0; k < run.N; k++ {
+		payload := cell.WirePayload(run.Frame(k))
+		if !cell.Recognized(payload) || !ce.layer.VerifyForward(payload, cell.DigestOffset) {
+			continue // addressed past this hop: joins the span
+		}
+		f.forwardSpan(ce, run.Buf[span*cell.Size:k*cell.Size])
+		span = k + 1
 		r.m.recognized.Inc()
-		hdr, data, err := cell.ParseRelay(payload)
-		ok := err == nil && r.dispatchRelay(ce, hdr, data)
-		cell.PutWire(frame)
+		hdr, body, err := cell.ParseRelay(payload)
+		if err == nil && hdr.Cmd == cell.RelayData {
+			if hdr.StreamID != data.stream {
+				data.flush()
+				data.stream = hdr.StreamID
+			}
+			data.Add(run, k, len(body))
+			continue
+		}
+		data.flush()
 		if err != nil {
 			r.logf("bad relay payload: %v", err)
-		}
-		if !ok {
+			ce.kill()
+		} else if !r.dispatchRelay(ce, hdr, body) {
 			ce.kill()
 		}
+	}
+	f.forwardSpan(ce, run.Buf[span*cell.Size:run.N*cell.Size])
+	data.flush()
+}
+
+// exitData is the DATA of consecutive cells of one exit stream, gathered
+// in place in the run being finished and written to the stream's
+// destination in one Write (the relay-side twin of torclient's
+// streamData).
+type exitData struct {
+	ce     *circuitEnd
+	run    *cell.Burst
+	stream uint16
+	cell.DataRun
+}
+
+func (d *exitData) flush() {
+	if !d.Empty() {
+		d.ce.relay.handleData(d.ce, d.stream, d.Take(d.run))
+	}
+}
+
+// forwardSpan sends a contiguous span of cells addressed past this hop
+// on their way: circuit-ID rewrite and one non-blocking enqueue toward
+// the next hop, or — on a rendezvous splice — one backward run on the
+// joined circuit. The span stays the caller's (both paths copy).
+func (f *forwarder) forwardSpan(ce *circuitEnd, frames []byte) {
+	if len(frames) == 0 {
 		return
 	}
-
+	r := f.r
+	n := int64(len(frames) / cell.Size)
 	ce.mu.Lock()
 	nextW, nextID := ce.nextW, ce.nextCircID
 	joined := ce.joined
 	ce.mu.Unlock()
 	switch {
 	case nextW != nil:
-		cell.SetWireCircID(wire, nextID)
-		r.m.fwdCells.Inc()
-		if ce.fwdSpill.send(frame) != nil {
+		for off := 0; off < len(frames); off += cell.Size {
+			cell.SetWireCircID(frames[off:], nextID)
+		}
+		r.m.fwdCells.Add(n)
+		if ce.fwdSpill.sendFrames(frames, false) != nil {
 			ce.kill()
 		}
 	case joined != nil:
-		// Rendezvous splice: the still-encrypted payload continues as a
-		// backward cell on the joined circuit. Never block the worker on
+		// Rendezvous splice: the still-encrypted payloads continue as
+		// backward cells on the joined circuit. Never block the worker on
 		// the joined circuit's client link.
-		err := joined.relayBackwardFrame(wire, false)
-		cell.PutWire(frame)
-		if err != nil {
+		if joined.relayBackwardRun(frames, false) != nil {
 			ce.kill()
 		}
 	default:
 		r.logf("unrecognized relay cell at last hop, dropping circuit")
-		r.m.dropped.Inc()
-		cell.PutWire(frame)
+		r.m.dropped.Add(n)
 		ce.kill()
 	}
 }
@@ -237,22 +305,26 @@ func (f *forwarder) finishCell(ce *circuitEnd, frame *[cell.Size]byte) {
 var errSpillOverflow = errors.New("relay: egress spill queue overflow")
 
 // spillQueue guards one circuit's egress writer against head-of-line
-// blocking the worker. The fast path is a non-blocking enqueue straight
-// into the BatchWriter; when the link is full (or a drain is already
-// running, which must stay FIFO), frames divert into a bounded queue
-// drained by a lazily started goroutine that may block. Senders are
-// externally serialized (the affinity worker for the forward direction,
-// bwMu for the backward direction), so enqueue order — which is crypto
-// order — always equals wire order.
+// blocking the worker. The fast path is a non-blocking enqueue of the
+// whole run straight into the BatchWriter; when the link is full (or a
+// drain is already running, which must stay FIFO), the run's bytes
+// divert into a bounded queue drained, a burst at a time, by a lazily
+// started goroutine that may block. Senders are externally serialized
+// (the affinity worker for the forward direction, bwMu for the backward
+// direction), so enqueue order — which is crypto order — always equals
+// wire order. The bounds count cells, whatever size the runs are.
+//
+// The queue is a simnet.ChunkQueue: pooled chunks linked through
+// themselves, so it holds memory in proportion to its backlog and none
+// when empty, however many cells have passed through.
 type spillQueue struct {
 	w       *cell.BatchWriter
 	spilled *obs.Counter
-	backlog atomic.Int64 // len(frames)-head, maintained for lock-free pacing
+	backlog atomic.Int64 // cells queued, maintained for lock-free pacing
 
 	mu     sync.Mutex
 	space  sync.Cond // blocking senders wait below the bound
-	frames []*[cell.Size]byte
-	head   int
+	q      simnet.ChunkQueue
 	active bool // drain goroutine running
 	failed bool // overflowed or write error: drop everything further
 }
@@ -261,42 +333,6 @@ func (s *spillQueue) init(w *cell.BatchWriter, spilled *obs.Counter) {
 	s.w = w
 	s.spilled = spilled
 	s.space.L = &s.mu
-}
-
-// send hands one pooled frame toward the egress writer without ever
-// blocking. Ownership of the frame passes to the queue (or back to the
-// pool) regardless of outcome. A full spill queue fails the circuit.
-func (s *spillQueue) send(frame *[cell.Size]byte) error {
-	s.mu.Lock()
-	if s.failed {
-		s.mu.Unlock()
-		cell.PutWire(frame)
-		return errSpillOverflow
-	}
-	if !s.active {
-		ok, err := s.w.TryWriteFrame(frame[:])
-		if err != nil || ok {
-			s.mu.Unlock()
-			cell.PutWire(frame)
-			return err
-		}
-	}
-	if len(s.frames)-s.head >= maxSpillCells {
-		s.failed = true
-		s.space.Broadcast()
-		s.mu.Unlock()
-		cell.PutWire(frame)
-		return errSpillOverflow
-	}
-	s.spilled.Inc()
-	s.frames = append(s.frames, frame)
-	s.backlog.Add(1)
-	if !s.active {
-		s.active = true
-		go s.drain()
-	}
-	s.mu.Unlock()
-	return nil
 }
 
 // waitBelow blocks while the spill backlog is at or above n cells. It is
@@ -308,18 +344,21 @@ func (s *spillQueue) waitBelow(n int) {
 		return
 	}
 	s.mu.Lock()
-	for !s.failed && len(s.frames)-s.head >= n {
+	for !s.failed && s.q.Len()/cell.Size >= n {
 		s.space.Wait()
 	}
 	s.mu.Unlock()
 }
 
-// sendCopy is send for a caller-owned buffer (the backward scratch
-// frame): the direct path writes straight from it, the spill path
-// copies into a pooled frame. With mayBlock, a full queue waits for
-// space instead of failing — stream-level backpressure for dedicated
-// goroutines (exit readers, backward pumps) that may safely stall.
-func (s *spillQueue) sendCopy(wire []byte, mayBlock bool) error {
+// sendFrames hands a run of whole frames toward the egress writer: one
+// writer enqueue when the queue is idle, one queue append when it is
+// not. frames stays the caller's — the writer and the queue both copy.
+// Without mayBlock (the affinity worker) a full link diverts the run to
+// the queue and a full queue fails the circuit; with it (dedicated
+// goroutines: exit readers, backward pumps) a full link or queue waits
+// instead — stream-level backpressure for callers that may safely stall.
+func (s *spillQueue) sendFrames(frames []byte, mayBlock bool) error {
+	n := len(frames) / cell.Size
 	s.mu.Lock()
 	if s.failed {
 		s.mu.Unlock()
@@ -331,16 +370,16 @@ func (s *spillQueue) sendCopy(wire []byte, mayBlock bool) error {
 			// order because concurrent senders are excluded by the caller's
 			// serialization.
 			s.mu.Unlock()
-			return s.w.WriteFrame(wire)
+			return s.w.WriteFrames(frames)
 		}
-		ok, err := s.w.TryWriteFrame(wire)
+		ok, err := s.w.TryWriteFrames(frames)
 		if err != nil || ok {
 			s.mu.Unlock()
 			return err
 		}
 	}
 	if mayBlock {
-		for s.active && len(s.frames)-s.head >= maxSpillCells && !s.failed {
+		for s.active && s.q.Len()/cell.Size >= maxSpillCells && !s.failed {
 			s.space.Wait()
 		}
 		if s.failed {
@@ -349,19 +388,17 @@ func (s *spillQueue) sendCopy(wire []byte, mayBlock bool) error {
 		}
 		if !s.active {
 			s.mu.Unlock()
-			return s.w.WriteFrame(wire)
+			return s.w.WriteFrames(frames)
 		}
-	} else if len(s.frames)-s.head >= maxSpillCells {
+	} else if s.q.Len()/cell.Size+n > maxSpillCells {
 		s.failed = true
 		s.space.Broadcast()
 		s.mu.Unlock()
 		return errSpillOverflow
 	}
-	f := cell.GetWire()
-	copy(f[:], wire)
-	s.spilled.Inc()
-	s.frames = append(s.frames, f)
-	s.backlog.Add(1)
+	s.spilled.Add(int64(n))
+	s.q.Write(frames)
+	s.backlog.Add(int64(n))
 	if !s.active {
 		s.active = true
 		go s.drain()
@@ -370,52 +407,33 @@ func (s *spillQueue) sendCopy(wire []byte, mayBlock bool) error {
 	return nil
 }
 
-// sendFrames enqueues a contiguous run of whole frames (a batched
-// backward send) with the same semantics as sendCopy per frame; when
-// the queue is idle it hands the whole run to the writer in one call.
-func (s *spillQueue) sendFrames(frames []byte, mayBlock bool) error {
-	s.mu.Lock()
-	if !s.failed && !s.active && mayBlock {
-		s.mu.Unlock()
-		return s.w.WriteFrames(frames)
-	}
-	s.mu.Unlock()
-	for off := 0; off < len(frames); off += cell.Size {
-		if err := s.sendCopy(frames[off:off+cell.Size], mayBlock); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// drain writes spilled frames FIFO, blocking as the link allows, and
-// retires itself when the queue empties. On a write error it keeps
-// consuming (returning frames to the pool) so senders fail fast.
+// drain writes the queued cells FIFO, a burst per link write, blocking
+// as the link allows, and retires itself when the queue empties. On a
+// write error it keeps consuming so senders fail fast. The burst it
+// copies through is held only while it runs.
 func (s *spillQueue) drain() {
+	b := cell.GetBurst(cell.BurstCells)
+	defer cell.PutBurst(b)
 	for {
 		s.mu.Lock()
-		if s.head == len(s.frames) {
-			s.frames = s.frames[:0]
-			s.head = 0
+		if s.q.Len() == 0 {
 			s.active = false
 			s.space.Broadcast()
 			s.mu.Unlock()
 			return
 		}
-		f := s.frames[s.head]
-		s.frames[s.head] = nil
-		s.head++
-		s.backlog.Add(-1)
+		// The queue only ever holds whole cells and Buf is a whole number
+		// of them, so every read is too.
+		n := s.q.Read(b.Buf[:])
+		s.backlog.Add(-int64(n / cell.Size))
 		failed := s.failed
 		s.space.Broadcast()
 		s.mu.Unlock()
 
-		var err error
-		if !failed {
-			err = s.w.WriteFrame(f[:])
+		if failed {
+			continue
 		}
-		cell.PutWire(f)
-		if err != nil {
+		if err := s.w.WriteFrames(b.Buf[:n]); err != nil {
 			s.mu.Lock()
 			s.failed = true
 			s.space.Broadcast()
@@ -436,8 +454,9 @@ var _ io.WriteCloser = nopWriteCloser{}
 
 // RunParallelForwardBench measures the sharded worker datapath in
 // isolation: `circuits` middle-hop circuits, each fed cellsPerCircuit
-// random (unrecognized) relay cells, processed by `workers` workers —
-// decrypt, recognition check, circuit-ID rewrite, hand-off to a
+// random (unrecognized) relay cells in full runs (what a link reader
+// hands over when its link is saturated), processed by `workers` workers
+// — decrypt, recognition check, circuit-ID rewrite, hand-off to a
 // discarding egress writer. It returns aggregate forwarded cells/s.
 // The caller pins runtime.GOMAXPROCS to sweep core counts.
 func RunParallelForwardBench(workers, circuits, cellsPerCircuit int) float64 {
@@ -491,10 +510,15 @@ func RunParallelForwardBench(workers, circuits, cellsPerCircuit int) float64 {
 			var tmpl [cell.Size]byte
 			mrand.New(mrand.NewSource(int64(ci))).Read(tmpl[:])
 			cell.SetWireCmd(tmpl[:], cell.CmdRelay)
-			for k := 0; k < cellsPerCircuit; k++ {
-				f := cell.GetWire()
-				copy(f[:], tmpl[:])
-				r.fwd.enqueue(ce.worker, fwdTask{ce: ce, frame: f})
+			// A saturated inbound link: every ReadRun finds a full burst.
+			for sent := 0; sent < cellsPerCircuit; {
+				run := cell.GetBurst(cell.BurstCells)
+				for run.N < cell.BurstCells && sent < cellsPerCircuit {
+					copy(run.Frame(run.N), tmpl[:])
+					run.N++
+					sent++
+				}
+				r.fwd.enqueue(ce.worker, fwdTask{ce: ce, run: run})
 			}
 		}(ci, ce)
 	}

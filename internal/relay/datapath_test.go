@@ -20,10 +20,9 @@ import (
 
 // TestBatchedForwardAllocFree locks in the zero-allocation contract of
 // the worker's batched forward path — the code the affinity workers run
-// in production: drain a batch of pooled frames, one batched keystream
-// pass over the consecutive same-circuit run, then per-cell recognition,
-// circuit-ID rewrite, and non-blocking hand-off to the egress
-// BatchWriter. Telemetry is live (real registry: per-cell counters, the
+// in production: take a run of cells in a pooled burst, one batched
+// keystream pass over it, then per-cell recognition, circuit-ID rewrite,
+// and one non-blocking hand-off of the run to the egress BatchWriter. Telemetry is live (real registry: per-cell counters, the
 // worker batch-size histogram, the flush histogram) because
 // instrumentation is part of the datapath's zero-alloc contract.
 //
@@ -81,23 +80,22 @@ func TestBatchedForwardAllocFree(t *testing.T) {
 	cell.SetWireCmd(tmpl[:], cell.CmdRelay)
 	cell.SetWireCircID(tmpl[:], ce.circID)
 
-	const batchCells = 16
-	batch := make([]fwdTask, 0, batchCells)
-	payloads := make([][]byte, 0, maxFwdBatch)
+	batch := make([]fwdTask, 0, 1)
+	payloads := make([][]byte, 0, maxFwdBatch+cell.BurstCells)
 	var scratch otr.CryptScratch
 
 	cycle := func() {
-		batch = batch[:0]
-		for i := 0; i < batchCells; i++ {
-			frame := cell.GetWire()
-			copy(frame[:], tmpl[:])
-			batch = append(batch, fwdTask{ce: ce, frame: frame})
+		run := cell.GetBurst(cell.BurstCells)
+		for run.N < cell.BurstCells {
+			copy(run.Frame(run.N), tmpl[:])
+			run.N++
 		}
-		r.m.batchCells.Observe(int64(len(batch)))
+		batch = append(batch[:0], fwdTask{ce: ce, run: run})
+		r.m.batchCells.Observe(int64(run.N))
 		payloads = f.process(batch, payloads, &scratch)
 		// Let the flusher drain before the next burst: the egress link
-		// then never backs up, so every frame takes the direct
-		// TryWriteFrame path and returns to the pool.
+		// then never backs up, so every run takes the direct
+		// TryWriteFrames path and its burst returns to the pool.
 		for w.QueuedCells() > 0 {
 			runtime.Gosched()
 		}
@@ -150,12 +148,15 @@ func TestSpillPacing(t *testing.T) {
 
 	// Overfill well past the high-water mark (but under the kill bound):
 	// the writer absorbs its bounded share, the rest must spill cleanly.
+	// Runs of mixed sizes: the bounds count cells.
 	total := spillHighWater + 600
-	for i := 0; i < total; i++ {
-		f := cell.GetWire()
-		if err := s.send(f); err != nil {
-			t.Fatalf("send %d: %v", i, err)
+	var run [cell.BurstCells * cell.Size]byte
+	for sent := 0; sent < total; {
+		n := min(1+sent%cell.BurstCells, total-sent)
+		if err := s.sendFrames(run[:n*cell.Size], false); err != nil {
+			t.Fatalf("send at cell %d: %v", sent, err)
 		}
+		sent += n
 	}
 	if got := s.backlog.Load(); got < int64(spillHighWater) {
 		t.Fatalf("backlog %d below high water %d — writer absorbed too much", got, spillHighWater)
@@ -179,13 +180,7 @@ func TestSpillPacing(t *testing.T) {
 		t.Fatal("waitBelow never released after the link drained")
 	}
 	// The queue must fully drain and retire.
-	deadline := time.Now().Add(10 * time.Second)
-	for s.backlog.Load() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("spill never drained: backlog %d", s.backlog.Load())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitSpillIdle(t, &s)
 }
 
 // --- teardown-vs-forwarding stress -------------------------------------------

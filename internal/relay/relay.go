@@ -255,7 +255,8 @@ type circuitEnd struct {
 	bwMu sync.Mutex
 	// bwWire is the backward-direction scratch frame, guarded by bwMu.
 	// sendBackward packs, seals, and encrypts into it in place; the
-	// enqueue copies, so the frame is reusable immediately.
+	// enqueue copies it or has written it by the time it returns, so the
+	// frame is reusable immediately.
 	bwWire []byte
 	// bwBatch is the contiguous multi-frame scratch behind
 	// sendBackwardBatch (lazily allocated: only exit circuits need it),
@@ -299,10 +300,8 @@ func (ce *circuitEnd) pace() {
 	}
 }
 
-// serveConn handles one inbound link (= one circuit). After the CREATE
-// handshake the reader's only job is moving whole pooled frames from the
-// wire onto the circuit's affinity-worker queue; all crypto and dispatch
-// happen on the worker (see forwarder).
+// serveConn handles one inbound link (= one circuit): the CREATE
+// handshake, then readCircuit.
 func (r *Relay) serveConn(conn net.Conn) {
 	defer r.serveWG.Done()
 	r.connMu.Lock()
@@ -340,7 +339,12 @@ func (r *Relay) serveConn(conn net.Conn) {
 	if err := prevW.WriteCell(created); err != nil {
 		return
 	}
+	r.readCircuit(r.newCircuit(conn, circID, layer, prevW), wire)
+}
 
+// newCircuit registers this relay's end of a circuit whose CREATE
+// handshake over conn yielded layer.
+func (r *Relay) newCircuit(conn net.Conn, circID uint32, layer *otr.Layer, prevW *cell.BatchWriter) *circuitEnd {
 	ce := &circuitEnd{
 		relay:   r,
 		serial:  r.circSerial.Add(1),
@@ -356,45 +360,77 @@ func (r *Relay) serveConn(conn net.Conn) {
 	r.circuits.Put(ce.serial, ce)
 	r.m.circCreated.Inc()
 	r.m.openCircs.Add(1)
+	return ce
+}
+
+// readCircuit is the link reader of an established circuit. Its only
+// job is moving runs of whole cells from the wire onto the circuit's
+// affinity-worker queue; all crypto and dispatch happen on the worker
+// (see forwarder). wire is the reader's one-cell buffer — all it holds
+// while it waits for the link; a burst is taken when a cell has arrived
+// and is the worker's from the enqueue on.
+func (r *Relay) readCircuit(ce *circuitEnd, wire []byte) {
 	// Teardown runs on the worker, strictly after the last enqueued cell:
 	// the sentinel is this reader's final word on the circuit.
 	defer r.fwd.enqueue(ce.worker, fwdTask{ce: ce})
 
 	for {
-		f := cell.GetWire()
-		if err := cell.ReadWire(conn, f[:]); err != nil {
-			cell.PutWire(f)
+		run, err := cell.ReadRun(ce.conn, wire)
+		if err != nil {
 			return
 		}
-		switch cell.WireCmd(f[:]) {
-		case cell.CmdRelay:
-			// Frame ownership passes to the worker; pace first so a
-			// congested egress stalls this link instead of overflowing
-			// the circuit's spill queue.
+		end := relayCells(run, true)
+		if run.N > 0 {
+			// Run ownership passes to the worker; pace first so a congested
+			// egress stalls this link instead of overflowing the circuit's
+			// spill queue.
 			ce.pace()
-			r.fwd.enqueue(ce.worker, fwdTask{ce: ce, frame: f})
-		case cell.CmdDestroy:
-			cell.PutWire(f)
-			return
-		case cell.CmdPadding:
-			// Link padding: discard.
-			cell.PutWire(f)
-		default:
-			r.logf("unexpected cell %v mid-circuit", cell.WireCmd(f[:]))
-			cell.PutWire(f)
+			r.fwd.enqueue(ce.worker, fwdTask{ce: ce, run: run})
+		} else {
+			cell.PutBurst(run)
+		}
+		if end != cell.CmdRelay {
+			if end != cell.CmdDestroy {
+				r.logf("unexpected cell %v mid-circuit", end)
+			}
 			return
 		}
 	}
 }
 
+// relayCells reduces a run read off a link to the RELAY cells a circuit
+// acts on, in order and contiguous from the start of the burst (the
+// common run is all RELAY and is left as it is). Link padding is
+// dropped. The first cell with any other command ends the run — it and
+// everything behind it is discarded — and its command is returned;
+// CmdRelay means the whole run was taken. With strict unset, commands
+// other than DESTROY are skipped like padding instead of ending the run.
+func relayCells(run *cell.Burst, strict bool) cell.Command {
+	kept := 0
+	for k := 0; k < run.N; k++ {
+		switch cmd := cell.WireCmd(run.Frame(k)); {
+		case cmd == cell.CmdRelay:
+			if kept != k {
+				copy(run.Frame(kept), run.Frame(k))
+			}
+			kept++
+		case cmd == cell.CmdDestroy || strict && cmd != cell.CmdPadding:
+			run.N = kept
+			return cmd
+		}
+	}
+	run.N = kept
+	return cell.CmdRelay
+}
+
+// dispatchRelay acts on one recognized relay cell other than DATA, which
+// finishRun gathers and hands to handleData a run at a time.
 func (r *Relay) dispatchRelay(ce *circuitEnd, hdr cell.RelayHeader, data []byte) bool {
 	switch hdr.Cmd {
 	case cell.RelayExtend:
 		return r.handleExtend(ce, hdr, data)
 	case cell.RelayBegin:
 		return r.handleBegin(ce, hdr, data)
-	case cell.RelayData:
-		return r.handleData(ce, hdr, data)
 	case cell.RelayEnd:
 		ce.closeStream(hdr.StreamID)
 		return true
@@ -478,43 +514,53 @@ func (r *Relay) handleExtend(ce *circuitEnd, hdr cell.RelayHeader, data []byte) 
 }
 
 // backwardPump forwards cells arriving from the next hop toward the
-// client, adding this hop's backward encryption layer. Like the forward
-// direction it runs on a single reused wire buffer.
+// client, adding this hop's backward encryption layer, a run at a time.
+// Like the forward reader it waits on a one-cell buffer and holds a
+// burst only between a cell's arrival and the run's hand-off.
 func (ce *circuitEnd) backwardPump(next net.Conn) {
 	wire := make([]byte, cell.Size)
 	for {
-		if err := cell.ReadWire(next, wire); err != nil {
+		run, err := cell.ReadRun(next, wire)
+		if err != nil {
 			ce.destroyFromBehind()
 			return
 		}
-		switch cell.WireCmd(wire) {
-		case cell.CmdRelay:
-			// A dedicated per-circuit goroutine: blocking on the client
-			// link is safe and is the backward path's backpressure.
-			if err := ce.relayBackwardFrame(wire, true); err != nil {
-				return
-			}
-		case cell.CmdDestroy:
+		end := relayCells(run, false)
+		// A dedicated per-circuit goroutine: blocking on the client link
+		// is safe and is the backward path's backpressure.
+		err = ce.relayBackwardRun(run.Frames(), true)
+		cell.PutBurst(run)
+		if err != nil {
+			return
+		}
+		if end == cell.CmdDestroy {
 			ce.destroyFromBehind()
 			return
 		}
 	}
 }
 
-// relayBackwardFrame applies this hop's backward keystream to a whole
-// wire frame in place, restamps the circuit ID, and enqueues it toward
-// the client. The frame is the caller's buffer; the enqueue copies, so
+// relayBackwardRun applies this hop's backward keystream to a run of
+// whole wire frames in place, restamps their circuit ID, and enqueues
+// the run toward the client — one bwMu hold and one writer enqueue for
+// the run. The frames are the caller's buffer; the enqueue copies, so
 // the caller may reuse it as soon as this returns. mayBlock selects
 // between stream backpressure (dedicated goroutines) and the
 // non-blocking spill path (the affinity worker on a rendezvous splice).
-func (ce *circuitEnd) relayBackwardFrame(wire []byte, mayBlock bool) error {
-	ce.relay.m.bwdCells.Inc()
+func (ce *circuitEnd) relayBackwardRun(frames []byte, mayBlock bool) error {
+	if len(frames) == 0 {
+		return nil
+	}
+	ce.relay.m.bwdCells.Add(int64(len(frames) / cell.Size))
 	ce.bwMu.Lock()
 	defer ce.bwMu.Unlock()
-	ce.layer.ApplyBackward(cell.WirePayload(wire))
-	cell.SetWireCircID(wire, ce.circID)
-	cell.SetWireCmd(wire, cell.CmdRelay)
-	return ce.bwSpill.sendCopy(wire, mayBlock)
+	for off := 0; off < len(frames); off += cell.Size {
+		wire := frames[off : off+cell.Size]
+		ce.layer.ApplyBackward(cell.WirePayload(wire))
+		cell.SetWireCircID(wire, ce.circID)
+		cell.SetWireCmd(wire, cell.CmdRelay)
+	}
+	return ce.bwSpill.sendFrames(frames, mayBlock)
 }
 
 // sendBackward originates a backward relay cell at this hop (control
@@ -534,7 +580,7 @@ func (ce *circuitEnd) sendBackward(hdr cell.RelayHeader, data []byte) error {
 	ce.layer.ApplyBackward(payload)
 	cell.SetWireCircID(ce.bwWire, ce.circID)
 	cell.SetWireCmd(ce.bwWire, cell.CmdRelay)
-	return ce.bwSpill.sendCopy(ce.bwWire, false)
+	return ce.bwSpill.sendFrames(ce.bwWire, false)
 }
 
 // bwBatchCells sizes the backward batch: one exit read turns into up to
@@ -657,18 +703,19 @@ func (ce *circuitEnd) exitReader(streamID uint16, remote net.Conn) {
 	}
 }
 
-func (r *Relay) handleData(ce *circuitEnd, hdr cell.RelayHeader, data []byte) bool {
+// handleData writes the gathered data of one or more consecutive DATA
+// cells of a stream to its destination in one Write.
+func (r *Relay) handleData(ce *circuitEnd, streamID uint16, data []byte) {
 	ce.mu.Lock()
-	remote := ce.streams[hdr.StreamID]
+	remote := ce.streams[streamID]
 	ce.mu.Unlock()
 	if remote == nil {
 		// Stream already closed; tolerate in-flight data.
-		return true
+		return
 	}
 	if _, err := remote.Write(data); err != nil {
-		ce.closeStream(hdr.StreamID)
+		ce.closeStream(streamID)
 	}
-	return true
 }
 
 func (ce *circuitEnd) closeStream(streamID uint16) {

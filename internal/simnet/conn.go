@@ -324,6 +324,17 @@ func (c *conn) SetDeliverFunc(fn func(data []byte, eof bool)) {
 	}
 }
 
+// Buffered reports how many delivered bytes a Read would return without
+// blocking. A link reader uses it to take a whole burst of cells per
+// wake-up instead of one (cell.ReadRun); it is a snapshot, so more may
+// arrive before the Read.
+func (c *conn) Buffered() int {
+	c.mu.Lock()
+	n := c.rx.Len()
+	c.mu.Unlock()
+	return n
+}
+
 // Read implements net.Conn.
 func (c *conn) Read(p []byte) (int, error) {
 	c.mu.Lock()

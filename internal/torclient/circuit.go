@@ -398,15 +398,18 @@ func (circ *Circuit) Err() error {
 	return circ.reason
 }
 
-// dispatch reads cells from the guard link and routes them. It runs on a
-// single reused wire buffer: every consumer of cell data either copies
-// synchronously (stream delivery into a bytes.Buffer, control handlers)
-// or is handed an explicit copy (ctrl channel, INTRODUCE2 callback), so
-// the buffer is safe to reuse the moment handleRelay returns.
+// dispatch reads runs of cells from the guard link and routes them. It
+// waits on a one-cell buffer and holds a pooled burst only while a run
+// is being handled: every consumer of cell data either copies
+// synchronously (stream delivery into the stream's queue, control
+// handlers) or is handed an explicit copy (ctrl channel, INTRODUCE2
+// callback), so the burst goes back to the pool the moment handleRun
+// returns.
 func (circ *Circuit) dispatch() {
 	wire := make([]byte, cell.Size)
 	for {
-		if err := cell.ReadWire(circ.conn, wire); err != nil {
+		run, err := cell.ReadRun(circ.conn, wire)
+		if err != nil {
 			if circ.isClosed() {
 				circ.Close() // local teardown already won the race
 			} else {
@@ -414,20 +417,62 @@ func (circ *Circuit) dispatch() {
 			}
 			return
 		}
-		circ.client.m.cellsRecv.Inc()
-		switch cell.WireCmd(wire) {
-		case cell.CmdDestroy:
-			circ.closeWithReason(errors.New("torclient: circuit destroyed by relay"))
+		alive := circ.handleRun(run)
+		cell.PutBurst(run)
+		if !alive {
 			return
-		case cell.CmdRelay:
-			circ.handleRelay(cell.WirePayload(wire))
 		}
 	}
 }
 
-// handleRelay routes one inbound relay payload (aliasing the dispatch
-// read buffer; valid only until return).
-func (circ *Circuit) handleRelay(payload []byte) {
+// streamData is the DATA of consecutive cells of one stream, gathered in
+// place in the run being handled and delivered in one Stream.deliver.
+// It is flushed when a cell for another stream arrives, before any
+// other recognized command is acted on, and at the end of the run, so a
+// stream sees its bytes, and its END after them, in cell order.
+type streamData struct {
+	run *cell.Burst
+	s   *Stream
+	cell.DataRun
+}
+
+func (d *streamData) add(s *Stream, k, n int) {
+	if s != d.s {
+		d.flush()
+		d.s = s
+	}
+	d.Add(d.run, k, n)
+}
+
+func (d *streamData) flush() {
+	if !d.Empty() {
+		d.s.deliver(d.Take(d.run))
+	}
+}
+
+// handleRun routes the cells of one run in order and reports whether
+// the circuit is still up.
+func (circ *Circuit) handleRun(run *cell.Burst) bool {
+	pend := streamData{run: run}
+	for k := 0; k < run.N; k++ {
+		circ.client.m.cellsRecv.Inc()
+		frame := run.Frame(k)
+		switch cell.WireCmd(frame) {
+		case cell.CmdDestroy:
+			pend.flush()
+			circ.closeWithReason(errors.New("torclient: circuit destroyed by relay"))
+			return false
+		case cell.CmdRelay:
+			circ.handleRelay(cell.WirePayload(frame), k, &pend)
+		}
+	}
+	pend.flush()
+	return true
+}
+
+// handleRelay routes one inbound relay payload: cell k of the run pend
+// gathers from (the payload aliases it; valid only until return).
+func (circ *Circuit) handleRelay(payload []byte, k int, pend *streamData) {
 	circ.mu.Lock()
 	hop := otr.OnionDecrypt(circ.layers, payload, cell.RecognizedOffset, cell.DigestOffset)
 	if hop < 0 && circ.svc != nil {
@@ -437,7 +482,7 @@ func (circ *Circuit) handleRelay(payload []byte) {
 			hdr, data, err := cell.ParseRelay(payload)
 			circ.mu.Unlock()
 			if err == nil {
-				circ.handleServiceCell(hdr, data)
+				circ.handleServiceCell(hdr, data, k, pend)
 			}
 			return
 		}
@@ -451,13 +496,18 @@ func (circ *Circuit) handleRelay(payload []byte) {
 		circ.mu.Unlock()
 		return
 	}
-	switch hdr.Cmd {
-	case cell.RelayData:
+	if hdr.Cmd == cell.RelayData {
 		s := circ.streams[hdr.StreamID]
 		circ.mu.Unlock()
 		if s != nil {
-			s.deliver(data)
+			pend.add(s, k, len(data))
 		}
+		return
+	}
+	circ.mu.Unlock()
+	pend.flush()
+	circ.mu.Lock()
+	switch hdr.Cmd {
 	case cell.RelayEnd:
 		s := circ.streams[hdr.StreamID]
 		delete(circ.streams, hdr.StreamID)
@@ -562,6 +612,15 @@ func (t *tappedConn) Write(p []byte) (int, error) {
 		}
 	}
 	return n, err
+}
+
+// Buffered passes the link's answer through (cell.ReadRun asks), so a
+// tapped guard link is read in the same runs as an untapped one.
+func (t *tappedConn) Buffered() int {
+	if b, ok := t.Conn.(interface{ Buffered() int }); ok {
+		return b.Buffered()
+	}
+	return 0
 }
 
 func (t *tappedConn) Read(p []byte) (int, error) {

@@ -120,8 +120,12 @@ func (circ *Circuit) AttachServiceLayer(keys []byte, acceptor func(net.Conn)) er
 }
 
 // handleServiceCell processes a relay cell recognized at the service
-// layer (called with circ.mu released).
-func (circ *Circuit) handleServiceCell(hdr cell.RelayHeader, data []byte) {
+// layer (called with circ.mu released): cell k of the run pend gathers
+// stream data from. DATA joins pend; anything else flushes it first.
+func (circ *Circuit) handleServiceCell(hdr cell.RelayHeader, data []byte, k int, pend *streamData) {
+	if hdr.Cmd != cell.RelayData {
+		pend.flush()
+	}
 	switch hdr.Cmd {
 	case cell.RelayBegin:
 		s := newStream(circ, hdr.StreamID, true)
@@ -147,7 +151,7 @@ func (circ *Circuit) handleServiceCell(hdr cell.RelayHeader, data []byte) {
 		}
 		circ.mu.Unlock()
 		if s != nil {
-			s.deliver(data)
+			pend.add(s, k, len(data))
 		}
 	case cell.RelayEnd:
 		circ.mu.Lock()

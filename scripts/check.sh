@@ -33,17 +33,20 @@ go test -race -count=1 ./internal/cell/ ./internal/simnet/ ./internal/torclient/
 echo "==> bench smoke (all benchmarks, 1 iteration)"
 go test -run='^$' -bench=. -benchtime=1x ./...
 
-echo "==> relay datapath stress under race (circuit teardown vs in-flight forwarding)"
-go test -race -count=1 -run='TestTeardownForwardStress|TestSpillPacing' ./internal/relay/
+echo "==> relay datapath stress under race (circuit teardown vs in-flight forwarding; burst ordering,"
+echo "    spill bounds in cells, idle circuits hold no burst, run datapath vs per-cell reference)"
+go test -race -count=1 -run='TestTeardownForwardStress|TestSpill|TestBurst|TestExtendThenCellsInOneBurst|TestIdleCircuitHoldsNoBurst' ./internal/relay/
+go test -race -count=1 -run='TestRun|TestTap' ./internal/torclient/
 
 echo "==> telemetry regression smoke (instrumented hot path and live sampler must not allocate)"
 go test -count=1 -run='TestInstrumentedMicroAllocFree|TestWindowedMicroAllocFree' ./internal/bench/
-go test -count=1 -run='TestMiddleHopForwardAllocFree' ./internal/relay/
+go test -count=1 -run='TestMiddleHopForwardAllocFree|TestBatchedForwardAllocFree|TestSpillQueueRetainsNothing|TestIdleCircuitHoldsNoBurst|TestBurst' ./internal/relay/
+go test -count=1 -run='TestReadRunAllocFree' ./internal/cell/
 go test -count=1 -run='TestHotPathAllocFree|TestWindowerSampleAllocFree' ./internal/obs/
 go test -count=1 -run='TestConnWriteReadAllocFree|TestConnWriteAsyncDeliverAllocFree|TestConnSizeofPinned' ./internal/simnet/
 
-echo "==> poison-on-recycle (recycled simnet chunks filled with 0xDB: nobody may keep a lent slice)"
-go test -count=1 -tags simnet_poison ./internal/simnet/ ./internal/relay/ ./internal/torclient/ \
+echo "==> poison-on-recycle (recycled simnet chunks and cell bursts filled with 0xDB: nobody may keep a lent slice)"
+go test -count=1 -tags simnet_poison ./internal/simnet/ ./internal/cell/ ./internal/relay/ ./internal/torclient/ \
     ./internal/hs/ ./internal/bento/ ./internal/testbed/
 go run -tags simnet_poison ./cmd/benchharness -exp scale -scaleout /dev/null -maxhostbytes 10240
 
@@ -61,7 +64,14 @@ floor=$(sed -n 's/.*"forward_floor_cells_per_sec": *\([0-9.]*\).*/\1/p' BENCH_da
 tmpjson=$(mktemp)
 go run ./cmd/benchharness -exp datapath -benchout "$tmpjson" -minfwd "${floor:-130000}"
 if [ "$(getconf _NPROCESSORS_ONLN)" -ge 4 ]; then
-    scaling=$(sed -n 's/.*"parallel_scaling_4x": *\([0-9.]*\).*/\1/p' "$tmpjson")
+    # On >= 4 cores the harness must have measured it ("parallel_scaling":
+    # "measured" and a number); below that it writes null + "unmeasured".
+    if ! grep -q '"parallel_scaling": *"measured"' "$tmpjson"; then
+        echo "parallel scaling not measured on a >=4-core host" >&2
+        rm -f "$tmpjson"
+        exit 1
+    fi
+    scaling=$(sed -n 's/.*"parallel_scaling_4x": *\([0-9.][0-9.]*\).*/\1/p' "$tmpjson")
     if ! awk "BEGIN { exit !(${scaling:-0} >= 2.5) }"; then
         echo "parallel scaling 4x/1x = ${scaling:-?}, want >= 2.5 on a >=4-core host" >&2
         rm -f "$tmpjson"
@@ -78,6 +88,9 @@ go test -count=1 -run='TestVMLoopAllocFree' ./internal/interp/
 
 echo "==> engine parity fuzz smoke (tree-walker vs bytecode VM)"
 go test -run='^$' -fuzz='^FuzzEngineParity$' -fuzztime=5s ./internal/interp/
+
+echo "==> burst split fuzz smoke (relay run datapath vs per-cell reference, fuzzer-chosen cuts and corruption)"
+go test -run='^$' -fuzz='^FuzzBurstSplit$' -fuzztime=5s ./internal/relay/
 
 echo "==> fleet reconciliation smoke (chaos faults, must end 100% success)"
 go run ./cmd/benchharness -exp fleet -fleetout /dev/null
