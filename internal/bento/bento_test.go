@@ -15,6 +15,7 @@ import (
 	"github.com/bento-nfv/bento/internal/relay"
 	"github.com/bento-nfv/bento/internal/simnet"
 	"github.com/bento-nfv/bento/internal/torclient"
+	"github.com/bento-nfv/bento/internal/wire"
 )
 
 // world is a full test deployment: a Tor overlay where one relay hosts a
@@ -451,20 +452,16 @@ func TestWireValueRoundTrip(t *testing.T) {
 		d,
 	}
 	for _, v := range vals {
-		w, err := encodeValue(v)
+		back, err := frameRoundTrip(v)
 		if err != nil {
-			t.Fatalf("encode %s: %v", v.Type(), err)
-		}
-		back, err := decodeValue(w)
-		if err != nil {
-			t.Fatalf("decode %s: %v", v.Type(), err)
+			t.Fatalf("%s: %v", v.Type(), err)
 		}
 		if !interp.Equal(v, back) {
 			t.Fatalf("%s round trip: %s != %s", v.Type(), interp.Repr(v), interp.Repr(back))
 		}
 	}
 	// Functions cannot cross the wire.
-	if _, err := encodeValue(&interp.Func{Name: "f"}); err == nil {
+	if _, err := encodeValue(&interp.Func{Name: "f"}, new(wire.Trailer)); err == nil {
 		t.Fatal("function encoded")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 
@@ -139,34 +138,32 @@ func (co *Conn) Close() error {
 }
 
 // roundTrip sends a request and reads frames until a terminal frame,
-// passing any data frames to onData. Stream-level failures come back
-// wrapped in ErrTransport so callers can tell a dead connection (retry on
-// a fresh one) from a server-reported error (don't).
+// lending the payload of any data frame to onData for the call.
+// Stream-level failures, a malformed frame among them, come back wrapped
+// in ErrTransport so callers can tell a dead connection (retry on a fresh
+// one) from a server-reported error (don't).
 func (co *Conn) roundTrip(req *request, onData func([]byte)) (*response, error) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	if err := wire.WriteJSON(co.stream, req); err != nil {
+	if err := wire.WriteFrame(co.stream, req, req.trailer); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrTransport, err)
 	}
 	if co.dec == nil {
-		co.dec = wire.NewDecoder(co.stream)
+		co.dec = newDecoder(co.stream)
 	}
 	for {
 		var resp response
-		if err := co.dec.Decode(&resp); err != nil {
+		err := co.dec.Decode(&resp)
+		if err == nil {
+			err = resp.open(co.dec)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrTransport, err)
 		}
 		switch resp.Type {
 		case frameData:
-			payload := resp.Payload
-			if resp.BinaryLen > 0 {
-				payload = make([]byte, resp.BinaryLen)
-				if _, err := io.ReadFull(co.stream, payload); err != nil {
-					return nil, fmt.Errorf("%w: %v", ErrTransport, err)
-				}
-			}
 			if onData != nil {
-				onData(payload)
+				onData(resp.payload)
 			}
 		case frameError:
 			if resp.PermFailed {
@@ -336,14 +333,16 @@ func (co *Conn) AttachFunction(invokeToken string) *Function {
 // code is sealed to the enclave channel key, so the operator never sees
 // it in plaintext.
 func (f *Function) Upload(code string) error {
-	req := &request{Op: opUpload, InvokeToken: f.invokeTok, Code: []byte(code)}
+	req := &request{Op: opUpload, InvokeToken: f.invokeTok, CodeLen: len(code)}
 	if f.report != nil {
 		sealed, err := otr.SealTo(f.report.Quote.ChannelKey, []byte(code))
 		if err != nil {
 			return err
 		}
-		req.Code = sealed
-		req.Sealed = true
+		req.CodeLen, req.Sealed = len(sealed), true
+		req.trailer.AddBytes(sealed)
+	} else {
+		req.trailer.AddString(code)
 	}
 	_, err := f.conn.roundTrip(req, nil)
 	return err
@@ -361,17 +360,16 @@ func (f *Function) Invoke(fn string, args ...interp.Value) ([]byte, interp.Value
 
 // InvokeStream calls a function, delivering api.send payloads to onData
 // as they are produced (streaming responses, e.g. progressive downloads).
+// A payload is valid only during the call; onData copies what it keeps.
 func (f *Function) InvokeStream(fn string, args []interp.Value, onData func([]byte)) (interp.Value, error) {
-	wargs, err := MarshalArgs(args...)
-	if err != nil {
-		return nil, err
+	req := &request{Op: opInvoke, InvokeToken: f.invokeTok, Function: fn, Args: make([]wireValu, len(args))}
+	for i, a := range args {
+		var err error
+		if req.Args[i], err = encodeValue(a, &req.trailer); err != nil {
+			return nil, err
+		}
 	}
-	resp, err := f.conn.roundTrip(&request{
-		Op:          opInvoke,
-		InvokeToken: f.invokeTok,
-		Function:    fn,
-		Args:        wargs,
-	}, onData)
+	resp, err := f.conn.roundTrip(req, onData)
 	if err != nil {
 		return nil, err
 	}
@@ -386,10 +384,10 @@ func (f *Function) InvokeStream(fn string, args []interp.Value, onData func([]by
 		}
 		return nil, errors.New("bento: " + resp.Error)
 	}
-	if resp.Result == nil {
+	if resp.result == nil {
 		return interp.None, nil
 	}
-	return decodeValue(*resp.Result)
+	return resp.result, nil
 }
 
 // ShutdownByToken terminates a function by its shutdown token directly

@@ -7,10 +7,13 @@ package bento
 
 import (
 	"fmt"
+	"io"
+	"unicode/utf8"
 
 	"github.com/bento-nfv/bento/internal/enclave"
 	"github.com/bento-nfv/bento/internal/interp"
 	"github.com/bento-nfv/bento/internal/policy"
+	"github.com/bento-nfv/bento/internal/wire"
 )
 
 // Port is the port Bento servers listen on, reachable either via an exit
@@ -27,6 +30,22 @@ const (
 	opInvoke    = "invoke"
 	opShutdown  = "shutdown"
 )
+
+// Bulk bytes ride a frame's trailer raw, named in the JSON envelope by
+// length only: upload code, api.send payloads, and every Str or Bytes leaf
+// of an argument or result longer than inlineMax. Sender and receiver
+// walk the frame in the same order (code or payload, then values depth
+// first), so the lengths alone place each part.
+const (
+	inlineMax = 256
+	// maxEnvelope bounds the JSON either role accepts from its peer; the
+	// trailer is bounded by wire.MaxMessage.
+	maxEnvelope = 1 << 20
+)
+
+func newDecoder(r io.Reader) *wire.Decoder {
+	return wire.NewFrameDecoder(r, maxEnvelope, wire.MaxMessage)
+}
 
 // request is one client message.
 type request struct {
@@ -49,11 +68,29 @@ type request struct {
 	// whose response was lost in transit.
 	SpawnKey string `json:"spawn_key,omitempty"`
 
-	Code   []byte `json:"code,omitempty"`
-	Sealed bool   `json:"sealed,omitempty"`
+	CodeLen int  `json:"code_len,omitempty"`
+	Sealed  bool `json:"sealed,omitempty"`
 
 	Function string     `json:"function,omitempty"`
 	Args     []wireValu `json:"args,omitempty"`
+
+	trailer wire.Trailer   // sender: the code, then the long leaves of Args
+	code    []byte         // receiver: lent by the decoder until its next frame
+	args    []interp.Value // receiver: Args decoded against the trailer
+}
+
+// open claims the request's parts of the trailer d holds.
+func (r *request) open(d *wire.Decoder) (err error) {
+	if r.code, err = d.Take(r.CodeLen); err != nil {
+		return err
+	}
+	r.args = make([]interp.Value, len(r.Args))
+	for i, w := range r.Args {
+		if r.args[i], err = decodeValue(w, d); err != nil {
+			return err
+		}
+	}
+	return d.TrailerDone()
 }
 
 // response frame types.
@@ -79,13 +116,9 @@ type response struct {
 	// Challenge is a fresh single-use spawn puzzle input.
 	Challenge []byte `json:"challenge,omitempty"`
 
-	Payload []byte `json:"payload,omitempty"`
-	// BinaryLen, when nonzero, announces that the frame's payload
-	// follows the JSON frame as raw bytes (avoiding base64 inflation for
-	// bulk data).
-	BinaryLen int       `json:"binary_len,omitempty"`
-	Result    *wireValu `json:"result,omitempty"`
-	Stdout    string    `json:"stdout,omitempty"`
+	PayloadLen int       `json:"payload_len,omitempty"`
+	Result     *wireValu `json:"result,omitempty"`
+	Stdout     string    `json:"stdout,omitempty"`
 
 	// Restarted, on a done frame carrying an error, tells the client the
 	// function died but the server's watchdog brought it back: the same
@@ -96,12 +129,31 @@ type response struct {
 	// retrying this token is futile, and a control plane should replace
 	// the replica instead.
 	PermFailed bool `json:"perm_failed,omitempty"`
+
+	trailer wire.Trailer // sender: the payload, then the long leaves of Result
+	payload []byte       // receiver: lent by the decoder until its next frame
+	result  interp.Value // receiver: Result decoded against the trailer
+}
+
+// open claims the response's parts of the trailer d holds.
+func (r *response) open(d *wire.Decoder) (err error) {
+	if r.payload, err = d.Take(r.PayloadLen); err != nil {
+		return err
+	}
+	if r.Result != nil {
+		if r.result, err = decodeValue(*r.Result, d); err != nil {
+			return err
+		}
+	}
+	return d.TrailerDone()
 }
 
 // wireValu is the JSON encoding of an interp.Value crossing the protocol.
+// N, when nonzero, is the length of a Str or Bytes leaf in the trailer.
 type wireValu struct {
 	T string     `json:"t"`
 	I int64      `json:"i,omitempty"`
+	N int        `json:"n,omitempty"`
 	S string     `json:"s,omitempty"`
 	B []byte     `json:"b,omitempty"`
 	L []wireValu `json:"l,omitempty"`
@@ -114,14 +166,24 @@ type wirePair struct {
 	V wireValu `json:"v"`
 }
 
-// encodeValue converts an interp.Value for the wire.
-func encodeValue(v interp.Value) (wireValu, error) {
+// encodeValue converts an interp.Value for the wire, queueing its long
+// leaves on t.
+func encodeValue(v interp.Value, t *wire.Trailer) (wireValu, error) {
 	switch x := v.(type) {
 	case interp.Int:
 		return wireValu{T: "i", I: int64(x)}, nil
 	case interp.Str:
+		// JSON would rewrite bytes that are not UTF-8; the trailer is raw.
+		if len(x) > inlineMax || !utf8.ValidString(string(x)) {
+			t.AddString(string(x))
+			return wireValu{T: "s", N: len(x)}, nil
+		}
 		return wireValu{T: "s", S: string(x)}, nil
 	case interp.Bytes:
+		if len(x) > inlineMax {
+			t.AddBytes(x)
+			return wireValu{T: "b", N: len(x)}, nil
+		}
 		return wireValu{T: "b", B: []byte(x)}, nil
 	case interp.Bool:
 		return wireValu{T: "o", V: bool(x)}, nil
@@ -130,7 +192,7 @@ func encodeValue(v interp.Value) (wireValu, error) {
 	case *interp.List:
 		out := wireValu{T: "l", L: make([]wireValu, 0, len(x.Elems))}
 		for _, e := range x.Elems {
-			we, err := encodeValue(e)
+			we, err := encodeValue(e, t)
 			if err != nil {
 				return wireValu{}, err
 			}
@@ -142,11 +204,11 @@ func encodeValue(v interp.Value) (wireValu, error) {
 		keys := x.Keys()
 		vals := x.Values()
 		for i := range keys {
-			wk, err := encodeValue(keys[i])
+			wk, err := encodeValue(keys[i], t)
 			if err != nil {
 				return wireValu{}, err
 			}
-			wv, err := encodeValue(vals[i])
+			wv, err := encodeValue(vals[i], t)
 			if err != nil {
 				return wireValu{}, err
 			}
@@ -158,14 +220,23 @@ func encodeValue(v interp.Value) (wireValu, error) {
 	}
 }
 
-// decodeValue converts a wire value back to an interp.Value.
-func decodeValue(w wireValu) (interp.Value, error) {
+// decodeValue converts a wire value back to an interp.Value, copying its
+// long leaves out of dec's trailer.
+func decodeValue(w wireValu, dec *wire.Decoder) (interp.Value, error) {
 	switch w.T {
 	case "i":
 		return interp.Int(w.I), nil
 	case "s":
+		if w.N != 0 {
+			p, err := dec.Take(w.N)
+			return interp.Str(p), err
+		}
 		return interp.Str(w.S), nil
 	case "b":
+		if w.N != 0 {
+			p, err := dec.Take(w.N)
+			return interp.Bytes(append([]byte(nil), p...)), err
+		}
 		return interp.Bytes(w.B), nil
 	case "o":
 		return interp.Bool(w.V), nil
@@ -174,7 +245,7 @@ func decodeValue(w wireValu) (interp.Value, error) {
 	case "l":
 		l := &interp.List{}
 		for _, e := range w.L {
-			v, err := decodeValue(e)
+			v, err := decodeValue(e, dec)
 			if err != nil {
 				return nil, err
 			}
@@ -184,11 +255,11 @@ func decodeValue(w wireValu) (interp.Value, error) {
 	case "d":
 		d := interp.NewDict()
 		for _, p := range w.D {
-			k, err := decodeValue(p.K)
+			k, err := decodeValue(p.K, dec)
 			if err != nil {
 				return nil, err
 			}
-			v, err := decodeValue(p.V)
+			v, err := decodeValue(p.V, dec)
 			if err != nil {
 				return nil, err
 			}
@@ -200,17 +271,4 @@ func decodeValue(w wireValu) (interp.Value, error) {
 	default:
 		return nil, fmt.Errorf("bento: unknown wire value type %q", w.T)
 	}
-}
-
-// MarshalArgs is a helper for tests and tools building raw requests.
-func MarshalArgs(args ...interp.Value) ([]wireValu, error) {
-	out := make([]wireValu, 0, len(args))
-	for _, a := range args {
-		w, err := encodeValue(a)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, w)
-	}
-	return out, nil
 }

@@ -74,15 +74,18 @@ func TestSealedUploadToPlainContainerRejected(t *testing.T) {
 
 	key, _ := otr.NewOnionKey()
 	sealed, _ := otr.SealTo(key.Public(), []byte("x = 1"))
-	_, err = conn.roundTrip(&request{
-		Op:          opUpload,
-		InvokeToken: fn.InvokeToken(),
-		Code:        sealed,
-		Sealed:      true,
-	}, nil)
+	_, err = conn.roundTrip(sealedUpload(fn, sealed), nil)
 	if err == nil || !strings.Contains(err.Error(), "non-enclaved") {
 		t.Fatalf("sealed upload to plain container: %v", err)
 	}
+}
+
+// sealedUpload builds the upload request Function.Upload would, around a
+// ciphertext of the test's choosing.
+func sealedUpload(fn *Function, sealed []byte) *request {
+	req := &request{Op: opUpload, InvokeToken: fn.InvokeToken(), CodeLen: len(sealed), Sealed: true}
+	req.trailer.AddBytes(sealed)
+	return req
 }
 
 func TestSealedUploadWithWrongKeyRejected(t *testing.T) {
@@ -104,12 +107,7 @@ func TestSealedUploadWithWrongKeyRejected(t *testing.T) {
 	// Seal to an attacker-chosen key instead of the enclave key.
 	wrong, _ := otr.NewOnionKey()
 	sealed, _ := otr.SealTo(wrong.Public(), []byte("x = 1"))
-	if _, err := conn.roundTrip(&request{
-		Op:          opUpload,
-		InvokeToken: fn.InvokeToken(),
-		Code:        sealed,
-		Sealed:      true,
-	}, nil); err == nil {
+	if _, err := conn.roundTrip(sealedUpload(fn, sealed), nil); err == nil {
 		t.Fatal("wrong-key sealed upload accepted")
 	}
 }

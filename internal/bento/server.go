@@ -246,22 +246,21 @@ func (s *Server) serve(conn net.Conn) {
 	send := func(r *response) error {
 		wmu.Lock()
 		defer wmu.Unlock()
-		if r.Type == frameData && len(r.Payload) > 256 {
-			payload := r.Payload
-			hdr := &response{Type: frameData, BinaryLen: len(payload)}
-			if err := wire.WriteJSON(conn, hdr); err != nil {
-				return err
-			}
-			_, err := conn.Write(payload)
-			return err
-		}
-		return wire.WriteJSON(conn, r)
+		return wire.WriteFrame(conn, r, r.trailer)
 	}
-	dec := wire.NewDecoder(conn) // reuse one read buffer across requests
+	dec := newDecoder(conn) // reuse one read buffer across requests
 	for {
 		var req request
 		if err := dec.Decode(&req); err != nil {
 			return
+		}
+		// Decode consumed the whole frame, so a request whose announced
+		// lengths do not add up is refused without losing frame sync.
+		if err := req.open(dec); err != nil {
+			if send(&response{Type: frameError, Error: err.Error()}) != nil {
+				return
+			}
+			continue
 		}
 		var err error
 		switch req.Op {
@@ -581,7 +580,7 @@ func (s *Server) handleUpload(req *request, send func(*response) error) error {
 	if rf == nil {
 		return send(&response{Type: frameError, Error: "bad invocation token"})
 	}
-	code := req.Code
+	code := req.code
 	if req.Sealed {
 		e := rf.ctr().Enclave()
 		if e == nil {
@@ -620,15 +619,6 @@ func (s *Server) handleInvoke(req *request, send func(*response) error) error {
 	if rf == nil {
 		return send(&response{Type: frameError, Error: "bad invocation token"})
 	}
-	args := make([]interp.Value, 0, len(req.Args))
-	for _, w := range req.Args {
-		v, err := decodeValue(w)
-		if err != nil {
-			return send(&response{Type: frameError, Error: err.Error()})
-		}
-		args = append(args, v)
-	}
-
 	// Queue depth counts invocations from the moment they contend for
 	// the function's run lock, so a backed-up function shows up as
 	// depth, not just latency; invoke_ns spans the same interval
@@ -637,9 +627,11 @@ func (s *Server) handleInvoke(req *request, send func(*response) error) error {
 	s.om.invokeQueue.Add(1)
 	rf.runMu.Lock()
 	rf.setEmit(func(p []byte) error {
-		return send(&response{Type: frameData, Payload: p})
+		r := &response{Type: frameData, PayloadLen: len(p)}
+		r.trailer.AddBytes(p)
+		return send(r)
 	})
-	result, err := rf.ctr().Call(req.Function, args...)
+	result, err := rf.ctr().Call(req.Function, req.args...)
 	rf.setEmit(nil)
 	s.om.invokeQueue.Add(-1)
 	s.om.invokeNs.ObserveDuration(s.now() - start)
@@ -658,10 +650,11 @@ func (s *Server) handleInvoke(req *request, send func(*response) error) error {
 		done.Error = err.Error()
 		done.PermFailed = rf.permanentlyFailed()
 	} else if result != nil {
-		w, werr := encodeValue(result)
-		if werr == nil {
-			done.Result = &w
+		w, werr := encodeValue(result, &done.trailer)
+		if werr != nil {
+			return send(&response{Type: frameDone, Error: werr.Error()})
 		}
+		done.Result = &w
 	}
 	return send(done)
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/bento-nfv/bento/internal/dirauth"
+	"github.com/bento-nfv/bento/internal/functions"
 	"github.com/bento-nfv/bento/internal/obs"
 	"github.com/bento-nfv/bento/internal/webfarm"
 )
@@ -180,5 +181,43 @@ func TestWindowerNilWithoutObs(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Relays: 2, BentoNodes: 5}); err == nil {
 		t.Fatal("BentoNodes > Relays accepted")
+	}
+}
+
+// One small request is one frame, one stream write and so one DATA cell:
+// over a 3-hop circuit a noop invoke moves exactly one forward cell
+// through each of the two forwarding relays (the exit recognizes it). A
+// frame written as header then body would move two.
+func TestNoopInvokeIsOneForwardCellPerHop(t *testing.T) {
+	reg := obs.NewRegistry()
+	w, err := New(Config{Relays: 3, BentoNodes: 1, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	conn, err := w.NewBentoClient("alice", 1).Connect(w.BentoNode(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fn, err := functions.Deploy(conn, functions.DefaultManifest("noop", "python"), "def noop():\n    return 0\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fn.Shutdown()
+	forwarded := reg.Counter("relay.cells_forwarded")
+	for i := 0; i < 3; i++ {
+		before := forwarded.Value()
+		if _, _, err := fn.Invoke("noop"); err != nil {
+			t.Fatal(err)
+		}
+		// The reply proves both relays forwarded the request; give a relay
+		// that counts after its link write a moment to do so.
+		for deadline := time.Now().Add(time.Second); forwarded.Value()-before < 2 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		if got := forwarded.Value() - before; got != 2 {
+			t.Fatalf("invoke %d forwarded %d cells over two relays, want 2", i, got)
+		}
 	}
 }

@@ -26,8 +26,8 @@ go test ./...
 echo "==> repo benchmark self-tests (smoke of all five workloads, probes, ledger)"
 go test -count=1 ./benchmark
 
-echo "==> go test -race (cell, simnet, torclient, bento, otr, relay, obs, interp, fleet)"
-go test -race -count=1 ./internal/cell/ ./internal/simnet/ ./internal/torclient/ ./internal/bento/ \
+echo "==> go test -race (cell, simnet, torclient, bento, wire, otr, relay, obs, interp, fleet)"
+go test -race -count=1 ./internal/cell/ ./internal/simnet/ ./internal/torclient/ ./internal/bento/ ./internal/wire/ \
     ./internal/otr/ ./internal/relay/ ./internal/obs/ ./internal/interp/ ./internal/fleet/
 
 echo "==> bench smoke (all benchmarks, 1 iteration)"
@@ -91,6 +91,10 @@ go test -run='^$' -fuzz='^FuzzEngineParity$' -fuzztime=5s ./internal/interp/
 
 echo "==> burst split fuzz smoke (relay run datapath vs per-cell reference, fuzzer-chosen cuts and corruption)"
 go test -run='^$' -fuzz='^FuzzBurstSplit$' -fuzztime=5s ./internal/relay/
+
+echo "==> frame fuzz smokes (wire decoder bounds; Bento values through a frame and back, junk into both roles' decoders)"
+go test -run='^$' -fuzz='^FuzzDecoder$' -fuzztime=5s ./internal/wire/
+go test -run='^$' -fuzz='^FuzzFrameRoundTrip$' -fuzztime=5s ./internal/bento/
 
 echo "==> fleet reconciliation smoke (chaos faults, must end 100% success)"
 go run ./cmd/benchharness -exp fleet -fleetout /dev/null
