@@ -22,9 +22,9 @@ import (
 
 // ScaleConfig sizes the six-figure-host emulation benchmark. The run
 // builds a Network on the discrete-event clock, registers Clients
-// lightweight client hosts alongside a fleet of real relays serving
-// the event-native light ingress (Config.LightIngress), and churns
-// every client through a genuine telescoped 3-hop circuit build —
+// lightweight client hosts alongside a fleet of real relays, which on
+// this clock serve their links event-natively (relay/ingress.go), and
+// churns every client through a genuine telescoped 3-hop circuit build —
 // CREATE plus two EXTENDs with the real onion handshake at every hop —
 // followed by a cover-traffic pump of DROP cells that traverse all
 // three hops through the relays' forward datapath. A fraction of
@@ -183,10 +183,9 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 		// which is what spreads the build-latency distribution.
 		h := n.AddHost(fmt.Sprintf("relay%d", i), 12.5*(1<<20))
 		r, err := relay.New(h, relay.Config{
-			Nickname:     fmt.Sprintf("relay%d", i),
-			Flags:        []string{dirauth.FlagGuard},
-			LightIngress: true,
-			Quiet:        true,
+			Nickname: fmt.Sprintf("relay%d", i),
+			Flags:    []string{dirauth.FlagGuard},
+			Quiet:    true,
 		})
 		if err != nil {
 			return nil, err

@@ -4,6 +4,7 @@ import (
 	"net"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/bento-nfv/bento/internal/cell"
 	"github.com/bento-nfv/bento/internal/obs"
@@ -104,4 +105,21 @@ func TestMiddleHopForwardAllocFree(t *testing.T) {
 	if m.fwdCells.Value() == 0 || m.flush.Count() == 0 {
 		t.Fatal("live instrumentation did not record the forwarded cells")
 	}
+}
+
+// TestCircuitSizeofPinned pins what one circuit costs on the light
+// transport — the shared state machine plus the light adapter's own state,
+// one allocation — at the 744 B the light-only circuit took before the two
+// implementations were merged (514 of it the inline backward scratch
+// frame). Spill queues, batch scratch and BatchWriters belong to the
+// goroutine transport's goLink and must not leak into circuit: the scale
+// run's bytes per host is made of these.
+func TestCircuitSizeofPinned(t *testing.T) {
+	if got := unsafe.Sizeof(lightLink{}); got > 744 {
+		t.Fatalf("sizeof(lightLink) = %d, want <= 744", got)
+	}
+	if c, g := unsafe.Sizeof(circuit{}), unsafe.Sizeof(goLink{}); g-c < unsafe.Sizeof(spillQueue{}) {
+		t.Fatalf("sizeof(circuit) = %d against sizeof(goLink) = %d: the spill queues are not where they belong", c, g)
+	}
+	t.Logf("circuit %d B, lightLink %d B, goLink %d B", unsafe.Sizeof(circuit{}), unsafe.Sizeof(lightLink{}), unsafe.Sizeof(goLink{}))
 }

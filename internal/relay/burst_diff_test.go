@@ -159,6 +159,17 @@ func (b blindLink) SetDeadline(time.Time) error      { return nil }
 func (b blindLink) SetReadDeadline(time.Time) error  { return nil }
 func (b blindLink) SetWriteDeadline(time.Time) error { return nil }
 
+// scriptLight is a scriptConn as the light transport wants its client
+// link: writes never wait. The test plays the script into the relay's
+// deliver callback itself, a released segment per call.
+type scriptLight struct{ *scriptConn }
+
+func (c scriptLight) SetDeliverFunc(func([]byte, bool)) {}
+func (c scriptLight) WriteAsync(p []byte) error {
+	_, err := c.Write(p)
+	return err
+}
+
 // recConn records what is written to it and reports when it is closed:
 // a destination, or the far end of an egress link.
 type recConn struct {
@@ -505,12 +516,14 @@ func runSplit(t testing.TB, sc splitCase) (got, want splitResult) {
 		link = blindLink{inbound}
 	}
 	prevW := cell.NewBatchWriter(link)
-	ce := r.newCircuit(link, diffCircID, diffLayer(t), prevW)
+	ce := r.newGoLink(link, prevW)
+	ce.establish(diffCircID, diffLayer(t))
 	nextRec := newRecConn()
 	nextW := cell.NewBatchWriter(nextRec)
 	ce.fwdSpill.init(nextW, nil)
-	ce.nextW, ce.nextCircID = nextW, diffNextID
+	ce.nextW, ce.extended, ce.nextCircID = nextW, true, diffNextID
 	dests := map[uint16]*recConn{1: newRecConn(), 2: newRecConn()}
+	ce.streams = map[uint16]net.Conn{}
 	for id, d := range dests {
 		ce.streams[id] = d
 	}
@@ -653,7 +666,9 @@ func FuzzBurstSplit(f *testing.F) {
 // network; gates keep the three sources of backward cells (the worker's
 // replies, the backward pump, the exit reader) from overlapping, so the
 // client link has one possible byte sequence. The trace runs read blind
-// (burst cap 1), whole, and cut at seeded random points.
+// (burst cap 1), whole, and cut at seeded random points on the goroutine
+// transport, and — one trace, both adapters — with the relay on the event
+// clock and the same cuts delivered to the light transport's callback.
 func TestBurstTraceDifferential(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -666,7 +681,10 @@ func TestBurstTraceDifferential(t *testing.T) {
 		{"seed 2", randomSegs(2), false},
 		{"seed 3", randomSegs(3), false},
 	} {
-		t.Run(tc.name, func(t *testing.T) { runTrace(t, tc.segs, tc.blind) })
+		t.Run(tc.name, func(t *testing.T) { runTrace(t, tc.segs, tc.blind, false) })
+		if !tc.blind {
+			t.Run("light/"+tc.name, func(t *testing.T) { runTrace(t, tc.segs, false, true) })
+		}
 	}
 }
 
@@ -691,8 +709,13 @@ const (
 	traceOutEnd   = traceOutData + 1 // + the exit's END
 )
 
-func runTrace(t *testing.T, segs []int, blind bool) {
-	n := simnet.NewNetwork(simnet.NewClock(0.001), time.Millisecond)
+func runTrace(t *testing.T, segs []int, blind, light bool) {
+	clock := simnet.NewClock(0.001)
+	if light {
+		clock = simnet.NewEventClock()
+		defer clock.Stop()
+	}
+	n := simnet.NewNetwork(clock, time.Millisecond)
 	r, err := New(n.AddHost("relay0", 0), Config{
 		Nickname:   "relay0",
 		Flags:      []string{dirauth.FlagGuard, dirauth.FlagExit},
@@ -728,7 +751,13 @@ func runTrace(t *testing.T, segs []int, blind bool) {
 	gates = append(gates, gate{at: len(w.buf), cells: traceOutData})
 	end, _ := cell.EncodeControl(&cell.EndPayload{Reason: "done"})
 	w.relay(cell.RelayHeader{StreamID: 1, Cmd: cell.RelayEnd}, end)
-	gates = append(gates, gate{at: len(w.buf), cells: traceOutEnd})
+	// The one place the transports differ on the wire: closing the stream
+	// makes the goroutine transport's exit reader fail its read and say
+	// END(eof) — one more cell to wait for; the light transport has no
+	// reader to notice a close from this side, and says nothing.
+	if !light {
+		gates = append(gates, gate{at: len(w.buf), cells: traceOutEnd})
+	}
 	w.frame(cell.CmdDestroy, nil)
 	fwd := w.buf
 
@@ -838,13 +867,33 @@ func runTrace(t *testing.T, segs []int, blind bool) {
 	for off := 0; off < len(reply); off += cell.MaxRelayData {
 		wantClient = oracleSealBack(l, wantClient, cell.RelayHeader{StreamID: 1, Cmd: cell.RelayData}, reply[off:off+cell.MaxRelayData])
 	}
-	eof, _ := cell.EncodeControl(&cell.EndPayload{Reason: "eof"})
-	wantClient = oracleSealBack(l, wantClient, cell.RelayHeader{StreamID: 1, Cmd: cell.RelayEnd}, eof)
+	if !light {
+		eof, _ := cell.EncodeControl(&cell.EndPayload{Reason: "eof"})
+		wantClient = oracleSealBack(l, wantClient, cell.RelayHeader{StreamID: 1, Cmd: cell.RelayEnd}, eof)
+	}
 
 	// The relay under test, from just after its CREATE handshake.
-	prevW := cell.NewBatchWriterObs(link, r.m.flush)
-	ce := r.newCircuit(link, diffCircID, diffLayer(t), prevW)
-	r.readCircuit(ce, make([]byte, cell.Size)) // returns at the DESTROY
+	var ce *circuit
+	closeClient := func() {}
+	if light {
+		l := &lightLink{conn: scriptLight{inbound}}
+		l.init(r, l)
+		l.establish(diffCircID, diffLayer(t))
+		ce = &l.circuit
+		for seg := make([]byte, 1<<16); ; {
+			k, err := inbound.Read(seg) // a released segment at a time
+			if err != nil {
+				break // the DESTROY tore the circuit down and closed the link
+			}
+			l.onDeliver(seg[:k], false)
+		}
+	} else {
+		prevW := cell.NewBatchWriterObs(link, r.m.flush)
+		g := r.newGoLink(link, prevW)
+		g.establish(diffCircID, diffLayer(t))
+		ce, closeClient = &g.circuit, prevW.Close
+		r.readCircuit(g, make([]byte, cell.Size)) // returns at the DESTROY
+	}
 
 	recv := func(ch <-chan []byte, what string) []byte {
 		select {
@@ -857,7 +906,7 @@ func runTrace(t *testing.T, segs []int, blind bool) {
 	}
 	gotNext := recv(nextGot, "next hop") // EOF there: teardown ran
 	gotDest := recv(destGot, "destination")
-	prevW.Close()
+	closeClient()
 	gotClient := inbound.written()
 
 	// The relay draws the next link's circuit ID at random: blank it.

@@ -10,9 +10,10 @@ import (
 )
 
 // hangUpServerOn answers every connection to h:80 with one byte and
-// closes it — the destination that could get its END (goroutine relay:
-// the reader was started first) or its DATA and END (light relay: the
-// callback was installed first) onto the circuit before CONNECTED.
+// closes it — the destination that could get its END (goroutine
+// transport: the reader was started first) or its DATA and END (light
+// transport: the callback was installed first) onto the circuit before
+// CONNECTED.
 func hangUpServerOn(t *testing.T, h *simnet.Host) {
 	t.Helper()
 	ln, err := h.Listen(80)
@@ -47,12 +48,14 @@ func TestConnectedPrecedesDataAndEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check := func(t *testing.T, send func(cell.RelayHeader, []byte), read func() (cell.RelayHeader, []byte)) {
+	forEachTransport(t, func(t *testing.T, newNet func() *simnet.Network) {
+		rg := newRigOn(t, newNet(), policy.AcceptAll())
+		hangUpServerOn(t, rg.relay.Host())
 		for id := uint16(1); id <= streams; id++ {
-			send(cell.RelayHeader{StreamID: id, Cmd: cell.RelayBegin}, begin)
+			rg.sendRelay(t, cell.RelayHeader{StreamID: id, Cmd: cell.RelayBegin}, begin)
 			want := []cell.RelayCommand{cell.RelayConnected, cell.RelayData, cell.RelayEnd}
 			for i, cmd := range want {
-				hdr, data := read()
+				hdr, data := rg.readRelay(t)
 				if hdr.Cmd != cmd || hdr.StreamID != id {
 					t.Fatalf("stream %d, reply %d: got %v for stream %d, want %v", id, i, hdr.Cmd, hdr.StreamID, cmd)
 				}
@@ -61,26 +64,5 @@ func TestConnectedPrecedesDataAndEnd(t *testing.T) {
 				}
 			}
 		}
-	}
-	t.Run("goroutine", func(t *testing.T) {
-		rg := newRig(t, policy.AcceptAll())
-		hangUpServerOn(t, rg.relay.Host())
-		check(t,
-			func(hdr cell.RelayHeader, data []byte) { rg.sendRelay(t, hdr, data) },
-			func() (cell.RelayHeader, []byte) { return rg.readRelay(t) })
-	})
-	t.Run("light", func(t *testing.T) {
-		n, relays, _ := buildLightNet(t, 1)
-		hangUpServerOn(t, relays[0].Host())
-		rg := dialLight(t, n, relays[0], "client", 9)
-		check(t,
-			func(hdr cell.RelayHeader, data []byte) { rg.sendRelay(t, hdr, data) },
-			func() (cell.RelayHeader, []byte) {
-				hdr, data, raw := rg.readRelay(t)
-				if raw != nil {
-					t.Fatalf("unexpected %v cell", raw.Cmd)
-				}
-				return hdr, data
-			})
 	})
 }

@@ -55,20 +55,10 @@ func TestBatchedForwardAllocFree(t *testing.T) {
 	}
 	w := cell.NewBatchWriterObs(discardConn{}, r.m.flush)
 	defer w.Close()
-	ce := &circuitEnd{
-		relay:      r,
-		serial:     1,
-		circID:     100,
-		conn:       discardConn{},
-		layer:      layer,
-		prevW:      w,
-		nextW:      w,
-		nextCircID: 200,
-		streams:    map[uint16]net.Conn{},
-		bwWire:     make([]byte, cell.Size),
-	}
+	ce := r.newGoLink(discardConn{}, w)
+	ce.establish(100, layer)
+	ce.nextW, ce.extended, ce.nextCircID = w, true, 200
 	ce.fwdSpill.init(w, r.m.spilled)
-	ce.bwSpill.init(w, r.m.spilled)
 
 	// A fixed random template: decrypting it yields unrecognized cells
 	// that take the rewrite-and-forward branch, exactly like a middle
@@ -90,7 +80,7 @@ func TestBatchedForwardAllocFree(t *testing.T) {
 			copy(run.Frame(run.N), tmpl[:])
 			run.N++
 		}
-		batch = append(batch[:0], fwdTask{ce: ce, run: run})
+		batch = append(batch[:0], fwdTask{g: ce, run: run})
 		r.m.batchCells.Observe(int64(run.N))
 		payloads = f.process(batch, payloads, &scratch)
 		// Let the flusher drain before the next burst: the egress link

@@ -3,7 +3,7 @@ package relay
 import (
 	"bytes"
 	"crypto/rand"
-
+	"fmt"
 	"io"
 	"net"
 	"testing"
@@ -11,12 +11,38 @@ import (
 
 	"github.com/bento-nfv/bento/internal/cell"
 	"github.com/bento-nfv/bento/internal/dirauth"
+	"github.com/bento-nfv/bento/internal/obs"
 	"github.com/bento-nfv/bento/internal/otr"
 	"github.com/bento-nfv/bento/internal/policy"
 	"github.com/bento-nfv/bento/internal/simnet"
 )
 
-// rig is a single relay plus a raw link to drive it at the cell level.
+// forEachTransport runs fn against both relay transports. Which one a
+// relay uses follows from its network's clock: on a wall-backed clock
+// links get reader goroutines and the worker pool, on the event clock
+// deliver callbacks. newNet makes a fresh network of the subtest's kind.
+func forEachTransport(t *testing.T, fn func(t *testing.T, newNet func() *simnet.Network)) {
+	on := func(clock *simnet.Clock) *simnet.Network {
+		n := simnet.NewNetwork(clock, time.Millisecond)
+		n.SetObs(obs.NewRegistry())
+		return n
+	}
+	t.Run("goroutine", func(t *testing.T) {
+		fn(t, func() *simnet.Network { return on(simnet.NewClock(0.001)) })
+	})
+	t.Run("light", func(t *testing.T) {
+		fn(t, func() *simnet.Network {
+			clock := simnet.NewEventClock()
+			t.Cleanup(clock.Stop)
+			return on(clock)
+		})
+	})
+}
+
+// eventDriven reports whether the subtest's relays use the light transport.
+func eventDriven(n *simnet.Network) bool { return n.Clock().EventDriven() }
+
+// rig is a raw link to a relay, to drive it at the cell level.
 type rig struct {
 	net   *simnet.Network
 	relay *Relay
@@ -25,12 +51,17 @@ type rig struct {
 	circ  uint32
 }
 
-// newRig creates a relay and completes a CREATE handshake with it.
+// newRig creates a goroutine-transport relay and completes a CREATE
+// handshake with it.
 func newRig(t *testing.T, exitPol *policy.ExitPolicy) *rig {
 	t.Helper()
-	n := simnet.NewNetwork(simnet.NewClock(0.001), time.Millisecond)
-	host := n.AddHost("relay0", 0)
-	r, err := New(host, Config{
+	return newRigOn(t, simnet.NewNetwork(simnet.NewClock(0.001), time.Millisecond), exitPol)
+}
+
+// newRigOn is newRig on a given network, whose clock picks the transport.
+func newRigOn(t *testing.T, n *simnet.Network, exitPol *policy.ExitPolicy) *rig {
+	t.Helper()
+	r, err := New(n.AddHost("relay0", 0), Config{
 		Nickname:   "relay0",
 		Flags:      []string{dirauth.FlagGuard, dirauth.FlagExit},
 		ExitPolicy: exitPol,
@@ -40,9 +71,14 @@ func newRig(t *testing.T, exitPol *policy.ExitPolicy) *rig {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { r.Close() })
+	return dial(t, n, r, "client", 7)
+}
 
-	client := n.AddHost("client", 0)
-	conn, err := client.Dial("relay0:9001")
+// dial opens a link from a new host to r and completes a CREATE
+// handshake on it.
+func dial(t *testing.T, n *simnet.Network, r *Relay, hostName string, circID uint32) *rig {
+	t.Helper()
+	conn, err := n.AddHost(hostName, 0).Dial(fmt.Sprintf("%s:%d", r.Host().Name(), ORPort))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +87,7 @@ func newRig(t *testing.T, exitPol *policy.ExitPolicy) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	create := &cell.Cell{CircID: 7, Cmd: cell.CmdCreate}
+	create := &cell.Cell{CircID: circID, Cmd: cell.CmdCreate}
 	copy(create.Payload[:], msg)
 	if err := cell.Write(conn, create); err != nil {
 		t.Fatal(err)
@@ -68,7 +104,7 @@ func newRig(t *testing.T, exitPol *policy.ExitPolicy) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &rig{net: n, relay: r, conn: conn, layer: layer, circ: 7}
+	return &rig{net: n, relay: r, conn: conn, layer: layer, circ: circID}
 }
 
 // sendRelay packs, seals, encrypts, and writes a relay cell.
@@ -85,35 +121,57 @@ func (rg *rig) sendRelay(t *testing.T, hdr cell.RelayHeader, data []byte) {
 	}
 }
 
-// readRelay reads and decrypts a backward relay cell.
+// readCell reads one backward cell. A relay cell addressed to this end
+// comes back parsed; anything else — a link cell, or a relay cell that is
+// not ours (a spliced end-to-end cell), its payload decrypted — raw.
+func (rg *rig) readCell(t *testing.T) (cell.RelayHeader, []byte, *cell.Cell) {
+	t.Helper()
+	c, err := cell.Read(rg.conn)
+	if err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	if c.Cmd != cell.CmdRelay {
+		return cell.RelayHeader{}, nil, c
+	}
+	rg.layer.ApplyBackward(c.Payload[:])
+	if !cell.Recognized(c.Payload[:]) || !rg.layer.VerifyBackward(c.Payload[:], cell.DigestOffset) {
+		return cell.RelayHeader{}, nil, c
+	}
+	hdr, data, err := cell.ParseRelay(c.Payload[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hdr, data, nil
+}
+
+// readRelay reads a backward relay cell addressed to this end.
 func (rg *rig) readRelay(t *testing.T) (cell.RelayHeader, []byte) {
 	t.Helper()
-	for {
-		c, err := cell.Read(rg.conn)
-		if err != nil {
-			t.Fatalf("read: %v", err)
-		}
-		if c.Cmd == cell.CmdDestroy {
-			t.Fatal("circuit destroyed")
-		}
-		rg.layer.ApplyBackward(c.Payload[:])
-		if !cell.Recognized(c.Payload[:]) || !rg.layer.VerifyBackward(c.Payload[:], cell.DigestOffset) {
-			t.Fatal("unrecognized backward cell at single-hop client")
-		}
-		hdr, data, err := cell.ParseRelay(c.Payload[:])
-		if err != nil {
-			t.Fatal(err)
-		}
-		return hdr, data
+	hdr, data, raw := rg.readCell(t)
+	if raw != nil {
+		t.Fatalf("got a %v cell, want a relay cell for this end", raw.Cmd)
+	}
+	return hdr, data
+}
+
+// expectDead requires that the relay has given up on the rig's circuit:
+// the next thing on the link is DESTROY or its end.
+func (rg *rig) expectDead(t *testing.T, why string) {
+	t.Helper()
+	rg.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if got, err := cell.Read(rg.conn); err == nil && got.Cmd != cell.CmdDestroy {
+		t.Fatalf("%s: got %v, want DESTROY or EOF", why, got.Cmd)
 	}
 }
 
-func TestCreateAndExitStream(t *testing.T) {
-	rg := newRig(t, policy.AcceptAll())
-	// Destination echo server.
-	echo := rg.net.AddHost("dest", 0)
-	ln, _ := echo.Listen(80)
-	defer ln.Close()
+// echoOn serves one echo connection on host:80.
+func echoOn(t *testing.T, h *simnet.Host) {
+	t.Helper()
+	ln, err := h.Listen(80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
 	go func() {
 		c, err := ln.Accept()
 		if err != nil {
@@ -122,153 +180,158 @@ func TestCreateAndExitStream(t *testing.T) {
 		defer c.Close()
 		io.Copy(c, c)
 	}()
+}
 
-	begin, _ := cell.EncodeControl(&cell.BeginPayload{Target: "dest:80"})
-	rg.sendRelay(t, cell.RelayHeader{StreamID: 1, Cmd: cell.RelayBegin}, begin)
-	hdr, _ := rg.readRelay(t)
-	if hdr.Cmd != cell.RelayConnected {
-		t.Fatalf("got %v, want CONNECTED", hdr.Cmd)
-	}
+// The protocol table: what one relay answers to one client, the same on
+// both transports.
 
-	rg.sendRelay(t, cell.RelayHeader{StreamID: 1, Cmd: cell.RelayData}, []byte("payload"))
-	hdr, data := rg.readRelay(t)
-	if hdr.Cmd != cell.RelayData || !bytes.Equal(data, []byte("payload")) {
-		t.Fatalf("echo mismatch: %v %q", hdr.Cmd, data)
-	}
+func TestCreateAndExitStream(t *testing.T) {
+	forEachTransport(t, func(t *testing.T, newNet func() *simnet.Network) {
+		rg := newRigOn(t, newNet(), policy.AcceptAll())
+		echoOn(t, rg.net.AddHost("dest", 0))
+
+		begin, _ := cell.EncodeControl(&cell.BeginPayload{Target: "dest:80"})
+		rg.sendRelay(t, cell.RelayHeader{StreamID: 1, Cmd: cell.RelayBegin}, begin)
+		hdr, _ := rg.readRelay(t)
+		if hdr.Cmd != cell.RelayConnected {
+			t.Fatalf("got %v, want CONNECTED", hdr.Cmd)
+		}
+
+		rg.sendRelay(t, cell.RelayHeader{StreamID: 1, Cmd: cell.RelayData}, []byte("payload"))
+		hdr, data := rg.readRelay(t)
+		if hdr.Cmd != cell.RelayData || !bytes.Equal(data, []byte("payload")) {
+			t.Fatalf("echo mismatch: %v %q", hdr.Cmd, data)
+		}
+	})
 }
 
 func TestExitPolicyRefusal(t *testing.T) {
-	restrictive, _ := policy.ParseExitPolicy("reject *:*")
-	rg := newRig(t, restrictive)
-	rg.net.AddHost("dest", 0)
-	begin, _ := cell.EncodeControl(&cell.BeginPayload{Target: "dest:80"})
-	rg.sendRelay(t, cell.RelayHeader{StreamID: 1, Cmd: cell.RelayBegin}, begin)
-	hdr, _ := rg.readRelay(t)
-	if hdr.Cmd != cell.RelayEnd {
-		t.Fatalf("got %v, want END for refused exit", hdr.Cmd)
-	}
-}
-
-func TestBeginMalformedTarget(t *testing.T) {
-	rg := newRig(t, policy.AcceptAll())
-	for _, target := range []string{"", "noport", "host:0", "host:99999"} {
-		begin, _ := cell.EncodeControl(&cell.BeginPayload{Target: target})
+	forEachTransport(t, func(t *testing.T, newNet func() *simnet.Network) {
+		restrictive, _ := policy.ParseExitPolicy("reject *:*")
+		rg := newRigOn(t, newNet(), restrictive)
+		rg.net.AddHost("dest", 0)
+		begin, _ := cell.EncodeControl(&cell.BeginPayload{Target: "dest:80"})
 		rg.sendRelay(t, cell.RelayHeader{StreamID: 1, Cmd: cell.RelayBegin}, begin)
 		hdr, _ := rg.readRelay(t)
 		if hdr.Cmd != cell.RelayEnd {
-			t.Fatalf("target %q: got %v, want END", target, hdr.Cmd)
+			t.Fatalf("got %v, want END for refused exit", hdr.Cmd)
 		}
-	}
+	})
+}
+
+func TestBeginMalformedTarget(t *testing.T) {
+	forEachTransport(t, func(t *testing.T, newNet func() *simnet.Network) {
+		rg := newRigOn(t, newNet(), policy.AcceptAll())
+		for _, target := range []string{"", "noport", "host:0", "host:99999"} {
+			begin, _ := cell.EncodeControl(&cell.BeginPayload{Target: target})
+			rg.sendRelay(t, cell.RelayHeader{StreamID: 1, Cmd: cell.RelayBegin}, begin)
+			hdr, _ := rg.readRelay(t)
+			if hdr.Cmd != cell.RelayEnd {
+				t.Fatalf("target %q: got %v, want END", target, hdr.Cmd)
+			}
+		}
+	})
 }
 
 func TestDropAbsorbed(t *testing.T) {
-	rg := newRig(t, policy.AcceptAll())
-	// DROP cells are absorbed; the circuit stays healthy.
-	for i := 0; i < 3; i++ {
-		rg.sendRelay(t, cell.RelayHeader{Cmd: cell.RelayDrop}, bytes.Repeat([]byte{0xCC}, 100))
-	}
-	// Circuit still works afterwards.
-	echo := rg.net.AddHost("dest2", 0)
-	ln, _ := echo.Listen(80)
-	defer ln.Close()
-	go func() {
-		c, err := ln.Accept()
-		if err == nil {
-			c.Close()
+	forEachTransport(t, func(t *testing.T, newNet func() *simnet.Network) {
+		rg := newRigOn(t, newNet(), policy.AcceptAll())
+		// DROP cells are absorbed; the circuit stays healthy.
+		for i := 0; i < 3; i++ {
+			rg.sendRelay(t, cell.RelayHeader{Cmd: cell.RelayDrop}, bytes.Repeat([]byte{0xCC}, 100))
 		}
-	}()
-	begin, _ := cell.EncodeControl(&cell.BeginPayload{Target: "dest2:80"})
-	rg.sendRelay(t, cell.RelayHeader{StreamID: 2, Cmd: cell.RelayBegin}, begin)
-	if hdr, _ := rg.readRelay(t); hdr.Cmd != cell.RelayConnected {
-		t.Fatalf("circuit unhealthy after drops: %v", hdr.Cmd)
-	}
+		// Circuit still works afterwards.
+		echoOn(t, rg.net.AddHost("dest2", 0))
+		begin, _ := cell.EncodeControl(&cell.BeginPayload{Target: "dest2:80"})
+		rg.sendRelay(t, cell.RelayHeader{StreamID: 2, Cmd: cell.RelayBegin}, begin)
+		if hdr, _ := rg.readRelay(t); hdr.Cmd != cell.RelayConnected {
+			t.Fatalf("circuit unhealthy after drops: %v", hdr.Cmd)
+		}
+	})
 }
 
 func TestTamperedCellKillsCircuit(t *testing.T) {
-	rg := newRig(t, policy.AcceptAll())
-	// A garbled relay cell at the last hop must tear the circuit down.
-	c := &cell.Cell{CircID: rg.circ, Cmd: cell.CmdRelay}
-	rand.Read(c.Payload[:])
-	if err := cell.Write(rg.conn, c); err != nil {
-		t.Fatal(err)
-	}
-	rg.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	got, err := cell.Read(rg.conn)
-	if err == nil && got.Cmd != cell.CmdDestroy {
-		t.Fatalf("expected DESTROY or EOF, got %v", got.Cmd)
-	}
+	forEachTransport(t, func(t *testing.T, newNet func() *simnet.Network) {
+		rg := newRigOn(t, newNet(), policy.AcceptAll())
+		// A garbled relay cell at the last hop must tear the circuit down.
+		c := &cell.Cell{CircID: rg.circ, Cmd: cell.CmdRelay}
+		rand.Read(c.Payload[:])
+		if err := cell.Write(rg.conn, c); err != nil {
+			t.Fatal(err)
+		}
+		rg.expectDead(t, "garbled cell at the last hop")
+	})
 }
 
 func TestEstablishIntroRequiresValidSignature(t *testing.T) {
-	rg := newRig(t, policy.AcceptAll())
-	est, _ := cell.EncodeControl(&cell.EstablishIntroPayload{
-		ServiceID: "abcd0123", // not a valid key, bad signature
-		Signature: []byte("forged"),
+	forEachTransport(t, func(t *testing.T, newNet func() *simnet.Network) {
+		rg := newRigOn(t, newNet(), policy.AcceptAll())
+		est, _ := cell.EncodeControl(&cell.EstablishIntroPayload{
+			ServiceID: "abcd0123", // not a valid key, bad signature
+			Signature: []byte("forged"),
+		})
+		rg.sendRelay(t, cell.RelayHeader{Cmd: cell.RelayEstablishIntro}, est)
+		rg.expectDead(t, "forged ESTABLISH_INTRO")
+		if n := rg.relay.intros.Len(); n != 0 {
+			t.Fatalf("forged registration entered the intro table (%d entries)", n)
+		}
 	})
-	rg.sendRelay(t, cell.RelayHeader{Cmd: cell.RelayEstablishIntro}, est)
-	rg.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	got, err := cell.Read(rg.conn)
-	if err == nil && got.Cmd != cell.CmdDestroy {
-		t.Fatalf("forged ESTABLISH_INTRO accepted: %v", got.Cmd)
-	}
 }
 
 func TestIntroduce1UnknownService(t *testing.T) {
-	rg := newRig(t, policy.AcceptAll())
-	intro, _ := cell.EncodeControl(&cell.Introduce1Payload{
-		ServiceID: "0000000000000000000000000000000000000000000000000000000000000000",
-		Inner:     []byte("x"),
+	forEachTransport(t, func(t *testing.T, newNet func() *simnet.Network) {
+		rg := newRigOn(t, newNet(), policy.AcceptAll())
+		intro, _ := cell.EncodeControl(&cell.Introduce1Payload{
+			ServiceID: "0000000000000000000000000000000000000000000000000000000000000000",
+			Inner:     []byte("x"),
+		})
+		rg.sendRelay(t, cell.RelayHeader{Cmd: cell.RelayIntroduce1}, intro)
+		hdr, _ := rg.readRelay(t)
+		if hdr.Cmd != cell.RelayEnd {
+			t.Fatalf("got %v, want END for unknown service", hdr.Cmd)
+		}
 	})
-	rg.sendRelay(t, cell.RelayHeader{Cmd: cell.RelayIntroduce1}, intro)
-	hdr, _ := rg.readRelay(t)
-	if hdr.Cmd != cell.RelayEnd {
-		t.Fatalf("got %v, want END for unknown service", hdr.Cmd)
-	}
 }
 
 func TestRendezvous1UnknownCookie(t *testing.T) {
-	rg := newRig(t, policy.AcceptAll())
-	rv, _ := cell.EncodeControl(&cell.Rendezvous1Payload{
-		Cookie: bytes.Repeat([]byte{9}, 20),
-		Reply:  []byte("reply"),
+	forEachTransport(t, func(t *testing.T, newNet func() *simnet.Network) {
+		rg := newRigOn(t, newNet(), policy.AcceptAll())
+		rv, _ := cell.EncodeControl(&cell.Rendezvous1Payload{
+			Cookie: bytes.Repeat([]byte{9}, 20),
+			Reply:  []byte("reply"),
+		})
+		rg.sendRelay(t, cell.RelayHeader{Cmd: cell.RelayRendezvous1}, rv)
+		rg.expectDead(t, "RENDEZVOUS1 with an unknown cookie")
 	})
-	rg.sendRelay(t, cell.RelayHeader{Cmd: cell.RelayRendezvous1}, rv)
-	rg.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	got, err := cell.Read(rg.conn)
-	if err == nil && got.Cmd != cell.CmdDestroy {
-		t.Fatalf("unknown-cookie RENDEZVOUS1 tolerated: %v", got.Cmd)
-	}
 }
 
 func TestEstablishRendezvousShortCookie(t *testing.T) {
-	rg := newRig(t, policy.AcceptAll())
-	est, _ := cell.EncodeControl(&cell.EstablishRendezvousPayload{Cookie: []byte{1, 2}})
-	rg.sendRelay(t, cell.RelayHeader{Cmd: cell.RelayEstablishRendezvous}, est)
-	rg.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	got, err := cell.Read(rg.conn)
-	if err == nil && got.Cmd != cell.CmdDestroy {
-		t.Fatalf("short cookie accepted: %v", got.Cmd)
-	}
+	forEachTransport(t, func(t *testing.T, newNet func() *simnet.Network) {
+		rg := newRigOn(t, newNet(), policy.AcceptAll())
+		est, _ := cell.EncodeControl(&cell.EstablishRendezvousPayload{Cookie: []byte{1, 2}})
+		rg.sendRelay(t, cell.RelayHeader{Cmd: cell.RelayEstablishRendezvous}, est)
+		rg.expectDead(t, "short rendezvous cookie")
+	})
 }
 
 func TestFirstCellMustBeCreate(t *testing.T) {
-	n := simnet.NewNetwork(simnet.NewClock(0.001), time.Millisecond)
-	host := n.AddHost("relay0", 0)
-	r, err := New(host, Config{Nickname: "relay0", Quiet: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	client := n.AddHost("client", 0)
-	conn, err := client.Dial("relay0:9001")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cell.Write(conn, &cell.Cell{CircID: 1, Cmd: cell.CmdRelay})
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := cell.Read(conn); err == nil {
-		t.Fatal("relay answered a non-CREATE first cell")
-	}
+	forEachTransport(t, func(t *testing.T, newNet func() *simnet.Network) {
+		n := newNet()
+		r, err := New(n.AddHost("relay0", 0), Config{Nickname: "relay0", Quiet: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		conn, err := n.AddHost("client", 0).Dial("relay0:9001")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cell.Write(conn, &cell.Cell{CircID: 1, Cmd: cell.CmdRelay})
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := cell.Read(conn); err == nil {
+			t.Fatal("relay answered a non-CREATE first cell")
+		}
+	})
 }
 
 func TestDescriptorRoundTrip(t *testing.T) {

@@ -109,19 +109,16 @@ func (t *shardedTable[K, V]) GetAndDelete(k K) (V, bool) {
 	return v, ok
 }
 
-// DeleteIf removes every entry for which keep returns true, shard by
-// shard (teardown sweeping a circuit out of the rendezvous/intro tables).
-func (t *shardedTable[K, V]) DeleteIf(match func(K, V) bool) {
-	for i := range t.shards {
-		s := &t.shards[i]
-		t.timedLock(&s.mu)
-		for k, v := range s.m {
-			if match(k, v) {
-				delete(s.m, k)
-			}
-		}
-		s.mu.Unlock()
+// CompareAndDelete removes k only if is accepts what k maps to now: a
+// circuit's teardown takes back its own registrations by key, never one
+// that has since passed to another circuit.
+func (t *shardedTable[K, V]) CompareAndDelete(k K, is func(V) bool) {
+	s := t.shard(k)
+	t.timedLock(&s.mu)
+	if v, ok := s.m[k]; ok && is(v) {
+		delete(s.m, k)
 	}
+	s.mu.Unlock()
 }
 
 // Len counts entries across all shards (stats only; not a consistent
@@ -135,20 +132,4 @@ func (t *shardedTable[K, V]) Len() int {
 		s.mu.RUnlock()
 	}
 	return n
-}
-
-// Range calls fn for every entry until it returns false. Like DeleteIf it
-// holds one shard lock at a time.
-func (t *shardedTable[K, V]) Range(fn func(K, V) bool) {
-	for i := range t.shards {
-		s := &t.shards[i]
-		t.timedLock(s.mu.RLocker())
-		for k, v := range s.m {
-			if !fn(k, v) {
-				s.mu.RUnlock()
-				return
-			}
-		}
-		s.mu.RUnlock()
-	}
 }

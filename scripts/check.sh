@@ -6,7 +6,19 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-echo "==> gofmt"
+# stage prints a stage's header, and before it the wall seconds the stage
+# before took, so the next slow gate is visible in the log.
+stage_name=
+stage_start=$(date +%s)
+stage() {
+    now=$(date +%s)
+    [ -z "$stage_name" ] || echo "    ($((now - stage_start)) s: $stage_name)"
+    stage_name=$1
+    stage_start=$now
+    [ -z "$1" ] || echo "==> $*"
+}
+
+stage "gofmt"
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
     echo "gofmt needed on:" >&2
@@ -14,52 +26,53 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
-echo "==> go vet"
+stage "go vet"
 go vet ./...
 
-echo "==> go build"
+stage "go build"
 go build ./...
 
-echo "==> go test"
+stage "go test"
 go test ./...
 
-echo "==> repo benchmark self-tests (smoke of all five workloads, probes, ledger)"
+stage "repo benchmark self-tests (smoke of all five workloads, probes, ledger)"
 go test -count=1 ./benchmark
 
-echo "==> go test -race (cell, simnet, torclient, bento, wire, otr, relay, obs, interp, fleet)"
+stage "go test -race (cell, simnet, torclient, bento, wire, otr, relay, obs, interp, fleet)"
 go test -race -count=1 ./internal/cell/ ./internal/simnet/ ./internal/torclient/ ./internal/bento/ ./internal/wire/ \
     ./internal/otr/ ./internal/relay/ ./internal/obs/ ./internal/interp/ ./internal/fleet/
 
-echo "==> bench smoke (all benchmarks, 1 iteration)"
+stage "bench smoke (all benchmarks, 1 iteration)"
 go test -run='^$' -bench=. -benchtime=1x ./...
 
-echo "==> relay datapath stress under race (circuit teardown vs in-flight forwarding; burst ordering,"
-echo "    spill bounds in cells, idle circuits hold no burst, run datapath vs per-cell reference)"
-go test -race -count=1 -run='TestTeardownForwardStress|TestSpill|TestBurst|TestExtendThenCellsInOneBurst|TestIdleCircuitHoldsNoBurst' ./internal/relay/
+stage "relay datapath stress under race (circuit teardown vs in-flight forwarding; burst ordering," \
+    "spill bounds in cells, idle circuits hold no burst, run datapath vs per-cell reference on both" \
+    "transports; owned HS registrations, bounded helper backlog, sibling not stalled by a silent next hop)"
+go test -race -count=1 -run='TestTeardownForwardStress|TestSpill|TestBurst|TestExtendThenCellsInOneBurst|TestIdleCircuitHoldsNoBurst|TestHSRegistrationsOwned|TestHelperBacklogBounded|TestSiblingNotStalledBySilentNextHop|TestTransportFollowsClock|TestRendezvousSplice|TestConnectedPrecedesDataAndEnd' ./internal/relay/
 go test -race -count=1 -run='TestRun|TestTap' ./internal/torclient/
 
-echo "==> telemetry regression smoke (instrumented hot path and live sampler must not allocate)"
+stage "telemetry regression smoke (instrumented hot path and live sampler must not allocate)"
 go test -count=1 -run='TestInstrumentedMicroAllocFree|TestWindowedMicroAllocFree' ./internal/bench/
-go test -count=1 -run='TestMiddleHopForwardAllocFree|TestBatchedForwardAllocFree|TestSpillQueueRetainsNothing|TestIdleCircuitHoldsNoBurst|TestBurst' ./internal/relay/
+go test -count=1 -run='TestMiddleHopForwardAllocFree|TestBatchedForwardAllocFree|TestCircuitSizeofPinned|TestSpillQueueRetainsNothing|TestIdleCircuitHoldsNoBurst|TestBurst' ./internal/relay/
 go test -count=1 -run='TestReadRunAllocFree' ./internal/cell/
 go test -count=1 -run='TestHotPathAllocFree|TestWindowerSampleAllocFree' ./internal/obs/
 go test -count=1 -run='TestConnWriteReadAllocFree|TestConnWriteAsyncDeliverAllocFree|TestConnSizeofPinned' ./internal/simnet/
 
-echo "==> poison-on-recycle (recycled simnet chunks and cell bursts filled with 0xDB: nobody may keep a lent slice)"
+stage "poison-on-recycle (recycled simnet chunks and cell bursts filled with 0xDB: nobody may keep a lent slice)"
 go test -count=1 -tags simnet_poison ./internal/simnet/ ./internal/cell/ ./internal/relay/ ./internal/torclient/ \
     ./internal/hs/ ./internal/bento/ ./internal/testbed/
 go run -tags simnet_poison ./cmd/benchharness -exp scale -scaleout /dev/null -maxhostbytes 10240
 
-echo "==> zlib codec reuse under race (functions is not in the package race list above)"
+stage "zlib codec reuse under race (functions is not in the package race list above)"
 go test -race -count=1 -run='TestZlibReused' ./internal/functions/
 
-echo "==> multi-core alloc smoke (worker batched forward path at GOMAXPROCS=4)"
+stage "multi-core alloc smoke (worker batched forward path at GOMAXPROCS=4)"
 # AllocsPerRun pins GOMAXPROCS to 1 during the measured section; running
 # the test under GOMAXPROCS=4 still exercises setup/teardown and the
 # batch-writer flusher with real parallelism around it.
 GOMAXPROCS=4 go test -count=1 -run='TestBatchedForwardAllocFree' ./internal/relay/
 
-echo "==> datapath perf floor (fresh single-core forward rate vs committed floor)"
+stage "datapath perf floor (fresh single-core forward rate vs committed floor)"
 floor=$(sed -n 's/.*"forward_floor_cells_per_sec": *\([0-9.]*\).*/\1/p' BENCH_datapath.json)
 tmpjson=$(mktemp)
 go run ./cmd/benchharness -exp datapath -benchout "$tmpjson" -minfwd "${floor:-130000}"
@@ -83,29 +96,25 @@ else
 fi
 rm -f "$tmpjson"
 
-echo "==> interpreter regression smoke (VM loop must not allocate per iteration)"
+stage "interpreter regression smoke (VM loop must not allocate per iteration)"
 go test -count=1 -run='TestVMLoopAllocFree' ./internal/interp/
 
-echo "==> engine parity fuzz smoke (tree-walker vs bytecode VM)"
-go test -run='^$' -fuzz='^FuzzEngineParity$' -fuzztime=5s ./internal/interp/
+stage "fuzz smokes, 5 s each (tree-walker vs bytecode VM; relay run datapath vs per-cell reference under" \
+    "fuzzer-chosen cuts and corruption; wire decoder bounds; Bento values through a frame and back)"
+for fz in internal/interp:FuzzEngineParity internal/relay:FuzzBurstSplit internal/wire:FuzzDecoder internal/bento:FuzzFrameRoundTrip; do
+    go test -run='^$' -fuzz="^${fz#*:}\$" -fuzztime=5s "./${fz%%:*}/"
+done
 
-echo "==> burst split fuzz smoke (relay run datapath vs per-cell reference, fuzzer-chosen cuts and corruption)"
-go test -run='^$' -fuzz='^FuzzBurstSplit$' -fuzztime=5s ./internal/relay/
-
-echo "==> frame fuzz smokes (wire decoder bounds; Bento values through a frame and back, junk into both roles' decoders)"
-go test -run='^$' -fuzz='^FuzzDecoder$' -fuzztime=5s ./internal/wire/
-go test -run='^$' -fuzz='^FuzzFrameRoundTrip$' -fuzztime=5s ./internal/bento/
-
-echo "==> fleet reconciliation smoke (chaos faults, must end 100% success)"
+stage "fleet reconciliation smoke (chaos faults, must end 100% success)"
 go run ./cmd/benchharness -exp fleet -fleetout /dev/null
 
-echo "==> fleet autoscale smoke (3x ramp + relay crash; capacity must follow demand)"
+stage "fleet autoscale smoke (3x ramp + relay crash; capacity must follow demand)"
 go run ./cmd/benchharness -exp autoscale -autoscaleout /dev/null
 
-echo "==> event-core scale smoke (5k hosts, memory per host must stay under 10 KiB)"
+stage "event-core scale smoke (5k hosts, memory per host must stay under 10 KiB)"
 go run ./cmd/benchharness -exp scale -scaleout /dev/null -maxhostbytes 10240 -mineventspersec 8000
 
-echo "==> event-core scale gate (500k hosts through 3-hop circuits, <= 550 B/host)"
+stage "event-core scale gate (500k hosts through 3-hop circuits, <= 550 B/host)"
 # ~12 minutes on one core. CHECK_QUICK=1 skips it for inner-loop runs;
 # the full gate is the pre-merge bar.
 if [ "${CHECK_QUICK:-0}" = "1" ]; then
@@ -115,4 +124,5 @@ else
         -maxhostbytes 550 -mineventspersec 12000
 fi
 
+stage ""
 echo "All checks passed."
