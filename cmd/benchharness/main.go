@@ -8,7 +8,7 @@
 //	benchharness -exp figure5
 //
 // Experiments: table1, table2, figure5, chaos, fleet, scalability,
-// ablations, datapath, obs, interp, all. The chaos experiment measures
+// ablations, datapath, obs, all. The chaos experiment measures
 // throughput retained under injected faults (link loss, a relay crash, a
 // Bento node outage, a killed function) relative to a fault-free
 // baseline. The fleet experiment puts a 3-replica fleet under the
@@ -21,10 +21,9 @@
 // recorded across changes. The obs experiment ablates the telemetry
 // layer (instrumented vs nil-registry runs) and writes BENCH_obs.json;
 // -stats attaches a registry to the chaos experiment and dumps its
-// dashboard at exit. The interp experiment compares the bscript
-// tree-walking interpreter against the bytecode VM (compute-, call-, and
-// string-heavy workloads, the cached upload path, and the end-to-end
-// invoke latency) and writes BENCH_interp.json. The scale experiment
+// dashboard at exit. (The bscript VM is measured by the repo benchmark,
+// benchmark/: the function_invoke workload and the interp.* probes.) The
+// scale experiment
 // runs on the discrete-event clock: it registers a six-figure client
 // host count (100k with -full) beside a real relay fleet, churns every
 // client through a genuine CREATE handshake plus a cover-traffic pump,
@@ -51,12 +50,11 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1|table2|figure5|chaos|fleet|autoscale|scalability|scale|ablations|datapath|obs|interp|all")
+	exp := flag.String("exp", "all", "experiment: table1|table2|figure5|chaos|fleet|autoscale|scalability|scale|ablations|datapath|obs|all")
 	full := flag.Bool("full", false, "run paper-scale parameters (slow)")
 	seed := flag.Int64("seed", 1, "base random seed")
 	benchOut := flag.String("benchout", "BENCH_datapath.json", "path for the datapath experiment's machine-readable result")
 	obsOut := flag.String("obsout", "BENCH_obs.json", "path for the observability ablation's machine-readable result")
-	interpOut := flag.String("interpout", "BENCH_interp.json", "path for the interp engine comparison's machine-readable result")
 	fleetOut := flag.String("fleetout", "BENCH_fleet.json", "path for the fleet reconciliation experiment's machine-readable result")
 	autoscaleOut := flag.String("autoscaleout", "BENCH_autoscale.json", "path for the fleet autoscaling experiment's machine-readable result")
 	scaleOut := flag.String("scaleout", "BENCH_scale.json", "path for the scale experiment's machine-readable result")
@@ -301,28 +299,6 @@ func main() {
 		return nil
 	})
 
-	run("interp", func() error {
-		cfg := bench.DefaultInterpConfig()
-		cfg.Seed = *seed
-		if *full {
-			cfg.ComputeN = 1_000_000
-			cfg.FibN = 25
-			cfg.StringN = 200_000
-			cfg.Repeats = 10
-			cfg.InvokeReps = 20
-		}
-		res, err := bench.RunInterp(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res)
-		if err := res.WriteJSONFile(*interpOut); err != nil {
-			return err
-		}
-		fmt.Printf("(wrote %s)\n", *interpOut)
-		return nil
-	})
-
 	run("ablations", func() error {
 		sites, visits := 8, 4
 		paddings := []int{0, 256 * 1024, 1 << 20}
@@ -366,7 +342,7 @@ func main() {
 	})
 
 	if !ran {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q; want table1|table2|figure5|chaos|fleet|autoscale|scalability|scale|ablations|datapath|obs|interp|all\n", *exp)
+		fmt.Fprintf(os.Stderr, "unknown experiment %q; want table1|table2|figure5|chaos|fleet|autoscale|scalability|scale|ablations|datapath|obs|all\n", *exp)
 		os.Exit(2)
 	}
 	if statsReg != nil {

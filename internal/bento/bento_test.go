@@ -461,8 +461,23 @@ func TestWireValueRoundTrip(t *testing.T) {
 		}
 	}
 	// Functions cannot cross the wire.
-	if _, err := encodeValue(&interp.Func{Name: "f"}, new(wire.Trailer)); err == nil {
+	m := interp.NewMachine(interp.Limits{})
+	if err := m.Run("def f():\n    pass\n"); err != nil {
+		t.Fatal(err)
+	}
+	f, _ := m.Globals.Lookup("f")
+	if _, err := encodeValue(f, new(wire.Trailer)); err == nil {
 		t.Fatal("function encoded")
+	}
+	// Nor can a container that contains itself (a function can return one);
+	// the same list twice is not a cycle.
+	l := &interp.List{Elems: []interp.Value{interp.Int(1)}}
+	if _, err := encodeValue(&interp.List{Elems: []interp.Value{l, l}}, new(wire.Trailer)); err != nil {
+		t.Fatalf("shared list: %v", err)
+	}
+	l.Elems = append(l.Elems, l)
+	if _, err := encodeValue(l, new(wire.Trailer)); err == nil {
+		t.Fatal("cyclic list encoded")
 	}
 }
 

@@ -2,6 +2,7 @@ package bento
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"github.com/bento-nfv/bento/internal/interp"
@@ -65,12 +66,13 @@ func TestProgramCacheSkipsRecompilation(t *testing.T) {
 	}
 }
 
-// TestTreeEngineFallback verifies the Engine="tree" ablation knob still
-// runs uploads through the reference tree-walker (no cache traffic).
-func TestTreeEngineFallback(t *testing.T) {
+// TestProgramCacheBounded: the cache holds compiled programs outside any
+// container's memory accounting, so a tenant uploading distinct sources
+// must not grow it without bound; a source it still holds is still a hit.
+func TestProgramCacheBounded(t *testing.T) {
 	w := buildWorld(t, 3, 1)
-	w.servers[0].cfg.Engine = "tree"
-	reg := w.net.Obs()
+	srv := w.servers[0]
+	hits := w.net.Obs().Counter("bento.program_cache_hits")
 
 	cli := w.client(t, "alice", 311)
 	conn, err := cli.Connect(cli.Nodes()[0])
@@ -83,18 +85,31 @@ func TestTreeEngineFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fn.Shutdown()
-	if err := fn.Upload("def ping():\n    return 42\n"); err != nil {
+
+	source := func(i int) string { return fmt.Sprintf("def ping():\n    return %d\n", i) }
+	const uploads = 1000
+	for i := 0; i < uploads; i++ {
+		if err := fn.Upload(source(i)); err != nil {
+			t.Fatalf("upload %d: %v", i, err)
+		}
+	}
+	srv.progMu.Lock()
+	n := len(srv.progCache)
+	srv.progMu.Unlock()
+	if n > maxCachedPrograms {
+		t.Fatalf("%d distinct uploads left %d cached programs, want <= %d", uploads, n, maxCachedPrograms)
+	}
+	if hits.Value() != 0 {
+		t.Fatalf("distinct uploads counted %d cache hits", hits.Value())
+	}
+	// The newest entry is never the one evicted to make room for itself.
+	if err := fn.Upload(source(uploads - 1)); err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := fn.Invoke("ping")
-	if err != nil {
-		t.Fatal(err)
+	if hits.Value() != 1 {
+		t.Fatalf("re-upload of a retained source: hits=%d, want 1", hits.Value())
 	}
-	_ = out
-	if n := reg.Counter("interp.compiles").Value(); n != 0 {
-		t.Fatalf("tree engine compiled %d programs, want 0", n)
-	}
-	if n := reg.Counter("bento.program_cache_misses").Value(); n != 0 {
-		t.Fatalf("tree engine took %d cache misses, want 0", n)
+	if _, ret, err := fn.Invoke("ping"); err != nil || ret != interp.Int(uploads-1) {
+		t.Fatalf("invoke after re-upload: ret=%v err=%v", ret, err)
 	}
 }

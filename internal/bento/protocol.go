@@ -167,8 +167,26 @@ type wirePair struct {
 }
 
 // encodeValue converts an interp.Value for the wire, queueing its long
-// leaves on t.
+// leaves on t. A list or dict that contains itself is an error: a function
+// can build one, and the wire format is a tree.
 func encodeValue(v interp.Value, t *wire.Trailer) (wireValu, error) {
+	return encodeValueIn(v, t, nil)
+}
+
+// encodeValueIn carries the containers being encoded on the path to v; nil
+// until the first one.
+func encodeValueIn(v interp.Value, t *wire.Trailer, open map[interp.Value]bool) (wireValu, error) {
+	switch v.(type) {
+	case *interp.List, *interp.Dict:
+		if open[v] {
+			return wireValu{}, fmt.Errorf("bento: cannot send a %s that contains itself", v.Type())
+		}
+		if open == nil {
+			open = make(map[interp.Value]bool)
+		}
+		open[v] = true
+		defer delete(open, v)
+	}
 	switch x := v.(type) {
 	case interp.Int:
 		return wireValu{T: "i", I: int64(x)}, nil
@@ -192,7 +210,7 @@ func encodeValue(v interp.Value, t *wire.Trailer) (wireValu, error) {
 	case *interp.List:
 		out := wireValu{T: "l", L: make([]wireValu, 0, len(x.Elems))}
 		for _, e := range x.Elems {
-			we, err := encodeValue(e, t)
+			we, err := encodeValueIn(e, t, open)
 			if err != nil {
 				return wireValu{}, err
 			}
@@ -204,11 +222,11 @@ func encodeValue(v interp.Value, t *wire.Trailer) (wireValu, error) {
 		keys := x.Keys()
 		vals := x.Values()
 		for i := range keys {
-			wk, err := encodeValue(keys[i], t)
+			wk, err := encodeValueIn(keys[i], t, open)
 			if err != nil {
 				return wireValu{}, err
 			}
-			wv, err := encodeValue(vals[i], t)
+			wv, err := encodeValueIn(vals[i], t, open)
 			if err != nil {
 				return wireValu{}, err
 			}

@@ -58,11 +58,6 @@ type ServerConfig struct {
 	IAS        *enclave.AttestationService
 	Bind       APIBinder
 	Stdout     io.Writer
-	// Engine selects the bscript execution engine for uploaded code:
-	// "" or "vm" compiles to bytecode and caches Programs by source hash
-	// (re-uploads and watchdog restarts skip lex/parse/compile); "tree"
-	// forces the reference tree-walker, for ablation and debugging.
-	Engine string
 }
 
 // Server is a running Bento server.
@@ -544,17 +539,17 @@ func (s *Server) bindAPI(rf *runningFunction) {
 	}
 }
 
-// runCode executes function source in rf's container through the
-// configured engine. The default engine compiles to bytecode and caches
-// the Program by source hash, so re-uploading identical code — or
-// re-running it after a watchdog restart — skips lex/parse/compile
-// entirely. Programs are machine-independent, making the cache safe to
-// share across functions and containers. Compile (syntax) errors surface
-// exactly as the tree-walker would report them.
+// maxCachedPrograms bounds Server.progCache. Compiled programs live outside
+// every container's memory accounting, so without a bound a tenant
+// uploading distinct sources grows the relay's heap for as long as it runs.
+const maxCachedPrograms = 256
+
+// runCode executes function source in rf's container. The source is
+// compiled to bytecode and the Program cached by source hash, so
+// re-uploading identical code — or re-running it after a watchdog restart —
+// skips lex/parse/compile entirely. Programs are machine-independent,
+// making the cache safe to share across functions and containers.
 func (s *Server) runCode(rf *runningFunction, code string) error {
-	if s.cfg.Engine == "tree" {
-		return rf.ctr().Run(code)
-	}
 	key := sha256.Sum256([]byte(code))
 	s.progMu.Lock()
 	prog, ok := s.progCache[key]
@@ -569,6 +564,12 @@ func (s *Server) runCode(rf *runningFunction, code string) error {
 			return err
 		}
 		s.progMu.Lock()
+		if len(s.progCache) >= maxCachedPrograms {
+			for evict := range s.progCache { // an arbitrary entry
+				delete(s.progCache, evict)
+				break
+			}
+		}
 		s.progCache[key] = prog
 		s.progMu.Unlock()
 	}

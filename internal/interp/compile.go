@@ -5,34 +5,36 @@ import (
 	"strconv"
 )
 
-// The compiler lowers the parser's AST into funcProto bytecode. It makes
-// no semantic changes relative to the tree-walker; every divergence the
-// VM is allowed is documented in DESIGN.md §11. Three things happen at
-// compile time that the tree-walker pays for at run time:
+// The compiler lowers the parser's AST into funcProto bytecode, the only
+// form in which bscript executes. Its reference semantics are the test-only
+// tree oracle's (oracle_test.go), which charges one instruction per AST
+// node and resolves names through a chain of scopes; every divergence the
+// VM is allowed is documented in DESIGN.md §11. Three things are decided at
+// compile time:
 //
-//   - Slot resolution: names a function body assigns (params, assignment
-//     targets, loop/except variables) become array slots instead of Env
-//     map entries. Loads of unassigned names, and all top-level names,
-//     keep late binding through the global scope, exactly like the
-//     tree-walker's Env chain ending at Globals.
+//   - Slot resolution: names a function body binds (params, assignment
+//     targets, loop/except variables, nested defs) become array slots.
+//     Loads of other names, and all top-level names, keep late binding
+//     through the global table.
 //
-//   - Budget batching: the tree-walker charges one instruction per AST
-//     node as it visits it. The compiler counts those per-node charges
-//     per basic block and emits a single opCharge at block entry. To
-//     keep the observable step/budget counts byte-identical on every
-//     error path, each instruction records a refund: how many of its
-//     block's charges the tree-walker would NOT yet have made when that
-//     instruction runs. When a catchable error (RuntimeError or memory
-//     violation) leaves an instruction, the VM refunds that many charges
-//     before unwinding, reconstructing the tree-walker's exact counter.
+//   - Cells: a slot that a nested def mentions lives in a heap cell instead,
+//     and each executed nested def captures by reference the enclosing
+//     cells of the names it mentions. A name with cells resolves own cell,
+//     then enclosing cells innermost first, then the global table — the
+//     oracle's scope chain. A function that neither contains nor is a
+//     nested def has no cells and no cell opcodes.
 //
-//   - Functions whose bodies define nested functions (closures) are not
-//     lowered; they are retained as AST and defined as ordinary tree
-//     *Func values at runtime (opDefTree), keeping Program free of any
-//     machine reference.
+//   - Budget batching: the oracle charges one instruction per AST node as
+//     it visits it. The compiler counts those per-node charges per basic
+//     block and emits a single opCharge at block entry. To keep the
+//     observable step/budget counts byte-identical on every error path,
+//     each instruction records a refund: how many of its block's charges
+//     the oracle would NOT yet have made when that instruction runs. When a
+//     catchable error (RuntimeError or memory violation) leaves an
+//     instruction, the VM refunds that many charges before unwinding.
 
 // Compile lowers source text to a Program. Parse errors are returned
-// unchanged, so compile-time failures match Machine.Run's failures.
+// unchanged.
 func Compile(src string) (*Program, error) {
 	prog, err := Parse(src)
 	if err != nil {
@@ -58,6 +60,7 @@ type loopScope struct {
 type compiler struct {
 	p        *funcProto
 	slots    map[string]int // nil for the top-level proto (all names global)
+	cells    map[string]int // names resolved through cells -> index in p.cellRefs
 	constIdx map[string]int
 	nameIdx  map[string]int
 	batchPC  int // open opCharge instruction, -1 if none
@@ -84,7 +87,7 @@ func newCompiler(name string, params []string, slotNames []string) *compiler {
 	return c
 }
 
-// charge registers one tree-walker instruction charge for the current
+// charge registers one per-AST-node instruction charge for the current
 // basic block, opening the block's opCharge lazily.
 func (c *compiler) charge(line int) {
 	if c.batchPC < 0 {
@@ -246,8 +249,10 @@ func (c *compiler) name(n string) int32 {
 	return int32(i)
 }
 
+// slot returns n's register slot, or -1 when n is a global or lives in a
+// cell (so the register fast paths never see a captured variable).
 func (c *compiler) slot(n string) int {
-	if c.slots == nil {
+	if _, ok := c.cells[n]; ok {
 		return -1
 	}
 	if i, ok := c.slots[n]; ok {
@@ -309,7 +314,7 @@ func (c *compiler) stmt(s stmt) error {
 		c.flush()
 		jf := c.emit(instr{op: opJumpIfFalse})
 		c.loops = append(c.loops, loopScope{start: start, tryDepth: c.tryDepth})
-		c.charge(st.line) // per-iteration charge, as the tree-walker's loop head
+		c.charge(st.line) // per-iteration charge, as the oracle's loop head
 		if err := c.block(st.body); err != nil {
 			return err
 		}
@@ -338,21 +343,18 @@ func (c *compiler) stmt(s stmt) error {
 		c.patchBreaks()
 		return nil
 	case *defStmt:
-		if hasNestedDef(st.body) {
-			// Closures keep the tree path: the def is retained as AST and
-			// built as a *Func over the global scope at runtime.
-			idx := len(c.p.treeDefs)
-			c.p.treeDefs = append(c.p.treeDefs, st)
-			c.emit(instr{op: opDefTree, a: int32(idx)})
-			return nil
-		}
-		proto, err := compileFunc(st)
+		proto, err := compileFunc(st, c)
 		if err != nil {
 			return err
 		}
 		ci := len(c.p.consts)
 		c.p.consts = append(c.p.consts, &compiledFunc{proto: proto})
-		c.emit(instr{op: opDefGlobal, a: c.name(st.name), b: int32(ci)})
+		if ref, ok := c.cells[st.name]; ok {
+			// Inside a function a def binds its own scope, never a global.
+			c.emit(instr{op: opDefCell, a: c.p.cellRefs[ref].chain[0], b: int32(ci)})
+		} else {
+			c.emit(instr{op: opDefGlobal, a: c.name(st.name), b: int32(ci)})
+		}
 		return nil
 	case *returnStmt:
 		if st.value == nil {
@@ -368,7 +370,7 @@ func (c *compiler) stmt(s stmt) error {
 		return nil
 	case *breakStmt:
 		if len(c.loops) == 0 {
-			return nil // tree-walker lets a stray break end the block silently
+			return nil // the oracle lets a stray break end the block silently
 		}
 		c.flush()
 		ls := &c.loops[len(c.loops)-1]
@@ -453,8 +455,8 @@ func (c *compiler) assign(st *assignStmt) error {
 				if id, ok := b.lhs.(*identExpr); ok && id.name == t.name {
 					c.charge(b.line)
 					c.charge(id.line)
-					// The tree-walker resolves x before evaluating rhs;
-					// surface the same name error at the same point.
+					// The oracle resolves x before evaluating rhs; surface
+					// the same name error at the same point.
 					c.emit(instr{op: opCheckLocal, a: int32(slot), line: int32(id.line)})
 					if err := c.expr(b.rhs); err != nil {
 						return err
@@ -469,7 +471,7 @@ func (c *compiler) assign(st *assignStmt) error {
 			c.storeName(t.name, st.line)
 			return nil
 		}
-		// Augmented: value first, then the target read, as the tree does.
+		// Augmented: value first, then the target read, as the oracle does.
 		if st.op == "+=" && slot >= 0 {
 			if err := c.expr(st.value); err != nil {
 				return err
@@ -493,8 +495,8 @@ func (c *compiler) assign(st *assignStmt) error {
 			return err
 		}
 		if st.op != "=" {
-			// The tree-walker fully evaluates the target (charging the
-			// index node and re-evaluating base/index for the store).
+			// The oracle fully evaluates the target (charging the index
+			// node and re-evaluating base/index for the store).
 			c.charge(t.line)
 			if err := c.expr(t.base); err != nil {
 				return err
@@ -520,6 +522,10 @@ func (c *compiler) assign(st *assignStmt) error {
 }
 
 func (c *compiler) storeName(name string, line int) {
+	if ref, ok := c.cells[name]; ok {
+		c.emit(instr{op: opStoreCell, a: int32(ref), line: int32(line)})
+		return
+	}
 	if i := c.slot(name); i >= 0 {
 		c.emit(instr{op: opStoreLocal, a: int32(i), line: int32(line)})
 		return
@@ -528,6 +534,10 @@ func (c *compiler) storeName(name string, line int) {
 }
 
 func (c *compiler) loadName(name string, line int) {
+	if ref, ok := c.cells[name]; ok {
+		c.emit(instr{op: opLoadCell, a: int32(ref), line: int32(line)})
+		return
+	}
 	if i := c.slot(name); i >= 0 {
 		c.emit(instr{op: opLoadLocal, a: int32(i), line: int32(line)})
 		return
@@ -642,7 +652,7 @@ func (c *compiler) expr(e expr) error {
 			if err := c.expr(ex.lo); err != nil {
 				return err
 			}
-			// The tree-walker type-checks each bound as soon as it is
+			// The oracle type-checks each bound as soon as it is
 			// evaluated; mirror that so error order matches.
 			c.emit(instr{op: opCheckSlice, line: int32(ex.line)})
 			flags |= sliceHasLo
@@ -687,8 +697,12 @@ func boolBit(b bool) int32 {
 
 // --- function lowering -------------------------------------------------------
 
-func compileFunc(st *defStmt) (*funcProto, error) {
-	c := newCompiler(st.name, st.params, collectSlots(st))
+// compileFunc lowers one def. outer is the compiler of the code that
+// contains it: the top-level proto, or the enclosing function.
+func compileFunc(st *defStmt, outer *compiler) (*funcProto, error) {
+	slots, inner := collectSlots(st)
+	c := newCompiler(st.name, st.params, slots)
+	c.layoutCells(st, inner, outer)
 	if err := c.block(st.body); err != nil {
 		return nil, err
 	}
@@ -699,11 +713,12 @@ func compileFunc(st *defStmt) (*funcProto, error) {
 }
 
 // collectSlots returns the function's slot names: params first, then every
-// name its body can assign (assignment targets, loop variables, except
-// bindings), in source order. Loads of any other name fall through to the
-// global scope at run time, preserving the tree-walker's late binding.
-func collectSlots(st *defStmt) []string {
-	names := append([]string(nil), st.params...)
+// name its body can bind (assignment targets, loop variables, except
+// bindings, nested defs), in source order. Loads of any other name fall
+// through to the enclosing cells and the global table at run time. inner
+// holds the names nested defs bind or mention, nil if there are none.
+func collectSlots(st *defStmt) (names []string, inner map[string]bool) {
+	names = append(names, st.params...)
 	seen := make(map[string]bool, len(names))
 	for _, n := range names {
 		seen[n] = true
@@ -736,37 +751,137 @@ func collectSlots(st *defStmt) []string {
 				}
 				walk(t.body)
 				walk(t.handler)
+			case *defStmt:
+				add(t.name)
+				if inner == nil {
+					inner = make(map[string]bool)
+				}
+				inner[t.name] = true
+				mentions(t.body, inner)
 			}
 		}
 	}
 	walk(st.body)
-	return names
+	return names, inner
 }
 
-func hasNestedDef(body []stmt) bool {
-	for _, s := range body {
-		switch t := s.(type) {
-		case *defStmt:
-			return true
-		case *ifStmt:
-			if hasNestedDef(t.body) || hasNestedDef(t.orelse) {
-				return true
+// layoutCells lays out the frame's cells. Its own come first: one for every
+// slot that a nested def mentions, or that shadows a cell of an enclosing
+// function (so the name resolves through one uniform chain). Then one
+// captured cell for every enclosing cell of a name this function, or a def
+// nested in it, mentions; captures records where the defining frame holds
+// each.
+func (c *compiler) layoutCells(st *defStmt, inner map[string]bool, outer *compiler) {
+	ref := func(name string) *cellRef {
+		i, ok := c.cells[name]
+		if !ok {
+			if c.cells == nil {
+				c.cells = make(map[string]int)
 			}
-		case *whileStmt:
-			if hasNestedDef(t.body) {
-				return true
+			i = len(c.p.cellRefs)
+			c.cells[name] = i
+			c.p.cellRefs = append(c.p.cellRefs, cellRef{name: name})
+		}
+		return &c.p.cellRefs[i]
+	}
+	for slot, n := range c.p.slotNames {
+		if _, shadows := outer.cells[n]; shadows || inner[n] {
+			r := ref(n)
+			r.chain = append(r.chain, int32(len(c.p.ownCells)))
+			c.p.ownCells = append(c.p.ownCells, int32(slot))
+		}
+	}
+	if len(outer.p.cellRefs) == 0 {
+		return // defined at top level, or nothing to capture
+	}
+	named := make(map[string]bool)
+	mentions(st.body, named)
+	own := len(c.p.ownCells)
+	for _, enclosing := range outer.p.cellRefs {
+		if !named[enclosing.name] {
+			continue
+		}
+		r := ref(enclosing.name)
+		for _, src := range enclosing.chain {
+			r.chain = append(r.chain, int32(own+len(c.p.captures)))
+			c.p.captures = append(c.p.captures, src)
+		}
+	}
+}
+
+// mentions adds to set every name the statements read or bind, nested defs
+// included.
+func mentions(body []stmt, set map[string]bool) {
+	var in func(e expr)
+	in = func(e expr) {
+		switch x := e.(type) {
+		case *identExpr:
+			set[x.name] = true
+		case *listLit:
+			for _, el := range x.elems {
+				in(el)
 			}
-		case *forStmt:
-			if hasNestedDef(t.body) {
-				return true
+		case *dictLit:
+			for i := range x.keys {
+				in(x.keys[i])
+				in(x.vals[i])
 			}
-		case *tryStmt:
-			if hasNestedDef(t.body) || hasNestedDef(t.handler) {
-				return true
+		case *unaryExpr:
+			in(x.rhs)
+		case *binaryExpr:
+			in(x.lhs)
+			in(x.rhs)
+		case *indexExpr:
+			in(x.base)
+			in(x.index)
+		case *sliceExpr:
+			in(x.base)
+			in(x.lo)
+			in(x.hi)
+		case *attrExpr:
+			in(x.base)
+		case *callExpr:
+			in(x.fn)
+			for _, a := range x.args {
+				in(a)
 			}
 		}
 	}
-	return false
+	for _, s := range body {
+		switch t := s.(type) {
+		case *exprStmt:
+			in(t.e)
+		case *assignStmt:
+			in(t.target)
+			in(t.value)
+		case *ifStmt:
+			in(t.cond)
+			mentions(t.body, set)
+			mentions(t.orelse, set)
+		case *whileStmt:
+			in(t.cond)
+			mentions(t.body, set)
+		case *forStmt:
+			set[t.name] = true
+			in(t.iter)
+			mentions(t.body, set)
+		case *defStmt:
+			set[t.name] = true
+			mentions(t.body, set)
+		case *returnStmt:
+			in(t.value)
+		case *delStmt:
+			in(t.target)
+		case *tryStmt:
+			if t.name != "" {
+				set[t.name] = true
+			}
+			mentions(t.body, set)
+			mentions(t.handler, set)
+		case *raiseStmt:
+			in(t.msg)
+		}
+	}
 }
 
 // --- stack sizing ------------------------------------------------------------
@@ -831,9 +946,9 @@ func computeMaxStack(code []instr) int {
 
 func instrEffect(in instr) int {
 	switch in.op {
-	case opConst, opLoadGlobal, opLoadLocal:
+	case opConst, opLoadGlobal, opLoadLocal, opLoadCell:
 		return 1
-	case opStoreGlobal, opStoreLocal, opAppendLocal, opPop, opBinop, opIndex, opJumpIfFalse:
+	case opStoreGlobal, opStoreLocal, opStoreCell, opAppendLocal, opPop, opBinop, opIndex, opJumpIfFalse:
 		return -1
 	case opBinopStore:
 		return -2
@@ -857,7 +972,7 @@ func instrEffect(in instr) int {
 	case opMakeDict:
 		return 1 - 2*int(in.a)
 	default:
-		// opCharge, opDefGlobal, opDefTree, opCheckLocal, opCheckSlice,
+		// opCharge, opDefGlobal, opDefCell, opCheckLocal, opCheckSlice,
 		// opNot, opNeg, opSwap, opIterNew, opTryPop, opAttr, and the
 		// stack-neutral superinstructions opBinopConst, opBinopLocal,
 		// opIncLocalConst

@@ -7,15 +7,15 @@ import (
 	"testing"
 )
 
-// Differential testing: every program runs through both engines — the
-// tree-walker (the reference oracle) and the bytecode VM — and the
-// results must agree: values, stdout, step counts, memory estimates,
-// error classes, and RuntimeError line numbers.
+// Differential testing: every program runs on the bytecode VM (the engine)
+// and on the tree oracle (oracle_test.go), and the results must agree:
+// values, stdout, step counts, memory estimates, error classes, and
+// RuntimeError line numbers.
 //
 // The one documented divergence is stdout under budget exhaustion: the VM
 // charges a basic block at entry, so it stops at the block boundary where
-// the tree-walker stops mid-block. The VM's stdout must then be a prefix
-// of the tree-walker's. Everything else is byte-identical.
+// the oracle stops mid-block. The VM's stdout must then be a prefix of the
+// oracle's. Everything else is byte-identical.
 
 type engineResult struct {
 	err     error
@@ -38,7 +38,7 @@ func runTreeEngine(src string, lim Limits) engineResult {
 	m := NewMachine(lim)
 	var out bytes.Buffer
 	m.Stdout = &out
-	err := m.Run(src)
+	err := m.treeRun(src)
 	return engineResult{err: err, stdout: out.String(), steps: m.Steps(),
 		mem: m.MemoryEstimate(), peak: m.PeakMemory(), globals: snapshotGlobals(m)}
 }
@@ -540,6 +540,234 @@ v = m["xs"][1][2]
 s = m["d"]["inner"][1:3]
 print(m, v, s)
 `, Limits{}},
+
+	// Values that refer to themselves, and values Go cannot compare with ==.
+	{"cyclic-containers", `
+a = []
+a.append(a)
+b = []
+b.append(b)
+d = {}
+d["self"] = d
+d["list"] = a
+same = a == b
+diff = a == [1]
+ds = d == d
+s = str(d)
+print(a, d, same, diff, ds)
+`, Limits{}},
+	{"bound-method-equality", `
+dec = b"ab".decode
+l = [1]
+e1 = dec == dec
+e2 = l.append == l.append
+e3 = l.append == l.pop
+e4 = dec == l.append
+`, Limits{}},
+
+	// Nested defs: the VM's cells against the oracle's scope chain.
+	{"closure-counter-rebinds-enclosing", `
+def counter():
+    n = 0
+    def inc():
+        n = n + 1
+        return n
+    def peek():
+        return n
+    return [inc, peek]
+
+c = counter()
+a = c[0]()
+b = c[0]()
+p = c[1]()
+d = counter()[0]()
+print(a, b, p, d)
+`, Limits{}},
+	{"closure-shadow-global-then-enclosing", `
+x = "global"
+def outer():
+    def read():
+        return x
+    before = read()
+    x = "changed"
+    during = read()
+    def local():
+        x = "inner"
+        return x
+    inner = local()
+    return [before, during, inner, read()]
+
+r = outer()
+def fresh():
+    y = "enclosing"
+    def set():
+        y = "rebound"
+    set()
+    return y
+s = fresh()
+print(r, x, s)
+`, Limits{}},
+	{"closure-loop-late-binding", `
+def make():
+    fs = []
+    for i in range(3):
+        def f():
+            return i
+        fs.append(f)
+    return fs
+
+out = []
+for f in make():
+    out.append(f())
+print(out)
+`, Limits{}},
+	{"closure-def-in-if-and-try", `
+def pick(flag):
+    if flag:
+        def h():
+            return "yes"
+    else:
+        def h():
+            return "no"
+    try:
+        def t():
+            return h() + "!"
+        raise "skip"
+    except as e:
+        def u():
+            return e + t()
+    return u()
+
+a = pick(True)
+b = pick(False)
+`, Limits{}},
+	{"closure-three-deep", `
+def a(x):
+    def b(y):
+        def c(z):
+            x = x + 1
+            return x * 100 + y * 10 + z
+        return c
+    return b
+
+c = a(1)(2)
+v1 = c(3)
+v2 = c(4)
+`, Limits{}},
+	{"closure-recursive-inner", `
+def outer(n):
+    def fact(k):
+        if k < 2:
+            return 1
+        return k * fact(k - 1)
+    return fact(n)
+
+f5 = outer(5)
+f10 = outer(10)
+`, Limits{}},
+	{"closure-outlives-frame-in-list-and-dict", `
+def mk(tag):
+    hits = []
+    def record(v):
+        hits.append(tag + v)
+        return len(hits)
+    def dump():
+        return hits
+    return {"rec": record, "dump": dump}
+
+keep = []
+for t in ["a", "b"]:
+    keep.append(mk(t))
+keep[0]["rec"]("1")
+keep[0]["rec"]("2")
+keep[1]["rec"]("3")
+print(keep[0]["dump"](), keep[1]["dump"](), keep[0]["rec"])
+`, Limits{}},
+	{"closure-inner-raise-refund", `
+def guard():
+    seen = 0
+    def risky(l):
+        seen = seen + 1
+        return 1 + l[5] + seen
+    try:
+        risky([1])
+    except as e:
+        msg = e
+    try:
+        risky([1, 2, 3, 4, 5, 6])
+        raise "after " + str(seen)
+    except as e2:
+        msg = msg + "|" + e2
+    return msg
+
+r = guard()
+print(r)
+`, Limits{}},
+	{"closure-captured-string-append", `
+def builder():
+    s = ""
+    def add(chunk):
+        s += chunk
+        s = s + "."
+        return len(s)
+    i = 0
+    while i < 40:
+        add("chunk")
+        i += 1
+    return s
+
+out = builder()
+n = len(out)
+`, Limits{}},
+	{"closure-call-depth", `
+def outer():
+    def dive(n):
+        return dive(n + 1)
+    return dive
+
+outer()(0)
+`, Limits{}},
+	{"closure-param-captured-and-def-shadows-global", `
+def helper():
+    return "global helper"
+
+def wrap(p, q):
+    def helper():
+        p = p + q
+        return p
+    helper()
+    return [helper(), p, q]
+
+r = wrap(1, 10)
+g = helper()
+`, Limits{}},
+	{"closure-unset-enclosing-falls-to-global", `
+late = "g"
+def outer(flag):
+    def get():
+        return late
+    first = get()
+    if flag:
+        late = "bound"
+    return [first, get()]
+
+a = outer(False)
+b = outer(True)
+c = late
+`, Limits{}},
+	{"closure-memory-measured-through-cells", `
+keep = []
+def mk(n):
+    big = "x" * 20000
+    def f():
+        return big
+    return f
+
+i = 0
+while i < 40:
+    keep.append(mk(i))
+    i += 1
+`, Limits{Memory: 256 * 1024, Instructions: 100_000_000}},
 }
 
 // runtimeErrorPrograms are one-liners whose exact RuntimeError (message
@@ -595,12 +823,13 @@ func TestEngineParityRuntimeErrors(t *testing.T) {
 	}
 }
 
-// TestEngineParityBudgetSweep runs a print-heavy program under every
+// TestEngineParityBudgetSweep runs print-heavy programs under every
 // budget from 0 to enough-to-finish, pinning the exhaustion contract
 // (identical step counts, VM stdout a prefix of tree stdout) at every
-// possible cutoff point.
+// possible cutoff point, including every one inside a closure call.
 func TestEngineParityBudgetSweep(t *testing.T) {
-	src := `
+	for name, src := range map[string]string{
+		"plain": `
 def noisy(n):
     s = ""
     for i in range(n):
@@ -609,17 +838,34 @@ def noisy(n):
     return s
 
 print("len", len(noisy(6)))
-`
-	for budget := int64(1); budget < 160; budget++ {
-		lim := Limits{Instructions: budget}
-		tree := runTreeEngine(src, lim)
-		vm := runVMEngine(src, lim)
-		compareEngines(t, "budget-sweep", tree, vm, false)
-		if errClass(tree.err) == "ok" {
-			return // budget large enough to finish; sweep complete
-		}
+`,
+		"closure": `
+def noisy(n):
+    s = ""
+    def tick(i):
+        print("tick", i)
+        s = s + "x"
+        return len(s)
+    for i in range(n):
+        print("len", tick(i))
+    return tick
+
+print("last", noisy(4)(9))
+`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			for budget := int64(1); budget < 260; budget++ {
+				lim := Limits{Instructions: budget}
+				tree := runTreeEngine(src, lim)
+				vm := runVMEngine(src, lim)
+				compareEngines(t, "budget-sweep", tree, vm, false)
+				if errClass(tree.err) == "ok" {
+					return // budget large enough to finish; sweep complete
+				}
+			}
+			t.Fatal("sweep never reached successful completion; raise the bound")
+		})
 	}
-	t.Fatal("sweep never reached successful completion; raise the bound")
 }
 
 // TestCompiledCallFromHost covers Machine.CallFunction dispatching to a
@@ -678,5 +924,51 @@ tag = "set"
 		if tag, _ := m.Globals.Lookup("tag"); tag != Str("set") {
 			t.Fatalf("machine %d: tag = %v", i, tag)
 		}
+	}
+}
+
+// TestCapturedMemoryLimit: a value kept alive only by a returned inner
+// function, or only as the receiver of a stored bound method, counts
+// against the memory limit. Before sizeOf followed a closure into its cells
+// the first program held ~192 MiB of Go heap under a 16 MiB limit while
+// MeasureNow reported 5 KiB; the second did the same through list.append.
+func TestCapturedMemoryLimit(t *testing.T) {
+	for name, src := range map[string]string{
+		"closure": `
+keep = []
+def mk(n):
+    big = "x" * 1000000
+    def f():
+        return big
+    return f
+
+i = 0
+while i < 200:
+    keep.append(mk(i))
+    i += 1
+`,
+		"bound-method": `
+keep = []
+i = 0
+while i < 200:
+    keep.append(["x" * 1000000].append)
+    i += 1
+`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			lim := Limits{Memory: 16 << 20}
+			vm := NewMachine(lim)
+			if err := vm.Run(src); !errors.Is(err, ErrMemoryExceeded) {
+				t.Fatalf("engine: err = %v, want ErrMemoryExceeded", err)
+			}
+			if got := vm.MeasureNow(); got < 16<<20 {
+				t.Fatalf("engine: MeasureNow = %d with more than 16 MiB held", got)
+			}
+			oracle := NewMachine(lim)
+			if err := oracle.treeRun(src); !errors.Is(err, ErrMemoryExceeded) {
+				t.Fatalf("oracle: err = %v, want ErrMemoryExceeded", err)
+			}
+			compareEngines(t, name, runTreeEngine(src, lim), runVMEngine(src, lim), false)
+		})
 	}
 }

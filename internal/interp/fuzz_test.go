@@ -4,13 +4,13 @@ import (
 	"testing"
 )
 
-// FuzzEngineParity cross-checks the tree-walker and the bytecode VM on
+// FuzzEngineParity cross-checks the bytecode VM against the tree oracle on
 // arbitrary inputs under a small budget. Inputs that fail to parse must
-// fail identically in both engines; inputs that parse must satisfy the
-// parity contract from differential_test.go. The comparison is lenient
-// about the one documented cross-class window: the VM charges a basic
-// block at entry, so under a tight budget it can report ErrBudgetExceeded
-// where the tree-walker reaches a different error mid-block.
+// fail identically on both; inputs that parse must satisfy the parity
+// contract from differential_test.go. The comparison is lenient about the
+// one documented cross-class window: the VM charges a basic block at entry,
+// so under a tight budget it can report ErrBudgetExceeded where the oracle
+// reaches a different error mid-block.
 func FuzzEngineParity(f *testing.F) {
 	for _, p := range parityPrograms {
 		f.Add(p.src)
@@ -29,13 +29,7 @@ func FuzzEngineParity(f *testing.F) {
 	})
 }
 
-// TestVMLoopAllocFree pins the hot-loop allocation property: once a frame
-// is running, an int-counting loop allocates nothing per iteration. Loop
-// values stay below 256 so boxing them into interface values hits the Go
-// runtime's static cache; the test compares allocations at two iteration
-// counts and requires no growth with the extra iterations.
-func TestVMLoopAllocFree(t *testing.T) {
-	const src = `
+const spinSrc = `
 def spin(n):
     i = 0
     total = 0
@@ -45,8 +39,15 @@ def spin(n):
             total += 1
     return total
 `
+
+// TestVMLoopAllocFree pins the hot-loop allocation property: once a frame
+// is running, an int-counting loop allocates nothing per iteration. Loop
+// values stay below 256 so boxing them into interface values hits the Go
+// runtime's static cache; the test compares allocations at two iteration
+// counts and requires no growth with the extra iterations.
+func TestVMLoopAllocFree(t *testing.T) {
 	m := NewMachine(Limits{})
-	prog, err := m.Compile(src)
+	prog, err := m.Compile(spinSrc)
 	if err != nil {
 		t.Fatal(err)
 	}

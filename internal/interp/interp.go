@@ -33,21 +33,6 @@ func runtimeErrf(line int, format string, args ...any) error {
 	return &RuntimeError{Line: line, Msg: fmt.Sprintf(format, args...)}
 }
 
-// control-flow signals (cheaper and clearer than panic/recover).
-type controlKind int
-
-const (
-	ctlNone controlKind = iota
-	ctlReturn
-	ctlBreak
-	ctlContinue
-)
-
-type control struct {
-	kind controlKind
-	val  Value
-}
-
 // Machine executes a bscript program under resource limits.
 type Machine struct {
 	Globals *Env
@@ -69,7 +54,8 @@ type Machine struct {
 
 // Limits configures a Machine's resource ceilings.
 type Limits struct {
-	// Instructions bounds AST-node evaluations (0 = default 10M).
+	// Instructions bounds executed instructions, one per AST node of the
+	// source (0 = default 10M).
 	Instructions int64
 	// Memory bounds estimated live bytes (0 = default 16 MiB).
 	Memory int64
@@ -84,7 +70,7 @@ func NewMachine(lim Limits) *Machine {
 		lim.Memory = 16 << 20
 	}
 	m := &Machine{
-		Globals:  NewEnv(nil),
+		Globals:  NewEnv(),
 		budget:   lim.Instructions,
 		budget0:  lim.Instructions,
 		memLimit: lim.Memory,
@@ -124,52 +110,29 @@ func (m *Machine) PeakMemory() int64 {
 // Bind installs a host object or value as a global.
 func (m *Machine) Bind(name string, v Value) { m.Globals.Define(name, v) }
 
-// Run parses and executes a program in the machine's global scope.
+// Run compiles and executes a program in the machine's global scope.
 func (m *Machine) Run(src string) error {
-	prog, err := Parse(src)
+	p, err := m.Compile(src)
 	if err != nil {
 		return err
 	}
-	start := m.steps
-	_, err = m.execBlock(prog, m.Globals)
-	m.recordRun(start, err)
-	return err
+	return m.RunProgram(p)
 }
 
-// CallFunction invokes a previously defined global function by name. The
-// function may be a tree-walked *Func or a bytecode-compiled function;
-// both run under the same limits and error semantics.
+// CallFunction invokes a previously defined global function by name.
 func (m *Machine) CallFunction(name string, args ...Value) (Value, error) {
 	v, ok := m.Globals.Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("bscript: no function %q defined", name)
 	}
-	start := m.steps
-	switch fn := v.(type) {
-	case *Func:
-		v, err := m.callFunc(fn, args)
-		m.recordRun(start, err)
-		return v, err
-	case *compiledFunc:
-		v, err := m.callCompiled(fn, args)
-		m.recordRun(start, err)
-		return v, err
-	default:
+	fn, ok := v.(*compiledFunc)
+	if !ok {
 		return nil, fmt.Errorf("bscript: %q is a %s, not a function", name, v.Type())
 	}
-}
-
-// step charges one instruction and checks the kill switch.
-func (m *Machine) step(line int) error {
-	if m.killed.Load() {
-		return ErrKilled
-	}
-	m.budget--
-	m.steps++
-	if m.budget < 0 {
-		return ErrBudgetExceeded
-	}
-	return nil
+	start := m.steps
+	ret, err := m.callCompiled(fn, args)
+	m.recordRun(start, err)
+	return ret, err
 }
 
 // alloc charges n bytes against the memory limit, re-measuring live state
@@ -189,16 +152,14 @@ func (m *Machine) alloc(line int, n int64) error {
 	return nil
 }
 
-// measure walks the global scope (the only long-lived roots in a
-// tree-walking interpreter without first-class frames) to compute live
-// memory.
+// measure computes live memory from the global table, the only roots that
+// outlive a call. sizeOf follows a closure into the cells it captured, so a
+// value kept alive only by a returned inner function is still counted.
 func (m *Machine) measure() {
 	seen := make(map[Value]bool)
 	var total int64
-	for s := m.Globals; s != nil; s = s.parent {
-		for _, v := range s.vars {
-			total += sizeOf(v, seen)
-		}
+	for _, v := range m.Globals.vars {
+		total += sizeOf(v, seen)
 	}
 	for _, v := range m.collected {
 		total += sizeOf(v, seen)
@@ -207,197 +168,19 @@ func (m *Machine) measure() {
 	m.memDelta = 0
 }
 
-// --- statement execution -----------------------------------------------------
-
-func (m *Machine) execBlock(body []stmt, env *Env) (control, error) {
-	for _, s := range body {
-		ctl, err := m.exec(s, env)
-		if err != nil {
-			return control{}, err
-		}
-		if ctl.kind != ctlNone {
-			return ctl, nil
-		}
-	}
-	return control{}, nil
-}
-
-func (m *Machine) exec(s stmt, env *Env) (control, error) {
-	if err := m.step(s.stmtLine()); err != nil {
-		return control{}, err
-	}
-	switch st := s.(type) {
-	case *exprStmt:
-		_, err := m.eval(st.e, env)
-		return control{}, err
-	case *assignStmt:
-		return control{}, m.execAssign(st, env)
-	case *ifStmt:
-		cond, err := m.eval(st.cond, env)
-		if err != nil {
-			return control{}, err
-		}
-		if Truthy(cond) {
-			return m.execBlock(st.body, env)
-		}
-		return m.execBlock(st.orelse, env)
-	case *whileStmt:
-		for {
-			cond, err := m.eval(st.cond, env)
-			if err != nil {
-				return control{}, err
-			}
-			if !Truthy(cond) {
-				return control{}, nil
-			}
-			if err := m.step(st.line); err != nil {
-				return control{}, err
-			}
-			ctl, err := m.execBlock(st.body, env)
-			if err != nil {
-				return control{}, err
-			}
-			switch ctl.kind {
-			case ctlBreak:
-				return control{}, nil
-			case ctlReturn:
-				return ctl, nil
-			}
-		}
-	case *forStmt:
-		iter, err := m.eval(st.iter, env)
-		if err != nil {
-			return control{}, err
-		}
-		items, err := iterate(iter, st.line)
-		if err != nil {
-			return control{}, err
-		}
-		for item, err := items(); item != nil || err != nil; item, err = items() {
-			if err != nil {
-				return control{}, err
-			}
-			if err := m.step(st.line); err != nil {
-				return control{}, err
-			}
-			m.storeIdent(env, st.name, item)
-			ctl, err := m.execBlock(st.body, env)
-			if err != nil {
-				return control{}, err
-			}
-			switch ctl.kind {
-			case ctlBreak:
-				return control{}, nil
-			case ctlReturn:
-				return ctl, nil
-			}
-		}
-		return control{}, nil
-	case *defStmt:
-		env.Define(st.name, &Func{Name: st.name, Params: st.params, Body: st.body, Closure: env})
-		return control{}, nil
-	case *returnStmt:
-		var v Value = None
-		if st.value != nil {
-			ev, err := m.eval(st.value, env)
-			if err != nil {
-				return control{}, err
-			}
-			v = ev
-		}
-		return control{kind: ctlReturn, val: v}, nil
-	case *breakStmt:
-		return control{kind: ctlBreak}, nil
-	case *continueStmt:
-		return control{kind: ctlContinue}, nil
-	case *passStmt:
-		return control{}, nil
-	case *tryStmt:
-		ctl, err := m.execBlock(st.body, env)
-		if err == nil {
-			return ctl, nil
-		}
-		// Only script-level errors are catchable; resource violations
-		// and kills always propagate (a function cannot absorb its own
-		// sandbox enforcement).
-		rerr, ok := err.(*RuntimeError)
-		if !ok {
-			return control{}, err
-		}
-		if st.name != "" {
-			m.storeIdent(env, st.name, Str(rerr.Msg))
-		}
-		return m.execBlock(st.handler, env)
-	case *raiseStmt:
-		v, err := m.eval(st.msg, env)
-		if err != nil {
-			return control{}, err
-		}
-		return control{}, runtimeErrf(st.line, "%s", Repr(v))
-	case *delStmt:
-		ix := s.(*delStmt).target.(*indexExpr)
-		base, err := m.eval(ix.base, env)
-		if err != nil {
-			return control{}, err
-		}
-		idx, err := m.eval(ix.index, env)
-		if err != nil {
-			return control{}, err
-		}
-		return control{}, m.delIndex(st.line, base, idx)
-	default:
-		return control{}, runtimeErrf(s.stmtLine(), "unknown statement")
-	}
-}
-
-func (m *Machine) execAssign(st *assignStmt, env *Env) error {
-	value, err := m.eval(st.value, env)
-	if err != nil {
-		return err
-	}
-	if st.op != "=" {
-		cur, err := m.evalTarget(st.target, env)
-		if err != nil {
-			return err
-		}
-		value, err = m.binop(st.line, st.op[:1], cur, value)
-		if err != nil {
-			return err
-		}
-	}
-	switch t := st.target.(type) {
-	case *identExpr:
-		m.storeIdent(env, t.name, value)
-		return nil
-	case *indexExpr:
-		base, err := m.eval(t.base, env)
-		if err != nil {
-			return err
-		}
-		idx, err := m.eval(t.index, env)
-		if err != nil {
-			return err
-		}
-		return m.indexAssign(st.line, base, idx, value)
-	default:
-		return runtimeErrf(st.line, "bad assignment target")
-	}
-}
-
 // --- shared assignment/deletion semantics ------------------------------------
 //
-// Both engines (the tree-walker and the bytecode VM) route stores through
-// these helpers so error strings and memory accounting stay byte-identical.
+// The VM and the test-only tree oracle route stores through these helpers
+// so error strings and memory accounting stay byte-identical.
 
-// storeIdent assigns name with Env.Set semantics, crediting the memory
-// estimate when a string/bytes binding is replaced: the old value becomes
-// garbage unless aliased elsewhere, and measure() remains the ground truth
-// either way.
-func (m *Machine) storeIdent(env *Env, name string, v Value) {
-	if old, ok := env.Lookup(name); ok {
+// storeIdent assigns a global, crediting the memory estimate when a
+// string/bytes binding is replaced: the old value becomes garbage unless
+// aliased elsewhere, and measure() remains the ground truth either way.
+func (m *Machine) storeIdent(name string, v Value) {
+	if old, ok := m.Globals.Lookup(name); ok {
 		m.creditRebind(old, v)
 	}
-	env.Set(name, v)
+	m.Globals.Define(name, v)
 }
 
 // creditRebind subtracts the estimated size of a replaced Str/Bytes value
@@ -460,10 +243,6 @@ func (m *Machine) delIndex(line int, base, idx Value) error {
 		return runtimeErrf(line, "%v", err)
 	}
 	return nil
-}
-
-func (m *Machine) evalTarget(e expr, env *Env) (Value, error) {
-	return m.eval(e, env)
 }
 
 // iterate returns a pull-style iterator over a value.

@@ -4,167 +4,14 @@ import (
 	"strings"
 )
 
+// Operator semantics: one copy each, called by the VM and by the test-only
+// tree oracle, so error strings and allocation charges cannot drift apart.
+
 // maxCallDepth bounds recursion (Python's default is 1000).
 const maxCallDepth = 200
 
-func (m *Machine) eval(e expr, env *Env) (Value, error) {
-	if err := m.step(e.exprLine()); err != nil {
-		return nil, err
-	}
-	switch ex := e.(type) {
-	case *intLit:
-		return Int(ex.v), nil
-	case *strLit:
-		return Str(ex.v), nil
-	case *bytesLit:
-		return Bytes(ex.v), nil
-	case *boolLit:
-		return Bool(ex.v), nil
-	case *noneLit:
-		return None, nil
-	case *identExpr:
-		v, ok := env.Lookup(ex.name)
-		if !ok {
-			return nil, runtimeErrf(ex.line, "name %q is not defined", ex.name)
-		}
-		return v, nil
-	case *listLit:
-		elems := make([]Value, 0, len(ex.elems))
-		for _, el := range ex.elems {
-			v, err := m.eval(el, env)
-			if err != nil {
-				return nil, err
-			}
-			elems = append(elems, v)
-		}
-		if err := m.alloc(ex.line, int64(16+8*len(elems))); err != nil {
-			return nil, err
-		}
-		return &List{Elems: elems}, nil
-	case *dictLit:
-		d := NewDict()
-		for i := range ex.keys {
-			k, err := m.eval(ex.keys[i], env)
-			if err != nil {
-				return nil, err
-			}
-			v, err := m.eval(ex.vals[i], env)
-			if err != nil {
-				return nil, err
-			}
-			if err := d.Set(k, v); err != nil {
-				return nil, runtimeErrf(ex.line, "%v", err)
-			}
-		}
-		if err := m.alloc(ex.line, int64(16+32*d.Len())); err != nil {
-			return nil, err
-		}
-		return d, nil
-	case *unaryExpr:
-		rhs, err := m.eval(ex.rhs, env)
-		if err != nil {
-			return nil, err
-		}
-		switch ex.op {
-		case "-":
-			i, ok := rhs.(Int)
-			if !ok {
-				return nil, runtimeErrf(ex.line, "unary - requires int, got %s", rhs.Type())
-			}
-			return -i, nil
-		case "not":
-			return Bool(!Truthy(rhs)), nil
-		}
-		return nil, runtimeErrf(ex.line, "unknown unary operator %q", ex.op)
-	case *binaryExpr:
-		// Short-circuit operators return an operand, as in Python.
-		if ex.op == "and" || ex.op == "or" {
-			lhs, err := m.eval(ex.lhs, env)
-			if err != nil {
-				return nil, err
-			}
-			if (ex.op == "and") != Truthy(lhs) {
-				return lhs, nil
-			}
-			return m.eval(ex.rhs, env)
-		}
-		lhs, err := m.eval(ex.lhs, env)
-		if err != nil {
-			return nil, err
-		}
-		rhs, err := m.eval(ex.rhs, env)
-		if err != nil {
-			return nil, err
-		}
-		return m.binop(ex.line, ex.op, lhs, rhs)
-	case *indexExpr:
-		base, err := m.eval(ex.base, env)
-		if err != nil {
-			return nil, err
-		}
-		idx, err := m.eval(ex.index, env)
-		if err != nil {
-			return nil, err
-		}
-		return m.index(ex.line, base, idx)
-	case *sliceExpr:
-		base, err := m.eval(ex.base, env)
-		if err != nil {
-			return nil, err
-		}
-		lo, hi := int64(0), int64(-1)
-		hasHi := false
-		if ex.lo != nil {
-			v, err := m.eval(ex.lo, env)
-			if err != nil {
-				return nil, err
-			}
-			i, ok := v.(Int)
-			if !ok {
-				return nil, runtimeErrf(ex.line, "slice bound must be int")
-			}
-			lo = int64(i)
-		}
-		if ex.hi != nil {
-			v, err := m.eval(ex.hi, env)
-			if err != nil {
-				return nil, err
-			}
-			i, ok := v.(Int)
-			if !ok {
-				return nil, runtimeErrf(ex.line, "slice bound must be int")
-			}
-			hi = int64(i)
-			hasHi = true
-		}
-		return m.slice(ex.line, base, lo, hi, hasHi)
-	case *attrExpr:
-		base, err := m.eval(ex.base, env)
-		if err != nil {
-			return nil, err
-		}
-		return m.attr(ex.line, base, ex.name)
-	case *callExpr:
-		fn, err := m.eval(ex.fn, env)
-		if err != nil {
-			return nil, err
-		}
-		args := make([]Value, 0, len(ex.args))
-		for _, a := range ex.args {
-			v, err := m.eval(a, env)
-			if err != nil {
-				return nil, err
-			}
-			args = append(args, v)
-		}
-		return m.call(ex.line, fn, args)
-	default:
-		return nil, runtimeErrf(e.exprLine(), "unknown expression")
-	}
-}
-
 // attr resolves base.name: an Object attribute, or a bound method on a
-// builtin type. Shared by both engines.
+// builtin type.
 func (m *Machine) attr(line int, base Value, name string) (Value, error) {
 	if obj, ok := base.(*Object); ok {
 		v, ok := obj.Attrs[name]
@@ -179,8 +26,6 @@ func (m *Machine) attr(line int, base Value, name string) (Value, error) {
 
 func (m *Machine) call(line int, fn Value, args []Value) (Value, error) {
 	switch f := fn.(type) {
-	case *Func:
-		return m.callFunc(f, args)
 	case *compiledFunc:
 		return m.callCompiled(f, args)
 	case *Builtin:
@@ -207,29 +52,6 @@ func (m *Machine) call(line int, fn Value, args []Value) (Value, error) {
 	default:
 		return nil, runtimeErrf(line, "%s is not callable", fn.Type())
 	}
-}
-
-func (m *Machine) callFunc(f *Func, args []Value) (Value, error) {
-	if m.callDepth >= maxCallDepth {
-		return nil, runtimeErrf(0, "maximum call depth exceeded")
-	}
-	m.callDepth++
-	defer func() { m.callDepth-- }()
-	if len(args) != len(f.Params) {
-		return nil, runtimeErrf(0, "%s() takes %d arguments, got %d", f.Name, len(f.Params), len(args))
-	}
-	env := NewEnv(f.Closure)
-	for i, p := range f.Params {
-		env.Define(p, args[i])
-	}
-	ctl, err := m.execBlock(f.Body, env)
-	if err != nil {
-		return nil, err
-	}
-	if ctl.kind == ctlReturn {
-		return ctl.val, nil
-	}
-	return None, nil
 }
 
 func (m *Machine) index(line int, base, idx Value) (Value, error) {

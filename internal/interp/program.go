@@ -3,9 +3,9 @@ package interp
 // Bytecode representation for the bscript VM.
 //
 // A Program is the machine-independent result of compiling one source
-// text: a top-level code object plus a code object (or retained AST, for
-// the tree fallback) for every function it defines. Programs hold no
-// environment or machine state, so a single Program may be cached and
+// text: a top-level code object plus a code object for every function it
+// defines, nested ones included. Programs hold no AST, environment or
+// machine state, so a single Program may be cached and
 // executed on any number of Machines concurrently — that is what lets the
 // Bento server key compiled programs by source hash and reuse them across
 // re-uploads and watchdog respawns.
@@ -19,7 +19,6 @@ const (
 	opLoadGlobal               // a: push global names[a], else name error
 	opStoreGlobal              // a: pop, store to global names[a]
 	opDefGlobal                // a: name index, b: const index (compiled function)
-	opDefTree                  // a: treeDefs index (tree-walk fallback function)
 	opLoadLocal                // a: slot; falls back to globals when unset
 	opStoreLocal               // a: slot; falls back to globals when unset there
 	opCheckLocal               // a: slot; name error if unset here and in globals
@@ -60,6 +59,12 @@ const (
 	opCmpConstJump  // a: target, b: binop code, c: const idx (rhs); pops lhs
 	opCmpLocalJump  // a: target, b: binop code, c: slot (rhs); pops lhs
 	opIncLocalConst // a: slot, b: const idx; slot += consts[b], no stack use
+
+	// Cell access, emitted only in functions that contain or are a nested
+	// def. a indexes the proto's cellRefs (opDefCell: the frame's cells).
+	opLoadCell  // a: cellRef; push first set cell, else the global, else name error
+	opStoreCell // a: cellRef; pop, rebind first set cell, else existing global, else define own
+	opDefCell   // a: own cell, b: const index (function); bind a new closure over the frame's cells
 )
 
 // Binary operator codes for opBinop's a operand.
@@ -78,8 +83,8 @@ const (
 	bopIn
 )
 
-// binopNames maps binop codes back to the tree-walker's operator strings,
-// for the m.binop fallback path.
+// binopNames maps binop codes back to operator strings, for the m.binop
+// fallback path.
 var binopNames = [...]string{"+", "-", "*", "//", "%", "==", "!=", "<", "<=", ">", ">=", "in"}
 
 var binopCodes = map[string]int32{
@@ -114,11 +119,29 @@ type funcProto struct {
 	params    []string
 	code      []instr
 	consts    []Value
-	names     []string   // global/attr name pool
-	slotNames []string   // slot index -> name, for global fallback and errors
-	treeDefs  []*defStmt // AST retained for tree-fallback function defs
+	names     []string // global/attr name pool
+	slotNames []string // slot index -> name, for global fallback and errors
 	numSlots  int
 	maxStack  int
+
+	// Closure layout; all empty for a function that neither contains nor
+	// is a nested def. A frame's cells are its own, then the closure's.
+	ownCells []int32   // own cell -> the slot it replaces (a param's is filled from its argument)
+	captures []int32   // closure cell -> index in the defining frame's cells
+	cellRefs []cellRef // operands of opLoadCell / opStoreCell
+}
+
+// cell holds one variable that an inner function names, shared by reference
+// between the frame that owns it and every closure that captured it. A nil
+// v is an unset variable.
+type cell struct{ v Value }
+
+// cellRef resolves one name inside a closure-involved function: the frame
+// cells that may hold it, innermost scope first. When the function itself
+// assigns the name, chain[0] is its own cell.
+type cellRef struct {
+	name  string
+	chain []int32
 }
 
 // Program is a compiled bscript program.
@@ -126,17 +149,39 @@ type Program struct {
 	top *funcProto
 }
 
-// compiledFunc is a bytecode-compiled user function value. Its closure is
-// by construction the defining machine's global scope (the compiler only
-// compiles functions whose bodies contain no nested defs), so the value
-// itself is stateless and shareable across machines.
+// compiledFunc is a user function value. A top-level def is a constant of
+// its Program with no cells, stateless and shared across machines; each
+// executed nested def allocates one whose cells are the variables of the
+// enclosing frames that it, or a function nested in it, names.
 type compiledFunc struct {
 	proto *funcProto
+	cells []*cell
 }
 
 func (*compiledFunc) Type() string { return "function" }
 
-// vmIter adapts the tree-walker's pull iterators to a stack value so for
+func (f *compiledFunc) funcName() string { return f.proto.name }
+
+func (f *compiledFunc) captured(visit func(Value)) {
+	for _, c := range f.cells {
+		if c.v != nil {
+			visit(c.v)
+		}
+	}
+}
+
+// function is a user-defined function value: *compiledFunc, and in this
+// package's tests the tree oracle's *Func, which Repr and sizeOf must
+// treat alike for the engines to agree.
+type function interface {
+	Value
+	funcName() string
+	// captured visits every value the function keeps alive from enclosing
+	// frames, so the memory walk can see through it.
+	captured(visit func(Value))
+}
+
+// vmIter adapts iterate's pull iterators to a stack value so for
 // loops can keep their iterator on the operand stack. Never visible to
 // scripts.
 type vmIter struct {
@@ -149,8 +194,8 @@ func (*vmIter) Type() string { return "iterator" }
 // buffer standing in for a Str or Bytes local while a `s = s + chunk`
 // loop runs, so each append costs amortized O(len(chunk)) instead of
 // O(len(s)). It only ever lives in a frame's local slots — never in an
-// Env, so measure() (which walks globals) sees exactly what the
-// tree-walker would. Loads materialize (and cache) the real value.
+// Env or a cell, so measure() (which walks globals) sees exactly what the
+// tree oracle would. Loads materialize (and cache) the real value.
 type strAccum struct {
 	buf     []byte
 	isBytes bool

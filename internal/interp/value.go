@@ -49,14 +49,6 @@ func NewDict() *Dict { return &Dict{m: make(map[string]dictEntry)} }
 // RangeVal is a lazy integer range (start, stop, step).
 type RangeVal struct{ Start, Stop, Step int64 }
 
-// Func is a user-defined function.
-type Func struct {
-	Name    string
-	Params  []string
-	Body    []stmt
-	Closure *Env
-}
-
 // BuiltinFn is the signature of host-provided functions.
 type BuiltinFn func(args []Value) (Value, error)
 
@@ -87,7 +79,6 @@ func (NoneVal) Type() string     { return "None" }
 func (*List) Type() string       { return "list" }
 func (*Dict) Type() string       { return "dict" }
 func (RangeVal) Type() string    { return "range" }
-func (*Func) Type() string       { return "function" }
 func (*Builtin) Type() string    { return "builtin" }
 func (*Object) Type() string     { return "object" }
 func (boundMethod) Type() string { return "method" }
@@ -132,8 +123,13 @@ func rangeLen(r RangeVal) int64 {
 	return (r.Start - r.Stop - r.Step - 1) / (-r.Step)
 }
 
-// Repr renders a value the way the REPL or print would.
-func Repr(v Value) string {
+// Repr renders a value the way the REPL or print would. A list or dict
+// reached again from inside itself renders as [...] or {...}, as in Python.
+func Repr(v Value) string { return repr(v, nil) }
+
+// repr carries the containers being rendered on the path to v; nil until
+// the first one.
+func repr(v Value, open map[Value]bool) string {
 	switch x := v.(type) {
 	case Int:
 		return strconv.FormatInt(int64(x), 10)
@@ -149,25 +145,39 @@ func Repr(v Value) string {
 	case NoneVal:
 		return "None"
 	case *List:
+		if open[v] {
+			return "[...]"
+		}
+		if open == nil {
+			open = make(map[Value]bool)
+		}
+		open[v] = true
 		parts := make([]string, len(x.Elems))
 		for i, e := range x.Elems {
-			parts[i] = reprQuoted(e)
+			parts[i] = reprQuoted(e, open)
 		}
+		delete(open, v)
 		return "[" + strings.Join(parts, ", ") + "]"
 	case *Dict:
+		if open[v] {
+			return "{...}"
+		}
+		if open == nil {
+			open = make(map[Value]bool)
+		}
+		open[v] = true
 		keys := x.sortedKeys()
 		parts := make([]string, 0, len(keys))
 		for _, k := range keys {
 			e := x.m[k]
-			parts = append(parts, reprQuoted(e.key)+": "+reprQuoted(e.val))
+			parts = append(parts, reprQuoted(e.key, open)+": "+reprQuoted(e.val, open))
 		}
+		delete(open, v)
 		return "{" + strings.Join(parts, ", ") + "}"
 	case RangeVal:
 		return fmt.Sprintf("range(%d, %d)", x.Start, x.Stop)
-	case *Func:
-		return fmt.Sprintf("<function %s>", x.Name)
-	case *compiledFunc:
-		return fmt.Sprintf("<function %s>", x.proto.name)
+	case function:
+		return fmt.Sprintf("<function %s>", x.funcName())
 	case *Builtin:
 		return fmt.Sprintf("<builtin %s>", x.Name)
 	case *Object:
@@ -177,11 +187,11 @@ func Repr(v Value) string {
 	}
 }
 
-func reprQuoted(v Value) string {
+func reprQuoted(v Value, open map[Value]bool) string {
 	if s, ok := v.(Str); ok {
 		return strconv.Quote(string(s))
 	}
-	return Repr(v)
+	return repr(v, open)
 }
 
 func escapeBytes(b []byte) string {
@@ -196,8 +206,14 @@ func escapeBytes(b []byte) string {
 	return sb.String()
 }
 
-// Equal implements deep equality.
-func Equal(a, b Value) bool {
+// Equal implements deep equality. Two containers compared again while
+// their own comparison is still open (a cycle) count as equal there, so the
+// walk ends and the rest of the structure decides.
+func Equal(a, b Value) bool { return equal(a, b, nil) }
+
+// equal carries the container pairs under comparison on the path to a, b;
+// nil until the first one.
+func equal(a, b Value, open map[[2]Value]bool) bool {
 	switch x := a.(type) {
 	case Int:
 		y, ok := b.(Int)
@@ -219,8 +235,17 @@ func Equal(a, b Value) bool {
 		if !ok || len(x.Elems) != len(y.Elems) {
 			return false
 		}
+		pair := [2]Value{a, b}
+		if open[pair] {
+			return true
+		}
+		if open == nil {
+			open = make(map[[2]Value]bool)
+		}
+		open[pair] = true
+		defer delete(open, pair)
 		for i := range x.Elems {
-			if !Equal(x.Elems[i], y.Elems[i]) {
+			if !equal(x.Elems[i], y.Elems[i], open) {
 				return false
 			}
 		}
@@ -230,13 +255,26 @@ func Equal(a, b Value) bool {
 		if !ok || len(x.m) != len(y.m) {
 			return false
 		}
+		pair := [2]Value{a, b}
+		if open[pair] {
+			return true
+		}
+		if open == nil {
+			open = make(map[[2]Value]bool)
+		}
+		open[pair] = true
+		defer delete(open, pair)
 		for k, e := range x.m {
 			e2, ok := y.m[k]
-			if !ok || !Equal(e.val, e2.val) {
+			if !ok || !equal(e.val, e2.val, open) {
 				return false
 			}
 		}
 		return true
+	case boundMethod:
+		// Not ==: a bytes receiver makes the struct uncomparable in Go.
+		y, ok := b.(boundMethod)
+		return ok && x.name == y.name && equal(x.recv, y.recv, open)
 	default:
 		return a == b
 	}
@@ -353,42 +391,35 @@ func sizeOf(v Value, seen map[Value]bool) int64 {
 			total += int64(len(k)) + sizeOf(e.val, seen) + 16
 		}
 		return total
+	case function:
+		if seen[v] {
+			return overhead
+		}
+		seen[v] = true
+		total := int64(overhead)
+		x.captured(func(c Value) { total += sizeOf(c, seen) + 8 })
+		return total
+	case boundMethod:
+		return overhead + sizeOf(x.recv, seen)
 	default:
 		return overhead
 	}
 }
 
-// Env is a lexical scope.
+// Env is the machine's global name table. Function locals live in VM
+// registers and cells, never here.
 type Env struct {
-	parent *Env
-	vars   map[string]Value
+	vars map[string]Value
 }
 
-// NewEnv creates a scope with the given parent (nil for globals).
-func NewEnv(parent *Env) *Env {
-	return &Env{parent: parent, vars: make(map[string]Value)}
-}
+// NewEnv creates an empty table.
+func NewEnv() *Env { return &Env{vars: make(map[string]Value)} }
 
-// Lookup resolves a name through the scope chain.
+// Lookup resolves a name.
 func (e *Env) Lookup(name string) (Value, bool) {
-	for s := e; s != nil; s = s.parent {
-		if v, ok := s.vars[name]; ok {
-			return v, true
-		}
-	}
-	return nil, false
+	v, ok := e.vars[name]
+	return v, ok
 }
 
-// Set assigns in the scope holding name, or defines it locally.
-func (e *Env) Set(name string, v Value) {
-	for s := e; s != nil; s = s.parent {
-		if _, ok := s.vars[name]; ok {
-			s.vars[name] = v
-			return
-		}
-	}
-	e.vars[name] = v
-}
-
-// Define creates or replaces name in this exact scope.
+// Define creates or replaces name.
 func (e *Env) Define(name string, v Value) { e.vars[name] = v }

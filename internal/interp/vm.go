@@ -2,21 +2,21 @@ package interp
 
 import "time"
 
-// The bytecode VM. It executes funcProto code objects produced by
-// compile.go on the same Machine state (budget, memory accounting, global
-// scope, builtins) the tree-walker uses, routing every semantically
+// The bytecode VM: the one engine bscript runs on. It executes funcProto
+// code objects produced by compile.go on the Machine's state (budget,
+// memory accounting, global table, builtins). The reference semantics are
+// the test-only tree oracle's; differential and fuzz tests in this package
+// hold the VM to byte-identical results, and both route every semantically
 // observable operation — binop, index, slice, call, store — through the
-// helpers both engines share. The tree-walker remains the reference
-// oracle; differential and fuzz tests in this package hold the two
-// engines to byte-identical results.
+// same helpers.
 //
-// Unlike the tree-walker, the VM keeps its operand stack and local slots
-// in tagged registers (reg) that hold ints unboxed, so compute-bound
-// loops never heap-allocate for intermediate arithmetic. Registers are
-// frame-local and invisible to measure() (which walks globals), so memory
-// accounting is unaffected; every value that escapes a frame — globals,
-// call arguments, container elements, return values — is boxed back to a
-// plain Value at the boundary.
+// The VM keeps its operand stack and local slots in tagged registers (reg)
+// that hold ints unboxed, so compute-bound loops never heap-allocate for
+// intermediate arithmetic. Registers are frame-local and invisible to
+// measure() (which walks globals), so memory accounting is unaffected;
+// every value that escapes a frame — globals, cells, call arguments,
+// container elements, return values — is boxed back to a plain Value at
+// the boundary.
 
 // Compile lowers source text to a reusable Program, recording compile
 // telemetry on this machine's registry. The Program itself is
@@ -35,7 +35,7 @@ func (m *Machine) Compile(src string) (*Program, error) {
 // with the same limits, error semantics, and telemetry as Run.
 func (m *Machine) RunProgram(p *Program) error {
 	start := m.steps
-	_, err := m.runProto(p.top, nil)
+	_, err := m.runProto(p.top, nil, nil)
 	m.recordRun(start, err)
 	return err
 }
@@ -88,42 +88,61 @@ func (r *reg) truthy() bool {
 	return Truthy(r.v)
 }
 
-// callCompiled invokes a bytecode function with the tree-walker's exact
-// depth and arity checks. This is the boxed-argument adapter used by
-// m.call and eval for host- and tree-initiated calls; VM-to-VM calls go
-// through callCompiledRegs and never box their arguments.
+// callCompiled invokes a function with boxed arguments: the adapter for
+// host-initiated calls. VM-to-VM calls go through callCompiledRegs and
+// never box their arguments.
 func (m *Machine) callCompiled(f *compiledFunc, args []Value) (Value, error) {
-	p := f.proto
-	if m.callDepth >= maxCallDepth {
-		return nil, runtimeErrf(0, "maximum call depth exceeded")
+	slots, err := m.newFrame(f.proto, len(args))
+	if err != nil {
+		return nil, err
 	}
-	if len(args) != len(p.params) {
-		return nil, runtimeErrf(0, "%s() takes %d arguments, got %d", p.name, len(p.params), len(args))
-	}
-	slots := make([]reg, p.numSlots)
 	for i, a := range args {
 		slots[i].set(a)
 	}
-	m.callDepth++
-	v, err := m.runProto(p, slots)
-	m.callDepth--
-	return v, err
+	return m.enter(f, slots)
 }
 
 // callCompiledRegs is the VM-to-VM call path: argument registers are
 // copied straight into the callee's slots, unboxed ints and all.
 func (m *Machine) callCompiledRegs(f *compiledFunc, args []reg) (Value, error) {
-	p := f.proto
+	slots, err := m.newFrame(f.proto, len(args))
+	if err != nil {
+		return nil, err
+	}
+	copy(slots, args)
+	return m.enter(f, slots)
+}
+
+// newFrame makes the depth and arity checks and allocates the slots.
+func (m *Machine) newFrame(p *funcProto, argc int) ([]reg, error) {
 	if m.callDepth >= maxCallDepth {
 		return nil, runtimeErrf(0, "maximum call depth exceeded")
 	}
-	if len(args) != len(p.params) {
-		return nil, runtimeErrf(0, "%s() takes %d arguments, got %d", p.name, len(p.params), len(args))
+	if argc != len(p.params) {
+		return nil, runtimeErrf(0, "%s() takes %d arguments, got %d", p.name, len(p.params), argc)
 	}
-	slots := make([]reg, p.numSlots)
-	copy(slots, args)
+	return make([]reg, p.numSlots), nil
+}
+
+// enter runs f on slots already holding its arguments. A frame with cells
+// gets fresh own cells (a captured param's filled from its argument)
+// followed by the ones the closure captured.
+func (m *Machine) enter(f *compiledFunc, slots []reg) (Value, error) {
+	p := f.proto
+	var cells []*cell
+	if n := len(p.ownCells); n+len(f.cells) > 0 {
+		own := make([]cell, n)
+		cells = make([]*cell, n, n+len(f.cells))
+		for i, slot := range p.ownCells {
+			if int(slot) < len(p.params) {
+				own[i].v = slots[slot].val()
+			}
+			cells[i] = &own[i]
+		}
+		cells = append(cells, f.cells...)
+	}
 	m.callDepth++
-	v, err := m.runProto(p, slots)
+	v, err := m.runProto(p, slots, cells)
 	m.callDepth--
 	return v, err
 }
@@ -136,8 +155,8 @@ type tryHandler struct {
 }
 
 // runProto is the interpreter loop for one frame. Calls recurse through
-// callCompiled/m.call, bounded by maxCallDepth.
-func (m *Machine) runProto(p *funcProto, slots []reg) (Value, error) {
+// callCompiledRegs/m.call, bounded by maxCallDepth.
+func (m *Machine) runProto(p *funcProto, slots []reg, cells []*cell) (Value, error) {
 	stack := make([]reg, p.maxStack)
 	sp := 0
 	var handlers []tryHandler
@@ -149,8 +168,8 @@ func (m *Machine) runProto(p *funcProto, slots []reg) (Value, error) {
 		switch in.op {
 		case opCharge:
 			// One batched decrement per basic block. The kill check comes
-			// first (the tree-walker checks before charging), and on
-			// exhaustion the counters are clamped to the tree-walker's
+			// first (the oracle checks before each charge), and on
+			// exhaustion the counters are clamped to the oracle's
 			// stop-at-first-negative state.
 			if m.killed.Load() {
 				return nil, ErrKilled
@@ -176,12 +195,28 @@ func (m *Machine) runProto(p *funcProto, slots []reg) (Value, error) {
 			sp++
 		case opStoreGlobal:
 			sp--
-			m.storeIdent(m.Globals, p.names[in.a], stack[sp].val())
+			m.storeIdent(p.names[in.a], stack[sp].val())
 		case opDefGlobal:
 			m.Globals.Define(p.names[in.a], p.consts[in.b])
-		case opDefTree:
-			st := p.treeDefs[in.a]
-			m.Globals.Define(st.name, &Func{Name: st.name, Params: st.params, Body: st.body, Closure: m.Globals})
+		case opDefCell:
+			fp := p.consts[in.b].(*compiledFunc).proto
+			captured := make([]*cell, len(fp.captures))
+			for i, src := range fp.captures {
+				captured[i] = cells[src]
+			}
+			cells[in.a].v = &compiledFunc{proto: fp, cells: captured}
+		case opLoadCell:
+			ref := &p.cellRefs[in.a]
+			v, ok := m.loadCell(ref, cells)
+			if !ok {
+				err = runtimeErrf(int(in.line), "name %q is not defined", ref.name)
+				break
+			}
+			stack[sp].set(v)
+			sp++
+		case opStoreCell:
+			sp--
+			m.storeCell(&p.cellRefs[in.a], cells, stack[sp].val())
 		case opLoadLocal:
 			r := &slots[in.a]
 			if r.tag == regNone {
@@ -523,8 +558,8 @@ func (m *Machine) runProto(p *funcProto, slots []reg) (Value, error) {
 		if err != nil {
 			// Budget exhaustion and kills propagate with no adjustment:
 			// their counters were finalized where they fired. Catchable
-			// errors first refund the block charges the tree-walker would
-			// not have made yet, restoring its exact counter state.
+			// errors first refund the block charges the oracle would not
+			// have made yet, restoring its exact counter state.
 			if err == ErrBudgetExceeded || err == ErrKilled {
 				return nil, err
 			}
@@ -652,8 +687,9 @@ func (m *Machine) loadSlotIdx(p *funcProto, slots []reg, idx, line int) (Value, 
 }
 
 // storeSlot implements opStoreLocal's three-way store: rebind the slot
-// (crediting the replaced value), assign an existing global (Env.Set
-// semantics for names never assigned in this frame), or define the slot.
+// (crediting the replaced value), assign an existing global (for names
+// never assigned in this frame), or define the slot. storeCell is the same
+// store for a name with cells, with the enclosing scopes in between.
 // Int-over-anything rebinds copy registers without boxing; creditRebind
 // only ever credits Str/Bytes old values, so skipping it for int olds is
 // accounting-neutral.
@@ -669,18 +705,49 @@ func (m *Machine) storeSlot(p *funcProto, slots []reg, idx int, src *reg) {
 		if gv, ok := m.Globals.Lookup(p.slotNames[idx]); ok {
 			nv := src.val()
 			m.creditRebind(gv, nv)
-			m.Globals.Set(p.slotNames[idx], nv)
+			m.Globals.Define(p.slotNames[idx], nv)
 		} else {
 			*dst = *src
 		}
 	}
 }
 
+// loadCell resolves a name with cells: the first set cell of its chain (own
+// scope, then enclosing scopes innermost first), else the global.
+func (m *Machine) loadCell(ref *cellRef, cells []*cell) (Value, bool) {
+	for _, i := range ref.chain {
+		if v := cells[i].v; v != nil {
+			return v, true
+		}
+	}
+	return m.Globals.Lookup(ref.name)
+}
+
+// storeCell assigns a name with cells: rebind the first scope that holds
+// it — a set cell of the chain, else an existing global — or define it in
+// the function's own cell, chain[0]. Only names the function binds are
+// stored, so chain[0] is always its own.
+func (m *Machine) storeCell(ref *cellRef, cells []*cell, v Value) {
+	for _, i := range ref.chain {
+		if c := cells[i]; c.v != nil {
+			m.creditRebind(c.v, v)
+			c.v = v
+			return
+		}
+	}
+	if gv, ok := m.Globals.Lookup(ref.name); ok {
+		m.creditRebind(gv, v)
+		m.Globals.Define(ref.name, v)
+		return
+	}
+	cells[ref.chain[0]].v = v
+}
+
 // appendSlot implements opAppendLocal: `x = x + chunk` / `x += chunk` on a
 // local slot. Int appends mutate the register in place; like-typed
 // string/bytes appends run through a capacity-doubling accumulator so hot
 // concatenation loops cost amortized O(len(chunk)) instead of re-copying
-// the whole string; every other combination takes the tree-walker's exact
+// the whole string; every other combination takes the generic
 // binop+store path. Memory accounting (the binop's alloc charge plus the
 // rebind credit) is identical either way.
 func (m *Machine) appendSlot(p *funcProto, line int, slots []reg, idx int, chunk *reg) error {
@@ -699,7 +766,7 @@ func (m *Machine) appendSlot(p *funcProto, line int, slots []reg, idx int, chunk
 			return err
 		}
 		m.creditRebind(gv, v)
-		m.Globals.Set(name, v)
+		m.Globals.Define(name, v)
 		return nil
 	case regInt:
 		if chunk.tag == regInt {
@@ -721,7 +788,7 @@ func (m *Machine) appendSlot(p *funcProto, line int, slots []reg, idx int, chunk
 					return err
 				}
 				if len(r) == 0 {
-					return nil // content unchanged; the tree grants no rebind credit
+					return nil // content unchanged; the oracle grants no rebind credit
 				}
 				m.memDelta -= 16 + int64(len(cur))
 				acc := &strAccum{buf: make([]byte, 0, 2*(len(cur)+len(r)))}
@@ -745,7 +812,7 @@ func (m *Machine) appendSlot(p *funcProto, line int, slots []reg, idx int, chunk
 			}
 		}
 	}
-	// Mixed types: the tree-walker's exact binop + store semantics.
+	// Mixed types: the generic binop + store semantics.
 	cur := materialize(dst.val())
 	v, err := m.binop(line, "+", cur, chunk.val())
 	if err != nil {
@@ -756,7 +823,7 @@ func (m *Machine) appendSlot(p *funcProto, line int, slots []reg, idx int, chunk
 	return nil
 }
 
-// grow appends to the accumulator with the tree-walker's exact charge
+// grow appends to the accumulator with the oracle's exact charge
 // (alloc of the full concatenated length, then the rebind credit for the
 // replaced value), but only O(len(r)) actual copying.
 func (a *strAccum) grow(m *Machine, line int, r string) error {

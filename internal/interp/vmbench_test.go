@@ -2,8 +2,9 @@ package interp
 
 import "testing"
 
-// Engine benchmarks: the compute-heavy workload mirrors
-// internal/bench/interp.go so `go test -bench` and the harness agree.
+// Engine benchmarks, VM against the tree oracle: arithmetic (the compute
+// half of the repo benchmark's function_invoke), calls, and string
+// accumulation (its build half).
 
 const benchComputeSrc = `
 def compute(n):
@@ -17,38 +18,62 @@ def compute(n):
     return total
 `
 
-func benchMachineVM(b *testing.B, src string) *Machine {
-	b.Helper()
-	m := NewMachine(Limits{Instructions: 1 << 62, Memory: 1 << 40})
-	prog, err := m.Compile(src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := m.RunProgram(prog); err != nil {
-		b.Fatal(err)
-	}
-	return m
+const benchFibSrc = `
+def fib(n):
+    if n < 2:
+        return n
+    return fib(n - 1) + fib(n - 2)
+`
+
+const benchBuildSrc = `
+def build(n):
+    s = ""
+    i = 0
+    while i < n:
+        s = s + "0123456789abcdef"
+        i += 1
+    return len(s)
+`
+
+var benchWorkloads = []struct {
+	fn, src string
+	arg     Int
+}{
+	{"compute", benchComputeSrc, 10_000},
+	{"fib", benchFibSrc, 15},
+	{"build", benchBuildSrc, 2_000},
 }
 
-func BenchmarkVMCompute(b *testing.B) {
-	m := benchMachineVM(b, benchComputeSrc)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.CallFunction("compute", Int(10_000)); err != nil {
-			b.Fatal(err)
-		}
+func BenchmarkVM(b *testing.B) {
+	for _, w := range benchWorkloads {
+		b.Run(w.fn, func(b *testing.B) {
+			m := NewMachine(Limits{Instructions: 1 << 62, Memory: 1 << 40})
+			if err := m.Run(w.src); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := m.CallFunction(w.fn, w.arg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
-func BenchmarkTreeCompute(b *testing.B) {
-	m := NewMachine(Limits{Instructions: 1 << 62, Memory: 1 << 40})
-	if err := m.Run(benchComputeSrc); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.CallFunction("compute", Int(10_000)); err != nil {
-			b.Fatal(err)
-		}
+func BenchmarkTree(b *testing.B) {
+	for _, w := range benchWorkloads {
+		b.Run(w.fn, func(b *testing.B) {
+			m := NewMachine(Limits{Instructions: 1 << 62, Memory: 1 << 40})
+			if err := m.treeRun(w.src); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := m.treeCall(w.fn, w.arg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

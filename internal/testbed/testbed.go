@@ -63,10 +63,6 @@ type Config struct {
 	// World.Windower exposes it for dashboards and autoscalers; Close
 	// stops it.
 	ObsWindow time.Duration
-	// BentoEngine selects the bscript engine for Bento servers ("" = the
-	// default bytecode VM, "tree" = reference tree-walker); the interp
-	// benchmark uses it to compare the two end to end.
-	BentoEngine string
 }
 
 // World is a running deployment.
@@ -207,7 +203,6 @@ func New(cfg Config) (*World, error) {
 			Platform:   platform,
 			IAS:        ias,
 			Bind:       functions.StandardBinder(),
-			Engine:     cfg.BentoEngine,
 		})
 		if err != nil {
 			w.Close()

@@ -35,6 +35,26 @@ go build ./...
 stage "go test"
 go test ./...
 
+stage "one engine in the shipped binary (the tree oracle must link only into internal/interp's tests)"
+# The walker lives in internal/interp/oracle_test.go. If any of its entry
+# points shows up in a binary that links internal/bento, it has drifted
+# back into non-test code and uploaded functions can reach it again.
+onebin=$(mktemp)
+go build -o "$onebin" ./cmd/torsim
+go tool nm "$onebin" > "$onebin.syms"
+rm -f "$onebin"
+if ! grep -q 'internal/interp\.(\*Machine)\.runProto$' "$onebin.syms"; then
+    echo "cmd/torsim does not link the bscript VM; this check is looking at the wrong binary" >&2
+    rm -f "$onebin.syms"
+    exit 1
+fi
+if grep -E 'internal/interp\.\(\*Machine\)\.(execBlock|exec|eval|callFunc)$' "$onebin.syms" >&2; then
+    echo "the tree-walking oracle is linked into cmd/torsim" >&2
+    rm -f "$onebin.syms"
+    exit 1
+fi
+rm -f "$onebin.syms"
+
 stage "repo benchmark self-tests (smoke of all five workloads, probes, ledger)"
 go test -count=1 ./benchmark
 
@@ -99,7 +119,7 @@ rm -f "$tmpjson"
 stage "interpreter regression smoke (VM loop must not allocate per iteration)"
 go test -count=1 -run='TestVMLoopAllocFree' ./internal/interp/
 
-stage "fuzz smokes, 5 s each (tree-walker vs bytecode VM; relay run datapath vs per-cell reference under" \
+stage "fuzz smokes, 5 s each (bytecode VM vs test-only tree oracle; relay run datapath vs per-cell reference under" \
     "fuzzer-chosen cuts and corruption; wire decoder bounds; Bento values through a frame and back)"
 for fz in internal/interp:FuzzEngineParity internal/relay:FuzzBurstSplit internal/wire:FuzzDecoder internal/bento:FuzzFrameRoundTrip; do
     go test -run='^$' -fuzz="^${fz#*:}\$" -fuzztime=5s "./${fz%%:*}/"
