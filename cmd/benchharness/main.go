@@ -7,25 +7,21 @@
 //	benchharness -exp table1 -full   # paper-scale Table 1 (slow)
 //	benchharness -exp figure5
 //
-// Experiments: table1, table2, figure5, chaos, fleet, scalability,
-// ablations, datapath, obs, all. The chaos experiment measures
+// Experiments: table1, table2, figure5, chaos, fleet, autoscale,
+// scalability, scale, ablations, all. The chaos experiment measures
 // throughput retained under injected faults (link loss, a relay crash, a
 // Bento node outage, a killed function) relative to a fault-free
 // baseline. The fleet experiment puts a 3-replica fleet under the
 // declarative fleet controller, kills a relay, partitions another, and
 // crash-loops a third replica, measuring virtual time-to-reconverge per
 // fault and the client-visible success rate (target: zero errors while
-// the fleet reports converged); it writes BENCH_fleet.json. The
-// datapath experiment measures steady-state cell throughput through a
-// 3-hop circuit and writes BENCH_datapath.json so the perf trajectory is
-// recorded across changes. The obs experiment ablates the telemetry
-// layer (instrumented vs nil-registry runs) and writes BENCH_obs.json;
-// -stats attaches a registry to the chaos experiment and dumps its
-// dashboard at exit. (The bscript VM is measured by the repo benchmark,
-// benchmark/: the function_invoke workload and the interp.* probes.) The
-// scale experiment
-// runs on the discrete-event clock: it registers a six-figure client
-// host count (100k with -full) beside a real relay fleet, churns every
+// the fleet reports converged); it writes BENCH_fleet.json. -stats
+// attaches a registry to the chaos, fleet and autoscale experiments and
+// dumps its dashboard at exit. Performance — the cell datapath, telemetry
+// overhead, the bscript VM — is measured by the repo benchmark,
+// benchmark/, with paired runs and per-metric bounds. The scale
+// experiment runs on the discrete-event clock: it registers a six-figure
+// client host count (100k with -full) beside a real relay fleet, churns every
 // client through a genuine CREATE handshake plus a cover-traffic pump,
 // and writes emulator throughput, virtual circuit-build percentiles,
 // and steady-state memory per simulated host to BENCH_scale.json;
@@ -50,18 +46,14 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1|table2|figure5|chaos|fleet|autoscale|scalability|scale|ablations|datapath|obs|all")
+	exp := flag.String("exp", "all", "experiment: table1|table2|figure5|chaos|fleet|autoscale|scalability|scale|ablations|all")
 	full := flag.Bool("full", false, "run paper-scale parameters (slow)")
 	seed := flag.Int64("seed", 1, "base random seed")
-	benchOut := flag.String("benchout", "BENCH_datapath.json", "path for the datapath experiment's machine-readable result")
-	obsOut := flag.String("obsout", "BENCH_obs.json", "path for the observability ablation's machine-readable result")
 	fleetOut := flag.String("fleetout", "BENCH_fleet.json", "path for the fleet reconciliation experiment's machine-readable result")
 	autoscaleOut := flag.String("autoscaleout", "BENCH_autoscale.json", "path for the fleet autoscaling experiment's machine-readable result")
 	scaleOut := flag.String("scaleout", "BENCH_scale.json", "path for the scale experiment's machine-readable result")
 	scaleClients := flag.Int("scaleclients", 0, "override the scale experiment's client count (0 = experiment default)")
-	scaleDrivers := flag.Int("scaledrivers", 0, "override the scale experiment's driver pool size (0 = experiment default)")
-	stats := flag.Bool("stats", false, "attach a telemetry registry to the chaos experiment and dump its dashboard at exit")
-	minFwd := flag.Float64("minfwd", 0, "fail the datapath experiment if the forward rate (cells/s) lands below this floor")
+	stats := flag.Bool("stats", false, "attach a telemetry registry to the chaos, fleet and autoscale experiments and dump its dashboard at exit")
 	maxHostBytes := flag.Float64("maxhostbytes", 0, "fail the scale experiment if steady-state memory per simulated host exceeds this many bytes")
 	minEventsPerSec := flag.Float64("mineventspersec", 0, "fail the scale experiment if the dispatcher's wall-clock event rate lands below this floor")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile covering the selected experiments to this file")
@@ -230,9 +222,6 @@ func main() {
 		if *scaleClients > 0 {
 			cfg.Clients = *scaleClients
 		}
-		if *scaleDrivers > 0 {
-			cfg.Drivers = *scaleDrivers
-		}
 		res, err := bench.RunScale(cfg)
 		if err != nil {
 			return err
@@ -249,52 +238,6 @@ func main() {
 		if *minEventsPerSec > 0 && res.EventsPerSec < *minEventsPerSec {
 			return fmt.Errorf("dispatcher rate %.0f events/s below floor %.0f",
 				res.EventsPerSec, *minEventsPerSec)
-		}
-		return nil
-	})
-
-	run("datapath", func() error {
-		cfg := bench.DefaultDatapathConfig()
-		cfg.Seed = *seed
-		if *full {
-			cfg.Bytes = 32 << 20
-			cfg.MicroCells = 1_000_000
-		}
-		res, err := bench.RunDatapath(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res)
-		if err := res.WriteJSONFile(*benchOut); err != nil {
-			return err
-		}
-		fmt.Printf("(wrote %s)\n", *benchOut)
-		if *minFwd > 0 && res.ForwardCellsPerSec < *minFwd {
-			return fmt.Errorf("forward rate %.0f cells/s below floor %.0f",
-				res.ForwardCellsPerSec, *minFwd)
-		}
-		return nil
-	})
-
-	run("obs", func() error {
-		cfg := bench.DefaultObsConfig()
-		cfg.Seed = *seed
-		if *full {
-			cfg.Bytes = 16 << 20
-			cfg.Rounds = 5
-			cfg.MicroCells = 1_000_000
-		}
-		res, reg, err := bench.RunObs(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res)
-		if err := res.WriteJSONFile(*obsOut); err != nil {
-			return err
-		}
-		fmt.Printf("(wrote %s)\n", *obsOut)
-		if *stats {
-			fmt.Println(reg.Snapshot().Dashboard())
 		}
 		return nil
 	})
@@ -342,7 +285,7 @@ func main() {
 	})
 
 	if !ran {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q; want table1|table2|figure5|chaos|fleet|autoscale|scalability|scale|ablations|datapath|obs|all\n", *exp)
+		fmt.Fprintf(os.Stderr, "unknown experiment %q; want table1|table2|figure5|chaos|fleet|autoscale|scalability|scale|ablations|all\n", *exp)
 		os.Exit(2)
 	}
 	if statsReg != nil {

@@ -55,6 +55,8 @@ func TestChaosTelemetry(t *testing.T) {
 	mustPositive("simnet.chaos_host_crashes")
 	mustPositive("simnet.chaos_host_restarts")
 	// And the workload's bulk counters aggregate across both conditions.
+	mustPositive("torclient.circuits_built")
+	mustPositive("torclient.cells_sent")
 	mustPositive("relay.cells_forwarded")
 	mustPositive("bento.invokes")
 	mustPositive("interp.invocations")

@@ -19,6 +19,7 @@ type serverMetrics struct {
 	shutdowns        *obs.Counter
 	watchdogRestarts *obs.Counter   // successful container revivals
 	restartStorms    *obs.Counter   // crash-loops the storm guard gave up on
+	tenantPanics     *obs.Counter   // containers torn down because their code panicked
 	progCacheHits    *obs.Counter   // uploads served from the compiled-program cache
 	progCacheMisses  *obs.Counter   // uploads that had to compile
 	invokeQueue      *obs.Gauge     // invocations in flight or waiting on a function's run lock
@@ -36,6 +37,7 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 		shutdowns:        reg.Counter("bento.shutdowns"),
 		watchdogRestarts: reg.Counter("bento.watchdog_restarts"),
 		restartStorms:    reg.Counter("bento.watchdog_restart_storms"),
+		tenantPanics:     reg.Counter("bento.tenant_panics"),
 		progCacheHits:    reg.Counter("bento.program_cache_hits"),
 		progCacheMisses:  reg.Counter("bento.program_cache_misses"),
 		invokeQueue:      reg.Gauge("bento.invoke_queue_depth"),

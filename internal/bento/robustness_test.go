@@ -6,6 +6,7 @@ import (
 
 	"github.com/bento-nfv/bento/internal/interp"
 	"github.com/bento-nfv/bento/internal/otr"
+	"github.com/bento-nfv/bento/internal/torclient"
 	"github.com/bento-nfv/bento/internal/wire"
 )
 
@@ -221,5 +222,68 @@ func TestOversizedFrameRejectedByServer(t *testing.T) {
 	fn := conn.AttachFunction("whatever")
 	if err := fn.Upload(huge); err == nil {
 		t.Fatal("oversized upload accepted")
+	}
+}
+
+// TestTenantPanicKillsOnlyItsContainer: a Go panic under tenant code — here
+// a host builtin the node's binder installed — ends that container, not the
+// relay process. The client gets an error frame, the function's tokens stop
+// working, bento.tenant_panics counts it, and a fresh container on the same
+// server runs normally.
+func TestTenantPanicKillsOnlyItsContainer(t *testing.T) {
+	w := buildWorld(t, 3, 0)
+	host := w.net.Host("relay0")
+	srv, err := NewServer(ServerConfig{
+		Host:       host,
+		Tor:        torclient.New(host, w.cons, 2100),
+		ExitPolicy: exitPolicyWithBento(t),
+		Bind: func(b *Binding) {
+			b.Container.Machine().Bind("buggy", interp.NewObject("buggy", map[string]interp.BuiltinFn{
+				"crash": func(args []interp.Value) (interp.Value, error) {
+					var table map[string]int
+					table["x"]++ // a host bug: assignment to a nil map
+					return interp.None, nil
+				},
+			}))
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	panics := w.net.Obs().Counter("bento.tenant_panics")
+
+	conn := connectDirect(t, w, w.client(t, "alice", 230))
+	const src = "def boom():\n    return buggy.crash()\n\ndef ok():\n    return 7\n"
+	fn, err := conn.Spawn(basicManifest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fn.Upload(src); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := fn.Invoke("boom"); err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("invoke of a panicking builtin: err = %v, want the container's panic", err)
+	}
+	if n := srv.FunctionCount(); n != 0 {
+		t.Fatalf("%d functions still registered after the panic, want 0", n)
+	}
+	if _, _, err := fn.Invoke("ok"); err == nil {
+		t.Fatal("the panicked function's token still works")
+	}
+
+	fresh, err := conn.Spawn(basicManifest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Shutdown()
+	if err := fresh.Upload(src); err != nil {
+		t.Fatal(err)
+	}
+	if _, ret, err := fresh.Invoke("ok"); err != nil || ret != interp.Int(7) {
+		t.Fatalf("invoke on a fresh container: ret=%v err=%v", ret, err)
+	}
+	if got := panics.Value(); got != 1 {
+		t.Fatalf("bento.tenant_panics = %d, want 1", got)
 	}
 }

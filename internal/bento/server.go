@@ -608,6 +608,9 @@ func (s *Server) handleUpload(req *request, send func(*response) error) error {
 		restarted = s.maybeRestart(rf, err)
 	}
 	rf.runMu.Unlock()
+	if errors.Is(err, sandbox.ErrTenantPanic) {
+		s.reapPanicked(rf)
+	}
 	if err != nil {
 		return send(&response{Type: frameError, Error: err.Error(), Restarted: restarted,
 			PermFailed: rf.permanentlyFailed()})
@@ -645,6 +648,10 @@ func (s *Server) handleInvoke(req *request, send func(*response) error) error {
 		restarted = s.maybeRestart(rf, err)
 	}
 	rf.runMu.Unlock()
+	if errors.Is(err, sandbox.ErrTenantPanic) {
+		s.reapPanicked(rf)
+		return send(&response{Type: frameError, Error: err.Error()})
+	}
 
 	done := &response{Type: frameDone, Restarted: restarted}
 	if err != nil {
@@ -664,11 +671,7 @@ func (s *Server) handleShutdown(req *request, send func(*response) error) error 
 	s.mu.Lock()
 	rf := s.shutdowns[req.ShutdownToken]
 	if rf != nil {
-		delete(s.shutdowns, rf.shutTok)
-		delete(s.functions, rf.invokeTok)
-		if rf.spawnKey != "" {
-			delete(s.spawnKeys, rf.spawnKey)
-		}
+		s.unregisterLocked(rf)
 	}
 	s.mu.Unlock()
 	if rf == nil {
@@ -678,6 +681,27 @@ func (s *Server) handleShutdown(req *request, send func(*response) error) error 
 	s.om.shutdowns.Inc()
 	s.teardown(rf)
 	return send(&response{Type: frameOK})
+}
+
+// unregisterLocked drops rf's tokens, so no request reaches it again.
+// s.mu must be held.
+func (s *Server) unregisterLocked(rf *runningFunction) {
+	delete(s.shutdowns, rf.shutTok)
+	delete(s.functions, rf.invokeTok)
+	if rf.spawnKey != "" {
+		delete(s.spawnKeys, rf.spawnKey)
+	}
+}
+
+// reapPanicked ends a function whose code panicked, as the crash of its
+// process would: its tokens stop working and its container is torn down.
+// The watchdog does not revive it, since the same code would panic again.
+func (s *Server) reapPanicked(rf *runningFunction) {
+	s.om.tenantPanics.Inc()
+	s.mu.Lock()
+	s.unregisterLocked(rf)
+	s.mu.Unlock()
+	s.teardown(rf)
 }
 
 func (s *Server) teardown(rf *runningFunction) {

@@ -102,6 +102,9 @@ func installBuiltins(m *Machine) {
 			if x < 0 || x > 64<<20 {
 				return nil, fmt.Errorf("bytes(%d) size out of range", x)
 			}
+			if int64(x) > m.memLimit {
+				return nil, ErrMemoryExceeded // refuse before allocating, not after
+			}
 			return Bytes(make([]byte, x)), nil
 		case *List:
 			out := make([]byte, len(x.Elems))

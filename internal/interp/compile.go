@@ -368,10 +368,7 @@ func (c *compiler) stmt(s stmt) error {
 		c.flush()
 		c.emit(instr{op: opReturn})
 		return nil
-	case *breakStmt:
-		if len(c.loops) == 0 {
-			return nil // the oracle lets a stray break end the block silently
-		}
+	case *breakStmt: // the parser admits break/continue only inside a loop
 		c.flush()
 		ls := &c.loops[len(c.loops)-1]
 		for i := 0; i < c.tryDepth-ls.tryDepth; i++ {
@@ -383,9 +380,6 @@ func (c *compiler) stmt(s stmt) error {
 		ls.breaks = append(ls.breaks, c.emit(instr{op: opJump}))
 		return nil
 	case *continueStmt:
-		if len(c.loops) == 0 {
-			return nil
-		}
 		c.flush()
 		ls := &c.loops[len(c.loops)-1]
 		for i := 0; i < c.tryDepth-ls.tryDepth; i++ {

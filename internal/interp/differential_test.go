@@ -3,6 +3,7 @@ package interp
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -768,10 +769,17 @@ while i < 40:
     keep.append(mk(i))
     i += 1
 `, Limits{Memory: 256 * 1024, Instructions: 100_000_000}},
+	// break/continue outside a loop are parse errors on both engines; the
+	// VM used to compile them to nothing and run on where the oracle
+	// stopped the block.
+	{"stray-break", "print(1)\nbreak\nprint(2)\n", Limits{}},
+	{"stray-break-then-expr", "break\n0\n", Limits{}},
+	{"stray-continue-in-def-in-loop", "while True:\n    def f():\n        continue\n    break\n", Limits{}},
 }
 
-// runtimeErrorPrograms are one-liners whose exact RuntimeError (message
-// and line) must match across engines.
+// runtimeErrorPrograms are short programs whose run-time failure — a
+// RuntimeError (message and line) or ErrMemoryExceeded — must match across
+// engines.
 var runtimeErrorPrograms = []string{
 	`x = undefined_name`,
 	`x = [1][5]`,
@@ -799,6 +807,12 @@ l[9] = 5`,
 x[None] = 1`,
 	`obj = 5
 obj.missing()`,
+	// len*n wrapped negative past the charge and panicked in strings.Repeat.
+	`s = "xx" * 4611686018427387904`,
+	// Charged after a re-measurement that could not see it, and dropped.
+	`s = "x" * 200000000`,
+	`a = "x" * 9000000
+b = "y" * 9000000`,
 }
 
 func TestEngineParityCorpus(t *testing.T) {
@@ -816,8 +830,8 @@ func TestEngineParityRuntimeErrors(t *testing.T) {
 	for i, src := range runtimeErrorPrograms {
 		tree := runTreeEngine(src, Limits{})
 		vm := runVMEngine(src, Limits{})
-		if errClass(tree.err) != "runtime" {
-			t.Fatalf("case %d (%q): tree error %v is not a RuntimeError", i, src, tree.err)
+		if c := errClass(tree.err); c != "runtime" && c != "memory" {
+			t.Fatalf("case %d (%q): tree error %v is not a RuntimeError or ErrMemoryExceeded", i, src, tree.err)
 		}
 		compareEngines(t, src, tree, vm, false)
 	}
@@ -927,6 +941,37 @@ tag = "set"
 	}
 }
 
+// TestMemoryLimitBeforeAllocation: a charge larger than what the limit has
+// left fails before the bytes exist, on both engines. Before the fix the
+// first program allocated 190 MiB under a 1 MiB limit and returned nil
+// (the re-measurement dropped the pending charge), the overflow program
+// panicked in strings.Repeat, and the last one ended with both strings
+// live at 1.2 MB.
+func TestMemoryLimitBeforeAllocation(t *testing.T) {
+	lim := Limits{Memory: 1 << 20}
+	for _, src := range []string{
+		`s = "x" * 200000000`,
+		"s = \"x\" * 200000000\nt = 1",
+		`s = str([1]) * 100000000`,
+		`s = "xx" * 4611686018427387904`,
+		`b = bytes(60000000)`,
+		"a = \"x\" * 600000\nb = \"y\" * 600000",
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		tree := runTreeEngine(src, lim)
+		vm := runVMEngine(src, lim)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(tree.err, ErrMemoryExceeded) || !errors.Is(vm.err, ErrMemoryExceeded) {
+			t.Fatalf("%q: tree err=%v vm err=%v, want ErrMemoryExceeded on both", src, tree.err, vm.err)
+		}
+		compareEngines(t, src, tree, vm, false)
+		if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
+			t.Errorf("%q: allocated %d MiB under a 1 MiB limit", src, got>>20)
+		}
+	}
+}
+
 // TestCapturedMemoryLimit: a value kept alive only by a returned inner
 // function, or only as the receiver of a stored bound method, counts
 // against the memory limit. Before sizeOf followed a closure into its cells
@@ -961,8 +1006,8 @@ while i < 200:
 			if err := vm.Run(src); !errors.Is(err, ErrMemoryExceeded) {
 				t.Fatalf("engine: err = %v, want ErrMemoryExceeded", err)
 			}
-			if got := vm.MeasureNow(); got < 16<<20 {
-				t.Fatalf("engine: MeasureNow = %d with more than 16 MiB held", got)
+			if got := vm.PeakMemory(); got <= lim.Memory {
+				t.Fatalf("engine: PeakMemory = %d, want above the %d limit it hit", got, lim.Memory)
 			}
 			oracle := NewMachine(lim)
 			if err := oracle.treeRun(src); !errors.Is(err, ErrMemoryExceeded) {

@@ -48,7 +48,6 @@ type Machine struct {
 	steps     int64 // total instructions executed (for reporting)
 	callDepth int   // current user-function call depth
 	killed    atomic.Bool
-	collected []Value // values to include in memory measurement roots
 	obs       machineMetrics
 }
 
@@ -136,7 +135,9 @@ func (m *Machine) CallFunction(name string, args ...Value) (Value, error) {
 }
 
 // alloc charges n bytes against the memory limit, re-measuring live state
-// when the running estimate exceeds the ceiling.
+// when the running estimate exceeds the ceiling. The n bytes being charged
+// belong to a value that is not rooted yet, so the re-measurement cannot
+// see them: they are added back on top of it.
 func (m *Machine) alloc(line int, n int64) error {
 	m.memDelta += n
 	if est := m.memBase + m.memDelta; est > m.memPeak {
@@ -146,22 +147,22 @@ func (m *Machine) alloc(line int, n int64) error {
 		return nil
 	}
 	m.measure()
-	if m.memBase > m.memLimit {
+	if m.memBase+n > m.memLimit {
 		return ErrMemoryExceeded
 	}
+	m.memDelta = n
 	return nil
 }
 
-// measure computes live memory from the global table, the only roots that
-// outlive a call. sizeOf follows a closure into the cells it captured, so a
-// value kept alive only by a returned inner function is still counted.
+// measure computes live memory from the global table. sizeOf follows a
+// closure into the cells it captured, so a value kept alive only by a
+// returned inner function is still counted. A running frame's locals are
+// not roots (DESIGN.md §11, "Memory accounting"), so what a function holds
+// only in its own slots escapes the limit until it is stored globally.
 func (m *Machine) measure() {
 	seen := make(map[Value]bool)
 	var total int64
 	for _, v := range m.Globals.vars {
-		total += sizeOf(v, seen)
-	}
-	for _, v := range m.collected {
 		total += sizeOf(v, seen)
 	}
 	m.memBase = total

@@ -186,7 +186,9 @@ c = classify(9)
 count = 0
 i = 0
 while True:
-    i += 1
+    def step():
+        return 1
+    i += step()
     if i % 2 == 0:
         continue
     if i > 10:
@@ -472,8 +474,14 @@ func TestSyntaxErrors(t *testing.T) {
 		"x = $bad",
 		"  x = 1", // unexpected initial indent... (leading indent treated as block)
 		"del x",
+		"print(1)\nbreak\nprint(2)",
+		"continue",
+		"for i in range(3):\n    def f():\n        break\n",
 	}
 	for _, src := range bad {
+		if _, err := Parse(src); err == nil {
+			t.Errorf("%q: parsed", src)
+		}
 		m := NewMachine(Limits{})
 		if err := m.Run(src); err == nil {
 			t.Errorf("%q: no error", src)

@@ -265,8 +265,13 @@ func (m *Machine) binop(line int, op string, lhs, rhs Value) (Value, error) {
 }
 
 func (m *Machine) repeatStr(line int, s Str, n int64) (Value, error) {
-	if n <= 0 {
+	if n <= 0 || len(s) == 0 {
 		return Str(""), nil
+	}
+	// Bound n before multiplying: len(s)*n can wrap negative and slip past
+	// the charge into strings.Repeat's overflow panic.
+	if n > m.memLimit/int64(len(s)) {
+		return nil, ErrMemoryExceeded
 	}
 	if err := m.alloc(line, int64(len(s))*n); err != nil {
 		return nil, err

@@ -4,8 +4,9 @@ package interp
 // stream. Expression parsing uses precedence climbing.
 
 type parser struct {
-	toks []token
-	pos  int
+	toks  []token
+	pos   int
+	loops int // enclosing while/for bodies in the current def (or top level)
 }
 
 // Parse compiles source text into a program (list of statements).
@@ -55,6 +56,15 @@ func (p *parser) expectNewline() error {
 	return nil
 }
 
+// loopBody parses a while/for body, inside which break and continue are
+// legal.
+func (p *parser) loopBody() ([]stmt, error) {
+	p.loops++
+	body, err := p.block()
+	p.loops--
+	return body, err
+}
+
 // block parses ":" NEWLINE INDENT stmt+ DEDENT.
 func (p *parser) block() ([]stmt, error) {
 	if err := p.expectOp(":"); err != nil {
@@ -93,7 +103,7 @@ func (p *parser) statement() (stmt, error) {
 			if err != nil {
 				return nil, err
 			}
-			body, err := p.block()
+			body, err := p.loopBody()
 			if err != nil {
 				return nil, err
 			}
@@ -112,7 +122,7 @@ func (p *parser) statement() (stmt, error) {
 			if err != nil {
 				return nil, err
 			}
-			body, err := p.block()
+			body, err := p.loopBody()
 			if err != nil {
 				return nil, err
 			}
@@ -133,16 +143,18 @@ func (p *parser) statement() (stmt, error) {
 				return nil, err
 			}
 			return &returnStmt{line: t.line, value: value}, nil
-		case "break":
+		case "break", "continue":
+			// As in Python, a loop-control statement outside a loop is a
+			// syntax error, not a silent end of the enclosing block.
+			if p.loops == 0 {
+				return nil, syntaxErrf(t.line, "%q outside loop", t.text)
+			}
 			p.pos++
 			if err := p.expectNewline(); err != nil {
 				return nil, err
 			}
-			return &breakStmt{line: t.line}, nil
-		case "continue":
-			p.pos++
-			if err := p.expectNewline(); err != nil {
-				return nil, err
+			if t.text == "break" {
+				return &breakStmt{line: t.line}, nil
 			}
 			return &continueStmt{line: t.line}, nil
 		case "pass":
@@ -286,7 +298,11 @@ func (p *parser) defStatement() (stmt, error) {
 		}
 	}
 	p.pos++ // ")"
+	// A def body starts outside any loop, even when the def sits in one.
+	outer := p.loops
+	p.loops = 0
 	body, err := p.block()
+	p.loops = outer
 	if err != nil {
 		return nil, err
 	}

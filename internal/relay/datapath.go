@@ -629,8 +629,8 @@ func (nopWriteCloser) Close() error                { return nil }
 // random (unrecognized) relay cells in full runs (what a link reader
 // hands over when its link is saturated), processed by `workers` workers
 // — decrypt, recognition check, circuit-ID rewrite, hand-off to a
-// discarding egress writer. It returns aggregate forwarded cells/s.
-// The caller pins runtime.GOMAXPROCS to sweep core counts.
+// discarding egress writer. It returns aggregate forwarded cells/s at
+// the caller's runtime.GOMAXPROCS.
 func RunParallelForwardBench(workers, circuits, cellsPerCircuit int) float64 {
 	r := &Relay{
 		cfg:     Config{Quiet: true},

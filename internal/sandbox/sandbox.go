@@ -31,6 +31,10 @@ const (
 // attempting an action its manifest or the node policy forbids.
 var ErrPolicyViolation = errors.New("sandbox: policy violation")
 
+// ErrTenantPanic is wrapped by the error a container returns when the code
+// it ran panicked; the container's machine is dead afterwards.
+var ErrTenantPanic = errors.New("sandbox: tenant code panicked")
+
 // FileStore abstracts the container's private filesystem: FS Protect for
 // enclaved containers, a plain in-memory chroot otherwise.
 type FileStore interface {
@@ -293,16 +297,40 @@ func (c *Container) Mediate(call string, fn interp.BuiltinFn) interp.BuiltinFn {
 }
 
 // Run executes function source code in the container.
-func (c *Container) Run(src string) error { return c.machine.Run(src) }
+func (c *Container) Run(src string) error {
+	return c.contain(func() error { return c.machine.Run(src) })
+}
 
 // RunProgram executes a pre-compiled bscript program in the container's
 // machine. Programs are machine-independent, so the Bento server caches
 // them by source hash and reuses one Program across containers.
-func (c *Container) RunProgram(p *interp.Program) error { return c.machine.RunProgram(p) }
+func (c *Container) RunProgram(p *interp.Program) error {
+	return c.contain(func() error { return c.machine.RunProgram(p) })
+}
 
 // Call invokes a defined function.
-func (c *Container) Call(name string, args ...interp.Value) (interp.Value, error) {
-	return c.machine.CallFunction(name, args...)
+func (c *Container) Call(name string, args ...interp.Value) (v interp.Value, err error) {
+	err = c.contain(func() error {
+		v, err = c.machine.CallFunction(name, args...)
+		return err
+	})
+	return v, err
+}
+
+// contain is the recovery boundary around tenant code: Run, RunProgram and
+// Call are the only ways into it, and each goes through here. A Go panic
+// below — in the interpreter or in a host builtin the tenant reached — is
+// the container's death, not the relay's: it comes back as
+// ErrTenantPanic and the machine is killed, since whatever it was doing
+// was left half done.
+func (c *Container) contain(run func() error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			c.machine.Kill()
+			err = fmt.Errorf("%w: %v", ErrTenantPanic, r)
+		}
+	}()
+	return run()
 }
 
 // Kill aborts any running code.

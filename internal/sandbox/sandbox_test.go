@@ -254,3 +254,42 @@ func TestContainerPrintGoesToStdout(t *testing.T) {
 		t.Fatalf("stdout %q", out.String())
 	}
 }
+
+// TestTenantPanicContained: a Go panic below tenant code comes out of every
+// door into the container (Run, RunProgram, Call) as ErrTenantPanic, and
+// leaves the machine dead rather than half-updated.
+func TestTenantPanicContained(t *testing.T) {
+	prog, err := interp.Compile("def boom():\n    return crash()\n\nboom()\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, run := range map[string]func(c *Container) error{
+		"Run":        func(c *Container) error { return c.Run("crash()") },
+		"RunProgram": func(c *Container) error { return c.RunProgram(prog) },
+		"Call": func(c *Container) error {
+			if err := c.Run("def boom():\n    return crash()\n"); err != nil {
+				t.Fatal(err)
+			}
+			_, err := c.Call("boom")
+			return err
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			c, err := New(Config{Manifest: basicManifest()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			c.Machine().Bind("crash", &interp.Builtin{Name: "crash", Fn: func([]interp.Value) (interp.Value, error) {
+				var xs []interp.Value
+				return xs[3], nil // a host bug: index out of range
+			}})
+			if err := run(c); !errors.Is(err, ErrTenantPanic) {
+				t.Fatalf("err = %v, want ErrTenantPanic", err)
+			}
+			if err := c.Run("x = 1"); !errors.Is(err, interp.ErrKilled) {
+				t.Fatalf("after the panic: err = %v, want ErrKilled", err)
+			}
+		})
+	}
+}
