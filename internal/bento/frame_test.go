@@ -119,14 +119,20 @@ func fuzzValue(data *[]byte, depth int) interp.Value {
 	}
 }
 
+var frameSeeds = [][]byte{
+	{},
+	{3, 0x9d, 1},                             // a short Str that is not UTF-8
+	{3, 'x', 4},                              // one 64 KB Str
+	{5, 3, 3, 'a', 2, 4, 'b', 3, 4, 'c', 1},  // list of leaves either side of the cut-off
+	{6, 2, 'k', 4, 0, 5, 2, 4, 'v', 4, 0, 9}, // dict: long key, list value holding a long leaf
+	{0, 0, 0, 2, 0, 0, 0, 9, '{', '}', 1, 2}, // a frame header over junk
+	{0, 0, 0, 2, 0xff, 0xff, 0xff, 0xff, 0, 0}, // a trailer length past any bound
+}
+
 func FuzzFrameRoundTrip(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{3, 0x9d, 1})                               // a short Str that is not UTF-8
-	f.Add([]byte{3, 'x', 4})                                // one 64 KB Str
-	f.Add([]byte{5, 3, 3, 'a', 2, 4, 'b', 3, 4, 'c', 1})    // list of leaves either side of the cut-off
-	f.Add([]byte{6, 2, 'k', 4, 0, 5, 2, 4, 'v', 4, 0, 9})   // dict: long key, list value holding a long leaf
-	f.Add([]byte{0, 0, 0, 2, 0, 0, 0, 9, '{', '}', 1, 2})   // a frame header over junk
-	f.Add([]byte{0, 0, 0, 2, 0xff, 0xff, 0xff, 0xff, 0, 0}) // a trailer length past any bound
+	for _, seed := range frameSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Arbitrary bytes into either role's frame decoder fail or succeed,
 		// never panic. The bounds are shrunk so an announced length costs
@@ -206,6 +212,10 @@ func TestHostileServerLengths(t *testing.T) {
 		"unclaimed trailer":   hostileFrame(`{"type":"done","result":{"t":"l","l":[{"t":"s","n":300},{"t":"b","n":299}]}}`, junk, 600),
 		"trailer past bound":  hostileFrame(`{"type":"done"}`, nil, wire.MaxMessage+1),
 		"envelope past bound": hostileFrame(strings.Repeat(" ", maxEnvelope+1), nil, 0),
+		// decodeValue recurses per level: encoding/json's nesting limit
+		// must refuse this before it runs.
+		"nesting past the JSON limit": hostileFrame(`{"type":"done","result":`+
+			strings.Repeat(`{"t":"l","l":[`, 5001)+strings.Repeat(`]}`, 5001)+`}`, nil, 0),
 	}
 	for name, frame := range cases {
 		t.Run(name, func(t *testing.T) {

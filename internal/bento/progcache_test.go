@@ -3,6 +3,7 @@ package bento
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/bento-nfv/bento/internal/interp"
@@ -68,7 +69,8 @@ func TestProgramCacheSkipsRecompilation(t *testing.T) {
 
 // TestProgramCacheBounded: the cache holds compiled programs outside any
 // container's memory accounting, so a tenant uploading distinct sources
-// must not grow it without bound; a source it still holds is still a hit.
+// must not grow it past maxCachedSource bytes of source, however many or
+// however large the uploads; a source it still holds is still a hit.
 func TestProgramCacheBounded(t *testing.T) {
 	w := buildWorld(t, 3, 1)
 	srv := w.servers[0]
@@ -87,29 +89,50 @@ func TestProgramCacheBounded(t *testing.T) {
 	defer fn.Shutdown()
 
 	source := func(i int) string { return fmt.Sprintf("def ping():\n    return %d\n", i) }
+	cachedBytes := func() int {
+		srv.progMu.Lock()
+		defer srv.progMu.Unlock()
+		total := 0
+		for _, c := range srv.progCache {
+			total += c.size
+		}
+		if total != srv.progBytes {
+			t.Fatalf("progBytes = %d, the cached sources add up to %d", srv.progBytes, total)
+		}
+		return total
+	}
 	const uploads = 1000
 	for i := 0; i < uploads; i++ {
 		if err := fn.Upload(source(i)); err != nil {
 			t.Fatalf("upload %d: %v", i, err)
 		}
 	}
-	srv.progMu.Lock()
-	n := len(srv.progCache)
-	srv.progMu.Unlock()
-	if n > maxCachedPrograms {
-		t.Fatalf("%d distinct uploads left %d cached programs, want <= %d", uploads, n, maxCachedPrograms)
-	}
 	if hits.Value() != 0 {
 		t.Fatalf("distinct uploads counted %d cache hits", hits.Value())
 	}
-	// The newest entry is never the one evicted to make room for itself.
-	if err := fn.Upload(source(uploads - 1)); err != nil {
-		t.Fatal(err)
+	// Large distinct sources, compiled straight through the server (the
+	// network adds nothing here), push the total past the bound.
+	rf := srv.lookup(fn.InvokeToken())
+	for i := 0; i < 3*maxCachedSource/(maxCode/2); i++ {
+		big := fmt.Sprintf("def big():\n    return %d\n#%s\n", i, strings.Repeat("x", maxCode/2))
+		if err := srv.runCode(rf, big); err != nil {
+			t.Fatal(err)
+		}
+		if n := cachedBytes(); n > maxCachedSource {
+			t.Fatalf("after %d large sources the cache holds %d bytes of source, want <= %d", i+1, n, maxCachedSource)
+		}
+	}
+	// The newest entry, added to a full cache, is never the one evicted to
+	// make room for itself.
+	for i := 0; i < 2; i++ {
+		if err := fn.Upload(source(uploads)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if hits.Value() != 1 {
 		t.Fatalf("re-upload of a retained source: hits=%d, want 1", hits.Value())
 	}
-	if _, ret, err := fn.Invoke("ping"); err != nil || ret != interp.Int(uploads-1) {
+	if _, ret, err := fn.Invoke("ping"); err != nil || ret != interp.Int(uploads) {
 		t.Fatalf("invoke after re-upload: ret=%v err=%v", ret, err)
 	}
 }

@@ -6,8 +6,10 @@
 package bento
 
 import (
+	"encoding/base64"
 	"fmt"
 	"io"
+	"strconv"
 	"unicode/utf8"
 
 	"github.com/bento-nfv/bento/internal/enclave"
@@ -41,6 +43,10 @@ const (
 	// maxEnvelope bounds the JSON either role accepts from its peer; the
 	// trailer is bounded by wire.MaxMessage.
 	maxEnvelope = 1 << 20
+	// maxCode bounds uploaded source. Compiling holds several times the
+	// source's size outside any container's accounting, and every shipped
+	// function is a few KB.
+	maxCode = 1 << 20
 )
 
 func newDecoder(r io.Reader) *wire.Decoder {
@@ -83,6 +89,9 @@ type request struct {
 func (r *request) open(d *wire.Decoder) (err error) {
 	if r.code, err = d.Take(r.CodeLen); err != nil {
 		return err
+	}
+	if len(r.code) > maxCode {
+		return fmt.Errorf("bento: %d bytes of code is over the %d-byte limit", len(r.code), maxCode)
 	}
 	r.args = make([]interp.Value, len(r.Args))
 	for i, w := range r.Args {
@@ -166,76 +175,108 @@ type wirePair struct {
 	V wireValu `json:"v"`
 }
 
+// Bounds on one value the peer must be able to read back: its JSON leaves
+// the rest of a frame's envelope 1 KiB under maxEnvelope, and a list or
+// dict level nests two or three JSON levels where encoding/json refuses
+// nesting past 10 000. Its trailer must fit wire.MaxMessage.
+const (
+	maxValueJSON = maxEnvelope - 1<<10
+	maxWireDepth = 3000
+)
+
 // encodeValue converts an interp.Value for the wire, queueing its long
-// leaves on t. A list or dict that contains itself is an error: a function
-// can build one, and the wire format is a tree.
+// leaves on t, with interp's bounded walk. It refuses what the peer could
+// not read back: a function, a list or dict that contains itself (a
+// function can build one, and the wire format is a tree), nesting past
+// maxWireDepth, and JSON or trailer past the peer's frame bounds. The JSON
+// is counted as it would be at most, before json.Marshal builds it. The
+// walk's node cap is maxValueJSON as well: every node counts at least as
+// many JSON bytes as walk units, so the JSON bound always stops it first.
 func encodeValue(v interp.Value, t *wire.Trailer) (wireValu, error) {
-	return encodeValueIn(v, t, nil)
+	var root wireValu
+	var open []*wireValu // the lists and dicts being filled, innermost last
+	size, raw := 0, 0    // JSON bytes counted, trailer bytes queued
+	var digits [20]byte
+	err := interp.Walk(v, maxValueJSON, func(parent interp.Value, i int, node interp.Value, cyclic bool) (bool, error) {
+		var w wireValu
+		n := 10 // {"t":"x"} and a comma
+		switch x := node.(type) {
+		case interp.Int:
+			w, n = wireValu{T: "i", I: int64(x)}, n+5+len(strconv.AppendInt(digits[:0], int64(x), 10))
+		case interp.Str:
+			// JSON would rewrite bytes that are not UTF-8; the trailer is raw.
+			if len(x) > inlineMax || !utf8.ValidString(string(x)) {
+				t.AddString(string(x))
+				w, n, raw = wireValu{T: "s", N: len(x)}, n+16, raw+len(x)
+			} else {
+				w, n = wireValu{T: "s", S: string(x)}, n+7+jsonLen(string(x))
+			}
+		case interp.Bytes:
+			if len(x) > inlineMax {
+				t.AddBytes(x)
+				w, n, raw = wireValu{T: "b", N: len(x)}, n+16, raw+len(x)
+			} else {
+				w, n = wireValu{T: "b", B: []byte(x)}, n+7+base64.StdEncoding.EncodedLen(len(x))
+			}
+		case interp.Bool:
+			w, n = wireValu{T: "o", V: bool(x)}, n+9
+		case interp.NoneVal:
+			w = wireValu{T: "n"}
+		case *interp.List:
+			w, n = wireValu{T: "l"}, n+7
+		case *interp.Dict:
+			w, n = wireValu{T: "d"}, n+7
+		default:
+			return false, fmt.Errorf("bento: cannot send %s over the wire", node.Type())
+		}
+		down := w.T == "l" || w.T == "d"
+		if down && cyclic {
+			return false, fmt.Errorf("bento: cannot send a %s that contains itself", node.Type())
+		}
+		if down && len(open) == maxWireDepth {
+			return false, fmt.Errorf("bento: cannot send values nested over %d deep", maxWireDepth)
+		}
+		if _, ok := parent.(*interp.Dict); ok && i%2 == 0 {
+			n += 12 // {"k":,"v":} and a comma
+		}
+		if size += n; size > maxValueJSON || raw > wire.MaxMessage {
+			return false, fmt.Errorf("bento: cannot send a value larger than one frame")
+		}
+		// Place w in the container being filled: a list's next element, or
+		// a dict's next key or that key's value.
+		at := &root
+		if p := len(open) - 1; p >= 0 && open[p].T == "l" {
+			open[p].L = append(open[p].L, w)
+			at = &open[p].L[len(open[p].L)-1]
+		} else if p >= 0 && i%2 == 0 {
+			open[p].D = append(open[p].D, wirePair{K: w})
+			at = &open[p].D[len(open[p].D)-1].K
+		} else if p >= 0 {
+			at = &open[p].D[len(open[p].D)-1].V
+		}
+		*at = w
+		if down {
+			open = append(open, at)
+		}
+		return down, nil
+	}, func(interp.Value) error {
+		open = open[:len(open)-1]
+		return nil
+	})
+	return root, err
 }
 
-// encodeValueIn carries the containers being encoded on the path to v; nil
-// until the first one.
-func encodeValueIn(v interp.Value, t *wire.Trailer, open map[interp.Value]bool) (wireValu, error) {
-	switch v.(type) {
-	case *interp.List, *interp.Dict:
-		if open[v] {
-			return wireValu{}, fmt.Errorf("bento: cannot send a %s that contains itself", v.Type())
+// jsonLen bounds the length encoding/json gives s, valid UTF-8, inside its
+// quotes: it escapes controls, quote, backslash, <, > and &, and U+2028 and
+// U+2029 (lead byte 0xe2), in at most six bytes each.
+func jsonLen(s string) int {
+	n := len(s)
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' || c == 0xe2 {
+			n += 5
 		}
-		if open == nil {
-			open = make(map[interp.Value]bool)
-		}
-		open[v] = true
-		defer delete(open, v)
 	}
-	switch x := v.(type) {
-	case interp.Int:
-		return wireValu{T: "i", I: int64(x)}, nil
-	case interp.Str:
-		// JSON would rewrite bytes that are not UTF-8; the trailer is raw.
-		if len(x) > inlineMax || !utf8.ValidString(string(x)) {
-			t.AddString(string(x))
-			return wireValu{T: "s", N: len(x)}, nil
-		}
-		return wireValu{T: "s", S: string(x)}, nil
-	case interp.Bytes:
-		if len(x) > inlineMax {
-			t.AddBytes(x)
-			return wireValu{T: "b", N: len(x)}, nil
-		}
-		return wireValu{T: "b", B: []byte(x)}, nil
-	case interp.Bool:
-		return wireValu{T: "o", V: bool(x)}, nil
-	case interp.NoneVal:
-		return wireValu{T: "n"}, nil
-	case *interp.List:
-		out := wireValu{T: "l", L: make([]wireValu, 0, len(x.Elems))}
-		for _, e := range x.Elems {
-			we, err := encodeValueIn(e, t, open)
-			if err != nil {
-				return wireValu{}, err
-			}
-			out.L = append(out.L, we)
-		}
-		return out, nil
-	case *interp.Dict:
-		out := wireValu{T: "d"}
-		keys := x.Keys()
-		vals := x.Values()
-		for i := range keys {
-			wk, err := encodeValueIn(keys[i], t, open)
-			if err != nil {
-				return wireValu{}, err
-			}
-			wv, err := encodeValueIn(vals[i], t, open)
-			if err != nil {
-				return wireValu{}, err
-			}
-			out.D = append(out.D, wirePair{K: wk, V: wv})
-		}
-		return out, nil
-	default:
-		return wireValu{}, fmt.Errorf("bento: cannot send %s over the wire", v.Type())
-	}
+	return n
 }
 
 // decodeValue converts a wire value back to an interp.Value, copying its

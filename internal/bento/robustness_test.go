@@ -225,6 +225,43 @@ func TestOversizedFrameRejectedByServer(t *testing.T) {
 	}
 }
 
+// TestOversizeUploadRefused: code past maxCode gets an error frame before
+// anything compiles, and the server keeps serving: the same connection
+// uploads to and invokes a fresh container.
+func TestOversizeUploadRefused(t *testing.T) {
+	w := buildWorld(t, 3, 1)
+	compiles := w.net.Obs().Counter("interp.compiles")
+	cli := w.client(t, "mallory", 221)
+	conn, err := cli.Connect(cli.Nodes()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fn, err := conn.Spawn(basicManifest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fn.Shutdown()
+	huge := "x = 1\n#" + strings.Repeat("x", maxCode)
+	if err := fn.Upload(huge); err == nil || !strings.Contains(err.Error(), "byte limit") {
+		t.Fatalf("upload of %d bytes: %v, want the server's refusal", len(huge), err)
+	}
+	if n := compiles.Value(); n != 0 {
+		t.Fatalf("the refused upload compiled %d times", n)
+	}
+	fresh, err := conn.Spawn(basicManifest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Shutdown()
+	if err := fresh.Upload(echoFunction); err != nil {
+		t.Fatal(err)
+	}
+	if out, _, err := fresh.Invoke("echo", interp.Bytes("ok")); err != nil || string(out) != "echo:ok" {
+		t.Fatalf("invoke after the refused upload: %q %v", out, err)
+	}
+}
+
 // TestTenantPanicKillsOnlyItsContainer: a Go panic under tenant code — here
 // a host builtin the node's binder installed — ends that container, not the
 // relay process. The client gets an error frame, the function's tokens stop

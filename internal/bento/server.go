@@ -77,7 +77,14 @@ type Server struct {
 	challenges map[string]bool             // outstanding single-use spawn puzzles
 
 	progMu    sync.Mutex
-	progCache map[[sha256.Size]byte]*interp.Program // source hash -> compiled program
+	progCache map[[sha256.Size]byte]cachedProgram // source hash -> compiled program
+	progBytes int                                 // source bytes behind progCache
+}
+
+// cachedProgram is a compiled program and the size of its source.
+type cachedProgram struct {
+	prog *interp.Program
+	size int
 }
 
 // runningFunction is one spawned container plus its tokens. The container
@@ -161,7 +168,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		shutdowns:  make(map[string]*runningFunction),
 		spawnKeys:  make(map[string]*runningFunction),
 		challenges: make(map[string]bool),
-		progCache:  make(map[[sha256.Size]byte]*interp.Program),
+		progCache:  make(map[[sha256.Size]byte]cachedProgram),
 	}
 	if cfg.Tor != nil {
 		s.fw = stemfw.New(cfg.Tor)
@@ -539,10 +546,12 @@ func (s *Server) bindAPI(rf *runningFunction) {
 	}
 }
 
-// maxCachedPrograms bounds Server.progCache. Compiled programs live outside
-// every container's memory accounting, so without a bound a tenant
-// uploading distinct sources grows the relay's heap for as long as it runs.
-const maxCachedPrograms = 256
+// maxCachedSource bounds Server.progCache by the bytes of source its
+// programs were compiled from. Compiled programs live outside every
+// container's memory accounting and run to several times their source, so
+// without a bound a tenant uploading distinct sources grows the relay's
+// heap for as long as it runs.
+const maxCachedSource = 4 << 20
 
 // runCode executes function source in rf's container. The source is
 // compiled to bytecode and the Program cached by source hash, so
@@ -552,28 +561,32 @@ const maxCachedPrograms = 256
 func (s *Server) runCode(rf *runningFunction, code string) error {
 	key := sha256.Sum256([]byte(code))
 	s.progMu.Lock()
-	prog, ok := s.progCache[key]
+	cached, ok := s.progCache[key]
 	s.progMu.Unlock()
 	if ok {
 		s.om.progCacheHits.Inc()
 	} else {
 		s.om.progCacheMisses.Inc()
-		var err error
-		prog, err = rf.ctr().Machine().Compile(code)
+		prog, err := rf.ctr().Machine().Compile(code)
 		if err != nil {
 			return err
 		}
+		cached = cachedProgram{prog, len(code)}
 		s.progMu.Lock()
-		if len(s.progCache) >= maxCachedPrograms {
-			for evict := range s.progCache { // an arbitrary entry
-				delete(s.progCache, evict)
+		for evict, old := range s.progCache { // arbitrary entries, until the new one fits
+			if s.progBytes+cached.size <= maxCachedSource {
 				break
 			}
+			delete(s.progCache, evict)
+			s.progBytes -= old.size
 		}
-		s.progCache[key] = prog
+		if _, dup := s.progCache[key]; !dup {
+			s.progCache[key] = cached
+			s.progBytes += cached.size
+		}
 		s.progMu.Unlock()
 	}
-	return rf.ctr().RunProgram(prog)
+	return rf.ctr().RunProgram(cached.prog)
 }
 
 func (s *Server) handleUpload(req *request, send func(*response) error) error {

@@ -63,7 +63,8 @@ func installBuiltins(m *Machine) {
 		if b, ok := args[0].(Bytes); ok {
 			return Str(string(b)), nil
 		}
-		return Str(Repr(args[0])), nil
+		s, err := m.repr(args[0])
+		return Str(s), err
 	})
 
 	def("int", func(args []Value) (Value, error) {
@@ -132,11 +133,25 @@ func installBuiltins(m *Machine) {
 		if m.Stdout == nil {
 			return None, nil
 		}
-		parts := make([]string, len(args))
+		w := newWalker(m, maxHostNodes)
+		defer w.release()
+		var line []byte
+		var err error
 		for i, a := range args {
-			parts[i] = Repr(a)
+			if i > 0 {
+				line, err = w.put(line, 0, " ")
+			}
+			if err == nil {
+				line, err = w.repr(line, a)
+			}
+			if err != nil {
+				return nil, err
+			}
 		}
-		fmt.Fprintln(m.Stdout, strings.Join(parts, " "))
+		if line, err = w.put(line, 0, "\n"); err != nil {
+			return nil, err
+		}
+		m.Stdout.Write(line)
 		return None, nil
 	})
 
@@ -271,12 +286,14 @@ func (m *Machine) callMethod(line int, bm boundMethod, args []Value) (Value, err
 			if len(args) != 1 {
 				return fail("index() takes 1 argument")
 			}
-			for i, e := range recv.Elems {
-				if Equal(e, args[0]) {
-					return Int(i), nil
-				}
+			i, err := m.find(recv, args[0])
+			if err != nil {
+				return nil, err
 			}
-			return fail("value not in list")
+			if i < 0 {
+				return fail("value not in list")
+			}
+			return Int(i), nil
 		}
 	case Str:
 		switch bm.name {

@@ -27,10 +27,15 @@ type engineResult struct {
 	globals map[string]string
 }
 
+// snapshotGlobals renders each global up to 1 MiB of text: enough to tell
+// the engines apart without making a reproducer's huge value the test's own
+// allocation.
 func snapshotGlobals(m *Machine) map[string]string {
 	out := make(map[string]string, len(m.Globals.vars))
 	for name, v := range m.Globals.vars {
-		out[name] = Repr(v)
+		w := newWalker(NewMachine(Limits{Instructions: 1 << 62, Memory: 1 << 20}), 0)
+		text, _ := w.repr(nil, v)
+		out[name] = string(text)
 	}
 	return out
 }
@@ -956,6 +961,9 @@ func TestMemoryLimitBeforeAllocation(t *testing.T) {
 		`s = "xx" * 4611686018427387904`,
 		`b = bytes(60000000)`,
 		"a = \"x\" * 600000\nb = \"y\" * 600000",
+		// str built the whole text before charging it: 1000 references to
+		// one 100 KB string came to 100 MB.
+		"s = \"x\" * 100000\nl = []\nfor i in range(1000):\n    l.append(s)\nt = str(l)",
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

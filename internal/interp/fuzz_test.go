@@ -18,6 +18,9 @@ func FuzzEngineParity(f *testing.F) {
 	for _, src := range runtimeErrorPrograms {
 		f.Add(src)
 	}
+	for _, src := range walkSeeds {
+		f.Add(src)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 4096 {
 			return

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync/atomic"
 )
 
@@ -158,12 +159,15 @@ func (m *Machine) alloc(line int, n int64) error {
 // closure into the cells it captured, so a value kept alive only by a
 // returned inner function is still counted. A running frame's locals are
 // not roots (DESIGN.md §11, "Memory accounting"), so what a function holds
-// only in its own slots escapes the limit until it is stored globally.
+// only in its own slots escapes the limit until it is stored globally. The
+// walk is charged nothing and has no node cap: it is the accounting, and
+// what it can reach was charged when it was built.
 func (m *Machine) measure() {
-	seen := make(map[Value]bool)
+	w := newWalker(nil, math.MaxInt64)
 	var total int64
 	for _, v := range m.Globals.vars {
-		total += sizeOf(v, seen)
+		n, _ := w.sizeOf(v)
+		total += n
 	}
 	m.memBase = total
 	m.memDelta = 0
@@ -222,7 +226,7 @@ func (m *Machine) indexAssign(line int, base, idx, value Value) error {
 		b.Elems[i] = value
 		return nil
 	case *Dict:
-		if err := m.alloc(line, sizeOf(idx, map[Value]bool{})+16); err != nil {
+		if err := m.alloc(line, leafSize(idx)+16); err != nil {
 			return err
 		}
 		if err := b.Set(idx, value); err != nil {

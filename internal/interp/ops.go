@@ -43,7 +43,11 @@ func (m *Machine) call(line int, fn Value, args []Value) (Value, error) {
 			v = None
 		}
 		// Charge host-returned allocations.
-		if err := m.alloc(line, sizeOf(v, map[Value]bool{})); err != nil {
+		n, err := m.sizeOf(v)
+		if err == nil {
+			err = m.alloc(line, n)
+		}
+		if err != nil {
 			return nil, err
 		}
 		return v, nil
@@ -165,10 +169,9 @@ func (m *Machine) slice(line int, base Value, lo, hi int64, hasHi bool) (Value, 
 
 func (m *Machine) binop(line int, op string, lhs, rhs Value) (Value, error) {
 	switch op {
-	case "==":
-		return Bool(Equal(lhs, rhs)), nil
-	case "!=":
-		return Bool(!Equal(lhs, rhs)), nil
+	case "==", "!=":
+		eq, err := m.equal(lhs, rhs)
+		return Bool(eq == (op == "==")), err
 	case "in":
 		return m.contains(line, lhs, rhs)
 	}
@@ -282,12 +285,8 @@ func (m *Machine) repeatStr(line int, s Str, n int64) (Value, error) {
 func (m *Machine) contains(line int, needle, hay Value) (Value, error) {
 	switch h := hay.(type) {
 	case *List:
-		for _, e := range h.Elems {
-			if Equal(e, needle) {
-				return Bool(true), nil
-			}
-		}
-		return Bool(false), nil
+		i, err := m.find(h, needle)
+		return Bool(i >= 0), err
 	case *Dict:
 		_, ok, err := h.Get(needle)
 		if err != nil {
@@ -309,6 +308,31 @@ func (m *Machine) contains(line int, needle, hay Value) (Value, error) {
 	default:
 		return nil, runtimeErrf(line, "'in' not supported on %s", hay.Type())
 	}
+}
+
+// raise is the error of `raise v`: v's text, unless rendering it ran out of
+// budget or memory.
+func (m *Machine) raise(line int, v Value) error {
+	s, err := m.repr(v)
+	if err != nil {
+		return err
+	}
+	return runtimeErrf(line, "%s", s)
+}
+
+// find is the index of the first element of l equal to v, or -1: the
+// search of `in` and list.index, one instruction per element it compares
+// plus what comparing a container walks.
+func (m *Machine) find(l *List, v Value) (int, error) {
+	for i, e := range l.Elems {
+		if err := m.step(0); err != nil {
+			return -1, err
+		}
+		if eq, err := m.equal(e, v); eq || err != nil {
+			return i, err
+		}
+	}
+	return -1, nil
 }
 
 func floorDiv(a, b int64) int64 {

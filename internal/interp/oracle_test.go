@@ -3,7 +3,8 @@ package interp
 // The tree oracle: the reference semantics of bscript, kept only in this
 // package's tests. It walks the AST, charging one instruction per node and
 // resolving names through a chain of scopes, and shares the operator and
-// store helpers (binop, index, slice, call, indexAssign, ...) with the VM.
+// store helpers (binop, index, slice, call, indexAssign, raise, step, ...)
+// with the VM.
 // TestEngineParity*, FuzzEngineParity and BenchmarkTree drive it
 // through treeRun; scripts/check.sh fails if execBlock or eval ever links
 // into a shipped binary.
@@ -105,19 +106,6 @@ const (
 type control struct {
 	kind controlKind
 	val  Value
-}
-
-// step charges one instruction and checks the kill switch.
-func (m *Machine) step(line int) error {
-	if m.killed.Load() {
-		return ErrKilled
-	}
-	m.budget--
-	m.steps++
-	if m.budget < 0 {
-		return ErrBudgetExceeded
-	}
-	return nil
 }
 
 func (m *Machine) execBlock(body []stmt, env *scope) (control, error) {
@@ -244,7 +232,7 @@ func (m *Machine) exec(s stmt, env *scope) (control, error) {
 		if err != nil {
 			return control{}, err
 		}
-		return control{}, runtimeErrf(st.line, "%s", Repr(v))
+		return control{}, m.raise(st.line, v)
 	case *delStmt:
 		ix := s.(*delStmt).target.(*indexExpr)
 		base, err := m.eval(ix.base, env)

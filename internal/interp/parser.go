@@ -1,13 +1,35 @@
 package interp
 
+import "slices"
+
 // Recursive-descent parser producing a statement list from the token
 // stream. Expression parsing uses precedence climbing.
+
+// maxNesting bounds how deep the parser nests, and with it the tree it
+// builds, so that its recursion and the compiler's and the oracle's over
+// that tree stay far inside Go's stack. Each bracket, block, expression,
+// unary or elif link, and binary or postfix operator wrapping what came
+// before it (a left-deep chain is as deep as a nested one) is a level.
+// CPython stops at 200 brackets.
+const maxNesting = 200
 
 type parser struct {
 	toks  []token
 	pos   int
 	loops int // enclosing while/for bodies in the current def (or top level)
+	depth int // levels entered on the way to the current token
 }
+
+// nest enters one more level, failing past maxNesting.
+func (p *parser) nest() error {
+	if p.depth++; p.depth > maxNesting {
+		return syntaxErrf(p.cur().line, "nesting exceeds %d levels", maxNesting)
+	}
+	return nil
+}
+
+// restore leaves the levels entered since depth was d.
+func (p *parser) restore(d int) { p.depth = d }
 
 // Parse compiles source text into a program (list of statements).
 func Parse(src string) ([]stmt, error) {
@@ -56,6 +78,23 @@ func (p *parser) expectNewline() error {
 	return nil
 }
 
+// items parses comma-separated items of a call, list or dict (what) up to
+// close, and consumes close.
+func (p *parser) items(close, what string, item func() error) error {
+	for !p.atOp(close) {
+		if err := item(); err != nil {
+			return err
+		}
+		if p.atOp(",") {
+			p.pos++
+		} else if !p.atOp(close) {
+			return syntaxErrf(p.cur().line, "expected ',' or '%s' in %s", close, what)
+		}
+	}
+	p.pos++
+	return nil
+}
+
 // loopBody parses a while/for body, inside which break and continue are
 // legal.
 func (p *parser) loopBody() ([]stmt, error) {
@@ -67,6 +106,10 @@ func (p *parser) loopBody() ([]stmt, error) {
 
 // block parses ":" NEWLINE INDENT stmt+ DEDENT.
 func (p *parser) block() ([]stmt, error) {
+	defer p.restore(p.depth)
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
 	if err := p.expectOp(":"); err != nil {
 		return nil, err
 	}
@@ -262,6 +305,10 @@ func (p *parser) ifStatement() (stmt, error) {
 	node := &ifStmt{line: t.line, cond: cond, body: body}
 	switch {
 	case p.atKw("elif"):
+		defer p.restore(p.depth)
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		nested, err := p.ifStatement()
 		if err != nil {
 			return nil, err
@@ -311,42 +358,66 @@ func (p *parser) defStatement() (stmt, error) {
 
 // --- expressions (precedence climbing) --------------------------------------
 
-func (p *parser) expression() (expr, error) { return p.orExpr() }
-
-func (p *parser) orExpr() (expr, error) {
-	lhs, err := p.andExpr()
-	if err != nil {
+func (p *parser) expression() (expr, error) {
+	defer p.restore(p.depth)
+	if err := p.nest(); err != nil {
 		return nil, err
 	}
-	for p.atKw("or") {
-		line := p.next().line
-		rhs, err := p.andExpr()
-		if err != nil {
-			return nil, err
-		}
-		lhs = &binaryExpr{line: line, op: "or", lhs: lhs, rhs: rhs}
-	}
-	return lhs, nil
+	return p.orExpr()
 }
 
-func (p *parser) andExpr() (expr, error) {
-	lhs, err := p.notExpr()
+func (p *parser) orExpr() (expr, error)  { return p.chain(p.andExpr, "or") }
+func (p *parser) andExpr() (expr, error) { return p.chain(p.notExpr, "and") }
+func (p *parser) addExpr() (expr, error) { return p.chain(p.mulExpr, "+", "-") }
+func (p *parser) mulExpr() (expr, error) { return p.chain(p.unary, "*", "/", "//", "%") }
+func (p *parser) comparison() (expr, error) {
+	return p.chain(p.addExpr, "==", "!=", "<", "<=", ">", ">=", "in", "not")
+}
+
+// chain parses a left-associative run of operands joined by any of ops;
+// "not" joins only as "not in".
+func (p *parser) chain(operand func() (expr, error), ops ...string) (expr, error) {
+	defer p.restore(p.depth)
+	lhs, err := operand()
 	if err != nil {
 		return nil, err
 	}
-	for p.atKw("and") {
-		line := p.next().line
-		rhs, err := p.notExpr()
+	for t := p.cur(); (t.kind == tokOp || t.kind == tokKeyword) && slices.Contains(ops, t.text); t = p.cur() {
+		notIn := t.text == "not"
+		if notIn && (p.toks[p.pos+1].kind != tokKeyword || p.toks[p.pos+1].text != "in") {
+			break
+		}
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
+		if p.pos++; notIn {
+			p.pos++ // in
+		}
+		rhs, err := operand()
 		if err != nil {
 			return nil, err
 		}
-		lhs = &binaryExpr{line: line, op: "and", lhs: lhs, rhs: rhs}
+		op := t.text
+		switch op {
+		case "/":
+			op = "//" // integer-only language: / is floor division
+		case "not":
+			op = "in"
+		}
+		lhs = &binaryExpr{line: t.line, op: op, lhs: lhs, rhs: rhs}
+		if notIn {
+			lhs = &unaryExpr{line: t.line, op: "not", rhs: lhs}
+		}
 	}
 	return lhs, nil
 }
 
 func (p *parser) notExpr() (expr, error) {
 	if p.atKw("not") {
+		defer p.restore(p.depth)
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		line := p.next().line
 		rhs, err := p.notExpr()
 		if err != nil {
@@ -357,88 +428,12 @@ func (p *parser) notExpr() (expr, error) {
 	return p.comparison()
 }
 
-var compareOps = map[string]bool{
-	"==": true, "!=": true, "<": true, "<=": true, ">": true, ">=": true,
-}
-
-func (p *parser) comparison() (expr, error) {
-	lhs, err := p.addExpr()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		if p.cur().kind == tokOp && compareOps[p.cur().text] {
-			t := p.next()
-			rhs, err := p.addExpr()
-			if err != nil {
-				return nil, err
-			}
-			lhs = &binaryExpr{line: t.line, op: t.text, lhs: lhs, rhs: rhs}
-			continue
-		}
-		if p.atKw("in") {
-			line := p.next().line
-			rhs, err := p.addExpr()
-			if err != nil {
-				return nil, err
-			}
-			lhs = &binaryExpr{line: line, op: "in", lhs: lhs, rhs: rhs}
-			continue
-		}
-		if p.atKw("not") && p.pos+1 < len(p.toks) &&
-			p.toks[p.pos+1].kind == tokKeyword && p.toks[p.pos+1].text == "in" {
-			line := p.next().line // not
-			p.pos++               // in
-			rhs, err := p.addExpr()
-			if err != nil {
-				return nil, err
-			}
-			lhs = &unaryExpr{line: line, op: "not",
-				rhs: &binaryExpr{line: line, op: "in", lhs: lhs, rhs: rhs}}
-			continue
-		}
-		return lhs, nil
-	}
-}
-
-func (p *parser) addExpr() (expr, error) {
-	lhs, err := p.mulExpr()
-	if err != nil {
-		return nil, err
-	}
-	for p.atOp("+") || p.atOp("-") {
-		t := p.next()
-		rhs, err := p.mulExpr()
-		if err != nil {
-			return nil, err
-		}
-		lhs = &binaryExpr{line: t.line, op: t.text, lhs: lhs, rhs: rhs}
-	}
-	return lhs, nil
-}
-
-func (p *parser) mulExpr() (expr, error) {
-	lhs, err := p.unary()
-	if err != nil {
-		return nil, err
-	}
-	for p.atOp("*") || p.atOp("/") || p.atOp("//") || p.atOp("%") {
-		t := p.next()
-		op := t.text
-		if op == "/" {
-			op = "//" // integer-only language: / is floor division
-		}
-		rhs, err := p.unary()
-		if err != nil {
-			return nil, err
-		}
-		lhs = &binaryExpr{line: t.line, op: op, lhs: lhs, rhs: rhs}
-	}
-	return lhs, nil
-}
-
 func (p *parser) unary() (expr, error) {
 	if p.atOp("-") {
+		defer p.restore(p.depth)
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		line := p.next().line
 		rhs, err := p.unary()
 		if err != nil {
@@ -451,28 +446,29 @@ func (p *parser) unary() (expr, error) {
 
 // postfix parses a primary followed by call/index/attribute suffixes.
 func (p *parser) postfix() (expr, error) {
+	defer p.restore(p.depth)
 	e, err := p.primary()
 	if err != nil {
 		return nil, err
 	}
 	for {
+		if !p.atOp("(") && !p.atOp("[") && !p.atOp(".") {
+			return e, nil
+		}
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		switch {
 		case p.atOp("("):
 			line := p.next().line
 			var args []expr
-			for !p.atOp(")") {
+			if err := p.items(")", "call", func() error {
 				a, err := p.expression()
-				if err != nil {
-					return nil, err
-				}
 				args = append(args, a)
-				if p.atOp(",") {
-					p.pos++
-				} else if !p.atOp(")") {
-					return nil, syntaxErrf(p.cur().line, "expected ',' or ')' in call")
-				}
+				return err
+			}); err != nil {
+				return nil, err
 			}
-			p.pos++
 			e = &callExpr{line: line, fn: e, args: args}
 		case p.atOp("["):
 			line := p.next().line
@@ -507,15 +503,13 @@ func (p *parser) postfix() (expr, error) {
 				}
 				e = &indexExpr{line: line, base: e, index: lo}
 			}
-		case p.atOp("."):
+		default: // "."
 			p.pos++
 			if !p.at(tokIdent) {
 				return nil, syntaxErrf(p.cur().line, "expected attribute name after '.'")
 			}
 			t := p.next()
 			e = &attrExpr{line: t.line, base: e, name: t.text}
-		default:
-			return e, nil
 		}
 	}
 }
@@ -566,45 +560,28 @@ func (p *parser) primary() (expr, error) {
 		case "[":
 			p.pos++
 			var elems []expr
-			for !p.atOp("]") {
+			err := p.items("]", "list", func() error {
 				e, err := p.expression()
-				if err != nil {
-					return nil, err
-				}
 				elems = append(elems, e)
-				if p.atOp(",") {
-					p.pos++
-				} else if !p.atOp("]") {
-					return nil, syntaxErrf(p.cur().line, "expected ',' or ']' in list")
-				}
-			}
-			p.pos++
-			return &listLit{line: t.line, elems: elems}, nil
+				return err
+			})
+			return &listLit{line: t.line, elems: elems}, err
 		case "{":
 			p.pos++
 			var keys, vals []expr
-			for !p.atOp("}") {
+			err := p.items("}", "dict", func() error {
 				k, err := p.expression()
-				if err != nil {
-					return nil, err
+				if err == nil {
+					err = p.expectOp(":")
 				}
-				if err := p.expectOp(":"); err != nil {
-					return nil, err
+				if err != nil {
+					return err
 				}
 				v, err := p.expression()
-				if err != nil {
-					return nil, err
-				}
-				keys = append(keys, k)
-				vals = append(vals, v)
-				if p.atOp(",") {
-					p.pos++
-				} else if !p.atOp("}") {
-					return nil, syntaxErrf(p.cur().line, "expected ',' or '}' in dict")
-				}
-			}
-			p.pos++
-			return &dictLit{line: t.line, keys: keys, vals: vals}, nil
+				keys, vals = append(keys, k), append(vals, v)
+				return err
+			})
+			return &dictLit{line: t.line, keys: keys, vals: vals}, err
 		}
 	}
 	return nil, syntaxErrf(t.line, "unexpected %s", t)

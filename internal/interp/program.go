@@ -45,7 +45,7 @@ const (
 	opIterNext                 // push next item, or pop iterator and jump to a
 	opTryPush                  // a: handler pc, b: 1 if "except ... as name"
 	opTryPop                   // discard the innermost handler
-	opRaise                    // pop value, raise RuntimeError(Repr(value))
+	opRaise                    // pop value, raise RuntimeError(repr(value))
 	opReturn                   // pop value and return it from the frame
 	opReturnNone               // return None from the frame
 

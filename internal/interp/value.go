@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -123,13 +124,97 @@ func rangeLen(r RangeVal) int64 {
 	return (r.Start - r.Stop - r.Step - 1) / (-r.Step)
 }
 
-// Repr renders a value the way the REPL or print would. A list or dict
-// reached again from inside itself renders as [...] or {...}, as in Python.
-func Repr(v Value) string { return repr(v, nil) }
+// Repr renders a value the way print does, for Go callers. A list or dict
+// reached again from inside itself renders as [...] or {...}, as in Python;
+// past maxHostNodes the text ends in "...".
+func Repr(v Value) string {
+	b, err := newWalker(nil, maxHostNodes).repr(nil, v)
+	if err != nil {
+		b = append(b, "..."...)
+	}
+	return string(b)
+}
 
-// repr carries the containers being rendered on the path to v; nil until
-// the first one.
-func repr(v Value, open map[Value]bool) string {
+// repr is Repr for str and raise, paid for by m.
+func (m *Machine) repr(v Value) (string, error) {
+	if !compound(v) {
+		return reprLeaf(v), nil
+	}
+	w := newWalker(m, maxHostNodes)
+	defer w.release()
+	b, err := w.repr(nil, v)
+	if err != nil {
+		return "", err
+	}
+	return string(b), nil
+}
+
+// repr appends v's text to buf. A str inside a container is quoted in
+// place; of the other leaves only bytes is escaped apart first.
+func (w *walker) repr(buf []byte, v Value) ([]byte, error) {
+	if !compound(v) {
+		return w.put(buf, 0, reprLeaf(v))
+	}
+	err := w.walk(v, nil, func(parent Value, i int, a, _ Value, seen bool) (_ bool, err error) {
+		sep := ""
+		if _, ok := parent.(*Dict); ok && i%2 == 1 {
+			sep = ": "
+		} else if i > 0 {
+			sep = ", "
+		}
+		switch x := a.(type) {
+		case *List, *Dict:
+			open, close := brackets(a)
+			if seen {
+				buf, err = w.put(buf, 0, sep, open, "...", close)
+				return false, err
+			}
+			buf, err = w.put(buf, 0, sep, open)
+			return err == nil, err
+		case Str:
+			if buf, err = w.put(buf, len(x)+2, sep); err == nil {
+				buf = strconv.AppendQuote(buf, string(x))
+			}
+			return false, err
+		}
+		buf, err = w.put(buf, 0, sep, reprLeaf(a))
+		return false, err
+	}, func(c Value) (err error) {
+		_, close := brackets(c)
+		buf, err = w.put(buf, 0, close)
+		return err
+	})
+	return buf, err
+}
+
+// put appends ss to buf with room for extra bytes more, charging what buf
+// grows by before it grows.
+func (w *walker) put(buf []byte, extra int, ss ...string) ([]byte, error) {
+	n := extra
+	for _, s := range ss {
+		n += len(s)
+	}
+	if len(buf)+n > cap(buf) {
+		if err := w.charge(int64(cap(buf) + n)); err != nil {
+			return buf, err
+		}
+		buf = append(make([]byte, 0, 2*cap(buf)+n), buf...)
+	}
+	for _, s := range ss {
+		buf = append(buf, s...)
+	}
+	return buf, nil
+}
+
+func brackets(v Value) (open, close string) {
+	if _, ok := v.(*Dict); ok {
+		return "{", "}"
+	}
+	return "[", "]"
+}
+
+// reprLeaf renders a value with no children; a str is its own text.
+func reprLeaf(v Value) string {
 	switch x := v.(type) {
 	case Int:
 		return strconv.FormatInt(int64(x), 10)
@@ -144,36 +229,6 @@ func repr(v Value, open map[Value]bool) string {
 		return "False"
 	case NoneVal:
 		return "None"
-	case *List:
-		if open[v] {
-			return "[...]"
-		}
-		if open == nil {
-			open = make(map[Value]bool)
-		}
-		open[v] = true
-		parts := make([]string, len(x.Elems))
-		for i, e := range x.Elems {
-			parts[i] = reprQuoted(e, open)
-		}
-		delete(open, v)
-		return "[" + strings.Join(parts, ", ") + "]"
-	case *Dict:
-		if open[v] {
-			return "{...}"
-		}
-		if open == nil {
-			open = make(map[Value]bool)
-		}
-		open[v] = true
-		keys := x.sortedKeys()
-		parts := make([]string, 0, len(keys))
-		for _, k := range keys {
-			e := x.m[k]
-			parts = append(parts, reprQuoted(e.key, open)+": "+reprQuoted(e.val, open))
-		}
-		delete(open, v)
-		return "{" + strings.Join(parts, ", ") + "}"
 	case RangeVal:
 		return fmt.Sprintf("range(%d, %d)", x.Start, x.Stop)
 	case function:
@@ -185,13 +240,6 @@ func repr(v Value, open map[Value]bool) string {
 	default:
 		return fmt.Sprintf("<%s>", v.Type())
 	}
-}
-
-func reprQuoted(v Value, open map[Value]bool) string {
-	if s, ok := v.(Str); ok {
-		return strconv.Quote(string(s))
-	}
-	return repr(v, open)
 }
 
 func escapeBytes(b []byte) string {
@@ -206,78 +254,66 @@ func escapeBytes(b []byte) string {
 	return sb.String()
 }
 
-// Equal implements deep equality. Two containers compared again while
-// their own comparison is still open (a cycle) count as equal there, so the
-// walk ends and the rest of the structure decides.
-func Equal(a, b Value) bool { return equal(a, b, nil) }
+// errUnequal ends Equal's walk at the first difference.
+var errUnequal = errors.New("unequal")
 
-// equal carries the container pairs under comparison on the path to a, b;
-// nil until the first one.
-func equal(a, b Value, open map[[2]Value]bool) bool {
-	switch x := a.(type) {
-	case Int:
-		y, ok := b.(Int)
-		return ok && x == y
-	case Str:
-		y, ok := b.(Str)
-		return ok && x == y
-	case Bytes:
+// Equal implements deep equality for Go callers. Two containers compared
+// again while their own comparison is still open (a cycle) count as equal
+// there, so the walk ends and the rest of the structure decides. Values too
+// large to compare within maxHostNodes count as unequal.
+func Equal(a, b Value) bool {
+	eq, err := (*Machine)(nil).equal(a, b)
+	return eq && err == nil
+}
+
+// equal is Equal for ==, in and list.index, paid for by m. The walk pairs
+// dicts up in key order, their keys matching by canonical form as lookups
+// do.
+func (m *Machine) equal(a, b Value) (bool, error) {
+	if !compound(a) {
+		return equalLeaf(a, b), nil
+	}
+	w := newWalker(m, maxHostNodes)
+	defer w.release()
+	err := w.walk(a, b, func(parent Value, i int, x, y Value, seen bool) (bool, error) {
+		same := false
+		switch xv := x.(type) {
+		case *List:
+			yv, ok := y.(*List)
+			same = ok && len(xv.Elems) == len(yv.Elems)
+		case *Dict:
+			yv, ok := y.(*Dict)
+			same = ok && len(xv.m) == len(yv.m)
+		case boundMethod:
+			yv, ok := y.(boundMethod)
+			same = ok && xv.name == yv.name
+		default:
+			if _, ok := parent.(*Dict); ok && i%2 == 0 {
+				kx, _ := dictKey(x)
+				ky, _ := dictKey(y)
+				x, y = Str(kx), Str(ky)
+			}
+			same, seen = equalLeaf(x, y), true
+		}
+		if !same {
+			return false, errUnequal
+		}
+		return !seen, nil
+	}, nil)
+	if err == errUnequal {
+		return false, nil
+	}
+	return err == nil, err
+}
+
+// equalLeaf compares a value with no children to anything. Bytes is the
+// one such type Go cannot compare with ==.
+func equalLeaf(a, b Value) bool {
+	if x, ok := a.(Bytes); ok {
 		y, ok := b.(Bytes)
 		return ok && string(x) == string(y)
-	case Bool:
-		y, ok := b.(Bool)
-		return ok && x == y
-	case NoneVal:
-		_, ok := b.(NoneVal)
-		return ok
-	case *List:
-		y, ok := b.(*List)
-		if !ok || len(x.Elems) != len(y.Elems) {
-			return false
-		}
-		pair := [2]Value{a, b}
-		if open[pair] {
-			return true
-		}
-		if open == nil {
-			open = make(map[[2]Value]bool)
-		}
-		open[pair] = true
-		defer delete(open, pair)
-		for i := range x.Elems {
-			if !equal(x.Elems[i], y.Elems[i], open) {
-				return false
-			}
-		}
-		return true
-	case *Dict:
-		y, ok := b.(*Dict)
-		if !ok || len(x.m) != len(y.m) {
-			return false
-		}
-		pair := [2]Value{a, b}
-		if open[pair] {
-			return true
-		}
-		if open == nil {
-			open = make(map[[2]Value]bool)
-		}
-		open[pair] = true
-		defer delete(open, pair)
-		for k, e := range x.m {
-			e2, ok := y.m[k]
-			if !ok || !equal(e.val, e2.val, open) {
-				return false
-			}
-		}
-		return true
-	case boundMethod:
-		// Not ==: a bytes receiver makes the struct uncomparable in Go.
-		y, ok := b.(boundMethod)
-		return ok && x.name == y.name && equal(x.recv, y.recv, open)
-	default:
-		return a == b
 	}
+	return a == b
 }
 
 // dictKey canonicalizes a key value, or fails for unhashable types.
@@ -363,47 +399,48 @@ func (d *Dict) Values() []Value {
 }
 
 // sizeOf estimates the live size of a value in bytes, for memory
-// accounting. seen guards against cycles.
-func sizeOf(v Value, seen map[Value]bool) int64 {
-	const overhead = 16
+// accounting. A container is counted in full the first time the walker
+// meets it, and as a reference after that, across all its walks.
+func (w *walker) sizeOf(v Value) (total int64, err error) {
+	w.once = true
+	err = w.walk(v, nil, func(parent Value, i int, a, _ Value, seen bool) (bool, error) {
+		switch parent.(type) {
+		case *Dict:
+			if i%2 == 0 {
+				return false, nil // a key: counted with its dict
+			}
+		case *List, function:
+			total += 8
+		}
+		total += leafSize(a)
+		if d, ok := a.(*Dict); ok && !seen {
+			for k := range d.m {
+				total += int64(len(k)) + 16
+			}
+		}
+		return compound(a) && !seen, nil
+	}, nil)
+	return total, err
+}
+
+// sizeOf is the size of a builtin's result, paid for by m.
+func (m *Machine) sizeOf(v Value) (int64, error) {
+	if !compound(v) {
+		return leafSize(v), nil
+	}
+	w := newWalker(m, maxHostNodes)
+	defer w.release()
+	return w.sizeOf(v)
+}
+
+func leafSize(v Value) int64 {
 	switch x := v.(type) {
 	case Str:
-		return overhead + int64(len(x))
+		return 16 + int64(len(x))
 	case Bytes:
-		return overhead + int64(len(x))
-	case *List:
-		if seen[v] {
-			return overhead
-		}
-		seen[v] = true
-		total := int64(overhead)
-		for _, e := range x.Elems {
-			total += sizeOf(e, seen) + 8
-		}
-		return total
-	case *Dict:
-		if seen[v] {
-			return overhead
-		}
-		seen[v] = true
-		total := int64(overhead)
-		for k, e := range x.m {
-			total += int64(len(k)) + sizeOf(e.val, seen) + 16
-		}
-		return total
-	case function:
-		if seen[v] {
-			return overhead
-		}
-		seen[v] = true
-		total := int64(overhead)
-		x.captured(func(c Value) { total += sizeOf(c, seen) + 8 })
-		return total
-	case boundMethod:
-		return overhead + sizeOf(x.recv, seen)
-	default:
-		return overhead
+		return 16 + int64(len(x))
 	}
+	return 16
 }
 
 // Env is the machine's global name table. Function locals live in VM

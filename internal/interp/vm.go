@@ -167,10 +167,9 @@ func (m *Machine) runProto(p *funcProto, slots []reg, cells []*cell) (Value, err
 		var err error
 		switch in.op {
 		case opCharge:
-			// One batched decrement per basic block. The kill check comes
-			// first (the oracle checks before each charge), and on
-			// exhaustion the counters are clamped to the oracle's
-			// stop-at-first-negative state.
+			// One batched charge per basic block: spend, written out here
+			// because a call returning an error costs the compute loop a
+			// few percent even inlined.
 			if m.killed.Load() {
 				return nil, ErrKilled
 			}
@@ -549,7 +548,7 @@ func (m *Machine) runProto(p *funcProto, slots []reg, cells []*cell) (Value, err
 			handlers = handlers[:len(handlers)-1]
 		case opRaise:
 			sp--
-			err = runtimeErrf(int(in.line), "%s", Repr(stack[sp].val()))
+			err = m.raise(int(in.line), stack[sp].val())
 		case opReturn:
 			return stack[sp-1].val(), nil
 		case opReturnNone:

@@ -33,35 +33,26 @@ import (
 //     restart) resets the ring and re-primes instead of emitting
 //     garbage windows.
 
-// SampleClock is the Windower's time source. *simnet.Clock satisfies
-// it directly; the zero-config default is wall time. Blocking must
-// follow the simnet convention: mark the caller as externally blocked
-// for the duration of a select, so a discrete-event core does not
-// stall waiting for the sampler goroutine.
+// SampleClock is the Windower's time source: Now stamps samples, and
+// Schedule runs f once after d and returns a cancel. *simnet.Clock
+// satisfies it directly; the zero-config default is wall time on
+// time.AfterFunc. The Windower re-arms each tick from inside the previous
+// tick's callback rather than running a cadence goroutine: on a
+// discrete-event core a goroutine waiting on a timer can lose the re-arm
+// race against the dispatcher's quiescence detector and miss ticks
+// forever, while a scheduled event is in the wheel before time advances.
 type SampleClock interface {
 	Now() time.Duration
-	After(d time.Duration) <-chan time.Time
-	Blocking() func()
-}
-
-// tickScheduler is an optional SampleClock capability: a clock that can
-// run callbacks on its own scheduling goroutine (simnet's Clock.Schedule
-// matches structurally). When present, the Windower re-arms each tick
-// from inside the previous tick's callback instead of running a cadence
-// goroutine. On a discrete-event core this is the only reliable shape —
-// a goroutine selecting on After can lose the re-arm race against the
-// dispatcher's quiescence detector and miss ticks forever, while a
-// scheduled event is always in the wheel before time advances.
-type tickScheduler interface {
 	Schedule(d time.Duration, f func()) func() bool
 }
 
 // wallSampleClock adapts the wall clock to SampleClock.
 type wallSampleClock struct{ epoch time.Time }
 
-func (w wallSampleClock) Now() time.Duration                     { return time.Since(w.epoch) }
-func (w wallSampleClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
-func (w wallSampleClock) Blocking() func()                       { return func() {} }
+func (w wallSampleClock) Now() time.Duration { return time.Since(w.epoch) }
+func (w wallSampleClock) Schedule(d time.Duration, f func()) func() bool {
+	return time.AfterFunc(d, f).Stop
+}
 
 // WindowConfig tunes a Windower. The zero value is usable: 1s
 // interval, 60 slots (a one-minute window), EWMA alpha 0.3, wall
@@ -165,29 +156,23 @@ type Windower struct {
 	resets  uint64
 	subs    []*Stream
 
-	tickCancel func() bool // pending tick in scheduler-driven mode
+	tickCancel func() bool // the pending tick
 }
 
 // NewWindower starts a sampler over reg. A nil registry yields a nil
 // Windower, on which every method is a safe no-op — the same ablation
-// contract as the rest of the package. Clocks that expose Schedule
-// (simnet's, on either core) drive ticks as scheduled events; others
-// get a cadence goroutine selecting on After.
+// contract as the rest of the package.
 func NewWindower(reg *Registry, cfg WindowConfig) *Windower {
 	w := newWindower(reg, cfg)
 	if w == nil {
 		return nil
 	}
-	if ts, ok := w.clock.(tickScheduler); ok {
-		w.armScheduled(ts)
-	} else {
-		go w.run()
-	}
+	w.arm()
 	return w
 }
 
-// newWindower builds the sampler without starting the cadence
-// goroutine; tests drive ticks by hand.
+// newWindower builds the sampler without arming its first tick; tests
+// drive ticks by hand.
 func newWindower(reg *Registry, cfg WindowConfig) *Windower {
 	if reg == nil {
 		return nil
@@ -254,46 +239,24 @@ func (w *Windower) Close() {
 	})
 }
 
-// armScheduled starts the tick chain on a scheduler-capable clock: each
-// fire samples and schedules the next, so the pending tick is in the
-// clock's wheel before virtual time can move past it. A fire that loses
-// the race with Close sees done closed and ends the chain (Close also
-// cancels the stored pending tick, so at most one no-op fire escapes).
-func (w *Windower) armScheduled(ts tickScheduler) {
-	var fire func()
-	arm := func() {
-		cancel := ts.Schedule(w.cfg.Interval, fire)
-		w.mu.Lock()
-		w.tickCancel = cancel
-		w.mu.Unlock()
-	}
-	fire = func() {
+// arm schedules the next tick. Each tick samples and then arms the one
+// after it, so the pending tick is in the clock's wheel before virtual time
+// can move past it. A tick that loses the race with Close sees done closed
+// and ends the chain (Close also cancels the stored pending tick, so at
+// most one no-op fire escapes).
+func (w *Windower) arm() {
+	cancel := w.clock.Schedule(w.cfg.Interval, func() {
 		select {
 		case <-w.done:
 			return
 		default:
 		}
 		w.tick()
-		arm()
-	}
-	arm()
-}
-
-// run is the cadence loop for clocks without Schedule (wall clock, test
-// fakes): block on After, bracketed with Blocking so an event-style
-// SampleClock implementation can account for the sampler goroutine.
-func (w *Windower) run() {
-	for {
-		unblock := w.clock.Blocking()
-		select {
-		case <-w.done:
-			unblock()
-			return
-		case <-w.clock.After(w.cfg.Interval):
-			unblock()
-		}
-		w.tick()
-	}
+		w.arm()
+	})
+	w.mu.Lock()
+	w.tickCancel = cancel
+	w.mu.Unlock()
 }
 
 // tick runs one sample and publishes to subscribers if warranted.

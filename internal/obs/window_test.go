@@ -21,9 +21,8 @@ func (c *stepClock) Now() time.Duration {
 	return c.now
 }
 
-// After never fires; tests using stepClock drive ticks by hand.
-func (c *stepClock) After(d time.Duration) <-chan time.Time { return make(chan time.Time) }
-func (c *stepClock) Blocking() func()                       { return func() {} }
+// Schedule never fires; tests using stepClock drive ticks by hand.
+func (c *stepClock) Schedule(time.Duration, func()) func() bool { return func() bool { return false } }
 
 func (c *stepClock) advance(d time.Duration) {
 	c.mu.Lock()

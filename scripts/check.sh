@@ -58,7 +58,8 @@ rm -f "$onebin.syms"
 stage "repo benchmark self-tests (smoke of all five workloads, probes, ledger)"
 go test -count=1 ./benchmark
 
-stage "go test -race (cell, simnet, torclient, bento, wire, otr, relay, obs, interp, sandbox, fleet)"
+stage "go test -race (cell, simnet, torclient, bento, wire, otr, relay, obs, interp, sandbox, fleet;" \
+    "interp's value-walk reproducers and parser nesting cap, bento's program cache, upload cap and encoder bounds)"
 go test -race -count=1 ./internal/cell/ ./internal/simnet/ ./internal/torclient/ ./internal/bento/ ./internal/wire/ \
     ./internal/otr/ ./internal/relay/ ./internal/obs/ ./internal/interp/ ./internal/sandbox/ ./internal/fleet/
 
