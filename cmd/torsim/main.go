@@ -3,7 +3,7 @@
 // rendezvous and a Bento function round trip, converges a 2-replica
 // fleet under the declarative fleet controller, and prints the
 // resulting consensus and timing summary. With -stats it attaches the telemetry
-// registry to the whole deployment, streams a compact per-window HUD
+// registry to the whole deployment, prints a compact per-window HUD
 // line while the self-test runs (rolling rates from the windowed
 // sampler), and dumps the full dashboard — per-component counters,
 // latency histograms with windowed percentiles, and the slowest trace
@@ -63,37 +63,27 @@ func main() {
 	defer w.Close()
 	clock := w.Clock()
 
-	// The live HUD: one compact line per telemetry window.
-	if wind := w.Windower(); wind != nil {
-		sub := wind.Subscribe(4)
-		go func() {
-			for {
-				unblock := clock.Blocking()
-				ws, ok := <-sub.C()
-				unblock()
-				if !ok {
-					return
-				}
-				line := fmt.Sprintf("[hud] t=%-8v series=%-3d", ws.At.Round(10*time.Millisecond), len(ws.Series))
-				if st := ws.Find("simnet.dials"); st != nil {
-					line += fmt.Sprintf(" dials/s=%-7.1f", st.Rate)
-				}
-				if st := ws.Find("simnet.bytes_sent"); st != nil {
-					line += fmt.Sprintf(" sentB/s=%-9.0f", st.Rate)
-				}
-				if st := ws.Find("simnet.open_conns"); st != nil {
-					line += fmt.Sprintf(" conns=%-4d", st.Last)
-				}
-				if st := ws.Find("bento.invokes"); st != nil {
-					line += fmt.Sprintf(" invokes/s=%-5.1f", st.Rate)
-				}
-				if st := ws.Find("span.circuit.build_ns"); st != nil && st.Count > 0 {
-					line += fmt.Sprintf(" build.p95=%v", time.Duration(st.P95).Round(time.Microsecond))
-				}
-				fmt.Println(line)
-			}
-		}()
-	}
+	// The live HUD: one compact line per telemetry window, printed on
+	// the window's tick.
+	w.Windower().OnWindow(func(ws *obs.WindowSnapshot) {
+		line := fmt.Sprintf("[hud] t=%-8v series=%-3d", ws.At.Round(10*time.Millisecond), len(ws.Series))
+		if st := ws.Find("simnet.dials"); st != nil {
+			line += fmt.Sprintf(" dials/s=%-7.1f", st.Rate)
+		}
+		if st := ws.Find("simnet.bytes_sent"); st != nil {
+			line += fmt.Sprintf(" sentB/s=%-9.0f", st.Rate)
+		}
+		if st := ws.Find("simnet.open_conns"); st != nil {
+			line += fmt.Sprintf(" conns=%-4d", st.Last)
+		}
+		if st := ws.Find("bento.invokes"); st != nil {
+			line += fmt.Sprintf(" invokes/s=%-5.1f", st.Rate)
+		}
+		if st := ws.Find("span.circuit.build_ns"); st != nil && st.Count > 0 {
+			line += fmt.Sprintf(" build.p95=%v", time.Duration(st.P95).Round(time.Microsecond))
+		}
+		fmt.Println(line)
+	})
 
 	fmt.Printf("overlay up: %d relays, consensus signed by directory authority\n", len(w.Consensus.Relays))
 	for _, d := range w.Consensus.Relays {

@@ -143,9 +143,6 @@ type AutoscaleBenchResult struct {
 	Requests    int64   `json:"requests"`
 	Failures    int64   `json:"failures"` // app-visible: all endpoints failed
 	SuccessRate float64 `json:"success_rate"`
-	// StreamDropped counts recorder windows lost to backpressure
-	// (drop-oldest; nonzero only if the recorder stalls).
-	StreamDropped uint64 `json:"stream_dropped"`
 }
 
 // WriteJSONFile records the result machine-readably so the autoscaling
@@ -213,7 +210,6 @@ func RunAutoscale(cfg AutoscaleBenchConfig) (*AutoscaleBenchResult, error) {
 	}
 	defer w.Close()
 	clock := w.Clock()
-	wind := w.Windower()
 	ch := w.EnableChaos(cfg.Seed)
 
 	// The demand signal: bumped by the load generator per successful
@@ -221,15 +217,7 @@ func RunAutoscale(cfg AutoscaleBenchConfig) (*AutoscaleBenchResult, error) {
 	// controller's own health probes never feed back into scaling.
 	appReq := reg.Counter("app.requests")
 
-	ctl, err := w.NewFleetController("autoscale-ctl", fleet.Config{
-		Interval:        300 * time.Millisecond,
-		OpDeadline:      5 * time.Second,
-		BaseBackoff:     200 * time.Millisecond,
-		MaxBackoff:      2 * time.Second,
-		MinUptime:       2 * time.Second,
-		SuspectCooldown: 5 * time.Second,
-		Seed:            cfg.Seed,
-	})
+	ctl, err := w.NewFleetController("autoscale-ctl", fleet.Config{Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -257,7 +245,7 @@ func RunAutoscale(cfg AutoscaleBenchConfig) (*AutoscaleBenchResult, error) {
 
 	as, err := fleet.NewAutoscaler(fleet.AutoscaleConfig{
 		Controller:        ctl,
-		Windower:          wind,
+		Windower:          w.Windower(),
 		MinReplicas:       cfg.MinReplicas,
 		MaxReplicas:       cfg.MaxReplicas,
 		RateMetric:        "app.requests",
@@ -267,47 +255,33 @@ func RunAutoscale(cfg AutoscaleBenchConfig) (*AutoscaleBenchResult, error) {
 		UpCooldown:        cfg.UpCooldown,
 		DownCooldown:      cfg.DownCooldown,
 		DownStableWindows: cfg.DownStableWindows,
-		Obs:               reg,
 	})
 	if err != nil {
 		return nil, err
 	}
 	defer as.Close()
 
-	// The recorder: one timeline point per telemetry window, read off a
-	// private stream subscription (drop-oldest if it ever stalls).
+	// The recorder: one timeline point per telemetry window, taken on
+	// the window's tick right after the autoscaler (registered first)
+	// has evaluated it.
 	res := &AutoscaleBenchResult{Config: cfg}
-	sub := wind.Subscribe(8)
-	var recMu sync.Mutex
-	recDone := make(chan struct{})
-	go func() {
-		defer close(recDone)
-		for {
-			unblock := clock.Blocking()
-			ws, ok := <-sub.C()
-			unblock()
-			if !ok {
-				return
-			}
-			pt := ReplicaPoint{
-				AtMs:    ws.At.Milliseconds(),
-				Desired: as.Desired(),
-				Ready:   ctl.Status().Ready,
-			}
-			if st := ws.Find("app.requests"); st != nil {
-				pt.InvokeRate = st.Rate
-			}
-			if st := ws.Find("bento.invoke_queue_depth"); st != nil {
-				pt.QueueDepth = st.Last
-			}
-			if st := ws.Find("bento.invoke_ns"); st != nil {
-				pt.P95Ns = st.P95
-			}
-			recMu.Lock()
-			res.Timeline = append(res.Timeline, pt)
-			recMu.Unlock()
+	stopRec := w.Windower().OnWindow(func(ws *obs.WindowSnapshot) {
+		pt := ReplicaPoint{
+			AtMs:    ws.At.Milliseconds(),
+			Desired: as.Desired(),
+			Ready:   ctl.Status().Ready,
 		}
-	}()
+		if st := ws.Find("app.requests"); st != nil {
+			pt.InvokeRate = st.Rate
+		}
+		if st := ws.Find("bento.invoke_queue_depth"); st != nil {
+			pt.QueueDepth = st.Last
+		}
+		if st := ws.Find("bento.invoke_ns"); st != nil {
+			pt.P95Ns = st.P95
+		}
+		res.Timeline = append(res.Timeline, pt)
+	})
 
 	// The client fleet: the base population runs the whole experiment;
 	// the ramp population primes one request during the warm phase (so
@@ -327,48 +301,15 @@ func RunAutoscale(cfg AutoscaleBenchConfig) (*AutoscaleBenchResult, error) {
 		go func(i int, cli *bento.Client) {
 			defer wg.Done()
 			rec := &recs[i]
-			sessions := make(map[string]*bento.Session)
-			fns := make(map[string]*bento.SessionFunction)
-			defer func() {
-				for _, s := range sessions {
-					s.Close()
-				}
-			}()
-			rr := i
+			fc := newFailoverClient(cli, ctl, i, cfg.Seed+int64(i))
+			defer fc.close()
 			request := func() {
-				eps := ctl.Endpoints()
 				rec.requests++
-				ok := false
-				for try := 0; try < len(eps) && !ok; try++ {
-					ep := eps[(rr+try)%len(eps)]
-					fn := fns[ep.InvokeToken]
-					if fn == nil {
-						sess := cli.NewSession(ep.Node, bento.SessionConfig{
-							MaxAttempts: 2,
-							BaseBackoff: 100 * time.Millisecond,
-							MaxBackoff:  500 * time.Millisecond,
-							OpDeadline:  5 * time.Second,
-							Seed:        cfg.Seed + int64(i),
-						})
-						sessions[ep.InvokeToken] = sess
-						fn = sess.Attach(ep.InvokeToken)
-						fns[ep.InvokeToken] = fn
-					}
-					_, out, err := fn.Invoke("serve", interp.Int(int64(rr)))
-					if err == nil {
-						if got, isInt := out.(interp.Int); isInt && int64(got) == int64(rr)+1 {
-							ok = true
-						}
-					}
-					if !ok {
-						// Drop the cached session: the endpoint may be
-						// gone for good, and a fresh one re-dials.
-						sessions[ep.InvokeToken].Close()
-						delete(sessions, ep.InvokeToken)
-						delete(fns, ep.InvokeToken)
-					}
-				}
-				rr++
+				arg := interp.Int(rec.requests)
+				ok := fc.do(func(fn *bento.SessionFunction) bool {
+					_, out, err := fn.Invoke("serve", arg)
+					return err == nil && out == arg+1
+				})
 				if ok {
 					appReq.Inc()
 				} else {
@@ -441,8 +382,7 @@ func RunAutoscale(cfg AutoscaleBenchConfig) (*AutoscaleBenchResult, error) {
 
 	close(done)
 	wg.Wait()
-	sub.Close()
-	<-recDone
+	stopRec()
 
 	for i := range recs {
 		res.Requests += recs[i].requests
@@ -455,7 +395,6 @@ func RunAutoscale(cfg AutoscaleBenchConfig) (*AutoscaleBenchResult, error) {
 	res.FinalDesired = as.Desired()
 	st := ctl.Status()
 	res.FinalReady = st.Ready
-	res.StreamDropped = sub.Dropped()
 	res.MaxDesired = cfg.MinReplicas
 	for _, a := range res.Actions {
 		if a.To > res.MaxDesired {

@@ -74,9 +74,10 @@ func DefaultFleetBenchConfig() FleetBenchConfig {
 		FileSize:   8 << 10,
 		CrashRelay: true,
 		Partition:  true,
-		// Detection needs FailureThreshold stalled probes (~OpDeadline
-		// each); a partition shorter than that window is — correctly —
-		// ridden out without any reconciliation.
+		// Detection needs two stalled probes (the controller's failure
+		// threshold, ~5 s op deadline each); a partition shorter than
+		// that window is — correctly — ridden out without any
+		// reconciliation.
 		PartitionFor: 15 * time.Second,
 		CrashLoop:    true,
 		Tail:         3 * time.Second,
@@ -176,15 +177,7 @@ func RunFleetBench(cfg FleetBenchConfig) (*FleetBenchResult, error) {
 		content[i] = byte(i * 13)
 	}
 
-	ctl, err := w.NewFleetController("fleet-ctl", fleet.Config{
-		Interval:        300 * time.Millisecond,
-		OpDeadline:      5 * time.Second,
-		BaseBackoff:     200 * time.Millisecond,
-		MaxBackoff:      2 * time.Second,
-		MinUptime:       2 * time.Second,
-		SuspectCooldown: 5 * time.Second,
-		Seed:            cfg.Seed,
-	})
+	ctl, err := w.NewFleetController("fleet-ctl", fleet.Config{Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -234,51 +227,20 @@ func RunFleetBench(cfg FleetBenchConfig) (*FleetBenchResult, error) {
 		go func(i int, cli *bento.Client) {
 			defer wg.Done()
 			rec := &recs[i]
-			sessions := make(map[string]*bento.Session)
-			fns := make(map[string]*bento.SessionFunction)
-			defer func() {
-				for _, s := range sessions {
-					s.Close()
-				}
-			}()
-			rr := i // stagger the round-robin start across clients
+			fc := newFailoverClient(cli, ctl, i, cfg.Seed+int64(i))
+			defer fc.close()
 			for {
 				select {
 				case <-done:
 					return
 				default:
 				}
-				eps := ctl.Endpoints()
 				convergedAtStart := ctl.Converged()
 				rec.requests++
-				ok := false
-				for try := 0; try < len(eps) && !ok; try++ {
-					ep := eps[(rr+try)%len(eps)]
-					fn := fns[ep.InvokeToken]
-					if fn == nil {
-						sess := cli.NewSession(ep.Node, bento.SessionConfig{
-							MaxAttempts: 2,
-							BaseBackoff: 100 * time.Millisecond,
-							MaxBackoff:  500 * time.Millisecond,
-							OpDeadline:  5 * time.Second,
-							Seed:        cfg.Seed + int64(i),
-						})
-						sessions[ep.InvokeToken] = sess
-						fn = sess.Attach(ep.InvokeToken)
-						fns[ep.InvokeToken] = fn
-					}
+				ok := fc.do(func(fn *bento.SessionFunction) bool {
 					out, _, err := fn.Invoke("serve")
-					if err == nil && bytes.Equal(out, content) {
-						ok = true
-					} else {
-						// Drop the cached session: the endpoint may be
-						// gone for good, and a fresh one re-dials.
-						sessions[ep.InvokeToken].Close()
-						delete(sessions, ep.InvokeToken)
-						delete(fns, ep.InvokeToken)
-					}
-				}
-				rr++
+					return err == nil && bytes.Equal(out, content)
+				})
 				if !ok {
 					rec.failures++
 					if convergedAtStart && ctl.Converged() {
@@ -425,4 +387,57 @@ func RunFleetBench(cfg FleetBenchConfig) (*FleetBenchResult, error) {
 	res.FinalReady = st.Ready
 	res.FinalOrphans = st.Orphans
 	return res, nil
+}
+
+// failoverClient is one load-generating client of a fleet: each request
+// goes round-robin over the fleet's ready endpoints and fails over to the
+// next until one serves it. It keeps one session per endpoint and drops
+// it when a request through it fails, since the endpoint may be gone for
+// good and a fresh session re-dials.
+type failoverClient struct {
+	cli      *bento.Client
+	ctl      *fleet.Controller
+	rr       int // round-robin cursor
+	seed     int64
+	sessions map[string]*bento.Session // by invoke token
+}
+
+// newFailoverClient starts the cursor at rr, so clients numbered in
+// order stagger their first endpoint; seed seeds every session.
+func newFailoverClient(cli *bento.Client, ctl *fleet.Controller, rr int, seed int64) *failoverClient {
+	return &failoverClient{cli: cli, ctl: ctl, rr: rr, seed: seed, sessions: make(map[string]*bento.Session)}
+}
+
+// do runs one request: serve is tried on each ready endpoint in turn,
+// from the cursor on, until it reports success. do reports whether any
+// endpoint served the request.
+func (c *failoverClient) do(serve func(fn *bento.SessionFunction) bool) bool {
+	eps := c.ctl.Endpoints()
+	ok := false
+	for try := 0; try < len(eps) && !ok; try++ {
+		ep := eps[(c.rr+try)%len(eps)]
+		sess := c.sessions[ep.InvokeToken]
+		if sess == nil {
+			sess = c.cli.NewSession(ep.Node, bento.SessionConfig{
+				MaxAttempts: 2,
+				BaseBackoff: 100 * time.Millisecond,
+				MaxBackoff:  500 * time.Millisecond,
+				OpDeadline:  5 * time.Second,
+				Seed:        c.seed,
+			})
+			c.sessions[ep.InvokeToken] = sess
+		}
+		if ok = serve(sess.Attach(ep.InvokeToken)); !ok {
+			sess.Close()
+			delete(c.sessions, ep.InvokeToken)
+		}
+	}
+	c.rr++
+	return ok
+}
+
+func (c *failoverClient) close() {
+	for _, s := range c.sessions {
+		s.Close()
+	}
 }

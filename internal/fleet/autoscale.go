@@ -8,10 +8,11 @@ import (
 	"github.com/bento-nfv/bento/internal/obs"
 )
 
-// Autoscaler closes the obs→control loop: it subscribes to a
-// Windower's stream and steps a Controller's replica count between
-// MinReplicas and MaxReplicas from the windowed invoke rate and queue
-// depth.
+// Autoscaler closes the obs→control loop: a callback on a Windower's
+// ticks steps a Controller's replica count between MinReplicas and
+// MaxReplicas from the windowed invoke rate and queue depth. It starts
+// no goroutine: each window is evaluated on the tick that produced it,
+// so on the event clock every decision is a function of virtual time.
 //
 // Thrash protection, because chaos-induced blips (a relay crash
 // briefly tanks the observed rate, its replacement briefly doubles
@@ -35,11 +36,9 @@ import (
 type Autoscaler struct {
 	cfg    AutoscaleConfig
 	target scaleTarget
-	stream *obs.Stream
+	queue  string // the queue-depth gauge: queueMetric outside tests
 	am     asMetrics
-
-	done      chan struct{}
-	closeOnce sync.Once
+	cancel func() // unregisters evaluate from the Windower
 
 	mu        sync.Mutex
 	desired   int
@@ -64,6 +63,13 @@ type ScaleAction struct {
 	Reason string        `json:"reason"`
 }
 
+// queueMetric is the gauge read as aggregate queue depth, and scaleStep
+// the replica delta of one action.
+const (
+	queueMetric = "bento.invoke_queue_depth"
+	scaleStep   = 1
+)
+
 // AutoscaleConfig tunes an Autoscaler. Durations are virtual.
 type AutoscaleConfig struct {
 	// Controller is the fleet being scaled. Required (tests may
@@ -80,17 +86,14 @@ type AutoscaleConfig struct {
 	// that want a pure app signal should point this at an app-level
 	// counter).
 	RateMetric string
-	// QueueMetric names the gauge read as aggregate queue depth
-	// (default "bento.invoke_queue_depth").
-	QueueMetric string
 	// HighWater/LowWater bound the per-replica rate band: above
 	// HighWater scales up, below LowWater (for DownStableWindows
 	// windows) scales down. Required: 0 < LowWater < HighWater.
 	HighWater, LowWater float64
 	// QueueHighWater, when > 0, also triggers a scale-up when
-	// per-replica queue depth exceeds it — latency pressure shows up
-	// in the queue before the rate. A queue above QueueHighWater/2
-	// also vetoes scale-downs.
+	// per-replica queue depth (bento.invoke_queue_depth) exceeds it —
+	// latency pressure shows up in the queue before the rate. A queue
+	// above QueueHighWater/2 also vetoes scale-downs.
 	QueueHighWater float64
 	// UpCooldown/DownCooldown gate successive actions (defaults 1x /
 	// 3x the windower interval, minimum one interval).
@@ -98,11 +101,6 @@ type AutoscaleConfig struct {
 	// DownStableWindows is how many consecutive below-band windows a
 	// down requires (default 2).
 	DownStableWindows int
-	// StepUp/StepDown are the per-action replica deltas (default 1).
-	StepUp, StepDown int
-	// Obs overrides the telemetry registry (default: the
-	// controller's).
-	Obs *obs.Registry
 }
 
 func (c *AutoscaleConfig) fill() error {
@@ -118,9 +116,6 @@ func (c *AutoscaleConfig) fill() error {
 	if c.RateMetric == "" {
 		c.RateMetric = "bento.invokes"
 	}
-	if c.QueueMetric == "" {
-		c.QueueMetric = "bento.invoke_queue_depth"
-	}
 	iv := c.Windower.Interval()
 	if c.UpCooldown <= 0 {
 		c.UpCooldown = iv
@@ -131,19 +126,17 @@ func (c *AutoscaleConfig) fill() error {
 	if c.DownStableWindows <= 0 {
 		c.DownStableWindows = 2
 	}
-	if c.StepUp <= 0 {
-		c.StepUp = 1
-	}
-	if c.StepDown <= 0 {
-		c.StepDown = 1
-	}
 	return nil
 }
 
 // NewAutoscaler validates cfg, clamps the controller's current desired
-// count into [Min,Max], and starts the evaluation loop over a private
-// stream subscription. Close stops it (the controller is left at its
-// final size).
+// count into [Min,Max], and registers the evaluation as a window
+// callback. Close unregisters it (the controller is left at its final
+// size).
+//
+// evaluate runs on the Windower's tick and must not block. It takes only
+// the autoscaler's mutex and then the controller's (through Scale and
+// Converged), which no goroutine holds across a park.
 func NewAutoscaler(cfg AutoscaleConfig) (*Autoscaler, error) {
 	if cfg.Controller == nil {
 		return nil, fmt.Errorf("fleet: autoscaler needs a controller")
@@ -151,61 +144,23 @@ func NewAutoscaler(cfg AutoscaleConfig) (*Autoscaler, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	reg := cfg.Obs
-	if reg == nil {
-		reg = cfg.Controller.cfg.Obs
-	}
-	if reg == nil {
-		reg = cfg.Controller.cfg.Client.Tor.Host().Network().Obs()
-	}
 	a := &Autoscaler{
 		cfg:    cfg,
 		target: cfg.Controller,
-		am:     newASMetrics(reg),
-		done:   make(chan struct{}),
+		queue:  queueMetric,
+		am:     newASMetrics(cfg.Controller.cfg.Client.Tor.Host().Network().Obs()),
 	}
-	a.desired = cfg.Controller.Status().Desired
-	if a.desired < cfg.MinReplicas {
-		a.desired = cfg.MinReplicas
-	}
-	if a.desired > cfg.MaxReplicas {
-		a.desired = cfg.MaxReplicas
-	}
+	a.desired = min(max(cfg.Controller.Status().Desired, cfg.MinReplicas), cfg.MaxReplicas)
 	a.am.target.Set(int64(a.desired))
 	if err := a.target.Scale(a.desired); err != nil {
 		return nil, err
 	}
-	a.stream = cfg.Windower.Subscribe(4)
-	go a.run(cfg.Controller.clock.Blocking)
+	a.cancel = cfg.Windower.OnWindow(a.evaluate)
 	return a, nil
 }
 
-// run consumes windows until Close or the windower shuts the stream.
-// blocking brackets the select per the simnet event-clock convention.
-func (a *Autoscaler) run(blocking func() func()) {
-	for {
-		unblock := blocking()
-		select {
-		case <-a.done:
-			unblock()
-			return
-		case ws, ok := <-a.stream.C():
-			unblock()
-			if !ok {
-				return
-			}
-			a.evaluate(ws)
-		}
-	}
-}
-
-// Close stops the evaluation loop.
-func (a *Autoscaler) Close() {
-	a.closeOnce.Do(func() {
-		close(a.done)
-		a.stream.Close()
-	})
-}
+// Close stops the evaluation: no window is evaluated after it returns.
+func (a *Autoscaler) Close() { a.cancel() }
 
 // Desired returns the autoscaler's current target replica count.
 func (a *Autoscaler) Desired() int {
@@ -229,7 +184,7 @@ func (a *Autoscaler) evaluate(ws *obs.WindowSnapshot) {
 	if st := ws.Find(a.cfg.RateMetric); st != nil {
 		rate = st.Rate
 	}
-	if st := ws.Find(a.cfg.QueueMetric); st != nil {
+	if st := ws.Find(a.queue); st != nil {
 		queue = float64(st.Last)
 	}
 	now := ws.At
@@ -256,10 +211,7 @@ func (a *Autoscaler) evaluate(ws *obs.WindowSnapshot) {
 			a.am.cooldownHolds.Inc()
 			return
 		}
-		n := cur + a.cfg.StepUp
-		if n > a.cfg.MaxReplicas {
-			n = a.cfg.MaxReplicas
-		}
+		n := min(cur+scaleStep, a.cfg.MaxReplicas)
 		reason := "rate-high"
 		if perRate <= a.cfg.HighWater {
 			reason = "queue-high"
@@ -284,10 +236,7 @@ func (a *Autoscaler) evaluate(ws *obs.WindowSnapshot) {
 			a.am.divergedHolds.Inc()
 			return
 		}
-		n := cur - a.cfg.StepDown
-		if n < a.cfg.MinReplicas {
-			n = a.cfg.MinReplicas
-		}
+		n := max(cur-scaleStep, a.cfg.MinReplicas)
 		a.scaleLocked(n, now, "rate-low")
 	default:
 		a.lowStreak = 0

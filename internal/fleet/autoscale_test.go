@@ -32,9 +32,6 @@ func newTestAutoscaler(t *testing.T, ft *fakeTarget, cfg AutoscaleConfig) *Autos
 	if cfg.RateMetric == "" {
 		cfg.RateMetric = "app.rate"
 	}
-	if cfg.QueueMetric == "" {
-		cfg.QueueMetric = "app.queue"
-	}
 	if cfg.UpCooldown == 0 {
 		cfg.UpCooldown = time.Second
 	}
@@ -44,17 +41,11 @@ func newTestAutoscaler(t *testing.T, ft *fakeTarget, cfg AutoscaleConfig) *Autos
 	if cfg.DownStableWindows == 0 {
 		cfg.DownStableWindows = 2
 	}
-	if cfg.StepUp == 0 {
-		cfg.StepUp = 1
-	}
-	if cfg.StepDown == 0 {
-		cfg.StepDown = 1
-	}
 	a := &Autoscaler{
 		cfg:     cfg,
 		target:  ft,
+		queue:   "app.queue",
 		am:      newASMetrics(obs.NewRegistry()),
-		done:    make(chan struct{}),
 		desired: cfg.MinReplicas,
 	}
 	return a
@@ -262,7 +253,7 @@ func TestAutoscalerConfigValidation(t *testing.T) {
 	if err := good.fill(); err != nil {
 		t.Fatalf("good config rejected: %v", err)
 	}
-	if good.RateMetric != "bento.invokes" || good.QueueMetric != "bento.invoke_queue_depth" {
+	if good.RateMetric != "bento.invokes" {
 		t.Fatalf("defaults not filled: %+v", good)
 	}
 	if good.UpCooldown != time.Hour || good.DownCooldown != 3*time.Hour {

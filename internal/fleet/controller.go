@@ -10,85 +10,48 @@ import (
 
 	"github.com/bento-nfv/bento/internal/bento"
 	"github.com/bento-nfv/bento/internal/dirauth"
-	"github.com/bento-nfv/bento/internal/obs"
 	"github.com/bento-nfv/bento/internal/policy"
 	"github.com/bento-nfv/bento/internal/simnet"
 )
 
-// Config tunes a Controller. All durations are virtual (simnet clock);
-// zero fields take the defaults noted.
+// Config wires a Controller to the world.
 type Config struct {
 	// Client drives every control-plane session (spawns, probes,
-	// shutdowns). Required.
+	// shutdowns). Required. Telemetry goes to its network's registry.
 	Client *bento.Client
 	// Consensus returns a fresh consensus each reconcile pass — relay
 	// liveness as the directory sees it. A node that leaves the
 	// consensus is retired immediately. Required.
 	Consensus func() (*dirauth.Consensus, error)
-	// Interval is the reconcile tick (default 500ms).
-	Interval time.Duration
-	// OpDeadline bounds one attempt of one control-plane operation
-	// (default 10s).
-	OpDeadline time.Duration
-	// FailureThreshold is how many consecutive probe failures retire a
-	// ready replica (default 2). Permanent-failure reports retire it
-	// immediately.
-	FailureThreshold int
-	// BaseBackoff/MaxBackoff bound the per-slot requeue backoff after a
-	// failed action (defaults 250ms / 8s); the actual wait draws jitter
-	// from the controller's seeded RNG.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// BreakerThreshold consecutive short-lived placements open a slot's
-	// circuit breaker for BreakerCooldown (defaults 3 / 15s). A replica
-	// that stays ready for MinUptime (default 5s) resets the count: a
-	// relay crash after honest service is churn, not poison.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	MinUptime        time.Duration
-	// SuspectCooldown is how long a node that ate a replica is avoided
-	// by the allocator while alternatives exist (default 10s).
-	SuspectCooldown time.Duration
 	// Seed drives placement choice and backoff jitter (default 1).
 	Seed int64
-	// Obs overrides the telemetry registry (default: the client
-	// network's registry).
-	Obs *obs.Registry
 }
 
-func (c Config) withDefaults() Config {
-	if c.Interval <= 0 {
-		c.Interval = 500 * time.Millisecond
-	}
-	if c.OpDeadline <= 0 {
-		c.OpDeadline = 10 * time.Second
-	}
-	if c.FailureThreshold <= 0 {
-		c.FailureThreshold = 2
-	}
-	if c.BaseBackoff <= 0 {
-		c.BaseBackoff = 250 * time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 8 * time.Second
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 15 * time.Second
-	}
-	if c.MinUptime <= 0 {
-		c.MinUptime = 5 * time.Second
-	}
-	if c.SuspectCooldown <= 0 {
-		c.SuspectCooldown = 10 * time.Second
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
-}
+// The reconcile loop's timing and thresholds. Durations are virtual.
+const (
+	// reconcileInterval is the reconcile tick.
+	reconcileInterval = 300 * time.Millisecond
+	// opDeadline bounds one attempt of one control-plane operation.
+	opDeadline = 5 * time.Second
+	// failureThreshold consecutive probe failures retire a ready
+	// replica. Permanent-failure reports retire it immediately.
+	failureThreshold = 2
+	// baseBackoff and maxBackoff bound the per-slot requeue backoff
+	// after a failed action; the actual wait draws jitter from the
+	// controller's seeded RNG.
+	baseBackoff = 200 * time.Millisecond
+	maxBackoff  = 2 * time.Second
+	// breakerThreshold consecutive short-lived placements open a slot's
+	// circuit breaker for breakerCooldown. A replica that stays ready
+	// for minUptime resets the count: a relay crash after honest
+	// service is churn, not poison.
+	breakerThreshold = 3
+	breakerCooldown  = 15 * time.Second
+	minUptime        = 2 * time.Second
+	// suspectCooldown is how long a node that ate a replica is avoided
+	// by the allocator while alternatives exist.
+	suspectCooldown = 5 * time.Second
+)
 
 // slot is one replica's reconciliation state. All fields are guarded by
 // the controller mutex; the session/function handles are only used by
@@ -163,8 +126,14 @@ type Controller struct {
 
 	wake    chan struct{}
 	results chan result
-	done    chan struct{}
+	done    chan struct{} // closed by Close
+	exited  chan struct{} // closed when run returns
 
+	// mu guards the fields below. It is never held across a park:
+	// every action that can block (probes, spawns, shutdowns, session
+	// closes) starts with go and reports back through results or
+	// re-locks. The autoscaler relies on this, since it takes mu from a
+	// window callback on the clock's dispatcher.
 	mu            sync.Mutex
 	spec          *Spec
 	srcHash       [sha256.Size]byte
@@ -188,19 +157,18 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.Consensus == nil {
 		return nil, fmt.Errorf("fleet: config needs a consensus source")
 	}
-	cfg = cfg.withDefaults()
-	reg := cfg.Obs
-	if reg == nil {
-		reg = cfg.Client.Tor.Host().Network().Obs()
+	if cfg.Seed == 0 {
+		cfg.Seed = 1
 	}
 	c := &Controller{
 		cfg:      cfg,
 		clock:    cfg.Client.Tor.Clock(),
-		om:       newMetrics(reg),
+		om:       newMetrics(cfg.Client.Tor.Host().Network().Obs()),
 		alloc:    newAllocator(cfg.Seed),
 		wake:     make(chan struct{}, 1),
 		results:  make(chan result, 64),
 		done:     make(chan struct{}),
+		exited:   make(chan struct{}),
 		suspects: make(map[string]time.Duration),
 		rng:      rand.New(rand.NewSource(cfg.Seed ^ 0x5eed)),
 	}
@@ -273,16 +241,16 @@ func (c *Controller) Scale(replicas int) error {
 	return nil
 }
 
-// Close stops the reconcile loop. Replicas keep running.
+// Close stops the reconcile loop and returns once it has exited, which
+// can take the rest of a reconcile pass. Replicas keep running.
 func (c *Controller) Close() {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
+	if !c.closed {
+		c.closed = true
+		close(c.done)
 	}
-	c.closed = true
 	c.mu.Unlock()
-	close(c.done)
+	<-c.exited
 }
 
 func (c *Controller) kick() {
@@ -361,21 +329,26 @@ func (c *Controller) WaitConverged(timeout time.Duration) error {
 }
 
 // run is the controller loop: reconcile on every tick, wake-up, and
-// action result, until Close.
+// action result, until Close. The tick is a timer that kicks the wake
+// channel and is stopped as soon as the select returns, so an early
+// wake leaves no timer behind.
 func (c *Controller) run() {
+	defer close(c.exited)
 	for {
+		tick := c.clock.AfterFunc(reconcileInterval, c.kick)
 		unblock := c.clock.Blocking()
 		select {
 		case <-c.done:
 			unblock()
+			tick.Stop()
 			return
 		case r := <-c.results:
 			unblock()
+			tick.Stop()
 			c.handleResult(r)
 		case <-c.wake:
 			unblock()
-		case <-c.clock.After(c.cfg.Interval):
-			unblock()
+			tick.Stop()
 		}
 		c.reconcile()
 	}
@@ -389,7 +362,7 @@ func (c *Controller) controlSession(node *dirauth.Descriptor, seed int64) *bento
 		MaxAttempts: 3,
 		BaseBackoff: 100 * time.Millisecond,
 		MaxBackoff:  time.Second,
-		OpDeadline:  c.cfg.OpDeadline,
+		OpDeadline:  opDeadline,
 		Seed:        seed,
 	})
 }
@@ -453,7 +426,7 @@ func (c *Controller) reconcile() {
 		switch {
 		case pr.err == nil:
 			s.probeFails = 0
-			if s.breakerFails > 0 && now-s.readySince >= c.cfg.MinUptime {
+			if s.breakerFails > 0 && now-s.readySince >= minUptime {
 				s.breakerFails = 0
 			}
 		case errors.Is(pr.err, bento.ErrPermanentFailure):
@@ -469,7 +442,7 @@ func (c *Controller) reconcile() {
 			// is still free to move the slot if a fresh node exists.
 			c.om.probeFailures.Inc()
 			s.probeFails++
-			if s.probeFails >= c.cfg.FailureThreshold {
+			if s.probeFails >= failureThreshold {
 				c.suspendLocked(s, now)
 			}
 		default:
@@ -477,7 +450,7 @@ func (c *Controller) reconcile() {
 			// check: the replica itself is bad. Replace it.
 			c.om.probeFailures.Inc()
 			s.probeFails++
-			if s.probeFails >= c.cfg.FailureThreshold {
+			if s.probeFails >= failureThreshold {
 				c.retireLocked(s, now, true, "unhealthy")
 			}
 		}
@@ -560,7 +533,7 @@ func (c *Controller) runProbes(probes map[int]*probeReq) {
 func (c *Controller) retireLocked(s *slot, now time.Duration, poison bool, reason string) {
 	c.om.replacements.Inc()
 	if s.node != nil {
-		c.suspects[s.node.Nickname] = now + c.cfg.SuspectCooldown
+		c.suspects[s.node.Nickname] = now + suspectCooldown
 	}
 	sess, fn := s.sess, s.fn
 	node, man := s.node, s.man
@@ -581,10 +554,10 @@ func (c *Controller) retireLocked(s *slot, now time.Duration, poison bool, reaso
 
 	// Short-lived or poisoned replicas count toward the breaker; a
 	// replica that served honestly resets it (relay churn, not poison).
-	if poison || now-s.readySince < c.cfg.MinUptime {
+	if poison || now-s.readySince < minUptime {
 		s.breakerFails++
-		if s.breakerFails >= c.cfg.BreakerThreshold && now >= s.breakerOpenUntil {
-			s.breakerOpenUntil = now + c.cfg.BreakerCooldown
+		if s.breakerFails >= breakerThreshold && now >= s.breakerOpenUntil {
+			s.breakerOpenUntil = now + breakerCooldown
 			c.om.breakerTrips.Inc()
 		}
 	} else {
@@ -612,7 +585,7 @@ func (c *Controller) retireLocked(s *slot, now time.Duration, poison bool, reaso
 func (c *Controller) suspendLocked(s *slot, now time.Duration) {
 	c.om.replacements.Inc()
 	if s.node != nil {
-		c.suspects[s.node.Nickname] = now + c.cfg.SuspectCooldown
+		c.suspects[s.node.Nickname] = now + suspectCooldown
 	}
 	if sess := s.sess; sess != nil {
 		go sess.Close()
@@ -630,9 +603,9 @@ func (c *Controller) suspendLocked(s *slot, now time.Duration) {
 // exponential growth with half-jitter from the seeded RNG.
 func (c *Controller) bumpBackoffLocked(s *slot, now time.Duration) {
 	if s.backoff <= 0 {
-		s.backoff = c.cfg.BaseBackoff
-	} else if s.backoff < c.cfg.MaxBackoff {
-		s.backoff = min(s.backoff*2, c.cfg.MaxBackoff)
+		s.backoff = baseBackoff
+	} else if s.backoff < maxBackoff {
+		s.backoff = min(s.backoff*2, maxBackoff)
 	}
 	wait := s.backoff/2 + time.Duration(c.rng.Int63n(int64(s.backoff/2)+1))
 	s.nextAttempt = now + wait
@@ -851,7 +824,7 @@ func (c *Controller) handleResult(r result) {
 				// incarnation, and suspect the node.
 				s.unknownFate = true
 				if s.node != nil {
-					c.suspects[s.node.Nickname] = now + c.cfg.SuspectCooldown
+					c.suspects[s.node.Nickname] = now + suspectCooldown
 				}
 				s.phase = PhaseFailed
 				if r.sess != nil {
@@ -873,8 +846,8 @@ func (c *Controller) handleResult(r result) {
 					go r.sess.Close()
 				}
 				s.breakerFails++
-				if s.breakerFails >= c.cfg.BreakerThreshold && now >= s.breakerOpenUntil {
-					s.breakerOpenUntil = now + c.cfg.BreakerCooldown
+				if s.breakerFails >= breakerThreshold && now >= s.breakerOpenUntil {
+					s.breakerOpenUntil = now + breakerCooldown
 					c.om.breakerTrips.Inc()
 				}
 			}
@@ -930,8 +903,8 @@ func (c *Controller) addOrphanLocked(node *dirauth.Descriptor, key string, man *
 		node:        node,
 		key:         key,
 		man:         man,
-		backoff:     c.cfg.BaseBackoff,
-		nextAttempt: now + c.cfg.SuspectCooldown,
+		backoff:     baseBackoff,
+		nextAttempt: now + suspectCooldown,
 	})
 }
 
@@ -978,7 +951,7 @@ func (c *Controller) runReap(o *orphan) {
 	if err != nil {
 		c.om.actionFailures.Inc()
 		now := c.clock.Now()
-		o.backoff = min(o.backoff*2, c.cfg.MaxBackoff)
+		o.backoff = min(o.backoff*2, maxBackoff)
 		o.nextAttempt = now + o.backoff
 		return
 	}

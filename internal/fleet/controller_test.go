@@ -54,8 +54,7 @@ func fleetSpec(replicas int) *fleet.Spec {
 }
 
 // fleetWorld builds a deployment with nBento Bento relays spread over
-// families and a running controller (fast reconcile cadence so chaos
-// tests converge in little virtual time).
+// families and a running controller.
 func fleetWorld(t *testing.T, relays, nBento, families int) (*testbed.World, *fleet.Controller) {
 	t.Helper()
 	w, err := testbed.New(testbed.Config{
@@ -68,15 +67,7 @@ func fleetWorld(t *testing.T, relays, nBento, families int) (*testbed.World, *fl
 		t.Fatal(err)
 	}
 	t.Cleanup(w.Close)
-	ctl, err := w.NewFleetController("fleet-ctl", fleet.Config{
-		Interval:        300 * time.Millisecond,
-		OpDeadline:      5 * time.Second,
-		BaseBackoff:     200 * time.Millisecond,
-		MaxBackoff:      2 * time.Second,
-		MinUptime:       2 * time.Second,
-		SuspectCooldown: 5 * time.Second,
-		Seed:            42,
-	})
+	ctl, err := w.NewFleetController("fleet-ctl", fleet.Config{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +339,7 @@ func TestFleetBreakerTripsOnCrashLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Every placement attempt fails readiness; after BreakerThreshold
+	// Every placement attempt fails readiness; after breakerThreshold
 	// consecutive short-lived placements the slot's breaker must open.
 	st := waitStatus(t, ctl, w, 180*time.Second, func(st fleet.Status) bool {
 		return len(st.Slots) == 1 && st.Slots[0].BreakerOpen

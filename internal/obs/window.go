@@ -2,27 +2,27 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
 // This file is the time-series half of the obs package: a Windower
 // samples a Registry on a fixed (virtual-clock-driven) cadence into a
 // ring of cumulative snapshots and derives rates, EWMAs, and windowed
-// percentiles from the deltas; Streams fan the resulting
-// WindowSnapshots out to subscribers with drop-oldest backpressure.
+// percentiles from the deltas, and hands each resulting WindowSnapshot
+// to its registered callbacks on the tick that produced it.
 //
 // The contract mirrors the rest of the package:
 //
 //   - The steady-state sample path performs zero allocations. All ring
 //     storage is preallocated when a series is first seen; a
-//     WindowSnapshot is only materialized when a subscriber exists.
-//     (GaugeFunc callbacks run on the sampler goroutine at sample time;
-//     whatever they allocate is the callback's own cost.)
+//     WindowSnapshot is only materialized when a callback is registered.
+//     (GaugeFunc callbacks run in the tick at sample time; whatever they
+//     allocate is the callback's own cost.)
 //   - The nil *Windower — what NewWindower returns for a nil registry —
 //     is a valid no-op: every method works and does nothing.
 //   - Deltas are monotonic-safe: a counter that appears to move
@@ -55,31 +55,27 @@ func (w wallSampleClock) Schedule(d time.Duration, f func()) func() bool {
 }
 
 // WindowConfig tunes a Windower. The zero value is usable: 1s
-// interval, 60 slots (a one-minute window), EWMA alpha 0.3, wall
-// clock.
+// interval, wall clock.
 type WindowConfig struct {
 	// Interval is the sampling cadence in the clock's domain.
 	Interval time.Duration
-	// Slots is the ring depth; the retained window spans
-	// Slots*Interval once warm.
-	Slots int
-	// EWMAAlpha is the smoothing factor for the per-series EWMA
-	// (weight of the newest interval). 0 < alpha <= 1.
-	EWMAAlpha float64
 	// Clock drives the cadence and timestamps. Use the deployment's
 	// *simnet.Clock so windows tick in virtual time; nil means wall.
 	Clock SampleClock
 }
 
+const (
+	// windowSlots is the ring depth: the retained window spans
+	// windowSlots*Interval once warm (a minute at the default interval).
+	windowSlots = 60
+	// ewmaAlpha is the weight of the newest interval in each series'
+	// EWMA.
+	ewmaAlpha = 0.3
+)
+
 func (c *WindowConfig) fill() {
 	if c.Interval <= 0 {
 		c.Interval = time.Second
-	}
-	if c.Slots < 2 {
-		c.Slots = 60
-	}
-	if c.EWMAAlpha <= 0 || c.EWMAAlpha > 1 {
-		c.EWMAAlpha = 0.3
 	}
 	if c.Clock == nil {
 		c.Clock = wallSampleClock{epoch: time.Now()}
@@ -134,17 +130,22 @@ func (s *wseries) kindStr() string {
 }
 
 // Windower samples a Registry every Interval into a fixed ring and
-// publishes derived WindowSnapshots to subscribers. Create with
-// NewWindower; stop with Close.
+// hands derived WindowSnapshots to the callbacks registered with
+// OnWindow. Create with NewWindower; stop with Close.
 type Windower struct {
 	reg   *Registry
 	cfg   WindowConfig
-	clock SampleClock
+	slots int // ring depth
 
-	done      chan struct{}
-	closeOnce sync.Once
+	// tickMu spans a whole tick (sample, callbacks, re-arm), so ticks
+	// never overlap and Close and cancel never return mid-delivery. It
+	// guards the fields up to mu.
+	tickMu     sync.Mutex
+	closed     bool
+	subs       []*windowSub
+	tickCancel func() bool // the pending tick
 
-	mu      sync.Mutex
+	mu      sync.Mutex // guards the ring and the derived stats
 	series  []*wseries
 	order   []int // series indexes sorted by name
 	nSeen   int   // registry entries consumed
@@ -154,26 +155,27 @@ type Windower struct {
 	lastAt  time.Duration
 	samples uint64
 	resets  uint64
-	subs    []*Stream
-
-	tickCancel func() bool // the pending tick
 }
+
+// windowSub is one OnWindow registration; its address is its identity.
+type windowSub struct{ fn func(*WindowSnapshot) }
 
 // NewWindower starts a sampler over reg. A nil registry yields a nil
 // Windower, on which every method is a safe no-op — the same ablation
 // contract as the rest of the package.
 func NewWindower(reg *Registry, cfg WindowConfig) *Windower {
-	w := newWindower(reg, cfg)
-	if w == nil {
-		return nil
+	w := newWindower(reg, cfg, windowSlots)
+	if w != nil {
+		w.tickMu.Lock()
+		w.arm()
+		w.tickMu.Unlock()
 	}
-	w.arm()
 	return w
 }
 
-// newWindower builds the sampler without arming its first tick; tests
-// drive ticks by hand.
-func newWindower(reg *Registry, cfg WindowConfig) *Windower {
+// newWindower builds a sampler with the given ring depth without arming
+// its first tick; tests drive ticks by hand.
+func newWindower(reg *Registry, cfg WindowConfig, slots int) *Windower {
 	if reg == nil {
 		return nil
 	}
@@ -181,9 +183,8 @@ func newWindower(reg *Registry, cfg WindowConfig) *Windower {
 	return &Windower{
 		reg:    reg,
 		cfg:    cfg,
-		clock:  cfg.Clock,
-		done:   make(chan struct{}),
-		times:  make([]time.Duration, cfg.Slots),
+		slots:  slots,
+		times:  make([]time.Duration, slots),
 		head:   -1,
 		lastAt: -1,
 	}
@@ -218,62 +219,84 @@ func (w *Windower) Resets() uint64 {
 	return w.resets
 }
 
-// Close stops the sampler and closes all subscriber channels.
+// OnWindow registers fn to receive every published window: once per
+// sample that has deltas (never the priming or a reset tick), at that
+// sample's instant, after the callbacks registered before it. fn runs in
+// the tick's own context (the dispatcher on a simnet event clock, a
+// timer goroutine otherwise) with no Windower lock held, so it may call
+// Window. It must not block, and it must not call OnWindow, a cancel, or
+// Close: those wait for the tick in progress. All callbacks of a tick
+// share one snapshot; treat it as read-only.
+//
+// After the returned cancel returns, fn never runs again. On a nil or
+// closed Windower fn is never called and cancel does nothing.
+func (w *Windower) OnWindow(fn func(*WindowSnapshot)) (cancel func()) {
+	if w == nil {
+		return func() {}
+	}
+	sub := &windowSub{fn: fn}
+	w.tickMu.Lock()
+	if !w.closed {
+		w.subs = append(w.subs, sub)
+	}
+	w.tickMu.Unlock()
+	return func() {
+		w.tickMu.Lock()
+		defer w.tickMu.Unlock()
+		w.subs = slices.DeleteFunc(w.subs, func(s *windowSub) bool { return s == sub })
+	}
+}
+
+// Close stops the sampler: it cancels the pending tick, waits out one in
+// progress, and drops every callback.
 func (w *Windower) Close() {
 	if w == nil {
 		return
 	}
-	w.closeOnce.Do(func() {
-		close(w.done)
-		w.mu.Lock()
-		if w.tickCancel != nil {
-			w.tickCancel()
-			w.tickCancel = nil
-		}
-		for _, s := range w.subs {
-			s.closed = true
-			close(s.ch)
-		}
-		w.subs = nil
-		w.mu.Unlock()
-	})
+	w.tickMu.Lock()
+	defer w.tickMu.Unlock()
+	w.closed = true
+	if w.tickCancel != nil {
+		w.tickCancel()
+		w.tickCancel = nil
+	}
+	w.subs = nil
 }
 
-// arm schedules the next tick. Each tick samples and then arms the one
-// after it, so the pending tick is in the clock's wheel before virtual time
-// can move past it. A tick that loses the race with Close sees done closed
-// and ends the chain (Close also cancels the stored pending tick, so at
-// most one no-op fire escapes).
+// arm schedules the next tick; tickMu is held. Each tick samples,
+// delivers, and only then arms the one after it, so the pending tick is
+// in the clock's wheel before virtual time can move past it.
 func (w *Windower) arm() {
-	cancel := w.clock.Schedule(w.cfg.Interval, func() {
-		select {
-		case <-w.done:
-			return
-		default:
+	w.tickCancel = w.cfg.Clock.Schedule(w.cfg.Interval, func() {
+		w.tickMu.Lock()
+		defer w.tickMu.Unlock()
+		if w.tickLocked() {
+			w.arm()
 		}
-		w.tick()
-		w.arm()
 	})
-	w.mu.Lock()
-	w.tickCancel = cancel
-	w.mu.Unlock()
 }
 
-// tick runs one sample and publishes to subscribers if warranted.
-func (w *Windower) tick() {
-	if w == nil {
-		return
+// tickLocked takes one sample and hands a published window to every
+// callback in registration order; tickMu is held, w.mu only while
+// sampling. It does nothing and reports false once the Windower is
+// closed.
+func (w *Windower) tickLocked() bool {
+	if w.closed {
+		return false
 	}
-	now := w.clock.Now()
+	now := w.cfg.Clock.Now()
 	w.mu.Lock()
-	publish := w.sampleLocked(now)
-	if publish && len(w.subs) > 0 {
-		snap := w.buildSnapshotLocked()
-		for _, s := range w.subs {
-			s.push(snap)
-		}
+	var snap *WindowSnapshot
+	if w.sampleLocked(now) && len(w.subs) > 0 {
+		snap = w.buildSnapshotLocked()
 	}
 	w.mu.Unlock()
+	if snap != nil {
+		for _, s := range w.subs {
+			s.fn(snap)
+		}
+	}
+	return true
 }
 
 // sampleLocked takes one sample at time now. Returns false on priming
@@ -299,29 +322,27 @@ func (w *Windower) sampleLocked(now time.Duration) bool {
 		primer = true
 	}
 
-	w.head = (w.head + 1) % w.cfg.Slots
+	w.head = (w.head + 1) % w.slots
 	w.times[w.head] = now
-	if w.filled < w.cfg.Slots {
+	if w.filled < w.slots {
 		w.filled++
 	}
 	w.lastAt = now
 	w.samples++
 
-	alpha := w.cfg.EWMAAlpha
 	for _, s := range w.series {
-		if s.filled < w.cfg.Slots {
+		if s.filled < w.slots {
 			s.filled++
 		}
 		switch s.kind {
 		case entryCounter:
-			v := s.c.Value()
-			w.sampleCumulative(s, v, dt, alpha, true)
+			w.sampleCounter(s, s.c.Value(), dt)
 		case entryGauge:
-			w.sampleLevel(s, s.g.Value(), dt, alpha)
+			w.sampleLevel(s, s.g.Value(), dt)
 		case entryGaugeFn:
-			w.sampleLevel(s, s.fn.get()(), dt, alpha)
+			w.sampleLevel(s, s.fn.get()(), dt)
 		case entryHist:
-			w.sampleHist(s, dt, alpha)
+			w.sampleHist(s, dt)
 		}
 	}
 	return !primer
@@ -330,44 +351,34 @@ func (w *Windower) sampleLocked(now time.Duration) bool {
 // oldestSlot returns the ring index of the oldest valid slot for a
 // series with the given fill.
 func (w *Windower) oldestSlot(filled int) int {
-	return (w.head - (filled - 1) + w.cfg.Slots) % w.cfg.Slots
+	return (w.head - (filled - 1) + w.slots) % w.slots
 }
 
-// sampleCumulative updates a monotonic series (counters). Negative
-// deltas clamp to zero so a rebuilt component never yields a bogus
-// rate.
-func (w *Windower) sampleCumulative(s *wseries, v int64, dt time.Duration, alpha float64, clamp bool) {
+// sampleCounter updates a monotonic series. Negative deltas clamp to
+// zero so a rebuilt component never yields a bogus rate.
+func (w *Windower) sampleCounter(s *wseries, v int64, dt time.Duration) {
 	prev := s.last
 	s.vals[w.head] = v
 	s.last = v
 	if s.filled < 2 || dt <= 0 {
 		return
 	}
-	d := v - prev
-	if clamp && d < 0 {
-		d = 0
-	}
-	s.rate = float64(d) / dt.Seconds()
+	s.rate = float64(max(v-prev, 0)) / dt.Seconds()
 	old := w.oldestSlot(s.filled)
-	span := w.times[w.head] - w.times[old]
-	if span > 0 {
-		wd := v - s.vals[old]
-		if clamp && wd < 0 {
-			wd = 0
-		}
-		s.wrate = float64(wd) / span.Seconds()
+	if span := w.times[w.head] - w.times[old]; span > 0 {
+		s.wrate = float64(max(v-s.vals[old], 0)) / span.Seconds()
 	}
 	if !s.primed {
 		s.ewma = s.rate
 		s.primed = true
 	} else {
-		s.ewma = alpha*s.rate + (1-alpha)*s.ewma
+		s.ewma = ewmaAlpha*s.rate + (1-ewmaAlpha)*s.ewma
 	}
 }
 
 // sampleLevel updates a level series (gauges, gauge funcs): rate is
 // the signed level trend, EWMA smooths the level itself.
-func (w *Windower) sampleLevel(s *wseries, v int64, dt time.Duration, alpha float64) {
+func (w *Windower) sampleLevel(s *wseries, v int64, dt time.Duration) {
 	prev := s.last
 	s.vals[w.head] = v
 	s.last = v
@@ -375,7 +386,7 @@ func (w *Windower) sampleLevel(s *wseries, v int64, dt time.Duration, alpha floa
 		s.ewma = float64(v)
 		s.primed = true
 	} else {
-		s.ewma = alpha*float64(v) + (1-alpha)*s.ewma
+		s.ewma = ewmaAlpha*float64(v) + (1-ewmaAlpha)*s.ewma
 	}
 	if s.filled < 2 || dt <= 0 {
 		return
@@ -391,7 +402,7 @@ func (w *Windower) sampleLevel(s *wseries, v int64, dt time.Duration, alpha floa
 // sampleHist rings the histogram's cumulative bucket counts and
 // derives windowed count/sum/mean and p50/p95/p99 from
 // newest-minus-oldest deltas (clamped to zero per bucket).
-func (w *Windower) sampleHist(s *wseries, dt time.Duration, alpha float64) {
+func (w *Windower) sampleHist(s *wseries, dt time.Duration) {
 	h := s.h
 	row := s.hcum[w.head*s.nb : (w.head+1)*s.nb]
 	for i := range row {
@@ -414,7 +425,7 @@ func (w *Windower) sampleHist(s *wseries, dt time.Duration, alpha float64) {
 		s.ewma = s.rate
 		s.primed = true
 	} else {
-		s.ewma = alpha*s.rate + (1-alpha)*s.ewma
+		s.ewma = ewmaAlpha*s.rate + (1-ewmaAlpha)*s.ewma
 	}
 
 	old := w.oldestSlot(s.filled)
@@ -464,13 +475,13 @@ func (w *Windower) syncSeriesLocked() {
 		s := &wseries{
 			name: e.name, kind: e.kind,
 			c: e.c, g: e.g, h: e.h, fn: e.fn,
-			vals: make([]int64, w.cfg.Slots),
+			vals: make([]int64, w.slots),
 		}
 		if e.kind == entryHist {
 			s.nb = len(e.h.counts)
-			s.hcum = make([]int64, w.cfg.Slots*s.nb)
-			s.hcount = make([]int64, w.cfg.Slots)
-			s.hsum = make([]int64, w.cfg.Slots)
+			s.hcum = make([]int64, w.slots*s.nb)
+			s.hcount = make([]int64, w.slots)
+			s.hsum = make([]int64, w.slots)
 			s.hdelta = make([]int64, s.nb)
 		}
 		w.series = append(w.series, s)
@@ -557,11 +568,11 @@ type WindowSnapshot struct {
 }
 
 // buildSnapshotLocked materializes the current derived state; called
-// with w.mu held, only when subscribers exist (it allocates).
+// with w.mu held, only when a callback is registered (it allocates).
 func (w *Windower) buildSnapshotLocked() *WindowSnapshot {
 	dt := time.Duration(0)
 	if w.filled >= 2 {
-		prev := (w.head - 1 + w.cfg.Slots) % w.cfg.Slots
+		prev := (w.head - 1 + w.slots) % w.slots
 		dt = w.times[w.head] - w.times[prev]
 	}
 	span := time.Duration(0)
@@ -591,7 +602,8 @@ func (w *Windower) buildSnapshotLocked() *WindowSnapshot {
 }
 
 // Window materializes the current window state on demand (for
-// dashboards that poll rather than subscribe). Nil Windower → nil.
+// dashboards that poll rather than register a callback). Nil Windower
+// → nil.
 func (w *Windower) Window() *WindowSnapshot {
 	if w == nil {
 		return nil
@@ -615,66 +627,6 @@ func (ws *WindowSnapshot) Find(name string) *SeriesStat {
 		return &ws.Series[i]
 	}
 	return nil
-}
-
-// LineProtocol renders the snapshot in an influx-style line protocol:
-//
-//	<name>,kind=<kind> <field>=<value>,... <timestamp_ns>
-//
-// Counters and gauges carry last/rate/ewma; histograms add
-// count/sum/mean and p50/p95/p99. Integer fields use the trailing-i
-// convention.
-func (ws *WindowSnapshot) LineProtocol() []byte {
-	return ws.AppendLineProtocol(nil)
-}
-
-// AppendLineProtocol appends the line-protocol rendering to b.
-func (ws *WindowSnapshot) AppendLineProtocol(b []byte) []byte {
-	if ws == nil {
-		return b
-	}
-	ts := int64(ws.At)
-	for i := range ws.Series {
-		s := &ws.Series[i]
-		b = append(b, s.Name...)
-		b = append(b, ",kind="...)
-		b = append(b, s.Kind...)
-		b = append(b, ' ')
-		b = appendIntField(b, "last", s.Last, false)
-		b = appendFloatField(b, "rate", s.Rate)
-		b = appendFloatField(b, "ewma", s.EWMA)
-		if s.Kind == "hist" {
-			b = appendIntField(b, "count", s.Count, true)
-			b = appendIntField(b, "sum", s.Sum, true)
-			b = appendFloatField(b, "mean", s.Mean)
-			b = appendIntField(b, "p50", s.P50, true)
-			b = appendIntField(b, "p95", s.P95, true)
-			b = appendIntField(b, "p99", s.P99, true)
-		}
-		b = append(b, ' ')
-		b = strconv.AppendInt(b, ts, 10)
-		b = append(b, '\n')
-	}
-	return b
-}
-
-func appendIntField(b []byte, name string, v int64, comma bool) []byte {
-	if comma {
-		b = append(b, ',')
-	}
-	b = append(b, name...)
-	b = append(b, '=')
-	b = strconv.AppendInt(b, v, 10)
-	b = append(b, 'i')
-	return b
-}
-
-func appendFloatField(b []byte, name string, v float64) []byte {
-	b = append(b, ',')
-	b = append(b, name...)
-	b = append(b, '=')
-	b = strconv.AppendFloat(b, v, 'f', 3, 64)
-	return b
 }
 
 // Dashboard renders the window as an aligned text table, with
@@ -707,100 +659,6 @@ func (ws *WindowSnapshot) Dashboard() string {
 			s.Name, s.Kind, s.Last, s.Rate, s.EWMA, p50, p95, p99)
 	}
 	return b.String()
-}
-
-// Stream is one subscriber's view of a Windower: a buffered channel
-// of WindowSnapshots with drop-oldest backpressure. A slow consumer
-// loses the oldest pending windows (counted in Dropped), never blocks
-// the sampler, and always sees the newest window on its next receive.
-type Stream struct {
-	w       *Windower
-	ch      chan *WindowSnapshot
-	dropped atomic.Uint64
-	closed  bool
-}
-
-// Subscribe registers a new stream with the given channel depth
-// (minimum 1). Nil Windower → nil Stream (whose methods no-op).
-func (w *Windower) Subscribe(buf int) *Stream {
-	if w == nil {
-		return nil
-	}
-	if buf < 1 {
-		buf = 1
-	}
-	s := &Stream{w: w, ch: make(chan *WindowSnapshot, buf)}
-	w.mu.Lock()
-	select {
-	case <-w.done:
-		// Windower already closed: hand back a closed stream.
-		s.closed = true
-		close(s.ch)
-	default:
-		w.subs = append(w.subs, s)
-	}
-	w.mu.Unlock()
-	return s
-}
-
-// push delivers snap with drop-oldest semantics; called with w.mu
-// held (single producer).
-func (s *Stream) push(snap *WindowSnapshot) {
-	select {
-	case s.ch <- snap:
-		return
-	default:
-	}
-	select {
-	case <-s.ch:
-		s.dropped.Add(1)
-	default:
-	}
-	select {
-	case s.ch <- snap:
-	default:
-		s.dropped.Add(1)
-	}
-}
-
-// C is the receive side; it is closed when the Stream or its Windower
-// closes. Nil Stream → nil channel (blocks forever in a select, the
-// conventional no-op).
-func (s *Stream) C() <-chan *WindowSnapshot {
-	if s == nil {
-		return nil
-	}
-	return s.ch
-}
-
-// Dropped reports how many windows were discarded because the
-// consumer lagged.
-func (s *Stream) Dropped() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.dropped.Load()
-}
-
-// Close unsubscribes the stream and closes its channel.
-func (s *Stream) Close() {
-	if s == nil {
-		return
-	}
-	w := s.w
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if s.closed {
-		return
-	}
-	s.closed = true
-	for i, sub := range w.subs {
-		if sub == s {
-			w.subs = append(w.subs[:i], w.subs[i+1:]...)
-			break
-		}
-	}
-	close(s.ch)
 }
 
 // ExportSpansAsSeries installs a span export hook that mirrors every

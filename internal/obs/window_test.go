@@ -38,8 +38,18 @@ func (c *stepClock) set(d time.Duration) {
 
 func newTestWindower(reg *Registry, slots int) (*Windower, *stepClock) {
 	clk := &stepClock{now: time.Second}
-	w := newWindower(reg, WindowConfig{Interval: time.Second, Slots: slots, Clock: clk})
+	w := newWindower(reg, WindowConfig{Interval: time.Second, Clock: clk}, slots)
 	return w, clk
+}
+
+// tick runs one tick by hand, as the scheduled callback would.
+func (w *Windower) tick() {
+	if w == nil {
+		return
+	}
+	w.tickMu.Lock()
+	defer w.tickMu.Unlock()
+	w.tickLocked()
 }
 
 func (w *Windower) step(clk *stepClock, d time.Duration) {
@@ -63,23 +73,11 @@ func TestWindowerNilNoOp(t *testing.T) {
 	if w.Samples() != 0 || w.Resets() != 0 {
 		t.Fatal("nil Windower counters should be 0")
 	}
-	s := w.Subscribe(4)
-	if s != nil {
-		t.Fatalf("nil Subscribe = %v, want nil", s)
-	}
-	s.Close()
-	if s.C() != nil {
-		t.Fatal("nil Stream.C() should be nil")
-	}
-	if s.Dropped() != 0 {
-		t.Fatal("nil Stream.Dropped() should be 0")
-	}
+	cancel := w.OnWindow(func(*WindowSnapshot) { t.Fatal("nil Windower delivered a window") })
+	cancel()
 	var ws *WindowSnapshot
 	if ws.Find("x") != nil {
 		t.Fatal("nil snapshot Find should be nil")
-	}
-	if got := ws.AppendLineProtocol(nil); got != nil {
-		t.Fatalf("nil snapshot line protocol = %q", got)
 	}
 }
 
@@ -280,67 +278,158 @@ func TestWindowerGaugeFuncReplacementVisible(t *testing.T) {
 	}
 }
 
-func TestStreamDropOldest(t *testing.T) {
+// TestOnWindowOncePerPublishedWindow pins the delivery contract: each
+// callback sees every published window exactly once, in registration
+// order, and never the priming tick or the tick a clock regression
+// resets.
+func TestOnWindowOncePerPublishedWindow(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("app.x")
 	w, clk := newTestWindower(reg, 8)
-	st := w.Subscribe(2)
-	w.tick() // priming: not published
+	var order []string
+	var seqs []uint64
+	w.OnWindow(func(ws *WindowSnapshot) {
+		order = append(order, "first")
+		seqs = append(seqs, ws.Seq)
+	})
+	w.OnWindow(func(*WindowSnapshot) { order = append(order, "second") })
 
-	for i := 0; i < 5; i++ {
+	w.tick() // priming: nothing to publish
+	if len(seqs) != 0 {
+		t.Fatalf("priming tick delivered %v", seqs)
+	}
+	for i := 0; i < 3; i++ {
 		c.Inc()
 		w.step(clk, time.Second)
 	}
-	// 5 published windows into a depth-2 channel: the 3 oldest drop.
-	if d := st.Dropped(); d != 3 {
-		t.Fatalf("dropped = %d, want 3", d)
-	}
-	first := <-st.C()
-	second := <-st.C()
-	if first.Seq >= second.Seq {
-		t.Fatalf("stream out of order: %d then %d", first.Seq, second.Seq)
-	}
-	// The newest window survives.
-	if second.Find("app.x").Last != 5 {
-		t.Fatalf("newest window lost: %+v", second.Find("app.x"))
-	}
-	select {
-	case <-st.C():
-		t.Fatal("expected empty channel")
-	default:
-	}
-
-	st.Close()
-	if _, ok := <-st.C(); ok {
-		t.Fatal("closed stream channel should be closed")
-	}
-	// Publishing after close must not panic.
+	clk.set(10 * time.Millisecond) // regression: the reset tick re-primes
+	w.tick()
 	c.Inc()
 	w.step(clk, time.Second)
 
-	st2 := w.Subscribe(1)
+	if want := []uint64{2, 3, 4, 6}; fmt.Sprint(seqs) != fmt.Sprint(want) {
+		t.Fatalf("delivered seqs %v, want %v", seqs, want)
+	}
+	for i := 0; i < len(order); i += 2 {
+		if order[i] != "first" || order[i+1] != "second" {
+			t.Fatalf("callbacks out of registration order: %v", order)
+		}
+	}
+	if len(order) != 2*len(seqs) {
+		t.Fatalf("callback calls %v for %d windows", order, len(seqs))
+	}
+}
+
+// TestOnWindowCancelAndClose checks that a cancelled callback and every
+// callback of a closed Windower stop receiving, and that Close ends the
+// scheduled tick chain.
+func TestOnWindowCancelAndClose(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("app.x")
+	clk := &handClock{}
+	w := NewWindower(reg, WindowConfig{Interval: time.Second, Clock: clk})
+	var kept, cancelled int
+	cancel := w.OnWindow(func(*WindowSnapshot) { cancelled++ })
+	w.OnWindow(func(*WindowSnapshot) { kept++ })
+
+	clk.fire() // priming
+	clk.fire()
+	cancel()
+	cancel() // idempotent
+	clk.fire()
+	if kept != 2 || cancelled != 1 {
+		t.Fatalf("kept=%d cancelled=%d, want 2 and 1", kept, cancelled)
+	}
+
+	stale := clk.pending
 	w.Close()
-	if _, ok := <-st2.C(); ok {
-		t.Fatal("windower Close should close subscriber channels")
+	if !clk.stopped {
+		t.Fatal("Close did not cancel the pending tick")
 	}
-	if s := w.Subscribe(1); s == nil {
-		t.Fatal("Subscribe after Close should return a closed, non-nil stream")
-	} else if _, ok := <-s.C(); ok {
-		t.Fatal("post-Close subscription should be closed")
+	stale() // a tick that lost the race with Close
+	w.tick()
+	if kept != 2 || clk.pending != nil {
+		t.Fatalf("tick after Close: kept=%d, re-armed=%v", kept, clk.pending != nil)
 	}
+	w.OnWindow(func(*WindowSnapshot) { kept++ })()
+	w.OnWindow(func(*WindowSnapshot) { kept++ })
+	w.tick()
+	if kept != 2 {
+		t.Fatal("callback registered after Close ran")
+	}
+}
+
+// TestOnWindowCallbackMayReadWindow: callbacks run with no Windower lock
+// held, so polling the current window from one must not deadlock.
+func TestOnWindowCallbackMayReadWindow(t *testing.T) {
+	reg := NewRegistry()
+	c := reg.Counter("app.x")
+	w, clk := newTestWindower(reg, 8)
+	var got int64 = -1
+	w.OnWindow(func(*WindowSnapshot) {
+		got = w.Window().Find("app.x").Last
+		_ = w.Samples()
+	})
+	w.tick()
+	c.Add(4)
+	done := make(chan struct{})
+	go func() {
+		w.step(clk, time.Second)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("callback calling Window deadlocked")
+	}
+	if got != 4 {
+		t.Fatalf("Window from a callback saw last=%d, want 4", got)
+	}
+}
+
+// handClock is a SampleClock whose one pending tick the test fires.
+type handClock struct {
+	now     time.Duration
+	pending func()
+	stopped bool
+}
+
+func (c *handClock) Now() time.Duration { return c.now }
+
+func (c *handClock) Schedule(_ time.Duration, f func()) func() bool {
+	c.pending = f
+	return func() bool {
+		c.stopped = true
+		c.pending = nil
+		return true
+	}
+}
+
+// fire advances to the pending tick and runs it; the tick re-arms.
+func (c *handClock) fire() {
+	f := c.pending
+	c.pending = nil
+	c.now += time.Second
+	f()
 }
 
 func TestWindowerLiveCadence(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("app.x")
-	w := NewWindower(reg, WindowConfig{Interval: 5 * time.Millisecond, Slots: 16})
+	w := NewWindower(reg, WindowConfig{Interval: 5 * time.Millisecond})
 	defer w.Close()
-	st := w.Subscribe(4)
+	windows := make(chan *WindowSnapshot, 4)
+	w.OnWindow(func(ws *WindowSnapshot) {
+		select {
+		case windows <- ws:
+		default: // callbacks must not block
+		}
+	})
 	deadline := time.After(5 * time.Second)
 	for i := 0; i < 3; i++ {
 		c.Add(10)
 		select {
-		case ws := <-st.C():
+		case ws := <-windows:
 			if ws == nil {
 				t.Fatal("nil window")
 			}
@@ -353,7 +442,7 @@ func TestWindowerLiveCadence(t *testing.T) {
 	}
 }
 
-func TestWindowSnapshotLineProtocolAndDashboard(t *testing.T) {
+func TestWindowSnapshotDashboard(t *testing.T) {
 	reg := NewRegistry()
 	ctr := reg.Counter("b.ctr")
 	hist := reg.Histogram("a.lat_ns", []int64{100, 1000})
@@ -367,27 +456,6 @@ func TestWindowSnapshotLineProtocolAndDashboard(t *testing.T) {
 	// Series sorted by name for stable diffing.
 	if len(ws.Series) != 2 || ws.Series[0].Name != "a.lat_ns" || ws.Series[1].Name != "b.ctr" {
 		t.Fatalf("series order: %+v", ws.Series)
-	}
-
-	lp := string(ws.LineProtocol())
-	lines := strings.Split(strings.TrimSpace(lp), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("line protocol lines = %d:\n%s", len(lines), lp)
-	}
-	if !strings.HasPrefix(lines[0], "a.lat_ns,kind=hist ") {
-		t.Fatalf("hist line = %q", lines[0])
-	}
-	for _, want := range []string{"count=1i", "sum=500i", "p95="} {
-		if !strings.Contains(lines[0], want) {
-			t.Fatalf("hist line missing %q: %q", want, lines[0])
-		}
-	}
-	if !strings.Contains(lines[1], "b.ctr,kind=counter last=3i,rate=") {
-		t.Fatalf("counter line = %q", lines[1])
-	}
-	ts := fmt.Sprintf(" %d", int64(ws.At))
-	if !strings.HasSuffix(lines[0], ts) || !strings.HasSuffix(lines[1], ts) {
-		t.Fatalf("timestamps missing: %q", lines)
 	}
 
 	dash := ws.Dashboard()

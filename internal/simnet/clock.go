@@ -34,7 +34,6 @@ type clockCore interface {
 	scale() float64
 	now() time.Duration
 	sleep(d time.Duration)
-	after(d time.Duration) <-chan time.Time
 	afterFunc(d time.Duration, f func()) *VTimer
 	// blocking marks the calling goroutine as about to block on channels
 	// fed by simulation activity; the returned func unmarks it.
@@ -143,14 +142,10 @@ func (c *Clock) Now() time.Duration { return c.core.now() }
 // wake event once the system quiesces.
 func (c *Clock) Sleep(d time.Duration) { c.core.sleep(d) }
 
-// After returns a channel that fires after the given virtual duration.
-// Goroutines that select on this channel together with channels fed by
-// other simulation goroutines should bracket the select with Blocking so
-// the event scheduler can account for them.
-func (c *Clock) After(d time.Duration) <-chan time.Time { return c.core.after(d) }
-
 // AfterFunc schedules f to run after the given virtual duration. Under
 // the event core f runs on the dispatcher goroutine; it must not block.
+// It is the clock's only timer: a wait that can end early stops it, so
+// nothing is left in the runtime's timer heap or the event wheel.
 func (c *Clock) AfterFunc(d time.Duration, f func()) *VTimer {
 	return c.core.afterFunc(d, f)
 }
@@ -166,9 +161,9 @@ func (c *Clock) Schedule(d time.Duration, f func()) func() bool {
 }
 
 // Blocking marks the calling goroutine as about to block on simulation
-// channels (an After timer, a control queue fed by a parked reader). It
-// returns the func that unmarks it; call it as soon as the select
-// returns. On the legacy core this is a no-op; on the event core it
+// channels (a channel an AfterFunc timer feeds, a control queue fed by a
+// parked reader). It returns the func that unmarks it; call it as soon
+// as the select returns. On the legacy core this is a no-op; on the event core it
 // nudges the scheduler's quiescence detector so virtual time does not
 // race ahead of the goroutine's reaction.
 func (c *Clock) Blocking() func() { return c.core.blocking() }
@@ -213,10 +208,6 @@ func (rc *realCore) sleep(d time.Duration) {
 		return
 	}
 	time.Sleep(rc.real(d))
-}
-
-func (rc *realCore) after(d time.Duration) <-chan time.Time {
-	return time.After(rc.real(d))
 }
 
 func (rc *realCore) afterFunc(d time.Duration, f func()) *VTimer {

@@ -17,7 +17,7 @@ import (
 // clocks; absent, every hook is one nil check.
 type schedObs struct {
 	settleNs      *obs.Histogram // wall ns per settle round-trip
-	batchEvents   *obs.Histogram // events dispatched per jiffy
+	batchEvents   *obs.Histogram // events fired per jiffy (cancelled ones excluded)
 	settles       *obs.Counter
 	settlesElided *obs.Counter // batches that scheduled work but needed no settle
 	batches       *obs.Counter
@@ -107,14 +107,6 @@ func (ec *eventCore) afterFunc(d time.Duration, f func()) *VTimer {
 		}
 		return false
 	}}
-}
-
-func (ec *eventCore) after(d time.Duration) <-chan time.Time {
-	ch := make(chan time.Time, 1)
-	ec.schedule(d, func() {
-		ch <- time.Unix(0, ec.nowNs.Load())
-	})
-	return ch
 }
 
 func (ec *eventCore) sleep(d time.Duration) {
@@ -247,18 +239,20 @@ func (ec *eventCore) run() {
 			ec.nowNs.Store(last)
 		}
 		ec.mu.Unlock()
-		if o := ec.obsH.Load(); o != nil {
-			o.batchEvents.Observe(int64(len(batch)))
-			o.batches.Inc()
-		}
 		ec.firing.Store(true)
+		fired := 0
 		for _, e := range batch {
 			if e.state.CompareAndSwap(evPending, evFired) {
 				fn := e.fn
 				e.fn = nil
 				fn()
+				fired++
 			}
 		}
 		ec.firing.Store(false)
+		if o := ec.obsH.Load(); o != nil {
+			o.batchEvents.Observe(int64(fired))
+			o.batches.Inc()
+		}
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/bento-nfv/bento/internal/obs"
 )
 
 // TestBatchMidCancelPinsFireOrder cancels an event from a callback
@@ -53,6 +55,36 @@ func TestBatchMidCancelPinsFireOrder(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("fired %v, want %v", order, want)
 		}
+	}
+}
+
+// TestBatchEventsCountFired: simnet.sched_batch_events sums the events
+// that fired. A stopped timer still pops with its jiffy but does not
+// count. The timers are armed and stopped from a dispatcher callback, so
+// none can fire before its Stop.
+func TestBatchEventsCountFired(t *testing.T) {
+	clock := eventClock(t)
+	reg := obs.NewRegistry()
+	clock.setSchedObs(reg)
+	fired := reg.Histogram("simnet.sched_batch_events", nil)
+	var got int64
+	done := make(chan struct{})
+	clock.AfterFunc(0, func() {
+		clock.AfterFunc(time.Millisecond, func() {})
+		clock.AfterFunc(time.Millisecond, func() {})
+		clock.AfterFunc(time.Millisecond, func() {}).Stop()
+		clock.AfterFunc(2*time.Millisecond, func() {
+			got = fired.Sum() // every earlier batch is recorded by now
+			close(done)
+		})
+	})
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("clock never fired")
+	}
+	if got != 3 {
+		t.Fatalf("sched_batch_events sum = %d before the last batch, want 3 (the arming callback and two timers; the stopped one excluded)", got)
 	}
 }
 

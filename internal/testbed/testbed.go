@@ -114,8 +114,8 @@ func New(cfg Config) (*World, error) {
 	w := &World{Net: n, Auth: auth, IAS: ias}
 	if cfg.Obs != nil && cfg.ObsWindow > 0 {
 		// *simnet.Clock satisfies obs.SampleClock structurally, so the
-		// sampler ticks in virtual time (and parks correctly under the
-		// event clock).
+		// sampler ticks in virtual time (on the dispatcher, window
+		// callbacks included, under the event clock).
 		w.wind = obs.NewWindower(cfg.Obs, obs.WindowConfig{
 			Interval: cfg.ObsWindow,
 			Clock:    n.Clock(),
@@ -267,8 +267,8 @@ func (w *World) NewBentoClient(name string, seed int64) *bento.Client {
 
 // NewFleetController adds a fresh client host and starts a fleet
 // controller on it, watching the deployment's directory authority for
-// relay liveness. Zero-valued cfg fields take the fleet defaults; Client
-// and Consensus are filled in here.
+// relay liveness. Client and Consensus are filled in here when unset; a
+// zero Seed means 1.
 func (w *World) NewFleetController(name string, cfg fleet.Config) (*fleet.Controller, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1

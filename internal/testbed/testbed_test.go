@@ -123,7 +123,9 @@ func TestWindowerOnEventClock(t *testing.T) {
 	if wind == nil {
 		t.Fatal("ObsWindow set but no windower")
 	}
-	sub := wind.Subscribe(64)
+	// Callbacks run on the dispatcher, one tick at a time.
+	var delivered []*obs.WindowSnapshot
+	stop := wind.OnWindow(func(ws *obs.WindowSnapshot) { delivered = append(delivered, ws) })
 	cli := w.NewTorClient("probe", 1)
 	if _, err := webfarm.Get(cli.Host().Dial, "hello.web", "/"); err != nil {
 		t.Fatal(err)
@@ -148,22 +150,27 @@ func TestWindowerOnEventClock(t *testing.T) {
 	if !sawBytes {
 		t.Fatal("windowed series missing the fetch's simnet.bytes_sent")
 	}
-	drainTo := time.Duration(0)
-	for {
-		select {
-		case snap := <-sub.C():
-			if snap.At > drainTo {
-				drainTo = snap.At
-			}
-			continue
-		default:
+	stop()
+	// Every window published across the run was delivered once, in
+	// order, one interval of virtual time apart. The first may be the
+	// second tick after start (a tick that primes the ring publishes
+	// nothing), and the tick due at the sleep's last instant may not
+	// have run yet.
+	const iv = 250 * time.Millisecond
+	if len(delivered) == 0 {
+		t.Fatal("no window delivered")
+	}
+	for i := 1; i < len(delivered); i++ {
+		prev, ws := delivered[i-1], delivered[i]
+		if ws.Seq != prev.Seq+1 || ws.At-prev.At != iv {
+			t.Fatalf("window %d: seq %d at %v after seq %d at %v", i, ws.Seq, ws.At, prev.Seq, prev.At)
 		}
-		break
 	}
-	if drainTo == 0 {
-		t.Fatal("stream delivered no windows")
+	first, last := delivered[0], delivered[len(delivered)-1]
+	if first.At > start+2*iv || last.At < start+elapsed-iv || last.At > w.Clock().Now() {
+		t.Fatalf("windows delivered from %v to %v, want them to span the run [%v, %v]",
+			first.At, last.At, start, start+elapsed)
 	}
-	sub.Close()
 }
 
 func TestWindowerNilWithoutObs(t *testing.T) {

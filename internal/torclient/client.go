@@ -70,9 +70,8 @@ func (c *Client) CtrlTimeout() time.Duration {
 
 // ctrlDeadline returns a channel closed once CtrlTimeout of virtual time
 // has passed, and the func that disarms it. Control waits must call stop
-// when they return: a Clock.After timer cannot be stopped, so each
-// completed round-trip would strand a timer and its channel for the full
-// timeout (ten virtual minutes by default).
+// when they return, or each completed round-trip strands a timer and its
+// channel for the full timeout (ten virtual minutes by default).
 func (c *Client) ctrlDeadline() (expired <-chan struct{}, stop func()) {
 	ch := make(chan struct{})
 	ctrlDeadlinesArmed.Add(1)

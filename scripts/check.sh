@@ -35,6 +35,22 @@ go build ./...
 stage "go test"
 go test ./...
 
+stage "Clock.Blocking() only at its four allowlisted sites"
+# A Blocking() bracket marks a goroutine that waits on the event core
+# outside a registered door (ROADMAP item 1), so a new one must be argued
+# for, not added. One site per file: the fleet controller's run loop,
+# torclient's awaitCtrl and openStream, and the relay's helper spawn.
+# Method values (clock.Blocking passed as a func) count too.
+blocking_sites() { grep -rnE --include='*.go' '\.Blocking\b' . | grep -v '_test\.go:' || true; }
+found=$(blocking_sites | cut -d: -f1 | sort)
+allowed=$(printf '%s\n' ./internal/fleet/controller.go ./internal/relay/circuit.go \
+    ./internal/torclient/circuit.go ./internal/torclient/stream.go)
+if [ "$found" != "$allowed" ]; then
+    echo "Clock.Blocking() sites differ from the allowlist in scripts/check.sh:" >&2
+    blocking_sites >&2
+    exit 1
+fi
+
 stage "one engine in the shipped binary (the tree oracle must link only into internal/interp's tests)"
 # The walker lives in internal/interp/oracle_test.go. If any of its entry
 # points shows up in a binary that links internal/bento, it has drifted
