@@ -2,6 +2,8 @@ package dirauth
 
 import (
 	"crypto/ed25519"
+	"encoding/binary"
+	"io"
 	"math/rand"
 	"testing"
 	"time"
@@ -272,6 +274,23 @@ func TestServerOverSimnet(t *testing.T) {
 	bad.Nickname = "tampered"
 	if err := Publish(relayHost, "dir:7000", &bad); err == nil {
 		t.Fatal("tampered descriptor accepted over the network")
+	}
+
+	// A request header announcing more than maxRequest gets the
+	// connection closed before any of the announced bytes are sent.
+	conn, err := clientHost.Dial("dir:7000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var hdr [8]byte
+	binary.BigEndian.PutUint32(hdr[0:4], maxRequest+1)
+	if _, err := conn.Write(hdr[:]); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("oversized request header answered with %v, want the connection closed", err)
 	}
 }
 

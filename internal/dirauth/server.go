@@ -68,9 +68,13 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// maxRequest bounds one request the server accepts. The largest, a
+// publish of one relay descriptor, is under 1 KiB.
+const maxRequest = 64 << 10
+
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
-	dec := wire.NewDecoder(conn) // reuse one read buffer across requests
+	dec := wire.NewFrameDecoder(conn, maxRequest, 0) // reuse one read buffer across requests
 	for {
 		var req request
 		if err := dec.Decode(&req); err != nil {

@@ -102,7 +102,8 @@ type orphan struct {
 	nextAttempt time.Duration
 }
 
-// result is an async action's report back to the reconcile loop.
+// result is an async action's report, folded into slot state by
+// handleResult.
 type result struct {
 	slotID      int
 	incarnation int
@@ -124,17 +125,15 @@ type Controller struct {
 	om    metrics
 	alloc *allocator
 
-	wake    chan struct{}
-	results chan result
-	done    chan struct{} // closed by Close
-	exited  chan struct{} // closed when run returns
-
 	// mu guards the fields below. It is never held across a park:
 	// every action that can block (probes, spawns, shutdowns, session
-	// closes) starts with go and reports back through results or
-	// re-locks. The autoscaler relies on this, since it takes mu from a
-	// window callback on the clock's dispatcher.
+	// closes) starts with go and re-locks to report back, and cond.Wait
+	// releases it. The autoscaler relies on this, since it takes mu from
+	// a window callback on the clock's dispatcher, and so does the tick.
 	mu            sync.Mutex
+	cond          *simnet.Cond // on mu: kicked, closed, running, or a probe finished
+	kicked        bool         // the loop owes a reconcile pass
+	running       bool         // the loop has not exited
 	spec          *Spec
 	srcHash       [sha256.Size]byte
 	gen           uint64
@@ -165,14 +164,12 @@ func New(cfg Config) (*Controller, error) {
 		clock:    cfg.Client.Tor.Clock(),
 		om:       newMetrics(cfg.Client.Tor.Host().Network().Obs()),
 		alloc:    newAllocator(cfg.Seed),
-		wake:     make(chan struct{}, 1),
-		results:  make(chan result, 64),
-		done:     make(chan struct{}),
-		exited:   make(chan struct{}),
+		running:  true,
 		suspects: make(map[string]time.Duration),
 		rng:      rand.New(rand.NewSource(cfg.Seed ^ 0x5eed)),
 	}
-	go c.run()
+	c.cond = simnet.NewCond(c.clock, &c.mu)
+	c.clock.Go(c.run)
 	return c, nil
 }
 
@@ -245,19 +242,21 @@ func (c *Controller) Scale(replicas int) error {
 // can take the rest of a reconcile pass. Replicas keep running.
 func (c *Controller) Close() {
 	c.mu.Lock()
-	if !c.closed {
-		c.closed = true
-		close(c.done)
+	c.closed = true
+	c.cond.Broadcast()
+	for c.running {
+		c.cond.Wait()
 	}
 	c.mu.Unlock()
-	<-c.exited
 }
 
+// kick asks the loop for a reconcile pass. The tick calls it from the
+// dispatcher: it takes mu only briefly and never blocks.
 func (c *Controller) kick() {
-	select {
-	case c.wake <- struct{}{}:
-	default:
-	}
+	c.mu.Lock()
+	c.kicked = true
+	c.mu.Unlock()
+	c.cond.Broadcast()
 }
 
 // Endpoints returns the ready replicas. The slice is freshly allocated;
@@ -328,30 +327,29 @@ func (c *Controller) WaitConverged(timeout time.Duration) error {
 	return fmt.Errorf("fleet %s: not converged after %v (%d/%d ready)", st.Name, timeout, st.Ready, st.Desired)
 }
 
-// run is the controller loop: reconcile on every tick, wake-up, and
-// action result, until Close. The tick is a timer that kicks the wake
-// channel and is stopped as soon as the select returns, so an early
-// wake leaves no timer behind.
+// run is the controller loop: reconcile on every tick and kick (an
+// Apply, a Scale, an action's result), until Close. The tick is a timer
+// that kicks and is stopped as soon as the wait ends, so an early kick
+// leaves no timer behind.
 func (c *Controller) run() {
-	defer close(c.exited)
+	c.mu.Lock()
 	for {
 		tick := c.clock.AfterFunc(reconcileInterval, c.kick)
-		unblock := c.clock.Blocking()
-		select {
-		case <-c.done:
-			unblock()
-			tick.Stop()
-			return
-		case r := <-c.results:
-			unblock()
-			tick.Stop()
-			c.handleResult(r)
-		case <-c.wake:
-			unblock()
-			tick.Stop()
+		for !c.kicked && !c.closed {
+			c.cond.Wait()
 		}
+		tick.Stop()
+		if c.closed {
+			break
+		}
+		c.kicked = false
+		c.mu.Unlock()
 		c.reconcile()
+		c.mu.Lock()
 	}
+	c.running = false
+	c.mu.Unlock()
+	c.cond.Broadcast()
 }
 
 // controlSession opens a session for one control-plane action. Low
@@ -508,22 +506,28 @@ func (c *Controller) collectProbes() map[int]*probeReq {
 }
 
 // runProbes executes health probes concurrently and stores each verdict
-// back into its request.
+// back into its request. The count of probes still out is guarded by mu.
 func (c *Controller) runProbes(probes map[int]*probeReq) {
-	var wg sync.WaitGroup
+	left := len(probes)
 	for _, pr := range probes {
-		wg.Add(1)
 		go func(pr *probeReq) {
-			defer wg.Done()
 			c.om.probes.Inc()
 			if pr.healthFn != "" {
 				_, _, pr.err = pr.fn.Invoke(pr.healthFn)
 			} else {
 				_, pr.err = pr.sess.Policy()
 			}
+			c.mu.Lock()
+			left--
+			c.mu.Unlock()
+			c.cond.Broadcast()
 		}(pr)
 	}
-	wg.Wait()
+	c.mu.Lock()
+	for left > 0 {
+		c.cond.Wait()
+	}
+	c.mu.Unlock()
 }
 
 // retireLocked tears a replica down and opens its slot for re-placement.
@@ -677,8 +681,7 @@ func (c *Controller) planPlacementsLocked(cons *dirauth.Consensus, now time.Dura
 }
 
 // runPlace executes one placement: spawn (idempotent by key), upload,
-// init, health-check. It reports back through the results channel; the
-// loop decides what the outcome means.
+// init, health-check. handleResult decides what the outcome means.
 func (c *Controller) runPlace(slotID, incarnation int, gen uint64, node *dirauth.Descriptor, spec *Spec) {
 	sess := c.controlSession(node, c.cfg.Seed+int64(slotID)*131+int64(incarnation))
 	fn, err := sess.SpawnWithKey(spec.Manifest, spawnKey(spec.Name, slotID, incarnation))
@@ -691,7 +694,7 @@ func (c *Controller) runPlace(slotID, incarnation int, gen uint64, node *dirauth
 	if err == nil && spec.HealthFn != "" {
 		_, _, err = fn.Invoke(spec.HealthFn)
 	}
-	r := result{
+	c.handleResult(result{
 		slotID:      slotID,
 		incarnation: incarnation,
 		gen:         gen,
@@ -700,12 +703,8 @@ func (c *Controller) runPlace(slotID, incarnation int, gen uint64, node *dirauth
 		unknownFate: errors.Is(err, bento.ErrTransport),
 		sess:        sess,
 		fn:          fn,
-	}
-	select {
-	case c.results <- r:
-	case <-c.done:
-		sess.Close()
-	}
+	})
+	c.kick()
 }
 
 // planUpgradeLocked rolls a source change out: at most one replica
@@ -741,36 +740,40 @@ func (c *Controller) runUpgrade(slotID, incarnation int, gen uint64, fn *bento.S
 	if err == nil && spec.HealthFn != "" {
 		_, _, err = fn.Invoke(spec.HealthFn)
 	}
-	r := result{
+	c.handleResult(result{
 		slotID:      slotID,
 		incarnation: incarnation,
 		gen:         gen,
 		kind:        "upgrade",
 		err:         err,
 		unknownFate: errors.Is(err, bento.ErrTransport),
-	}
-	select {
-	case c.results <- r:
-	case <-c.done:
-	}
+	})
+	c.kick()
 }
 
 // handleResult folds an async action's outcome back into slot state,
-// discarding it when the world moved on underneath it.
+// discarding it when the world moved on underneath it. After Close a
+// result only closes its session.
 func (c *Controller) handleResult(r result) {
 	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		if r.sess != nil {
+			r.sess.Close()
+		}
+		return
+	}
 	now := c.clock.Now()
-	stale := c.closed || r.slotID >= len(c.slots)
+	stale := r.slotID >= len(c.slots)
 	var s *slot
 	if !stale {
 		s = c.slots[r.slotID]
 		stale = !s.busy || s.incarnation != r.incarnation || r.gen != c.gen
 	}
 	if stale {
-		// A spec change outran this action (or the controller closed).
-		// Its resources are real, though: shut the function down so
-		// nothing leaks, and unwedge the slot so the current generation
-		// can re-place it.
+		// A spec change outran this action. Its resources are real,
+		// though: shut the function down so nothing leaks, and unwedge
+		// the slot so the current generation can re-place it.
 		c.om.staleDiscarded.Inc()
 		var node *dirauth.Descriptor
 		var man *policy.Manifest

@@ -142,3 +142,41 @@ func TestAutoscalerEvaluatesOnTheTick(t *testing.T) {
 		t.Fatalf("evaluated after Close: %d", got)
 	}
 }
+
+// TestCloseStopsTheLoop: the reconcile loop is the controller's one
+// goroutine while nothing is placed, and Close returns only once it has
+// exited, so the goroutine count is back where it was before New.
+func TestCloseStopsTheLoop(t *testing.T) {
+	clock := simnet.NewEventClock()
+	defer clock.Stop()
+	n := simnet.NewNetwork(clock, 0)
+	client := bento.NewClient(torclient.New(n.AddHost("ctl", 0), nil, 1), nil)
+	before := runtime.NumGoroutine()
+	c, err := New(Config{
+		Client:    client,
+		Consensus: func() (*dirauth.Consensus, error) { return nil, errors.New("no directory") },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		c.kick()
+		clock.Sleep(reconcileInterval)
+	}
+	c.Close()
+	c.mu.Lock()
+	running := c.running
+	c.mu.Unlock()
+	if running {
+		t.Fatal("Close returned before the loop exited")
+	}
+	// The loop's last steps after it reports (unlock, broadcast, return)
+	// may still be on their way out.
+	after := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); after > before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if after != before {
+		t.Fatalf("goroutines %d before New, %d after Close", before, after)
+	}
+}

@@ -329,10 +329,8 @@ func (c *circuit) forwardSpan(frames []byte, mayBlock bool) {
 
 // startHelper hands the forward direction to a new helper goroutine. rest
 // is what is left of the run being finished, peeled, from the cell that
-// needs to block on. The helper is a real goroutine outside the event
-// graph, so the park-side bridge is held open across its lifetime —
-// without it, settle elision lets virtual time sprint past the helper
-// before the OS scheduler ever runs it.
+// needs to block on. It starts through Clock.Go, as a goroutine started
+// from a deliver callback on the dispatcher must.
 func (c *circuit) startHelper(rest []byte) {
 	h := &helper{plain: len(rest) - cell.Size}
 	h.space.L = &c.mu
@@ -341,11 +339,7 @@ func (c *circuit) startHelper(rest []byte) {
 	h.q.Write(rest[cell.Size:])
 	c.helper = h
 	c.mu.Unlock()
-	release := c.relay.host.Clock().Blocking()
-	go func() {
-		defer release()
-		c.runHelper(h)
-	}()
+	c.relay.host.Clock().Go(func() { c.runHelper(h) })
 }
 
 // runHelper dispatches the cell that needed to block, then finishes what

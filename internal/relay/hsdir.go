@@ -48,9 +48,13 @@ func (r *Relay) ServeHSDir() error {
 	return nil
 }
 
+// maxHSDirRequest bounds one request the HSDir accepts. The largest, a
+// store of one signed service descriptor, is under 1 KiB.
+const maxHSDirRequest = 64 << 10
+
 func (r *Relay) serveHSDirConn(conn net.Conn) {
 	defer conn.Close()
-	dec := wire.NewDecoder(conn) // reuse one read buffer across requests
+	dec := wire.NewFrameDecoder(conn, maxHSDirRequest, 0) // reuse one read buffer across requests
 	for {
 		var req hsdirRequest
 		if err := dec.Decode(&req); err != nil {

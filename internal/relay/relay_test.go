@@ -3,6 +3,7 @@ package relay
 import (
 	"bytes"
 	"crypto/rand"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
@@ -390,6 +391,23 @@ func TestHSDirStoreFetch(t *testing.T) {
 	}
 	if err := StoreHSDescriptor(cli, "dir0:9030", "", nil); err == nil {
 		t.Fatal("empty store accepted")
+	}
+
+	// A request header announcing more than maxHSDirRequest gets the
+	// connection closed before any of the announced bytes are sent.
+	conn, err := cli.Dial("dir0:9030")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var hdr [8]byte
+	binary.BigEndian.PutUint32(hdr[0:4], maxHSDirRequest+1)
+	if _, err := conn.Write(hdr[:]); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("oversized request header answered with %v, want the connection closed", err)
 	}
 }
 

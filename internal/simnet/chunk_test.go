@@ -31,7 +31,6 @@ func (sc *stepCore) eventDriven() bool                      { return false }
 func (sc *stepCore) now() time.Duration                     { return sc.nowV }
 func (sc *stepCore) sleep(d time.Duration)                  { sc.nowV += d }
 func (sc *stepCore) after(d time.Duration) <-chan time.Time { panic("stepCore: After") }
-func (sc *stepCore) blocking() func()                       { return func() {} }
 func (sc *stepCore) park(p *parker)                         { panic("stepCore: a conn operation blocked") }
 func (sc *stepCore) noteWake()                              {}
 func (sc *stepCore) stop()                                  {}

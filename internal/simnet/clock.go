@@ -35,12 +35,10 @@ type clockCore interface {
 	now() time.Duration
 	sleep(d time.Duration)
 	afterFunc(d time.Duration, f func()) *VTimer
-	// blocking marks the calling goroutine as about to block on channels
-	// fed by simulation activity; the returned func unmarks it.
-	blocking() func()
 	// park blocks the caller until the parker is woken.
 	park(p *parker)
-	// noteWake records that a parked goroutine was just released.
+	// noteWake records a bridge transition other than a park: a parked
+	// goroutine released, or a goroutine started or ended by Clock.Go.
 	noteWake()
 	stop()
 	eventDriven() bool
@@ -62,13 +60,14 @@ func (t *VTimer) Stop() bool {
 	return t.stopFn()
 }
 
-// parker is a one-shot park/unpark token: a goroutine parks on it at a
-// blocking point (Read, Sleep, Accept, deadline waits) and any event or
-// goroutine wakes it at most once. The buffered channel makes the wake
-// safe to deliver before the park.
+// parker is a one-shot park/unpark token: a goroutine parks on it in
+// Sleep or Cond.Wait and an event or another goroutine wakes it at most
+// once. The buffered channel makes the wake safe to deliver before the
+// park.
 type parker struct {
 	clock *Clock
 	ch    chan struct{}
+	next  *parker // the Cond's waiter list
 }
 
 func (c *Clock) newParker() *parker {
@@ -76,8 +75,8 @@ func (c *Clock) newParker() *parker {
 }
 
 // wake releases the parker. The caller must ensure single delivery
-// (conn/listener waiter lists pop the parker before waking, so a parker
-// never receives two signals).
+// (Sleep's timer fires once; Broadcast takes the whole waiter list before
+// waking it).
 func (p *parker) wake() {
 	p.clock.core.noteWake()
 	select {
@@ -160,13 +159,18 @@ func (c *Clock) Schedule(d time.Duration, f func()) func() bool {
 	return c.AfterFunc(d, f).Stop
 }
 
-// Blocking marks the calling goroutine as about to block on simulation
-// channels (a channel an AfterFunc timer feeds, a control queue fed by a
-// parked reader). It returns the func that unmarks it; call it as soon
-// as the select returns. On the legacy core this is a no-op; on the event core it
-// nudges the scheduler's quiescence detector so virtual time does not
-// race ahead of the goroutine's reaction.
-func (c *Clock) Blocking() func() { return c.core.blocking() }
+// Go starts f on a new goroutine, the door for simulation goroutines.
+// On the event core the start and the exit are bridge transitions, like
+// a wake, so a goroutine started from a dispatcher callback runs to its
+// first park before virtual time moves on (DESIGN.md §14.1). On the
+// scaled clock it is a plain go statement.
+func (c *Clock) Go(f func()) {
+	c.core.noteWake()
+	go func() {
+		defer c.core.noteWake()
+		f()
+	}()
+}
 
 // Stop shuts down the clock's scheduler, releasing the dispatcher
 // goroutine of an event clock. Legacy clocks have no scheduler and Stop
@@ -184,9 +188,6 @@ func (c *Clock) Virtual(wall time.Duration) time.Duration {
 	s := c.core.scale()
 	return time.Duration(float64(wall) / s)
 }
-
-// park blocks the calling goroutine on the parker.
-func (c *Clock) park(p *parker) { c.core.park(p) }
 
 // realCore maps virtual time onto scaled wall time: the original simnet
 // behavior, kept behind NewClock so existing tests migrate to the event
@@ -215,9 +216,8 @@ func (rc *realCore) afterFunc(d time.Duration, f func()) *VTimer {
 	return &VTimer{stopFn: t.Stop}
 }
 
-func (rc *realCore) blocking() func() { return func() {} }
-func (rc *realCore) noteWake()        {}
-func (rc *realCore) stop()            {}
+func (rc *realCore) noteWake() {}
+func (rc *realCore) stop()     {}
 
 func (rc *realCore) park(p *parker) { <-p.ch }
 

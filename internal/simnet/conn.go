@@ -24,9 +24,9 @@ const (
 // conn is one endpoint of an emulated connection. Since the event-core
 // refactor it owns no goroutines: the transmit side is a state machine
 // whose pending queue is drained by clock timers (delivery events), and
-// blocked Read/Write callers park on one-shot tokens that those events
-// wake. The same state machine runs on both clock cores — under the
-// legacy core the "events" are scaled real timers.
+// blocked Read/Write callers wait on conds that those events broadcast.
+// The same state machine runs on both clock cores — under the legacy
+// core the "events" are scaled real timers.
 type conn struct {
 	localHost  *Host
 	remoteHost *Host
@@ -45,9 +45,9 @@ type conn struct {
 	// bytes are copied once in (Write) and once out (Read).
 	rx            ChunkQueue
 	eof           bool // peer closed; EOF after buffer drains
-	deliverFn     func(data []byte, eof bool)
-	readers       []*parker
 	hasRDeadline  bool
+	deliverFn     func(data []byte, eof bool)
+	readers       Cond          // on mu: data, EOF, close, or the read deadline
 	rDeadline     time.Duration // virtual instant
 	rdTimer       *VTimer
 	senderWaiting bool // peer's tx paused until our buffer drains
@@ -56,14 +56,14 @@ type conn struct {
 	// stamped with its virtual delivery time; a Close queues an EOF marker
 	// behind the in-flight data.
 	txq          chunkList
-	txLen        int           // chunks queued, for the outQueueLen window
-	txFireFn     func()        // c.txFire, bound once: arming must not allocate
-	txScheduled  bool          // a delivery timer for the head is armed
-	txStalled    bool          // head blocked on a partition; heal wake registered
-	txWaitDrain  bool          // paused until the peer's buffer drains
-	lastAt       time.Duration // monotone delivery stamp (FIFO head-of-line)
-	writers      []*parker
+	txLen        int    // chunks queued, for the outQueueLen window
+	txFireFn     func() // c.txFire, bound once: arming must not allocate
+	txScheduled  bool   // a delivery timer for the head is armed
+	txStalled    bool   // head blocked on a partition; heal wake registered
+	txWaitDrain  bool   // paused until the peer's buffer drains
 	hasWDeadline bool
+	lastAt       time.Duration // monotone delivery stamp (FIFO head-of-line)
+	writers      Cond          // on mu: window space, close, or the write deadline
 	wDeadline    time.Duration // virtual instant
 	wdTimer      *VTimer
 
@@ -111,6 +111,10 @@ func newConnPair(client, server *Host, cport, sport int) (*conn, *conn) {
 	}
 	cl.peer, cl.txFireFn = sv, cl.txFire
 	sv.peer, sv.txFireFn = cl, sv.txFire
+	for _, c := range [...]*conn{cl, sv} {
+		c.readers = Cond{L: &c.mu, clock: c.clock}
+		c.writers = Cond{L: &c.mu, clock: c.clock}
+	}
 	if ch := client.net.Chaos(); ch != nil {
 		cl.chaosRng = ch.connRng(client.name, server.name)
 		sv.chaosRng = ch.connRng(server.name, client.name)
@@ -118,22 +122,6 @@ func newConnPair(client, server *Host, cport, sport int) (*conn, *conn) {
 	client.registerConn(cl)
 	server.registerConn(sv)
 	return cl, sv
-}
-
-// wakeReadersLocked releases every parked reader (they re-check state).
-func (c *conn) wakeReadersLocked() {
-	for _, p := range c.readers {
-		p.wake()
-	}
-	c.readers = nil
-}
-
-// wakeWritersLocked releases every parked writer.
-func (c *conn) wakeWritersLocked() {
-	for _, p := range c.writers {
-		p.wake()
-	}
-	c.writers = nil
 }
 
 // enqueueLocked takes ownership of ch, appends it to the transmit queue
@@ -201,7 +189,7 @@ func (c *conn) txFire() {
 		}
 		c.txq.pop()
 		c.txLen--
-		c.wakeWritersLocked()
+		c.writers.Broadcast()
 		c.mu.Unlock()
 
 		// The chunk leaves this conn here: the peer queues it, lends it to
@@ -256,7 +244,7 @@ func (c *conn) deliver(ch *chunk) (full bool) {
 		return false
 	}
 	c.rx.push(ch)
-	c.wakeReadersLocked()
+	c.readers.Broadcast()
 	full = c.rx.Len() > readBufMax
 	c.mu.Unlock()
 	return full
@@ -282,7 +270,7 @@ func (c *conn) deliverEOF() {
 		return
 	}
 	c.eof = true
-	c.wakeReadersLocked()
+	c.readers.Broadcast()
 	fn := c.deliverFn
 	c.mu.Unlock()
 	if fn != nil {
@@ -363,11 +351,7 @@ func (c *conn) Read(p []byte) (int, error) {
 			c.mu.Unlock()
 			return 0, io.EOF
 		}
-		pk := c.clock.newParker()
-		c.readers = append(c.readers, pk)
-		c.mu.Unlock()
-		c.clock.park(pk)
-		c.mu.Lock()
+		c.readers.Wait()
 	}
 }
 
@@ -402,11 +386,7 @@ func (c *conn) Write(p []byte) (int, error) {
 			if c.txLen < outQueueLen {
 				break
 			}
-			pk := c.clock.newParker()
-			c.writers = append(c.writers, pk)
-			c.mu.Unlock()
-			c.clock.park(pk)
-			c.mu.Lock()
+			c.writers.Wait()
 		}
 		var wdl time.Duration
 		if c.hasWDeadline {
@@ -517,18 +497,12 @@ func (c *conn) Close() error {
 		eofAt = now
 	}
 	c.enqueueLocked(&chunk{eof: true}, eofAt)
-	c.wakeReadersLocked()
-	c.wakeWritersLocked()
+	c.readers.Broadcast()
+	c.writers.Broadcast()
 	resume := c.senderWaiting
 	c.senderWaiting = false
-	if c.rdTimer != nil {
-		c.rdTimer.Stop()
-		c.rdTimer = nil
-	}
-	if c.wdTimer != nil {
-		c.wdTimer.Stop()
-		c.wdTimer = nil
-	}
+	c.rdTimer.Stop()
+	c.wdTimer.Stop()
 	c.mu.Unlock()
 	if resume {
 		c.peer.txResume()
@@ -551,66 +525,38 @@ func (c *conn) SetDeadline(t time.Time) error {
 	return c.SetWriteDeadline(t)
 }
 
-// virtualUntil converts a wall-clock deadline into (virtual instant,
-// virtual delay from now). Callers pass wall times — the net.Conn
-// contract — and all waiting happens in the virtual domain, so the
-// semantics are identical on both clock cores.
-func (c *conn) virtualUntil(t time.Time) (time.Duration, time.Duration) {
-	wall := time.Until(t)
-	if wall < 0 {
-		wall = 0
-	}
-	v := c.clock.Virtual(wall)
-	return c.clock.Now() + v, v
-}
-
 // SetReadDeadline implements net.Conn.
 func (c *conn) SetReadDeadline(t time.Time) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.rdTimer != nil {
-		c.rdTimer.Stop()
-		c.rdTimer = nil
-	}
-	if t.IsZero() {
-		c.hasRDeadline = false
-		c.wakeReadersLocked()
-		return nil
-	}
-	var wake time.Duration
-	c.hasRDeadline = true
-	c.rDeadline, wake = c.virtualUntil(t)
-	c.wakeReadersLocked()
-	c.rdTimer = c.clock.AfterFunc(wake, func() {
-		c.mu.Lock()
-		c.wakeReadersLocked()
-		c.mu.Unlock()
-	})
+	c.setDeadline(t, &c.hasRDeadline, &c.rDeadline, &c.rdTimer, &c.readers)
 	return nil
 }
 
 // SetWriteDeadline implements net.Conn: it bounds the egress-pacing and
 // flow-control waits of a blocked Write.
 func (c *conn) SetWriteDeadline(t time.Time) error {
+	c.setDeadline(t, &c.hasWDeadline, &c.wDeadline, &c.wdTimer, &c.writers)
+	return nil
+}
+
+// setDeadline sets one direction's deadline and has its waiters re-check
+// it now and once it passes. The direction's one timer is stopped when
+// the deadline is cleared or replaced. Callers pass wall times, the
+// net.Conn contract; the deadline is kept as a virtual instant, so it
+// means the same on both clock cores.
+func (c *conn) setDeadline(t time.Time, has *bool, at *time.Duration, timer **VTimer, waiters *Cond) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.wdTimer != nil {
-		c.wdTimer.Stop()
-		c.wdTimer = nil
+	(*timer).Stop()
+	if *has = !t.IsZero(); *has {
+		wake := c.clock.Virtual(time.Until(t))
+		*at = c.clock.Now() + wake
+		*timer = c.clock.AfterFunc(wake, func() {
+			// Under mu: what changed is the clock, and a waiter between
+			// its deadline check and its Wait must not miss it.
+			c.mu.Lock()
+			waiters.Broadcast()
+			c.mu.Unlock()
+		})
 	}
-	if t.IsZero() {
-		c.hasWDeadline = false
-		c.wakeWritersLocked()
-		return nil
-	}
-	var wake time.Duration
-	c.hasWDeadline = true
-	c.wDeadline, wake = c.virtualUntil(t)
-	c.wakeWritersLocked()
-	c.wdTimer = c.clock.AfterFunc(wake, func() {
-		c.mu.Lock()
-		c.wakeWritersLocked()
-		c.mu.Unlock()
-	})
-	return nil
+	waiters.Broadcast()
 }

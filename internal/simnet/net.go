@@ -167,6 +167,8 @@ func (h *Host) Listen(port int) (net.Listener, error) {
 		h.listeners = make(map[int]*listener)
 	}
 	l := &listener{host: h, port: port}
+	l.acceptors = Cond{L: &l.mu, clock: h.net.clock}
+	l.dialers = Cond{L: &l.mu, clock: h.net.clock}
 	h.listeners[port] = l
 	return l, nil
 }
@@ -275,8 +277,8 @@ type listener struct {
 
 	mu        sync.Mutex
 	backlog   []*conn
-	acceptors []*parker // parked Accept callers
-	dialers   []*parker // parked push callers (backlog full)
+	acceptors Cond // on mu: the backlog filled, or the listener closed
+	dialers   Cond // on mu: the backlog drained, or the listener closed
 	closed    bool
 }
 
@@ -284,7 +286,6 @@ type listener struct {
 // parking while the backlog is full. It reports false when the listener
 // closed first.
 func (l *listener) push(c *conn) bool {
-	clock := l.host.net.clock
 	l.mu.Lock()
 	for {
 		if l.closed {
@@ -294,24 +295,16 @@ func (l *listener) push(c *conn) bool {
 		if len(l.backlog) < acceptBacklog {
 			break
 		}
-		pk := clock.newParker()
-		l.dialers = append(l.dialers, pk)
-		l.mu.Unlock()
-		clock.park(pk)
-		l.mu.Lock()
+		l.dialers.Wait()
 	}
 	l.backlog = append(l.backlog, c)
-	for _, p := range l.acceptors {
-		p.wake()
-	}
-	l.acceptors = nil
+	l.acceptors.Broadcast()
 	l.mu.Unlock()
 	return true
 }
 
 // Accept waits for and returns the next connection.
 func (l *listener) Accept() (net.Conn, error) {
-	clock := l.host.net.clock
 	l.mu.Lock()
 	for {
 		if len(l.backlog) > 0 {
@@ -320,10 +313,7 @@ func (l *listener) Accept() (net.Conn, error) {
 			if len(l.backlog) == 0 {
 				l.backlog = nil
 			}
-			for _, p := range l.dialers {
-				p.wake()
-			}
-			l.dialers = nil
+			l.dialers.Broadcast()
 			l.mu.Unlock()
 			return c, nil
 		}
@@ -331,11 +321,7 @@ func (l *listener) Accept() (net.Conn, error) {
 			l.mu.Unlock()
 			return nil, net.ErrClosed
 		}
-		pk := clock.newParker()
-		l.acceptors = append(l.acceptors, pk)
-		l.mu.Unlock()
-		clock.park(pk)
-		l.mu.Lock()
+		l.acceptors.Wait()
 	}
 }
 
@@ -347,15 +333,12 @@ func (l *listener) Close() error {
 		return nil
 	}
 	l.closed = true
-	waiters := append(l.acceptors, l.dialers...)
-	l.acceptors, l.dialers = nil, nil
 	l.mu.Unlock()
+	l.acceptors.Broadcast()
+	l.dialers.Broadcast()
 	l.host.mu.Lock()
 	delete(l.host.listeners, l.port)
 	l.host.mu.Unlock()
-	for _, p := range waiters {
-		p.wake()
-	}
 	return nil
 }
 

@@ -30,9 +30,10 @@ type schedObs struct {
 //
 // Host goroutines (relay accept loops, torclient circuits, bento
 // sessions — real blocking code) interoperate through the park/unpark
-// bridge: their blocking points (conn.Read, Clock.Sleep, deadline waits)
-// park on a one-shot token, and the events that satisfy them (a
-// delivery, a timer) wake the token. The dispatcher only advances
+// bridge: their blocking points (Clock.Sleep and every Cond.Wait — conn
+// reads and writes, accepts, control and stream waits) park on a
+// one-shot token, and the events that satisfy them (a delivery, a
+// timer) wake the token. The dispatcher only advances
 // virtual time when the system looks quiescent: every park-side bridge
 // operation bumps an activity counter and raises `bridged`, and before
 // each advance the dispatcher yields the OS scheduler until a full
@@ -56,7 +57,7 @@ type eventCore struct {
 	stopped bool
 
 	nowNs     atomic.Int64
-	activity  atomic.Uint64 // bumped by park/wake/blocking/schedule transitions
+	activity  atomic.Uint64 // bumped by park/wake/spawn/schedule transitions
 	bridged   atomic.Bool   // park-side bridge op since the last settle?
 	schedOnly atomic.Bool   // dispatcher-context scheduling since the last batch?
 	firing    atomic.Bool   // dispatcher is inside its fire loop
@@ -126,13 +127,8 @@ func (ec *eventCore) park(p *parker) {
 
 func (ec *eventCore) noteWake() { ec.noteBridge() }
 
-func (ec *eventCore) blocking() func() {
-	ec.noteBridge()
-	return ec.noteBridge
-}
-
 // noteBridge records a park-side bridge transition: a goroutine parked,
-// was woken, or is about to block on simulation channels. These are the
+// was woken, or was started or ended by Clock.Go. These are the
 // operations that can leave a goroutine in flight, so they demand a
 // settle before the next virtual advance.
 func (ec *eventCore) noteBridge() {

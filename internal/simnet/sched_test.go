@@ -100,7 +100,7 @@ func TestSettleStopAborts(t *testing.T) {
 	go func() {
 		defer close(hostileDone)
 		for !quit.Load() {
-			clock.Blocking()() // park-side bridge churn: settle never sees a quiet round
+			ec.noteBridge() // park-side bridge churn: settle never sees a quiet round
 			runtime.Gosched()
 		}
 	}()

@@ -1,9 +1,11 @@
 package testbed
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
+	"github.com/bento-nfv/bento/internal/bento"
 	"github.com/bento-nfv/bento/internal/dirauth"
 	"github.com/bento-nfv/bento/internal/functions"
 	"github.com/bento-nfv/bento/internal/obs"
@@ -226,5 +228,54 @@ func TestNoopInvokeIsOneForwardCellPerHop(t *testing.T) {
 		if got := forwarded.Value() - before; got != 2 {
 			t.Fatalf("invoke %d forwarded %d cells over two relays, want 2", i, got)
 		}
+	}
+}
+
+// TestSessionOpsLeaveNoTimers: every session op sets a read deadline on
+// its stream and clears it once the reply is in. Clearing stops the
+// stream's timer, so ops followed by an idle stretch past OpDeadline
+// fire no stale deadline events.
+func TestSessionOpsLeaveNoTimers(t *testing.T) {
+	// One P: on 2 P the event core's settle lets a 3-hop build time out
+	// its EXTENDED wait at wall time 0 (benchmark/README.md, "Recorded
+	// limits"); this test failed that way on its first 2-P run.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	reg := obs.NewRegistry()
+	w, err := New(Config{Relays: 3, BentoNodes: 1, EventClock: true, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	const opDeadline = 10 * time.Second
+	s := w.NewBentoClient("alice", 1).NewSession(w.BentoNode(0), bento.SessionConfig{OpDeadline: opDeadline})
+	defer s.Close()
+	const ops = 20
+	for i := 0; i < ops; i++ {
+		if _, err := s.Policy(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Read the sum from dispatcher callbacks: the dispatcher records a
+	// batch after firing it, so a read there sees every earlier batch.
+	fired := reg.Histogram("simnet.sched_batch_events", nil)
+	clock := w.Clock()
+	var before, after int64
+	done := make(chan struct{})
+	clock.AfterFunc(0, func() {
+		before = fired.Sum()
+		clock.AfterFunc(2*opDeadline, func() {
+			after = fired.Sum()
+			close(done)
+		})
+	})
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("clock never reached the end of the window")
+	}
+	// One event is the first read itself.
+	if stale := after - before - 1; stale > 1 {
+		t.Fatalf("%d events fired in an idle 2×OpDeadline after %d ops, want at most 1", stale, ops)
 	}
 }

@@ -46,9 +46,9 @@ func newRunRig(t *testing.T) *runRig {
 		w:       cell.NewBatchWriter(link),
 		layers:  []*otr.Layer{clientSide},
 		streams: make(map[uint16]*Stream),
-		ctrl:    make(chan ctrlMsg, 64),
 		closed:  make(chan struct{}),
 	}
+	circ.ctrlCond = simnet.NewCond(circ.client.Clock(), &circ.ctrlMu)
 	return &runRig{circ: circ, relay: relaySide}
 }
 

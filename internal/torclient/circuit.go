@@ -11,6 +11,7 @@ import (
 	"github.com/bento-nfv/bento/internal/dirauth"
 	"github.com/bento-nfv/bento/internal/obs"
 	"github.com/bento-nfv/bento/internal/otr"
+	"github.com/bento-nfv/bento/internal/simnet"
 )
 
 // ErrCircuitClosed is returned by operations on a closed circuit.
@@ -62,7 +63,13 @@ type Circuit struct {
 	svc        *serviceState
 	onIntro2   func(data []byte)
 
-	ctrl      chan ctrlMsg
+	// ctrlMu guards the control queue and the closed transition, and is
+	// ctrlCond's lock. It is separate from mu because the control
+	// deadline takes it on the clock's dispatcher, and mu is held across
+	// link writes that can park.
+	ctrlMu    sync.Mutex
+	ctrlCond  *simnet.Cond // a control cell queued, the circuit closed, or a deadline passed
+	ctrlq     []ctrlMsg    // at most 64; past that the newest is dropped
 	closed    chan struct{}
 	closeOnce sync.Once
 	reason    error // why the circuit died; written before closed is closed
@@ -163,9 +170,9 @@ func (c *Client) buildCircuit(path []*dirauth.Descriptor, sp *obs.SpanHandle) (*
 		sendWire: make([]byte, cell.Size),
 		layers:   []*otr.Layer{layer},
 		streams:  make(map[uint16]*Stream),
-		ctrl:     make(chan ctrlMsg, 64),
 		closed:   make(chan struct{}),
 	}
+	circ.ctrlCond = simnet.NewCond(c.host.Clock(), &circ.ctrlMu)
 	go circ.dispatch()
 
 	circ.buildSpan = sp
@@ -358,8 +365,11 @@ func (circ *Circuit) Close() error { return circ.closeWithReason(nil) }
 // the guard link, so all are briefly suspect.
 func (circ *Circuit) closeWithReason(cause error) error {
 	circ.closeOnce.Do(func() {
+		circ.ctrlMu.Lock()
 		circ.reason = cause
 		close(circ.closed)
+		circ.ctrlMu.Unlock()
+		circ.ctrlCond.Broadcast()
 		circ.w.WriteCell(&cell.Cell{CircID: circ.circID, Cmd: cell.CmdDestroy})
 		circ.w.Close() // flushes the DESTROY, then closes the guard link
 		circ.conn.Close()
@@ -402,7 +412,7 @@ func (circ *Circuit) Err() error {
 // waits on a one-cell buffer and holds a pooled burst only while a run
 // is being handled: every consumer of cell data either copies
 // synchronously (stream delivery into the stream's queue, control
-// handlers) or is handed an explicit copy (ctrl channel, INTRODUCE2
+// handlers) or is handed an explicit copy (control queue, INTRODUCE2
 // callback), so the burst goes back to the pool the moment handleRun
 // returns.
 func (circ *Circuit) dispatch() {
@@ -518,10 +528,7 @@ func (circ *Circuit) handleRelay(payload []byte, k int, pend *streamData) {
 			}
 		} else if hdr.StreamID == 0 {
 			// Control-level END (e.g. introduce failure): surface it.
-			select {
-			case circ.ctrl <- ctrlMsg{hop: hop, hdr: hdr, data: copyBytes(data)}:
-			default:
-			}
+			circ.pushCtrl(ctrlMsg{hop: hop, hdr: hdr, data: copyBytes(data)})
 		}
 	case cell.RelayConnected:
 		s := circ.streams[hdr.StreamID]
@@ -540,43 +547,58 @@ func (circ *Circuit) handleRelay(payload []byte, k int, pend *streamData) {
 		// Inbound cover traffic: absorbed.
 	default:
 		circ.mu.Unlock()
-		select {
-		case circ.ctrl <- ctrlMsg{hop: hop, hdr: hdr, data: copyBytes(data)}:
-		default:
-			// Control queue overflow: drop (callers will time out).
-		}
+		circ.pushCtrl(ctrlMsg{hop: hop, hdr: hdr, data: copyBytes(data)})
 	}
+}
+
+// pushCtrl queues a control cell for awaitCtrl. A full queue drops it
+// (the waiter times out).
+func (circ *Circuit) pushCtrl(m ctrlMsg) {
+	circ.ctrlMu.Lock()
+	if len(circ.ctrlq) < 64 {
+		circ.ctrlq = append(circ.ctrlq, m)
+	}
+	circ.ctrlMu.Unlock()
+	circ.ctrlCond.Broadcast()
 }
 
 // awaitCtrl waits for a control message with the given relay command. The
 // wait is bounded in virtual time (Client.CtrlTimeout) so detection of a
 // stalled circuit scales with the emulation rather than the wall clock.
 func (circ *Circuit) awaitCtrl(cmd cell.RelayCommand) (ctrlMsg, error) {
-	unblock := circ.client.Clock().Blocking()
-	defer unblock()
-	deadline, stop := circ.client.ctrlDeadline()
+	expired, stop := circ.client.ctrlDeadline(circ.ctrlCond)
 	defer stop()
+	circ.ctrlMu.Lock()
 	for {
-		select {
-		case m := <-circ.ctrl:
-			if m.hdr.Cmd == cmd {
+		for len(circ.ctrlq) > 0 {
+			m := circ.ctrlq[0]
+			circ.ctrlq[0] = ctrlMsg{}
+			circ.ctrlq = circ.ctrlq[1:]
+			switch m.hdr.Cmd {
+			case cmd:
+				circ.ctrlMu.Unlock()
 				return m, nil
-			}
-			if m.hdr.Cmd == cell.RelayEnd {
+			case cell.RelayEnd:
+				circ.ctrlMu.Unlock()
 				var end cell.EndPayload
 				cell.DecodeControl(m.data, &end)
 				return ctrlMsg{}, fmt.Errorf("torclient: circuit-level END: %s", end.Reason)
 			}
 			// Unrelated control message: keep waiting.
-		case <-circ.closed:
+		}
+		if circ.isClosed() {
+			circ.ctrlMu.Unlock()
 			return ctrlMsg{}, ErrCircuitClosed
-		case <-deadline:
+		}
+		if *expired {
+			circ.ctrlMu.Unlock()
 			// A stalled control cell is as fatal as a DESTROY: kill the
 			// circuit so its hops land on the avoid list.
 			err := fmt.Errorf("torclient: timeout waiting for %v", cmd)
 			circ.closeWithReason(err)
 			return ctrlMsg{}, err
 		}
+		circ.ctrlCond.Wait()
 	}
 }
 

@@ -68,18 +68,21 @@ func (c *Client) CtrlTimeout() time.Duration {
 	return c.ctrl
 }
 
-// ctrlDeadline returns a channel closed once CtrlTimeout of virtual time
-// has passed, and the func that disarms it. Control waits must call stop
-// when they return, or each completed round-trip strands a timer and its
-// channel for the full timeout (ten virtual minutes by default).
-func (c *Client) ctrlDeadline() (expired <-chan struct{}, stop func()) {
-	ch := make(chan struct{})
+// ctrlDeadline arms CtrlTimeout of virtual time for a wait on cond: once
+// it passes, *expired is set under cond.L and cond is broadcast. Control
+// waits must call stop when they return, or each completed round-trip
+// strands a timer for the full timeout (ten virtual minutes by default).
+func (c *Client) ctrlDeadline(cond *simnet.Cond) (expired *bool, stop func()) {
+	expired = new(bool)
 	ctrlDeadlinesArmed.Add(1)
 	t := c.Clock().AfterFunc(c.CtrlTimeout(), func() {
 		ctrlDeadlinesArmed.Add(-1)
-		close(ch)
+		cond.L.Lock()
+		*expired = true
+		cond.L.Unlock()
+		cond.Broadcast()
 	})
-	return ch, func() {
+	return expired, func() {
 		if t.Stop() {
 			ctrlDeadlinesArmed.Add(-1)
 		}

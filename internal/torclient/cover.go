@@ -19,7 +19,6 @@ type CoverPlugin struct {
 
 	mu      sync.Mutex
 	stopped bool
-	done    chan struct{}
 	sent    int
 }
 
@@ -27,11 +26,7 @@ type CoverPlugin struct {
 // full-size DROP cell every interval (virtual time) until Stop or circuit
 // teardown.
 func (circ *Circuit) StartCover(interval time.Duration) *CoverPlugin {
-	p := &CoverPlugin{
-		circ:     circ,
-		interval: interval,
-		done:     make(chan struct{}),
-	}
+	p := &CoverPlugin{circ: circ, interval: interval}
 	go p.run()
 	return p
 }
@@ -40,12 +35,11 @@ func (p *CoverPlugin) run() {
 	clock := p.circ.client.host.Clock()
 	junk := make([]byte, cell.MaxRelayData)
 	for {
-		select {
-		case <-p.done:
+		p.mu.Lock()
+		stopped := p.stopped
+		p.mu.Unlock()
+		if stopped || p.circ.isClosed() {
 			return
-		case <-p.circ.closed:
-			return
-		default:
 		}
 		rand.Read(junk[:32]) // cheap freshness; the cell is discarded anyway
 		if err := p.circ.SendDrop(junk); err != nil {
@@ -68,9 +62,6 @@ func (p *CoverPlugin) Sent() int {
 // Stop halts the padding stream.
 func (p *CoverPlugin) Stop() {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.stopped {
-		p.stopped = true
-		close(p.done)
-	}
+	p.stopped = true
+	p.mu.Unlock()
 }

@@ -22,8 +22,9 @@ type Stream struct {
 	service bool // true when this is the HS side of a rendezvous session
 
 	mu   sync.Mutex
-	cond *sync.Cond
+	cond *simnet.Cond      // on mu: data, EOF, an error, CONNECTED, or a deadline
 	buf  simnet.ChunkQueue // unread DATA payloads; drained chunks go back to the pool
+	open bool              // CONNECTED arrived
 	eof  bool
 	err  error
 	// Deadlines are stored as virtual instants so all timeout arithmetic
@@ -31,16 +32,14 @@ type Stream struct {
 	// their wall-clock arguments at call time.
 	rDeadline    time.Duration
 	hasRDeadline bool
+	rdTimer      *simnet.VTimer // wakes a Read blocked past rDeadline
 	wDeadline    time.Duration
 	hasWDeadline bool
-	ready        chan struct{} // closed on CONNECTED
-	readyErr     error
-	once         sync.Once
 }
 
 func newStream(circ *Circuit, id uint16, service bool) *Stream {
-	s := &Stream{circ: circ, id: id, service: service, ready: make(chan struct{})}
-	s.cond = sync.NewCond(&s.mu)
+	s := &Stream{circ: circ, id: id, service: service}
+	s.cond = simnet.NewCond(circ.client.Clock(), &s.mu)
 	return s
 }
 
@@ -78,29 +77,30 @@ func (circ *Circuit) openStream(target string) (net.Conn, error) {
 		circ.dropStream(id)
 		return nil, err
 	}
-	unblock := circ.client.Clock().Blocking()
-	defer unblock()
-	deadline, stop := circ.client.ctrlDeadline()
+	// Circuit teardown reaches the stream too (closeWithError), so the
+	// stream's own state says everything this wait needs.
+	expired, stop := circ.client.ctrlDeadline(s.cond)
 	defer stop()
-	select {
-	case <-s.ready:
-		if s.readyErr != nil {
-			circ.dropStream(id)
-			return nil, s.readyErr
-		}
+	s.mu.Lock()
+	for !s.open && !s.eof && s.err == nil && !*expired {
+		s.cond.Wait()
+	}
+	open, eof, err := s.open, s.eof, s.err
+	s.mu.Unlock()
+	switch {
+	case open:
 		return s, nil
-	case <-circ.closed:
-		if cause := circ.Err(); cause != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCircuitClosed, cause)
-		}
-		return nil, ErrCircuitClosed
-	case <-deadline:
+	case err != nil:
+	case eof:
+		err = errors.New("torclient: stream refused")
+	default:
 		// A BEGIN that never comes back means the circuit is stalled;
 		// tear it down so its hops are avoided on the rebuild.
-		err := fmt.Errorf("torclient: timeout opening stream to %s", target)
+		err = fmt.Errorf("torclient: timeout opening stream to %s", target)
 		circ.closeWithReason(err)
-		return nil, err
 	}
+	circ.dropStream(id)
+	return nil, err
 }
 
 func (circ *Circuit) dropStream(id uint16) {
@@ -110,36 +110,33 @@ func (circ *Circuit) dropStream(id uint16) {
 }
 
 func (s *Stream) connected() {
-	s.once.Do(func() { close(s.ready) })
+	s.mu.Lock()
+	s.open = true
+	s.mu.Unlock()
+	s.cond.Broadcast()
 }
 
 func (s *Stream) deliver(data []byte) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.buf.Write(data)
+	s.mu.Unlock()
 	s.cond.Broadcast()
 }
 
+// deliverEOF records the peer's END: a stream not yet open was refused.
 func (s *Stream) deliverEOF() {
-	s.once.Do(func() {
-		s.readyErr = errors.New("torclient: stream refused")
-		close(s.ready)
-	})
 	s.mu.Lock()
 	s.eof = true
-	s.cond.Broadcast()
 	s.mu.Unlock()
+	s.cond.Broadcast()
 }
 
 func (s *Stream) closeWithError(err error) {
-	s.once.Do(func() {
-		s.readyErr = err
-		close(s.ready)
-	})
 	s.mu.Lock()
 	s.err = err
-	s.cond.Broadcast()
+	s.rdTimer.Stop()
 	s.mu.Unlock()
+	s.cond.Broadcast()
 }
 
 // Read implements net.Conn. A read deadline produces a timeout error for
@@ -216,8 +213,9 @@ func (s *Stream) Close() error {
 	}
 	s.mu.Lock()
 	s.eof = true
-	s.cond.Broadcast()
+	s.rdTimer.Stop()
 	s.mu.Unlock()
+	s.cond.Broadcast()
 	return nil
 }
 
@@ -237,39 +235,34 @@ func (s *Stream) SetDeadline(t time.Time) error {
 	return s.SetWriteDeadline(t)
 }
 
-// virtualDeadline converts a wall-clock deadline into a virtual instant
-// on the simnet clock. Callers pass wall times (the net.Conn contract);
-// internally all waits live in the virtual domain.
-func (s *Stream) virtualDeadline(t time.Time) (time.Duration, time.Duration) {
+// virtualDeadline converts a wall-clock deadline (the net.Conn contract)
+// into a virtual instant and the virtual wait until it.
+func (s *Stream) virtualDeadline(t time.Time) (at, wait time.Duration) {
 	clock := s.circ.client.Clock()
-	wall := time.Until(t)
-	if wall < 0 {
-		wall = 0
-	}
-	v := clock.Virtual(wall)
-	return clock.Now() + v, v
+	wait = clock.Virtual(time.Until(t))
+	return clock.Now() + wait, wait
 }
 
-// SetReadDeadline implements net.Conn.
+// SetReadDeadline implements net.Conn. The stream keeps one timer for
+// it, stopped when the deadline is cleared, replaced, or the stream
+// closes, so a caller that sets and clears a deadline per operation
+// leaves nothing behind on the clock.
 func (s *Stream) SetReadDeadline(t time.Time) error {
-	clock := s.circ.client.Clock()
-	var wake time.Duration
 	s.mu.Lock()
-	if t.IsZero() {
-		s.hasRDeadline = false
-	} else {
-		s.hasRDeadline = true
+	s.rdTimer.Stop()
+	if s.hasRDeadline = !t.IsZero(); s.hasRDeadline {
+		var wake time.Duration
 		s.rDeadline, wake = s.virtualDeadline(t)
-	}
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	if !t.IsZero() {
-		clock.AfterFunc(wake, func() {
+		s.rdTimer = s.circ.client.Clock().AfterFunc(wake, func() {
+			// Under mu: what changed is the clock, not the stream, and a
+			// Read between its deadline check and its Wait must not miss it.
 			s.mu.Lock()
 			s.cond.Broadcast()
 			s.mu.Unlock()
 		})
 	}
+	s.mu.Unlock()
+	s.cond.Broadcast()
 	return nil
 }
 
@@ -279,12 +272,9 @@ func (s *Stream) SetReadDeadline(t time.Time) error {
 func (s *Stream) SetWriteDeadline(t time.Time) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if t.IsZero() {
-		s.hasWDeadline = false
-		return nil
+	if s.hasWDeadline = !t.IsZero(); s.hasWDeadline {
+		s.wDeadline, _ = s.virtualDeadline(t)
 	}
-	s.hasWDeadline = true
-	s.wDeadline, _ = s.virtualDeadline(t)
 	return nil
 }
 

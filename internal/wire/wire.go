@@ -82,7 +82,9 @@ func WriteFrame(w io.Writer, v any, t Trailer) error {
 func ReadJSON(r io.Reader, v any) error { return NewDecoder(r).Decode(v) }
 
 // Decoder reads frames from one reader through a single buffer, which
-// grows to the largest envelope or trailer seen and stays there.
+// grows to the largest envelope or trailer seen and stays there. It
+// grows as bytes arrive, not to the length a header announces, so a
+// peer that announces a large frame and stalls holds only what it sent.
 //
 // A Decoder is not safe for concurrent use. json.Unmarshal copies every
 // byte it keeps, so decoded values survive the next Decode; trailer bytes
@@ -131,12 +133,30 @@ func (d *Decoder) Decode(v any) error {
 	return nil
 }
 
+// growStep is the least a read grows the buffer by; past it the buffer
+// doubles with the bytes received.
+const growStep = 64 << 10
+
 func (d *Decoder) read(n uint32) ([]byte, error) {
-	if uint32(cap(d.buf)) < n {
-		d.buf = make([]byte, n)
+	buf, want := d.buf[:0], int(n)
+	for len(buf) < want {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), len(buf)+min(max(len(buf), growStep), want-len(buf)))
+			copy(grown, buf)
+			buf = grown
+		}
+		m, err := io.ReadFull(d.r, buf[len(buf):min(cap(buf), want)])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			if err == io.EOF && len(buf) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			d.buf = buf
+			return buf, err
+		}
 	}
-	_, err := io.ReadFull(d.r, d.buf[:n])
-	return d.buf[:n], err
+	d.buf = buf
+	return buf, nil
 }
 
 // Take returns the next n bytes of the last frame's trailer, valid until

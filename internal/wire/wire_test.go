@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -298,4 +299,57 @@ func FuzzDecoder(f *testing.F) {
 			t.Fatal("ReadJSON left bytes of its frame unread")
 		}
 	})
+}
+
+// stallReader serves data, then blocks its next Read until release is
+// closed, signalling stalled first; after release it reports EOF.
+type stallReader struct {
+	data    []byte
+	stalled chan struct{}
+	release chan struct{}
+}
+
+func (r *stallReader) Read(p []byte) (int, error) {
+	if len(r.data) > 0 {
+		n := copy(p, r.data)
+		r.data = r.data[n:]
+		return n, nil
+	}
+	close(r.stalled)
+	<-r.release
+	return 0, io.EOF
+}
+
+// TestAnnouncedLengthNotAllocated: a peer that announces MaxMessage and
+// then stalls costs the decoder what it sent, not what it announced.
+func TestAnnouncedLengthNotAllocated(t *testing.T) {
+	sent := bytes.Repeat([]byte{'x'}, 1000)
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+	}{
+		{"envelope", append(header(MaxMessage, 0), sent...)},
+		{"trailer", append(append(header(2, MaxMessage), "{}"...), sent...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := &stallReader{data: tc.frame, stalled: make(chan struct{}), release: make(chan struct{})}
+			d := NewFrameDecoder(r, MaxMessage, MaxMessage)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			errc := make(chan error, 1)
+			go func() {
+				var got msg
+				errc <- d.Decode(&got)
+			}()
+			<-r.stalled
+			runtime.ReadMemStats(&after)
+			close(r.release)
+			if err := <-errc; err != io.ErrUnexpectedEOF {
+				t.Fatalf("stalled frame decoded with %v, want %v", err, io.ErrUnexpectedEOF)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+				t.Fatalf("announcing %d bytes and sending %d cost %d bytes of allocation", MaxMessage, len(sent), got)
+			}
+		})
+	}
 }

@@ -35,21 +35,26 @@ go build ./...
 stage "go test"
 go test ./...
 
-stage "Clock.Blocking() only at its four allowlisted sites"
-# A Blocking() bracket marks a goroutine that waits on the event core
-# outside a registered door (ROADMAP item 1), so a new one must be argued
-# for, not added. One site per file: the fleet controller's run loop,
-# torclient's awaitCtrl and openStream, and the relay's helper spawn.
-# Method values (clock.Blocking passed as a func) count too.
-blocking_sites() { grep -rnE --include='*.go' '\.Blocking\b' . | grep -v '_test\.go:' || true; }
-found=$(blocking_sites | cut -d: -f1 | sort)
-allowed=$(printf '%s\n' ./internal/fleet/controller.go ./internal/relay/circuit.go \
-    ./internal/torclient/circuit.go ./internal/torclient/stream.go)
-if [ "$found" != "$allowed" ]; then
-    echo "Clock.Blocking() sites differ from the allowlist in scripts/check.sh:" >&2
-    blocking_sites >&2
-    exit 1
-fi
+stage "one wait: simulation goroutines park through simnet.Cond (ROADMAP item 1)"
+# want WHAT PATTERN PATHS ALLOWED: the file:count list of the non-test
+# code lines under PATHS that match PATTERN must be exactly ALLOWED.
+want() {
+    found=$(grep -rnE --include='*.go' "$2" $3 | grep -v '_test\.go:' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
+        cut -d: -f1 | sort | uniq -c | awk '{printf "%s:%s ", $2, $1}')
+    [ "$found" = "$4 " ] || { echo "$1 differ from the allowlist in scripts/check.sh: $found" >&2; exit 1; }
+}
+# A sync wait blocks where the event core cannot see it. Allowed: the
+# event core's dispatcher, which the other waits park against, and the
+# relay helper's space cond, which only goLink (never on the event core)
+# waits on.
+want "sync.Cond/WaitGroup sites" 'sync\.(NewCond|Cond|WaitGroup)\b' "internal/simnet internal/torclient internal/fleet
+    internal/bento internal/hs internal/stemfw internal/sandbox internal/relay/circuit.go" \
+    "internal/relay/circuit.go:1 internal/simnet/sched.go:2"
+# Parkers come from Cond.Wait and Sleep only: no hand-written waiter lists.
+want "parker sites" 'newParker\(' internal/simnet \
+    "internal/simnet/clock.go:1 internal/simnet/cond.go:1 internal/simnet/sched.go:1"
+# torclient and the fleet wait on no channel; the one left is Circuit.Done's.
+want "channel sites" '\bchan\b' "internal/torclient internal/fleet" "internal/torclient/circuit.go:3"
 
 stage "one engine in the shipped binary (the tree oracle must link only into internal/interp's tests)"
 # The walker lives in internal/interp/oracle_test.go. If any of its entry
