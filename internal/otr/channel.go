@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+
+	"github.com/bento-nfv/bento/internal/wire"
 )
 
 // maxChannelMsg bounds a single secure-channel message.
@@ -136,8 +138,8 @@ func (ch *Channel) Recv() ([]byte, error) {
 	if n > maxChannelMsg+64 {
 		return nil, fmt.Errorf("otr: oversized channel frame (%d bytes)", n)
 	}
-	ct := make([]byte, n)
-	if _, err := io.ReadFull(ch.conn, ct); err != nil {
+	ct, err := wire.ReadGrowing(ch.conn, nil, int(n))
+	if err != nil {
 		return nil, err
 	}
 	pt, err := ch.recv.Open(nil, nonceFor(ch.recvSalt, ch.recvSeq), ct, nil)

@@ -1,12 +1,14 @@
 package otr
 
 import (
-	"crypto/ecdh"
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"sync"
+
+	"github.com/bento-nfv/bento/internal/otr/x25519"
 )
 
 const (
@@ -27,39 +29,39 @@ var errHandshake = errors.New("otr: handshake authentication failed")
 
 // OnionKey is a relay's long-lived X25519 onion key pair.
 type OnionKey struct {
-	priv *ecdh.PrivateKey
+	priv, pub [32]byte
 }
 
 // NewOnionKey generates a fresh onion key pair.
 func NewOnionKey() (*OnionKey, error) {
-	priv, err := ecdh.X25519().GenerateKey(rand.Reader)
-	if err != nil {
+	var priv [32]byte
+	if _, err := rand.Read(priv[:]); err != nil {
 		return nil, fmt.Errorf("otr: generating onion key: %w", err)
 	}
-	return &OnionKey{priv: priv}, nil
+	return &OnionKey{priv: priv, pub: x25519.ScalarBaseMult(&priv)}, nil
 }
 
 // Public returns the 32-byte public onion key.
-func (k *OnionKey) Public() []byte { return k.priv.PublicKey().Bytes() }
+func (k *OnionKey) Public() []byte { return append([]byte(nil), k.pub[:]...) }
 
 // Bytes returns the private key material for serialization (e.g. when a
 // hidden service identity is replicated to another node).
-func (k *OnionKey) Bytes() []byte { return k.priv.Bytes() }
+func (k *OnionKey) Bytes() []byte { return append([]byte(nil), k.priv[:]...) }
 
 // OnionKeyFromBytes reconstructs an onion key pair from Bytes output.
 func OnionKeyFromBytes(b []byte) (*OnionKey, error) {
-	priv, err := ecdh.X25519().NewPrivateKey(b)
-	if err != nil {
-		return nil, fmt.Errorf("otr: bad onion private key: %w", err)
+	if len(b) != 32 {
+		return nil, fmt.Errorf("otr: bad onion private key: length %d", len(b))
 	}
-	return &OnionKey{priv: priv}, nil
+	priv := [32]byte(b)
+	return &OnionKey{priv: priv, pub: x25519.ScalarBaseMult(&priv)}, nil
 }
 
 // ClientHandshake holds the client side of an in-progress ntor handshake.
 type ClientHandshake struct {
-	relayID    []byte // relay identity fingerprint
-	relayOnion []byte // relay public onion key B
-	eph        *ecdh.PrivateKey
+	relayID     []byte   // relay identity fingerprint
+	relayOnion  [32]byte // relay public onion key B
+	eph, ephPub [32]byte
 }
 
 // NewClientHandshake begins a handshake toward a relay identified by
@@ -69,16 +71,15 @@ func NewClientHandshake(relayID, relayOnion []byte) (*ClientHandshake, []byte, e
 	if len(relayOnion) != PublicKeyLen {
 		return nil, nil, fmt.Errorf("otr: bad onion key length %d", len(relayOnion))
 	}
-	eph, err := ecdh.X25519().GenerateKey(rand.Reader)
-	if err != nil {
-		return nil, nil, fmt.Errorf("otr: generating ephemeral key: %w", err)
-	}
 	hs := &ClientHandshake{
 		relayID:    append([]byte(nil), relayID...),
-		relayOnion: append([]byte(nil), relayOnion...),
-		eph:        eph,
+		relayOnion: [32]byte(relayOnion),
 	}
-	return hs, eph.PublicKey().Bytes(), nil
+	if _, err := rand.Read(hs.eph[:]); err != nil {
+		return nil, nil, fmt.Errorf("otr: generating ephemeral key: %w", err)
+	}
+	hs.ephPub = x25519.ScalarBaseMult(&hs.eph)
+	return hs, append([]byte(nil), hs.ephPub[:]...), nil
 }
 
 // ServerHandshake processes a client CREATE payload on the relay side,
@@ -87,27 +88,23 @@ func ServerHandshake(relayID []byte, onion *OnionKey, clientMsg []byte) (reply [
 	if len(clientMsg) != PublicKeyLen {
 		return nil, nil, fmt.Errorf("otr: bad handshake message length %d", len(clientMsg))
 	}
-	clientPub, err := ecdh.X25519().NewPublicKey(clientMsg)
-	if err != nil {
-		return nil, nil, fmt.Errorf("otr: bad client public key: %w", err)
-	}
-	eph, err := ecdh.X25519().GenerateKey(rand.Reader)
-	if err != nil {
+	clientPub := [32]byte(clientMsg)
+	var eph [32]byte
+	if _, err := rand.Read(eph[:]); err != nil {
 		return nil, nil, fmt.Errorf("otr: generating ephemeral key: %w", err)
 	}
-	xy, err := eph.ECDH(clientPub) // EXP(X, y)
+	ephPub := x25519.ScalarBaseMult(&eph)
+	xy, err := x25519.ScalarMult(&eph, &clientPub) // EXP(X, y)
 	if err != nil {
 		return nil, nil, fmt.Errorf("otr: ECDH: %w", err)
 	}
-	xb, err := onion.priv.ECDH(clientPub) // EXP(X, b)
+	xb, err := x25519.ScalarMult(&onion.priv, &clientPub) // EXP(X, b)
 	if err != nil {
 		return nil, nil, fmt.Errorf("otr: ECDH: %w", err)
 	}
-	secret := secretInput(xy, xb, relayID, onion.Public(),
-		clientMsg, eph.PublicKey().Bytes())
-	auth := authenticator(secret)
+	secret := secretInput(xy[:], xb[:], relayID, onion.pub[:], clientMsg, ephPub[:])
 	keys = HKDF(secret, []byte(protoID+":key"), []byte("expand"), KeyMaterialLen)
-	reply = append(eph.PublicKey().Bytes(), auth...)
+	reply = append(append(make([]byte, 0, PublicKeyLen+AuthLen), ephPub[:]...), authenticator(secret)...)
 	return reply, keys, nil
 }
 
@@ -117,29 +114,83 @@ func (hs *ClientHandshake) Finish(reply []byte) ([]byte, error) {
 	if len(reply) != PublicKeyLen+AuthLen {
 		return nil, fmt.Errorf("otr: bad handshake reply length %d", len(reply))
 	}
-	serverEphB, authGot := reply[:PublicKeyLen], reply[PublicKeyLen:]
-	serverEph, err := ecdh.X25519().NewPublicKey(serverEphB)
-	if err != nil {
-		return nil, fmt.Errorf("otr: bad server ephemeral key: %w", err)
-	}
-	relayOnionPub, err := ecdh.X25519().NewPublicKey(hs.relayOnion)
-	if err != nil {
-		return nil, fmt.Errorf("otr: bad relay onion key: %w", err)
-	}
-	xy, err := hs.eph.ECDH(serverEph) // EXP(Y, x)
+	serverEph, authGot := [32]byte(reply[:PublicKeyLen]), reply[PublicKeyLen:]
+	xy, err := x25519.ScalarMult(&hs.eph, &serverEph) // EXP(Y, x)
 	if err != nil {
 		return nil, fmt.Errorf("otr: ECDH: %w", err)
 	}
-	xb, err := hs.eph.ECDH(relayOnionPub) // EXP(B, x)
+	xb, err := expOnion(&hs.eph, &hs.relayOnion) // EXP(B, x)
 	if err != nil {
 		return nil, fmt.Errorf("otr: ECDH: %w", err)
 	}
-	secret := secretInput(xy, xb, hs.relayID, hs.relayOnion,
-		hs.eph.PublicKey().Bytes(), serverEphB)
+	secret := secretInput(xy[:], xb[:], hs.relayID, hs.relayOnion[:], hs.ephPub[:], serverEph[:])
 	if !hmac.Equal(authGot, authenticator(secret)) {
 		return nil, errHandshake
 	}
 	return HKDF(secret, []byte(protoID+":key"), []byte("expand"), KeyMaterialLen), nil
+}
+
+// onionTableKeys bounds the onion-key comb cache: at most this many keys,
+// whose tables take under 8 KiB each.
+const onionTableKeys = 16
+
+// onionTables caches an x25519.Table per relay onion key B for the client's
+// EXP(B, x): a multiply with the table costs about half a ladder. Building
+// one costs more than a ladder, so a key's first handshake uses the ladder
+// and only records the key; its second builds the table. A key seen once
+// never costs more than the ladder; a key built and then evicted before it
+// has been used a few times costs more. When the cache is full an arbitrary
+// entry makes room. The bound and the second-sighting rule are measured
+// only on paths over at most 16 relays (DESIGN.md §13.2).
+var onionTables = onionCache{m: make(map[[32]byte]onionEntry)}
+
+type onionCache struct {
+	sync.Mutex
+	m map[[32]byte]onionEntry
+}
+
+type onionEntry struct {
+	built bool
+	table *x25519.Table // nil until built, and for a B off the curve
+}
+
+// expOnion returns EXP(B, x), with B's cached table when there is one.
+func expOnion(x, b *[32]byte) ([32]byte, error) {
+	if t := onionTables.lookup(b); t != nil {
+		return t.ScalarMult(x)
+	}
+	return x25519.ScalarMult(x, b)
+}
+
+// lookup returns B's table, building it on B's second sighting; nil means
+// use the ladder.
+func (c *onionCache) lookup(b *[32]byte) *x25519.Table {
+	c.Lock()
+	e, seen := c.m[*b]
+	if !seen {
+		c.put(b, onionEntry{})
+	}
+	c.Unlock()
+	if !seen || e.built {
+		return e.table
+	}
+	t := x25519.NewTable(b) // outside the lock: a concurrent duplicate is harmless
+	c.Lock()
+	c.put(b, onionEntry{built: true, table: t})
+	c.Unlock()
+	return t
+}
+
+// put stores e for B, evicting an arbitrary other key if the cache is full.
+// The caller holds the lock.
+func (c *onionCache) put(b *[32]byte, e onionEntry) {
+	if _, ok := c.m[*b]; !ok && len(c.m) >= onionTableKeys {
+		for k := range c.m {
+			delete(c.m, k)
+			break
+		}
+	}
+	c.m[*b] = e
 }
 
 func secretInput(xy, xb, id, b, x, y []byte) []byte {

@@ -3,9 +3,10 @@ package otr
 import (
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/ecdh"
 	"crypto/rand"
 	"fmt"
+
+	"github.com/bento-nfv/bento/internal/otr/x25519"
 )
 
 // SealTo encrypts plaintext to the holder of the X25519 key pub as an
@@ -14,23 +15,24 @@ import (
 // enclave ("function uploads could also be encrypted and only decrypted
 // within the enclave", §6.3).
 func SealTo(pub []byte, plaintext []byte) ([]byte, error) {
-	recipient, err := ecdh.X25519().NewPublicKey(pub)
-	if err != nil {
-		return nil, fmt.Errorf("otr: bad recipient key: %w", err)
+	if len(pub) != PublicKeyLen {
+		return nil, fmt.Errorf("otr: bad recipient key length %d", len(pub))
 	}
-	eph, err := ecdh.X25519().GenerateKey(rand.Reader)
+	recipient := [32]byte(pub)
+	var eph [32]byte
+	if _, err := rand.Read(eph[:]); err != nil {
+		return nil, err
+	}
+	ephPub := x25519.ScalarBaseMult(&eph)
+	shared, err := x25519.ScalarMult(&eph, &recipient)
 	if err != nil {
 		return nil, err
 	}
-	shared, err := eph.ECDH(recipient)
+	aead, nonce, err := sealedBoxAEAD(shared[:], ephPub[:], pub)
 	if err != nil {
 		return nil, err
 	}
-	aead, nonce, err := sealedBoxAEAD(shared, eph.PublicKey().Bytes(), pub)
-	if err != nil {
-		return nil, err
-	}
-	out := append([]byte(nil), eph.PublicKey().Bytes()...)
+	out := append([]byte(nil), ephPub[:]...)
 	return aead.Seal(out, nonce, plaintext, nil), nil
 }
 
@@ -39,15 +41,12 @@ func OpenSealed(key *OnionKey, box []byte) ([]byte, error) {
 	if len(box) < PublicKeyLen {
 		return nil, fmt.Errorf("otr: sealed box too short")
 	}
-	ephPub, err := ecdh.X25519().NewPublicKey(box[:PublicKeyLen])
-	if err != nil {
-		return nil, fmt.Errorf("otr: bad ephemeral key: %w", err)
-	}
-	shared, err := key.priv.ECDH(ephPub)
+	ephPub := [32]byte(box[:PublicKeyLen])
+	shared, err := x25519.ScalarMult(&key.priv, &ephPub)
 	if err != nil {
 		return nil, err
 	}
-	aead, nonce, err := sealedBoxAEAD(shared, box[:PublicKeyLen], key.Public())
+	aead, nonce, err := sealedBoxAEAD(shared[:], ephPub[:], key.pub[:])
 	if err != nil {
 		return nil, err
 	}

@@ -133,29 +133,39 @@ func (d *Decoder) Decode(v any) error {
 	return nil
 }
 
+func (d *Decoder) read(n uint32) ([]byte, error) {
+	buf, err := ReadGrowing(d.r, d.buf, int(n))
+	d.buf = buf
+	return buf, err
+}
+
 // growStep is the least a read grows the buffer by; past it the buffer
 // doubles with the bytes received.
 const growStep = 64 << 10
 
-func (d *Decoder) read(n uint32) ([]byte, error) {
-	buf, want := d.buf[:0], int(n)
+// ReadGrowing reads exactly n bytes from r, reusing buf's capacity, and
+// returns them. n is a length a peer announced: past buf's capacity the
+// buffer grows as bytes arrive, from growStep by doubling, so a peer that
+// announces a large frame and stalls holds no more memory than it has
+// sent. On error it returns what was read, with io.EOF after a partial
+// read turned into io.ErrUnexpectedEOF.
+func ReadGrowing(r io.Reader, buf []byte, n int) ([]byte, error) {
+	buf, want := buf[:0], n
 	for len(buf) < want {
 		if len(buf) == cap(buf) {
 			grown := make([]byte, len(buf), len(buf)+min(max(len(buf), growStep), want-len(buf)))
 			copy(grown, buf)
 			buf = grown
 		}
-		m, err := io.ReadFull(d.r, buf[len(buf):min(cap(buf), want)])
+		m, err := io.ReadFull(r, buf[len(buf):min(cap(buf), want)])
 		buf = buf[:len(buf)+m]
 		if err != nil {
 			if err == io.EOF && len(buf) > 0 {
 				err = io.ErrUnexpectedEOF
 			}
-			d.buf = buf
 			return buf, err
 		}
 	}
-	d.buf = buf
 	return buf, nil
 }
 

@@ -76,6 +76,15 @@ if grep -E 'internal/interp\.\(\*Machine\)\.(execBlock|exec|eval|callFunc)$' "$o
 fi
 rm -f "$onebin.syms"
 
+stage "one X25519 (crypto/ecdh only in tests, as the oracle; the generic field code held to it under purego)"
+# Every X25519 in the shipped code goes through internal/otr/x25519. go list
+# reports the non-test imports only, so the tests' oracle is not flagged.
+if go list -f '{{.ImportPath}}: {{join .Imports " "}}' ./... | grep -E '[: ]crypto/ecdh( |$)' >&2; then
+    echo "crypto/ecdh is imported outside tests; use internal/otr/x25519" >&2
+    exit 1
+fi
+go test -count=1 -tags purego ./internal/otr/x25519/
+
 stage "repo benchmark self-tests (smoke of all five workloads, probes, ledger)"
 go test -count=1 ./benchmark
 
@@ -117,8 +126,10 @@ stage "interpreter regression smoke (VM loop must not allocate per iteration)"
 go test -count=1 -run='TestVMLoopAllocFree' ./internal/interp/
 
 stage "fuzz smokes, 5 s each (bytecode VM vs test-only tree oracle; relay run datapath vs per-cell reference under" \
-    "fuzzer-chosen cuts and corruption; wire decoder bounds; Bento values through a frame and back)"
-for fz in internal/interp:FuzzEngineParity internal/relay:FuzzBurstSplit internal/wire:FuzzDecoder internal/bento:FuzzFrameRoundTrip; do
+    "fuzzer-chosen cuts and corruption; wire decoder bounds; Bento values through a frame and back;" \
+    "X25519 ladder and combs vs crypto/ecdh; ntor messages never panic or pass a bad AUTH)"
+for fz in internal/interp:FuzzEngineParity internal/relay:FuzzBurstSplit internal/wire:FuzzDecoder internal/bento:FuzzFrameRoundTrip \
+    internal/otr/x25519:FuzzX25519Parity internal/otr:FuzzNtorMessages; do
     go test -run='^$' -fuzz="^${fz#*:}\$" -fuzztime=5s "./${fz%%:*}/"
 done
 
