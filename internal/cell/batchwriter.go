@@ -154,28 +154,6 @@ func (w *BatchWriter) QueuedCells() int {
 	return n
 }
 
-// WriteCell queues a Cell value (control cells built on cold paths),
-// serializing it straight into the writer's buffer.
-func (w *BatchWriter) WriteCell(c *Cell) error {
-	w.mu.Lock()
-	for len(w.pending) >= maxBatchCells*Size && w.err == nil && !w.closed {
-		w.hasSpace.Wait()
-	}
-	if err := w.failedLocked(); err != nil {
-		w.mu.Unlock()
-		return err
-	}
-	if !w.writing && len(w.pending) == 0 {
-		// spare is the writer's alone while writing is set.
-		w.spare = c.AppendWire(w.spare[:0])
-		return w.writeInlineLocked(w.spare)
-	}
-	w.pending = c.AppendWire(w.pending)
-	w.hasData.Signal()
-	w.mu.Unlock()
-	return nil
-}
-
 // writeInlineLocked performs the idle-link fast path: the caller becomes
 // the writer for buf — its own frames, written where they are (the conn
 // copies before Write returns, and the caller cannot touch them until

@@ -109,11 +109,13 @@ func TestBatchWriterConcurrentProducers(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			c := &Cell{CircID: uint32(p)}
+			for j := range c.Payload {
+				c.Payload[j] = byte(p)
+			}
+			frame := make([]byte, Size)
+			c.EncodeInto(frame)
 			for i := 0; i < perProducer; i++ {
-				for j := range c.Payload {
-					c.Payload[j] = byte(p)
-				}
-				if err := w.WriteCell(c); err != nil {
+				if err := w.WriteFrame(frame); err != nil {
 					t.Error(err)
 					return
 				}
@@ -280,9 +282,6 @@ func TestBatchWriterWriteAfterClose(t *testing.T) {
 	w.Close()
 	if err := w.WriteFrame(make([]byte, Size)); err != ErrWriterClosed {
 		t.Fatalf("WriteFrame after Close: %v, want ErrWriterClosed", err)
-	}
-	if err := w.WriteCell(&Cell{}); err != ErrWriterClosed {
-		t.Fatalf("WriteCell after Close: %v, want ErrWriterClosed", err)
 	}
 	w.Close() // idempotent
 }

@@ -170,16 +170,6 @@ func (c *Cell) EncodeInto(buf []byte) {
 	copy(buf[5:Size], c.Payload[:])
 }
 
-// AppendWire appends the cell's wire form to buf and returns the extended
-// slice, for batching several cells into one write.
-func (c *Cell) AppendWire(buf []byte) []byte {
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[0:4], c.CircID)
-	hdr[4] = byte(c.Cmd)
-	buf = append(buf, hdr[:]...)
-	return append(buf, c.Payload[:]...)
-}
-
 // WriteTo writes the cell to w through a pooled buffer in a single Write
 // call. It implements io.WriterTo.
 func (c *Cell) WriteTo(w io.Writer) (int64, error) {
@@ -214,7 +204,7 @@ func ReadInto(r io.Reader, c *Cell) error {
 
 // Marshal serializes the cell to a freshly allocated wire buffer. It is
 // the compatibility codec for tests and cold paths; hot paths use
-// EncodeInto/AppendWire with reused buffers.
+// EncodeInto with reused buffers.
 func (c *Cell) Marshal() []byte {
 	buf := make([]byte, Size)
 	c.EncodeInto(buf)

@@ -5,11 +5,13 @@ import (
 	"encoding/binary"
 	"io"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/bento-nfv/bento/internal/policy"
 	"github.com/bento-nfv/bento/internal/simnet"
+	"github.com/bento-nfv/bento/internal/wire"
 )
 
 // newDesc builds a signed descriptor with the given flags.
@@ -300,5 +302,65 @@ func TestFingerprintStable(t *testing.T) {
 	f2 := d.Fingerprint()
 	if f1 != f2 || len(f1) != 16 {
 		t.Fatalf("fingerprint unstable or wrong length: %q %q", f1, f2)
+	}
+}
+
+// answerWith serves port on host like a directory that answers every
+// request with one well-formed frame whose envelope is body.
+func answerWith(t *testing.T, host *simnet.Host, port int, body []byte) {
+	t.Helper()
+	ln, err := host.Listen(port)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				var req request
+				if wire.NewDecoder(conn).Decode(&req) != nil {
+					return
+				}
+				frame := make([]byte, 8+len(body))
+				binary.BigEndian.PutUint32(frame[0:4], uint32(len(body)))
+				copy(frame[8:], body)
+				conn.Write(frame)
+			}()
+		}
+	}()
+}
+
+// okOfSize is a well-formed {"ok":true} envelope padded to exactly n bytes.
+func okOfSize(n int) []byte {
+	const head, tail = `{"ok":true,"error":"`, `"}`
+	return []byte(head + strings.Repeat("x", n-len(head)-len(tail)) + tail)
+}
+
+// TestPublishRefusesOversizedResponse: a publish answer larger than
+// maxPublishResponse is refused from its header, however well-formed.
+func TestPublishRefusesOversizedResponse(t *testing.T) {
+	n := simnet.NewNetwork(simnet.NewClock(0.001), time.Millisecond)
+	answerWith(t, n.AddHost("dir", 0), 7000, okOfSize(maxPublishResponse+1))
+	d, _ := newDesc(t, "relay1", []string{FlagGuard}, policy.AcceptAll())
+	err := Publish(n.AddHost("relay1", 0), "dir:7000", d)
+	if err == nil || !strings.Contains(err.Error(), "oversized") {
+		t.Fatalf("Publish took a %d-byte answer: err %v", maxPublishResponse+1, err)
+	}
+}
+
+// TestFetchConsensusRefusesOversizedResponse: a consensus answer larger
+// than maxConsensusResponse is refused from its header.
+func TestFetchConsensusRefusesOversizedResponse(t *testing.T) {
+	n := simnet.NewNetwork(simnet.NewClock(0.001), time.Millisecond)
+	answerWith(t, n.AddHost("dir", 0), 7000, okOfSize(maxConsensusResponse+1))
+	auth, _ := NewAuthority()
+	_, err := FetchConsensus(n.AddHost("client", 0), "dir:7000", auth.PublicKey())
+	if err == nil || !strings.Contains(err.Error(), "oversized") {
+		t.Fatalf("FetchConsensus read a %d-byte answer: err %.80v", maxConsensusResponse+1, err)
 	}
 }

@@ -72,6 +72,18 @@ func (s *Server) acceptLoop() {
 // publish of one relay descriptor, is under 1 KiB.
 const maxRequest = 64 << 10
 
+// Responses are bounded by what the client asked for, so a hostile
+// authority cannot make it take in more than its role needs.
+const (
+	// maxPublishResponse: a publish is answered with ok and at most a
+	// one-line error.
+	maxPublishResponse = 4 << 10
+	// maxConsensusResponse: a consensus is one descriptor per relay, each
+	// under 1 KiB, so this holds about 8 000 relays — more than Tor's
+	// own network and hundreds of times any consensus the emulator builds.
+	maxConsensusResponse = 8 << 20
+)
+
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
 	dec := wire.NewFrameDecoder(conn, maxRequest, 0) // reuse one read buffer across requests
@@ -120,7 +132,7 @@ func Publish(host *simnet.Host, dirAddr string, d *Descriptor) error {
 		return err
 	}
 	var resp response
-	if err := wire.ReadJSON(conn, &resp); err != nil {
+	if err := wire.NewFrameDecoder(conn, maxPublishResponse, 0).Decode(&resp); err != nil {
 		return err
 	}
 	if !resp.OK {
@@ -152,7 +164,7 @@ func fetchConsensus(host *simnet.Host, dirAddr string, authority ed25519.PublicK
 		return nil, err
 	}
 	var resp response
-	if err := wire.ReadJSON(conn, &resp); err != nil {
+	if err := wire.NewFrameDecoder(conn, maxConsensusResponse, 0).Decode(&resp); err != nil {
 		return nil, err
 	}
 	if !resp.OK || resp.Consensus == nil {

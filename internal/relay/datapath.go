@@ -429,6 +429,10 @@ func (f *forwarder) run(idx int) {
 		f.depth[idx].Set(int64(len(q)))
 		f.r.m.batchCells.Observe(int64(cells))
 		payloads = f.process(batch, payloads, &scratch)
+		// A worker idles holding its last batch: stale slots would keep
+		// finished circuits, their crypto and their link buffers reachable
+		// until reused.
+		clear(batch)
 	}
 }
 

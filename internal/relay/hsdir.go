@@ -52,6 +52,12 @@ func (r *Relay) ServeHSDir() error {
 // store of one signed service descriptor, is under 1 KiB.
 const maxHSDirRequest = 64 << 10
 
+// maxHSDirResponse bounds one HSDir answer a client takes in. The largest,
+// a fetch, echoes one descriptor that was stored by a request within
+// maxHSDirRequest, so twice that covers it and the envelope around it; a
+// hostile HSDir cannot make the client read more.
+const maxHSDirResponse = 2 * maxHSDirRequest
+
 func (r *Relay) serveHSDirConn(conn net.Conn) {
 	defer conn.Close()
 	dec := wire.NewFrameDecoder(conn, maxHSDirRequest, 0) // reuse one read buffer across requests
@@ -113,7 +119,7 @@ func hsdirRoundTrip(host *simnet.Host, dirAddr string, req *hsdirRequest, desc *
 		return err
 	}
 	var resp hsdirResponse
-	if err := wire.ReadJSON(conn, &resp); err != nil {
+	if err := wire.NewFrameDecoder(conn, maxHSDirResponse, 0).Decode(&resp); err != nil {
 		return err
 	}
 	if !resp.OK {

@@ -24,41 +24,8 @@ type lightLink struct {
 	circuit
 	conn  simnet.LightConn // inbound link, toward the circuit origin
 	next  simnet.LightConn // toward the next hop, nil until extended; written under mu
-	inBuf frameBuf         // client-side chunk→cell reassembly
-	bwBuf frameBuf         // next-hop-side reassembly
-}
-
-// frameBuf reassembles delivered byte chunks into runs of whole wire
-// cells: simnet chunks both split and merge cells (a 16-cell WriteAsync
-// burst can arrive as one 8KiB delivery). The whole cells sitting aligned
-// in the incoming chunk are emitted in place as one run with no copy;
-// only split cells touch the carry buffer. emit may mutate the frames
-// (in-place decrypt) and returns false to abort the feed (circuit gone).
-type frameBuf struct {
-	carry []byte
-}
-
-func (fb *frameBuf) feed(data []byte, emit func(frames []byte) bool) bool {
-	if len(fb.carry) > 0 {
-		need := min(cell.Size-len(fb.carry), len(data))
-		fb.carry = append(fb.carry, data[:need]...)
-		data = data[need:]
-		if len(fb.carry) < cell.Size {
-			return true
-		}
-		if !emit(fb.carry) {
-			return false
-		}
-		fb.carry = fb.carry[:0]
-	}
-	if whole := len(data) / cell.Size * cell.Size; whole > 0 {
-		if !emit(data[:whole]) {
-			return false
-		}
-		data = data[whole:]
-	}
-	fb.carry = append(fb.carry, data...)
-	return true
+	inBuf cell.FrameBuf    // client-side chunk→cell reassembly
+	bwBuf cell.FrameBuf    // next-hop-side reassembly
 }
 
 // serveLight wires an accepted link into the light transport and returns
@@ -74,11 +41,11 @@ func (r *Relay) serveLight(conn simnet.LightConn) {
 // onDeliver is the inbound link's delivery callback. data is a simnet
 // chunk lent for the call (LightConn): the circuit either finishes with
 // the bytes before returning (in-place decrypt; WriteAsync and PackRelay
-// copy) or copies them first (frameBuf's carry, the queue behind a
+// copy) or copies them first (FrameBuf's carry, the queue behind a
 // helper).
 func (l *lightLink) onDeliver(data []byte, eof bool) {
 	if len(data) > 0 {
-		l.inBuf.feed(data, l.onForward)
+		l.inBuf.Feed(data, l.onForward)
 	}
 	if eof {
 		l.teardown()
@@ -114,7 +81,7 @@ func (l *lightLink) onForward(frames []byte) bool {
 // get this hop's backward layer and continue toward the client.
 func (l *lightLink) onBackward(data []byte, eof bool) {
 	if len(data) > 0 {
-		l.bwBuf.feed(data, l.onBackwardRun)
+		l.bwBuf.Feed(data, l.onBackwardRun)
 	}
 	if eof {
 		l.destroyFromBehind()

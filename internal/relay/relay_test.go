@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,6 +17,7 @@ import (
 	"github.com/bento-nfv/bento/internal/otr"
 	"github.com/bento-nfv/bento/internal/policy"
 	"github.com/bento-nfv/bento/internal/simnet"
+	"github.com/bento-nfv/bento/internal/wire"
 )
 
 // forEachTransport runs fn against both relay transports. Which one a
@@ -363,6 +365,38 @@ func TestDescriptorRoundTrip(t *testing.T) {
 	}
 	if d.Fingerprint() != r.Fingerprint() {
 		t.Fatal("fingerprint mismatch between relay and descriptor")
+	}
+}
+
+// TestFetchHSDescriptorRefusesOversizedResponse: an HSDir answer larger
+// than maxHSDirResponse is refused from its header, however well-formed.
+func TestFetchHSDescriptorRefusesOversizedResponse(t *testing.T) {
+	n := simnet.NewNetwork(simnet.NewClock(0.001), time.Millisecond)
+	ln, err := n.AddHost("dir0", 0).Listen(9030)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	const head, tail = `{"ok":true,"descriptor":"`, `"}`
+	body := head + strings.Repeat("A", maxHSDirResponse+1-len(head)-len(tail)) + tail
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		var req hsdirRequest
+		if wire.NewDecoder(conn).Decode(&req) != nil {
+			return
+		}
+		frame := make([]byte, 8+len(body))
+		binary.BigEndian.PutUint32(frame[0:4], uint32(len(body)))
+		copy(frame[8:], body)
+		conn.Write(frame)
+	}()
+	desc, err := FetchHSDescriptor(n.AddHost("cli", 0), "dir0:9030", "abc")
+	if err == nil || !strings.Contains(err.Error(), "oversized") {
+		t.Fatalf("fetch took a %d-byte answer (%d descriptor bytes): err %v", len(body), len(desc), err)
 	}
 }
 

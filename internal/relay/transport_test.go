@@ -216,9 +216,11 @@ func TestDestroyPropagates(t *testing.T) {
 		}
 		defer circ.Close()
 
+		done := make(chan struct{})
+		circ.OnClose(func() { close(done) })
 		relays[1].Crash()
 		select {
-		case <-circ.Done():
+		case <-done:
 		case <-time.After(10 * time.Second):
 			t.Fatal("circuit did not observe the far relay's death")
 		}

@@ -3,6 +3,7 @@ package simnet
 import (
 	"io"
 	"net"
+	"sync"
 	"testing"
 	"time"
 )
@@ -161,6 +162,62 @@ func TestChaosCrashSeversAndRestartRecovers(t *testing.T) {
 	c2.Write([]byte("back"))
 	if _, err := io.ReadAtLeast(c2, buf, 4); err != nil {
 		t.Fatalf("echo after restart: %v", err)
+	}
+}
+
+// TestChaosSeverReachesDeliverCallbacks: a conn read by a deliver
+// callback has no Read to fail, so when a crash or a cut severs it, its
+// callback must be handed EOF — otherwise its owner waits forever on a
+// link that is gone. Both severing paths, on the event clock.
+func TestChaosSeverReachesDeliverCallbacks(t *testing.T) {
+	for _, sever := range []struct {
+		name string
+		do   func(ch *Chaos, c net.Conn)
+	}{
+		{"crash", func(ch *Chaos, _ net.Conn) { ch.CrashHost("b") }},
+		{"break", func(ch *Chaos, c net.Conn) {
+			ch.SetDefaultFaults(Faults{BreakProb: 1})
+			c.Write([]byte("doomed"))
+		}},
+	} {
+		t.Run(sever.name, func(t *testing.T) {
+			clock := NewEventClock()
+			t.Cleanup(clock.Stop)
+			n := NewNetwork(clock, time.Millisecond)
+			ch := n.EnableChaos(5)
+			a, b := n.AddHost("a", 0), n.AddHost("b", 0)
+			ln, err := b.Listen(80)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			c, err := a.Dial("b:80")
+			if err != nil {
+				t.Fatal(err)
+			}
+			far, err := ln.Accept()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mu sync.Mutex
+			eofs := 0
+			for _, lc := range []net.Conn{c, far} {
+				lc.(LightConn).SetDeliverFunc(func(_ []byte, eof bool) {
+					if eof {
+						mu.Lock()
+						eofs++
+						mu.Unlock()
+					}
+				})
+			}
+			sever.do(ch, c)
+			clock.Sleep(time.Second)
+			mu.Lock()
+			defer mu.Unlock()
+			if eofs != 2 {
+				t.Fatalf("%d of 2 deliver callbacks saw the sever", eofs)
+			}
+		})
 	}
 }
 

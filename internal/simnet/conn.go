@@ -83,7 +83,8 @@ type LightConn interface {
 	// pooled chunk lent for the duration of the call: fn may modify it in
 	// place but must copy whatever it keeps, because the chunk is recycled
 	// the moment fn returns. Any bytes already buffered are handed to fn
-	// immediately, chunk by chunk. A nil fn restores buffered reads.
+	// immediately, chunk by chunk. fn(nil, true) reports the peer's close
+	// or a sever of this endpoint. A nil fn restores buffered reads.
 	SetDeliverFunc(fn func(data []byte, eof bool))
 	// WriteAsync queues p for delivery without ever blocking the caller:
 	// egress pacing is folded into the delivery timestamp (a bucket
@@ -412,8 +413,7 @@ func (c *conn) Write(p []byte) (int, error) {
 		if sever {
 			c.mu.Unlock()
 			putChunk(ch)
-			c.peer.Close()
-			c.Close()
+			c.severBoth()
 			return total, net.ErrClosed
 		}
 		c.enqueueLocked(ch, at)
@@ -452,8 +452,7 @@ func (c *conn) WriteAsync(p []byte) error {
 		if sever {
 			c.mu.Unlock()
 			putChunk(ch)
-			c.peer.Close()
-			c.Close()
+			c.severBoth()
 			return net.ErrClosed
 		}
 		c.enqueueLocked(ch, at+pacing)
@@ -509,6 +508,22 @@ func (c *conn) Close() error {
 	}
 	c.localHost.unregisterConn(c)
 	return nil
+}
+
+// severBoth closes both endpoints abruptly (a chaos cut, a host crash).
+// A blocked Read fails at once; a deliver callback cannot see its own
+// endpoint close, so each side's is handed its EOF, in timer/dispatcher
+// context like every delivery.
+func (c *conn) severBoth() {
+	for _, e := range [...]*conn{c.peer, c} {
+		e.mu.Lock()
+		fn := e.deliverFn
+		e.mu.Unlock()
+		e.Close()
+		if fn != nil {
+			e.clock.AfterFunc(0, func() { fn(nil, true) })
+		}
+	}
 }
 
 // LocalAddr implements net.Conn.

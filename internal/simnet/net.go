@@ -262,8 +262,7 @@ func (h *Host) severAll() {
 	}
 	h.mu.Unlock()
 	for _, c := range conns {
-		c.peer.Close()
-		c.Close()
+		c.severBoth()
 	}
 }
 

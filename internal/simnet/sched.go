@@ -63,6 +63,7 @@ type eventCore struct {
 	firing    atomic.Bool   // dispatcher is inside its fire loop
 	stopFlag  atomic.Bool   // mirror of stopped for lock-free checks in settle
 	done      chan struct{} // closed when the dispatcher goroutine exits
+	dispatchG atomic.Uint64 // the dispatcher goroutine's id
 	obsH      atomic.Pointer[schedObs]
 }
 
@@ -154,12 +155,31 @@ func (ec *eventCore) noteSchedule() {
 	}
 }
 
+// stop returns once the dispatcher has exited, so a caller counting
+// goroutines after Stop does not count it — unless a dispatcher callback
+// calls it, which cannot wait for its own loop.
 func (ec *eventCore) stop() {
 	ec.stopFlag.Store(true)
 	ec.mu.Lock()
 	ec.stopped = true
 	ec.mu.Unlock()
 	ec.cond.Signal()
+	if goid() != ec.dispatchG.Load() {
+		<-ec.done
+	}
+}
+
+// goid is the calling goroutine's id, from its stack trace's header
+// ("goroutine 17 [running]:").
+func goid() (id uint64) {
+	var buf [32]byte
+	for _, c := range buf[len("goroutine "):runtime.Stack(buf[:], false)] {
+		if c < '0' || c > '9' {
+			break
+		}
+		id = id*10 + uint64(c-'0')
+	}
+	return id
 }
 
 // settle yields until a full scheduling round passes with no bridge
@@ -192,6 +212,7 @@ func (ec *eventCore) settle() {
 // (due, seq) order — cancellation is the per-event state CAS, so the
 // scheduler mutex is touched once per batch, not once per event.
 func (ec *eventCore) run() {
+	ec.dispatchG.Store(goid())
 	defer close(ec.done)
 	for {
 		ec.mu.Lock()

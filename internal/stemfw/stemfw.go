@@ -290,12 +290,11 @@ func (s *Session) RespondAtRendezvous(ident *hs.Identity, introBlob []byte, hand
 	// behind assignments.
 	s.active++
 	s.mu.Unlock()
-	go func() {
-		<-circ.Done()
+	circ.OnClose(func() {
 		s.mu.Lock()
 		s.active--
 		s.mu.Unlock()
-	}()
+	})
 	return nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
-	"net"
 	"testing"
 	"time"
 
@@ -13,9 +12,10 @@ import (
 	"github.com/bento-nfv/bento/internal/simnet"
 )
 
-// runRig is a one-hop circuit whose guard link carries nothing inbound:
-// the test plays the relay, sealing backward cells into a burst and handing it to handleRun
-// exactly as dispatch does with a run read off the guard link.
+// runRig is a one-hop circuit on a guard link that carries nothing
+// inbound: the test plays the relay, sealing backward cells into a burst
+// and handing it to handleRun exactly as the deliver callback does with a
+// run off the guard link.
 type runRig struct {
 	circ  *Circuit
 	relay *otr.Layer
@@ -23,33 +23,62 @@ type runRig struct {
 
 func newRunRig(t *testing.T) *runRig {
 	t.Helper()
+	n := simnet.NewNetwork(simnet.NewClock(0.001), time.Millisecond)
+	clientSide, relaySide := testLayers(t)
+	circ, _ := newLinkCircuit(t, n, 0, clientSide)
+	return &runRig{circ: circ, relay: relaySide}
+}
+
+// testLayers returns the two ends of one hop's crypto layer.
+func testLayers(t *testing.T) (client, relay *otr.Layer) {
+	t.Helper()
 	keys := make([]byte, otr.KeyMaterialLen)
 	for i := range keys {
 		keys[i] = byte(i*5 + 1)
 	}
-	relaySide, err := otr.NewLayer(keys)
+	relay, err := otr.NewLayer(keys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clientSide, err := otr.NewLayer(keys)
+	client, err = otr.NewLayer(keys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := simnet.NewNetwork(simnet.NewClock(0.001), time.Millisecond)
-	// The guard link: only the circuit's teardown ever writes to it.
-	link, far := net.Pipe()
-	go io.Copy(io.Discard, far)
+	return client, relay
+}
+
+// newLinkCircuit is a one-hop circuit over a fresh simnet guard link from
+// a client host with the given egress rate, built by hand with layer as
+// its only hop. It returns the guard's end of the link too, which nobody
+// reads unless the test does. The deliver callback is not installed.
+func newLinkCircuit(t *testing.T, n *simnet.Network, egress float64, layer *otr.Layer) (*Circuit, simnet.LightConn) {
+	t.Helper()
+	ln, err := n.AddHost("guard", 0).Listen(9001)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	clientHost := n.AddHost("client", egress)
+	link, err := clientHost.Dial("guard:9001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	far, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(func() { far.Close() })
 	circ := &Circuit{
-		client:  New(n.AddHost("client", 0), nil, 1),
-		conn:    link,
-		w:       cell.NewBatchWriter(link),
-		layers:  []*otr.Layer{clientSide},
-		streams: make(map[uint16]*Stream),
-		closed:  make(chan struct{}),
+		client:   New(clientHost, nil, 1),
+		conn:     link.(simnet.LightConn),
+		circID:   9,
+		sendWire: make([]byte, cell.Size),
+		layers:   []*otr.Layer{layer},
+		streams:  make(map[uint16]*Stream),
 	}
 	circ.ctrlCond = simnet.NewCond(circ.client.Clock(), &circ.ctrlMu)
-	return &runRig{circ: circ, relay: relaySide}
+	t.Cleanup(func() { circ.Close() })
+	return circ, far.(simnet.LightConn)
 }
 
 func (rr *runRig) stream(id uint16) *Stream {

@@ -1,11 +1,12 @@
 package torclient
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
-	"time"
+	"sync/atomic"
 
 	"github.com/bento-nfv/bento/internal/cell"
 	"github.com/bento-nfv/bento/internal/dirauth"
@@ -33,46 +34,54 @@ type serviceState struct {
 	streams  map[uint16]*Stream
 }
 
-// Circuit is a client-built onion circuit.
+// Circuit is a client-built onion circuit. A deliver callback reads its
+// guard link and senders write it directly, so an idle circuit holds no
+// goroutine (DESIGN.md §13.3).
 type Circuit struct {
 	client *Client
-	conn   net.Conn
-	w      *cell.BatchWriter // batched writer over conn (guard link)
+	conn   simnet.LightConn // the guard link
+	tap    TrafficTap       // nil unless the client had one at build time
 	circID uint32
-	path   []*dirauth.Descriptor
 
-	// mu guards layer crypto state, conn writes, and stream bookkeeping.
-	// Crypto must advance in exactly wire order, so encryption and the
-	// write it precedes happen under one critical section.
-	mu sync.Mutex
-	// sendWire is the reused outbound frame, guarded by mu: every relay
-	// cell is packed, sealed, and onion-encrypted in place here and put
-	// on the wire with a single conn.Write (which copies synchronously).
+	// sendMu orders what goes out on the guard link: forward crypto must
+	// advance in wire order, so sealing a cell and its conn.Write, which
+	// can park, happen under it. The deliver callback never takes it.
+	sendMu sync.Mutex
+	// sendWire is the reused outbound frame: every relay cell is packed,
+	// sealed, and onion-encrypted in place here and put on the wire with a
+	// single conn.Write (which copies synchronously).
 	sendWire []byte
 	// batchWire/batchViews/scratch are the reused buffers of the batched
 	// data path (sendData): up to clientBatchCells DATA cells packed into
 	// one contiguous run, onion-encrypted with a single keystream pass
-	// per layer, and handed to the link writer in one call. Lazily
-	// allocated — circuits that never carry bulk data never pay for them.
+	// per layer, and written in one call. Lazily allocated — circuits
+	// that never carry bulk data never pay for them.
 	batchWire  []byte
 	batchViews [][]byte
 	scratch    otr.CryptScratch
+
+	// mu guards what the deliver callback touches and is never held
+	// across a park. layers, path and svc change under both locks, sendMu
+	// first, so either one reads them.
+	mu         sync.Mutex
 	layers     []*otr.Layer
+	path       []*dirauth.Descriptor
 	streams    map[uint16]*Stream
 	nextStream uint16
 	svc        *serviceState
 	onIntro2   func(data []byte)
 
-	// ctrlMu guards the control queue and the closed transition, and is
-	// ctrlCond's lock. It is separate from mu because the control
-	// deadline takes it on the clock's dispatcher, and mu is held across
-	// link writes that can park.
-	ctrlMu    sync.Mutex
-	ctrlCond  *simnet.Cond // a control cell queued, the circuit closed, or a deadline passed
-	ctrlq     []ctrlMsg    // at most 64; past that the newest is dropped
-	closed    chan struct{}
-	closeOnce sync.Once
-	reason    error // why the circuit died; written before closed is closed
+	inBuf cell.FrameBuf // deliver callback only
+
+	// ctrlMu guards the control queue, the close transition and onClose,
+	// and is ctrlCond's lock; the control deadline takes it on the
+	// dispatcher.
+	ctrlMu   sync.Mutex
+	ctrlCond *simnet.Cond // a control cell queued, the circuit closed, or a deadline passed
+	ctrlq    []ctrlMsg    // at most 64; past that the newest is dropped
+	closed   atomic.Bool  // set under ctrlMu, after reason
+	reason   error        // why the circuit died
+	onClose  []func()     // run once at teardown
 
 	// buildSpan parents per-hop extend spans while BuildCircuit runs.
 	// Touched only by the building goroutine; nil once the build returns.
@@ -102,22 +111,26 @@ func (c *Client) buildCircuit(path []*dirauth.Descriptor, sp *obs.SpanHandle) (*
 	if len(path) == 0 {
 		return nil, errors.New("torclient: empty path")
 	}
-	conn, err := c.host.Dial(path[0].Address)
+	dialed, err := c.host.Dial(path[0].Address)
 	if err != nil {
 		c.MarkRelayBad(path[0].Fingerprint())
 		return nil, fmt.Errorf("torclient: dialing guard %s: %w", path[0].Nickname, err)
 	}
+	conn := dialed.(simnet.LightConn) // every simnet conn is one
 	c.mu.Lock()
-	circID := uint32(c.rng.Int63())<<1 | 1
-	tap := c.tap
-	c.mu.Unlock()
-
-	if tap != nil {
-		conn = &tappedConn{Conn: conn, tap: tap, clock: c.host.Clock()}
+	circ := &Circuit{
+		client:   c,
+		conn:     conn,
+		tap:      c.tap,
+		circID:   uint32(c.rng.Int63())<<1 | 1,
+		sendWire: make([]byte, cell.Size),
+		streams:  make(map[uint16]*Stream),
 	}
+	c.mu.Unlock()
+	circ.ctrlCond = simnet.NewCond(c.host.Clock(), &circ.ctrlMu)
 
-	// CREATE/CREATED with the guard, synchronously (dispatcher not yet
-	// running).
+	// CREATE/CREATED with the guard, read synchronously: the deliver
+	// callback needs the first layer.
 	guardSpan := sp.Child("circuit.hop")
 	guardSpan.Note(path[0].Nickname)
 	guardStart := c.host.Clock().Now()
@@ -126,15 +139,19 @@ func (c *Client) buildCircuit(path []*dirauth.Descriptor, sp *obs.SpanHandle) (*
 		conn.Close()
 		return nil, err
 	}
-	create := &cell.Cell{CircID: circID, Cmd: cell.CmdCreate}
+	create := cell.Cell{CircID: circ.circID, Cmd: cell.CmdCreate}
 	copy(create.Payload[:], msg)
-	if err := cell.Write(conn, create); err != nil {
+	create.EncodeInto(circ.sendWire)
+	if err := circ.write(circ.sendWire); err != nil {
 		conn.Close()
 		guardSpan.Fail(err)
 		guardSpan.End()
 		return nil, err
 	}
 	created, err := cell.Read(conn)
+	if err == nil {
+		circ.tapCells(-1, cell.Size)
+	}
 	if err != nil || created.Cmd != cell.CmdCreated {
 		conn.Close()
 		c.MarkRelayBad(path[0].Fingerprint())
@@ -161,19 +178,9 @@ func (c *Client) buildCircuit(path []*dirauth.Descriptor, sp *obs.SpanHandle) (*
 	c.m.hopNs.ObserveDuration(c.host.Clock().Now() - guardStart)
 	guardSpan.End()
 
-	circ := &Circuit{
-		client:   c,
-		conn:     conn,
-		w:        cell.NewBatchWriter(conn),
-		circID:   circID,
-		path:     path[:1],
-		sendWire: make([]byte, cell.Size),
-		layers:   []*otr.Layer{layer},
-		streams:  make(map[uint16]*Stream),
-		closed:   make(chan struct{}),
-	}
-	circ.ctrlCond = simnet.NewCond(c.host.Clock(), &circ.ctrlMu)
-	go circ.dispatch()
+	circ.layers = []*otr.Layer{layer}
+	circ.path = path[:1]
+	conn.SetDeliverFunc(circ.onDeliver)
 
 	circ.buildSpan = sp
 	for _, hop := range path[1:] {
@@ -191,10 +198,25 @@ func (c *Client) buildCircuit(path []*dirauth.Descriptor, sp *obs.SpanHandle) (*
 }
 
 // Path returns the descriptors of the circuit's hops.
-func (circ *Circuit) Path() []*dirauth.Descriptor { return circ.path }
+func (circ *Circuit) Path() []*dirauth.Descriptor {
+	circ.mu.Lock()
+	defer circ.mu.Unlock()
+	return circ.path
+}
 
-// Done returns a channel closed when the circuit is torn down.
-func (circ *Circuit) Done() <-chan struct{} { return circ.closed }
+// OnClose arranges for f to run once when the circuit is torn down, or at
+// once if it already has been. f runs on whatever tears the circuit down,
+// possibly the clock's dispatcher, so it must not block.
+func (circ *Circuit) OnClose(f func()) {
+	circ.ctrlMu.Lock()
+	if !circ.closed.Load() {
+		circ.onClose = append(circ.onClose, f)
+		circ.ctrlMu.Unlock()
+		return
+	}
+	circ.ctrlMu.Unlock()
+	f()
+}
 
 // Len returns the number of onion layers (including a rendezvous layer, if
 // attached).
@@ -256,21 +278,19 @@ func (circ *Circuit) extend(hop *dirauth.Descriptor) error {
 	if err != nil {
 		return err
 	}
+	circ.sendMu.Lock()
 	circ.mu.Lock()
 	circ.layers = append(circ.layers, layer)
-	circ.mu.Unlock()
 	circ.path = append(circ.path, hop)
+	circ.mu.Unlock()
+	circ.sendMu.Unlock()
 	return nil
 }
 
 // send packs and onion-encrypts a relay cell addressed to the last hop.
 func (circ *Circuit) send(hdr cell.RelayHeader, data []byte) error {
-	circ.mu.Lock()
-	defer circ.mu.Unlock()
-	return circ.sendLocked(hdr, data)
-}
-
-func (circ *Circuit) sendLocked(hdr cell.RelayHeader, data []byte) error {
+	circ.sendMu.Lock()
+	defer circ.sendMu.Unlock()
 	if circ.isClosed() {
 		return ErrCircuitClosed
 	}
@@ -283,7 +303,26 @@ func (circ *Circuit) sendLocked(hdr cell.RelayHeader, data []byte) error {
 	cell.SetWireCircID(circ.sendWire, circ.circID)
 	cell.SetWireCmd(circ.sendWire, cell.CmdRelay)
 	circ.client.m.cellsSent.Inc()
-	return circ.w.WriteFrame(circ.sendWire)
+	return circ.write(circ.sendWire)
+}
+
+// write puts whole cells on the guard link and reports them to the tap.
+// Called under sendMu, or before the circuit is shared.
+func (circ *Circuit) write(frames []byte) error {
+	n, err := circ.conn.Write(frames)
+	circ.tapCells(+1, n)
+	return err
+}
+
+// tapCells reports n bytes of cells crossing the guard link to the tap,
+// one event per cell: traces count cells, not writes or deliveries.
+func (circ *Circuit) tapCells(dir, n int) {
+	if circ.tap != nil {
+		now := circ.client.Clock().Now()
+		for ; n >= cell.Size; n -= cell.Size {
+			circ.tap(dir, cell.Size, now)
+		}
+	}
 }
 
 // clientBatchCells sizes the batched data path: one Stream.Write turns
@@ -295,12 +334,12 @@ const clientBatchCells = 16
 // sendData packs up to clientBatchCells DATA cells from p into the
 // reused contiguous batch buffer, onion-encrypts the whole run with one
 // batched keystream pass per layer (byte-identical to per-cell sends),
-// and hands it to the guard-link writer in a single call. It consumes
+// and writes it to the guard link in a single call. It consumes
 // at most one batch so callers can re-check write deadlines between
 // batches, and returns the number of bytes taken from p.
 func (circ *Circuit) sendData(streamID uint16, p []byte) (int, error) {
-	circ.mu.Lock()
-	defer circ.mu.Unlock()
+	circ.sendMu.Lock()
+	defer circ.sendMu.Unlock()
 	if circ.isClosed() {
 		return 0, ErrCircuitClosed
 	}
@@ -330,7 +369,7 @@ func (circ *Circuit) sendData(streamID uint16, p []byte) (int, error) {
 	circ.batchViews = views
 	otr.OnionCryptBatch(circ.layers, len(circ.layers)-1, views, cell.DigestOffset, &circ.scratch)
 	circ.client.m.cellsSent.Add(int64(n))
-	if err := circ.w.WriteFrames(circ.batchWire[:n*cell.Size]); err != nil {
+	if err := circ.write(circ.batchWire[:n*cell.Size]); err != nil {
 		return 0, err
 	}
 	return used, nil
@@ -346,14 +385,7 @@ func (circ *Circuit) SendDrop(junk []byte) error {
 	return circ.send(cell.RelayHeader{Cmd: cell.RelayDrop}, junk)
 }
 
-func (circ *Circuit) isClosed() bool {
-	select {
-	case <-circ.closed:
-		return true
-	default:
-		return false
-	}
-}
+func (circ *Circuit) isClosed() bool { return circ.closed.Load() }
 
 // Close destroys the circuit (a deliberate local teardown; no hop is
 // blamed).
@@ -362,39 +394,57 @@ func (circ *Circuit) Close() error { return circ.closeWithReason(nil) }
 // closeWithReason tears the circuit down, recording cause when the death
 // was abnormal. An abnormal death feeds every hop into the client's
 // avoid list — the client cannot tell which hop failed from its side of
-// the guard link, so all are briefly suspect.
+// the guard link, so all are briefly suspect. It may run in the deliver
+// callback, so nothing here parks: the DESTROY goes out with WriteAsync,
+// and a writer parked on the link wakes to the closed conn.
 func (circ *Circuit) closeWithReason(cause error) error {
-	circ.closeOnce.Do(func() {
-		circ.ctrlMu.Lock()
-		circ.reason = cause
-		close(circ.closed)
+	circ.ctrlMu.Lock()
+	if circ.closed.Load() {
 		circ.ctrlMu.Unlock()
-		circ.ctrlCond.Broadcast()
-		circ.w.WriteCell(&cell.Cell{CircID: circ.circID, Cmd: cell.CmdDestroy})
-		circ.w.Close() // flushes the DESTROY, then closes the guard link
-		circ.conn.Close()
-		circ.mu.Lock()
-		streams := circ.streams
-		circ.streams = map[uint16]*Stream{}
-		var svcStreams map[uint16]*Stream
-		if circ.svc != nil {
-			svcStreams = circ.svc.streams
-			circ.svc.streams = map[uint16]*Stream{}
-		}
-		circ.mu.Unlock()
-		streamErr := ErrCircuitClosed
-		if cause != nil {
-			streamErr = fmt.Errorf("%w: %v", ErrCircuitClosed, cause)
-			circ.client.m.circDeaths.Inc()
-			circ.client.noteCircuitFailure(circ)
-		}
-		for _, s := range streams {
-			s.closeWithError(streamErr)
-		}
-		for _, s := range svcStreams {
-			s.closeWithError(streamErr)
-		}
-	})
+		return nil
+	}
+	circ.reason = cause
+	circ.closed.Store(true)
+	onClose := circ.onClose
+	circ.onClose = nil
+	circ.ctrlMu.Unlock()
+	circ.ctrlCond.Broadcast()
+
+	// The relay's end of the link keeps this conn, and through the
+	// callback the circuit, reachable until it closes too.
+	circ.conn.SetDeliverFunc(nil)
+	var destroy [cell.Size]byte
+	cell.SetWireCircID(destroy[:], circ.circID)
+	cell.SetWireCmd(destroy[:], cell.CmdDestroy)
+	if circ.conn.WriteAsync(destroy[:]) == nil {
+		circ.tapCells(+1, cell.Size)
+	}
+	circ.conn.Close()
+
+	circ.mu.Lock()
+	streams := circ.streams
+	circ.streams = map[uint16]*Stream{}
+	var svcStreams map[uint16]*Stream
+	if circ.svc != nil {
+		svcStreams = circ.svc.streams
+		circ.svc.streams = map[uint16]*Stream{}
+	}
+	circ.mu.Unlock()
+	streamErr := ErrCircuitClosed
+	if cause != nil {
+		streamErr = fmt.Errorf("%w: %v", ErrCircuitClosed, cause)
+		circ.client.m.circDeaths.Inc()
+		circ.client.noteCircuitFailure(circ)
+	}
+	for _, s := range streams {
+		s.closeWithError(streamErr)
+	}
+	for _, s := range svcStreams {
+		s.closeWithError(streamErr)
+	}
+	for _, f := range onClose {
+		f()
+	}
 	return nil
 }
 
@@ -402,37 +452,28 @@ func (circ *Circuit) closeWithReason(cause error) error {
 // clean local Close, non-nil after an abnormal death (DESTROY from a
 // relay, severed guard link, stalled control cell).
 func (circ *Circuit) Err() error {
-	if !circ.isClosed() {
-		return nil
-	}
+	circ.ctrlMu.Lock()
+	defer circ.ctrlMu.Unlock()
 	return circ.reason
 }
 
-// dispatch reads runs of cells from the guard link and routes them. It
-// waits on a one-cell buffer and holds a pooled burst only while a run
-// is being handled: every consumer of cell data either copies
-// synchronously (stream delivery into the stream's queue, control
-// handlers) or is handed an explicit copy (control queue, INTRODUCE2
-// callback), so the burst goes back to the pool the moment handleRun
-// returns.
-func (circ *Circuit) dispatch() {
-	wire := make([]byte, cell.Size)
-	for {
-		run, err := cell.ReadRun(circ.conn, wire)
-		if err != nil {
-			if circ.isClosed() {
-				circ.Close() // local teardown already won the race
-			} else {
-				circ.closeWithReason(fmt.Errorf("torclient: guard link lost: %v", err))
-			}
-			return
-		}
-		alive := circ.handleRun(run)
-		cell.PutBurst(run)
-		if !alive {
-			return
-		}
+// onDeliver is the guard link's deliver callback. data is a chunk lent
+// for the call: stream delivery copies into the stream's queue, control
+// cells and INTRODUCE2 payloads are copied, and FrameBuf copies the split
+// cell it carries over.
+func (circ *Circuit) onDeliver(data []byte, eof bool) {
+	if len(data) > 0 && !circ.inBuf.Feed(data, circ.onRun) {
+		return
 	}
+	if eof {
+		circ.closeWithReason(errors.New("torclient: guard link lost: EOF"))
+	}
+}
+
+// onRun handles one run of whole inbound cells.
+func (circ *Circuit) onRun(frames []byte) bool {
+	circ.tapCells(-1, len(frames))
+	return circ.handleRun(&cell.Burst{N: len(frames) / cell.Size, Buf: frames})
 }
 
 // streamData is the DATA of consecutive cells of one stream, gathered in
@@ -528,7 +569,7 @@ func (circ *Circuit) handleRelay(payload []byte, k int, pend *streamData) {
 			}
 		} else if hdr.StreamID == 0 {
 			// Control-level END (e.g. introduce failure): surface it.
-			circ.pushCtrl(ctrlMsg{hop: hop, hdr: hdr, data: copyBytes(data)})
+			circ.pushCtrl(ctrlMsg{hop: hop, hdr: hdr, data: bytes.Clone(data)})
 		}
 	case cell.RelayConnected:
 		s := circ.streams[hdr.StreamID]
@@ -540,14 +581,16 @@ func (circ *Circuit) handleRelay(payload []byte, k int, pend *streamData) {
 		cb := circ.onIntro2
 		circ.mu.Unlock()
 		if cb != nil {
-			go cb(copyBytes(data))
+			// cb may send, and a deliver callback never does.
+			data := bytes.Clone(data)
+			circ.client.Clock().Go(func() { cb(data) })
 		}
 	case cell.RelayDrop:
 		circ.mu.Unlock()
 		// Inbound cover traffic: absorbed.
 	default:
 		circ.mu.Unlock()
-		circ.pushCtrl(ctrlMsg{hop: hop, hdr: hdr, data: copyBytes(data)})
+		circ.pushCtrl(ctrlMsg{hop: hop, hdr: hdr, data: bytes.Clone(data)})
 	}
 }
 
@@ -600,64 +643,4 @@ func (circ *Circuit) awaitCtrl(cmd cell.RelayCommand) (ctrlMsg, error) {
 		}
 		circ.ctrlCond.Wait()
 	}
-}
-
-func copyBytes(b []byte) []byte {
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
-}
-
-// tappedConn wraps the guard link to observe cell-sized reads and writes.
-type tappedConn struct {
-	net.Conn
-	tap   TrafficTap
-	clock interface{ Now() time.Duration }
-	// readRem carries the bytes of a partially delivered cell across Read
-	// calls. Only the dispatch goroutine reads the guard link, so no lock.
-	readRem int
-}
-
-func (t *tappedConn) Write(p []byte) (int, error) {
-	n, err := t.Conn.Write(p)
-	if n > 0 {
-		// The batched link writer coalesces whole cells into one Write;
-		// report each cell as its own event to keep the tap's documented
-		// per-cell granularity (traffic traces count cells, not batches).
-		now := t.clock.Now()
-		for off := 0; off < n; off += cell.Size {
-			sz := cell.Size
-			if n-off < sz {
-				sz = n - off
-			}
-			t.tap(+1, sz, now)
-		}
-	}
-	return n, err
-}
-
-// Buffered passes the link's answer through (cell.ReadRun asks), so a
-// tapped guard link is read in the same runs as an untapped one.
-func (t *tappedConn) Buffered() int {
-	if b, ok := t.Conn.(interface{ Buffered() int }); ok {
-		return b.Buffered()
-	}
-	return 0
-}
-
-func (t *tappedConn) Read(p []byte) (int, error) {
-	n, err := t.Conn.Read(p)
-	if n > 0 {
-		// The link delivers arbitrary byte runs: a single Read may return
-		// several coalesced cells or a fragment of one. Mirror Write's
-		// per-cell granularity by accumulating bytes and emitting one
-		// event per completed cell, carrying remainders to the next Read.
-		now := t.clock.Now()
-		t.readRem += n
-		for t.readRem >= cell.Size {
-			t.tap(-1, cell.Size, now)
-			t.readRem -= cell.Size
-		}
-	}
-	return n, err
 }

@@ -2,7 +2,7 @@ package torclient
 
 import (
 	"crypto/rand"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/bento-nfv/bento/internal/cell"
@@ -16,10 +16,8 @@ import (
 type CoverPlugin struct {
 	circ     *Circuit
 	interval time.Duration
-
-	mu      sync.Mutex
-	stopped bool
-	sent    int
+	stopped  atomic.Bool
+	sent     atomic.Int64
 }
 
 // StartCover begins fixed-rate outbound padding on the circuit: one
@@ -27,41 +25,25 @@ type CoverPlugin struct {
 // teardown.
 func (circ *Circuit) StartCover(interval time.Duration) *CoverPlugin {
 	p := &CoverPlugin{circ: circ, interval: interval}
-	go p.run()
+	circ.client.Clock().Go(p.run)
 	return p
 }
 
 func (p *CoverPlugin) run() {
 	clock := p.circ.client.host.Clock()
 	junk := make([]byte, cell.MaxRelayData)
-	for {
-		p.mu.Lock()
-		stopped := p.stopped
-		p.mu.Unlock()
-		if stopped || p.circ.isClosed() {
-			return
-		}
+	for !p.stopped.Load() && !p.circ.isClosed() {
 		rand.Read(junk[:32]) // cheap freshness; the cell is discarded anyway
 		if err := p.circ.SendDrop(junk); err != nil {
 			return
 		}
-		p.mu.Lock()
-		p.sent++
-		p.mu.Unlock()
+		p.sent.Add(1)
 		clock.Sleep(p.interval)
 	}
 }
 
 // Sent reports how many padding cells have been emitted.
-func (p *CoverPlugin) Sent() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.sent
-}
+func (p *CoverPlugin) Sent() int { return int(p.sent.Load()) }
 
 // Stop halts the padding stream.
-func (p *CoverPlugin) Stop() {
-	p.mu.Lock()
-	p.stopped = true
-	p.mu.Unlock()
-}
+func (p *CoverPlugin) Stop() { p.stopped.Store(true) }

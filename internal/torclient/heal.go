@@ -80,7 +80,7 @@ func (c *Client) badSetLocked() map[string]bool {
 // link alone, so all hops are avoided briefly; innocent relays age off
 // via badRelayTTL.
 func (c *Client) noteCircuitFailure(circ *Circuit) {
-	for _, d := range circ.path {
+	for _, d := range circ.Path() {
 		c.MarkRelayBad(d.Fingerprint())
 	}
 }

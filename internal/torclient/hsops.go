@@ -64,9 +64,11 @@ func (circ *Circuit) AttachRendezvousLayer(keys []byte) error {
 	if err != nil {
 		return err
 	}
+	circ.sendMu.Lock()
 	circ.mu.Lock()
 	circ.layers = append(circ.layers, layer)
 	circ.mu.Unlock()
+	circ.sendMu.Unlock()
 	return nil
 }
 
@@ -109,6 +111,7 @@ func (circ *Circuit) AttachServiceLayer(keys []byte, acceptor func(net.Conn)) er
 	if err != nil {
 		return err
 	}
+	circ.sendMu.Lock()
 	circ.mu.Lock()
 	circ.svc = &serviceState{
 		layer:    layer,
@@ -116,12 +119,14 @@ func (circ *Circuit) AttachServiceLayer(keys []byte, acceptor func(net.Conn)) er
 		streams:  make(map[uint16]*Stream),
 	}
 	circ.mu.Unlock()
+	circ.sendMu.Unlock()
 	return nil
 }
 
 // handleServiceCell processes a relay cell recognized at the service
-// layer (called with circ.mu released): cell k of the run pend gathers
-// stream data from. DATA joins pend; anything else flushes it first.
+// layer (called from the deliver callback with circ.mu released): cell k
+// of the run pend gathers stream data from. DATA joins pend; anything
+// else flushes it first.
 func (circ *Circuit) handleServiceCell(hdr cell.RelayHeader, data []byte, k int, pend *streamData) {
 	if hdr.Cmd != cell.RelayData {
 		pend.flush()
@@ -139,10 +144,13 @@ func (circ *Circuit) handleServiceCell(hdr cell.RelayHeader, data []byte, k int,
 		if svc == nil {
 			return
 		}
-		if err := circ.sendServiceCell(cell.RelayHeader{StreamID: hdr.StreamID, Cmd: cell.RelayConnected}, nil); err != nil {
-			return
-		}
-		go svc.acceptor(s)
+		// A deliver callback never sends: CONNECTED goes out from the
+		// acceptor's goroutine, ahead of the acceptor.
+		circ.client.Clock().Go(func() {
+			if circ.sendServiceCell(cell.RelayHeader{StreamID: hdr.StreamID, Cmd: cell.RelayConnected}, nil) == nil {
+				svc.acceptor(s)
+			}
+		})
 	case cell.RelayData:
 		circ.mu.Lock()
 		var s *Stream
@@ -172,15 +180,14 @@ func (circ *Circuit) handleServiceCell(hdr cell.RelayHeader, data []byte, k int,
 // sendServiceCell originates a cell at the service layer and pushes it
 // through the circuit toward the rendezvous point and on to the client.
 func (circ *Circuit) sendServiceCell(hdr cell.RelayHeader, data []byte) error {
-	circ.mu.Lock()
+	circ.sendMu.Lock()
+	defer circ.sendMu.Unlock()
 	svc := circ.svc
 	if svc == nil {
-		circ.mu.Unlock()
 		return fmt.Errorf("torclient: no service layer attached")
 	}
 	payload := cell.WirePayload(circ.sendWire)
 	if err := cell.PackRelay(payload, hdr, data); err != nil {
-		circ.mu.Unlock()
 		return err
 	}
 	// The service is the "relay side" of the end-to-end layer: it seals
@@ -190,7 +197,6 @@ func (circ *Circuit) sendServiceCell(hdr cell.RelayHeader, data []byte) error {
 	svc.layer.ApplyBackward(payload)
 
 	if circ.isClosed() {
-		circ.mu.Unlock()
 		return ErrCircuitClosed
 	}
 	for i := len(circ.layers) - 1; i >= 0; i-- {
@@ -198,9 +204,7 @@ func (circ *Circuit) sendServiceCell(hdr cell.RelayHeader, data []byte) error {
 	}
 	cell.SetWireCircID(circ.sendWire, circ.circID)
 	cell.SetWireCmd(circ.sendWire, cell.CmdRelay)
-	err := circ.w.WriteFrame(circ.sendWire)
-	circ.mu.Unlock()
-	return err
+	return circ.write(circ.sendWire)
 }
 
 func (circ *Circuit) dropServiceStream(id uint16) {

@@ -1,71 +1,19 @@
 package torclient
 
 import (
-	"bytes"
 	"io"
-	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/bento-nfv/bento/internal/cell"
+	"github.com/bento-nfv/bento/internal/simnet"
 )
 
-// fixedClock satisfies the tap's clock dependency.
-type fixedClock struct{}
-
-func (fixedClock) Now() time.Duration { return 42 * time.Millisecond }
-
-// chunkConn is a net.Conn whose Write records bytes and whose Read
-// serves a preloaded buffer in caller-chosen chunk sizes, emulating a
-// link that coalesces and fragments cells arbitrarily.
-type chunkConn struct {
-	mu      sync.Mutex
-	wrote   bytes.Buffer
-	toRead  []byte
-	chunks  []int // successive Read sizes; last repeats
-	chunkIx int
-}
-
-func (c *chunkConn) Write(p []byte) (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.wrote.Write(p)
-}
-
-func (c *chunkConn) Read(p []byte) (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.toRead) == 0 {
-		return 0, io.EOF
-	}
-	n := c.chunks[c.chunkIx]
-	if c.chunkIx < len(c.chunks)-1 {
-		c.chunkIx++
-	}
-	if n > len(c.toRead) {
-		n = len(c.toRead)
-	}
-	if n > len(p) {
-		n = len(p)
-	}
-	copied := copy(p, c.toRead[:n])
-	c.toRead = c.toRead[copied:]
-	return copied, nil
-}
-
-func (c *chunkConn) Close() error                     { return nil }
-func (c *chunkConn) LocalAddr() net.Addr              { return nil }
-func (c *chunkConn) RemoteAddr() net.Addr             { return nil }
-func (c *chunkConn) SetDeadline(time.Time) error      { return nil }
-func (c *chunkConn) SetReadDeadline(time.Time) error  { return nil }
-func (c *chunkConn) SetWriteDeadline(time.Time) error { return nil }
-
 // TestTapParityUnderCoalescing locks in the tap's per-cell granularity
-// in both directions: cells written through a cell.BatchWriter (which
-// coalesces whole cells into single Write calls) and cells read back in
-// arbitrary fragment sizes must produce exactly one tap event per cell
-// each way.
+// in both directions: cells written in one batched link write, and cells
+// delivered back in arbitrary fragment sizes, must produce exactly one
+// tap event per cell each way.
 func TestTapParityUnderCoalescing(t *testing.T) {
 	const n = 12
 
@@ -87,41 +35,26 @@ func TestTapParityUnderCoalescing(t *testing.T) {
 		}
 	}
 
-	conn := &chunkConn{}
-	tc := &tappedConn{Conn: conn, tap: tap, clock: fixedClock{}}
+	layer, _ := testLayers(t)
+	circ, far := newLinkCircuit(t, simnet.NewNetwork(simnet.NewClock(0.001), time.Millisecond), 0, layer)
+	circ.tap = tap
 
-	// Outbound: a BatchWriter over the tapped conn. Queue all cells
-	// behind an in-flight write by enqueueing from several goroutines so
-	// at least some Write calls carry multiple coalesced cells.
-	w := cell.NewBatchWriter(tc)
-	frame := make([]byte, cell.Size)
-	var wg sync.WaitGroup
-	for p := 0; p < 4; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < n/4; i++ {
-				if err := w.WriteFrame(frame); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
+	// Outbound: one sendData packs all n cells into a single link write.
+	if _, err := circ.sendData(1, make([]byte, n*cell.MaxRelayData)); err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	w.Close()
+	wire := make([]byte, n*cell.Size)
+	if _, err := io.ReadFull(far, wire); err != nil {
+		t.Fatal(err)
+	}
 
-	// Inbound: replay the written bytes through Read in ragged chunks —
-	// bigger than a cell, smaller than a cell, never aligned.
-	conn.mu.Lock()
-	conn.toRead = append([]byte(nil), conn.wrote.Bytes()...)
-	conn.chunks = []int{cell.Size + 100, 37, 3 * cell.Size, 200, 1 << 20}
-	conn.mu.Unlock()
-	buf := make([]byte, 64*1024)
-	for {
-		if _, err := tc.Read(buf); err != nil {
-			break
-		}
+	// Inbound: deliver the written bytes back in ragged chunks — bigger
+	// than a cell, smaller than a cell, never aligned. The cells are not
+	// recognized on the way back and are dropped, after the tap saw them.
+	for _, k := range []int{cell.Size + 100, 37, 3 * cell.Size, 200, len(wire)} {
+		k = min(k, len(wire))
+		circ.onDeliver(wire[:k], false)
+		wire = wire[k:]
 	}
 
 	mu.Lock()

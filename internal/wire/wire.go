@@ -77,10 +77,6 @@ func WriteFrame(w io.Writer, v any, t Trailer) error {
 	return err
 }
 
-// ReadJSON reads one framed message into v. Loops that read many messages
-// from one connection should keep a Decoder, which reuses its buffer.
-func ReadJSON(r io.Reader, v any) error { return NewDecoder(r).Decode(v) }
-
 // Decoder reads frames from one reader through a single buffer, which
 // grows to the largest envelope or trailer seen and stays there. It
 // grows as bytes arrive, not to the length a header announces, so a

@@ -30,7 +30,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got msg
-	if err := ReadJSON(&buf, &got); err != nil {
+	if err := NewDecoder(&buf).Decode(&got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Name != want.Name || got.Count != want.Count || !bytes.Equal(got.Blob, want.Blob) {
@@ -47,7 +47,7 @@ func TestMultipleFrames(t *testing.T) {
 	}
 	for i := 0; i < 5; i++ {
 		var got msg
-		if err := ReadJSON(&buf, &got); err != nil {
+		if err := NewDecoder(&buf).Decode(&got); err != nil {
 			t.Fatal(err)
 		}
 		if got.Count != i {
@@ -55,7 +55,7 @@ func TestMultipleFrames(t *testing.T) {
 		}
 	}
 	var extra msg
-	if err := ReadJSON(&buf, &extra); err == nil {
+	if err := NewDecoder(&buf).Decode(&extra); err == nil {
 		t.Fatal("read past last frame succeeded")
 	}
 }
@@ -64,7 +64,7 @@ func TestOversizedFrameRejected(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write(header(MaxMessage+1, 0))
 	var got msg
-	if err := ReadJSON(&buf, &got); err == nil {
+	if err := NewDecoder(&buf).Decode(&got); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 }
@@ -75,7 +75,7 @@ func TestTruncatedFrame(t *testing.T) {
 	data := buf.Bytes()
 	short := bytes.NewReader(data[:len(data)-2])
 	var got msg
-	if err := ReadJSON(short, &got); err == nil {
+	if err := NewDecoder(short).Decode(&got); err == nil {
 		t.Fatal("truncated frame accepted")
 	}
 }
@@ -86,7 +86,7 @@ func TestGarbageBody(t *testing.T) {
 	buf.Write(header(uint32(len(body)), 0))
 	buf.Write(body)
 	var got msg
-	if err := ReadJSON(&buf, &got); err == nil {
+	if err := NewDecoder(&buf).Decode(&got); err == nil {
 		t.Fatal("garbage body accepted")
 	}
 }
@@ -154,7 +154,7 @@ func TestFramingProperty(t *testing.T) {
 			return false
 		}
 		var got msg
-		if err := ReadJSON(&buf, &got); err != nil {
+		if err := NewDecoder(&buf).Decode(&got); err != nil {
 			return false
 		}
 		return got.Name == name && bytes.Equal(got.Blob, blob)
@@ -291,12 +291,12 @@ func FuzzDecoder(f *testing.F) {
 			t.Fatal(err)
 		}
 		var again msg
-		if err := ReadJSON(&out, &again); err != nil || again.Name != first.Name ||
+		if err := NewDecoder(&out).Decode(&again); err != nil || again.Name != first.Name ||
 			again.Count != first.Count || !bytes.Equal(again.Blob, first.Blob) {
 			t.Fatalf("re-framed %+v as %+v: %v", first, again, err)
 		}
 		if _, err := out.ReadByte(); err != io.EOF {
-			t.Fatal("ReadJSON left bytes of its frame unread")
+			t.Fatal("a Decoder left bytes of its frame unread")
 		}
 	})
 }

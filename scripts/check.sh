@@ -37,11 +37,12 @@ go test ./...
 
 stage "one wait: simulation goroutines park through simnet.Cond (ROADMAP item 1)"
 # want WHAT PATTERN PATHS ALLOWED: the file:count list of the non-test
-# code lines under PATHS that match PATTERN must be exactly ALLOWED.
+# code lines under PATHS that match PATTERN must be exactly ALLOWED (empty:
+# none may match).
 want() {
     found=$(grep -rnE --include='*.go' "$2" $3 | grep -v '_test\.go:' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' |
         cut -d: -f1 | sort | uniq -c | awk '{printf "%s:%s ", $2, $1}')
-    [ "$found" = "$4 " ] || { echo "$1 differ from the allowlist in scripts/check.sh: $found" >&2; exit 1; }
+    [ "$found" = "${4:+$4 }" ] || { echo "$1 differ from the allowlist in scripts/check.sh: $found" >&2; exit 1; }
 }
 # A sync wait blocks where the event core cannot see it. Allowed: the
 # event core's dispatcher, which the other waits park against, and the
@@ -53,8 +54,13 @@ want "sync.Cond/WaitGroup sites" 'sync\.(NewCond|Cond|WaitGroup)\b' "internal/si
 # Parkers come from Cond.Wait and Sleep only: no hand-written waiter lists.
 want "parker sites" 'newParker\(' internal/simnet \
     "internal/simnet/clock.go:1 internal/simnet/cond.go:1 internal/simnet/sched.go:1"
-# torclient and the fleet wait on no channel; the one left is Circuit.Done's.
-want "channel sites" '\bchan\b' "internal/torclient internal/fleet" "internal/torclient/circuit.go:3"
+# torclient and the fleet wait on no channel.
+want "channel sites" '\bchan\b' "internal/torclient internal/fleet" ""
+# A client circuit reads its guard link in a deliver callback and writes it
+# directly (DESIGN.md §13.3): torclient starts goroutines only through
+# Clock.Go and has no link writer of its own.
+want "go statements" '^[[:space:]]*go[[:space:]]' internal/torclient ""
+want "BatchWriter uses" 'BatchWriter' internal/torclient ""
 
 stage "one engine in the shipped binary (the tree oracle must link only into internal/interp's tests)"
 # The walker lives in internal/interp/oracle_test.go. If any of its entry
@@ -100,7 +106,7 @@ stage "relay datapath stress under race (circuit teardown vs in-flight forwardin
     "spill bounds in cells, idle circuits hold no burst, run datapath vs per-cell reference on both" \
     "transports; owned HS registrations, bounded helper backlog, sibling not stalled by a silent next hop)"
 go test -race -count=1 -run='TestTeardownForwardStress|TestSpill|TestBurst|TestExtendThenCellsInOneBurst|TestIdleCircuitHoldsNoBurst|TestHSRegistrationsOwned|TestHelperBacklogBounded|TestSiblingNotStalledBySilentNextHop|TestTransportFollowsClock|TestRendezvousSplice|TestConnectedPrecedesDataAndEnd' ./internal/relay/
-go test -race -count=1 -run='TestRun|TestTap' ./internal/torclient/
+go test -race -count=1 -run='TestRun|TestTap|TestIdleCircuitHoldsNoGoroutines|TestDeliveryPassesParkedWriter' ./internal/torclient/
 
 stage "telemetry regression smoke (instrumented hot path and live sampler must not allocate)"
 go test -count=1 -run='TestMiddleHopForwardAllocFree|TestBatchedForwardAllocFree|TestCircuitSizeofPinned|TestSpillQueueRetainsNothing|TestIdleCircuitHoldsNoBurst|TestBurst' ./internal/relay/
