@@ -1,21 +1,17 @@
 package cell
 
 import (
-	"io"
 	"sync"
 	"sync/atomic"
 )
 
-// A run of cells — not a cell — is the unit that moves between the
-// stages of the goroutine datapath: a link reader takes everything the
-// conn already holds, the stage behind it handles the run under one
-// lock, and the run leaves through one writer enqueue (DESIGN.md §9.2).
+// A run of cells — not a cell — is the unit that moves through a relay
+// and a client: a deliver callback hands on every whole cell a delivery
+// holds (FrameBuf), the circuit handles the run under one lock, and the
+// run leaves through one write (DESIGN.md §9.2).
 
-// BurstCells caps a run. It equals the batch size of the two places
-// that originate runs (the client's sendData and the exit's
-// sendBackwardBatch, 16 cells each), so a run read off a link is at most
-// what one sender batch put on it and every scratch sized for one holds
-// the other. A constant, not a knob: no two workloads want different
+// BurstCells is the client's sendData batch size and the size of the
+// burst a relay helper drains its queue through. A constant, not a knob: no two workloads want different
 // values, and the cap only bounds how long a cell can sit behind its
 // run-mates (16 cells of crypto, ~20 µs).
 const BurstCells = 16
@@ -83,38 +79,6 @@ func PutBurst(b *Burst) {
 
 // BurstsOutstanding reports how many bursts are held outside the pool.
 func BurstsOutstanding() int64 { return burstsOut.Load() }
-
-// buffered is the optional method a link offers to say how many bytes a
-// Read would return without blocking (every simnet conn does). A link
-// without it yields one-cell runs.
-type buffered interface{ Buffered() int }
-
-// ReadRun reads the next run of cells from a link. It blocks for one
-// whole cell in first — the reader's own Size-byte buffer, the only
-// thing it holds while it waits — and then takes every further whole
-// cell the link already holds, up to BurstCells in all, without waiting
-// for more: a lone cell is handled as soon as it would have been alone.
-// The run comes back in a pooled burst the caller owns.
-func ReadRun(r io.Reader, first []byte) (*Burst, error) {
-	if _, err := io.ReadFull(r, first[:Size]); err != nil {
-		return nil, err
-	}
-	more := 0
-	if br, ok := r.(buffered); ok {
-		more = min(br.Buffered()/Size, BurstCells-1)
-	}
-	b := GetBurst(1 + more)
-	copy(b.Buf, first[:Size])
-	b.N = 1
-	if more > 0 {
-		// Cannot block: the bytes are there. An error here means the link
-		// died under us; the next ReadRun reports it, after the cells that
-		// did arrive have been handled.
-		n, _ := io.ReadFull(r, b.Buf[Size:(1+more)*Size])
-		b.N += n / Size
-	}
-	return b, nil
-}
 
 // DataRun gathers the data of consecutive DATA cells of one stream into
 // one contiguous slice, in place in the burst that holds them: each

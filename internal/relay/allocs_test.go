@@ -1,9 +1,7 @@
 package relay
 
 import (
-	"net"
 	"testing"
-	"time"
 	"unsafe"
 
 	"github.com/bento-nfv/bento/internal/cell"
@@ -11,35 +9,20 @@ import (
 	"github.com/bento-nfv/bento/internal/otr"
 )
 
-// discardConn is a net.Conn that swallows writes, standing in for the
-// next-hop link when measuring the forwarding path in isolation.
-type discardConn struct{}
-
-func (discardConn) Read(p []byte) (int, error)       { select {} }
-func (discardConn) Write(p []byte) (int, error)      { return len(p), nil }
-func (discardConn) Close() error                     { return nil }
-func (discardConn) LocalAddr() net.Addr              { return nil }
-func (discardConn) RemoteAddr() net.Addr             { return nil }
-func (discardConn) SetDeadline(time.Time) error      { return nil }
-func (discardConn) SetReadDeadline(time.Time) error  { return nil }
-func (discardConn) SetWriteDeadline(time.Time) error { return nil }
-
 // TestMiddleHopForwardAllocFree locks in the zero-allocation contract of
-// the steady-state middle-hop forward path: read a frame, peel one
-// keystream layer in place, fail recognition (with digest rollback),
-// restamp the circuit ID, and enqueue on the batched next-hop writer.
-// The acceptance bar for the datapath refactor is exactly 0 here.
+// the steady-state middle-hop forward path: a delivered cell reassembled
+// in place, one keystream layer peeled, recognition failed (with digest
+// rollback), the circuit ID restamped, WriteAsync to the next hop, and
+// the egress bound's backlog check. The acceptance bar for the datapath
+// is exactly 0 here.
 //
 // The cycle runs with live telemetry attached — a real registry's
-// per-cell counters plus the BatchWriter flush-size histogram and a
-// tracing sink — because the observability layer's own contract is that
-// instrumentation never costs an allocation on the datapath.
+// per-cell counters — because the observability layer's own contract is
+// that instrumentation never costs an allocation on the datapath.
 func TestMiddleHopForwardAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
 	}
-	reg := obs.NewRegistry()
-	m := newRelayMetrics(reg)
 	keys := make([]byte, otr.KeyMaterialLen)
 	for i := range keys {
 		keys[i] = byte(i*11 + 3)
@@ -63,11 +46,13 @@ func TestMiddleHopForwardAllocFree(t *testing.T) {
 	}
 	clientLayers := []*otr.Layer{cl0, cl1}
 
-	w := cell.NewBatchWriterObs(discardConn{}, m.flush)
-	defer w.Close()
+	r := &Relay{cfg: Config{Quiet: true}, m: newRelayMetrics(obs.NewRegistry())}
+	r.initTables()
+	c := &circuit{relay: r, conn: discardLink{}, next: discardLink{}, serial: 1}
+	c.establish(100, middle)
+	c.extended, c.nextCircID = true, 200
 
-	out := make([]byte, cell.Size)  // client's send buffer
-	wire := make([]byte, cell.Size) // middle hop's per-link read buffer
+	out := make([]byte, cell.Size) // client's send buffer
 	data := make([]byte, cell.MaxRelayData)
 	hdr := cell.RelayHeader{StreamID: 1, Cmd: cell.RelayData}
 
@@ -81,45 +66,30 @@ func TestMiddleHopForwardAllocFree(t *testing.T) {
 		cell.SetWireCircID(out, 100)
 		cell.SetWireCmd(out, cell.CmdRelay)
 
-		// Middle hop: the handleRelay forwarding path on the read buffer,
-		// including the per-cell metric updates the live path performs.
-		copy(wire, out)
-		p := cell.WirePayload(wire)
-		middle.ApplyForward(p)
-		if cell.Recognized(p) && middle.VerifyForward(p, cell.DigestOffset) {
-			t.Fatal("middle hop recognized a cell addressed past it")
-		}
-		cell.SetWireCircID(wire, 200)
-		m.fwdCells.Inc()
-		if err := w.WriteFrame(wire); err != nil {
-			t.Fatal(err)
-		}
+		// Middle hop: the client link's deliver callback on the lent chunk.
+		c.onDeliver(out, false)
 	}
 
 	for i := 0; i < 8; i++ {
-		cycle() // warm up digest scratch and the writer's batch buffers
+		cycle() // warm up digest scratch
 	}
+	recognized := r.m.recognized.Value()
 	if allocs := testing.AllocsPerRun(500, cycle); allocs != 0 {
 		t.Fatalf("middle-hop forward path allocates %.2f times per cell, want 0", allocs)
 	}
-	if m.fwdCells.Value() == 0 || m.flush.Count() == 0 {
-		t.Fatal("live instrumentation did not record the forwarded cells")
+	if r.m.fwdCells.Value() == 0 || r.m.recognized.Value() != recognized || c.destroyed.Load() {
+		t.Fatal("the cells were not forwarded past the middle hop")
 	}
 }
 
-// TestCircuitSizeofPinned pins what one circuit costs on the light
-// transport — the shared state machine plus the light adapter's own state,
-// one allocation — at the 744 B the light-only circuit took before the two
-// implementations were merged (514 of it the inline backward scratch
-// frame). Spill queues, batch scratch and BatchWriters belong to the
-// goroutine transport's goLink and must not leak into circuit: the scale
+// TestCircuitSizeofPinned pins what one circuit costs — one allocation,
+// 514 B of it the inline backward scratch frame — at or below the 744 B
+// the light-only circuit took before the transports were merged; the
+// stream originate batch is pooled, not held per circuit. The scale
 // run's bytes per host is made of these.
 func TestCircuitSizeofPinned(t *testing.T) {
-	if got := unsafe.Sizeof(lightLink{}); got > 744 {
-		t.Fatalf("sizeof(lightLink) = %d, want <= 744", got)
+	if got := unsafe.Sizeof(circuit{}); got > 744 {
+		t.Fatalf("sizeof(circuit) = %d, want <= 744", got)
 	}
-	if c, g := unsafe.Sizeof(circuit{}), unsafe.Sizeof(goLink{}); g-c < unsafe.Sizeof(spillQueue{}) {
-		t.Fatalf("sizeof(circuit) = %d against sizeof(goLink) = %d: the spill queues are not where they belong", c, g)
-	}
-	t.Logf("circuit %d B, lightLink %d B, goLink %d B", unsafe.Sizeof(circuit{}), unsafe.Sizeof(lightLink{}), unsafe.Sizeof(goLink{}))
+	t.Logf("circuit %d B", unsafe.Sizeof(circuit{}))
 }

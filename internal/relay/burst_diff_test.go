@@ -22,17 +22,16 @@ import (
 // functions below: peel, recognize, dispatch or forward, one cell per
 // step, on its own otr.Layer built from the same key material), so it is
 // the burst cap forced to 1 by construction and shares no code with the
-// relay. The relay under test gets the same bytes through links that
-// deliver them in chosen segments, with Buffered reporting exactly what
-// of the current segment is left — so the test, not the scheduler,
-// decides where each run starts and ends.
+// relay. The relay under test gets the same bytes through its deliver
+// callbacks in chosen segments — so the test, not the scheduler, decides
+// where each run starts and ends.
 
 // scriptConn is a link that plays a byte script to its reader in
 // segments and records what is written to it. A Read with nothing
-// available releases the next segment; Buffered reports what is left of
-// the released one. A gate holds the script at a byte position until the
-// far side has written a number of cells, which is how a test keeps two
-// sources of backward cells from racing each other.
+// available releases the next segment and returns at most what is left
+// of it. A gate holds the script at a byte position until the far side
+// has written a number of cells, which is how a test keeps two sources of
+// backward cells from racing each other.
 type scriptConn struct {
 	mu     sync.Mutex
 	cond   sync.Cond
@@ -92,12 +91,6 @@ func (c *scriptConn) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-func (c *scriptConn) Buffered() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.avail
-}
-
 func (c *scriptConn) Write(p []byte) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -146,21 +139,8 @@ func (c *scriptConn) SetDeadline(time.Time) error      { return nil }
 func (c *scriptConn) SetReadDeadline(time.Time) error  { return nil }
 func (c *scriptConn) SetWriteDeadline(time.Time) error { return nil }
 
-// blindLink is a scriptConn that cannot say what it holds: the relay
-// reads it one cell per run, the real code's own burst-cap-of-1 case.
-type blindLink struct{ c *scriptConn }
-
-func (b blindLink) Read(p []byte) (int, error)       { return b.c.Read(p) }
-func (b blindLink) Write(p []byte) (int, error)      { return b.c.Write(p) }
-func (b blindLink) Close() error                     { return b.c.Close() }
-func (b blindLink) LocalAddr() net.Addr              { return nil }
-func (b blindLink) RemoteAddr() net.Addr             { return nil }
-func (b blindLink) SetDeadline(time.Time) error      { return nil }
-func (b blindLink) SetReadDeadline(time.Time) error  { return nil }
-func (b blindLink) SetWriteDeadline(time.Time) error { return nil }
-
-// scriptLight is a scriptConn as the light transport wants its client
-// link: writes never wait. The test plays the script into the relay's
+// scriptLight is a scriptConn as a circuit wants its client link:
+// writes never wait, and it never holds a backlog. The test plays the script into the relay's
 // deliver callback itself, a released segment per call.
 type scriptLight struct{ *scriptConn }
 
@@ -169,6 +149,8 @@ func (c scriptLight) WriteAsync(p []byte) error {
 	_, err := c.Write(p)
 	return err
 }
+func (c scriptLight) Backlog() int   { return 0 }
+func (c scriptLight) OnDrain(func()) {}
 
 // recConn records what is written to it and reports when it is closed:
 // a destination, or the far end of an egress link.
@@ -195,6 +177,18 @@ func (c *recConn) SetDeadline(time.Time) error      { return nil }
 func (c *recConn) SetReadDeadline(time.Time) error  { return nil }
 func (c *recConn) SetWriteDeadline(time.Time) error { return nil }
 
+// recLink is a recConn as a LightConn: WriteAsync records like Write,
+// and it never holds a backlog.
+type recLink struct{ *recConn }
+
+func (c recLink) SetDeliverFunc(func([]byte, bool)) {}
+func (c recLink) WriteAsync(p []byte) error {
+	_, err := c.Write(p)
+	return err
+}
+func (c recLink) Backlog() int   { return 0 }
+func (c recLink) OnDrain(func()) {}
+
 func (c *recConn) bytes() []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -207,15 +201,6 @@ func (c *recConn) isClosed() bool {
 		return true
 	default:
 		return false
-	}
-}
-
-func waitClosed(t testing.TB, c *recConn, what string) {
-	t.Helper()
-	select {
-	case <-c.closed:
-	case <-time.After(20 * time.Second):
-		t.Fatalf("%s never closed", what)
 	}
 }
 
@@ -402,7 +387,6 @@ func layerProbe(l *otr.Layer) []byte {
 type splitCase struct {
 	fwdSegs, bwdSegs []int
 	mask             []byte // corruption, bit per cell: forward cells first
-	blind            bool   // inbound link hides Buffered
 }
 
 const (
@@ -497,8 +481,20 @@ func splitWant(t testing.TB, fwd, bwd []byte) splitResult {
 	}
 }
 
-// runSplit pushes the split trace through the relay's real reader,
-// worker, spill, writer and backward pump, the links cut as sc says.
+// play hands script to deliver in segments cut as segs says (cycled),
+// each a fresh copy, as a link's deliveries are lent chunks.
+func play(script []byte, segs []int, deliver func([]byte, bool)) {
+	for i := 0; len(script) > 0; i++ {
+		seg := min(max(segs[i%len(segs)], 1), len(script))
+		deliver(append([]byte(nil), script[:seg]...), false)
+		script = script[seg:]
+	}
+}
+
+// runSplit pushes the split trace through the circuit's real deliver
+// callbacks, the links cut as sc says: the backward script into the
+// next-hop link's, then the forward script and its end into the client
+// link's.
 func runSplit(t testing.TB, sc splitCase) (got, want splitResult) {
 	t.Helper()
 	fwd, bwd := splitTrace(t)
@@ -506,48 +502,27 @@ func runSplit(t testing.TB, sc splitCase) (got, want splitResult) {
 	corrupt(bwd, sc.mask, splitFwdCells)
 	want = splitWant(t, fwd, bwd)
 
-	r := &Relay{cfg: Config{Quiet: true}, m: newRelayMetrics(nil), closing: make(chan struct{})}
+	r := &Relay{cfg: Config{Quiet: true}, m: newRelayMetrics(nil)}
 	r.initTables()
-	r.fwd = newForwarder(r, 1)
-
-	inbound := newScriptConn(fwd, sc.fwdSegs)
-	var link net.Conn = inbound
-	if sc.blind {
-		link = blindLink{inbound}
-	}
-	prevW := cell.NewBatchWriter(link)
-	ce := r.newGoLink(link, prevW)
+	client, nextRec := newRecConn(), newRecConn()
+	ce := &circuit{relay: r, conn: recLink{client}, serial: 1}
 	ce.establish(diffCircID, diffLayer(t))
-	nextRec := newRecConn()
-	nextW := cell.NewBatchWriter(nextRec)
-	ce.fwdSpill.init(nextW, nil)
-	ce.nextW, ce.extended, ce.nextCircID = nextW, true, diffNextID
+	ce.next, ce.extended, ce.nextCircID = recLink{nextRec}, true, diffNextID
 	dests := map[uint16]*recConn{1: newRecConn(), 2: newRecConn()}
-	ce.streams = map[uint16]net.Conn{}
+	ce.streams = map[uint16]simnet.LightConn{}
 	for id, d := range dests {
-		ce.streams[id] = d
+		ce.streams[id] = recLink{d}
 	}
-	pump := newScriptConn(bwd, sc.bwdSegs)
-	pump.hold = true
-	pumpDone := make(chan struct{})
-	go func() {
-		ce.backwardPump(pump)
-		close(pumpDone)
-	}()
-
-	r.readCircuit(ce, make([]byte, cell.Size)) // to the end of the script
-	r.fwd.stop()                               // every run finished, the sentinel taken
-	waitClosed(t, nextRec, "next-hop link")    // teardown ran
-	if !inbound.waitCells(len(want.client) / cell.Size) {
-		t.Fatalf("client link got %d of %d cells from the backward pump", len(inbound.written())/cell.Size, len(want.client)/cell.Size)
+	play(bwd, sc.bwdSegs, ce.onBackward)
+	play(fwd, sc.fwdSegs, ce.onDeliver)
+	ce.onDeliver(nil, true) // the client link ends: teardown
+	if !nextRec.isClosed() {
+		t.Fatal("teardown did not close the next-hop link")
 	}
-	pump.Close()
-	<-pumpDone
-	prevW.Close()
 
 	got = splitResult{
 		next:    nextRec.bytes(),
-		client:  inbound.written(),
+		client:  client.bytes(),
 		streams: map[uint16][]byte{},
 		closed:  map[uint16]bool{},
 		probe:   layerProbe(ce.layer),
@@ -563,9 +538,8 @@ func runSplit(t testing.TB, sc splitCase) (got, want splitResult) {
 
 // TestBurstSplitEveryOffset cuts the inbound byte stream at every offset
 // of the first three cells — with the rest delivered whole, and with the
-// rest cut at seeded random points — and, separately, reads it blind
-// (the real code at a burst cap of 1) and in segments that never line up
-// with cells. Every cut must give the oracle's bytes on every link and
+// rest cut at seeded random points — and, separately, delivers it a cell
+// at a time and in segments that never line up with cells. Every cut must give the oracle's bytes on every link and
 // the oracle's final crypto state.
 func TestBurstSplitEveryOffset(t *testing.T) {
 	base := cell.BurstsOutstanding()
@@ -578,7 +552,6 @@ func TestBurstSplitEveryOffset(t *testing.T) {
 	}
 	whole := []int{1 << 20}
 	check("whole", splitCase{fwdSegs: whole, bwdSegs: whole})
-	check("blind", splitCase{fwdSegs: whole, bwdSegs: whole, blind: true})
 	check("cell at a time", splitCase{fwdSegs: []int{cell.Size}, bwdSegs: []int{cell.Size}})
 	check("never aligned", splitCase{fwdSegs: []int{cell.Size + 1, 3*cell.Size - 2, 1, 7 * cell.Size}, bwdSegs: []int{cell.Size - 1, 20*cell.Size + 3}})
 
@@ -663,27 +636,27 @@ func FuzzBurstSplit(f *testing.F) {
 // handshake's result injected, so every byte the relay emits is
 // determined, and compares each link with the per-cell reference. The
 // next hop and the destination are scripted peers on the emulated
-// network; gates keep the three sources of backward cells (the worker's
-// replies, the backward pump, the exit reader) from overlapping, so the
-// client link has one possible byte sequence. The trace runs read blind
-// (burst cap 1), whole, and cut at seeded random points on the goroutine
-// transport, and — one trace, both adapters — with the relay on the event
-// clock and the same cuts delivered to the light transport's callback.
+// network; gates keep the three sources of backward cells (the forward
+// path's replies, the next hop's cells, the destination's bytes) from
+// overlapping, so the client link has one possible byte sequence. The
+// trace is delivered to the client link's callback a cell at a time
+// ("blind"), whole, and cut at seeded random points, with the relay on a
+// wall-backed clock, and with the same cuts on the event clock
+// ("light/").
 func TestBurstTraceDifferential(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		segs  []int
-		blind bool
+		name string
+		segs []int
 	}{
-		{"blind", []int{1 << 20}, true},
-		{"whole", []int{1 << 20}, false},
-		{"seed 1", randomSegs(1), false},
-		{"seed 2", randomSegs(2), false},
-		{"seed 3", randomSegs(3), false},
+		{"blind", []int{cell.Size}},
+		{"whole", []int{1 << 20}},
+		{"seed 1", randomSegs(1)},
+		{"seed 2", randomSegs(2)},
+		{"seed 3", randomSegs(3)},
 	} {
-		t.Run(tc.name, func(t *testing.T) { runTrace(t, tc.segs, tc.blind, false) })
-		if !tc.blind {
-			t.Run("light/"+tc.name, func(t *testing.T) { runTrace(t, tc.segs, false, true) })
+		t.Run(tc.name, func(t *testing.T) { runTrace(t, tc.segs, false) })
+		if tc.name != "blind" {
+			t.Run("light/"+tc.name, func(t *testing.T) { runTrace(t, tc.segs, true) })
 		}
 	}
 }
@@ -706,10 +679,9 @@ const (
 	traceOutB     = traceOutA + traceBack
 	traceOutBegin = traceOutB + 1 // + CONNECTED
 	traceOutData  = traceOutBegin + traceData
-	traceOutEnd   = traceOutData + 1 // + the exit's END
 )
 
-func runTrace(t *testing.T, segs []int, blind, light bool) {
+func runTrace(t *testing.T, segs []int, light bool) {
 	clock := simnet.NewClock(0.001)
 	if light {
 		clock = simnet.NewEventClock()
@@ -750,14 +722,8 @@ func runTrace(t *testing.T, segs []int, blind, light bool) {
 	}
 	gates = append(gates, gate{at: len(w.buf), cells: traceOutData})
 	end, _ := cell.EncodeControl(&cell.EndPayload{Reason: "done"})
+	// Closing the stream from this side ends it quietly: no END(eof).
 	w.relay(cell.RelayHeader{StreamID: 1, Cmd: cell.RelayEnd}, end)
-	// The one place the transports differ on the wire: closing the stream
-	// makes the goroutine transport's exit reader fail its read and say
-	// END(eof) — one more cell to wait for; the light transport has no
-	// reader to notice a close from this side, and says nothing.
-	if !light {
-		gates = append(gates, gate{at: len(w.buf), cells: traceOutEnd})
-	}
 	w.frame(cell.CmdDestroy, nil)
 	fwd := w.buf
 
@@ -771,10 +737,6 @@ func runTrace(t *testing.T, segs []int, blind, light bool) {
 
 	inbound := newScriptConn(fwd, segs)
 	inbound.gates = gates
-	var link net.Conn = inbound
-	if blind {
-		link = blindLink{inbound}
-	}
 
 	// The next hop: CREATED for the CREATE, then — once the EXTENDED is
 	// on the client link — its backward cells, a chunk's worth at a time.
@@ -867,32 +829,16 @@ func runTrace(t *testing.T, segs []int, blind, light bool) {
 	for off := 0; off < len(reply); off += cell.MaxRelayData {
 		wantClient = oracleSealBack(l, wantClient, cell.RelayHeader{StreamID: 1, Cmd: cell.RelayData}, reply[off:off+cell.MaxRelayData])
 	}
-	if !light {
-		eof, _ := cell.EncodeControl(&cell.EndPayload{Reason: "eof"})
-		wantClient = oracleSealBack(l, wantClient, cell.RelayHeader{StreamID: 1, Cmd: cell.RelayEnd}, eof)
-	}
 
 	// The relay under test, from just after its CREATE handshake.
-	var ce *circuit
-	closeClient := func() {}
-	if light {
-		l := &lightLink{conn: scriptLight{inbound}}
-		l.init(r, l)
-		l.establish(diffCircID, diffLayer(t))
-		ce = &l.circuit
-		for seg := make([]byte, 1<<16); ; {
-			k, err := inbound.Read(seg) // a released segment at a time
-			if err != nil {
-				break // the DESTROY tore the circuit down and closed the link
-			}
-			l.onDeliver(seg[:k], false)
+	ce := &circuit{relay: r, conn: scriptLight{inbound}, serial: r.circSerial.Add(1)}
+	ce.establish(diffCircID, diffLayer(t))
+	for seg := make([]byte, 1<<16); ; {
+		k, err := inbound.Read(seg) // a released segment at a time
+		if err != nil {
+			break // the DESTROY tore the circuit down and closed the link
 		}
-	} else {
-		prevW := cell.NewBatchWriterObs(link, r.m.flush)
-		g := r.newGoLink(link, prevW)
-		g.establish(diffCircID, diffLayer(t))
-		ce, closeClient = &g.circuit, prevW.Close
-		r.readCircuit(g, make([]byte, cell.Size)) // returns at the DESTROY
+		ce.onDeliver(seg[:k], false)
 	}
 
 	recv := func(ch <-chan []byte, what string) []byte {
@@ -906,7 +852,6 @@ func runTrace(t *testing.T, segs []int, blind, light bool) {
 	}
 	gotNext := recv(nextGot, "next hop") // EOF there: teardown ran
 	gotDest := recv(destGot, "destination")
-	closeClient()
 	gotClient := inbound.written()
 
 	// The relay draws the next link's circuit ID at random: blank it.

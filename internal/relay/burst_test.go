@@ -5,20 +5,18 @@ import (
 	"encoding/binary"
 	"io"
 	"net"
-	"runtime"
 	"testing"
 	"time"
 
 	"github.com/bento-nfv/bento/internal/cell"
 	"github.com/bento-nfv/bento/internal/otr"
 	"github.com/bento-nfv/bento/internal/policy"
-	"github.com/bento-nfv/bento/internal/simnet"
 )
 
-// Ordering and bound tests for the run datapath. Each test hands the
-// relay a burst the way a loaded link does — many cells in one link
-// write, so the reader finds them all delivered and the worker gets
-// them as runs — and checks what the far side sees.
+// Ordering tests for the run datapath. Each test hands the relay a burst
+// the way a loaded link does — many cells in one link write, so its
+// deliver callback gets them as runs — and checks what the far side
+// sees.
 
 // seal returns the wire bytes of one relay cell addressed to the rig's
 // relay. Cells must be sent in the order they are sealed.
@@ -233,144 +231,8 @@ func TestExtendThenCellsInOneBurst(t *testing.T) {
 	}
 }
 
-// waitSpillIdle waits until the queue is empty and its drain has retired
-// (and with it returned the burst it copies through).
-func waitSpillIdle(t *testing.T, s *spillQueue) {
-	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		s.mu.Lock()
-		idle := !s.active && s.q.Len() == 0
-		s.mu.Unlock()
-		if idle {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("spill never drained: backlog %d", s.backlog.Load())
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestSpillOverflowCountsCells: the kill bound is maxSpillCells cells,
-// whatever the run size — a queue fed in runs fails exactly when the
-// next run would take it past the bound, not maxSpillCells runs later.
-func TestSpillOverflowCountsCells(t *testing.T) {
-	gate := &gatedConn{release: make(chan struct{})}
-	w := cell.NewBatchWriter(gate)
-	defer w.Close()
-	var s spillQueue
-	s.init(w, nil)
-	defer waitSpillIdle(t, &s)
-	defer close(gate.release)
-
-	var run [cell.BurstCells * cell.Size]byte
-	sent := 0
-	var err error
-	for err == nil && sent < 2*maxSpillCells {
-		if err = s.sendFrames(run[:], false); err == nil {
-			sent += cell.BurstCells
-		}
-	}
-	if err != errSpillOverflow {
-		t.Fatalf("queue took %d cells without overflowing (err %v)", sent, err)
-	}
-	if got := s.backlog.Load(); got > maxSpillCells || got <= maxSpillCells-cell.BurstCells {
-		t.Fatalf("overflowed with %d cells queued, want within one run below %d", got, maxSpillCells)
-	}
-	if err := s.sendFrames(run[:cell.Size], false); err != errSpillOverflow {
-		t.Fatalf("a failed queue accepted a cell: %v", err)
-	}
-}
-
-// seqConn is an egress link that checks the frames it is handed carry
-// consecutive sequence numbers, and yields the processor on every write
-// so the sender stays ahead of it.
-type seqConn struct {
-	next uint32
-	bad  bool
-	torn bool
-}
-
-func (c *seqConn) Write(p []byte) (int, error) {
-	if len(p)%cell.Size != 0 {
-		c.torn = true
-	}
-	for off := 0; off+cell.Size <= len(p); off += cell.Size {
-		if binary.BigEndian.Uint32(p[off+5:]) != c.next {
-			c.bad = true
-		}
-		c.next++
-	}
-	runtime.Gosched()
-	return len(p), nil
-}
-func (c *seqConn) Close() error { return nil }
-
-// TestSpillQueueRetainsNothing is the regression test for the unbounded
-// spill backing array: a queue whose drain runs most of the time — the
-// link yields on every write, the sender does not — takes a million
-// cells in runs of mixed size. Every cell must reach the link in order,
-// the backlog must respect the pacing mark the sender honours, and once
-// the link has caught up the queue must hold no storage at all and
-// every burst must be back in the pool. (The parent's slice kept 8 B per
-// cell ever spilled for as long as the queue never emptied; a chunk
-// queue has no backing array to grow, so the property no longer depends
-// on how busy the queue was — the test logs that, and only requires
-// that spilling happened.)
-func TestSpillQueueRetainsNothing(t *testing.T) {
-	total := 1_000_000
-	if raceEnabled || testing.Short() {
-		total = 100_000
-	}
-	base := cell.BurstsOutstanding()
-	link := &seqConn{}
-	w := cell.NewBatchWriter(link)
-	var s spillQueue
-	s.init(w, nil)
-
-	var run [cell.BurstCells * cell.Size]byte
-	spilledRuns, emptied := 0, 0
-	for sent := 0; sent < total; {
-		n := min(1+sent%cell.BurstCells, total-sent)
-		for i := 0; i < n; i++ {
-			binary.BigEndian.PutUint32(run[i*cell.Size+5:], uint32(sent+i))
-		}
-		s.waitBelow(spillHighWater)
-		if err := s.sendFrames(run[:n*cell.Size], false); err != nil {
-			t.Fatalf("send at cell %d: %v", sent, err)
-		}
-		sent += n
-		switch b := s.backlog.Load(); {
-		case b > spillHighWater+cell.BurstCells:
-			t.Fatalf("backlog %d past the pacing mark", b)
-		case b > 0:
-			spilledRuns++
-		default:
-			emptied++
-		}
-	}
-	waitSpillIdle(t, &s)
-	w.Close()
-	if link.bad || link.torn || int(link.next) != total {
-		t.Fatalf("link saw %d of %d cells (reordered=%v torn=%v)", link.next, total, link.bad, link.torn)
-	}
-	t.Logf("queue busy after %d sends, empty after %d", spilledRuns, emptied)
-	if spilledRuns == 0 {
-		t.Fatal("nothing ever spilled: the test did not exercise the queue")
-	}
-	if s.q != (simnet.ChunkQueue{}) {
-		t.Fatal("drained queue still holds chunks")
-	}
-	if out := cell.BurstsOutstanding(); out != base {
-		t.Fatalf("%d bursts not returned to the pool", out-base)
-	}
-}
-
 // TestIdleCircuitHoldsNoBurst: once traffic stops, an established
-// circuit with an open stream holds no burst buffer anywhere — readers
-// wait on their one-cell buffers, workers and drains have returned
-// theirs.
+// circuit with an open stream holds no burst buffer anywhere.
 func TestIdleCircuitHoldsNoBurst(t *testing.T) {
 	rg := newRig(t, policy.AcceptAll())
 	ln, err := rg.net.AddHost("dest", 0).Listen(80)

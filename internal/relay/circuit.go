@@ -10,67 +10,28 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/bento-nfv/bento/internal/cell"
 	"github.com/bento-nfv/bento/internal/otr"
 	"github.com/bento-nfv/bento/internal/simnet"
 )
 
-// One circuit state machine, two transports (DESIGN.md §13.1).
-//
-// circuit is the relay's protocol for one circuit — the CREATE handshake,
+// circuit is this relay's state for one circuit: the CREATE handshake,
 // recognition and dispatch, EXTEND, exit streams, the hidden-service
-// duties, teardown — and it is the only copy. How bytes reach it and
-// leave it is a transport's business: the goroutine transport
-// (datapath.go: link readers, affinity workers with batched crypto, spill
-// queues) and the light transport (ingress.go: deliver callbacks and
-// WriteAsync on the event clock) each embed a circuit and implement the
-// interface below. Nothing in this file asks which one it is talking to.
-
-// transport is what a circuit asks of the links under it. Runs of whole
-// wire frames are the unit in both directions: a transport hands inbound
-// runs to admit + finishRun and to backwardRun, and the circuit hands
-// outbound runs back through the write methods. frames and p stay the caller's; every write copies or
-// has written them by the time it returns. mayBlock is the caller's
-// answer to "may I be stalled on a full link?": a transport's cell
-// handlers (affinity worker, dispatcher callback) say no, goroutines that
-// serve one circuit (a helper, a backward pump, teardown) say yes.
-type transport interface {
-	// writeClient sends a run toward the circuit's origin. Callers hold
-	// bwMu, so crypto order is wire order.
-	writeClient(frames []byte, mayBlock bool) error
-	// writeNext sends a run toward the next hop (attachNext came first).
-	writeNext(frames []byte, mayBlock bool) error
-	// writeConn writes to a conn that is not one of the circuit's links:
-	// an exit destination, or a next hop still inside its CREATE exchange.
-	writeConn(conn net.Conn, p []byte) error
-	// attachNext makes next, whose CREATED has been read, the next-hop
-	// link: from here on its cells reach backwardRun and its end
-	// destroyFromBehind. False if the link cannot be served or the circuit
-	// is torn down (checked under mu, so teardown either closes the link
-	// or prevents it).
-	attachNext(next net.Conn) bool
-	// attachStream starts turning the destination's bytes into backward
-	// DATA cells, and its hang-up into streamEOF.
-	attachStream(streamID uint16, remote net.Conn)
-	// sever closes the client link so that the circuit is torn down: at
-	// once, or — mayBlock — behind what was written to it.
-	sever(mayBlock bool)
-	// closeLinks releases the links at teardown, the next hop's behind
-	// what was written to it.
-	closeLinks()
-}
-
-// circuit is this relay's state for one circuit. The forward direction
-// has one owner at a time — the transport's cell handler, or a helper
-// while one runs (mu guards the hand-off) — so forward crypto needs no
-// lock. The backward direction is serialized by bwMu, held across
-// seal/encrypt + writeClient so keystream order equals wire order.
+// duties, teardown. Its links are simnet conns served by deliver
+// callbacks on both clocks (ingress.go), and everything it sends leaves
+// through WriteAsync, which never parks the caller.
+//
+// The forward direction has one owner at a time — the client link's
+// deliver callback, or a helper while one runs (mu guards the hand-off)
+// — so forward crypto needs no lock. The backward direction is
+// serialized by bwMu, held across seal/encrypt + write so keystream
+// order equals wire order.
 type circuit struct {
 	relay      *Relay
-	t          transport
-	serial     uint64 // key in the relay's circuit table (unique, unlike circID)
+	conn       simnet.LightConn // inbound link, toward the circuit origin
+	next       simnet.LightConn // toward the next hop, nil until extended; written under mu
+	serial     uint64           // key in the relay's circuit table (unique, unlike circID)
 	circID     uint32
 	nextCircID uint32     // guarded by mu
 	layer      *otr.Layer // nil until the CREATE handshake is done
@@ -81,26 +42,29 @@ type circuit struct {
 	extended bool    // a next hop is attached
 	helper   *helper // non-nil while a helper owns the forward direction
 	joined   *circuit
-	streams  map[uint16]net.Conn // nil until the first BEGIN
-	cookie   string              // rendezvous cookie (hex) this circuit registered
-	introID  string              // service ID this circuit is the intro point for
+	streams  map[uint16]simnet.LightConn // nil until the first BEGIN
+	cookie   string                      // rendezvous cookie (hex) this circuit registered
+	introID  string                      // service ID this circuit is the intro point for
 
 	bwMu   sync.Mutex
 	bwWire [cell.Size]byte // backward originate scratch, guarded by bwMu
+
+	inBuf cell.FrameBuf // client-link chunk→cell reassembly (forward owner only)
+	bwBuf cell.FrameBuf // next-hop-link reassembly (its deliver callback only)
 }
 
 // helper is the hand-off to a goroutine that runs a circuit's EXTEND or
-// BEGIN — the two commands that dial and wait — so that no cell handler
-// ever does. While it runs, inbound runs queue behind it instead of being
-// processed, and it drains them in arrival order when the command is
-// done, which keeps decrypt order equal to wire order. The queue counts
-// in cells and is capped at maxSpillCells: a client that floods a circuit
-// whose next hop never answers loses the circuit, not the relay's memory.
+// BEGIN — the two commands that dial and wait — so that no deliver
+// callback ever does. While it runs, inbound runs queue behind it instead
+// of being processed, and it drains them in arrival order when the
+// command is done, which keeps decrypt order equal to wire order. The
+// queue counts in cells and is capped at maxSpillCells: a client that
+// floods a circuit whose next hop never answers loses the circuit, not
+// the relay's memory.
 type helper struct {
 	head    [cell.Size]byte   // the recognized, verified cell that needs to block
 	q       simnet.ChunkQueue // frames behind it, guarded by the circuit's mu
 	plain   int               // leading bytes of q that are already peeled
-	space   sync.Cond         // on the circuit's mu: the queue shrank, or is gone
 	pending net.Conn          // the next hop whose CREATED the helper is waiting for
 }
 
@@ -111,10 +75,6 @@ func (h *helper) drop() {
 		h.q.Read(b[:])
 	}
 	h.plain = 0
-}
-
-func (c *circuit) init(r *Relay, t transport) {
-	c.relay, c.t, c.serial = r, t, r.circSerial.Add(1)
 }
 
 // linkFrame builds one link-level cell.
@@ -131,7 +91,7 @@ func (c *circuit) sendLink(cmd cell.Command, payload []byte) error {
 	f := linkFrame(c.circID, cmd, payload)
 	c.bwMu.Lock()
 	defer c.bwMu.Unlock()
-	return c.t.writeClient(f[:], true)
+	return c.conn.WriteAsync(f[:])
 }
 
 // create answers a link's first cell, which must be CREATE.
@@ -160,9 +120,6 @@ func (c *circuit) establish(circID uint32, layer *otr.Layer) {
 	c.relay.m.circCreated.Inc()
 	c.relay.m.openCircs.Add(1)
 }
-
-// kill severs the circuit at once: protocol violations and dead links.
-func (c *circuit) kill() { c.t.sever(false) }
 
 // --- forward direction -------------------------------------------------------
 
@@ -193,10 +150,9 @@ func relayCells(run *cell.Burst, strict bool) cell.Command {
 
 // admit reports whether the caller may process frames now. While a helper
 // owns the forward direction it does not: the frames are queued behind
-// the helper — copied; plain says they are already peeled, which only
-// the runs of the pass that started the helper are — or, past the cap,
-// the circuit is killed and the cells counted as dropped.
-func (c *circuit) admit(frames []byte, plain bool) bool {
+// the helper, copied and still encrypted, or, past the cap, the circuit
+// is killed and the cells counted as dropped.
+func (c *circuit) admit(frames []byte) bool {
 	if len(frames) == 0 || c.destroyed.Load() {
 		return false
 	}
@@ -212,23 +168,20 @@ func (c *circuit) admit(frames []byte, plain bool) bool {
 		h.drop()
 	} else {
 		h.q.Write(frames)
-		if plain {
-			h.plain += len(frames)
-		}
 	}
 	c.mu.Unlock()
 	if lost > 0 {
 		c.relay.logf("%d cells queued behind a blocked EXTEND or BEGIN, dropping circuit", lost)
 		c.relay.m.dropped.Add(int64(lost))
-		c.kill()
+		c.teardown()
 	}
 	return false
 }
 
 // finishRun completes one run of RELAY frames from the client link, cell
 // by cell in order; the caller has been admitted. The first peeled bytes
-// have had this hop's layer removed already (a transport that peels in
-// batches passes len(frames)); the rest is peeled here. Every cell gets
+// have had this hop's layer removed already (the helper's, for the rest
+// of the run that started it); the rest is peeled here. Every cell gets
 // its own recognition check and digest verification; what the run shares
 // is the hand-offs around them. Consecutive cells addressed past this hop
 // form a span that leaves through one write (forwardSpan); consecutive
@@ -236,11 +189,11 @@ func (c *circuit) admit(frames []byte, plain bool) bool {
 // destination write. Both are flushed before any other recognized command
 // is dispatched and at the end of the run, so what a stream's destination
 // and the next hop see — DATA before END, CREATE before the cells sent
-// behind an EXTEND — is in the order the cells arrived. A command that
-// blocks, met by a caller that may not, starts a helper that takes the
-// run from that cell on; finishRun then reports true, and the caller must
-// admit again whatever else it has peeled.
-func (c *circuit) finishRun(frames []byte, peeled int, mayBlock bool) (handedOff bool) {
+// behind an EXTEND — is in the order the cells arrived. EXTEND and BEGIN
+// dial and wait: met in a deliver callback (onHelper unset), they start a
+// helper that takes the run from that cell on; the helper itself runs
+// them inline.
+func (c *circuit) finishRun(frames []byte, peeled int, onHelper bool) {
 	r := c.relay
 	for off := peeled; off < len(frames); off += cell.Size {
 		c.layer.ApplyForward(cell.WirePayload(frames[off : off+cell.Size]))
@@ -261,7 +214,7 @@ func (c *circuit) finishRun(frames []byte, peeled int, mayBlock bool) (handedOff
 		if !cell.Recognized(payload) || !c.layer.VerifyForward(payload, cell.DigestOffset) {
 			continue // addressed past this hop: joins the span
 		}
-		c.forwardSpan(frames[span*cell.Size:k*cell.Size], mayBlock)
+		c.forwardSpan(frames[span*cell.Size : k*cell.Size])
 		span = k + 1
 		r.m.recognized.Inc()
 		hdr, body, err := cell.ParseRelay(payload)
@@ -277,25 +230,24 @@ func (c *circuit) finishRun(frames []byte, peeled int, mayBlock bool) (handedOff
 		switch {
 		case err != nil:
 			r.logf("bad relay payload: %v", err)
-		case !mayBlock && (hdr.Cmd == cell.RelayExtend || hdr.Cmd == cell.RelayBegin):
+		case !onHelper && (hdr.Cmd == cell.RelayExtend || hdr.Cmd == cell.RelayBegin):
 			c.startHelper(frames[k*cell.Size:])
-			return true
+			return
 		case c.dispatch(hdr, body):
 			continue
 		}
-		c.kill()
-		return false
+		c.teardown()
+		return
 	}
-	c.forwardSpan(frames[span*cell.Size:], mayBlock)
+	c.forwardSpan(frames[span*cell.Size:])
 	flush()
-	return false
 }
 
 // forwardSpan sends a contiguous span of cells addressed past this hop
 // on their way: circuit-ID rewrite and one write toward the next hop, or
 // — on a rendezvous splice — one backward run on the joined circuit. The
 // span stays the caller's (both paths copy).
-func (c *circuit) forwardSpan(frames []byte, mayBlock bool) {
+func (c *circuit) forwardSpan(frames []byte) {
 	if len(frames) == 0 {
 		return
 	}
@@ -311,19 +263,19 @@ func (c *circuit) forwardSpan(frames []byte, mayBlock bool) {
 			cell.SetWireCircID(frames[off:], nextID)
 		}
 		r.m.fwdCells.Add(n)
-		err = c.t.writeNext(frames, mayBlock)
+		err = c.writeNext(frames)
 	case joined != nil:
 		// Rendezvous splice: the still-encrypted payloads continue as
 		// backward cells on the joined circuit.
-		err = joined.backwardRun(frames, mayBlock)
+		err = joined.backwardRun(frames)
 	default:
 		r.logf("unrecognized relay cell at last hop, dropping circuit")
 		r.m.dropped.Add(n)
-		c.kill()
+		c.teardown()
 		return
 	}
 	if err != nil {
-		c.kill()
+		c.teardown()
 	}
 }
 
@@ -333,7 +285,6 @@ func (c *circuit) forwardSpan(frames []byte, mayBlock bool) {
 // from a deliver callback on the dispatcher must.
 func (c *circuit) startHelper(rest []byte) {
 	h := &helper{plain: len(rest) - cell.Size}
-	h.space.L = &c.mu
 	copy(h.head[:], rest)
 	c.mu.Lock()
 	h.q.Write(rest[cell.Size:])
@@ -349,7 +300,7 @@ func (c *circuit) runHelper(h *helper) {
 	hdr, body, err := cell.ParseRelay(cell.WirePayload(h.head[:]))
 	ok := err == nil && c.dispatch(hdr, body)
 	if !ok {
-		c.kill()
+		c.teardown()
 	}
 	b := cell.GetBurst(cell.BurstCells)
 	defer cell.PutBurst(b)
@@ -364,7 +315,6 @@ func (c *circuit) runHelper(h *helper) {
 		if n == 0 {
 			c.helper = nil
 		}
-		h.space.Broadcast()
 		c.mu.Unlock()
 		if n == 0 {
 			return
@@ -374,15 +324,13 @@ func (c *circuit) runHelper(h *helper) {
 }
 
 // waiting records the next hop a helper is about to wait on (nil: done
-// waiting), so that what must not wait with it can end the wait: teardown
-// closes the conn, a transport stalling a sender behind the helper gives
-// it a deadline. False if the circuit is already torn down.
+// waiting), so that teardown can end the wait by closing the conn. False
+// if the circuit is already torn down.
 func (c *circuit) waiting(next net.Conn) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if h := c.helper; h != nil {
 		h.pending = next
-		h.space.Broadcast() // a sender stalled already learns whom to hurry
 	}
 	return !c.destroyed.Load()
 }
@@ -434,35 +382,29 @@ func (c *circuit) handleExtend(data []byte) bool {
 	sp := r.reg.StartSpan("relay.extend")
 	sp.Note(ext.Addr)
 	defer sp.End()
-	next, err := r.host.Dial(ext.Addr)
+	dialed, err := r.host.Dial(ext.Addr)
 	if err != nil {
 		r.logf("extend dial %s: %v", ext.Addr, err)
 		r.m.extendFails.Inc()
 		sp.Fail(err)
 		return false
 	}
+	next := dialed.(simnet.LightConn) // every simnet conn is one
 	var id [4]byte
 	rand.Read(id[:])
 	nextID := binary.BigEndian.Uint32(id[:])
 	create := linkFrame(nextID, cell.CmdCreate, ext.Handshake)
 	var reply [cell.Size]byte
-	// The link has no reader yet, so CREATED lands in its read buffer.
-	// While the helper waits for it, teardown may close next and a stalled
-	// link reader may give it a deadline (waiting); once it is no longer
-	// pending neither can, and the deadline comes off before the link
-	// goes live.
-	ok := c.waiting(next) && c.t.writeConn(next, create[:]) == nil &&
+	// The link has no callback yet, so CREATED lands in its read buffer.
+	// While the helper waits for it, teardown may close next (waiting).
+	ok := c.waiting(next) && next.WriteAsync(create[:]) == nil &&
 		cell.ReadWire(next, reply[:]) == nil && cell.WireCmd(reply[:]) == cell.CmdCreated &&
 		c.waiting(nil)
-	next.SetReadDeadline(time.Time{})
-	if !ok || !c.t.attachNext(next) {
+	if !ok || !c.attachNext(next, nextID) {
 		next.Close()
 		r.m.extendFails.Inc()
 		return false
 	}
-	c.mu.Lock()
-	c.extended, c.nextCircID = true, nextID
-	c.mu.Unlock()
 	r.m.extends.Inc()
 
 	extended, err := cell.EncodeControl(&cell.ExtendedPayload{
@@ -496,11 +438,12 @@ func (c *circuit) handleBegin(streamID uint16, data []byte) bool {
 		r.m.streamsRefused.Inc()
 		return c.endStream(streamID, "exit policy refused")
 	}
-	remote, err := r.host.Dial(fmt.Sprintf("%s:%d", host, port))
+	dialed, err := r.host.Dial(fmt.Sprintf("%s:%d", host, port))
 	if err != nil {
 		r.m.streamsRefused.Inc()
 		return c.endStream(streamID, "connect failed")
 	}
+	remote := dialed.(simnet.LightConn)
 	c.mu.Lock()
 	if c.destroyed.Load() {
 		c.mu.Unlock()
@@ -508,7 +451,7 @@ func (c *circuit) handleBegin(streamID uint16, data []byte) bool {
 		return false
 	}
 	if c.streams == nil {
-		c.streams = make(map[uint16]net.Conn)
+		c.streams = make(map[uint16]simnet.LightConn)
 	}
 	c.streams[streamID] = remote
 	c.mu.Unlock()
@@ -521,7 +464,7 @@ func (c *circuit) handleBegin(streamID uint16, data []byte) bool {
 		c.closeStream(streamID)
 		return false
 	}
-	c.t.attachStream(streamID, remote)
+	c.attachStream(streamID, remote)
 	return true
 }
 
@@ -535,7 +478,7 @@ func (c *circuit) handleData(streamID uint16, data []byte) {
 		// Stream already closed; tolerate in-flight data.
 		return
 	}
-	if c.t.writeConn(remote, data) != nil {
+	if remote.WriteAsync(data) != nil {
 		c.closeStream(streamID)
 	}
 }
@@ -572,7 +515,7 @@ func (c *circuit) streamEOF(streamID uint16) {
 // wire frames in place, restamps their circuit ID, and writes the run
 // toward the client — one bwMu hold and one write for the run. The
 // frames are the caller's buffer.
-func (c *circuit) backwardRun(frames []byte, mayBlock bool) error {
+func (c *circuit) backwardRun(frames []byte) error {
 	if len(frames) == 0 {
 		return nil
 	}
@@ -585,14 +528,13 @@ func (c *circuit) backwardRun(frames []byte, mayBlock bool) error {
 		cell.SetWireCircID(wire, c.circID)
 		cell.SetWireCmd(wire, cell.CmdRelay)
 	}
-	return c.t.writeClient(frames, mayBlock)
+	return c.conn.WriteAsync(frames)
 }
 
 // sendBackward originates a backward relay cell at this hop (control
 // responses, stream ends): pack, seal with the backward digest, and
-// encrypt in the scratch frame, then write it toward the client. Callers
-// may be cell handlers, so the write never blocks; a control cell that
-// cannot even be queued means a dead client link.
+// encrypt in the scratch frame, then write it toward the client. A
+// control cell that cannot even be queued means a dead client link.
 func (c *circuit) sendBackward(hdr cell.RelayHeader, data []byte) error {
 	c.relay.m.originated.Inc()
 	c.bwMu.Lock()
@@ -605,7 +547,7 @@ func (c *circuit) sendBackward(hdr cell.RelayHeader, data []byte) error {
 	c.layer.ApplyBackward(payload)
 	cell.SetWireCircID(c.bwWire[:], c.circID)
 	cell.SetWireCmd(c.bwWire[:], cell.CmdRelay)
-	return c.t.writeClient(c.bwWire[:], false)
+	return c.conn.WriteAsync(c.bwWire[:])
 }
 
 // --- hidden-service duties ---------------------------------------------------
@@ -714,17 +656,16 @@ func verifyIntroSig(est cell.EstablishIntroPayload) bool {
 
 // --- teardown ----------------------------------------------------------------
 
-// teardown releases everything the circuit holds. The light transport
-// calls it from dispatcher context, where nothing it does parks; the
-// goroutine transport gives it a goroutine of its own, because closing
-// links there waits for them to flush.
+// teardown releases everything the circuit holds. It may run in a
+// deliver callback: nothing it does parks, and every link it closes
+// sends what was written to it first.
 func (c *circuit) teardown() {
 	if !c.destroyed.CompareAndSwap(false, true) {
 		return
 	}
 	r := c.relay
 	c.mu.Lock()
-	extended, nextID := c.extended, c.nextCircID
+	extended, nextID, next := c.extended, c.nextCircID, c.next
 	joined, streams := c.joined, c.streams
 	c.joined, c.streams = nil, nil
 	cookie, introID := c.cookie, c.introID
@@ -733,7 +674,6 @@ func (c *circuit) teardown() {
 		// The helper retires on its own once what it waits on is closed.
 		h.drop()
 		pending = h.pending
-		h.space.Broadcast()
 	}
 	c.mu.Unlock()
 
@@ -759,9 +699,13 @@ func (c *circuit) teardown() {
 	}
 	if extended {
 		destroy := linkFrame(nextID, cell.CmdDestroy, nil)
-		c.t.writeNext(destroy[:], true)
+		next.WriteAsync(destroy[:])
 	}
-	c.t.closeLinks()
+	if next != nil {
+		next.Close()
+	}
+	c.relay.track(c.conn, false)
+	c.conn.Close()
 	if joined != nil {
 		joined.mu.Lock()
 		joined.joined = nil
@@ -779,7 +723,7 @@ func (c *circuit) destroyFromBehind() {
 		return
 	}
 	c.sendLink(cell.CmdDestroy, nil)
-	c.t.sever(true)
+	c.teardown()
 }
 
 func splitTarget(s string) (string, int, bool) {

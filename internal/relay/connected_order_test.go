@@ -10,10 +10,9 @@ import (
 )
 
 // hangUpServerOn answers every connection to h:80 with one byte and
-// closes it — the destination that could get its END (goroutine
-// transport: the reader was started first) or its DATA and END (light
-// transport: the callback was installed first) onto the circuit before
-// CONNECTED.
+// closes it — the destination that could get its DATA and END onto the
+// circuit before CONNECTED if the stream's callback were installed
+// first.
 func hangUpServerOn(t *testing.T, h *simnet.Host) {
 	t.Helper()
 	ln, err := h.Listen(80)
@@ -36,7 +35,7 @@ func hangUpServerOn(t *testing.T, h *simnet.Host) {
 }
 
 // TestConnectedPrecedesDataAndEnd opens streams to a destination that
-// writes one byte and hangs up, on both relay transports, and requires
+// writes one byte and hangs up, on both clocks, and requires
 // the exit to answer each BEGIN with CONNECTED, DATA("!"), END in that
 // order. The destination sits on the relay's own host (zero delay, like
 // a co-resident Bento server, where the overtaking was seen). The old

@@ -41,10 +41,13 @@ func (r *Relay) ServeHSDir() error {
 			go r.serveHSDirConn(conn)
 		}
 	}()
-	go func() {
-		<-r.closing
+	r.connMu.Lock()
+	r.hsdirLn = ln
+	closed := r.closed
+	r.connMu.Unlock()
+	if closed {
 		ln.Close()
-	}()
+	}
 	return nil
 }
 

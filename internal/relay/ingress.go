@@ -1,174 +1,255 @@
 package relay
 
 import (
-	"net"
+	"sync"
 
 	"github.com/bento-nfv/bento/internal/cell"
+	"github.com/bento-nfv/bento/internal/otr"
 	"github.com/bento-nfv/bento/internal/simnet"
 )
 
-// The light (event-native) transport: what serves a circuit whose links
-// are simnet conns on the event clock. A goroutine per link is the right
-// shape on a real network, where goroutines are parked in the kernel —
-// but under the discrete-event core each is a park/unpark bridge crossing
-// per cell, and at 500k circuits the quiescence detector drowns the
-// dispatcher. Here links deliver through LightConn.SetDeliverFunc: runs
-// arrive as dispatcher callbacks, the circuit's forward path runs inline,
-// and egress goes out through WriteAsync — zero goroutines, zero parks,
-// so a pure relay epoch needs no settles at all. Callbacks may not block,
-// and WriteAsync never does, so mayBlock is ignored throughout.
+// How a circuit's links are served, on both clocks. A goroutine per link
+// is the right shape on a real network, where goroutines are parked in
+// the kernel — but under the discrete-event core each is a park/unpark
+// bridge crossing per cell, and at 500k circuits the quiescence detector
+// drowns the dispatcher. Here links deliver through
+// LightConn.SetDeliverFunc: runs arrive as callbacks (on the dispatcher
+// on the event clock, on timer goroutines on a wall-backed one), the
+// circuit's forward path runs inline, and egress goes out through
+// WriteAsync — zero goroutines and zero parks per link. Only the helper
+// (EXTEND, BEGIN) runs on a goroutine of its own.
+//
+// Flow control is one bound, per hop: a write that leaves an egress conn
+// holding more than spillHighWater cells' worth of bytes its peer has not
+// taken makes the circuit stop taking deliveries from the conn that fed
+// it (SetDeliverFunc(nil)). That conn's receive buffer then fills, and
+// simnet's flow control pauses the hop before it, and so on back to the
+// sender. A one-shot drain callback on the egress resumes the feed once
+// its backlog has halved, so the egress still has bytes to send. The
+// egress is the next hop (fed by the client link), the client link (fed
+// by the next hop or an exit destination), an exit destination (fed by
+// the client link), or a joined circuit's client link (fed by this
+// circuit's client link). One link carries one circuit, so the pause is
+// per circuit.
 
-// lightLink is a circuit on the light transport: the circuit, its two
-// links, and their reassembly buffers (dispatcher context only).
-type lightLink struct {
-	circuit
-	conn  simnet.LightConn // inbound link, toward the circuit origin
-	next  simnet.LightConn // toward the next hop, nil until extended; written under mu
-	inBuf cell.FrameBuf    // client-side chunk→cell reassembly
-	bwBuf cell.FrameBuf    // next-hop-side reassembly
-}
+const (
+	// maxSpillCells is what one circuit may hold in the relay, in cells:
+	// the cap on the queue behind its helper (past it the circuit is
+	// killed), and the bound its egress backlog stays under.
+	maxSpillCells = 4096
+	// spillHighWater is the egress backlog, in cells, past which a circuit
+	// stalls the conn that fed it. A feed is stalled only once the
+	// delivery in hand is handled, so an egress holds at most one
+	// delivered chunk (a simnet chunk, 32 KiB) past the mark — well under
+	// maxSpillCells.
+	spillHighWater = maxSpillCells / 2
+)
 
-// serveLight wires an accepted link into the light transport and returns
-// immediately: all further work for this link happens in deliver
-// callbacks. Called from the accept loop.
-func (r *Relay) serveLight(conn simnet.LightConn) {
-	l := &lightLink{conn: conn}
-	l.init(r, l)
+// serve wires an accepted link into a new circuit and returns at once:
+// all further work for this link happens in deliver callbacks. Called
+// from the accept loop.
+func (r *Relay) serve(conn simnet.LightConn) {
+	c := &circuit{relay: r, conn: conn, serial: r.circSerial.Add(1)}
 	r.track(conn, true)
-	conn.SetDeliverFunc(l.onDeliver)
+	conn.SetDeliverFunc(c.onDeliver)
 }
 
-// onDeliver is the inbound link's delivery callback. data is a simnet
+// congested reports whether e holds more than the high-water mark of
+// written bytes its peer has not yet taken.
+func congested(e simnet.LightConn) bool { return e.Backlog() > spillHighWater*cell.Size }
+
+// stall stops taking deliveries from fed until egress has drained to its
+// low-water mark (OnDrain), then hands fed's deliveries back to deliver. It must be the last thing fed's
+// deliver callback does: once the callback is cleared the drain may
+// reinstall it at once, on another goroutine on a wall-backed clock.
+func (c *circuit) stall(fed, egress simnet.LightConn, deliver func([]byte, bool)) {
+	c.relay.m.stalls.Inc()
+	fed.SetDeliverFunc(nil)
+	egress.OnDrain(func() {
+		if !c.destroyed.Load() {
+			fed.SetDeliverFunc(deliver)
+		}
+	})
+}
+
+// congestedAhead returns an egress the forward direction writes that is
+// over the high-water mark, or nil.
+func (c *circuit) congestedAhead() simnet.LightConn {
+	if c.destroyed.Load() {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.extended && congested(c.next) {
+		return c.next
+	}
+	if j := c.joined; j != nil && congested(j.conn) {
+		return j.conn
+	}
+	for _, s := range c.streams {
+		if congested(s) {
+			return s
+		}
+	}
+	return nil
+}
+
+// onDeliver is the client link's delivery callback. data is a simnet
 // chunk lent for the call (LightConn): the circuit either finishes with
 // the bytes before returning (in-place decrypt; WriteAsync and PackRelay
 // copy) or copies them first (FrameBuf's carry, the queue behind a
 // helper).
-func (l *lightLink) onDeliver(data []byte, eof bool) {
+func (c *circuit) onDeliver(data []byte, eof bool) {
 	if len(data) > 0 {
-		l.inBuf.Feed(data, l.onForward)
+		c.inBuf.Feed(data, c.onForward)
 	}
 	if eof {
-		l.teardown()
+		c.teardown()
+	} else if e := c.congestedAhead(); e != nil {
+		c.stall(c.conn, e, c.onDeliver)
 	}
 }
 
 // onForward handles a run of whole cells from the client side: CREATE
 // first, then RELAY cells until something else ends the circuit.
-func (l *lightLink) onForward(frames []byte) bool {
-	if l.layer == nil {
-		if !l.create(frames[:cell.Size]) {
-			l.teardown()
+func (c *circuit) onForward(frames []byte) bool {
+	if c.layer == nil {
+		if !c.create(frames[:cell.Size]) {
+			c.teardown()
 			return false
 		}
 		frames = frames[cell.Size:]
 	}
 	run := cell.Burst{N: len(frames) / cell.Size, Buf: frames}
 	end := relayCells(&run, true)
-	if l.admit(run.Frames(), false) {
-		l.finishRun(run.Frames(), 0, false)
+	if c.admit(run.Frames()) {
+		c.finishRun(run.Frames(), 0, false)
 	}
 	if end == cell.CmdRelay {
-		return !l.destroyed.Load()
+		return !c.destroyed.Load()
 	}
 	if end != cell.CmdDestroy {
-		l.relay.logf("unexpected cell %v mid-circuit", end)
+		c.relay.logf("unexpected cell %v mid-circuit", end)
 	}
-	l.teardown()
+	c.teardown()
 	return false
 }
 
 // onBackward is the next-hop link's delivery callback: cells from behind
 // get this hop's backward layer and continue toward the client.
-func (l *lightLink) onBackward(data []byte, eof bool) {
-	if len(data) > 0 {
-		l.bwBuf.Feed(data, l.onBackwardRun)
+func (c *circuit) onBackward(data []byte, eof bool) {
+	if len(data) > 0 && !c.bwBuf.Feed(data, c.onBackwardRun) {
+		return
 	}
 	if eof {
-		l.destroyFromBehind()
+		c.destroyFromBehind()
+	} else if !c.destroyed.Load() && congested(c.conn) {
+		c.stall(c.next, c.conn, c.onBackward)
 	}
 }
 
-func (l *lightLink) onBackwardRun(frames []byte) bool {
+func (c *circuit) onBackwardRun(frames []byte) bool {
 	run := cell.Burst{N: len(frames) / cell.Size, Buf: frames}
 	end := relayCells(&run, false)
-	if l.backwardRun(run.Frames(), false) != nil {
-		l.teardown()
+	if c.backwardRun(run.Frames()) != nil {
+		c.teardown()
 		return false
 	}
 	if end == cell.CmdDestroy {
-		l.destroyFromBehind()
+		c.destroyFromBehind()
 		return false
 	}
 	return true
 }
 
-// onStream turns exit-destination bytes into backward DATA cells.
-func (l *lightLink) onStream(streamID uint16, data []byte, eof bool) {
-	for len(data) > 0 {
-		chunk := data[:min(len(data), cell.MaxRelayData)]
-		if l.sendBackward(cell.RelayHeader{StreamID: streamID, Cmd: cell.RelayData}, chunk) != nil {
-			l.teardown()
-			return
-		}
-		data = data[len(chunk):]
-	}
-	if eof {
-		l.streamEOF(streamID)
-	}
-}
+// writeNext sends a run toward the next hop. It reads next without mu:
+// attachNext stored it before the circuit published extended under mu,
+// and every caller has read extended there.
+func (c *circuit) writeNext(frames []byte) error { return c.next.WriteAsync(frames) }
 
-func (l *lightLink) writeClient(frames []byte, _ bool) error { return l.conn.WriteAsync(frames) }
-
-// writeNext reads next without mu: attachNext stored it before the circuit
-// published extended under mu, and every caller has read extended there.
-func (l *lightLink) writeNext(frames []byte, _ bool) error { return l.next.WriteAsync(frames) }
-
-// writeConn refuses a conn that cannot take a write without parking the
-// caller; on an event-driven simnet every conn can.
-func (l *lightLink) writeConn(conn net.Conn, p []byte) error {
-	lc, ok := conn.(simnet.LightConn)
-	if !ok {
-		return net.ErrClosed
-	}
-	return lc.WriteAsync(p)
-}
-
-func (l *lightLink) attachNext(next net.Conn) bool {
-	lc, ok := next.(simnet.LightConn)
-	l.mu.Lock()
-	ok = ok && !l.destroyed.Load()
+// attachNext makes next, whose CREATED has been read, the next-hop link:
+// from here on its cells reach onBackward and forward cells go to it as
+// nextID. False if the circuit is torn down (checked under mu, so
+// teardown either closes the link or prevents it).
+func (c *circuit) attachNext(next simnet.LightConn, nextID uint32) bool {
+	c.mu.Lock()
+	ok := !c.destroyed.Load()
 	if ok {
-		l.next = lc
+		c.next, c.extended, c.nextCircID = next, true, nextID
 	}
-	l.mu.Unlock()
+	c.mu.Unlock()
 	if ok {
-		lc.SetDeliverFunc(l.onBackward)
+		next.SetDeliverFunc(c.onBackward)
 	}
 	return ok
 }
 
 // attachStream installs the stream's callback, which flushes whatever the
 // destination has already sent (and its hang-up) as DATA and END.
-func (l *lightLink) attachStream(streamID uint16, remote net.Conn) {
-	lc, ok := remote.(simnet.LightConn)
-	if !ok {
-		l.streamEOF(streamID)
-		return
+func (c *circuit) attachStream(streamID uint16, remote simnet.LightConn) {
+	var deliver func(data []byte, eof bool)
+	deliver = func(data []byte, eof bool) {
+		if len(data) > 0 && c.sendBackwardBatch(streamID, data) != nil {
+			c.teardown()
+			return
+		}
+		if eof {
+			c.streamEOF(streamID)
+		} else if !c.destroyed.Load() && congested(c.conn) {
+			c.stall(remote, c.conn, deliver)
+		}
 	}
-	lc.SetDeliverFunc(func(data []byte, eof bool) { l.onStream(streamID, data, eof) })
+	remote.SetDeliverFunc(deliver)
 }
 
-// sever tears down at once: nothing is queued on this side of a
-// WriteAsync, so there is nothing to wait behind.
-func (l *lightLink) sever(bool) { l.teardown() }
+// bwBatchCells sizes the stream originate batch: as many cells as one
+// simnet chunk (32 KiB) carries, so one delivery from an exit destination
+// — itself at most a chunk — leaves as one or two runs, each sealed and
+// encrypted in one crypto pass and sent in one write. Smaller runs cost
+// every hop behind the exit one delivery each.
+const bwBatchCells = 32 << 10 / cell.Size
 
-func (l *lightLink) closeLinks() {
-	l.mu.Lock()
-	next := l.next
-	l.mu.Unlock()
-	if next != nil {
-		next.Close()
+// originBatch is sendBackwardBatch's scratch: contiguous frames, their
+// payload views, and the keystream scratch. It is pooled, not per
+// circuit: an exit circuit holds none between deliveries.
+type originBatch struct {
+	frames  [bwBatchCells * cell.Size]byte
+	views   [bwBatchCells][]byte
+	scratch otr.CryptScratch
+}
+
+var originBatches = sync.Pool{New: func() any { return new(originBatch) }}
+
+// sendBackwardBatch originates backward DATA cells for a stream from one
+// buffer, bwBatchCells at a time: pack the frames into the batch scratch,
+// fold the rolling digest over the run, generate one keystream for all of
+// it (byte-identical to per-cell sends), and write the run toward the
+// client in one WriteAsync. It is the one stream-origination path.
+func (c *circuit) sendBackwardBatch(streamID uint16, data []byte) error {
+	b := originBatches.Get().(*originBatch)
+	defer originBatches.Put(b)
+	c.bwMu.Lock()
+	defer c.bwMu.Unlock()
+	for len(data) > 0 {
+		n := 0
+		for ; len(data) > 0 && n < bwBatchCells; n++ {
+			chunk := data[:min(len(data), cell.MaxRelayData)]
+			frame := b.frames[n*cell.Size : (n+1)*cell.Size]
+			payload := cell.WirePayload(frame)
+			if err := cell.PackRelay(payload, cell.RelayHeader{StreamID: streamID, Cmd: cell.RelayData}, chunk); err != nil {
+				return err
+			}
+			cell.SetWireCircID(frame, c.circID)
+			cell.SetWireCmd(frame, cell.CmdRelay)
+			b.views[n] = payload
+			data = data[len(chunk):]
+		}
+		c.relay.m.originated.Add(int64(n))
+		c.layer.SealBackwardBatch(b.views[:n], cell.DigestOffset)
+		c.layer.ApplyBackwardBatch(b.views[:n], &b.scratch)
+		if err := c.conn.WriteAsync(b.frames[:n*cell.Size]); err != nil {
+			return err
+		}
 	}
-	l.relay.track(l.conn, false)
-	l.conn.Close()
+	return nil
 }

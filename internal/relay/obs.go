@@ -8,8 +8,8 @@ import (
 // Handles are fetched once in New (nil registry → nil handles → every
 // update is a no-op), and names are shared across all relays on one
 // network, so the counters aggregate relay-wide by construction.
-// Per-cell updates (fwd/bwd/recognized and the flush histogram) are
-// single atomic adds — the forwarding path stays allocation-free.
+// Per-cell updates (fwd/bwd/recognized) are single atomic adds — the
+// forwarding path stays allocation-free.
 type relayMetrics struct {
 	circCreated   *obs.Counter
 	circDestroyed *obs.Counter
@@ -33,11 +33,9 @@ type relayMetrics struct {
 
 	introsForwarded *obs.Counter
 	rendSplices     *obs.Counter
-	spilled         *obs.Counter // frames diverted to a circuit spill queue
+	stalls          *obs.Counter // feeds paused behind a congested egress
 
-	flush      *obs.Histogram // BatchWriter link-write sizes, in cells
-	batchCells *obs.Histogram // worker drain sizes, in cells
-	shardWait  *obs.Histogram // sharded-table lock acquisition wait, ns
+	shardWait *obs.Histogram // sharded-table lock acquisition wait, ns
 }
 
 func newRelayMetrics(reg *obs.Registry) relayMetrics {
@@ -56,9 +54,7 @@ func newRelayMetrics(reg *obs.Registry) relayMetrics {
 		streamsRefused:  reg.Counter("relay.streams_refused"),
 		introsForwarded: reg.Counter("relay.intros_forwarded"),
 		rendSplices:     reg.Counter("relay.rendezvous_splices"),
-		spilled:         reg.Counter("relay.cells_spilled"),
-		flush:           reg.Histogram("relay.flush_cells", obs.BatchBuckets),
-		batchCells:      reg.Histogram("relay.worker_batch_cells", obs.BatchBuckets),
+		stalls:          reg.Counter("relay.egress_stalls"),
 		// Shard-lock waits are typically well under a microsecond; the
 		// buckets run 100ns … ~100ms so real contention stands out.
 		shardWait: reg.Histogram("relay.shard_lock_wait_ns", obs.ExpBuckets(100, 4, 11)),

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -48,21 +47,15 @@ type Config struct {
 
 // Relay is one onion router.
 type Relay struct {
-	host    *simnet.Host
-	cfg     Config
-	idPub   ed25519.PublicKey
-	idPriv  ed25519.PrivateKey
-	onion   *otr.OnionKey
-	ln      net.Listener
-	closing chan struct{}
-	reg     *obs.Registry
-	m       relayMetrics
+	host   *simnet.Host
+	cfg    Config
+	idPub  ed25519.PublicKey
+	idPriv ed25519.PrivateKey
+	onion  *otr.OnionKey
+	ln     net.Listener
+	reg    *obs.Registry
+	m      relayMetrics
 
-	// fwd is the goroutine transport's worker pool; serveWG counts the
-	// accept loop plus every live link reader, so Close can stop the
-	// workers only after the last possible enqueuer is gone.
-	fwd        *forwarder
-	serveWG    sync.WaitGroup
 	circSerial atomic.Uint64
 
 	// Control-plane tables, all sharded — nothing here is on the
@@ -73,8 +66,10 @@ type Relay struct {
 	intros     *shardedTable[string, *circuit] // service ID -> intro circuit
 	hsdir      *shardedTable[string, []byte]   // service ID -> raw descriptor (HSDir duty)
 
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{} // live inbound links, for Crash
+	connMu  sync.Mutex
+	conns   map[net.Conn]struct{} // live inbound links, for Crash
+	hsdirLn net.Listener          // nil unless ServeHSDir ran; guarded by connMu
+	closed  bool                  // guarded by connMu
 }
 
 // initTables builds the relay's sharded control-plane tables, wiring
@@ -106,19 +101,16 @@ func New(host *simnet.Host, cfg Config) (*Relay, error) {
 	}
 	reg := host.Network().Obs()
 	r := &Relay{
-		host:    host,
-		cfg:     cfg,
-		reg:     reg,
-		m:       newRelayMetrics(reg),
-		idPub:   idPub,
-		idPriv:  idPriv,
-		onion:   onion,
-		ln:      ln,
-		closing: make(chan struct{}),
+		host:   host,
+		cfg:    cfg,
+		reg:    reg,
+		m:      newRelayMetrics(reg),
+		idPub:  idPub,
+		idPriv: idPriv,
+		onion:  onion,
+		ln:     ln,
 	}
 	r.initTables()
-	r.fwd = newForwarder(r, runtime.GOMAXPROCS(0))
-	r.serveWG.Add(1) // the accept loop itself; keeps worker shutdown behind it
 	go r.acceptLoop()
 	return r, nil
 }
@@ -155,23 +147,22 @@ func (r *Relay) Fingerprint() string {
 	return d.Fingerprint()
 }
 
-// Close shuts the relay down gracefully: no new connections; existing
-// circuits continue until their endpoints close them. The worker pool
-// stops in the background once the last link reader (the last possible
-// enqueuer) has exited.
+// Close shuts the relay down gracefully: no new connections, and the
+// HSDir listener closes too; existing circuits continue until their
+// endpoints close them.
 func (r *Relay) Close() error {
-	select {
-	case <-r.closing:
+	r.connMu.Lock()
+	if r.closed {
+		r.connMu.Unlock()
 		return nil
-	default:
 	}
-	close(r.closing)
-	err := r.ln.Close()
-	go func() {
-		r.serveWG.Wait()
-		r.fwd.stop()
-	}()
-	return err
+	r.closed = true
+	hsdir := r.hsdirLn
+	r.connMu.Unlock()
+	if hsdir != nil {
+		hsdir.Close()
+	}
+	return r.ln.Close()
 }
 
 // Crash simulates the relay's machine dying: the listener and every live
@@ -209,21 +200,11 @@ func (r *Relay) track(conn net.Conn, live bool) {
 }
 
 func (r *Relay) acceptLoop() {
-	defer r.serveWG.Done()
 	for {
 		conn, err := r.ln.Accept()
 		if err != nil {
 			return
 		}
-		// The transport follows from what the link is, not from a knob: on
-		// the event clock a simnet link is served by deliver callbacks, with
-		// no goroutine of its own (ingress.go); anything else gets a reader
-		// goroutine and the worker pool (datapath.go).
-		if lc, ok := conn.(simnet.LightConn); ok && r.host.Clock().EventDriven() {
-			r.serveLight(lc)
-			continue
-		}
-		r.serveWG.Add(1)
-		go r.serveConn(conn)
+		r.serve(conn.(simnet.LightConn)) // every simnet conn is one
 	}
 }

@@ -20,10 +20,13 @@ import (
 	"github.com/bento-nfv/bento/internal/wire"
 )
 
-// forEachTransport runs fn against both relay transports. Which one a
-// relay uses follows from its network's clock: on a wall-backed clock
-// links get reader goroutines and the worker pool, on the event clock
-// deliver callbacks. newNet makes a fresh network of the subtest's kind.
+// forEachTransport runs fn on both clocks: the relay serves its links
+// with deliver callbacks on either, but on a wall-backed clock they run
+// concurrently on timer goroutines and on the event clock serialized on
+// the dispatcher. newNet makes a fresh network of the subtest's kind. The
+// subtests keep the names they had when each clock had its own relay
+// transport: "goroutine" is the wall-backed clock, "light" the event
+// clock.
 func forEachTransport(t *testing.T, fn func(t *testing.T, newNet func() *simnet.Network)) {
 	on := func(clock *simnet.Clock) *simnet.Network {
 		n := simnet.NewNetwork(clock, time.Millisecond)
@@ -42,7 +45,7 @@ func forEachTransport(t *testing.T, fn func(t *testing.T, newNet func() *simnet.
 	})
 }
 
-// eventDriven reports whether the subtest's relays use the light transport.
+// eventDriven reports whether the subtest's network runs on the event clock.
 func eventDriven(n *simnet.Network) bool { return n.Clock().EventDriven() }
 
 // rig is a raw link to a relay, to drive it at the cell level.
@@ -54,14 +57,14 @@ type rig struct {
 	circ  uint32
 }
 
-// newRig creates a goroutine-transport relay and completes a CREATE
+// newRig creates a relay on a wall-backed clock and completes a CREATE
 // handshake with it.
 func newRig(t *testing.T, exitPol *policy.ExitPolicy) *rig {
 	t.Helper()
 	return newRigOn(t, simnet.NewNetwork(simnet.NewClock(0.001), time.Millisecond), exitPol)
 }
 
-// newRigOn is newRig on a given network, whose clock picks the transport.
+// newRigOn is newRig on a given network.
 func newRigOn(t *testing.T, n *simnet.Network, exitPol *policy.ExitPolicy) *rig {
 	t.Helper()
 	r, err := New(n.AddHost("relay0", 0), Config{
@@ -186,7 +189,7 @@ func echoOn(t *testing.T, h *simnet.Host) {
 }
 
 // The protocol table: what one relay answers to one client, the same on
-// both transports.
+// both clocks.
 
 func TestCreateAndExitStream(t *testing.T) {
 	forEachTransport(t, func(t *testing.T, newNet func() *simnet.Network) {

@@ -146,12 +146,14 @@ func (q *ChunkQueue) push(ch *chunk) {
 	q.n += len(ch.data)
 }
 
-// take empties the queue and hands its chunks to the caller, the first
-// off bytes of the first one already read.
-func (q *ChunkQueue) take() (chunks chunkList, off int) {
-	chunks, off = q.list, q.off
-	*q = ChunkQueue{}
-	return chunks, off
+// pop unlinks the head chunk and hands it to the caller, its first off
+// bytes already read. nil when the queue is empty.
+func (q *ChunkQueue) pop() (ch *chunk, off int) {
+	if ch, off = q.list.pop(), q.off; ch != nil {
+		q.n -= len(ch.data) - off
+		q.off = 0
+	}
+	return ch, off
 }
 
 // Read copies up to len(p) unread bytes into p and reports how many.

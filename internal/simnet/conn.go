@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"os"
@@ -43,31 +44,39 @@ type conn struct {
 
 	// Receive side. rx holds the very chunks the peer's Write filled: the
 	// bytes are copied once in (Write) and once out (Read).
-	rx            ChunkQueue
-	eof           bool // peer closed; EOF after buffer drains
-	hasRDeadline  bool
-	deliverFn     func(data []byte, eof bool)
-	readers       Cond          // on mu: data, EOF, close, or the read deadline
-	rDeadline     time.Duration // virtual instant
-	rdTimer       *VTimer
-	senderWaiting bool // peer's tx paused until our buffer drains
+	rx        ChunkQueue
+	deliverFn func(data []byte, eof bool)
+	readers   Cond          // on mu: data, EOF, close, or the read deadline
+	rDeadline time.Duration // virtual instant
+	rdTimer   *VTimer
 
 	// Transmit side (state machine). The queue holds pooled chunks, each
 	// stamped with its virtual delivery time; a Close queues an EOF marker
 	// behind the in-flight data.
-	txq          chunkList
-	txLen        int    // chunks queued, for the outQueueLen window
-	txFireFn     func() // c.txFire, bound once: arming must not allocate
-	txScheduled  bool   // a delivery timer for the head is armed
-	txStalled    bool   // head blocked on a partition; heal wake registered
-	txWaitDrain  bool   // paused until the peer's buffer drains
-	hasWDeadline bool
-	lastAt       time.Duration // monotone delivery stamp (FIFO head-of-line)
-	writers      Cond          // on mu: window space, close, or the write deadline
-	wDeadline    time.Duration // virtual instant
-	wdTimer      *VTimer
+	txq       chunkList
+	txLen     int           // chunks queued, for the outQueueLen window
+	txBytes   int           // data bytes queued: the Backlog
+	txFireFn  func()        // c.txFire, bound once: arming must not allocate
+	drainFn   func()        // OnDrain's callbacks, run once txBytes <= drainAt
+	lastAt    time.Duration // monotone delivery stamp (FIFO head-of-line)
+	writers   Cond          // on mu: window space, close, or the write deadline
+	wDeadline time.Duration // virtual instant
+	wdTimer   *VTimer
 
-	closed bool
+	// deliverSeq counts SetDeliverFunc calls, so a flush learns that a
+	// later call (its own callback pausing the conn) took over.
+	deliverSeq uint32
+	drainAt    int32 // the backlog at or below which drainFn runs
+
+	// The flags, packed into one word.
+	eof           bool // peer closed; EOF after buffer drains
+	hasRDeadline  bool
+	senderWaiting bool // peer's tx paused until our buffer drains
+	txScheduled   bool // a delivery timer for the head is armed
+	txStalled     bool // head blocked on a partition; heal wake registered
+	txWaitDrain   bool // paused until the peer's buffer drains
+	hasWDeadline  bool
+	closed        bool
 }
 
 // LightConn is the event-native face of a simnet connection: endpoints
@@ -83,14 +92,28 @@ type LightConn interface {
 	// pooled chunk lent for the duration of the call: fn may modify it in
 	// place but must copy whatever it keeps, because the chunk is recycled
 	// the moment fn returns. Any bytes already buffered are handed to fn
-	// immediately, chunk by chunk. fn(nil, true) reports the peer's close
-	// or a sever of this endpoint. A nil fn restores buffered reads.
+	// immediately, chunk by chunk, unless fn itself sets another callback
+	// (nil: pause) on the way; the rest then stays buffered. fn(nil, true)
+	// reports the peer's close or a sever of this endpoint. A nil fn
+	// restores buffered reads: what arrives queues, and once the buffer
+	// is full the peer's transmit side pauses (flow control).
 	SetDeliverFunc(fn func(data []byte, eof bool))
 	// WriteAsync queues p for delivery without ever blocking the caller:
 	// egress pacing is folded into the delivery timestamp (a bucket
 	// reservation) rather than waited out. Safe to call from a deliver
 	// callback.
 	WriteAsync(p []byte) error
+	// Backlog reports the bytes written to the conn that have not yet
+	// left it for the peer: in flight, paced, or held back by the peer's
+	// full buffer.
+	Backlog() int
+	// OnDrain runs fn once, in timer/dispatcher context, when the
+	// backlog has fallen to half of what it is at the call or below (a
+	// low-water mark, so the conn still has bytes to send while fn
+	// refills it); soon, if it is empty now. fn must not block. Several
+	// pending callbacks all run, once the highest of their marks is
+	// reached.
+	OnDrain(fn func())
 }
 
 // newConnPair builds both endpoints. No goroutines are started; traffic
@@ -138,6 +161,7 @@ func (c *conn) enqueueLocked(ch *chunk, at time.Duration) {
 	ch.at = at
 	c.txq.push(ch)
 	c.txLen++
+	c.txBytes += len(ch.data)
 	if !c.txScheduled && !c.txStalled && !c.txWaitDrain {
 		c.armTxLocked()
 	}
@@ -190,6 +214,13 @@ func (c *conn) txFire() {
 		}
 		c.txq.pop()
 		c.txLen--
+		c.txBytes -= len(head.data)
+		if c.drainFn != nil && c.txBytes <= int(c.drainAt) {
+			// From a timer of its own: on a wall-backed clock the conn goes
+			// on delivering while the callback refills it.
+			c.clock.AfterFunc(0, c.drainFn)
+			c.drainFn = nil
+		}
 		c.writers.Broadcast()
 		c.mu.Unlock()
 
@@ -282,28 +313,31 @@ func (c *conn) deliverEOF() {
 // SetDeliverFunc implements LightConn. Buffered chunks are flushed
 // before fn is installed, so a delivery racing the call queues behind
 // them instead of overtaking them, and an EOF that arrived while the
-// conn still had no callback is handed over too.
+// conn still had no callback is handed over too. A SetDeliverFunc made
+// by fn during the flush (or racing it) supersedes this one: the flush
+// stops, and what it had not handed over stays buffered.
 func (c *conn) SetDeliverFunc(fn func(data []byte, eof bool)) {
 	c.mu.Lock()
-	if fn == nil {
-		c.deliverFn = nil
+	c.deliverFn = nil
+	c.deliverSeq++
+	seq := c.deliverSeq
+	for fn != nil && c.rx.Len() > 0 {
+		ch, off := c.rx.pop()
 		c.mu.Unlock()
-		return
-	}
-	for c.rx.Len() > 0 {
-		pending, off := c.rx.take()
-		c.mu.Unlock()
-		for ch := pending.pop(); ch != nil; ch = pending.pop() {
-			fn(ch.data[off:], false)
-			off = 0
-			putChunk(ch)
-		}
+		fn(ch.data[off:], false)
+		putChunk(ch)
 		c.mu.Lock()
+		if c.deliverSeq != seq {
+			c.mu.Unlock()
+			return
+		}
 	}
 	c.deliverFn = fn
-	eof := c.eof && !c.closed
-	resume := c.senderWaiting
-	c.senderWaiting = false
+	eof := fn != nil && c.eof && !c.closed
+	resume := c.senderWaiting && (fn != nil || c.rx.Len() <= readBufMax)
+	if resume {
+		c.senderWaiting = false
+	}
 	c.mu.Unlock()
 	if eof {
 		fn(nil, true)
@@ -313,15 +347,30 @@ func (c *conn) SetDeliverFunc(fn func(data []byte, eof bool)) {
 	}
 }
 
-// Buffered reports how many delivered bytes a Read would return without
-// blocking. A link reader uses it to take a whole burst of cells per
-// wake-up instead of one (cell.ReadRun); it is a snapshot, so more may
-// arrive before the Read.
-func (c *conn) Buffered() int {
+// Backlog implements LightConn.
+func (c *conn) Backlog() int {
 	c.mu.Lock()
-	n := c.rx.Len()
-	c.mu.Unlock()
-	return n
+	defer c.mu.Unlock()
+	return c.txBytes
+}
+
+// OnDrain implements LightConn. A second callback pending at once is
+// chained behind the first (the one allocation, on a rare path).
+func (c *conn) OnDrain(fn func()) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.txBytes == 0 {
+		c.clock.AfterFunc(0, fn)
+		return
+	}
+	at := int32(min(c.txBytes/2, math.MaxInt32))
+	if prev := c.drainFn; prev != nil {
+		c.drainFn = func() { prev(); fn() }
+		at = max(at, c.drainAt)
+	} else {
+		c.drainFn = fn
+	}
+	c.drainAt = at
 }
 
 // Read implements net.Conn.

@@ -46,21 +46,23 @@ want() {
 }
 # A sync wait blocks where the event core cannot see it. Allowed: the
 # event core's dispatcher, which the other waits park against, and the
-# relay helper's space cond, which only goLink (never on the event core)
-# waits on.
+# driver of relay.RunParallelForwardBench, which runs outside any
+# simulation (benchmark/'s probe).
 want "sync.Cond/WaitGroup sites" 'sync\.(NewCond|Cond|WaitGroup)\b' "internal/simnet internal/torclient internal/fleet
-    internal/bento internal/hs internal/stemfw internal/sandbox internal/relay/circuit.go" \
-    "internal/relay/circuit.go:1 internal/simnet/sched.go:2"
+    internal/bento internal/hs internal/stemfw internal/sandbox internal/relay" \
+    "internal/relay/bench.go:1 internal/simnet/sched.go:2"
 # Parkers come from Cond.Wait and Sleep only: no hand-written waiter lists.
 want "parker sites" 'newParker\(' internal/simnet \
     "internal/simnet/clock.go:1 internal/simnet/cond.go:1 internal/simnet/sched.go:1"
-# torclient and the fleet wait on no channel.
-want "channel sites" '\bchan\b' "internal/torclient internal/fleet" ""
+# torclient, the relay and the fleet wait on no channel.
+want "channel sites" '\bchan\b' "internal/torclient internal/relay internal/fleet" ""
 # A client circuit reads its guard link in a deliver callback and writes it
 # directly (DESIGN.md §13.3): torclient starts goroutines only through
 # Clock.Go and has no link writer of its own.
 want "go statements" '^[[:space:]]*go[[:space:]]' internal/torclient ""
-want "BatchWriter uses" 'BatchWriter' internal/torclient ""
+# A relay link is served by deliver callbacks and written with WriteAsync
+# on both clocks (DESIGN.md §13.1): no link writer of its own either.
+want "BatchWriter uses" 'BatchWriter' "internal/torclient internal/relay" ""
 
 stage "one engine in the shipped binary (the tree oracle must link only into internal/interp's tests)"
 # The walker lives in internal/interp/oracle_test.go. If any of its entry
@@ -103,14 +105,13 @@ stage "bench smoke (all benchmarks, 1 iteration)"
 go test -run='^$' -bench=. -benchtime=1x ./...
 
 stage "relay datapath stress under race (circuit teardown vs in-flight forwarding; burst ordering," \
-    "spill bounds in cells, idle circuits hold no burst, run datapath vs per-cell reference on both" \
-    "transports; owned HS registrations, bounded helper backlog, sibling not stalled by a silent next hop)"
-go test -race -count=1 -run='TestTeardownForwardStress|TestSpill|TestBurst|TestExtendThenCellsInOneBurst|TestIdleCircuitHoldsNoBurst|TestHSRegistrationsOwned|TestHelperBacklogBounded|TestSiblingNotStalledBySilentNextHop|TestTransportFollowsClock|TestRendezvousSplice|TestConnectedPrecedesDataAndEnd' ./internal/relay/
+    "the hop-level egress bound, idle circuits hold no burst, run datapath vs per-cell reference on both" \
+    "clocks; owned HS registrations, bounded helper backlog, sibling not stalled by a silent next hop)"
+go test -race -count=1 -run='TestTeardownForwardStress|TestBound|TestBurst|TestExtendThenCellsInOneBurst|TestIdleCircuitHoldsNoBurst|TestHSRegistrationsOwned|TestHelperBacklogBounded|TestSiblingNotStalledBySilentNextHop|TestTransportFollowsClock|TestRendezvousSplice|TestConnectedPrecedesDataAndEnd' ./internal/relay/
 go test -race -count=1 -run='TestRun|TestTap|TestIdleCircuitHoldsNoGoroutines|TestDeliveryPassesParkedWriter' ./internal/torclient/
 
 stage "telemetry regression smoke (instrumented hot path and live sampler must not allocate)"
-go test -count=1 -run='TestMiddleHopForwardAllocFree|TestBatchedForwardAllocFree|TestCircuitSizeofPinned|TestSpillQueueRetainsNothing|TestIdleCircuitHoldsNoBurst|TestBurst' ./internal/relay/
-go test -count=1 -run='TestReadRunAllocFree' ./internal/cell/
+go test -count=1 -run='TestMiddleHopForwardAllocFree|TestCircuitSizeofPinned|TestIdleCircuitHoldsNoBurst|TestBurst' ./internal/relay/
 go test -count=1 -run='TestHotPathAllocFree|TestWindowerSampleAllocFree' ./internal/obs/
 go test -count=1 -run='TestConnWriteReadAllocFree|TestConnWriteAsyncDeliverAllocFree|TestConnSizeofPinned' ./internal/simnet/
 
@@ -122,11 +123,11 @@ go run -tags simnet_poison ./cmd/benchharness -exp scale -scaleout /dev/null -ma
 stage "zlib codec reuse under race (functions is not in the package race list above)"
 go test -race -count=1 -run='TestZlibReused' ./internal/functions/
 
-stage "multi-core alloc smoke (worker batched forward path at GOMAXPROCS=4)"
+stage "multi-core alloc smoke (middle-hop forward path at GOMAXPROCS=4)"
 # AllocsPerRun pins GOMAXPROCS to 1 during the measured section; running
-# the test under GOMAXPROCS=4 still exercises setup/teardown and the
-# batch-writer flusher with real parallelism around it.
-GOMAXPROCS=4 go test -count=1 -run='TestBatchedForwardAllocFree' ./internal/relay/
+# the test under GOMAXPROCS=4 still exercises setup and the registry's
+# per-cell counters with real parallelism around it.
+GOMAXPROCS=4 go test -count=1 -run='TestMiddleHopForwardAllocFree' ./internal/relay/
 
 stage "interpreter regression smoke (VM loop must not allocate per iteration)"
 go test -count=1 -run='TestVMLoopAllocFree' ./internal/interp/
