@@ -11,6 +11,7 @@ import (
 	"github.com/bento-nfv/bento/internal/obs"
 	"github.com/bento-nfv/bento/internal/policy"
 	"github.com/bento-nfv/bento/internal/simnet"
+	"github.com/bento-nfv/bento/internal/stackscan"
 	"github.com/bento-nfv/bento/internal/torclient"
 )
 
@@ -145,7 +146,8 @@ func TestAutoscalerEvaluatesOnTheTick(t *testing.T) {
 
 // TestCloseStopsTheLoop: the reconcile loop is the controller's one
 // goroutine while nothing is placed, and Close returns only once it has
-// exited, so the goroutine count is back where it was before New.
+// exited, so no goroutine runs fleet code after it and the goroutine
+// count is no higher than before New.
 func TestCloseStopsTheLoop(t *testing.T) {
 	clock := simnet.NewEventClock()
 	defer clock.Stop()
@@ -171,12 +173,17 @@ func TestCloseStopsTheLoop(t *testing.T) {
 		t.Fatal("Close returned before the loop exited")
 	}
 	// The loop's last steps after it reports (unlock, broadcast, return)
-	// may still be on their way out.
-	after := runtime.NumGoroutine()
-	for deadline := time.Now().Add(time.Second); after > before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
+	// may still be on their way out. A goroutine of another package that
+	// predates New may exit meanwhile, so the count may fall, never rise.
+	inFleet, after := len(stackscan.In("/internal/fleet/")), runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); (inFleet > 0 || after > before) && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
+		inFleet, after = len(stackscan.In("/internal/fleet/")), runtime.NumGoroutine()
 	}
-	if after != before {
+	if inFleet > 0 {
+		t.Fatalf("%d goroutines still run fleet code after Close", inFleet)
+	}
+	if after > before {
 		t.Fatalf("goroutines %d before New, %d after Close", before, after)
 	}
 }

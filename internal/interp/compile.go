@@ -2,6 +2,7 @@ package interp
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -138,91 +139,155 @@ func (c *compiler) finish() {
 			c.p.code[i].refund = 0
 		}
 	}
-	c.p.code = peephole(c.p.code)
+	c.p.code = peephole(c.p.code, c.p.consts)
 	c.p.maxStack = computeMaxStack(c.p.code)
 }
 
+// branches reports whether op carries a jump target in a.
+func branches(op uint8) bool {
+	switch op {
+	case opJump, opJumpIfFalse, opAndJump, opOrJump, opIterNext, opTryPush,
+		opCmpJump, opCmpConstJump, opCmpLocalJump,
+		opLocalCmpLocalJump, opLocalCmpImmJump:
+		return true
+	}
+	return false
+}
+
+// isCmp reports whether a binop code is a comparison: on two ints it
+// cannot fail, so a fused compare-branch can branch on it directly.
+// Other binops feeding a branch stay a binop and a jump.
+func isCmp(bop uint8) bool { return bop >= bopEq && bop <= bopGe }
+
 // peephole fuses hot adjacent instruction sequences into
-// superinstructions, then remaps every jump target. Fusion preserves the
-// budget-refund contract because it only merges sequences whose
-// error-capable members carry the same refund (adjacent instructions with
-// no charge() between them), and it never crosses a jump target.
-func peephole(code []instr) []instr {
+// superinstructions, then remaps every jump target. Fusion never crosses a
+// jump target, and it preserves the budget-refund contract: the members
+// that can raise an error share one source line, and each raises its
+// error with the refund it had unfused. Members emitted with no charge()
+// between them share a refund; a load or check emitted before the rhs
+// operand's charge refunds that many more (extra), on its own error path.
+// An Int constant that fits in int32 is carried inline as an immediate,
+// except by opCmpConstJump, whose int path already skips the Bool.
+func peephole(code []instr, consts []Value) []instr {
 	isTarget := make([]bool, len(code)+1)
 	for _, in := range code {
-		switch in.op {
-		case opJump, opJumpIfFalse, opAndJump, opOrJump, opIterNext, opTryPush:
+		if branches(in.op) {
 			isTarget[in.a] = true
 		}
 	}
-	free := func(i int) bool { return i < len(code) && !isTarget[i] }
+	// at reports whether code[i] is op and may be fused into what
+	// precedes it.
+	at := func(i int, op uint8) bool { return i < len(code) && !isTarget[i] && code[i].op == op }
+	imm := func(k instr) (int32, bool) {
+		x, ok := consts[k.a].(Int)
+		return int32(x), ok && int64(int32(x)) == int64(x)
+	}
+	cmpJump := func(i int) bool { return at(i, opBinop) && isCmp(code[i].bop) && at(i+1, opJumpIfFalse) }
+	// extra is the refund that an lhs load or check has beyond the
+	// member that fixes the fused instruction's refund.
+	extra := func(lhs, b instr) (uint8, bool) {
+		d := lhs.refund - b.refund
+		return uint8(d), lhs.line == b.line && d >= 0 && d <= math.MaxUint8
+	}
+	// sameErr reports whether two error-capable members share line and refund.
+	sameErr := func(x, y instr) bool { return x.line == y.line && x.refund == y.refund }
+	// inc fuses opCheckLocal chk, constant k and opAppendLocal app on
+	// one slot.
+	inc := func(chk, k, app instr) (instr, bool) {
+		d, ok := extra(chk, app)
+		f := instr{op: opIncLocalConst, extra: d, a: app.a, c: k.a, line: app.line, refund: app.refund}
+		if v, isImm := imm(k); isImm {
+			f.op, f.c = opIncLocalImm, v
+		}
+		return f, ok && chk.a == app.a
+	}
+
+	// fuse returns the instruction that replaces code[i:i+n], and n.
+	fuse := func(i int) (instr, int) {
+		in := code[i]
+		switch in.op {
+		case opConst:
+			// x += const: const, check, append.
+			if at(i+1, opCheckLocal) && at(i+2, opAppendLocal) {
+				if f, ok := inc(code[i+1], in, code[i+2]); ok {
+					return f, 3
+				}
+			}
+			// lhs ? const, optionally followed by a conditional branch.
+			if at(i+1, opBinop) {
+				b := code[i+1]
+				if cmpJump(i + 1) {
+					return instr{op: opCmpConstJump, bop: b.bop, a: code[i+2].a, c: in.a, line: b.line, refund: b.refund}, 3
+				}
+				f := instr{op: opBinopConst, bop: b.bop, c: in.a, line: b.line, refund: b.refund}
+				if v, isImm := imm(in); isImm {
+					f.op, f.c = opBinopImm, v
+				}
+				return f, 2
+			}
+		case opCheckLocal:
+			// x = x + const: check, const, append.
+			if at(i+1, opConst) && at(i+2, opAppendLocal) {
+				if f, ok := inc(in, code[i+1], code[i+2]); ok {
+					return f, 3
+				}
+			}
+		case opLoadLocal:
+			// local ? local feeding a branch: the `while i < n` head.
+			if at(i+1, opLoadLocal) && cmpJump(i+2) {
+				r, b := code[i+1], code[i+2]
+				if d, ok := extra(in, b); ok && sameErr(r, b) {
+					return instr{op: opLocalCmpLocalJump, bop: b.bop, extra: d, a: code[i+3].a,
+						b: in.a, c: r.a, line: b.line, refund: b.refund}, 4
+				}
+			}
+			// local ? imm, optionally followed by a conditional branch.
+			if at(i+1, opConst) && at(i+2, opBinop) {
+				b := code[i+2]
+				v, isImm := imm(code[i+1])
+				if d, ok := extra(in, b); ok && isImm {
+					if cmpJump(i + 2) {
+						return instr{op: opLocalCmpImmJump, bop: b.bop, extra: d, a: code[i+3].a,
+							b: in.a, c: v, line: b.line, refund: b.refund}, 4
+					}
+					return instr{op: opLocalBinopImm, bop: b.bop, extra: d, b: in.a, c: v,
+						line: b.line, refund: b.refund}, 3
+				}
+			}
+			// lhs ? local, optionally followed by a conditional branch.
+			if at(i+1, opBinop) && sameErr(in, code[i+1]) {
+				b := code[i+1]
+				if cmpJump(i + 1) {
+					return instr{op: opCmpLocalJump, bop: b.bop, a: code[i+2].a, c: in.a,
+						line: b.line, refund: b.refund}, 3
+				}
+				return instr{op: opBinopLocal, bop: b.bop, c: in.a, line: b.line, refund: b.refund}, 2
+			}
+		case opBinop:
+			// Stack-stack binop feeding a branch or a slot store.
+			if isCmp(in.bop) && at(i+1, opJumpIfFalse) {
+				return instr{op: opCmpJump, bop: in.bop, a: code[i+1].a, line: in.line, refund: in.refund}, 2
+			}
+			if at(i+1, opStoreLocal) {
+				return instr{op: opBinopStore, bop: in.bop, a: code[i+1].a, line: in.line, refund: in.refund}, 2
+			}
+		}
+		return in, 1
+	}
 
 	out := make([]instr, 0, len(code))
 	newPC := make([]int, len(code)+1)
 	for i := 0; i < len(code); {
-		newPC[i] = len(out)
-		in := code[i]
-		switch {
-		// x += const / x = x + const on a slot: const, check, append.
-		case in.op == opConst && free(i+1) && free(i+2) &&
-			code[i+1].op == opCheckLocal && code[i+2].op == opAppendLocal &&
-			code[i+1].a == code[i+2].a && code[i+1].line == code[i+2].line:
-			app := code[i+2]
-			out = append(out, instr{op: opIncLocalConst, a: app.a, b: in.a,
-				line: app.line, refund: app.refund})
-			newPC[i+1], newPC[i+2] = len(out)-1, len(out)-1
-			i += 3
-		// lhs ? const, optionally followed by a conditional branch.
-		case in.op == opConst && free(i+1) && code[i+1].op == opBinop:
-			b := code[i+1]
-			if free(i+2) && code[i+2].op == opJumpIfFalse {
-				out = append(out, instr{op: opCmpConstJump, a: code[i+2].a, b: b.a,
-					c: in.a, line: b.line, refund: b.refund})
-				newPC[i+1], newPC[i+2] = len(out)-1, len(out)-1
-				i += 3
-			} else {
-				out = append(out, instr{op: opBinopConst, a: in.a, b: b.a,
-					line: b.line, refund: b.refund})
-				newPC[i+1] = len(out) - 1
-				i += 2
-			}
-		// lhs ? local, optionally followed by a conditional branch. The
-		// load's name error and the binop's error share line and refund.
-		case in.op == opLoadLocal && free(i+1) && code[i+1].op == opBinop &&
-			in.line == code[i+1].line:
-			b := code[i+1]
-			if free(i+2) && code[i+2].op == opJumpIfFalse {
-				out = append(out, instr{op: opCmpLocalJump, a: code[i+2].a, b: b.a,
-					c: in.a, line: b.line, refund: b.refund})
-				newPC[i+1], newPC[i+2] = len(out)-1, len(out)-1
-				i += 3
-			} else {
-				out = append(out, instr{op: opBinopLocal, a: in.a, b: b.a,
-					line: b.line, refund: b.refund})
-				newPC[i+1] = len(out) - 1
-				i += 2
-			}
-		// Stack-stack binop feeding a branch or a slot store.
-		case in.op == opBinop && free(i+1) && code[i+1].op == opJumpIfFalse:
-			out = append(out, instr{op: opCmpJump, a: code[i+1].a, b: in.a,
-				line: in.line, refund: in.refund})
-			newPC[i+1] = len(out) - 1
-			i += 2
-		case in.op == opBinop && free(i+1) && code[i+1].op == opStoreLocal:
-			out = append(out, instr{op: opBinopStore, a: code[i+1].a, b: in.a,
-				line: in.line, refund: in.refund})
-			newPC[i+1] = len(out) - 1
-			i += 2
-		default:
-			out = append(out, in)
-			i++
+		f, n := fuse(i)
+		out = append(out, f)
+		for k := 0; k < n; k++ {
+			newPC[i+k] = len(out) - 1
 		}
+		i += n
 	}
 	newPC[len(code)] = len(out)
 	for i := range out {
-		switch out[i].op {
-		case opJump, opJumpIfFalse, opAndJump, opOrJump, opIterNext, opTryPush,
-			opCmpJump, opCmpConstJump, opCmpLocalJump:
+		if branches(out[i].op) {
 			out[i].a = int32(newPC[out[i].a])
 		}
 	}
@@ -481,7 +546,7 @@ func (c *compiler) assign(st *assignStmt) error {
 		c.charge(t.line)
 		c.loadName(t.name, t.line)
 		c.emit(instr{op: opSwap})
-		c.emit(instr{op: opBinop, a: binopCodes[st.op[:1]], line: int32(st.line)})
+		c.emit(instr{op: opBinop, bop: binopCodes[st.op[:1]], line: int32(st.line)})
 		c.storeName(t.name, st.line)
 		return nil
 	case *indexExpr:
@@ -500,7 +565,7 @@ func (c *compiler) assign(st *assignStmt) error {
 			}
 			c.emit(instr{op: opIndex, line: int32(t.line)})
 			c.emit(instr{op: opSwap})
-			c.emit(instr{op: opBinop, a: binopCodes[st.op[:1]], line: int32(st.line)})
+			c.emit(instr{op: opBinop, bop: binopCodes[st.op[:1]], line: int32(st.line)})
 		}
 		if err := c.expr(t.base); err != nil {
 			return err
@@ -626,7 +691,7 @@ func (c *compiler) expr(e expr) error {
 		if !ok {
 			return fmt.Errorf("bscript: cannot compile operator %q at line %d", ex.op, ex.line)
 		}
-		c.emit(instr{op: opBinop, a: code, line: int32(ex.line)})
+		c.emit(instr{op: opBinop, bop: code, line: int32(ex.line)})
 		return nil
 	case *indexExpr:
 		if err := c.expr(ex.base); err != nil {
@@ -920,6 +985,9 @@ func computeMaxStack(code []instr) int {
 		case opCmpConstJump, opCmpLocalJump:
 			push(int(in.a), d-1)
 			push(s.pc+1, d-1)
+		case opLocalCmpLocalJump, opLocalCmpImmJump:
+			push(int(in.a), d)
+			push(s.pc+1, d)
 		case opAndJump, opOrJump:
 			push(int(in.a), d)
 			push(s.pc+1, d-1)
@@ -940,7 +1008,7 @@ func computeMaxStack(code []instr) int {
 
 func instrEffect(in instr) int {
 	switch in.op {
-	case opConst, opLoadGlobal, opLoadLocal, opLoadCell:
+	case opConst, opLoadGlobal, opLoadLocal, opLoadCell, opLocalBinopImm:
 		return 1
 	case opStoreGlobal, opStoreLocal, opStoreCell, opAppendLocal, opPop, opBinop, opIndex, opJumpIfFalse:
 		return -1
@@ -968,8 +1036,8 @@ func instrEffect(in instr) int {
 	default:
 		// opCharge, opDefGlobal, opDefCell, opCheckLocal, opCheckSlice,
 		// opNot, opNeg, opSwap, opIterNew, opTryPop, opAttr, and the
-		// stack-neutral superinstructions opBinopConst, opBinopLocal,
-		// opIncLocalConst
+		// stack-neutral superinstructions opBinopConst, opBinopImm,
+		// opBinopLocal, opIncLocalConst, opIncLocalImm
 		return 0
 	}
 }

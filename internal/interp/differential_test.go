@@ -780,6 +780,193 @@ while i < 40:
 	{"stray-break", "print(1)\nbreak\nprint(2)\n", Limits{}},
 	{"stray-break-then-expr", "break\n0\n", Limits{}},
 	{"stray-continue-in-def-in-loop", "while True:\n    def f():\n        continue\n    break\n", Limits{}},
+	// Every superinstruction's int fast path (peephole), with immediates
+	// at the int32 edge and constants past it, which stay in the pool.
+	{"fused-int-forms", `
+def forms(n, m):
+    acc = 0
+    i = 0
+    while i < n:
+        acc = acc + i * 3 % 7 - (i % 2)
+        if acc > 40:
+            acc = acc - 40
+        if acc * 2 < m:
+            acc += 1
+        if (acc + i) % 5 == 0:
+            acc = acc + 2147483647 - 2147483647
+        if acc + i > i + acc:
+            acc = 0
+        acc = acc + 3000000000 - 3000000000
+        if acc == 3000000000:
+            acc = 1
+        acc += i
+        i = i + 1
+    big = 0
+    big = big + 3000000000
+    big += -2147483648
+    return [acc, big, n // 3, n % 4, i < m, i * 2 >= m]
+
+r = forms(25, 30)
+`, Limits{}},
+	// The same forms on operands that are not ints: the boxed slow paths,
+	// an immediate boxed as the Int it was compiled from, and a slot never
+	// assigned in the frame read through the global table.
+	{"fused-slow-paths", `
+cnt = 1
+def slow(s, t):
+    out = []
+    out.append(s * 2)
+    out.append((s + t) * 2)
+    if s < t:
+        out.append("lt")
+    if s + t == "abcd":
+        out.append("eq")
+    if s == t:
+        out.append("same")
+    if s + t < t:
+        out.append("lt2")
+    if s + "x" > t + "y":
+        out.append("gt")
+    u = s
+    u = u + "!"
+    u += "?"
+    out.append(u)
+    if cnt < 5:
+        out.append(cnt * 10)
+    cnt = cnt + 1
+    return out
+
+r = slow("ab", "cd")
+q = slow("cd", "ab")
+`, Limits{}},
+	// Binops that are not comparisons feeding a branch, which stay a binop
+	// and a jump beside the fused compare-branches: arithmetic on ints (a
+	// product wrapping to 0 included), `in`, and non-int operands.
+	{"fused-cond-binops", `
+def conds(a, b, s, t, d):
+    out = []
+    if a - b:
+        out.append(1)
+    if a * b:
+        out.append(2)
+    if a + b:
+        out.append(3)
+    if a - 3:
+        out.append(4)
+    if a * 0:
+        out.append(5)
+    if a * 4294967296:
+        out.append(6)
+    if (a + 1) * (b + 1):
+        out.append(7)
+    if (a + b) - 6:
+        out.append(8)
+    if (a * 4294967296) * 3000000000:
+        out.append(9)
+    if (a + 0) - b:
+        out.append(10)
+    if a in d:
+        out.append(11)
+    if (a + 1) in d:
+        out.append(12)
+    if s + t:
+        out.append(13)
+    if s * 0:
+        out.append(14)
+    if (s + t) + "":
+        out.append(15)
+    if a % 2:
+        out.append(16)
+    if (a + b) // 7:
+        out.append(17)
+    i = 0
+    while a - i:
+        i += 1
+    out.append(i)
+    return out
+
+r = [conds(3, 3, "a", "b", {3: 1}), conds(4294967296, 2, "", "", {5: 1}), conds(-5, 11, "", "x", {})]
+`, Limits{}},
+	// Each fused form's errors, caught, so that the counters after every
+	// refund are compared too: a fused lhs load's or check's name error
+	// refunds its extra charge, the rhs's does not.
+	{"fused-error-refunds", `
+def refunds():
+    hits = []
+    try:
+        y = y + 1
+    except as e:
+        hits.append(e)
+    try:
+        z += 1
+    except as e:
+        hits.append(e)
+    try:
+        w = w + "x"
+    except as e:
+        hits.append(e)
+    try:
+        if k < 3:
+            k = 0
+    except as e:
+        hits.append(e)
+    try:
+        while a < b:
+            a = 0
+    except as e:
+        hits.append(e)
+    b = 1
+    try:
+        while b < a:
+            pass
+    except as e:
+        hits.append(e)
+    try:
+        q = v * 2
+        v = 0
+    except as e:
+        hits.append(e)
+    v = 7
+    try:
+        q = v % 0
+    except as e:
+        hits.append(e)
+    try:
+        q = v // 0
+    except as e:
+        hits.append(e)
+    try:
+        q = (v + 1) % 0
+    except as e:
+        hits.append(e)
+    try:
+        q = "s" - 1
+    except as e:
+        hits.append(e)
+    try:
+        if "s" < 1:
+            pass
+    except as e:
+        hits.append(e)
+    s = "s"
+    try:
+        if s < 1:
+            pass
+    except as e:
+        hits.append(e)
+    try:
+        if s < v:
+            pass
+    except as e:
+        hits.append(e)
+    try:
+        s += 1
+    except as e:
+        hits.append(e)
+    return hits
+
+r = refunds()
+`, Limits{}},
 }
 
 // runtimeErrorPrograms are short programs whose run-time failure — a
@@ -818,6 +1005,20 @@ obj.missing()`,
 	`s = "x" * 200000000`,
 	`a = "x" * 9000000
 b = "y" * 9000000`,
+	// The fused forms' errors, uncaught (peephole's immediates, local
+	// branches and carried refunds).
+	`x = "s" - 1`,
+	`x = 5
+y = x % 0`,
+	"def f(x):\n    return x % 0\nf(5)",
+	"def f(x):\n    return x // 0\nf(5)",
+	"def f():\n    y = y + 1\nf()",
+	"def f():\n    while i < 3:\n        i = 0\nf()",
+	"def f(s):\n    if s < 3:\n        return 1\nf(\"a\")",
+	"def f(a, b):\n    if a < b:\n        return 1\nf(\"a\", 2)",
+	"def f(a):\n    if a - \"s\":\n        return 1\nf(1)",
+	"def f():\n    if q + 1:\n        return 1\nf()",
+	"def f(a):\n    if a in 5:\n        return 1\nf(1)",
 }
 
 func TestEngineParityCorpus(t *testing.T) {
@@ -857,6 +1058,32 @@ def noisy(n):
     return s
 
 print("len", len(noisy(6)))
+`,
+		// The benchmark's loop shapes: every cutoff inside the fused
+		// compare-branches, immediates and increments.
+		"compute": `
+def compute(n):
+    total = 0
+    i = 0
+    while i < n:
+        total = total + i * 3 % 7 - (i % 2)
+        if total > 10:
+            total = 0
+        i += 1
+    return total
+
+print("compute", compute(8))
+`,
+		"build": `
+def build(n):
+    s = ""
+    i = 0
+    while i < n:
+        s = s + "ab"
+        i = i + 1
+    return s
+
+print("build", build(12))
 `,
 		"closure": `
 def noisy(n):

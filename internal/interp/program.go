@@ -10,9 +10,9 @@ package interp
 // Bento server key compiled programs by source hash and reuse them across
 // re-uploads and watchdog respawns.
 
-// Opcodes. Operands a/b are opcode-specific; line is the source line used
-// for errors; refund is the number of batched budget charges that had not
-// yet been "earned" when this instruction runs (see compile.go).
+// Opcodes. Operands a/b/c are opcode-specific; line is the source line
+// used for errors; refund is the number of batched budget charges that had
+// not yet been "earned" when this instruction runs (see compile.go).
 const (
 	opCharge      uint8 = iota // a: charge a instructions (basic-block batch)
 	opConst                    // a: push consts[a]
@@ -29,7 +29,7 @@ const (
 	opOrJump                   // a: target pc; jump keeping lhs if truthy, else pop
 	opNot                      // replace top with Bool(!Truthy(top))
 	opNeg                      // replace top with -top (int only)
-	opBinop                    // a: binop code; pops rhs, lhs, pushes result
+	opBinop                    // pops rhs, lhs, pushes lhs bop rhs
 	opSwap                     // swap the top two stack values
 	opPop                      // drop the top of stack
 	opIndex                    // pops idx, base; pushes base[idx]
@@ -50,15 +50,23 @@ const (
 	opReturnNone               // return None from the frame
 
 	// Superinstructions, fused by the peephole pass (see peephole in
-	// compile.go). Each replaces an adjacent sequence whose error-capable
-	// members share one refund, so batched-budget parity is unaffected.
-	opBinopConst    // a: const idx (rhs), b: binop code; lhs on stack
-	opBinopLocal    // a: slot (rhs), b: binop code; lhs on stack
-	opBinopStore    // a: store slot, b: binop code; pops rhs, lhs
-	opCmpJump       // a: target, b: binop code; pops rhs, lhs; jump if falsy
-	opCmpConstJump  // a: target, b: binop code, c: const idx (rhs); pops lhs
-	opCmpLocalJump  // a: target, b: binop code, c: slot (rhs); pops lhs
-	opIncLocalConst // a: slot, b: const idx; slot += consts[b], no stack use
+	// compile.go). Their operands follow one scheme: a is the jump target
+	// or the destination slot, b the lhs slot, c the rhs (a const index, a
+	// slot, or an int32 immediate), bop the binop code; an lhs held on the
+	// stack is popped. The Cmp forms fuse only comparisons (bopEq..bopGe)
+	// and jump when the comparison is false.
+	opBinopConst        // c: const (not an int32 Int); lhs on stack
+	opBinopImm          // c: imm; lhs on stack
+	opBinopLocal        // c: slot; lhs on stack
+	opLocalBinopImm     // b: slot, c: imm; pushes slot bop imm
+	opBinopStore        // a: store slot; pops rhs, lhs
+	opCmpJump           // a: target; pops rhs, lhs
+	opCmpConstJump      // a: target, c: const; pops lhs
+	opCmpLocalJump      // a: target, c: slot; pops lhs
+	opLocalCmpLocalJump // a: target, b: slot, c: slot; no stack use
+	opLocalCmpImmJump   // a: target, b: slot, c: imm; no stack use
+	opIncLocalConst     // a: slot, c: const (not an int32 Int); slot += consts[c]
+	opIncLocalImm       // a: slot, c: imm; slot += imm
 
 	// Cell access, emitted only in functions that contain or are a nested
 	// def. a indexes the proto's cellRefs (opDefCell: the frame's cells).
@@ -67,9 +75,9 @@ const (
 	opDefCell   // a: own cell, b: const index (function); bind a new closure over the frame's cells
 )
 
-// Binary operator codes for opBinop's a operand.
+// Binary operator codes, carried in an instruction's bop.
 const (
-	bopAdd int32 = iota
+	bopAdd uint8 = iota
 	bopSub
 	bopMul
 	bopFloorDiv
@@ -87,7 +95,7 @@ const (
 // fallback path.
 var binopNames = [...]string{"+", "-", "*", "//", "%", "==", "!=", "<", "<=", ">", ">=", "in"}
 
-var binopCodes = map[string]int32{
+var binopCodes = map[string]uint8{
 	"+": bopAdd, "-": bopSub, "*": bopMul, "//": bopFloorDiv, "%": bopMod,
 	"==": bopEq, "!=": bopNe, "<": bopLt, "<=": bopLe, ">": bopGt, ">=": bopGe,
 	"in": bopIn,
@@ -99,12 +107,16 @@ const (
 	sliceHasHi
 )
 
-// instr is one VM instruction. 24 bytes; code arrays stay cache-friendly.
-// Jump targets always live in a (so patching and peephole remapping treat
-// every branching opcode uniformly); c is a third operand used only by
-// fused superinstructions.
+// instr is one VM instruction, 24 bytes (TestInstrSizeofPinned), so code
+// arrays stay cache-friendly. Jump targets always live in a (so patching
+// and peephole remapping treat every branching opcode uniformly). extra is
+// the one refund a superinstruction's members may not share: the charges
+// the name error of its fused lhs load (or opCheckLocal) refunds on top of
+// refund, which the instruction's other errors refund alone.
 type instr struct {
 	op     uint8
+	bop    uint8
+	extra  uint8
 	a      int32
 	b      int32
 	c      int32

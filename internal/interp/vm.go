@@ -275,18 +275,20 @@ func (m *Machine) runProto(p *funcProto, slots []reg, cells []*cell) (Value, err
 				break
 			}
 			stack[sp-1].i = -stack[sp-1].i
-		// The binop family tries the unboxed int fast path (intBinReg)
-		// first: on the compute-bound loops the VM exists to speed up,
-		// both operands are almost always ints, and the fast path never
-		// heap-allocates. Division/modulo by zero, `in`, and every
-		// non-int combination fall through to fastBinop.
+		// The binop family tries the unboxed int fast path first: on the
+		// compute-bound loops the VM exists to speed up, both operands are
+		// almost always ints, and the fast path never heap-allocates. An
+		// immediate is an int by construction, and a compare-branch on two
+		// ints branches on the comparison itself. Division/modulo by zero,
+		// `in`, and every non-int combination fall through to fastBinop,
+		// an immediate boxed as the Int constant it was compiled from.
 		case opBinop:
 			l, r := &stack[sp-2], &stack[sp-1]
-			if l.tag == regInt && r.tag == regInt && intBinReg(in.a, l, r.i) {
+			if l.tag == regInt && r.tag == regInt && intBinop(in.bop, l, l.i, r.i) {
 				sp--
 				break
 			}
-			v, berr := m.fastBinop(int(in.line), in.a, l.val(), r.val())
+			v, berr := m.fastBinop(int(in.line), in.bop, l.val(), r.val())
 			if berr != nil {
 				err = berr
 				break
@@ -296,40 +298,68 @@ func (m *Machine) runProto(p *funcProto, slots []reg, cells []*cell) (Value, err
 		case opBinopConst:
 			l := &stack[sp-1]
 			if l.tag == regInt {
-				if c, ok := p.consts[in.a].(Int); ok && intBinReg(in.b, l, int64(c)) {
+				if c, ok := p.consts[in.c].(Int); ok && intBinop(in.bop, l, l.i, int64(c)) {
 					break
 				}
 			}
-			v, berr := m.fastBinop(int(in.line), in.b, l.val(), p.consts[in.a])
+			v, berr := m.fastBinop(int(in.line), in.bop, l.val(), p.consts[in.c])
+			if berr != nil {
+				err = berr
+				break
+			}
+			stack[sp-1].set(v)
+		case opBinopImm:
+			l := &stack[sp-1]
+			if l.tag == regInt && intBinop(in.bop, l, l.i, int64(in.c)) {
+				break
+			}
+			v, berr := m.fastBinop(int(in.line), in.bop, l.val(), Int(in.c))
 			if berr != nil {
 				err = berr
 				break
 			}
 			stack[sp-1].set(v)
 		case opBinopLocal:
-			l := &stack[sp-1]
-			if l.tag == regInt && slots[in.a].tag == regInt && intBinReg(in.b, l, slots[in.a].i) {
+			l, r := &stack[sp-1], &slots[in.c]
+			if l.tag == regInt && r.tag == regInt && intBinop(in.bop, l, l.i, r.i) {
 				break
 			}
-			rv, lerr := m.loadSlotIdx(p, slots, int(in.a), int(in.line))
+			rv, lerr := m.loadSlotIdx(p, slots, int(in.c), int(in.line))
 			if lerr != nil {
 				err = lerr
 				break
 			}
-			v, berr := m.fastBinop(int(in.line), in.b, l.val(), rv)
+			v, berr := m.fastBinop(int(in.line), in.bop, l.val(), rv)
 			if berr != nil {
 				err = berr
 				break
 			}
 			stack[sp-1].set(v)
+		case opLocalBinopImm:
+			if x := &slots[in.b]; x.tag == regInt && intBinop(in.bop, &stack[sp], x.i, int64(in.c)) {
+				sp++
+				break
+			}
+			lv, lerr := m.loadLhs(p, slots, in)
+			if lerr != nil {
+				err = lerr
+				break
+			}
+			v, berr := m.fastBinop(int(in.line), in.bop, lv, Int(in.c))
+			if berr != nil {
+				err = berr
+				break
+			}
+			stack[sp].set(v)
+			sp++
 		case opBinopStore:
 			l, r := &stack[sp-2], &stack[sp-1]
-			if l.tag == regInt && r.tag == regInt && intBinReg(in.b, l, r.i) {
+			if l.tag == regInt && r.tag == regInt && intBinop(in.bop, l, l.i, r.i) {
 				sp -= 2
 				m.storeSlot(p, slots, int(in.a), l)
 				break
 			}
-			v, berr := m.fastBinop(int(in.line), in.b, l.val(), r.val())
+			v, berr := m.fastBinop(int(in.line), in.bop, l.val(), r.val())
 			if berr != nil {
 				err = berr
 				break
@@ -339,88 +369,101 @@ func (m *Machine) runProto(p *funcProto, slots []reg, cells []*cell) (Value, err
 			m.storeSlot(p, slots, int(in.a), &stack[sp])
 		case opCmpJump:
 			l, r := &stack[sp-2], &stack[sp-1]
-			if l.tag == regInt && r.tag == regInt && intBinReg(in.b, l, r.i) {
-				sp -= 2
-				if !l.truthy() {
-					pc = int(in.a)
-					continue
-				}
-				break
-			}
-			v, berr := m.fastBinop(int(in.line), in.b, l.val(), r.val())
-			if berr != nil {
-				err = berr
+			var t bool
+			if l.tag == regInt && r.tag == regInt {
+				t = intCmp(in.bop, l.i, r.i)
+			} else if t, err = m.cmp(in, l.val(), r.val()); err != nil {
 				break
 			}
 			sp -= 2
-			if !Truthy(v) {
+			if !t {
 				pc = int(in.a)
 				continue
 			}
 		case opCmpConstJump:
 			l := &stack[sp-1]
-			if l.tag == regInt {
-				if c, ok := p.consts[in.c].(Int); ok && intBinReg(in.b, l, int64(c)) {
-					sp--
-					if !l.truthy() {
-						pc = int(in.a)
-						continue
-					}
-					break
-				}
-			}
-			v, berr := m.fastBinop(int(in.line), in.b, l.val(), p.consts[in.c])
-			if berr != nil {
-				err = berr
+			var t bool
+			if c, ok := p.consts[in.c].(Int); ok && l.tag == regInt {
+				t = intCmp(in.bop, l.i, int64(c))
+			} else if t, err = m.cmp(in, l.val(), p.consts[in.c]); err != nil {
 				break
 			}
 			sp--
-			if !Truthy(v) {
+			if !t {
 				pc = int(in.a)
 				continue
 			}
 		case opCmpLocalJump:
-			l := &stack[sp-1]
-			if l.tag == regInt && slots[in.c].tag == regInt && intBinReg(in.b, l, slots[in.c].i) {
-				sp--
-				if !l.truthy() {
-					pc = int(in.a)
-					continue
+			l, r := &stack[sp-1], &slots[in.c]
+			var t bool
+			if l.tag == regInt && r.tag == regInt {
+				t = intCmp(in.bop, l.i, r.i)
+			} else {
+				rv, lerr := m.loadSlotIdx(p, slots, int(in.c), int(in.line))
+				if lerr != nil {
+					err = lerr
+					break
 				}
-				break
-			}
-			rv, lerr := m.loadSlotIdx(p, slots, int(in.c), int(in.line))
-			if lerr != nil {
-				err = lerr
-				break
-			}
-			v, berr := m.fastBinop(int(in.line), in.b, l.val(), rv)
-			if berr != nil {
-				err = berr
-				break
+				if t, err = m.cmp(in, l.val(), rv); err != nil {
+					break
+				}
 			}
 			sp--
-			if !Truthy(v) {
+			if !t {
 				pc = int(in.a)
 				continue
 			}
+		case opLocalCmpLocalJump:
+			x, y := &slots[in.b], &slots[in.c]
+			var t bool
+			if x.tag == regInt && y.tag == regInt {
+				t = intCmp(in.bop, x.i, y.i)
+			} else {
+				lv, lerr := m.loadLhs(p, slots, in)
+				if lerr != nil {
+					err = lerr
+					break
+				}
+				rv, lerr := m.loadSlotIdx(p, slots, int(in.c), int(in.line))
+				if lerr != nil {
+					err = lerr
+					break
+				}
+				if t, err = m.cmp(in, lv, rv); err != nil {
+					break
+				}
+			}
+			if !t {
+				pc = int(in.a)
+				continue
+			}
+		case opLocalCmpImmJump:
+			x := &slots[in.b]
+			var t bool
+			if x.tag == regInt {
+				t = intCmp(in.bop, x.i, int64(in.c))
+			} else {
+				lv, lerr := m.loadLhs(p, slots, in)
+				if lerr != nil {
+					err = lerr
+					break
+				}
+				if t, err = m.cmp(in, lv, Int(in.c)); err != nil {
+					break
+				}
+			}
+			if !t {
+				pc = int(in.a)
+				continue
+			}
+		case opIncLocalImm:
+			if dst := &slots[in.a]; dst.tag == regInt {
+				dst.i += int64(in.c)
+				break
+			}
+			err = m.incSlot(p, in, slots, Int(in.c))
 		case opIncLocalConst:
-			dst := &slots[in.a]
-			if dst.tag == regInt {
-				if c, ok := p.consts[in.b].(Int); ok {
-					dst.i += int64(c)
-					break
-				}
-			}
-			if dst.tag == regNone {
-				if _, ok := m.Globals.Lookup(p.slotNames[in.a]); !ok {
-					err = runtimeErrf(int(in.line), "name %q is not defined", p.slotNames[in.a])
-					break
-				}
-			}
-			var chunk reg
-			chunk.set(p.consts[in.b])
-			err = m.appendSlot(p, int(in.line), slots, int(in.a), &chunk)
+			err = m.incSlot(p, in, slots, p.consts[in.c])
 		case opSwap:
 			stack[sp-1], stack[sp-2] = stack[sp-2], stack[sp-1]
 		case opPop:
@@ -585,66 +628,56 @@ func (m *Machine) runProto(p *funcProto, slots []reg, cells []*cell) (Value, err
 	return None, nil
 }
 
-// arithFast handles the arithmetic binops that cannot fail on ints.
-func arithFast(code int32, a, b int64) (int64, bool) {
+// intBinop computes one int?int binop into dst without heap allocation,
+// reporting false (dst untouched) for division or modulo by zero and for
+// `in`, which take the fastBinop slow path for their exact errors.
+func intBinop(code uint8, dst *reg, a, b int64) bool {
 	switch code {
 	case bopAdd:
-		return a + b, true
+		*dst = reg{tag: regInt, i: a + b}
 	case bopSub:
-		return a - b, true
+		*dst = reg{tag: regInt, i: a - b}
 	case bopMul:
-		return a * b, true
+		*dst = reg{tag: regInt, i: a * b}
+	case bopFloorDiv:
+		if b == 0 {
+			return false
+		}
+		*dst = reg{tag: regInt, i: floorDiv(a, b)}
+	case bopMod:
+		if b == 0 {
+			return false
+		}
+		*dst = reg{tag: regInt, i: floorMod(a, b)}
+	case bopIn:
+		return false
+	default:
+		dst.setBool(intCmp(code, a, b))
 	}
-	return 0, false
+	return true
 }
 
-// cmpFast handles the comparison binops on ints.
-func cmpFast(code int32, a, b int64) (bool, bool) {
+// intCmp evaluates a comparison binop (isCmp) on ints.
+func intCmp(code uint8, a, b int64) bool {
 	switch code {
-	case bopLt:
-		return a < b, true
-	case bopLe:
-		return a <= b, true
-	case bopGt:
-		return a > b, true
-	case bopGe:
-		return a >= b, true
 	case bopEq:
-		return a == b, true
+		return a == b
 	case bopNe:
-		return a != b, true
+		return a != b
+	case bopLt:
+		return a < b
+	case bopLe:
+		return a <= b
+	case bopGt:
+		return a > b
 	}
-	return false, false
+	return a >= b
 }
 
-// intBinReg computes one int?int binop into l without heap allocation,
-// returning false (l untouched) for division or modulo by zero and for
-// `in`, which take the fastBinop slow path for its exact errors.
-func intBinReg(code int32, l *reg, b int64) bool {
-	a := l.i
-	if x, ok := arithFast(code, a, b); ok {
-		l.i = x
-		return true
-	}
-	if x, ok := cmpFast(code, a, b); ok {
-		l.setBool(x)
-		return true
-	}
-	if code == bopMod && b != 0 {
-		l.i = floorMod(a, b)
-		return true
-	}
-	if code == bopFloorDiv && b != 0 {
-		l.i = floorDiv(a, b)
-		return true
-	}
-	return false
-}
-
-// fastBinop is the boxed slow path behind intBinReg: Int/Int division and
+// fastBinop is the boxed slow path behind intBinop: Int/Int division and
 // modulo (for their error cases), then the engines' shared m.binop for
 // every other combination (and for `in`, which has no Int/Int meaning).
-func (m *Machine) fastBinop(line int, code int32, l, r Value) (Value, error) {
+func (m *Machine) fastBinop(line int, code uint8, l, r Value) (Value, error) {
 	if li, lok := l.(Int); lok {
 		if ri, rok := r.(Int); rok {
 			switch code {
@@ -662,6 +695,47 @@ func (m *Machine) fastBinop(line int, code int32, l, r Value) (Value, error) {
 		}
 	}
 	return m.binop(line, binopNames[code], l, r)
+}
+
+// cmp is the boxed slow path of the compare-branches: the comparison's
+// truth, or its error.
+func (m *Machine) cmp(in *instr, l, r Value) (bool, error) {
+	v, err := m.fastBinop(int(in.line), in.bop, l, r)
+	if err != nil {
+		return false, err
+	}
+	return Truthy(v), nil
+}
+
+// refund gives back n batched charges: the extra refund of a fused lhs
+// load's or check's name error (see peephole).
+func (m *Machine) refund(n uint8) {
+	m.steps -= int64(n)
+	m.budget += int64(n)
+}
+
+// loadLhs reads the lhs slot b of a Local… superinstruction, refunding
+// the fused load's extra charge with its name error.
+func (m *Machine) loadLhs(p *funcProto, slots []reg, in *instr) (Value, error) {
+	v, err := m.loadSlotIdx(p, slots, int(in.b), int(in.line))
+	if err != nil {
+		m.refund(in.extra)
+	}
+	return v, err
+}
+
+// incSlot is the slow path of opIncLocalImm / opIncLocalConst: the fused
+// opCheckLocal's name error, with its extra refund, then appendSlot.
+func (m *Machine) incSlot(p *funcProto, in *instr, slots []reg, k Value) error {
+	if slots[in.a].tag == regNone {
+		if _, ok := m.Globals.Lookup(p.slotNames[in.a]); !ok {
+			m.refund(in.extra)
+			return runtimeErrf(int(in.line), "name %q is not defined", p.slotNames[in.a])
+		}
+	}
+	var chunk reg
+	chunk.set(k)
+	return m.appendSlot(p, int(in.line), slots, int(in.a), &chunk)
 }
 
 // loadSlotIdx reads a slot with opLoadLocal's exact semantics: global

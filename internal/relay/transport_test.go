@@ -17,6 +17,7 @@ import (
 	"github.com/bento-nfv/bento/internal/otr"
 	"github.com/bento-nfv/bento/internal/policy"
 	"github.com/bento-nfv/bento/internal/simnet"
+	"github.com/bento-nfv/bento/internal/stackscan"
 	"github.com/bento-nfv/bento/internal/torclient"
 )
 
@@ -229,18 +230,10 @@ func TestDestroyPropagates(t *testing.T) {
 // relayGoroutines counts the goroutines with a frame in the relay's
 // non-test code, the accept loop aside.
 func relayGoroutines() int {
-	buf := make([]byte, 1<<22)
-	buf = buf[:runtime.Stack(buf, true)]
 	n := 0
-	for _, g := range strings.Split(string(buf), "\n\n") {
-		if strings.Contains(g, "acceptLoop") {
-			continue
-		}
-		for _, line := range strings.Split(g, "\n") {
-			if strings.Contains(line, "/internal/relay/") && !strings.Contains(line, "_test.go:") {
-				n++
-				break
-			}
+	for _, g := range stackscan.In("/internal/relay/") {
+		if !strings.Contains(g, "acceptLoop") {
+			n++
 		}
 	}
 	return n

@@ -534,10 +534,22 @@ func (c *conn) stampLocked(n int) (at time.Duration, sever bool) {
 // data (the EOF marker rides the transmit queue behind it); local reads
 // fail immediately.
 func (c *conn) Close() error {
+	c.shut(false)
+	return nil
+}
+
+// shut closes the endpoint. With sever it also returns the deliver
+// callback still owed an EOF, taken in the same critical section that
+// closes: a peer's EOF that reached deliverEOF first was that EOF, and
+// none can reach it afterwards, so each callback sees exactly one.
+func (c *conn) shut(sever bool) (owed func(data []byte, eof bool)) {
 	c.mu.Lock()
+	if sever && !c.eof {
+		owed, c.eof = c.deliverFn, true
+	}
 	if c.closed {
 		c.mu.Unlock()
-		return nil
+		return owed
 	}
 	c.closed = true
 	eofAt := c.lastAt
@@ -556,7 +568,7 @@ func (c *conn) Close() error {
 		c.peer.txResume()
 	}
 	c.localHost.unregisterConn(c)
-	return nil
+	return owed
 }
 
 // severBoth closes both endpoints abruptly (a chaos cut, a host crash).
@@ -565,11 +577,7 @@ func (c *conn) Close() error {
 // context like every delivery.
 func (c *conn) severBoth() {
 	for _, e := range [...]*conn{c.peer, c} {
-		e.mu.Lock()
-		fn := e.deliverFn
-		e.mu.Unlock()
-		e.Close()
-		if fn != nil {
+		if fn := e.shut(true); fn != nil {
 			e.clock.AfterFunc(0, func() { fn(nil, true) })
 		}
 	}

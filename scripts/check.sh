@@ -97,9 +97,13 @@ stage "repo benchmark self-tests (smoke of all five workloads, probes, ledger)"
 go test -count=1 ./benchmark
 
 stage "go test -race (cell, simnet, torclient, bento, wire, otr, relay, obs, interp, sandbox, fleet;" \
-    "interp's value-walk reproducers and parser nesting cap, bento's program cache, upload cap and encoder bounds)"
+    "interp's value-walk reproducers and parser nesting cap, bento's program cache, upload cap and encoder bounds;" \
+    "50 runs of a chaos sever racing the peer's EOF)"
 go test -race -count=1 ./internal/cell/ ./internal/simnet/ ./internal/torclient/ ./internal/bento/ ./internal/wire/ \
     ./internal/otr/ ./internal/relay/ ./internal/obs/ ./internal/interp/ ./internal/sandbox/ ./internal/fleet/
+# A sever racing the peer's EOF chunk once handed a deliver callback two
+# EOFs, about one run in 30 under the detector.
+go test -race -count=50 -run='TestChaosSeverReachesDeliverCallbacks' ./internal/simnet/
 
 stage "bench smoke (all benchmarks, 1 iteration)"
 go test -run='^$' -bench=. -benchtime=1x ./...
@@ -129,8 +133,9 @@ stage "multi-core alloc smoke (middle-hop forward path at GOMAXPROCS=4)"
 # per-cell counters with real parallelism around it.
 GOMAXPROCS=4 go test -count=1 -run='TestMiddleHopForwardAllocFree' ./internal/relay/
 
-stage "interpreter regression smoke (VM loop must not allocate per iteration)"
-go test -count=1 -run='TestVMLoopAllocFree' ./internal/interp/
+stage "interpreter regression smoke (VM loop must not allocate per iteration; instr stays 24 bytes; the" \
+    "benchmark's step counts are pinned; every opcode runProto dispatches is emitted for the parity corpus)"
+go test -count=1 -run='TestVMLoopAllocFree|TestInstrSizeofPinned|TestStepCountsPinned|TestEveryOpcodeEmitted' ./internal/interp/
 
 stage "fuzz smokes, 5 s each (bytecode VM vs test-only tree oracle; relay run datapath vs per-cell reference under" \
     "fuzzer-chosen cuts and corruption; wire decoder bounds; Bento values through a frame and back;" \
