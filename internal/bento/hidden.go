@@ -35,19 +35,13 @@ func ServeHidden(host *simnet.Host, tor *torclient.Client, ident *hs.Identity) (
 				return
 			}
 			defer back.Close()
-			done := make(chan struct{}, 2)
-			go func() {
+			// Either direction ending closes both conns, which ends the
+			// other copy.
+			host.Clock().Go(func() {
 				io.Copy(back, conn)
 				back.Close()
-				done <- struct{}{}
-			}()
-			go func() {
-				io.Copy(conn, back)
-				conn.Close()
-				done <- struct{}{}
-			}()
-			<-done
-			<-done
+			})
+			io.Copy(conn, back)
 		},
 	})
 }

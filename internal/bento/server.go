@@ -181,7 +181,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		}
 		s.runtime = rt
 	}
-	go s.acceptLoop()
+	cfg.Host.Clock().Go(s.acceptLoop)
 	return s, nil
 }
 
@@ -238,7 +238,7 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return
 		}
-		go s.serve(conn)
+		s.cfg.Host.Clock().Go(func() { s.serve(conn) })
 	}
 }
 

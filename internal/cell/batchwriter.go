@@ -141,19 +141,6 @@ func (w *BatchWriter) TryWriteFrames(frames []byte) (bool, error) {
 	return true, nil
 }
 
-// QueuedCells reports how many whole cells are queued behind the link,
-// plus one when a write is in flight. Zero means the writer is fully
-// drained. Stats and tests only — the datapath never polls this.
-func (w *BatchWriter) QueuedCells() int {
-	w.mu.Lock()
-	n := len(w.pending) / Size
-	if w.writing {
-		n++
-	}
-	w.mu.Unlock()
-	return n
-}
-
 // writeInlineLocked performs the idle-link fast path: the caller becomes
 // the writer for buf — its own frames, written where they are (the conn
 // copies before Write returns, and the caller cannot touch them until

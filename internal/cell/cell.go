@@ -6,9 +6,9 @@
 //
 // The package also provides the zero-copy datapath primitives: wire-frame
 // accessors (WireCircID, WirePayload, ReadWire) for operating on raw
-// Size-byte buffers in place, pooled frames and cells (GetWire/GetCell),
-// and the batched per-link writer (BatchWriter). Buffer ownership rules
-// are documented in pool.go and in DESIGN.md under "Datapath & buffer
+// Size-byte buffers in place, pooled frames (GetWire/PutWire), and the
+// batched per-link writer (BatchWriter). Buffer ownership rules are
+// documented in pool.go and in DESIGN.md under "Datapath & buffer
 // ownership".
 package cell
 

@@ -2,7 +2,7 @@ package cell
 
 import "sync"
 
-// Pooled wire buffers and cells for the zero-copy datapath.
+// Pooled wire buffers for the zero-copy datapath.
 //
 // Ownership rules (see DESIGN.md "Datapath & buffer ownership"):
 //
@@ -31,21 +31,3 @@ func GetWire() *[Size]byte { return wirePool.Get().(*[Size]byte) }
 
 // PutWire returns a buffer obtained from GetWire to the pool.
 func PutWire(buf *[Size]byte) { wirePool.Put(buf) }
-
-var cellPool = sync.Pool{
-	New: func() any { return new(Cell) },
-}
-
-// GetCell returns a zeroed Cell from the pool. Callers that fill only
-// part of the payload can rely on the rest being zero.
-func GetCell() *Cell {
-	c := cellPool.Get().(*Cell)
-	c.CircID = 0
-	c.Cmd = 0
-	clear(c.Payload[:])
-	return c
-}
-
-// PutCell returns a Cell obtained from GetCell to the pool. The caller
-// must not retain any reference to it (including payload sub-slices).
-func PutCell(c *Cell) { cellPool.Put(c) }

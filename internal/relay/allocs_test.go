@@ -47,8 +47,7 @@ func TestMiddleHopForwardAllocFree(t *testing.T) {
 	clientLayers := []*otr.Layer{cl0, cl1}
 
 	r := &Relay{cfg: Config{Quiet: true}, m: newRelayMetrics(obs.NewRegistry())}
-	r.initTables()
-	c := &circuit{relay: r, conn: discardLink{}, next: discardLink{}, serial: 1}
+	c := &circuit{relay: r, conn: discardLink{}, next: discardLink{}}
 	c.establish(100, middle)
 	c.extended, c.nextCircID = true, 200
 
@@ -83,13 +82,14 @@ func TestMiddleHopForwardAllocFree(t *testing.T) {
 }
 
 // TestCircuitSizeofPinned pins what one circuit costs — one allocation,
-// 514 B of it the inline backward scratch frame — at or below the 744 B
-// the light-only circuit took before the transports were merged; the
-// stream originate batch is pooled, not held per circuit. The scale
-// run's bytes per host is made of these.
+// 514 B of it the inline backward scratch frame — at or below 704 B, what
+// it took once the relay's circuit table was keyed by the circuit itself
+// rather than by a serial held in it; the stream originate batch is
+// pooled, not held per circuit. The scale run's bytes per host is made of
+// these.
 func TestCircuitSizeofPinned(t *testing.T) {
-	if got := unsafe.Sizeof(circuit{}); got > 744 {
-		t.Fatalf("sizeof(circuit) = %d, want <= 744", got)
+	if got := unsafe.Sizeof(circuit{}); got > 704 {
+		t.Fatalf("sizeof(circuit) = %d, want <= 704", got)
 	}
 	t.Logf("circuit %d B", unsafe.Sizeof(circuit{}))
 }

@@ -36,7 +36,7 @@ func newBenchCircuit(r *Relay, rng *mrand.Rand) *circuit {
 	if err != nil {
 		panic(err)
 	}
-	c := &circuit{relay: r, conn: discardLink{}, next: discardLink{}, serial: r.circSerial.Add(1)}
+	c := &circuit{relay: r, conn: discardLink{}, next: discardLink{}}
 	c.establish(rng.Uint32(), layer)
 	c.extended, c.nextCircID = true, rng.Uint32()
 	return c
@@ -53,7 +53,6 @@ func newBenchCircuit(r *Relay, rng *mrand.Rand) *circuit {
 func RunParallelForwardBench(workers, circuits, cellsPerCircuit int) float64 {
 	workers = max(workers, 1)
 	r := &Relay{cfg: Config{Quiet: true}, m: newRelayMetrics(nil)}
-	r.initTables()
 	rng := mrand.New(mrand.NewSource(42))
 	cs := make([]*circuit, circuits)
 	for i := range cs {

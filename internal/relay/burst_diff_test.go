@@ -503,9 +503,8 @@ func runSplit(t testing.TB, sc splitCase) (got, want splitResult) {
 	want = splitWant(t, fwd, bwd)
 
 	r := &Relay{cfg: Config{Quiet: true}, m: newRelayMetrics(nil)}
-	r.initTables()
 	client, nextRec := newRecConn(), newRecConn()
-	ce := &circuit{relay: r, conn: recLink{client}, serial: 1}
+	ce := &circuit{relay: r, conn: recLink{client}}
 	ce.establish(diffCircID, diffLayer(t))
 	ce.next, ce.extended, ce.nextCircID = recLink{nextRec}, true, diffNextID
 	dests := map[uint16]*recConn{1: newRecConn(), 2: newRecConn()}
@@ -831,7 +830,7 @@ func runTrace(t *testing.T, segs []int, light bool) {
 	}
 
 	// The relay under test, from just after its CREATE handshake.
-	ce := &circuit{relay: r, conn: scriptLight{inbound}, serial: r.circSerial.Add(1)}
+	ce := &circuit{relay: r, conn: scriptLight{inbound}}
 	ce.establish(diffCircID, diffLayer(t))
 	for seg := make([]byte, 1<<16); ; {
 		k, err := inbound.Read(seg) // a released segment at a time

@@ -274,7 +274,7 @@ func TestIdleCircuitHoldsNoBurst(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if rg.relay.circuits.Len() != 1 {
-		t.Fatalf("circuit table has %d entries, want the idle circuit", rg.relay.circuits.Len())
+	if lenOf(rg.relay, rg.relay.circuits) != 1 {
+		t.Fatalf("circuit table has %d entries, want the idle circuit", lenOf(rg.relay, rg.relay.circuits))
 	}
 }

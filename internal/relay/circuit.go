@@ -31,7 +31,6 @@ type circuit struct {
 	relay      *Relay
 	conn       simnet.LightConn // inbound link, toward the circuit origin
 	next       simnet.LightConn // toward the next hop, nil until extended; written under mu
-	serial     uint64           // key in the relay's circuit table (unique, unlike circID)
 	circID     uint32
 	nextCircID uint32     // guarded by mu
 	layer      *otr.Layer // nil until the CREATE handshake is done
@@ -113,10 +112,9 @@ func (c *circuit) create(wire []byte) bool {
 	return c.sendLink(cell.CmdCreated, reply) == nil
 }
 
-// establish registers the circuit once its handshake yielded layer.
+// establish counts the circuit open once its handshake yielded layer.
 func (c *circuit) establish(circID uint32, layer *otr.Layer) {
 	c.circID, c.layer = circID, layer
-	c.relay.circuits.Put(c.serial, c)
 	c.relay.m.circCreated.Inc()
 	c.relay.m.openCircs.Add(1)
 }
@@ -552,24 +550,22 @@ func (c *circuit) sendBackward(hdr cell.RelayHeader, data []byte) error {
 
 // --- hidden-service duties ---------------------------------------------------
 
-// register enters the circuit into an HS table under key and notes the
-// key in slot (the circuit's cookie or introID) for teardown. A circuit
-// holds at most one registration of a kind: a second one is a protocol
-// violation, not a reason to forget the first.
-func (c *circuit) register(table *shardedTable[string, *circuit], slot *string, key string) bool {
+// register enters the circuit into an HS table of the relay's under key
+// and notes the key in slot (the circuit's cookie or introID) for
+// teardown. A circuit holds at most one registration of a kind: a second
+// one is a protocol violation, not a reason to forget the first.
+func (c *circuit) register(table map[string]*circuit, slot *string, key string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if *slot != "" || c.destroyed.Load() {
 		return false
 	}
 	*slot = key
-	table.Put(key, c)
+	c.relay.mu.Lock()
+	table[key] = c
+	c.relay.mu.Unlock()
 	return true
 }
-
-// is matches the circuit's own table entries: teardown removes a key only
-// while the table still maps it to this circuit.
-func (c *circuit) is(v *circuit) bool { return v == c }
 
 func (c *circuit) handleEstablishIntro(data []byte) bool {
 	r := c.relay
@@ -593,7 +589,9 @@ func (c *circuit) handleIntroduce1(data []byte) bool {
 	if err := cell.DecodeControl(data, &intro); err != nil {
 		return false
 	}
-	svc, _ := r.intros.Get(intro.ServiceID)
+	r.mu.Lock()
+	svc := r.intros[intro.ServiceID]
+	r.mu.Unlock()
 	if svc == nil {
 		r.logf("INTRODUCE1 for unknown service %s", intro.ServiceID)
 		return c.endStream(0, "no such service")
@@ -623,7 +621,13 @@ func (c *circuit) handleRendezvous1(data []byte) bool {
 	if err := cell.DecodeControl(data, &rv); err != nil {
 		return false
 	}
-	client, _ := r.rendezvous.GetAndDelete(hex.EncodeToString(rv.Cookie))
+	// Claimed under one hold: concurrent RENDEZVOUS1s with one cookie
+	// splice exactly one pair of circuits.
+	cookie := hex.EncodeToString(rv.Cookie)
+	r.mu.Lock()
+	client := r.rendezvous[cookie]
+	delete(r.rendezvous, cookie)
+	r.mu.Unlock()
 	if client == nil {
 		r.logf("RENDEZVOUS1 with unknown cookie")
 		return false
@@ -678,19 +682,22 @@ func (c *circuit) teardown() {
 	c.mu.Unlock()
 
 	if c.layer != nil {
-		r.circuits.Delete(c.serial)
 		r.m.circDestroyed.Inc()
 		r.m.openCircs.Add(-1)
 	}
-	// By key, and only what is still this circuit's: a sweep per teardown
-	// is quadratic across a drain, and a service that re-established on a
-	// new circuit keeps its registration when the old one goes.
-	if cookie != "" {
-		r.rendezvous.CompareAndDelete(cookie, c.is)
+	// The HS registrations go by key, and only what is still this
+	// circuit's: a sweep per teardown is quadratic across a drain, and a
+	// service that re-established on a new circuit keeps its registration
+	// when the old one goes.
+	r.mu.Lock()
+	delete(r.circuits, c)
+	if cookie != "" && r.rendezvous[cookie] == c {
+		delete(r.rendezvous, cookie)
 	}
-	if introID != "" {
-		r.intros.CompareAndDelete(introID, c.is)
+	if introID != "" && r.intros[introID] == c {
+		delete(r.intros, introID)
 	}
+	r.mu.Unlock()
 	if pending != nil {
 		pending.Close()
 	}
@@ -704,7 +711,6 @@ func (c *circuit) teardown() {
 	if next != nil {
 		next.Close()
 	}
-	c.relay.track(c.conn, false)
 	c.conn.Close()
 	if joined != nil {
 		joined.mu.Lock()

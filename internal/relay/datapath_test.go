@@ -315,14 +315,14 @@ func teardownForwardStress(t *testing.T, n *simnet.Network) {
 	churnWG.Wait()
 
 	// Closing the stable links must sweep their circuits out of the
-	// sharded table; churn circuits are already gone.
+	// relay's table; churn circuits are already gone.
 	for _, sc := range stable {
 		if sc != nil {
 			sc.conn.Close()
 		}
 	}
-	if !waitUntil(30*time.Second, func() bool { return r.circuits.Len() == 0 }) {
-		t.Errorf("circuit table not drained after teardown: %d live", r.circuits.Len())
+	if !waitUntil(30*time.Second, func() bool { return lenOf(r, r.circuits) == 0 }) {
+		t.Errorf("circuit table not drained after teardown: %d live", lenOf(r, r.circuits))
 	}
 
 	sink.mu.Lock()

@@ -32,19 +32,20 @@ func (r *Relay) ServeHSDir() error {
 	if err != nil {
 		return err
 	}
-	go func() {
+	clock := r.host.Clock()
+	clock.Go(func() {
 		for {
 			conn, err := ln.Accept()
 			if err != nil {
 				return
 			}
-			go r.serveHSDirConn(conn)
+			clock.Go(func() { r.serveHSDirConn(conn) })
 		}
-	}()
-	r.connMu.Lock()
+	})
+	r.mu.Lock()
 	r.hsdirLn = ln
 	closed := r.closed
-	r.connMu.Unlock()
+	r.mu.Unlock()
 	if closed {
 		ln.Close()
 	}
@@ -76,10 +77,14 @@ func (r *Relay) serveHSDirConn(conn net.Conn) {
 				resp.Error = "missing service ID or descriptor"
 				break
 			}
-			r.hsdir.Put(req.ServiceID, req.Descriptor)
+			r.mu.Lock()
+			r.hsdir[req.ServiceID] = req.Descriptor
+			r.mu.Unlock()
 			resp.OK = true
 		case "fetch":
-			desc, ok := r.hsdir.Get(req.ServiceID)
+			r.mu.Lock()
+			desc, ok := r.hsdir[req.ServiceID]
+			r.mu.Unlock()
 			if !ok {
 				resp.Error = "no descriptor for " + req.ServiceID
 				break

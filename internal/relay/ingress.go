@@ -49,8 +49,10 @@ const (
 // all further work for this link happens in deliver callbacks. Called
 // from the accept loop.
 func (r *Relay) serve(conn simnet.LightConn) {
-	c := &circuit{relay: r, conn: conn, serial: r.circSerial.Add(1)}
-	r.track(conn, true)
+	c := &circuit{relay: r, conn: conn}
+	r.mu.Lock()
+	r.circuits[c] = struct{}{}
+	r.mu.Unlock()
 	conn.SetDeliverFunc(c.onDeliver)
 }
 

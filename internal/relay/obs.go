@@ -34,8 +34,6 @@ type relayMetrics struct {
 	introsForwarded *obs.Counter
 	rendSplices     *obs.Counter
 	stalls          *obs.Counter // feeds paused behind a congested egress
-
-	shardWait *obs.Histogram // sharded-table lock acquisition wait, ns
 }
 
 func newRelayMetrics(reg *obs.Registry) relayMetrics {
@@ -55,8 +53,5 @@ func newRelayMetrics(reg *obs.Registry) relayMetrics {
 		introsForwarded: reg.Counter("relay.intros_forwarded"),
 		rendSplices:     reg.Counter("relay.rendezvous_splices"),
 		stalls:          reg.Counter("relay.egress_stalls"),
-		// Shard-lock waits are typically well under a microsecond; the
-		// buckets run 100ns … ~100ms so real contention stands out.
-		shardWait: reg.Histogram("relay.shard_lock_wait_ns", obs.ExpBuckets(100, 4, 11)),
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"log"
 	"net"
 	"sync"
-	"sync/atomic"
 
 	"github.com/bento-nfv/bento/internal/dirauth"
 	"github.com/bento-nfv/bento/internal/obs"
@@ -56,30 +55,17 @@ type Relay struct {
 	reg    *obs.Registry
 	m      relayMetrics
 
-	circSerial atomic.Uint64
-
-	// Control-plane tables, all sharded — nothing here is on the
-	// per-cell forward path. Circuits are keyed by a unique serial
-	// (circuit IDs are per-link random and may collide across links).
-	circuits   *shardedTable[uint64, *circuit]
-	rendezvous *shardedTable[string, *circuit] // cookie (hex) -> waiting client circuit
-	intros     *shardedTable[string, *circuit] // service ID -> intro circuit
-	hsdir      *shardedTable[string, []byte]   // service ID -> raw descriptor (HSDir duty)
-
-	connMu  sync.Mutex
-	conns   map[net.Conn]struct{} // live inbound links, for Crash
-	hsdirLn net.Listener          // nil unless ServeHSDir ran; guarded by connMu
-	closed  bool                  // guarded by connMu
-}
-
-// initTables builds the relay's sharded control-plane tables, wiring
-// shard-lock acquisition waits into the contention histogram.
-func (r *Relay) initTables() {
-	r.circuits = newShardedTable[uint64, *circuit](hashU64, r.m.shardWait)
-	r.rendezvous = newShardedTable[string, *circuit](fnv32, r.m.shardWait)
-	r.intros = newShardedTable[string, *circuit](fnv32, r.m.shardWait)
-	r.hsdir = newShardedTable[string, []byte](fnv32, r.m.shardWait)
-	r.conns = make(map[net.Conn]struct{})
+	mu sync.Mutex
+	// circuits holds every circuit from serve to teardown: what Crash
+	// severs. The other three are the hidden-service registrations.
+	// None of them is on the per-cell path: callbacks carry the circuit.
+	// mu is taken after a circuit's mu, never before it.
+	circuits   map[*circuit]struct{}
+	rendezvous map[string]*circuit // cookie (hex) -> waiting client circuit
+	intros     map[string]*circuit // service ID -> intro circuit
+	hsdir      map[string][]byte   // service ID -> raw descriptor (HSDir duty)
+	hsdirLn    net.Listener        // nil unless ServeHSDir ran
+	closed     bool
 }
 
 // New creates and starts a relay on the given host.
@@ -109,9 +95,13 @@ func New(host *simnet.Host, cfg Config) (*Relay, error) {
 		idPriv: idPriv,
 		onion:  onion,
 		ln:     ln,
+
+		circuits:   make(map[*circuit]struct{}),
+		rendezvous: make(map[string]*circuit),
+		intros:     make(map[string]*circuit),
+		hsdir:      make(map[string][]byte),
 	}
-	r.initTables()
-	go r.acceptLoop()
+	host.Clock().Go(r.acceptLoop)
 	return r, nil
 }
 
@@ -151,14 +141,14 @@ func (r *Relay) Fingerprint() string {
 // HSDir listener closes too; existing circuits continue until their
 // endpoints close them.
 func (r *Relay) Close() error {
-	r.connMu.Lock()
+	r.mu.Lock()
 	if r.closed {
-		r.connMu.Unlock()
+		r.mu.Unlock()
 		return nil
 	}
 	r.closed = true
 	hsdir := r.hsdirLn
-	r.connMu.Unlock()
+	r.mu.Unlock()
 	if hsdir != nil {
 		hsdir.Close()
 	}
@@ -171,12 +161,12 @@ func (r *Relay) Close() error {
 // behind "functions fate-share with the middlebox nodes they run on").
 func (r *Relay) Crash() {
 	r.Close()
-	r.connMu.Lock()
-	conns := make([]net.Conn, 0, len(r.conns))
-	for c := range r.conns {
-		conns = append(conns, c)
+	r.mu.Lock()
+	conns := make([]net.Conn, 0, len(r.circuits))
+	for c := range r.circuits {
+		conns = append(conns, c.conn)
 	}
-	r.connMu.Unlock()
+	r.mu.Unlock()
 	for _, c := range conns {
 		c.Close()
 	}
@@ -186,17 +176,6 @@ func (r *Relay) logf(format string, args ...any) {
 	if !r.cfg.Quiet {
 		log.Printf("relay %s: "+format, append([]any{r.cfg.Nickname}, args...)...)
 	}
-}
-
-// track notes (or forgets) a live inbound link.
-func (r *Relay) track(conn net.Conn, live bool) {
-	r.connMu.Lock()
-	if live {
-		r.conns[conn] = struct{}{}
-	} else {
-		delete(r.conns, conn)
-	}
-	r.connMu.Unlock()
 }
 
 func (r *Relay) acceptLoop() {

@@ -278,7 +278,7 @@ func TestEstablishIntroRequiresValidSignature(t *testing.T) {
 		})
 		rg.sendRelay(t, cell.RelayHeader{Cmd: cell.RelayEstablishIntro}, est)
 		rg.expectDead(t, "forged ESTABLISH_INTRO")
-		if n := rg.relay.intros.Len(); n != 0 {
+		if n := lenOf(rg.relay, rg.relay.intros); n != 0 {
 			t.Fatalf("forged registration entered the intro table (%d entries)", n)
 		}
 	})

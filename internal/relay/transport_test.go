@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"net"
 	"runtime"
 	"strings"
 	"testing"
@@ -14,6 +15,7 @@ import (
 
 	"github.com/bento-nfv/bento/internal/cell"
 	"github.com/bento-nfv/bento/internal/dirauth"
+	"github.com/bento-nfv/bento/internal/obs"
 	"github.com/bento-nfv/bento/internal/otr"
 	"github.com/bento-nfv/bento/internal/policy"
 	"github.com/bento-nfv/bento/internal/simnet"
@@ -143,8 +145,8 @@ func TestRendezvousSplice(t *testing.T) {
 		if hdr, _ := cli.readRelay(t); hdr.Cmd != cell.RelayRendezvousEstablished {
 			t.Fatalf("no RENDEZVOUS_ESTABLISHED: %v", hdr.Cmd)
 		}
-		if r.rendezvous.Len() != 1 {
-			t.Fatalf("rendezvous table has %d entries, want 1", r.rendezvous.Len())
+		if lenOf(r, r.rendezvous) != 1 {
+			t.Fatalf("rendezvous table has %d entries, want 1", lenOf(r, r.rendezvous))
 		}
 
 		rv, _ := cell.EncodeControl(&cell.Rendezvous1Payload{Cookie: cookie, Reply: []byte("hs-reply")})
@@ -193,9 +195,9 @@ func TestRendezvousSplice(t *testing.T) {
 
 		cli.conn.Close()
 		svc.conn.Close()
-		eventually(t, "both circuits to be torn down", func() bool { return r.circuits.Len() == 0 })
-		if r.rendezvous.Len() != 0 {
-			t.Fatalf("rendezvous table not cleaned: %d", r.rendezvous.Len())
+		eventually(t, "both circuits to be torn down", func() bool { return lenOf(r, r.circuits) == 0 })
+		if lenOf(r, r.rendezvous) != 0 {
+			t.Fatalf("rendezvous table not cleaned: %d", lenOf(r, r.rendezvous))
 		}
 	})
 }
@@ -325,8 +327,8 @@ func TestHSRegistrationsOwned(t *testing.T) {
 		}
 		flood.expectDead(t, "second ESTABLISH_RENDEZVOUS on one circuit")
 		flood.conn.Close()
-		eventually(t, "the flooding circuit's teardown", func() bool { return r.circuits.Len() == 0 })
-		if got := r.rendezvous.Len(); got != 0 {
+		eventually(t, "the flooding circuit's teardown", func() bool { return lenOf(r, r.circuits) == 0 })
+		if got := lenOf(r, r.rendezvous); got != 0 {
 			t.Fatalf("%d rendezvous entries left behind by a torn-down circuit", got)
 		}
 
@@ -344,7 +346,7 @@ func TestHSRegistrationsOwned(t *testing.T) {
 			t.Fatalf("ESTABLISH_INTRO on B: got %v", hdr.Cmd)
 		}
 		a.conn.Close()
-		eventually(t, "circuit A's teardown", func() bool { return r.circuits.Len() == 1 })
+		eventually(t, "circuit A's teardown", func() bool { return lenOf(r, r.circuits) == 1 })
 
 		cli := dial(t, n, r, "cli", 43)
 		intro, _ := cell.EncodeControl(&cell.Introduce1Payload{ServiceID: hex.EncodeToString(pub), Inner: []byte("hello")})
@@ -357,8 +359,8 @@ func TestHSRegistrationsOwned(t *testing.T) {
 		}
 		b.conn.Close()
 		cli.conn.Close()
-		eventually(t, "the last circuits' teardown", func() bool { return r.circuits.Len() == 0 })
-		if got := r.intros.Len(); got != 0 {
+		eventually(t, "the last circuits' teardown", func() bool { return lenOf(r, r.circuits) == 0 })
+		if got := lenOf(r, r.intros); got != 0 {
 			t.Fatalf("%d intro entries left behind", got)
 		}
 	})
@@ -388,20 +390,24 @@ func silentListener(t *testing.T, h *simnet.Host) {
 func theCircuit(t *testing.T, r *Relay, pick func(*circuit) bool) *circuit {
 	t.Helper()
 	var found *circuit
-	for i := range r.circuits.shards {
-		s := &r.circuits.shards[i]
-		s.mu.RLock()
-		for _, c := range s.m {
-			if pick(c) {
-				found = c
-			}
+	r.mu.Lock()
+	for c := range r.circuits {
+		if pick(c) {
+			found = c
 		}
-		s.mu.RUnlock()
 	}
+	r.mu.Unlock()
 	if found == nil {
 		t.Fatal("no such circuit in the relay's table")
 	}
 	return found
+}
+
+// lenOf is len(table), one of r's tables, read under r.mu.
+func lenOf[K comparable, V any](r *Relay, table map[K]V) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(table)
 }
 
 // queuedBehindHelper is how many cells wait behind c's helper, -1 if it
@@ -496,6 +502,108 @@ func TestSiblingNotStalledBySilentNextHop(t *testing.T) {
 		}
 		if queuedBehindHelper(a) < 0 {
 			t.Fatal("A's EXTEND finished: the next hop was meant to stay silent")
+		}
+	})
+}
+
+// TestRendezvous1ClaimedOnce: eight circuits send RENDEZVOUS1 with one
+// cookie at once, on the wall-backed clock, whose deliver callbacks run
+// concurrently. The cookie is claimed under one hold of the relay's lock,
+// so exactly one of them splices: the client circuit gets one
+// RENDEZVOUS2, relay.rendezvous_splices moves by one, and the other seven
+// die as they would for an unknown cookie.
+func TestRendezvous1ClaimedOnce(t *testing.T) {
+	n := simnet.NewNetwork(simnet.NewClock(0.001), time.Millisecond)
+	n.SetObs(obs.NewRegistry())
+	relays, _ := buildNet(t, n, 1)
+	r := relays[0]
+	cli := dial(t, n, r, "cli", 11)
+	cookie := bytes.Repeat([]byte{0xC3}, 20)
+	est, _ := cell.EncodeControl(&cell.EstablishRendezvousPayload{Cookie: cookie})
+	cli.sendRelay(t, cell.RelayHeader{Cmd: cell.RelayEstablishRendezvous}, est)
+	if hdr, _ := cli.readRelay(t); hdr.Cmd != cell.RelayRendezvousEstablished {
+		t.Fatalf("no RENDEZVOUS_ESTABLISHED: %v", hdr.Cmd)
+	}
+
+	const racers = 8
+	rv, _ := cell.EncodeControl(&cell.Rendezvous1Payload{Cookie: cookie, Reply: []byte("hs-reply")})
+	svcs := make([]*rig, racers)
+	circs := make([]*circuit, racers)
+	sealed := make([][]byte, racers)
+	for i := range svcs {
+		id := uint32(100 + i)
+		svcs[i] = dial(t, n, r, fmt.Sprintf("svc%d", i), id)
+		circs[i] = theCircuit(t, r, func(c *circuit) bool { return c.circID == id })
+		sealed[i] = svcs[i].seal(t, cell.RelayHeader{Cmd: cell.RelayRendezvous1}, rv)
+	}
+	splices := r.m.rendSplices.Value()
+	start := make(chan struct{})
+	wrote := make(chan error, racers)
+	for i := range svcs {
+		go func() {
+			<-start
+			_, err := svcs[i].conn.Write(sealed[i])
+			wrote <- err
+		}()
+	}
+	close(start)
+	for range svcs {
+		if err := <-wrote; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if hdr, _ := cli.readRelay(t); hdr.Cmd != cell.RelayRendezvous2 {
+		t.Fatalf("no RENDEZVOUS2 at client: %v", hdr.Cmd)
+	}
+	dead := func() (n int) {
+		for _, c := range circs {
+			if c.destroyed.Load() {
+				n++
+			}
+		}
+		return n
+	}
+	eventually(t, "the losing circuits' teardown", func() bool { return dead() == racers-1 })
+	for i, c := range circs {
+		if c.destroyed.Load() {
+			svcs[i].expectDead(t, "RENDEZVOUS1 with a cookie already claimed")
+		}
+	}
+	if got := r.m.rendSplices.Value() - splices; got != 1 {
+		t.Fatalf("relay.rendezvous_splices moved by %d, want 1", got)
+	}
+	cli.conn.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+	if c, err := cell.Read(cli.conn); err == nil {
+		t.Fatalf("client circuit got a second cell (%v) after its RENDEZVOUS2", c.Cmd)
+	}
+	if dead() != racers-1 || lenOf(r, r.rendezvous) != 0 {
+		t.Fatalf("%d of %d racers dead and %d cookies registered after the claim, want %d and 0",
+			dead(), racers, lenOf(r, r.rendezvous), racers-1)
+	}
+}
+
+// TestCrashClosesEveryServedLink: Crash severs every link the relay
+// serves, from the moment it is accepted — an established circuit's and
+// one whose peer has not sent its CREATE yet. Both peers read EOF.
+func TestCrashClosesEveryServedLink(t *testing.T) {
+	forEachTransport(t, func(t *testing.T, newNet func() *simnet.Network) {
+		n := newNet()
+		relays, _ := buildNet(t, n, 1)
+		r := relays[0]
+		established := dial(t, n, r, "established", 5)
+		idle, err := n.AddHost("idle", 0).Dial(fmt.Sprintf("%s:%d", r.Host().Name(), ORPort))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eventually(t, "both links to be served", func() bool { return lenOf(r, r.circuits) == 2 })
+
+		r.Crash()
+		for what, conn := range map[string]net.Conn{"established circuit": established.conn, "idle link": idle} {
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if _, err := conn.Read(make([]byte, cell.Size)); err != io.EOF {
+				t.Fatalf("%s: read %v after Crash, want EOF", what, err)
+			}
 		}
 	})
 }

@@ -152,7 +152,6 @@ type Container struct {
 	encl    *enclave.Enclave
 	allowed map[string]bool
 	exitPol *policy.ExitPolicy
-	memSize int64
 
 	mu     sync.Mutex
 	closed bool
@@ -200,7 +199,6 @@ func New(cfg Config) (*Container, error) {
 		image:   cfg.Image,
 		exitPol: cfg.ExitPolicy,
 		allowed: make(map[string]bool, len(man.Calls)),
-		memSize: mem,
 	}
 	for _, call := range man.Calls {
 		c.allowed[call] = true
@@ -255,9 +253,6 @@ func (c *Container) FS() FileStore { return c.fs }
 
 // Enclave returns the backing enclave, or nil for plain containers.
 func (c *Container) Enclave() *enclave.Enclave { return c.encl }
-
-// MemSize returns the container's memory reservation in bytes.
-func (c *Container) MemSize() int64 { return c.memSize }
 
 // Allows reports whether the seccomp-style filter permits an API call
 // (the intersection of the manifest's requests with the node policy,

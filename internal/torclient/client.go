@@ -102,13 +102,6 @@ func (c *Client) Host() *simnet.Host { return c.host }
 // Consensus returns the directory consensus the client is using.
 func (c *Client) Consensus() *dirauth.Consensus { return c.consensus }
 
-// SetConsensus replaces the client's consensus (e.g. after a refresh).
-func (c *Client) SetConsensus(cons *dirauth.Consensus) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.consensus = cons
-}
-
 // SetTrafficTap installs an observer on all subsequently built circuits.
 func (c *Client) SetTrafficTap(tap TrafficTap) {
 	c.mu.Lock()

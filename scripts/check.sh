@@ -54,12 +54,15 @@ want "sync.Cond/WaitGroup sites" 'sync\.(NewCond|Cond|WaitGroup)\b' "internal/si
 # Parkers come from Cond.Wait and Sleep only: no hand-written waiter lists.
 want "parker sites" 'newParker\(' internal/simnet \
     "internal/simnet/clock.go:1 internal/simnet/cond.go:1 internal/simnet/sched.go:1"
-# torclient, the relay and the fleet wait on no channel.
-want "channel sites" '\bchan\b' "internal/torclient internal/relay internal/fleet" ""
+# torclient, the relay, the fleet and the Bento server wait on no channel.
+want "channel sites" '\bchan\b' "internal/torclient internal/relay internal/fleet internal/bento" ""
 # A client circuit reads its guard link in a deliver callback and writes it
-# directly (DESIGN.md §13.3): torclient starts goroutines only through
-# Clock.Go and has no link writer of its own.
-want "go statements" '^[[:space:]]*go[[:space:]]' internal/torclient ""
+# directly (DESIGN.md §13.3); the relay's and the Bento server's accept
+# loops and connection handlers start through Clock.Go too (ROADMAP item
+# 1(b)). Allowed: the workers of relay.RunParallelForwardBench, which run
+# outside any simulation (benchmark/'s probe).
+want "go statements" '^[[:space:]]*go[[:space:]]' "internal/torclient internal/relay internal/bento" \
+    "internal/relay/bench.go:1"
 # A relay link is served by deliver callbacks and written with WriteAsync
 # on both clocks (DESIGN.md §13.1): no link writer of its own either.
 want "BatchWriter uses" 'BatchWriter' "internal/torclient internal/relay" ""
@@ -110,8 +113,9 @@ go test -run='^$' -bench=. -benchtime=1x ./...
 
 stage "relay datapath stress under race (circuit teardown vs in-flight forwarding; burst ordering," \
     "the hop-level egress bound, idle circuits hold no burst, run datapath vs per-cell reference on both" \
-    "clocks; owned HS registrations, bounded helper backlog, sibling not stalled by a silent next hop)"
-go test -race -count=1 -run='TestTeardownForwardStress|TestBound|TestBurst|TestExtendThenCellsInOneBurst|TestIdleCircuitHoldsNoBurst|TestHSRegistrationsOwned|TestHelperBacklogBounded|TestSiblingNotStalledBySilentNextHop|TestTransportFollowsClock|TestRendezvousSplice|TestConnectedPrecedesDataAndEnd' ./internal/relay/
+    "clocks; owned HS registrations, bounded helper backlog, sibling not stalled by a silent next hop;" \
+    "a rendezvous cookie claimed once by concurrent RENDEZVOUS1s, Crash severing every served link)"
+go test -race -count=1 -run='TestTeardownForwardStress|TestBound|TestBurst|TestExtendThenCellsInOneBurst|TestIdleCircuitHoldsNoBurst|TestHSRegistrationsOwned|TestHelperBacklogBounded|TestSiblingNotStalledBySilentNextHop|TestTransportFollowsClock|TestRendezvousSplice|TestConnectedPrecedesDataAndEnd|TestRendezvous1ClaimedOnce|TestCrashClosesEveryServedLink' ./internal/relay/
 go test -race -count=1 -run='TestRun|TestTap|TestIdleCircuitHoldsNoGoroutines|TestDeliveryPassesParkedWriter' ./internal/torclient/
 
 stage "telemetry regression smoke (instrumented hot path and live sampler must not allocate)"
