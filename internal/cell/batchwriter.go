@@ -4,8 +4,6 @@ import (
 	"errors"
 	"io"
 	"sync"
-
-	"github.com/bento-nfv/bento/internal/obs"
 )
 
 // ErrWriterClosed is returned by BatchWriter enqueues after Close.
@@ -41,12 +39,6 @@ const maxBatchCells = 256
 // an inline one has been written (and copied by the conn) by then.
 type BatchWriter struct {
 	conn io.WriteCloser
-	// flushObs, when non-nil, records the size of every link write in
-	// cells. It is set at construction only (never mutated afterwards),
-	// so both the inline path and the flusher read it without locking;
-	// Observe is atomic and allocation-free, keeping the datapath's
-	// zero-alloc contract intact.
-	flushObs *obs.Histogram
 
 	mu       sync.Mutex
 	hasData  sync.Cond // flusher waits: pending non-empty and link idle, or closed/err
@@ -61,15 +53,7 @@ type BatchWriter struct {
 
 // NewBatchWriter starts a writer (and its flusher goroutine) over conn.
 func NewBatchWriter(conn io.WriteCloser) *BatchWriter {
-	return NewBatchWriterObs(conn, nil)
-}
-
-// NewBatchWriterObs is NewBatchWriter with a flush-size histogram
-// attached: every link write records its size in cells. A nil
-// histogram disables the observation (it is the no-op telemetry
-// sink), making this identical to NewBatchWriter.
-func NewBatchWriterObs(conn io.WriteCloser, flush *obs.Histogram) *BatchWriter {
-	w := &BatchWriter{conn: conn, flushObs: flush, done: make(chan struct{})}
+	w := &BatchWriter{conn: conn, done: make(chan struct{})}
 	w.hasData.L = &w.mu
 	w.hasSpace.L = &w.mu
 	go w.flushLoop()
@@ -111,36 +95,6 @@ func (w *BatchWriter) WriteFrames(frames []byte) error {
 	return nil
 }
 
-// TryWriteFrames queues a run of whole wire frames without ever
-// blocking — one lock, one flusher signal for the run: it returns
-// (false, nil) when the link is maxBatchCells behind instead of waiting
-// for space (the run is taken whole or not at all; like WriteFrames it
-// may overshoot the bound by its own size). It also never takes the
-// idle-inline path — the run is always handed to the flusher — because
-// the underlying Write can stall (a partitioned or rate-limited link),
-// and Try callers are exactly the ones that must not be stalled by one
-// slow link. Relay workers use this on the forward path and divert to a
-// per-circuit spill queue on false, so one congested circuit cannot
-// head-of-line-block its worker.
-func (w *BatchWriter) TryWriteFrames(frames []byte) (bool, error) {
-	if len(frames)%Size != 0 {
-		return false, errors.New("cell: TryWriteFrames requires whole frames")
-	}
-	w.mu.Lock()
-	if err := w.failedLocked(); err != nil {
-		w.mu.Unlock()
-		return false, err
-	}
-	if len(w.pending) >= maxBatchCells*Size {
-		w.mu.Unlock()
-		return false, nil
-	}
-	w.pending = append(w.pending, frames...)
-	w.hasData.Signal()
-	w.mu.Unlock()
-	return true, nil
-}
-
 // writeInlineLocked performs the idle-link fast path: the caller becomes
 // the writer for buf — its own frames, written where they are (the conn
 // copies before Write returns, and the caller cannot touch them until
@@ -150,7 +104,6 @@ func (w *BatchWriter) TryWriteFrames(frames []byte) (bool, error) {
 func (w *BatchWriter) writeInlineLocked(buf []byte) error {
 	w.writing = true
 	w.mu.Unlock()
-	w.flushObs.Observe(int64(len(buf) / Size))
 	_, err := w.conn.Write(buf)
 	w.mu.Lock()
 	w.writing = false
@@ -214,7 +167,6 @@ func (w *BatchWriter) flushLoop() {
 		w.pending = w.spare[:0]
 		w.writing = true
 		w.mu.Unlock()
-		w.flushObs.Observe(int64(len(buf) / Size))
 		_, err := w.conn.Write(buf)
 		w.mu.Lock()
 		w.spare = buf

@@ -6,8 +6,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"github.com/bento-nfv/bento/internal/obs"
 )
 
 // recordConn records everything written to it, optionally sleeping per
@@ -200,82 +198,6 @@ func TestBatchWriterWriteFrames(t *testing.T) {
 	}
 }
 
-// TestBatchWriterTryWriteFrame pins the non-blocking contract: Try
-// enqueues while there is room, reports false (without blocking or
-// dropping) once the writer is maxBatchCells behind, and fails with
-// ErrWriterClosed after Close.
-func TestBatchWriterTryWriteFrame(t *testing.T) {
-	// A conn whose first Write blocks until released, so pending fills.
-	release := make(chan struct{})
-	conn := &gateConn{release: release}
-	w := NewBatchWriter(conn)
-
-	frame := make([]byte, Size)
-	// First frame: Try hands to the flusher (never inline), which then
-	// blocks in conn.Write holding the spare buffer.
-	ok, err := w.TryWriteFrames(frame)
-	if !ok || err != nil {
-		t.Fatalf("first TryWriteFrames = %v, %v", ok, err)
-	}
-	// Fill pending to the bound while the flusher is stuck.
-	accepted := 1
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		ok, err := w.TryWriteFrames(frame)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		accepted++
-		if time.Now().After(deadline) {
-			t.Fatal("TryWriteFrames never reported a full writer")
-		}
-	}
-	if accepted < maxBatchCells {
-		t.Fatalf("writer reported full after only %d frames", accepted)
-	}
-	close(release)
-	w.Close()
-
-	data, _, _ := conn.snapshot()
-	if len(data) != accepted*Size {
-		t.Fatalf("%d frames accepted but %d bytes arrived", accepted, len(data))
-	}
-	if _, err := w.TryWriteFrames(frame); err != ErrWriterClosed {
-		t.Fatalf("TryWriteFrames after Close: %v, want ErrWriterClosed", err)
-	}
-}
-
-// gateConn blocks every Write until release is closed, then records.
-type gateConn struct {
-	release <-chan struct{}
-	mu      sync.Mutex
-	buf     bytes.Buffer
-	closed  bool
-}
-
-func (c *gateConn) Write(p []byte) (int, error) {
-	<-c.release
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.buf.Write(p)
-}
-
-func (c *gateConn) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.closed = true
-	return nil
-}
-
-func (c *gateConn) snapshot() ([]byte, int, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]byte(nil), c.buf.Bytes()...), 0, c.closed
-}
-
 // TestBatchWriterWriteAfterClose locks in the fail-fast contract.
 func TestBatchWriterWriteAfterClose(t *testing.T) {
 	w := NewBatchWriter(&recordConn{})
@@ -284,44 +206,4 @@ func TestBatchWriterWriteAfterClose(t *testing.T) {
 		t.Fatalf("WriteFrame after Close: %v, want ErrWriterClosed", err)
 	}
 	w.Close() // idempotent
-}
-
-// TestBatchWriterFlushHistogram checks the telemetry hook: every link
-// write (inline or flusher-coalesced) records its size in cells, so the
-// histogram's sample count matches the conn's Write calls and its sum
-// matches the cells enqueued.
-func TestBatchWriterFlushHistogram(t *testing.T) {
-	reg := obs.NewRegistry()
-	hist := reg.Histogram("relay.flush_cells", obs.BatchBuckets)
-	conn := &recordConn{delay: 100 * time.Microsecond}
-	w := NewBatchWriterObs(conn, hist)
-
-	const n = 200
-	frame := make([]byte, Size)
-	var wg sync.WaitGroup
-	for p := 0; p < 4; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < n/4; i++ {
-				if err := w.WriteFrame(frame); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	w.Close()
-
-	_, writes, _ := conn.snapshot()
-	if got := hist.Count(); got != int64(writes) {
-		t.Errorf("histogram saw %d flushes, conn saw %d writes", got, writes)
-	}
-	if got := hist.Sum(); got != n {
-		t.Errorf("histogram cell sum = %d, want %d", got, n)
-	}
-	if writes >= n {
-		t.Logf("note: no coalescing occurred (%d writes for %d cells)", writes, n)
-	}
 }

@@ -232,7 +232,8 @@ func TestExtendThenCellsInOneBurst(t *testing.T) {
 }
 
 // TestIdleCircuitHoldsNoBurst: once traffic stops, an established
-// circuit with an open stream holds no burst buffer anywhere.
+// circuit with an open stream holds nothing for it: no dial state, no
+// cells waiting behind one, no bytes in its links' backlogs.
 func TestIdleCircuitHoldsNoBurst(t *testing.T) {
 	rg := newRig(t, policy.AcceptAll())
 	ln, err := rg.net.AddHost("dest", 0).Listen(80)
@@ -267,14 +268,12 @@ func TestIdleCircuitHoldsNoBurst(t *testing.T) {
 		echoed += len(d)
 	}
 	// The circuit and its stream are still up; nothing is moving.
-	deadline := time.Now().Add(10 * time.Second)
-	for cell.BurstsOutstanding() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d bursts still held with the circuit idle", cell.BurstsOutstanding())
-		}
-		time.Sleep(time.Millisecond)
-	}
 	if lenOf(rg.relay, rg.relay.circuits) != 1 {
 		t.Fatalf("circuit table has %d entries, want the idle circuit", lenOf(rg.relay, rg.relay.circuits))
+	}
+	c := theCircuit(t, rg.relay, func(*circuit) bool { return true })
+	eventually(t, "the idle circuit to hold nothing", func() bool { return held(c) == 0 })
+	if d := dialState(c); d != nil {
+		t.Fatalf("idle circuit holds a dial to %s with %d bytes behind it", d.target, len(d.rest))
 	}
 }

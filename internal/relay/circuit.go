@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -23,14 +24,13 @@ import (
 // through WriteAsync, which never parks the caller.
 //
 // The forward direction has one owner at a time — the client link's
-// deliver callback, or a helper while one runs (mu guards the hand-off)
-// — so forward crypto needs no lock. The backward direction is
-// serialized by bwMu, held across seal/encrypt + write so keystream
-// order equals wire order.
+// deliver callback, or the callback of a dial it paused for — so forward
+// crypto needs no lock. The backward direction is serialized by bwMu,
+// held across seal/encrypt + write so keystream order equals wire order.
 type circuit struct {
 	relay      *Relay
 	conn       simnet.LightConn // inbound link, toward the circuit origin
-	next       simnet.LightConn // toward the next hop, nil until extended; written under mu
+	next       simnet.LightConn // toward the next hop, nil until an EXTEND's dial; guarded by mu
 	circID     uint32
 	nextCircID uint32     // guarded by mu
 	layer      *otr.Layer // nil until the CREATE handshake is done
@@ -38,8 +38,8 @@ type circuit struct {
 	destroyed atomic.Bool
 
 	mu       sync.Mutex
-	extended bool    // a next hop is attached
-	helper   *helper // non-nil while a helper owns the forward direction
+	extended bool     // the next hop answered the CREATE (EXTENDED sent)
+	dial     *dialing // non-nil while an EXTEND or BEGIN waits for its dial
 	joined   *circuit
 	streams  map[uint16]simnet.LightConn // nil until the first BEGIN
 	cookie   string                      // rendezvous cookie (hex) this circuit registered
@@ -52,28 +52,17 @@ type circuit struct {
 	bwBuf cell.FrameBuf // next-hop-link reassembly (its deliver callback only)
 }
 
-// helper is the hand-off to a goroutine that runs a circuit's EXTEND or
-// BEGIN — the two commands that dial and wait — so that no deliver
-// callback ever does. While it runs, inbound runs queue behind it instead
-// of being processed, and it drains them in arrival order when the
-// command is done, which keeps decrypt order equal to wire order. The
-// queue counts in cells and is capped at maxSpillCells: a client that
-// floods a circuit whose next hop never answers loses the circuit, not
-// the relay's memory.
-type helper struct {
-	head    [cell.Size]byte   // the recognized, verified cell that needs to block
-	q       simnet.ChunkQueue // frames behind it, guarded by the circuit's mu
-	plain   int               // leading bytes of q that are already peeled
-	pending net.Conn          // the next hop whose CREATED the helper is waiting for
-}
-
-// drop releases whatever is queued.
-func (h *helper) drop() {
-	var b [8 * cell.Size]byte
-	for h.q.Len() > 0 {
-		h.q.Read(b[:])
-	}
-	h.plain = 0
+// dialing is an EXTEND or BEGIN waiting out its dial's round trip — the
+// two commands that connect somewhere. The client link is paused for it
+// (the stall's SetDeliverFunc(nil)), so nothing else arrives; rest keeps
+// what was left of the delivery behind the command, whole RELAY cells
+// still encrypted, and the dial's callback finishes them in order before
+// it resumes the link, which keeps decrypt order equal to wire order.
+type dialing struct {
+	target  string
+	then    func(simnet.LightConn, error) bool // the command's second half; false kills the circuit
+	started bool                               // guarded by the circuit's mu
+	rest    []byte                             // guarded by the circuit's mu
 }
 
 // linkFrame builds one link-level cell.
@@ -146,56 +135,36 @@ func relayCells(run *cell.Burst, strict bool) cell.Command {
 	return cell.CmdRelay
 }
 
-// admit reports whether the caller may process frames now. While a helper
-// owns the forward direction it does not: the frames are queued behind
-// the helper, copied and still encrypted, or, past the cap, the circuit
-// is killed and the cells counted as dropped.
-func (c *circuit) admit(frames []byte) bool {
+// behindDial queues frames behind the dial the circuit awaits and reports
+// whether it did (or the circuit is gone): the runs left in the delivery
+// that met the command, and whatever a caller that feeds the circuit
+// directly goes on feeding while the link is paused.
+func (c *circuit) behindDial(frames []byte) bool {
 	if len(frames) == 0 || c.destroyed.Load() {
-		return false
-	}
-	c.mu.Lock()
-	h := c.helper
-	if h == nil {
-		c.mu.Unlock()
 		return true
 	}
-	lost := 0
-	if queued := h.q.Len() / cell.Size; queued+len(frames)/cell.Size > maxSpillCells {
-		lost = queued + len(frames)/cell.Size
-		h.drop()
-	} else {
-		h.q.Write(frames)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.dial == nil {
+		return false
 	}
-	c.mu.Unlock()
-	if lost > 0 {
-		c.relay.logf("%d cells queued behind a blocked EXTEND or BEGIN, dropping circuit", lost)
-		c.relay.m.dropped.Add(int64(lost))
-		c.teardown()
-	}
-	return false
+	c.dial.rest = append(c.dial.rest, frames...)
+	return true
 }
 
 // finishRun completes one run of RELAY frames from the client link, cell
-// by cell in order; the caller has been admitted. The first peeled bytes
-// have had this hop's layer removed already (the helper's, for the rest
-// of the run that started it); the rest is peeled here. Every cell gets
-// its own recognition check and digest verification; what the run shares
-// is the hand-offs around them. Consecutive cells addressed past this hop
-// form a span that leaves through one write (forwardSpan); consecutive
-// recognized DATA cells of one stream are gathered in place into one
-// destination write. Both are flushed before any other recognized command
-// is dispatched and at the end of the run, so what a stream's destination
-// and the next hop see — DATA before END, CREATE before the cells sent
-// behind an EXTEND — is in the order the cells arrived. EXTEND and BEGIN
-// dial and wait: met in a deliver callback (onHelper unset), they start a
-// helper that takes the run from that cell on; the helper itself runs
-// them inline.
-func (c *circuit) finishRun(frames []byte, peeled int, onHelper bool) {
+// by cell in order: peel, recognition check, digest verification. What
+// the run shares is the hand-offs around them. Consecutive cells addressed
+// past this hop form a span that leaves through one write (forwardSpan);
+// consecutive recognized DATA cells of one stream are gathered in place
+// into one destination write. Both are flushed before any other
+// recognized command is dispatched and at the end of the run, so what a
+// stream's destination and the next hop see — DATA before END, CREATE
+// before the cells sent behind an EXTEND — is in the order the cells
+// arrived. An EXTEND or BEGIN that dials ends the run: the cells behind
+// it, not yet peeled, wait in its dialing.
+func (c *circuit) finishRun(frames []byte) {
 	r := c.relay
-	for off := peeled; off < len(frames); off += cell.Size {
-		c.layer.ApplyForward(cell.WirePayload(frames[off : off+cell.Size]))
-	}
 	run := cell.Burst{N: len(frames) / cell.Size, Buf: frames}
 	// The DATA of consecutive cells of one exit stream, gathered in place
 	// in the run (the relay-side twin of torclient's streamData).
@@ -209,6 +178,7 @@ func (c *circuit) finishRun(frames []byte, peeled int, onHelper bool) {
 	span := 0 // first cell of the forward span being collected
 	for k := 0; k < run.N; k++ {
 		payload := cell.WirePayload(run.Frame(k))
+		c.layer.ApplyForward(payload)
 		if !cell.Recognized(payload) || !c.layer.VerifyForward(payload, cell.DigestOffset) {
 			continue // addressed past this hop: joins the span
 		}
@@ -225,17 +195,20 @@ func (c *circuit) finishRun(frames []byte, peeled int, onHelper bool) {
 			continue
 		}
 		flush()
-		switch {
-		case err != nil:
+		if err != nil {
 			r.logf("bad relay payload: %v", err)
-		case !onHelper && (hdr.Cmd == cell.RelayExtend || hdr.Cmd == cell.RelayBegin):
-			c.startHelper(frames[k*cell.Size:])
+			c.teardown()
 			return
-		case c.dispatch(hdr, body):
-			continue
 		}
-		c.teardown()
-		return
+		d, ok := c.dispatch(hdr, body)
+		if d != nil {
+			c.await(d, frames[(k+1)*cell.Size:])
+			return
+		}
+		if !ok {
+			c.teardown()
+			return
+		}
 	}
 	c.forwardSpan(frames[span*cell.Size:])
 	flush()
@@ -252,16 +225,16 @@ func (c *circuit) forwardSpan(frames []byte) {
 	r := c.relay
 	n := int64(len(frames) / cell.Size)
 	c.mu.Lock()
-	extended, nextID, joined := c.extended, c.nextCircID, c.joined
+	next, nextID, joined := c.next, c.nextCircID, c.joined
 	c.mu.Unlock()
 	var err error
 	switch {
-	case extended:
+	case next != nil:
 		for off := 0; off < len(frames); off += cell.Size {
 			cell.SetWireCircID(frames[off:], nextID)
 		}
 		r.m.fwdCells.Add(n)
-		err = c.writeNext(frames)
+		err = next.WriteAsync(frames)
 	case joined != nil:
 		// Rendezvous splice: the still-encrypted payloads continue as
 		// backward cells on the joined circuit.
@@ -277,66 +250,76 @@ func (c *circuit) forwardSpan(frames []byte) {
 	}
 }
 
-// startHelper hands the forward direction to a new helper goroutine. rest
-// is what is left of the run being finished, peeled, from the cell that
-// needs to block on. It starts through Clock.Go, as a goroutine started
-// from a deliver callback on the dispatcher must.
-func (c *circuit) startHelper(rest []byte) {
-	h := &helper{plain: len(rest) - cell.Size}
-	copy(h.head[:], rest)
+// await makes d the circuit's dial, with rest, what is left of the run
+// after its command, in front of the cells that wait behind it. It is
+// started at the end of the delivery (startDial). Cells queued behind a
+// dial whose callback is finishing them move behind the new one.
+func (c *circuit) await(d *dialing, rest []byte) {
+	d.rest = append([]byte(nil), rest...)
 	c.mu.Lock()
-	h.q.Write(rest[cell.Size:])
-	c.helper = h
+	if prev := c.dial; prev != nil {
+		d.rest, prev.rest = append(d.rest, prev.rest...), nil
+	}
+	c.dial = d
 	c.mu.Unlock()
-	c.relay.host.Clock().Go(func() { c.runHelper(h) })
 }
 
-// runHelper dispatches the cell that needed to block, then finishes what
-// queued behind it, a burst at a time, and retires once the queue is
-// empty: it is the only forward-path context while c.helper is set.
-func (c *circuit) runHelper(h *helper) {
-	hdr, body, err := cell.ParseRelay(cell.WirePayload(h.head[:]))
-	ok := err == nil && c.dispatch(hdr, body)
-	if !ok {
-		c.teardown()
+// startDial pauses the client link and starts the dial a command awaits,
+// if one does and has not started; it reports whether a dial is under
+// way. Like a stall, it must be the last thing a deliver callback does.
+func (c *circuit) startDial() bool {
+	c.mu.Lock()
+	d := c.dial
+	start := d != nil && !d.started && !c.destroyed.Load()
+	if start {
+		d.started = true
 	}
-	b := cell.GetBurst(cell.BurstCells)
-	defer cell.PutBurst(b)
-	for {
-		c.mu.Lock()
-		if !ok || c.destroyed.Load() {
-			h.drop()
+	c.mu.Unlock()
+	if start {
+		c.conn.SetDeliverFunc(nil)
+		c.relay.host.DialFunc(d.target, func(conn simnet.LightConn, err error) { c.dialed(d, conn, err) })
+	}
+	return d != nil
+}
+
+// dialed is a dial's callback: the command's second half, then the cells
+// that waited behind it, then the client link again. After a teardown it
+// only closes the fresh conn.
+func (c *circuit) dialed(d *dialing, conn simnet.LightConn, err error) {
+	if c.destroyed.Load() {
+		if conn != nil {
+			conn.Close()
 		}
-		n := h.q.Read(b.Buf) // whole cells in, whole cells out
-		plain := min(h.plain, n)
-		h.plain -= plain
-		if n == 0 {
-			c.helper = nil
+		return
+	}
+	if !d.then(conn, err) {
+		c.teardown()
+		return
+	}
+	for !c.destroyed.Load() {
+		c.mu.Lock()
+		rest, latest := d.rest, c.dial
+		d.rest = nil
+		if latest == d && len(rest) == 0 {
+			c.dial = nil
 		}
 		c.mu.Unlock()
-		if n == 0 {
+		switch {
+		case latest != d: // a command in the rest awaits a dial of its own
+			c.startDial()
+			return
+		case len(rest) == 0:
+			c.conn.SetDeliverFunc(c.onDeliver)
 			return
 		}
-		c.finishRun(b.Buf[:n], plain, true)
+		c.finishRun(rest)
 	}
-}
-
-// waiting records the next hop a helper is about to wait on (nil: done
-// waiting), so that teardown can end the wait by closing the conn. False
-// if the circuit is already torn down.
-func (c *circuit) waiting(next net.Conn) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if h := c.helper; h != nil {
-		h.pending = next
-	}
-	return !c.destroyed.Load()
 }
 
 // dispatch acts on one recognized relay cell other than DATA, which
 // finishRun gathers and hands to handleData a run at a time. EXTEND and
-// BEGIN dial and wait: finishRun routes them onto a helper.
-func (c *circuit) dispatch(hdr cell.RelayHeader, data []byte) bool {
+// BEGIN may return the dial they finish in; false kills the circuit.
+func (c *circuit) dispatch(hdr cell.RelayHeader, data []byte) (*dialing, bool) {
 	switch hdr.Cmd {
 	case cell.RelayExtend:
 		return c.handleExtend(data)
@@ -344,88 +327,91 @@ func (c *circuit) dispatch(hdr cell.RelayHeader, data []byte) bool {
 		return c.handleBegin(hdr.StreamID, data)
 	case cell.RelayEnd:
 		c.closeStream(hdr.StreamID)
-		return true
+		return nil, true
 	case cell.RelayDrop:
 		// Cover traffic: absorbed here by design.
-		return true
+		return nil, true
 	case cell.RelayEstablishIntro:
-		return c.handleEstablishIntro(data)
+		return nil, c.handleEstablishIntro(data)
 	case cell.RelayIntroduce1:
-		return c.handleIntroduce1(data)
+		return nil, c.handleIntroduce1(data)
 	case cell.RelayEstablishRendezvous:
-		return c.handleEstablishRendezvous(data)
+		return nil, c.handleEstablishRendezvous(data)
 	case cell.RelayRendezvous1:
-		return c.handleRendezvous1(data)
+		return nil, c.handleRendezvous1(data)
 	default:
 		c.relay.logf("unhandled relay command %v", hdr.Cmd)
-		return true
+		return nil, true
 	}
 }
 
-// handleExtend dials the requested next hop, performs CREATE/CREATED on
-// behalf of the client, and returns the reply in an EXTENDED cell.
-func (c *circuit) handleExtend(data []byte) bool {
+// handleExtend dials the requested next hop; once connected it sends the
+// client's CREATE there and attaches the link, and the next hop's CREATED
+// comes back as EXTENDED (onBackward).
+func (c *circuit) handleExtend(data []byte) (*dialing, bool) {
 	r := c.relay
 	var ext cell.ExtendPayload
 	if err := cell.DecodeControl(data, &ext); err != nil {
-		return false
+		return nil, false
 	}
 	c.mu.Lock()
-	already := c.extended
+	already := c.next != nil
 	c.mu.Unlock()
 	if already {
 		r.logf("EXTEND on already-extended circuit")
-		return false
+		return nil, false
 	}
-	sp := r.reg.StartSpan("relay.extend")
-	sp.Note(ext.Addr)
-	defer sp.End()
-	dialed, err := r.host.Dial(ext.Addr)
-	if err != nil {
-		r.logf("extend dial %s: %v", ext.Addr, err)
-		r.m.extendFails.Inc()
-		sp.Fail(err)
-		return false
-	}
-	next := dialed.(simnet.LightConn) // every simnet conn is one
 	var id [4]byte
 	rand.Read(id[:])
 	nextID := binary.BigEndian.Uint32(id[:])
 	create := linkFrame(nextID, cell.CmdCreate, ext.Handshake)
-	var reply [cell.Size]byte
-	// The link has no callback yet, so CREATED lands in its read buffer.
-	// While the helper waits for it, teardown may close next (waiting).
-	ok := c.waiting(next) && next.WriteAsync(create[:]) == nil &&
-		cell.ReadWire(next, reply[:]) == nil && cell.WireCmd(reply[:]) == cell.CmdCreated &&
-		c.waiting(nil)
-	if !ok || !c.attachNext(next, nextID) {
-		next.Close()
+	sp := r.reg.StartSpan("relay.extend")
+	sp.Note(ext.Addr)
+	return &dialing{target: ext.Addr, then: func(next simnet.LightConn, err error) bool {
+		defer sp.End()
+		if err == nil && (next.WriteAsync(create[:]) != nil || !c.attachNext(next, nextID)) {
+			next.Close()
+			err = net.ErrClosed
+		}
+		if err != nil {
+			r.logf("extend to %s: %v", ext.Addr, err)
+			r.m.extendFails.Inc()
+			sp.Fail(err)
+		}
+		return err == nil
+	}}, true
+}
+
+// extendDone answers the EXTEND with the next hop's first cell, which
+// must be CREATED (the mirror of onForward's CREATE).
+func (c *circuit) extendDone(wire []byte) bool {
+	r := c.relay
+	if cell.WireCmd(wire) != cell.CmdCreated {
 		r.m.extendFails.Inc()
 		return false
 	}
+	c.mu.Lock()
+	c.extended = true
+	c.mu.Unlock()
 	r.m.extends.Inc()
-
 	extended, err := cell.EncodeControl(&cell.ExtendedPayload{
-		Reply: cell.WirePayload(reply[:])[:otr.PublicKeyLen+otr.AuthLen],
+		Reply: cell.WirePayload(wire)[:otr.PublicKeyLen+otr.AuthLen],
 	})
-	if err != nil {
-		return false
-	}
-	return c.sendBackward(cell.RelayHeader{Cmd: cell.RelayExtended}, extended) == nil
+	return err == nil && c.sendBackward(cell.RelayHeader{Cmd: cell.RelayExtended}, extended) == nil
 }
 
 // handleBegin opens an exit stream, enforcing the exit policy. The special
 // host "localhost" resolves to the relay's own machine, which is how
 // clients reach a co-resident Bento server through an exit circuit.
-func (c *circuit) handleBegin(streamID uint16, data []byte) bool {
+func (c *circuit) handleBegin(streamID uint16, data []byte) (*dialing, bool) {
 	r := c.relay
 	var begin cell.BeginPayload
 	if err := cell.DecodeControl(data, &begin); err != nil {
-		return false
+		return nil, false
 	}
 	host, port, ok := splitTarget(begin.Target)
 	if !ok {
-		return c.endStream(streamID, "bad target")
+		return nil, c.endStream(streamID, "bad target")
 	}
 	policyHost := host
 	if host == "localhost" {
@@ -434,36 +420,37 @@ func (c *circuit) handleBegin(streamID uint16, data []byte) bool {
 	if !r.cfg.ExitPolicy.Allows(policyHost, port) {
 		r.logf("exit policy refuses %s:%d", policyHost, port)
 		r.m.streamsRefused.Inc()
-		return c.endStream(streamID, "exit policy refused")
+		return nil, c.endStream(streamID, "exit policy refused")
 	}
-	dialed, err := r.host.Dial(fmt.Sprintf("%s:%d", host, port))
-	if err != nil {
-		r.m.streamsRefused.Inc()
-		return c.endStream(streamID, "connect failed")
-	}
-	remote := dialed.(simnet.LightConn)
-	c.mu.Lock()
-	if c.destroyed.Load() {
+	return &dialing{target: fmt.Sprintf("%s:%d", host, port), then: func(remote simnet.LightConn, err error) bool {
+		if err != nil {
+			r.m.streamsRefused.Inc()
+			return c.endStream(streamID, "connect failed")
+		}
+		c.mu.Lock()
+		if c.destroyed.Load() {
+			c.mu.Unlock()
+			remote.Close()
+			return false
+		}
+		if c.streams == nil {
+			c.streams = make(map[uint16]simnet.LightConn)
+		}
+		c.streams[streamID] = remote
 		c.mu.Unlock()
-		remote.Close()
-		return false
-	}
-	if c.streams == nil {
-		c.streams = make(map[uint16]simnet.LightConn)
-	}
-	c.streams[streamID] = remote
-	c.mu.Unlock()
 
-	r.m.streamsOpened.Inc()
-	// CONNECTED goes out before anything reads the destination: one that
-	// answers and hangs up at once must not get its DATA or END onto the
-	// circuit ahead of it (the client would read "stream refused").
-	if c.sendBackward(cell.RelayHeader{StreamID: streamID, Cmd: cell.RelayConnected}, nil) != nil {
-		c.closeStream(streamID)
-		return false
-	}
-	c.attachStream(streamID, remote)
-	return true
+		r.m.streamsOpened.Inc()
+		// CONNECTED goes out before anything reads the destination: one
+		// that answers and hangs up at once must not get its DATA or END
+		// onto the circuit ahead of it (the client would read "stream
+		// refused").
+		if c.sendBackward(cell.RelayHeader{StreamID: streamID, Cmd: cell.RelayConnected}, nil) != nil {
+			c.closeStream(streamID)
+			return false
+		}
+		c.attachStream(streamID, remote)
+		return true
+	}}, true
 }
 
 // handleData writes the gathered data of one or more consecutive DATA
@@ -499,12 +486,6 @@ func (c *circuit) endStream(streamID uint16, reason string) bool {
 		return false
 	}
 	return c.sendBackward(cell.RelayHeader{StreamID: streamID, Cmd: cell.RelayEnd}, end) == nil
-}
-
-// streamEOF ends a stream whose destination hung up.
-func (c *circuit) streamEOF(streamID uint16) {
-	c.endStream(streamID, "eof")
-	c.closeStream(streamID)
 }
 
 // --- backward direction ------------------------------------------------------
@@ -669,16 +650,10 @@ func (c *circuit) teardown() {
 	}
 	r := c.relay
 	c.mu.Lock()
-	extended, nextID, next := c.extended, c.nextCircID, c.next
+	nextID, next := c.nextCircID, c.next
 	joined, streams := c.joined, c.streams
 	c.joined, c.streams = nil, nil
 	cookie, introID := c.cookie, c.introID
-	var pending net.Conn
-	if h := c.helper; h != nil {
-		// The helper retires on its own once what it waits on is closed.
-		h.drop()
-		pending = h.pending
-	}
 	c.mu.Unlock()
 
 	if c.layer != nil {
@@ -698,17 +673,12 @@ func (c *circuit) teardown() {
 		delete(r.intros, introID)
 	}
 	r.mu.Unlock()
-	if pending != nil {
-		pending.Close()
-	}
 	for _, s := range streams {
 		s.Close()
 	}
-	if extended {
+	if next != nil {
 		destroy := linkFrame(nextID, cell.CmdDestroy, nil)
 		next.WriteAsync(destroy[:])
-	}
-	if next != nil {
 		next.Close()
 	}
 	c.conn.Close()
@@ -732,13 +702,16 @@ func (c *circuit) destroyFromBehind() {
 	c.teardown()
 }
 
+// splitTarget splits a BEGIN target, "host:port". The port is decimal
+// digits only, 1 to 65535: the target is a client's.
 func splitTarget(s string) (string, int, bool) {
 	i := strings.LastIndex(s, ":")
 	if i <= 0 {
 		return "", 0, false
 	}
-	var port int
-	if _, err := fmt.Sscanf(s[i+1:], "%d", &port); err != nil || port < 1 || port > 65535 {
+	p := s[i+1:]
+	port, err := strconv.Atoi(p)
+	if err != nil || p[0] < '0' || p[0] > '9' || port < 1 || port > 65535 {
 		return "", 0, false
 	}
 	return s[:i], port, true

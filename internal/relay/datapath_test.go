@@ -170,11 +170,7 @@ func (c *stressClient) awaitConnected() error {
 // different timer goroutines, which is where the races would be.
 func TestTeardownForwardStress(t *testing.T) {
 	forEachTransport(t, func(t *testing.T, newNet func() *simnet.Network) {
-		n := newNet()
-		if eventDriven(n) {
-			onOneP(t) // unpinned on 2 P: a stable sender's CONNECTED wait times out in 1 of 10 runs
-		}
-		teardownForwardStress(t, n)
+		teardownForwardStress(t, newNet())
 	})
 }
 

@@ -16,8 +16,10 @@ import (
 // LightConn.SetDeliverFunc: runs arrive as callbacks (on the dispatcher
 // on the event clock, on timer goroutines on a wall-backed one), the
 // circuit's forward path runs inline, and egress goes out through
-// WriteAsync — zero goroutines and zero parks per link. Only the helper
-// (EXTEND, BEGIN) runs on a goroutine of its own.
+// WriteAsync — zero goroutines and zero parks per link. A circuit never
+// has a goroutine: EXTEND and BEGIN dial with Host.DialFunc, pausing the
+// client link for the dial's round trip the way a stall does, and finish
+// in the dial's callback, which resumes the link.
 //
 // Flow control is one bound, per hop: a write that leaves an egress conn
 // holding more than spillHighWater cells' worth of bytes its peer has not
@@ -34,8 +36,7 @@ import (
 
 const (
 	// maxSpillCells is what one circuit may hold in the relay, in cells:
-	// the cap on the queue behind its helper (past it the circuit is
-	// killed), and the bound its egress backlog stays under.
+	// the bound its egress backlog stays under.
 	maxSpillCells = 4096
 	// spillHighWater is the egress backlog, in cells, past which a circuit
 	// stalls the conn that fed it. A feed is stalled only once the
@@ -82,7 +83,7 @@ func (c *circuit) congestedAhead() simnet.LightConn {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.extended && congested(c.next) {
+	if c.next != nil && congested(c.next) {
 		return c.next
 	}
 	if j := c.joined; j != nil && congested(j.conn) {
@@ -99,14 +100,17 @@ func (c *circuit) congestedAhead() simnet.LightConn {
 // onDeliver is the client link's delivery callback. data is a simnet
 // chunk lent for the call (LightConn): the circuit either finishes with
 // the bytes before returning (in-place decrypt; WriteAsync and PackRelay
-// copy) or copies them first (FrameBuf's carry, the queue behind a
-// helper).
+// copy) or copies them first (FrameBuf's carry, the cells behind a dial).
+// A delivery that met an EXTEND or BEGIN ends by pausing the link for the
+// dial; one that congested an egress, by stalling it.
 func (c *circuit) onDeliver(data []byte, eof bool) {
 	if len(data) > 0 {
 		c.inBuf.Feed(data, c.onForward)
 	}
 	if eof {
 		c.teardown()
+	} else if c.startDial() {
+		// The dial's callback resumes the link.
 	} else if e := c.congestedAhead(); e != nil {
 		c.stall(c.conn, e, c.onDeliver)
 	}
@@ -124,8 +128,8 @@ func (c *circuit) onForward(frames []byte) bool {
 	}
 	run := cell.Burst{N: len(frames) / cell.Size, Buf: frames}
 	end := relayCells(&run, true)
-	if c.admit(run.Frames()) {
-		c.finishRun(run.Frames(), 0, false)
+	if !c.behindDial(run.Frames()) {
+		c.finishRun(run.Frames())
 	}
 	if end == cell.CmdRelay {
 		return !c.destroyed.Load()
@@ -137,8 +141,9 @@ func (c *circuit) onForward(frames []byte) bool {
 	return false
 }
 
-// onBackward is the next-hop link's delivery callback: cells from behind
-// get this hop's backward layer and continue toward the client.
+// onBackward is the next-hop link's delivery callback: the first cell
+// answers the CREATE, and the cells from behind it get this hop's
+// backward layer and continue toward the client.
 func (c *circuit) onBackward(data []byte, eof bool) {
 	if len(data) > 0 && !c.bwBuf.Feed(data, c.onBackwardRun) {
 		return
@@ -151,6 +156,13 @@ func (c *circuit) onBackward(data []byte, eof bool) {
 }
 
 func (c *circuit) onBackwardRun(frames []byte) bool {
+	if !c.extended {
+		if !c.extendDone(frames[:cell.Size]) {
+			c.teardown()
+			return false
+		}
+		frames = frames[cell.Size:]
+	}
 	run := cell.Burst{N: len(frames) / cell.Size, Buf: frames}
 	end := relayCells(&run, false)
 	if c.backwardRun(run.Frames()) != nil {
@@ -164,20 +176,15 @@ func (c *circuit) onBackwardRun(frames []byte) bool {
 	return true
 }
 
-// writeNext sends a run toward the next hop. It reads next without mu:
-// attachNext stored it before the circuit published extended under mu,
-// and every caller has read extended there.
-func (c *circuit) writeNext(frames []byte) error { return c.next.WriteAsync(frames) }
-
-// attachNext makes next, whose CREATED has been read, the next-hop link:
-// from here on its cells reach onBackward and forward cells go to it as
-// nextID. False if the circuit is torn down (checked under mu, so
-// teardown either closes the link or prevents it).
+// attachNext makes next, which has been sent the CREATE, the next-hop
+// link: from here on its cells reach onBackward and forward cells go to
+// it as nextID, behind the CREATE. False if the circuit is torn down
+// (checked under mu, so teardown either closes the link or prevents it).
 func (c *circuit) attachNext(next simnet.LightConn, nextID uint32) bool {
 	c.mu.Lock()
 	ok := !c.destroyed.Load()
 	if ok {
-		c.next, c.extended, c.nextCircID = next, true, nextID
+		c.next, c.nextCircID = next, nextID
 	}
 	c.mu.Unlock()
 	if ok {
@@ -195,8 +202,9 @@ func (c *circuit) attachStream(streamID uint16, remote simnet.LightConn) {
 			c.teardown()
 			return
 		}
-		if eof {
-			c.streamEOF(streamID)
+		if eof { // the destination hung up
+			c.endStream(streamID, "eof")
+			c.closeStream(streamID)
 		} else if !c.destroyed.Load() && congested(c.conn) {
 			c.stall(remote, c.conn, deliver)
 		}

@@ -461,6 +461,15 @@ func TestSplitTarget(t *testing.T) {
 		{":80", "", 0, false},
 		{"a:0", "", 0, false},
 		{"a:70000", "", 0, false},
+		{"[::1]:443", "[::1]", 443, true},
+		// The target is a client's: the port is digits and nothing else.
+		{"a:", "", 0, false},
+		{"a:80abc", "", 0, false},
+		{"a: 80", "", 0, false},
+		{"a:+80", "", 0, false},
+		{"a:-80", "", 0, false},
+		{"a:80 ", "", 0, false},
+		{"a:99999999999999999999", "", 0, false},
 	}
 	for _, c := range cases {
 		h, p, ok := splitTarget(c.in)

@@ -64,9 +64,13 @@ type conn struct {
 	wdTimer   *VTimer
 
 	// deliverSeq counts SetDeliverFunc calls, so a flush learns that a
-	// later call (its own callback pausing the conn) took over.
-	deliverSeq uint32
-	drainAt    int32 // the backlog at or below which drainFn runs
+	// later call (its own callback pausing the conn) took over; it is only
+	// compared across one flush, so 16 bits do.
+	deliverSeq uint16
+	// eofOwed: the EOF (the peer's close, a sever) came with no callback
+	// installed; the next one installed gets it, even on a closed endpoint.
+	eofOwed bool
+	drainAt int32 // the backlog at or below which drainFn runs
 
 	// The flags, packed into one word.
 	eof           bool // peer closed; EOF after buffer drains
@@ -304,6 +308,7 @@ func (c *conn) deliverEOF() {
 	c.eof = true
 	c.readers.Broadcast()
 	fn := c.deliverFn
+	c.eofOwed = fn == nil
 	c.mu.Unlock()
 	if fn != nil {
 		fn(nil, true)
@@ -333,7 +338,10 @@ func (c *conn) SetDeliverFunc(fn func(data []byte, eof bool)) {
 		}
 	}
 	c.deliverFn = fn
-	eof := fn != nil && c.eof && !c.closed
+	eof := fn != nil && c.eof && (!c.closed || c.eofOwed)
+	if eof {
+		c.eofOwed = false
+	}
 	resume := c.senderWaiting && (fn != nil || c.rx.Len() <= readBufMax)
 	if resume {
 		c.senderWaiting = false
@@ -541,11 +549,13 @@ func (c *conn) Close() error {
 // shut closes the endpoint. With sever it also returns the deliver
 // callback still owed an EOF, taken in the same critical section that
 // closes: a peer's EOF that reached deliverEOF first was that EOF, and
-// none can reach it afterwards, so each callback sees exactly one.
+// none can reach it afterwards, so each callback sees exactly one. With
+// no callback installed (a paused feed) the EOF is owed to the next one.
 func (c *conn) shut(sever bool) (owed func(data []byte, eof bool)) {
 	c.mu.Lock()
 	if sever && !c.eof {
 		owed, c.eof = c.deliverFn, true
+		c.eofOwed = owed == nil && !c.closed
 	}
 	if c.closed {
 		c.mu.Unlock()

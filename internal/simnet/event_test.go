@@ -556,6 +556,131 @@ func TestLightConnAsyncRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDialFuncRoundTrip: DialFunc's callback runs once, one round trip
+// after the call on the event clock, with a conn the listener has
+// accepted; a target that does not resolve or has no listener is
+// reported at the call's instant, with no conn.
+func TestDialFuncRoundTrip(t *testing.T) {
+	clock := eventClock(t)
+	n := NewNetwork(clock, 3*time.Millisecond)
+	a := n.AddHost("a", 0)
+	l, err := n.AddHost("b", 0).Listen(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+
+	type result struct {
+		after time.Duration // from the DialFunc call to the callback
+		conn  LightConn
+		err   error
+	}
+	var mu sync.Mutex
+	got := map[string][]result{}
+	// Dialled from a dispatcher callback, where virtual time stands still.
+	clock.AfterFunc(0, func() {
+		for _, target := range []string{"b:7", "nowhere:7", "b:8"} {
+			start := clock.Now()
+			a.DialFunc(target, func(c LightConn, err error) {
+				mu.Lock()
+				got[target] = append(got[target], result{clock.Now() - start, c, err})
+				mu.Unlock()
+			})
+		}
+	})
+	clock.Sleep(time.Second)
+	mu.Lock()
+	defer mu.Unlock()
+	for _, target := range []string{"b:7", "nowhere:7", "b:8"} {
+		if len(got[target]) != 1 {
+			t.Fatalf("%s: %d callbacks, want 1", target, len(got[target]))
+		}
+	}
+	for _, target := range []string{"nowhere:7", "b:8"} {
+		if r := got[target][0]; r.err == nil || r.conn != nil || r.after != 0 {
+			t.Fatalf("%s: conn %v, err %v after %v, want an error at once", target, r.conn, r.err, r.after)
+		}
+	}
+	ok := got["b:7"][0]
+	if ok.err != nil || ok.conn == nil || ok.after != 6*time.Millisecond {
+		t.Fatalf("b:7: conn %v, err %v after %v, want a conn after 6ms", ok.conn, ok.err, ok.after)
+	}
+	far, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer far.Close()
+	defer ok.conn.Close()
+	ok.conn.WriteAsync([]byte("hi"))
+	buf := make([]byte, 2)
+	if _, err := io.ReadFull(far, buf); err != nil || string(buf) != "hi" {
+		t.Fatalf("read %q, %v through the dialed conn", buf, err)
+	}
+}
+
+// TestSeverDuringPauseOwesEOF: an endpoint whose deliver callback is
+// cleared (a paused feed) is severed; the callback installed afterwards
+// is handed exactly one EOF, as it is for the peer's graceful close
+// during the pause. A second install after that EOF, on the closed
+// endpoint, gets none.
+func TestSeverDuringPauseOwesEOF(t *testing.T) {
+	for _, end := range []struct {
+		name string
+		do   func(near, far *conn)
+	}{
+		{"sever", func(near, _ *conn) { near.severBoth() }},
+		{"peer close", func(_, far *conn) { far.Close() }},
+		{"peer close then sever", func(near, far *conn) {
+			far.Close()
+			near.clock.Sleep(time.Second)
+			near.severBoth()
+		}},
+	} {
+		t.Run(end.name, func(t *testing.T) {
+			clock := eventClock(t)
+			n := NewNetwork(clock, time.Millisecond)
+			l, err := n.AddHost("b", 0).Listen(7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			c, err := n.AddHost("a", 0).Dial("b:7")
+			if err != nil {
+				t.Fatal(err)
+			}
+			far, err := l.Accept()
+			if err != nil {
+				t.Fatal(err)
+			}
+			near := c.(*conn)
+			var mu sync.Mutex
+			eofs := 0
+			deliver := func(_ []byte, eof bool) {
+				if eof {
+					mu.Lock()
+					eofs++
+					mu.Unlock()
+				}
+			}
+			near.SetDeliverFunc(deliver)
+			near.SetDeliverFunc(nil) // the pause
+			end.do(near, far.(*conn))
+			clock.Sleep(time.Second)
+			near.SetDeliverFunc(deliver) // the resume
+			clock.Sleep(time.Second)
+			near.SetDeliverFunc(nil)
+			near.Close()
+			near.SetDeliverFunc(deliver)
+			clock.Sleep(time.Second)
+			mu.Lock()
+			defer mu.Unlock()
+			if eofs != 1 {
+				t.Fatalf("the resumed callback saw %d EOFs, want 1", eofs)
+			}
+		})
+	}
+}
+
 func TestEventCoreBandwidthPacing(t *testing.T) {
 	// 100 KiB through a 100 KiB/s uplink must take ~1 virtual second on
 	// the event core, with exact arithmetic.

@@ -3,6 +3,8 @@ package simnet
 import (
 	"fmt"
 	"net"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -168,31 +170,88 @@ func (h *Host) Listen(port int) (net.Listener, error) {
 	}
 	l := &listener{host: h, port: port}
 	l.acceptors = Cond{L: &l.mu, clock: h.net.clock}
-	l.dialers = Cond{L: &l.mu, clock: h.net.clock}
 	h.listeners[port] = l
 	return l, nil
 }
 
 // Dial connects to "host:port", applying connection-setup propagation
 // delay. The returned net.Conn's traffic is shaped by both endpoints'
-// egress buckets and the link delay.
+// egress buckets and the link delay. It is DialFunc plus one park.
 func (h *Host) Dial(target string) (net.Conn, error) {
+	var mu sync.Mutex
+	dialed := Cond{L: &mu, clock: h.net.clock}
+	var c LightConn // a dial yields a conn or an error
+	var err error
+	h.DialFunc(target, func(lc LightConn, e error) {
+		mu.Lock()
+		c, err = lc, e
+		mu.Unlock()
+		dialed.Broadcast()
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	for c == nil && err == nil {
+		dialed.Wait()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// DialFunc connects to "host:port" without parking the caller: fn runs
+// once, in timer/dispatcher context, with the established conn after the
+// handshake's round trip, or with the reason there is none. A target
+// that does not resolve or refuses is reported at once (after no delay).
+// fn must not block.
+func (h *Host) DialFunc(target string, fn func(LightConn, error)) {
+	clock := h.net.clock
 	m := h.net.metrics()
+	l, err := h.route(target)
+	if err != nil {
+		if m != nil {
+			m.dialFailures.Inc()
+		}
+		clock.AfterFunc(0, func() { fn(nil, err) })
+		return
+	}
+	h.mu.Lock()
+	h.nextPort++
+	lport := 40000 + h.nextPort
+	h.mu.Unlock()
+
+	cl, sv := newConnPair(h, l.host, lport, l.port)
+	// One round trip of handshake latency before the connection exists.
+	clock.AfterFunc(2*h.net.Delay(h.name, l.host.name), func() {
+		if !l.push(sv) {
+			cl.Close()
+			sv.Close()
+			if m != nil {
+				m.dialFailures.Inc()
+			}
+			fn(nil, fmt.Errorf("simnet: connection refused: %s", target))
+			return
+		}
+		if m != nil {
+			m.dials.Inc()
+		}
+		fn(cl, nil)
+	})
+}
+
+// route finds the listener a dial to target reaches, or why none does.
+func (h *Host) route(target string) (*listener, error) {
 	thost, tport, err := splitHostPort(target)
 	if err != nil {
 		return nil, err
 	}
 	remote := h.net.Host(thost)
 	if remote == nil {
-		if m != nil {
-			m.dialFailures.Inc()
-		}
 		return nil, fmt.Errorf("simnet: no route to host %q", thost)
 	}
 	if ch := h.net.Chaos(); ch != nil {
 		if err := ch.dialErr(h.name, thost); err != nil {
-			if m != nil {
-				m.dialFailures.Inc()
+			if m := h.net.metrics(); m != nil {
 				m.chaosDialFails.Inc()
 			}
 			return nil, err
@@ -202,32 +261,9 @@ func (h *Host) Dial(target string) (net.Conn, error) {
 	l, ok := remote.listeners[tport]
 	remote.mu.Unlock()
 	if !ok {
-		if m != nil {
-			m.dialFailures.Inc()
-		}
 		return nil, fmt.Errorf("simnet: connection refused: %s", target)
 	}
-
-	h.mu.Lock()
-	h.nextPort++
-	lport := 40000 + h.nextPort
-	h.mu.Unlock()
-
-	cl, sv := newConnPair(h, remote, lport, tport)
-	// One round trip of handshake latency before the connection exists.
-	h.net.clock.Sleep(2 * h.net.Delay(h.name, thost))
-	if !l.push(sv) {
-		cl.Close()
-		sv.Close()
-		if m != nil {
-			m.dialFailures.Inc()
-		}
-		return nil, fmt.Errorf("simnet: connection refused: %s", target)
-	}
-	if m != nil {
-		m.dials.Inc()
-	}
-	return cl, nil
+	return l, nil
 }
 
 // registerConn records a live endpoint for crash severing.
@@ -266,10 +302,6 @@ func (h *Host) severAll() {
 	}
 }
 
-// acceptBacklog bounds the accept queue, like a kernel listen backlog;
-// dialers park when it is full.
-const acceptBacklog = 16
-
 type listener struct {
 	host *Host
 	port int
@@ -277,28 +309,20 @@ type listener struct {
 	mu        sync.Mutex
 	backlog   []*conn
 	acceptors Cond // on mu: the backlog filled, or the listener closed
-	dialers   Cond // on mu: the backlog drained, or the listener closed
 	closed    bool
 }
 
-// push hands the server endpoint of a fresh dial to the listener,
-// parking while the backlog is full. It reports false when the listener
-// closed first.
+// push hands the server endpoint of a fresh dial to the listener. It
+// never parks (it runs in a dial's timer callback) and reports false
+// when the listener closed first.
 func (l *listener) push(c *conn) bool {
 	l.mu.Lock()
-	for {
-		if l.closed {
-			l.mu.Unlock()
-			return false
-		}
-		if len(l.backlog) < acceptBacklog {
-			break
-		}
-		l.dialers.Wait()
+	defer l.mu.Unlock()
+	if l.closed {
+		return false
 	}
 	l.backlog = append(l.backlog, c)
 	l.acceptors.Broadcast()
-	l.mu.Unlock()
 	return true
 }
 
@@ -312,7 +336,6 @@ func (l *listener) Accept() (net.Conn, error) {
 			if len(l.backlog) == 0 {
 				l.backlog = nil
 			}
-			l.dialers.Broadcast()
 			l.mu.Unlock()
 			return c, nil
 		}
@@ -334,7 +357,6 @@ func (l *listener) Close() error {
 	l.closed = true
 	l.mu.Unlock()
 	l.acceptors.Broadcast()
-	l.dialers.Broadcast()
 	l.host.mu.Lock()
 	delete(l.host.listeners, l.port)
 	l.host.mu.Unlock()
@@ -354,15 +376,17 @@ type addr struct {
 func (a addr) Network() string { return "sim" }
 func (a addr) String() string  { return fmt.Sprintf("%s:%d", a.host, a.port) }
 
+// splitHostPort splits "host:port". The port is decimal digits only, at
+// most 65535: dial targets come from peers (a client's EXTEND).
 func splitHostPort(s string) (string, int, error) {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == ':' {
-			var port int
-			if _, err := fmt.Sscanf(s[i+1:], "%d", &port); err != nil {
-				return "", 0, fmt.Errorf("simnet: bad port in %q", s)
-			}
-			return s[:i], port, nil
-		}
+	i := strings.LastIndexByte(s, ':')
+	if i < 0 {
+		return "", 0, fmt.Errorf("simnet: missing port in address %q", s)
 	}
-	return "", 0, fmt.Errorf("simnet: missing port in address %q", s)
+	p := s[i+1:]
+	port, err := strconv.Atoi(p)
+	if err != nil || p[0] < '0' || p[0] > '9' || port > 65535 {
+		return "", 0, fmt.Errorf("simnet: bad port in %q", s)
+	}
+	return s[:i], port, nil
 }

@@ -366,8 +366,19 @@ func TestSplitHostPort(t *testing.T) {
 	}{
 		{"a:80", "a", 80, true},
 		{"relay-3:9001", "relay-3", 9001, true},
+		{"a:0", "a", 0, true},
+		{"a:065535", "a", 65535, true},
 		{"noport", "", 0, false},
 		{"bad:port", "", 0, false},
+		// Dial targets come from peers: the port is digits and nothing else.
+		{"a:", "", 0, false},
+		{"a:80abc", "", 0, false},
+		{"a: 80", "", 0, false},
+		{"a:+80", "", 0, false},
+		{"a:-80", "", 0, false},
+		{"a:80 ", "", 0, false},
+		{"a:65536", "", 0, false},
+		{"a:99999999999999999999", "", 0, false},
 	}
 	for _, c := range cases {
 		h, p, err := splitHostPort(c.in)

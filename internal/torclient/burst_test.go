@@ -104,13 +104,11 @@ func (rr *runRig) add(t *testing.T, run *cell.Burst, hdr cell.RelayHeader, data 
 
 // TestRunDataThenEndAtClient: DATA×k, END in one run reaches the stream
 // as all the bytes and then EOF — the gathered delivery is flushed
-// before the END is acted on — and handling the run leaves no burst
-// held.
+// before the END is acted on.
 func TestRunDataThenEndAtClient(t *testing.T) {
 	rr := newRunRig(t)
 	s := rr.stream(1)
-	base := cell.BurstsOutstanding()
-	run := cell.GetBurst(cell.BurstCells)
+	run := &cell.Burst{Buf: make([]byte, cell.BurstCells*cell.Size)}
 	var want []byte
 	for i := 0; i < cell.BurstCells-1; i++ {
 		data := bytes.Repeat([]byte{byte(i + 1)}, cell.MaxRelayData-3*i)
@@ -122,13 +120,9 @@ func TestRunDataThenEndAtClient(t *testing.T) {
 	if !rr.circ.handleRun(run) {
 		t.Fatal("handleRun reported the circuit dead")
 	}
-	cell.PutBurst(run)
 	got, err := io.ReadAll(s)
 	if err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("stream read %d bytes (err %v), want %d then EOF", len(got), err, len(want))
-	}
-	if out := cell.BurstsOutstanding(); out != base {
-		t.Fatalf("%d bursts held after the run", out-base)
 	}
 }
 
@@ -139,8 +133,7 @@ func TestRunTwoStreamsInterleavedAtClient(t *testing.T) {
 	rr := newRunRig(t)
 	streams := map[uint16]*Stream{1: rr.stream(1), 2: rr.stream(2)}
 	want := map[uint16][]byte{}
-	run := cell.GetBurst(cell.BurstCells)
-	defer cell.PutBurst(run)
+	run := &cell.Burst{Buf: make([]byte, cell.BurstCells*cell.Size)}
 	pattern := []uint16{1, 1, 2, 1, 2, 2, 0, 2, 1, 1, 1, 2} // 0 = DROP
 	for seq, id := range pattern {
 		if id == 0 {

@@ -66,6 +66,11 @@ want "go statements" '^[[:space:]]*go[[:space:]]' "internal/torclient internal/r
 # A relay link is served by deliver callbacks and written with WriteAsync
 # on both clocks (DESIGN.md §13.1): no link writer of its own either.
 want "BatchWriter uses" 'BatchWriter' "internal/torclient internal/relay" ""
+# No circuit has a goroutine: EXTEND and BEGIN finish in a dial's callback
+# (DESIGN.md §13.1). The relay starts goroutines only in its two accept
+# loops, the ORPort's and the HSDir's (and the HSDir's per-connection
+# handler).
+want "relay Clock.Go sites" '\.Go\(' internal/relay "internal/relay/hsdir.go:2 internal/relay/relay.go:1"
 
 stage "one engine in the shipped binary (the tree oracle must link only into internal/interp's tests)"
 # The walker lives in internal/interp/oracle_test.go. If any of its entry
@@ -101,21 +106,23 @@ go test -count=1 ./benchmark
 
 stage "go test -race (cell, simnet, torclient, bento, wire, otr, relay, obs, interp, sandbox, fleet;" \
     "interp's value-walk reproducers and parser nesting cap, bento's program cache, upload cap and encoder bounds;" \
-    "50 runs of a chaos sever racing the peer's EOF)"
+    "50 runs of a chaos sever racing the peer's EOF, a sever during a paused feed and a DialFunc round trip)"
 go test -race -count=1 ./internal/cell/ ./internal/simnet/ ./internal/torclient/ ./internal/bento/ ./internal/wire/ \
     ./internal/otr/ ./internal/relay/ ./internal/obs/ ./internal/interp/ ./internal/sandbox/ ./internal/fleet/
 # A sever racing the peer's EOF chunk once handed a deliver callback two
-# EOFs, about one run in 30 under the detector.
-go test -race -count=50 -run='TestChaosSeverReachesDeliverCallbacks' ./internal/simnet/
+# EOFs, about one run in 30 under the detector; a sever during a paused
+# feed handed the resumed callback none. DialFunc's callback runs once.
+go test -race -count=50 -run='TestChaosSeverReachesDeliverCallbacks|TestSeverDuringPauseOwesEOF|TestDialFuncRoundTrip' ./internal/simnet/
 
 stage "bench smoke (all benchmarks, 1 iteration)"
 go test -run='^$' -bench=. -benchtime=1x ./...
 
 stage "relay datapath stress under race (circuit teardown vs in-flight forwarding; burst ordering," \
-    "the hop-level egress bound, idle circuits hold no burst, run datapath vs per-cell reference on both" \
-    "clocks; owned HS registrations, bounded helper backlog, sibling not stalled by a silent next hop;" \
-    "a rendezvous cookie claimed once by concurrent RENDEZVOUS1s, Crash severing every served link)"
-go test -race -count=1 -run='TestTeardownForwardStress|TestBound|TestBurst|TestExtendThenCellsInOneBurst|TestIdleCircuitHoldsNoBurst|TestHSRegistrationsOwned|TestHelperBacklogBounded|TestSiblingNotStalledBySilentNextHop|TestTransportFollowsClock|TestRendezvousSplice|TestConnectedPrecedesDataAndEnd|TestRendezvous1ClaimedOnce|TestCrashClosesEveryServedLink' ./internal/relay/
+    "the hop-level egress bound (a flood behind an EXTEND to a silent next hop included), idle circuits hold" \
+    "nothing, run datapath vs per-cell reference on both clocks; owned HS registrations, sibling not stalled by" \
+    "a silent next hop; a rendezvous cookie claimed once by concurrent RENDEZVOUS1s, Crash severing every" \
+    "served link, a host crash reaching a stalled or dial-paused feed)"
+go test -race -count=1 -run='TestTeardownForwardStress|TestBound|TestBurst|TestExtendThenCellsInOneBurst|TestIdleCircuitHoldsNoBurst|TestHSRegistrationsOwned|TestHelperBacklogBounded|TestSiblingNotStalledBySilentNextHop|TestTransportFollowsClock|TestRendezvousSplice|TestConnectedPrecedesDataAndEnd|TestRendezvous1ClaimedOnce|TestCrashClosesEveryServedLink|TestSeverDuringStall' ./internal/relay/
 go test -race -count=1 -run='TestRun|TestTap|TestIdleCircuitHoldsNoGoroutines|TestDeliveryPassesParkedWriter' ./internal/torclient/
 
 stage "telemetry regression smoke (instrumented hot path and live sampler must not allocate)"
@@ -123,7 +130,7 @@ go test -count=1 -run='TestMiddleHopForwardAllocFree|TestCircuitSizeofPinned|Tes
 go test -count=1 -run='TestHotPathAllocFree|TestWindowerSampleAllocFree' ./internal/obs/
 go test -count=1 -run='TestConnWriteReadAllocFree|TestConnWriteAsyncDeliverAllocFree|TestConnSizeofPinned' ./internal/simnet/
 
-stage "poison-on-recycle (recycled simnet chunks and cell bursts filled with 0xDB: nobody may keep a lent slice)"
+stage "poison-on-recycle (recycled simnet chunks filled with 0xDB: nobody may keep a lent slice)"
 go test -count=1 -tags simnet_poison ./internal/simnet/ ./internal/cell/ ./internal/relay/ ./internal/torclient/ \
     ./internal/hs/ ./internal/bento/ ./internal/testbed/
 go run -tags simnet_poison ./cmd/benchharness -exp scale -scaleout /dev/null -maxhostbytes 10240
