@@ -159,8 +159,6 @@ var (
 	// LatencyBuckets covers virtual-time latencies from 10µs to ~41s,
 	// in nanoseconds (use ObserveDuration).
 	LatencyBuckets = ExpBuckets(int64(10*time.Microsecond), 4, 11)
-	// BatchBuckets covers BatchWriter flush sizes in cells.
-	BatchBuckets = []int64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 	// CountBuckets covers wide-ranging counts (interpreter steps,
 	// byte totals).
 	CountBuckets = ExpBuckets(1, 8, 9)

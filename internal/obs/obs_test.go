@@ -13,7 +13,7 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x")
 	g := r.Gauge("y")
-	h := r.Histogram("z", BatchBuckets)
+	h := r.Histogram("z", []int64{1, 2, 4, 8})
 	c.Inc()
 	c.Add(5)
 	g.Set(3)
@@ -51,7 +51,7 @@ func TestRegistrationIsIdempotent(t *testing.T) {
 	if a.Value() != 2 {
 		t.Fatalf("aggregated count = %d, want 2", a.Value())
 	}
-	h1 := r.Histogram("h", BatchBuckets)
+	h1 := r.Histogram("h", []int64{1, 2, 4, 8})
 	h2 := r.Histogram("h", LatencyBuckets) // later bounds ignored
 	if h1 != h2 {
 		t.Fatal("same name must yield the same histogram handle")
@@ -139,7 +139,7 @@ func TestSnapshotAndDashboard(t *testing.T) {
 	r.Counter("relay.cells_forwarded").Inc()
 	r.Gauge("simnet.open_conns").Set(3)
 	r.GaugeFunc("simnet.backlog_bytes", func() int64 { return 512 })
-	r.Histogram("relay.flush_cells", BatchBuckets).Observe(8)
+	r.Histogram("relay.flush_cells", []int64{1, 2, 4, 8, 16}).Observe(8)
 	r.Histogram("torclient.build_ns", LatencyBuckets).ObserveDuration(3 * time.Millisecond)
 	sp := r.StartSpan("hs.publish")
 	sp.End()

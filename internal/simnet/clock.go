@@ -18,6 +18,7 @@
 package simnet
 
 import (
+	"sync/atomic"
 	"time"
 )
 
@@ -45,17 +46,24 @@ type clockCore interface {
 }
 
 // VTimer is a cancelable timer returned by Clock.AfterFunc, covering
-// both cores (a real time.Timer under the legacy core, a scheduled event
-// under the event core).
+// both cores (a real time.Timer or, for a zero wait, a goroutine under
+// the legacy core; a scheduled event under the event core).
 type VTimer struct {
 	stopFn func() bool
+	// claimed settles a zero wait on the legacy core, which has no stopFn:
+	// its goroutine and Stop each try to set it, and only the one that
+	// does acts.
+	claimed atomic.Bool
 }
 
 // Stop cancels the timer. It reports whether the call prevented the
 // timer from firing.
 func (t *VTimer) Stop() bool {
-	if t == nil || t.stopFn == nil {
+	if t == nil {
 		return false
+	}
+	if t.stopFn == nil {
+		return t.claimed.CompareAndSwap(false, true)
 	}
 	return t.stopFn()
 }
@@ -191,7 +199,12 @@ func (c *Clock) Virtual(wall time.Duration) time.Duration {
 
 // realCore maps virtual time onto scaled wall time: the original simnet
 // behavior, kept behind NewClock so existing tests migrate to the event
-// core incrementally.
+// core incrementally. Its callbacks run concurrently, each on a goroutine
+// of its own: a wait that truncates to zero wall nanoseconds (every
+// simnet hop at the benchmark's scale) starts its callback at once with a
+// go statement, so it usually runs on the scheduling goroutine's core; a
+// longer wait goes through a runtime timer, whose goroutine starts on
+// whichever core polls the timer heap.
 type realCore struct {
 	scaleV float64
 	epoch  time.Time
@@ -212,8 +225,20 @@ func (rc *realCore) sleep(d time.Duration) {
 }
 
 func (rc *realCore) afterFunc(d time.Duration, f func()) *VTimer {
+	if time.Duration(float64(d)*rc.scaleV) <= 0 {
+		t := &VTimer{}
+		go t.runNow(f)
+		return t
+	}
 	t := time.AfterFunc(rc.real(d), f)
 	return &VTimer{stopFn: t.Stop}
+}
+
+// runNow is a zero wait's goroutine: it runs f unless Stop came first.
+func (t *VTimer) runNow(f func()) {
+	if t.claimed.CompareAndSwap(false, true) {
+		f()
+	}
 }
 
 func (rc *realCore) noteWake() {}
@@ -221,7 +246,9 @@ func (rc *realCore) stop()     {}
 
 func (rc *realCore) park(p *parker) { <-p.ch }
 
-// real converts a virtual duration into a wall-clock duration.
+// real converts a virtual duration into a wall-clock duration. The clamp
+// matters to sleep only: afterFunc starts a wait that truncates to zero
+// without a timer.
 func (rc *realCore) real(d time.Duration) time.Duration {
 	rd := time.Duration(float64(d) * rc.scaleV)
 	if d > 0 && rd <= 0 {
