@@ -14,8 +14,10 @@ import (
 // bridge crossing per cell, and at 500k circuits the quiescence detector
 // drowns the dispatcher. Here links deliver through
 // LightConn.SetDeliverFunc: runs arrive as callbacks (on the dispatcher
-// on the event clock, on timer goroutines on a wall-backed one), the
-// circuit's forward path runs inline, and egress goes out through
+// on the event clock; on a wall-backed one each on a goroutine of its
+// own, started at once for a zero wait such as a hop's delivery and by a
+// runtime timer for a longer one), the circuit's forward path runs
+// inline, and egress goes out through
 // WriteAsync — zero goroutines and zero parks per link. A circuit never
 // has a goroutine: EXTEND and BEGIN dial with Host.DialFunc, pausing the
 // client link for the dial's round trip the way a stall does, and finish

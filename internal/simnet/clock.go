@@ -225,12 +225,13 @@ func (rc *realCore) sleep(d time.Duration) {
 }
 
 func (rc *realCore) afterFunc(d time.Duration, f func()) *VTimer {
-	if time.Duration(float64(d)*rc.scaleV) <= 0 {
+	rd := time.Duration(float64(d) * rc.scaleV)
+	if rd <= 0 {
 		t := &VTimer{}
 		go t.runNow(f)
 		return t
 	}
-	t := time.AfterFunc(rc.real(d), f)
+	t := time.AfterFunc(rd, f)
 	return &VTimer{stopFn: t.Stop}
 }
 
@@ -246,9 +247,7 @@ func (rc *realCore) stop()     {}
 
 func (rc *realCore) park(p *parker) { <-p.ch }
 
-// real converts a virtual duration into a wall-clock duration. The clamp
-// matters to sleep only: afterFunc starts a wait that truncates to zero
-// without a timer.
+// real converts a virtual duration into a wall-clock duration.
 func (rc *realCore) real(d time.Duration) time.Duration {
 	rd := time.Duration(float64(d) * rc.scaleV)
 	if d > 0 && rd <= 0 {
