@@ -52,10 +52,10 @@ func Compile(src string) (*Program, error) {
 }
 
 type loopScope struct {
-	start    int   // continue target (loop head pc)
-	breaks   []int // opJump indices to patch to the loop end
-	popIter  bool  // for loops keep their iterator on the stack
-	tryDepth int   // handler nesting at loop entry
+	breaks    []int // opJump indices to patch to the loop end
+	continues []int // opJump indices to patch to the bottom test
+	popIter   bool  // for loops keep their iterator on the stack
+	tryDepth  int   // handler nesting at loop entry
 }
 
 type compiler struct {
@@ -146,7 +146,7 @@ func (c *compiler) finish() {
 // branches reports whether op carries a jump target in a.
 func branches(op uint8) bool {
 	switch op {
-	case opJump, opJumpIfFalse, opAndJump, opOrJump, opIterNext, opTryPush,
+	case opJump, opJumpIfFalse, opJumpIfTrue, opAndJump, opOrJump, opIterNext, opTryPush,
 		opCmpJump, opCmpConstJump, opCmpLocalJump,
 		opLocalCmpLocalJump, opLocalCmpImmJump:
 		return true
@@ -182,7 +182,11 @@ func peephole(code []instr, consts []Value) []instr {
 		x, ok := consts[k.a].(Int)
 		return int32(x), ok && int64(int32(x)) == int64(x)
 	}
-	cmpJump := func(i int) bool { return at(i, opBinop) && isCmp(code[i].bop) && at(i+1, opJumpIfFalse) }
+	// condJump reports whether code[i] is a conditional jump that may be
+	// fused; its op gives the fused compare-branch's sense.
+	condJump := func(i int) bool { return at(i, opJumpIfFalse) || at(i, opJumpIfTrue) }
+	cmpJump := func(i int) bool { return at(i, opBinop) && isCmp(code[i].bop) && condJump(i+1) }
+	onTrue := func(j instr) bool { return j.op == opJumpIfTrue }
 	// extra is the refund that an lhs load or check has beyond the
 	// member that fixes the fused instruction's refund.
 	extra := func(lhs, b instr) (uint8, bool) {
@@ -217,7 +221,8 @@ func peephole(code []instr, consts []Value) []instr {
 			if at(i+1, opBinop) {
 				b := code[i+1]
 				if cmpJump(i + 1) {
-					return instr{op: opCmpConstJump, bop: b.bop, a: code[i+2].a, c: in.a, line: b.line, refund: b.refund}, 3
+					return instr{op: opCmpConstJump, bop: b.bop, onTrue: onTrue(code[i+2]), a: code[i+2].a, c: in.a,
+						line: b.line, refund: b.refund}, 3
 				}
 				f := instr{op: opBinopConst, bop: b.bop, c: in.a, line: b.line, refund: b.refund}
 				if v, isImm := imm(in); isImm {
@@ -237,8 +242,8 @@ func peephole(code []instr, consts []Value) []instr {
 			if at(i+1, opLoadLocal) && cmpJump(i+2) {
 				r, b := code[i+1], code[i+2]
 				if d, ok := extra(in, b); ok && sameErr(r, b) {
-					return instr{op: opLocalCmpLocalJump, bop: b.bop, extra: d, a: code[i+3].a,
-						b: in.a, c: r.a, line: b.line, refund: b.refund}, 4
+					return instr{op: opLocalCmpLocalJump, bop: b.bop, extra: d, onTrue: onTrue(code[i+3]),
+						a: code[i+3].a, b: in.a, c: r.a, line: b.line, refund: b.refund}, 4
 				}
 			}
 			// local ? imm, optionally followed by a conditional branch.
@@ -247,8 +252,8 @@ func peephole(code []instr, consts []Value) []instr {
 				v, isImm := imm(code[i+1])
 				if d, ok := extra(in, b); ok && isImm {
 					if cmpJump(i + 2) {
-						return instr{op: opLocalCmpImmJump, bop: b.bop, extra: d, a: code[i+3].a,
-							b: in.a, c: v, line: b.line, refund: b.refund}, 4
+						return instr{op: opLocalCmpImmJump, bop: b.bop, extra: d, onTrue: onTrue(code[i+3]),
+							a: code[i+3].a, b: in.a, c: v, line: b.line, refund: b.refund}, 4
 					}
 					return instr{op: opLocalBinopImm, bop: b.bop, extra: d, b: in.a, c: v,
 						line: b.line, refund: b.refund}, 3
@@ -258,15 +263,16 @@ func peephole(code []instr, consts []Value) []instr {
 			if at(i+1, opBinop) && sameErr(in, code[i+1]) {
 				b := code[i+1]
 				if cmpJump(i + 1) {
-					return instr{op: opCmpLocalJump, bop: b.bop, a: code[i+2].a, c: in.a,
+					return instr{op: opCmpLocalJump, bop: b.bop, onTrue: onTrue(code[i+2]), a: code[i+2].a, c: in.a,
 						line: b.line, refund: b.refund}, 3
 				}
 				return instr{op: opBinopLocal, bop: b.bop, c: in.a, line: b.line, refund: b.refund}, 2
 			}
 		case opBinop:
 			// Stack-stack binop feeding a branch or a slot store.
-			if isCmp(in.bop) && at(i+1, opJumpIfFalse) {
-				return instr{op: opCmpJump, bop: in.bop, a: code[i+1].a, line: in.line, refund: in.refund}, 2
+			if isCmp(in.bop) && condJump(i+1) {
+				return instr{op: opCmpJump, bop: in.bop, onTrue: onTrue(code[i+1]), a: code[i+1].a,
+					line: in.line, refund: in.refund}, 2
 			}
 			if at(i+1, opStoreLocal) {
 				return instr{op: opBinopStore, bop: in.bop, a: code[i+1].a, line: in.line, refund: in.refund}, 2
@@ -370,21 +376,30 @@ func (c *compiler) stmt(s stmt) error {
 		c.flush()
 		c.patch(j)
 		return nil
+	// Loops are compiled test-at-bottom (rotated): the test runs once on
+	// entry, then after every iteration, branching back while it holds,
+	// so an iteration dispatches no jump of its own. The bottom test's
+	// charges join the block that ends the body, the per-iteration charge
+	// stays at the top of the body, and a loop with a continue starts the
+	// bottom test in a block of its own, the continue's target.
 	case *whileStmt:
-		c.flush()
-		start := c.here()
 		if err := c.expr(st.cond); err != nil {
 			return err
 		}
 		c.flush()
 		jf := c.emit(instr{op: opJumpIfFalse})
-		c.loops = append(c.loops, loopScope{start: start, tryDepth: c.tryDepth})
+		top := c.here()
+		c.loops = append(c.loops, loopScope{tryDepth: c.tryDepth})
 		c.charge(st.line) // per-iteration charge, as the oracle's loop head
 		if err := c.block(st.body); err != nil {
 			return err
 		}
+		c.bottomTest()
+		if err := c.expr(st.cond); err != nil {
+			return err
+		}
 		c.flush()
-		c.emit(instr{op: opJump, a: int32(start)})
+		c.emit(instr{op: opJumpIfTrue, a: int32(top)})
 		c.patch(jf)
 		c.patchBreaks()
 		return nil
@@ -394,16 +409,17 @@ func (c *compiler) stmt(s stmt) error {
 		}
 		c.flush()
 		c.emit(instr{op: opIterNew, line: int32(st.line)})
-		start := c.here()
 		next := c.emit(instr{op: opIterNext})
-		c.loops = append(c.loops, loopScope{start: start, popIter: true, tryDepth: c.tryDepth})
+		top := c.here()
+		c.loops = append(c.loops, loopScope{popIter: true, tryDepth: c.tryDepth})
 		c.charge(st.line) // per-item charge
 		c.storeName(st.name, st.line)
 		if err := c.block(st.body); err != nil {
 			return err
 		}
+		c.bottomTest()
 		c.flush()
-		c.emit(instr{op: opJump, a: int32(start)})
+		c.emit(instr{op: opIterNext, onTrue: true, a: int32(top)})
 		c.patch(next)
 		c.patchBreaks()
 		return nil
@@ -450,7 +466,7 @@ func (c *compiler) stmt(s stmt) error {
 		for i := 0; i < c.tryDepth-ls.tryDepth; i++ {
 			c.emit(instr{op: opTryPop})
 		}
-		c.emit(instr{op: opJump, a: int32(ls.start)})
+		ls.continues = append(ls.continues, c.emit(instr{op: opJump}))
 		return nil
 	case *passStmt:
 		return nil
@@ -493,6 +509,19 @@ func (c *compiler) stmt(s stmt) error {
 		return nil
 	default:
 		return fmt.Errorf("bscript: cannot compile statement at line %d", s.stmtLine())
+	}
+}
+
+// bottomTest starts the innermost loop's bottom test: in a block of its
+// own, the target of the loop's continues, if it has any.
+func (c *compiler) bottomTest() {
+	ls := &c.loops[len(c.loops)-1]
+	if len(ls.continues) == 0 {
+		return
+	}
+	c.flush()
+	for _, pc := range ls.continues {
+		c.patch(pc)
 	}
 }
 
@@ -976,7 +1005,7 @@ func computeMaxStack(code []instr) int {
 		switch in.op {
 		case opJump:
 			push(int(in.a), d)
-		case opJumpIfFalse:
+		case opJumpIfFalse, opJumpIfTrue:
 			push(int(in.a), d-1)
 			push(s.pc+1, d-1)
 		case opCmpJump:
@@ -992,8 +1021,14 @@ func computeMaxStack(code []instr) int {
 			push(int(in.a), d)
 			push(s.pc+1, d-1)
 		case opIterNext:
-			push(int(in.a), d-1)
-			push(s.pc+1, d+1)
+			// The branch taken on an item pushes it; the other pops the
+			// iterator.
+			taken, fall := d-1, d+1
+			if in.onTrue {
+				taken, fall = fall, taken
+			}
+			push(int(in.a), taken)
+			push(s.pc+1, fall)
 		case opTryPush:
 			push(s.pc+1, d)
 			push(int(in.a), d+int(in.b))

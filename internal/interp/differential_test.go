@@ -967,6 +967,229 @@ def refunds():
 
 r = refunds()
 `, Limits{}},
+	// Rotated loops (test at the bottom): continue lands on the bottom
+	// test, break leaves from inside a try, a condition raises on its
+	// entry or its n-th evaluation or counts its evaluations, loops nest
+	// or never run. The loops' conditions take every compare-branch form
+	// in both senses, entry and bottom.
+	{"loop-continue-in-if", `
+def w(n):
+    i = 0
+    out = []
+    while i < n:
+        i += 1
+        if i % 3 == 0:
+            continue
+        out.append(i)
+    return out
+
+def f(items):
+    out = []
+    for x in items:
+        if x % 2 == 0:
+            continue
+        out.append(x)
+    return out
+
+def g(n):
+    k = 0
+    while k < 6:
+        k += 1
+        if k > n:
+            continue
+    return k
+
+a = w(10)
+b = f([1, 2, 3, 4, 5, 6, 7])
+c = f([])
+d = g(2)
+`, Limits{}},
+	{"loop-break-in-try", `
+def w(n):
+    i = 0
+    while i < n:
+        try:
+            if i == 3:
+                break
+            i += 1
+        except as e:
+            print(e)
+    return i
+
+def f(items):
+    seen = []
+    for x in items:
+        try:
+            if x > 2:
+                break
+            seen.append(x)
+        except:
+            pass
+    return seen
+
+def nested(n):
+    hits = 0
+    for x in range(n):
+        try:
+            while True:
+                try:
+                    hits += 1
+                    break
+                except:
+                    pass
+            if x == 1:
+                break
+        except:
+            pass
+    return hits
+
+a = w(10)
+b = f([1, 2, 3, 4])
+c = nested(5)
+`, Limits{}},
+	{"loop-condition-raises", `
+def cond(i, bad):
+    if i == bad:
+        raise "bad cond " + str(i)
+    return i < 5
+
+def run(bad):
+    i = 0
+    while cond(i, bad):
+        i += 1
+    return i
+
+def iter_raises(bad):
+    n = 0
+    i = 0
+    try:
+        while cond(i, bad):
+            i += 1
+            n += 1
+    except as e:
+        return [e, n]
+    return n
+
+hits = []
+for bad in [0, 3, 9]:
+    try:
+        hits.append(run(bad))
+    except as e:
+        hits.append(e)
+    hits.append(iter_raises(bad))
+`, Limits{}},
+	{"loop-condition-side-effect", `
+log = []
+def cond(i):
+    log.append(i)
+    return i < 4
+
+i = 0
+while cond(i):
+    i += 1
+
+def count(n):
+    calls = []
+    def more(k):
+        calls.append(k)
+        return k < n
+    k = 0
+    while more(k):
+        k += 1
+        if k == 2:
+            continue
+    return len(calls)
+
+evaluations = len(log)
+c0 = count(0)
+c5 = count(5)
+`, Limits{}},
+	{"loop-nested-empty-never", `
+def grid(n, m):
+    out = []
+    i = 0
+    while i < n:
+        for j in range(m):
+            if j == i:
+                continue
+            out.append([i, j])
+        i += 1
+    return out
+
+g = grid(3, 3)
+z = grid(0, 5)
+e = []
+for x in []:
+    e.append(x)
+for k in {}:
+    e.append(k)
+for ch in "":
+    e.append(ch)
+while False:
+    e.append(1)
+n = 0
+while n < 0:
+    n += 1
+`, Limits{}},
+	{"loop-compare-branch-senses", `
+def local_imm():
+    i = 0
+    while i < 5:
+        i += 1
+    return i
+
+def local_local(n):
+    i = 0
+    while i < n:
+        i += 2
+    return i
+
+def stack_local(n):
+    s = ""
+    while len(s) < n:
+        s = s + "ab"
+    return s
+
+def mixed(n):
+    i = ""
+    while i != n:
+        i = i + "a"
+    return i
+
+s = ""
+n = 7
+while len(s) < n:
+    s = s + "x"
+t = ""
+while t != "xxxxxxxxxxxx":
+    t = t + "xx"
+u = 0
+while u < 10000000000:
+    u = u + 4000000000
+
+a = local_imm()
+b = local_local(9)
+c = stack_local(5)
+d = mixed("aaa")
+`, Limits{}},
+	{"accumulator-views", `
+def views():
+    s = "ab"
+    s = s + "cd"
+    t = s
+    s = s + "ef"
+    u = s
+    s = s + "gh"
+    v = s
+    s += "ij"
+    b = b"x"
+    b = b + b"y"
+    c = b
+    b += b"z"
+    return [t, u, v, s, c, b]
+
+r = views()
+`, Limits{}},
 }
 
 // runtimeErrorPrograms are short programs whose run-time failure — a
@@ -1019,6 +1242,12 @@ y = x % 0`,
 	"def f(a):\n    if a - \"s\":\n        return 1\nf(1)",
 	"def f():\n    if q + 1:\n        return 1\nf()",
 	"def f(a):\n    if a in 5:\n        return 1\nf(1)",
+	// A rotated loop's condition failing on entry and at the bottom: the
+	// fused compare-branch's slow path in each sense, and a call.
+	"def f():\n    i = \"s\"\n    while i < 3:\n        i = 0\nf()",
+	"def f():\n    i = 0\n    while i < 3:\n        i = i + 1\n        if i == 2:\n            i = \"s\"\n    return i\nf()",
+	"def c(i):\n    if i == 2:\n        x = [1][5]\n    return i < 9\ni = 0\nwhile c(i):\n    i += 1",
+	"while [1][5]:\n    pass",
 }
 
 func TestEngineParityCorpus(t *testing.T) {
@@ -1084,6 +1313,24 @@ def build(n):
     return s
 
 print("build", build(12))
+`,
+		// Rotated loops: a print in the body's tail shares the bottom
+		// test's block, and continue and break leave mid-body.
+		"loops": `
+def spin(n):
+    i = 0
+    while i < n:
+        i += 1
+        if i % 2 == 0:
+            continue
+        print("odd", i)
+    for x in range(n):
+        if x == 3:
+            break
+        print("x", x)
+    return i
+
+print("spin", spin(5))
 `,
 		"closure": `
 def noisy(n):

@@ -80,7 +80,8 @@ func TestStepCountsPinned(t *testing.T) {
 // corpus: each must be declared in program.go and emitted for at least one
 // program the differential tests run, so that a fused form's slow and
 // error paths are compared against the oracle, and a form no compilation
-// produces any more is deleted rather than kept untested.
+// produces any more is deleted rather than kept untested. A branch with a
+// sense (sensed) must be emitted in both, and no other op sets onTrue.
 func TestEveryOpcodeEmitted(t *testing.T) {
 	fset := gotoken.NewFileSet()
 	declared := map[string]uint8{}
@@ -130,10 +131,15 @@ func TestEveryOpcodeEmitted(t *testing.T) {
 	}
 
 	emitted := map[uint8]bool{}
+	senses := map[uint8]map[bool]bool{}
 	var visit func(p *funcProto)
 	visit = func(p *funcProto) {
 		for _, in := range p.code {
 			emitted[in.op] = true
+			if senses[in.op] == nil {
+				senses[in.op] = map[bool]bool{}
+			}
+			senses[in.op][in.onTrue] = true
 		}
 		for _, c := range p.consts {
 			if cf, ok := c.(*compiledFunc); ok {
@@ -163,6 +169,70 @@ func TestEveryOpcodeEmitted(t *testing.T) {
 	for name := range dispatched {
 		if _, ok := declared[name]; !ok {
 			t.Errorf("runProto dispatches %s, which is not in program.go's opcode block", name)
+		}
+	}
+	for name, op := range declared {
+		if sensed[op] && !(senses[op][false] && senses[op][true]) {
+			t.Errorf("%s is emitted in senses %v, want both", name, senses[op])
+		}
+		if !sensed[op] && senses[op][true] {
+			t.Errorf("%s has no sense but is emitted with onTrue set", name)
+		}
+	}
+}
+
+// sensed holds the branches that carry a sense: the fused compare-branches
+// and opIterNext.
+var sensed = map[uint8]bool{
+	opCmpJump: true, opCmpConstJump: true, opCmpLocalJump: true,
+	opLocalCmpLocalJump: true, opLocalCmpImmJump: true, opIterNext: true,
+}
+
+// TestLoopDispatchesPinned pins the instructions one iteration of the
+// benchmark's loops dispatches: compute's 23 steps in 11, build's 11 in 4.
+// The iteration is the path from the loop's top to its bottom test on
+// which no if body runs, as on every iteration of both: each forward
+// branch is taken, and the walk ends at the backward branch.
+func TestLoopDispatchesPinned(t *testing.T) {
+	p, err := Compile(invokeSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		fn   string
+		want int
+	}{{"compute", 11}, {"build", 4}} {
+		var code []instr
+		for _, k := range p.top.consts {
+			if cf, ok := k.(*compiledFunc); ok && cf.proto.name == c.fn {
+				code = cf.proto.code
+			}
+		}
+		back := -1
+		for pc, in := range code {
+			if branches(in.op) && int(in.a) <= pc {
+				if back >= 0 {
+					t.Fatalf("%s: two backward branches, at %d and %d", c.fn, back, pc)
+				}
+				back = pc
+			}
+		}
+		if back < 0 {
+			t.Fatalf("%s: no backward branch", c.fn)
+		}
+		n := 1 // the bottom test's branch
+		for pc := int(code[back].a); pc != back; n++ {
+			if n > len(code) {
+				t.Fatalf("%s: the walk from the loop's top never reaches its bottom test", c.fn)
+			}
+			if in := code[pc]; branches(in.op) && int(in.a) > pc {
+				pc = int(in.a)
+			} else {
+				pc++
+			}
+		}
+		if n != c.want {
+			t.Errorf("%s: an iteration dispatches %d instructions, want %d", c.fn, n, c.want)
 		}
 	}
 }

@@ -1,5 +1,7 @@
 package interp
 
+import "unsafe"
+
 // Bytecode representation for the bscript VM.
 //
 // A Program is the machine-independent result of compiling one source
@@ -25,6 +27,7 @@ const (
 	opAppendLocal              // a: slot; pop chunk, slot += chunk (accumulator)
 	opJump                     // a: target pc
 	opJumpIfFalse              // a: target pc; pops condition
+	opJumpIfTrue               // a: target pc; pops condition (a rotated loop's bottom test)
 	opAndJump                  // a: target pc; jump keeping lhs if falsy, else pop
 	opOrJump                   // a: target pc; jump keeping lhs if truthy, else pop
 	opNot                      // replace top with Bool(!Truthy(top))
@@ -42,7 +45,7 @@ const (
 	opMakeList                 // a: element count
 	opMakeDict                 // a: pair count
 	opIterNew                  // replace top with an iterator over it
-	opIterNext                 // push next item, or pop iterator and jump to a
+	opIterNext                 // push next item, or pop iterator; jump to a on exhaustion (onTrue: on an item)
 	opTryPush                  // a: handler pc, b: 1 if "except ... as name"
 	opTryPop                   // discard the innermost handler
 	opRaise                    // pop value, raise RuntimeError(repr(value))
@@ -54,7 +57,8 @@ const (
 	// or the destination slot, b the lhs slot, c the rhs (a const index, a
 	// slot, or an int32 immediate), bop the binop code; an lhs held on the
 	// stack is popped. The Cmp forms fuse only comparisons (bopEq..bopGe)
-	// and jump when the comparison is false.
+	// and jump when the comparison is false, or true if onTrue is set
+	// (never a negated comparison: that differs for non-int operands).
 	opBinopConst        // c: const (not an int32 Int); lhs on stack
 	opBinopImm          // c: imm; lhs on stack
 	opBinopLocal        // c: slot; lhs on stack
@@ -112,11 +116,14 @@ const (
 // and peephole remapping treat every branching opcode uniformly). extra is
 // the one refund a superinstruction's members may not share: the charges
 // the name error of its fused lhs load (or opCheckLocal) refunds on top of
-// refund, which the instruction's other errors refund alone.
+// refund, which the instruction's other errors refund alone. onTrue is a
+// branch's sense: the compare-branches and opIterNext jump when their test
+// holds instead of when it fails (a rotated loop's bottom test).
 type instr struct {
 	op     uint8
 	bop    uint8
 	extra  uint8
+	onTrue bool
 	a      int32
 	b      int32
 	c      int32
@@ -208,6 +215,13 @@ func (*vmIter) Type() string { return "iterator" }
 // O(len(s)). It only ever lives in a frame's local slots — never in an
 // Env or a cell, so measure() (which walks globals) sees exactly what the
 // tree oracle would. Loads materialize (and cache) the real value.
+//
+// The buffer is append-only: nothing writes below len(buf) once a value
+// of it exists. Growth writes past len, or copies into a new array and
+// leaves the old one as it was, so a Str loaded from the accumulator is a
+// view of the buffer (as strings.Builder.String is), and loading costs
+// O(1). A Bytes value is a copy: Bytes is a []byte that host functions
+// are handed, and no proof exists that none writes into it.
 type strAccum struct {
 	buf     []byte
 	isBytes bool
@@ -216,15 +230,13 @@ type strAccum struct {
 
 func (*strAccum) Type() string { return "str" }
 
-// value materializes the accumulated string, caching until the next append.
+// value materializes the accumulated value, caching until the next append.
 func (a *strAccum) value() Value {
 	if a.cached == nil {
 		if a.isBytes {
-			b := make([]byte, len(a.buf))
-			copy(b, a.buf)
-			a.cached = Bytes(b)
+			a.cached = Bytes(append([]byte(nil), a.buf...))
 		} else {
-			a.cached = Str(a.buf)
+			a.cached = Str(unsafe.String(unsafe.SliceData(a.buf), len(a.buf)))
 		}
 	}
 	return a.cached

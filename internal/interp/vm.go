@@ -255,6 +255,12 @@ func (m *Machine) runProto(p *funcProto, slots []reg, cells []*cell) (Value, err
 				pc = int(in.a)
 				continue
 			}
+		case opJumpIfTrue:
+			sp--
+			if stack[sp].truthy() {
+				pc = int(in.a)
+				continue
+			}
 		case opAndJump:
 			if !stack[sp-1].truthy() {
 				pc = int(in.a)
@@ -376,7 +382,7 @@ func (m *Machine) runProto(p *funcProto, slots []reg, cells []*cell) (Value, err
 				break
 			}
 			sp -= 2
-			if !t {
+			if t == in.onTrue {
 				pc = int(in.a)
 				continue
 			}
@@ -389,7 +395,7 @@ func (m *Machine) runProto(p *funcProto, slots []reg, cells []*cell) (Value, err
 				break
 			}
 			sp--
-			if !t {
+			if t == in.onTrue {
 				pc = int(in.a)
 				continue
 			}
@@ -409,7 +415,7 @@ func (m *Machine) runProto(p *funcProto, slots []reg, cells []*cell) (Value, err
 				}
 			}
 			sp--
-			if !t {
+			if t == in.onTrue {
 				pc = int(in.a)
 				continue
 			}
@@ -433,7 +439,7 @@ func (m *Machine) runProto(p *funcProto, slots []reg, cells []*cell) (Value, err
 					break
 				}
 			}
-			if !t {
+			if t == in.onTrue {
 				pc = int(in.a)
 				continue
 			}
@@ -452,7 +458,7 @@ func (m *Machine) runProto(p *funcProto, slots []reg, cells []*cell) (Value, err
 					break
 				}
 			}
-			if !t {
+			if t == in.onTrue {
 				pc = int(in.a)
 				continue
 			}
@@ -580,11 +586,18 @@ func (m *Machine) runProto(p *funcProto, slots []reg, cells []*cell) (Value, err
 			}
 			if v == nil {
 				sp--
+				if in.onTrue {
+					break
+				}
 				pc = int(in.a)
 				continue
 			}
 			stack[sp].set(v)
 			sp++
+			if in.onTrue {
+				pc = int(in.a)
+				continue
+			}
 		case opTryPush:
 			handlers = append(handlers, tryHandler{pc: int(in.a), sp: sp, hasName: in.b == 1})
 		case opTryPop:
@@ -864,9 +877,7 @@ func (m *Machine) appendSlot(p *funcProto, line int, slots []reg, idx int, chunk
 					return nil // content unchanged; the oracle grants no rebind credit
 				}
 				m.memDelta -= 16 + int64(len(cur))
-				acc := &strAccum{buf: make([]byte, 0, 2*(len(cur)+len(r)))}
-				acc.buf = append(append(acc.buf, cur...), r...)
-				dst.set(acc)
+				dst.set(&strAccum{buf: concat(cur, r)})
 				return nil
 			}
 		case Bytes:
@@ -878,9 +889,7 @@ func (m *Machine) appendSlot(p *funcProto, line int, slots []reg, idx int, chunk
 					return nil
 				}
 				m.memDelta -= 16 + int64(len(cur))
-				acc := &strAccum{isBytes: true, buf: make([]byte, 0, 2*(len(cur)+len(r)))}
-				acc.buf = append(append(acc.buf, cur...), r...)
-				dst.set(acc)
+				dst.set(&strAccum{isBytes: true, buf: concat(string(cur), string(r))})
 				return nil
 			}
 		}
@@ -896,15 +905,32 @@ func (m *Machine) appendSlot(p *funcProto, line int, slots []reg, idx int, chunk
 	return nil
 }
 
+// concat starts an accumulator's buffer at exactly a+b: a one-shot
+// `x = a + b` holds no slack.
+func concat[S ~string | ~[]byte](a, b S) []byte {
+	buf := make([]byte, 0, len(a)+len(b))
+	return append(append(buf, a...), b...)
+}
+
 // grow appends to the accumulator with the oracle's exact charge
 // (alloc of the full concatenated length, then the rebind credit for the
-// replaced value), but only O(len(r)) actual copying.
+// replaced value), but only O(len(r)) actual copying. A buffer that is
+// full doubles, but never past the new length plus what the memory limit
+// still leaves after the charge, so the slack the accounting does not see
+// stays within the limit.
 func (a *strAccum) grow(m *Machine, line int, r string) error {
-	if err := m.alloc(line, int64(len(a.buf)+len(r))); err != nil {
+	need := len(a.buf) + len(r)
+	if err := m.alloc(line, int64(need)); err != nil {
 		return err
 	}
 	if len(r) == 0 {
 		return nil
+	}
+	if need > cap(a.buf) {
+		room := min(m.memLimit, int64(need)+max(0, m.memLimit-m.MemoryEstimate()))
+		buf := make([]byte, len(a.buf), max(need, int(min(int64(2*cap(a.buf)), room))))
+		copy(buf, a.buf)
+		a.buf = buf
 	}
 	m.memDelta -= 16 + int64(len(a.buf))
 	a.buf = append(a.buf, r...)

@@ -3,8 +3,10 @@ package interp
 import "testing"
 
 // Engine benchmarks, VM against the tree oracle: arithmetic (the compute
-// half of the repo benchmark's function_invoke), calls, and string
-// accumulation (its build half).
+// half of the repo benchmark's function_invoke), calls, string
+// accumulation (its build half), and for loops over a range and a list,
+// which no benchmark workload runs but the shipped functions do (a
+// LoadBalancer-style least-loaded scan).
 
 const benchComputeSrc = `
 def compute(n):
@@ -35,6 +37,18 @@ def build(n):
     return len(s)
 `
 
+const benchScanSrc = `
+def scan(n):
+    loads = []
+    for i in range(n):
+        loads.append(i * 7 % 13)
+    best = None
+    for l in loads:
+        if best == None or l < best:
+            best = l
+    return best
+`
+
 var benchWorkloads = []struct {
 	fn, src string
 	arg     Int
@@ -42,6 +56,7 @@ var benchWorkloads = []struct {
 	{"compute", benchComputeSrc, 10_000},
 	{"fib", benchFibSrc, 15},
 	{"build", benchBuildSrc, 2_000},
+	{"scan", benchScanSrc, 2_000},
 }
 
 func BenchmarkVM(b *testing.B) {

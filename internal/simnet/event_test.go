@@ -206,7 +206,7 @@ func runTaggedWorkload(t *testing.T, clock *Clock) []string {
 	fast := n.AddHost("fast", 0)
 	slow := n.AddHost("slow", 0)
 	n.SetDelay("src", "fast", 10*time.Millisecond)
-	n.SetDelay("src", "slow", 35*time.Millisecond)
+	n.SetDelay("src", "slow", 160*time.Millisecond)
 
 	var mu sync.Mutex
 	var order []string
@@ -249,14 +249,18 @@ func runTaggedWorkload(t *testing.T, clock *Clock) []string {
 	if err != nil {
 		t.Fatalf("Dial slow: %v", err)
 	}
-	// Single driver; every delivery is separated by ≥5ms of virtual time,
-	// so the arrival order is unambiguous on both cores.
+	// Single driver, 100 ms rounds: a round's fast write (arriving at
+	// +10) overtakes the previous round's slow one (+160, i.e. +60 of this
+	// round) by 50 ms, and lands 50 ms after the slow write of two rounds
+	// back, so the order is unambiguous on both cores: a round's sleep
+	// must overshoot by 50 ms to flip it, and a slow write must lag its
+	// fast twin by 50 ms.
 	for i := 0; i < 5; i++ {
 		cf.Write([]byte(fmt.Sprintf("f%d  ", i)))
 		cs.Write([]byte(fmt.Sprintf("s%d  ", i)))
-		clock.Sleep(20 * time.Millisecond)
+		clock.Sleep(100 * time.Millisecond)
 	}
-	clock.Sleep(100 * time.Millisecond)
+	clock.Sleep(200 * time.Millisecond)
 	cf.Close()
 	cs.Close()
 	wg.Wait()
@@ -266,8 +270,8 @@ func runTaggedWorkload(t *testing.T, clock *Clock) []string {
 }
 
 func TestDifferentialDeliveryOrder(t *testing.T) {
-	// The legacy core runs at true speed (scale 1.0) so wall jitter stays
-	// far below the 5ms event separation.
+	// The legacy core runs at true speed (scale 1.0); wall jitter must stay
+	// below the 50 ms separation of neighbouring deliveries.
 	legacy := runTaggedWorkload(t, NewClock(1.0))
 	onOneP(t) // unpinned on 2 P: the event order was off in 9 of 150 package runs (the parent failed this test in 3 of 10)
 	ev := runTaggedWorkload(t, eventClock(t))

@@ -155,8 +155,10 @@ stage "multi-core alloc smoke (middle-hop forward path at GOMAXPROCS=4)"
 GOMAXPROCS=4 go test -count=1 -run='TestMiddleHopForwardAllocFree' ./internal/relay/
 
 stage "interpreter regression smoke (VM loop must not allocate per iteration; instr stays 24 bytes; the" \
-    "benchmark's step counts are pinned; every opcode runProto dispatches is emitted for the parity corpus)"
-go test -count=1 -run='TestVMLoopAllocFree|TestInstrSizeofPinned|TestStepCountsPinned|TestEveryOpcodeEmitted' ./internal/interp/
+    "benchmark's step counts and loop dispatches are pinned; every opcode runProto dispatches is emitted for" \
+    "the parity corpus, each branch in both senses; string accumulators start exact, grow within the memory" \
+    "limit and load in O(1))"
+go test -count=1 -run='TestVMLoopAllocFree|TestInstrSizeofPinned|TestStepCountsPinned|TestEveryOpcodeEmitted|TestLoopDispatchesPinned|TestAccumulator' ./internal/interp/
 
 stage "fuzz smokes, 5 s each (bytecode VM vs test-only tree oracle; relay run datapath vs per-cell reference under" \
     "fuzzer-chosen cuts and corruption; wire decoder bounds; Bento values through a frame and back;" \
