@@ -234,7 +234,9 @@ func (*strAccum) Type() string { return "str" }
 func (a *strAccum) value() Value {
 	if a.cached == nil {
 		if a.isBytes {
-			a.cached = Bytes(append([]byte(nil), a.buf...))
+			b := make([]byte, len(a.buf))
+			copy(b, a.buf)
+			a.cached = Bytes(b)
 		} else {
 			a.cached = Str(unsafe.String(unsafe.SliceData(a.buf), len(a.buf)))
 		}

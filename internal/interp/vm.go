@@ -889,7 +889,7 @@ func (m *Machine) appendSlot(p *funcProto, line int, slots []reg, idx int, chunk
 					return nil
 				}
 				m.memDelta -= 16 + int64(len(cur))
-				dst.set(&strAccum{isBytes: true, buf: concat(string(cur), string(r))})
+				dst.set(&strAccum{isBytes: true, buf: concat(cur, r)})
 				return nil
 			}
 		}
@@ -927,8 +927,8 @@ func (a *strAccum) grow(m *Machine, line int, r string) error {
 		return nil
 	}
 	if need > cap(a.buf) {
-		room := min(m.memLimit, int64(need)+max(0, m.memLimit-m.MemoryEstimate()))
-		buf := make([]byte, len(a.buf), max(need, int(min(int64(2*cap(a.buf)), room))))
+		room := int64(need) + max(0, m.memLimit-m.MemoryEstimate())
+		buf := make([]byte, len(a.buf), max(int64(need), min(2*int64(cap(a.buf)), room, m.memLimit)))
 		copy(buf, a.buf)
 		a.buf = buf
 	}
