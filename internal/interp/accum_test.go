@@ -13,7 +13,7 @@ import (
 // growth bounded by the memory limit, and loads that are views of its
 // append-only buffer.
 
-// accumSlot runs one `s = s + chunk` on a one-slot frame holding cur.
+// accumSlot runs one `s = s + chunk` on a one-slot frame.
 func accumSlot(t *testing.T, m *Machine, slots []reg, chunk Value) error {
 	t.Helper()
 	p := &funcProto{slotNames: []string{"s"}, numSlots: 1}
@@ -108,8 +108,9 @@ func TestAccumulatorViewsKeepBytes(t *testing.T) {
 // TestAccumulatorLoadConstant: a loop that reads its accumulator on every
 // iteration, `while len(s) < n: s = s + chunk`, costs the same host time
 // per step at 32 000 iterations as at 4 000 (a load that copied the
-// buffer made it quadratic: 18 ms against 605 ms, 4.2 times per step),
-// and ends as the oracle does. The bound allows twice, for a loaded host.
+// buffer made the loop quadratic, and a step at 32 000 several times
+// dearer), and ends as the oracle does. The bound allows twice, for a
+// loaded host.
 func TestAccumulatorLoadConstant(t *testing.T) {
 	src := func(n int) string {
 		return `
