@@ -249,7 +249,7 @@ func runTaggedWorkload(t *testing.T, clock *Clock) []string {
 	if err != nil {
 		t.Fatalf("Dial slow: %v", err)
 	}
-	// Single driver, 100 ms rounds: a round's fast write (arriving at
+	// Single writer, 100 ms rounds: a round's fast write (arriving at
 	// +10) overtakes the previous round's slow one (+160, i.e. +60 of this
 	// round) by 50 ms, and lands 50 ms after the slow write of two rounds
 	// back, so the order is unambiguous on both cores: a round's sleep
