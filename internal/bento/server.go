@@ -64,7 +64,6 @@ type ServerConfig struct {
 type Server struct {
 	cfg     ServerConfig
 	sup     *sandbox.Supervisor
-	fw      *stemfw.Firewall
 	ln      net.Listener
 	runtime *enclave.Enclave // the attested Bento execution environment
 	reg     *obs.Registry
@@ -98,7 +97,6 @@ type runningFunction struct {
 
 	cmu          sync.Mutex
 	container    *sandbox.Container
-	stem         *stemfw.Session
 	code         string // last successfully uploaded source, re-run on restart
 	restarts     int
 	restartTimes []time.Duration // revival times inside the storm window
@@ -113,12 +111,6 @@ func (rf *runningFunction) ctr() *sandbox.Container {
 	rf.cmu.Lock()
 	defer rf.cmu.Unlock()
 	return rf.container
-}
-
-func (rf *runningFunction) stemSession() *stemfw.Session {
-	rf.cmu.Lock()
-	defer rf.cmu.Unlock()
-	return rf.stem
 }
 
 func (rf *runningFunction) permanentlyFailed() bool {
@@ -169,9 +161,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		spawnKeys:  make(map[string]*runningFunction),
 		challenges: make(map[string]bool),
 		progCache:  make(map[[sha256.Size]byte]cachedProgram),
-	}
-	if cfg.Tor != nil {
-		s.fw = stemfw.New(cfg.Tor)
 	}
 	if cfg.Platform != nil {
 		rt, err := cfg.Platform.Launch(ServerImage, 8<<20)
@@ -408,9 +397,6 @@ func (s *Server) handleSpawn(req *request, send func(*response) error) error {
 		man:       &man,
 		spawnKey:  req.SpawnKey,
 	}
-	if s.fw != nil {
-		rf.stem = s.fw.NewSession(container.ID(), man.Calls)
-	}
 	s.bindAPI(rf)
 
 	resp := &response{
@@ -536,9 +522,13 @@ func (s *Server) bindAPI(rf *runningFunction) {
 	}))
 
 	if s.cfg.Bind != nil {
+		var stem *stemfw.Session
+		if s.cfg.Tor != nil {
+			stem = stemfw.NewSession(s.cfg.Tor, c.Handles(), rf.man.Calls)
+		}
 		s.cfg.Bind(&Binding{
 			Container: c,
-			Stem:      rf.stemSession(),
+			Stem:      stem,
 			Host:      s.cfg.Host,
 			Tor:       s.cfg.Tor,
 			Emit:      rf.Emit,
@@ -720,9 +710,6 @@ func (s *Server) reapPanicked(rf *runningFunction) {
 func (s *Server) teardown(rf *runningFunction) {
 	c := rf.ctr()
 	c.Kill()
-	if stem := rf.stemSession(); stem != nil {
-		stem.Close()
-	}
 	s.sup.Remove(c.ID())
 }
 

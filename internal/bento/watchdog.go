@@ -14,7 +14,6 @@ import (
 
 	"github.com/bento-nfv/bento/internal/interp"
 	"github.com/bento-nfv/bento/internal/policy"
-	"github.com/bento-nfv/bento/internal/stemfw"
 )
 
 // maxRestarts caps watchdog revivals per function, bounding the work a
@@ -83,20 +82,11 @@ func (s *Server) maybeRestart(rf *runningFunction, cause error) bool {
 	if err != nil {
 		return false
 	}
-	var stem *stemfw.Session
-	if s.fw != nil {
-		stem = s.fw.NewSession(container.ID(), rf.man.Calls)
-	}
 	rf.cmu.Lock()
-	oldStem := rf.stem
 	rf.container = container
-	rf.stem = stem
 	rf.restarts = gen + 1
 	rf.restartTimes = append(rf.restartTimes, now)
 	rf.cmu.Unlock()
-	if oldStem != nil {
-		oldStem.Close()
-	}
 	s.bindAPI(rf)
 	if code != "" {
 		if err := s.runCode(rf, code); err != nil {

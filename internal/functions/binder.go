@@ -13,7 +13,6 @@ import (
 	"io"
 	"net"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/bento-nfv/bento/internal/bento"
@@ -21,6 +20,7 @@ import (
 	"github.com/bento-nfv/bento/internal/hs"
 	"github.com/bento-nfv/bento/internal/interp"
 	"github.com/bento-nfv/bento/internal/policy"
+	"github.com/bento-nfv/bento/internal/sandbox"
 	"github.com/bento-nfv/bento/internal/webfarm"
 	mrand "math/rand"
 )
@@ -45,32 +45,10 @@ func StandardBinder() bento.APIBinder {
 	}
 }
 
-// apiState holds per-function host-side state (stream handles, async
-// invocations, composition connections).
+// apiState is one container's binding. What the function opens through
+// it lives in the container's handle table.
 type apiState struct {
 	b *bento.Binding
-
-	mu       sync.Mutex
-	nextID   int
-	conns    map[int]*composeConn
-	asyncs   map[int]chan asyncResult
-	hsIdents map[int]*hs.Identity
-}
-
-type composeConn struct {
-	node string
-	conn *bento.Conn
-	cli  *bento.Client
-}
-
-type asyncResult struct {
-	data []byte
-	err  error
-}
-
-func (st *apiState) alloc() int {
-	st.nextID++
-	return st.nextID
 }
 
 // --- requests / http ---------------------------------------------------------
@@ -385,15 +363,21 @@ func (st *apiState) torObject() *interp.Object {
 			return interp.Bytes(nil), nil
 		}),
 		"close_stream": c.Mediate("stem.close_circuit", func(args []interp.Value) (interp.Value, error) {
+			if len(args) != 1 {
+				return nil, fmt.Errorf("close_stream(handle)")
+			}
 			h, ok := args[0].(interp.Int)
-			if len(args) != 1 || !ok {
+			if !ok {
 				return nil, fmt.Errorf("close_stream(handle)")
 			}
 			return interp.None, sess.CloseStream(int(h))
 		}),
 		"close_circuit": c.Mediate("stem.close_circuit", func(args []interp.Value) (interp.Value, error) {
+			if len(args) != 1 {
+				return nil, fmt.Errorf("close_circuit(handle)")
+			}
 			h, ok := args[0].(interp.Int)
-			if len(args) != 1 || !ok {
+			if !ok {
 				return nil, fmt.Errorf("close_circuit(handle)")
 			}
 			return interp.None, sess.CloseCircuit(int(h))
@@ -552,18 +536,30 @@ func (st *apiState) launchService(ident *hs.Identity, handler func(net.Conn)) (i
 func (st *apiState) bentoObject() *interp.Object {
 	c := st.b.Container
 	cli := bento.NewClient(st.b.Tor, nil)
-	getConn := func(h interp.Value) (*composeConn, error) {
+	getConn := func(h interp.Value) (*bento.Conn, error) {
 		n, ok := h.(interp.Int)
 		if !ok {
 			return nil, fmt.Errorf("connection handle must be int")
 		}
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		cc := st.conns[int(n)]
-		if cc == nil {
-			return nil, fmt.Errorf("unknown connection handle %d", n)
+		return sandbox.Get[*bento.Conn](c.Handles(), int(n), sandbox.KindCompose)
+	}
+	// invoke runs name(conn, invoke_token, fn, args): fn of the function
+	// behind invoke_token, reached over the connection conn.
+	invoke := func(name string, args []interp.Value) ([]byte, interp.Value, error) {
+		if len(args) != 4 {
+			return nil, nil, fmt.Errorf("%s(conn, invoke_token, fn, args)", name)
 		}
-		return cc, nil
+		conn, err := getConn(args[0])
+		if err != nil {
+			return nil, nil, err
+		}
+		tok, ok1 := args[1].(interp.Str)
+		fnName, ok2 := args[2].(interp.Str)
+		fargs, ok3 := args[3].(*interp.List)
+		if !ok1 || !ok2 || !ok3 {
+			return nil, nil, fmt.Errorf("%s(int, str, str, list)", name)
+		}
+		return conn.AttachFunction(string(tok)).Invoke(string(fnName), fargs.Elems...)
 	}
 	return interp.NewObject("bento", map[string]interp.BuiltinFn{
 		"nodes": c.Mediate("bento.compose", func(args []interp.Value) (interp.Value, error) {
@@ -589,20 +585,17 @@ func (st *apiState) bentoObject() *interp.Object {
 			if err != nil {
 				return nil, err
 			}
-			st.mu.Lock()
-			defer st.mu.Unlock()
-			if st.conns == nil {
-				st.conns = make(map[int]*composeConn)
+			h, err := c.Handles().Add(sandbox.KindCompose, conn, conn.Close)
+			if err != nil {
+				return nil, err
 			}
-			id := st.alloc()
-			st.conns[id] = &composeConn{node: string(nick), conn: conn, cli: cli}
-			return interp.Int(id), nil
+			return interp.Int(h), nil
 		}),
 		"spawn": c.Mediate("bento.compose", func(args []interp.Value) (interp.Value, error) {
 			if len(args) != 3 {
 				return nil, fmt.Errorf("spawn(conn, image, name)")
 			}
-			cc, err := getConn(args[0])
+			conn, err := getConn(args[0])
 			if err != nil {
 				return nil, err
 			}
@@ -611,7 +604,7 @@ func (st *apiState) bentoObject() *interp.Object {
 			if !ok1 || !ok2 {
 				return nil, fmt.Errorf("spawn(int, str, str)")
 			}
-			fn, err := cc.conn.Spawn(ComposedManifest(string(image), string(name)))
+			fn, err := conn.Spawn(ComposedManifest(string(image), string(name)))
 			if err != nil {
 				return nil, err
 			}
@@ -623,7 +616,7 @@ func (st *apiState) bentoObject() *interp.Object {
 			if len(args) != 3 {
 				return nil, fmt.Errorf("upload(conn, invoke_token, code)")
 			}
-			cc, err := getConn(args[0])
+			conn, err := getConn(args[0])
 			if err != nil {
 				return nil, err
 			}
@@ -632,23 +625,10 @@ func (st *apiState) bentoObject() *interp.Object {
 			if !ok1 || !ok2 {
 				return nil, fmt.Errorf("upload(int, str, str)")
 			}
-			return interp.None, cc.conn.AttachFunction(string(tok)).Upload(string(code))
+			return interp.None, conn.AttachFunction(string(tok)).Upload(string(code))
 		}),
 		"invoke": c.Mediate("bento.compose", func(args []interp.Value) (interp.Value, error) {
-			if len(args) != 4 {
-				return nil, fmt.Errorf("invoke(conn, invoke_token, fn, args)")
-			}
-			cc, err := getConn(args[0])
-			if err != nil {
-				return nil, err
-			}
-			tok, ok1 := args[1].(interp.Str)
-			fnName, ok2 := args[2].(interp.Str)
-			fargs, ok3 := args[3].(*interp.List)
-			if !ok1 || !ok2 || !ok3 {
-				return nil, fmt.Errorf("invoke(int, str, str, list)")
-			}
-			data, _, err := cc.conn.AttachFunction(string(tok)).Invoke(string(fnName), fargs.Elems...)
+			data, _, err := invoke("invoke", args)
 			if err != nil {
 				return nil, err
 			}
@@ -658,101 +638,17 @@ func (st *apiState) bentoObject() *interp.Object {
 		// than its api.send output), for control-plane exchanges like
 		// load queries.
 		"call": c.Mediate("bento.compose", func(args []interp.Value) (interp.Value, error) {
-			if len(args) != 4 {
-				return nil, fmt.Errorf("call(conn, invoke_token, fn, args)")
-			}
-			cc, err := getConn(args[0])
-			if err != nil {
-				return nil, err
-			}
-			tok, ok1 := args[1].(interp.Str)
-			fnName, ok2 := args[2].(interp.Str)
-			fargs, ok3 := args[3].(*interp.List)
-			if !ok1 || !ok2 || !ok3 {
-				return nil, fmt.Errorf("call(int, str, str, list)")
-			}
-			_, result, err := cc.conn.AttachFunction(string(tok)).Invoke(string(fnName), fargs.Elems...)
+			_, result, err := invoke("call", args)
 			if err != nil {
 				return nil, err
 			}
 			return result, nil
 		}),
-		// invoke_async runs an invocation on a fresh circuit so multiple
-		// outstanding invocations proceed concurrently; poll() collects.
-		"invoke_async": c.Mediate("bento.compose", func(args []interp.Value) (interp.Value, error) {
-			if len(args) != 4 {
-				return nil, fmt.Errorf("invoke_async(conn, invoke_token, fn, args)")
-			}
-			cc, err := getConn(args[0])
-			if err != nil {
-				return nil, err
-			}
-			tok, ok1 := args[1].(interp.Str)
-			fnName, ok2 := args[2].(interp.Str)
-			fargs, ok3 := args[3].(*interp.List)
-			if !ok1 || !ok2 || !ok3 {
-				return nil, fmt.Errorf("invoke_async(int, str, str, list)")
-			}
-			node := st.b.Tor.Consensus().Relay(cc.node)
-			if node == nil {
-				return nil, fmt.Errorf("node %q vanished from consensus", cc.node)
-			}
-			ch := make(chan asyncResult, 1)
-			st.mu.Lock()
-			if st.asyncs == nil {
-				st.asyncs = make(map[int]chan asyncResult)
-			}
-			id := st.alloc()
-			st.asyncs[id] = ch
-			st.mu.Unlock()
-			fargsCopy := append([]interp.Value(nil), fargs.Elems...)
-			go func() {
-				conn, err := cli.Connect(node)
-				if err != nil {
-					ch <- asyncResult{err: err}
-					return
-				}
-				defer conn.Close()
-				data, _, err := conn.AttachFunction(string(tok)).Invoke(string(fnName), fargsCopy...)
-				ch <- asyncResult{data: data, err: err}
-			}()
-			return interp.Int(id), nil
-		}),
-		"poll": c.Mediate("bento.compose", func(args []interp.Value) (interp.Value, error) {
-			if len(args) != 1 {
-				return nil, fmt.Errorf("poll(handle)")
-			}
-			h, ok := args[0].(interp.Int)
-			if !ok {
-				return nil, fmt.Errorf("poll handle must be int")
-			}
-			st.mu.Lock()
-			ch := st.asyncs[int(h)]
-			st.mu.Unlock()
-			if ch == nil {
-				return nil, fmt.Errorf("unknown async handle %d", h)
-			}
-			select {
-			case res := <-ch:
-				st.mu.Lock()
-				delete(st.asyncs, int(h))
-				st.mu.Unlock()
-				d := interp.NewDict()
-				d.Set(interp.Str("done"), interp.Bool(true))
-				d.Set(interp.Str("data"), interp.Bytes(res.data))
-				if res.err != nil {
-					d.Set(interp.Str("error"), interp.Str(res.err.Error()))
-				}
-				return d, nil
-			default:
-				return interp.None, nil
-			}
-		}),
 		"shutdown": c.Mediate("bento.compose", func(args []interp.Value) (interp.Value, error) {
 			if len(args) != 2 {
 				return nil, fmt.Errorf("shutdown(conn, shutdown_token)")
 			}
-			cc, err := getConn(args[0])
+			conn, err := getConn(args[0])
 			if err != nil {
 				return nil, err
 			}
@@ -760,7 +656,7 @@ func (st *apiState) bentoObject() *interp.Object {
 			if !ok {
 				return nil, fmt.Errorf("shutdown token must be str")
 			}
-			return interp.None, cc.conn.ShutdownByToken(string(tok))
+			return interp.None, conn.ShutdownByToken(string(tok))
 		}),
 	})
 }

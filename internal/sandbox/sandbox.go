@@ -152,9 +152,7 @@ type Container struct {
 	encl    *enclave.Enclave
 	allowed map[string]bool
 	exitPol *policy.ExitPolicy
-
-	mu     sync.Mutex
-	closed bool
+	handles Handles
 }
 
 // New creates a container, checking the manifest against the node policy
@@ -251,6 +249,9 @@ func (c *Container) Machine() *interp.Machine { return c.machine }
 // FS returns the container's private filesystem.
 func (c *Container) FS() FileStore { return c.fs }
 
+// Handles returns the table of host resources the container holds.
+func (c *Container) Handles() *Handles { return &c.handles }
+
 // Enclave returns the backing enclave, or nil for plain containers.
 func (c *Container) Enclave() *enclave.Enclave { return c.encl }
 
@@ -331,16 +332,12 @@ func (c *Container) contain(run func() error) (err error) {
 // Kill aborts any running code.
 func (c *Container) Kill() { c.machine.Kill() }
 
-// Close kills the container and releases its enclave reservation.
+// Close kills the container, releases every host resource in its handle
+// table, and releases its enclave reservation. Each step is idempotent,
+// so Close is too.
 func (c *Container) Close() {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
-	c.closed = true
-	c.mu.Unlock()
 	c.machine.Kill()
+	c.handles.Close()
 	if c.encl != nil {
 		c.encl.Destroy()
 	}

@@ -81,12 +81,23 @@ func TestAfterFuncZeroWaitStop(t *testing.T) {
 }
 
 // TestAfterFuncTimedStop: a positive wait still goes through a timer
-// that a Stop before it fires cancels.
+// that a Stop before it fires cancels. The timer is armed and stopped in
+// a zero-wait callback: on the event core that is the dispatcher, which
+// cannot advance past the 1s wait between the two calls, as it can past
+// the test goroutine's on two Ps.
 func TestAfterFuncTimedStop(t *testing.T) {
 	bothCores(t, func(t *testing.T, clock *Clock) {
 		var ran atomic.Bool
-		tm := clock.AfterFunc(time.Second, func() { ran.Store(true) })
-		if !tm.Stop() {
+		var tm *VTimer
+		var stopped bool
+		armed := make(chan struct{})
+		clock.AfterFunc(0, func() {
+			tm = clock.AfterFunc(time.Second, func() { ran.Store(true) })
+			stopped = tm.Stop()
+			close(armed)
+		})
+		within(t, armed, "arming callback")
+		if !stopped {
 			t.Fatal("Stop before a 1s wait fired reported false")
 		}
 		clock.Sleep(2 * time.Second)

@@ -13,6 +13,7 @@ import (
 	"github.com/bento-nfv/bento/internal/hs"
 	"github.com/bento-nfv/bento/internal/policy"
 	"github.com/bento-nfv/bento/internal/relay"
+	"github.com/bento-nfv/bento/internal/sandbox"
 	"github.com/bento-nfv/bento/internal/simnet"
 	"github.com/bento-nfv/bento/internal/torclient"
 )
@@ -53,11 +54,17 @@ func allCalls() []string {
 	return []string{"stem.create_circuit", "stem.close_circuit", "stem.launch_hs"}
 }
 
+// newSession returns a session over a fresh handle table, which the test
+// closes at cleanup as Container.Close would.
+func newSession(t *testing.T, tor *torclient.Client, calls []string) (*Session, *sandbox.Handles) {
+	handles := &sandbox.Handles{}
+	t.Cleanup(handles.Close)
+	return NewSession(tor, handles, calls), handles
+}
+
 func TestSessionCircuitLifecycle(t *testing.T) {
 	tor, n := fixture(t)
-	fw := New(tor)
-	sess := fw.NewSession("fn1", allCalls())
-	defer sess.Close()
+	sess, _ := newSession(t, tor, allCalls())
 
 	// An echo destination.
 	echoHost := n.AddHost("echo", 0)
@@ -107,9 +114,7 @@ func TestSessionCircuitLifecycle(t *testing.T) {
 
 func TestCallFilterEnforced(t *testing.T) {
 	tor, _ := fixture(t)
-	fw := New(tor)
-	sess := fw.NewSession("fn1", []string{"stem.close_circuit"}) // no create
-	defer sess.Close()
+	sess, _ := newSession(t, tor, []string{"stem.close_circuit"}) // no create
 	if _, err := sess.CreateCircuit("anything", 80); !errors.Is(err, ErrDenied) {
 		t.Fatalf("create without permission: %v", err)
 	}
@@ -121,9 +126,7 @@ func TestCallFilterEnforced(t *testing.T) {
 
 func TestCircuitLimit(t *testing.T) {
 	tor, _ := fixture(t)
-	fw := New(tor)
-	sess := fw.NewSession("fn1", allCalls())
-	defer sess.Close()
+	sess, _ := newSession(t, tor, allCalls())
 	for i := 0; i < DefaultMaxCircuits; i++ {
 		if _, err := sess.CreateCircuit("relay0", relay.ORPort); err != nil {
 			t.Fatalf("circuit %d: %v", i, err)
@@ -139,11 +142,8 @@ func TestSessionIsolation(t *testing.T) {
 	// "maintains state about the circuits each function is allowed to
 	// access" (§5.3).
 	tor, _ := fixture(t)
-	fw := New(tor)
-	a := fw.NewSession("fnA", allCalls())
-	b := fw.NewSession("fnB", allCalls())
-	defer a.Close()
-	defer b.Close()
+	a, _ := newSession(t, tor, allCalls())
+	b, _ := newSession(t, tor, allCalls())
 	circ, err := a.CreateCircuit("relay1", relay.ORPort)
 	if err != nil {
 		t.Fatal(err)
@@ -158,13 +158,12 @@ func TestSessionIsolation(t *testing.T) {
 
 func TestSessionCloseFateShares(t *testing.T) {
 	tor, _ := fixture(t)
-	fw := New(tor)
-	sess := fw.NewSession("fn1", allCalls())
+	sess, handles := newSession(t, tor, allCalls())
 	circ, err := sess.CreateCircuit("relay1", relay.ORPort)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess.Close()
+	handles.Close()
 	// Everything owned by the session is gone (functions fate-share).
 	if _, err := sess.OpenStream(circ, "relay1:9001"); err == nil {
 		t.Fatal("session usable after close")
@@ -172,16 +171,13 @@ func TestSessionCloseFateShares(t *testing.T) {
 	if _, err := sess.CreateCircuit("relay1", relay.ORPort); !errors.Is(err, ErrDenied) {
 		t.Fatalf("create after close: %v", err)
 	}
-	sess.Close() // idempotent
+	handles.Close() // idempotent
 }
 
 func TestHiddenServiceQueueAndRespond(t *testing.T) {
 	tor, n := fixture(t)
-	fw := New(tor)
-	front := fw.NewSession("front", allCalls())
-	replica := fw.NewSession("replica", allCalls())
-	defer front.Close()
-	defer replica.Close()
+	front, _ := newSession(t, tor, allCalls())
+	replica, _ := newSession(t, tor, allCalls())
 
 	ident, _ := hs.NewIdentity()
 	h, err := front.LaunchHiddenService(ident, nil)
@@ -261,9 +257,7 @@ func TestHiddenServiceQueueAndRespond(t *testing.T) {
 
 func TestRespondRejectsGarbageIntro(t *testing.T) {
 	tor, _ := fixture(t)
-	fw := New(tor)
-	sess := fw.NewSession("fn", allCalls())
-	defer sess.Close()
+	sess, _ := newSession(t, tor, allCalls())
 	ident, _ := hs.NewIdentity()
 	if err := sess.RespondAtRendezvous(ident, []byte("not json"), func(net.Conn) {}); err == nil {
 		t.Fatal("garbage introduction accepted")
@@ -272,9 +266,7 @@ func TestRespondRejectsGarbageIntro(t *testing.T) {
 
 func TestSendDropRequiresOwnedCircuit(t *testing.T) {
 	tor, _ := fixture(t)
-	fw := New(tor)
-	sess := fw.NewSession("fn", allCalls())
-	defer sess.Close()
+	sess, _ := newSession(t, tor, allCalls())
 	if err := sess.SendDrop(123, []byte("junk")); !errors.Is(err, ErrDenied) {
 		t.Fatalf("drop on unknown circuit: %v", err)
 	}
@@ -284,5 +276,74 @@ func TestSendDropRequiresOwnedCircuit(t *testing.T) {
 	}
 	if err := sess.SendDrop(circ, []byte("junk")); err != nil {
 		t.Fatalf("drop on owned circuit: %v", err)
+	}
+}
+
+// TestRendezvousEntriesReleased: each rendezvous a replica answers is an
+// entry of its table until the client's circuit tears down, so after K
+// transfers end the table holds none and the load report reads zero.
+func TestRendezvousEntriesReleased(t *testing.T) {
+	const K = 3
+	tor, n := fixture(t)
+	front, _ := newSession(t, tor, allCalls())
+	replica, handles := newSession(t, tor, allCalls())
+	ident, _ := hs.NewIdentity()
+	h, err := front.LaunchHiddenService(ident, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	content := []byte("rendezvous payload")
+	cli := torclient.New(n.AddHost("visitor", 0), tor.Consensus(), 9)
+	for i := 0; i < K; i++ {
+		done := make(chan []byte, 1)
+		go func() {
+			conn, err := hs.Dial(cli, ident.ServiceID())
+			if err != nil {
+				done <- nil
+				return
+			}
+			defer conn.Close()
+			data, _ := io.ReadAll(conn)
+			done <- data
+		}()
+		deadline := time.After(20 * time.Second)
+		for {
+			blob, err := front.NextIntroduction(h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if blob != nil {
+				err := replica.RespondAtRendezvous(ident, blob, func(c net.Conn) {
+					defer c.Close()
+					c.Write(content)
+				})
+				if err != nil {
+					t.Fatalf("transfer %d: RespondAtRendezvous: %v", i, err)
+				}
+				break
+			}
+			select {
+			case <-deadline:
+				t.Fatalf("transfer %d: introduction never arrived", i)
+			case <-time.After(5 * time.Millisecond):
+			}
+		}
+		select {
+		case data := <-done:
+			if !bytes.Equal(data, content) {
+				t.Fatalf("transfer %d: client got %q", i, data)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("transfer %d never completed", i)
+		}
+	}
+	deadline := time.After(10 * time.Second)
+	for handles.Count(sandbox.KindRendezvous) != 0 || replica.ActiveTransfers() != 0 {
+		select {
+		case <-deadline:
+			t.Fatalf("after %d transfers: %d rendezvous entries, %d active",
+				K, handles.Count(sandbox.KindRendezvous), replica.ActiveTransfers())
+		case <-time.After(5 * time.Millisecond):
+		}
 	}
 }

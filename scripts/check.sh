@@ -54,15 +54,20 @@ want "sync.Cond/WaitGroup sites" 'sync\.(NewCond|Cond|WaitGroup)\b' "internal/si
 # Parkers come from Cond.Wait and Sleep only: no hand-written waiter lists.
 want "parker sites" 'newParker\(' internal/simnet \
     "internal/simnet/clock.go:1 internal/simnet/cond.go:1 internal/simnet/sched.go:1"
-# torclient, the relay, the fleet and the Bento server wait on no channel.
-want "channel sites" '\bchan\b' "internal/torclient internal/relay internal/fleet internal/bento" ""
+# torclient, the relay, the fleet, the Bento server and the Stem firewall
+# wait on no channel.
+want "channel sites" '\bchan\b' "internal/torclient internal/relay internal/fleet internal/bento
+    internal/stemfw" ""
 # A client circuit reads its guard link in a deliver callback and writes it
 # directly (DESIGN.md §13.3); the relay's and the Bento server's accept
 # loops and connection handlers start through Clock.Go too (ROADMAP item
-# 1(b)). Allowed: the workers of relay.RunParallelForwardBench, which run
-# outside any simulation (benchmark/'s probe).
-want "go statements" '^[[:space:]]*go[[:space:]]' "internal/torclient internal/relay internal/bento" \
-    "internal/relay/bench.go:1"
+# 1(b)); the Stem firewall and the function library start none. Allowed:
+# the workers of relay.RunParallelForwardBench, which run outside any
+# simulation (benchmark/'s probe), and functions.MultipathFetch's
+# per-path fetches, a client-side helper still on ROADMAP item 1(b)'s list.
+want "go statements" '^[[:space:]]*go[[:space:]]' "internal/torclient internal/relay internal/bento
+    internal/stemfw internal/functions" \
+    "internal/functions/multipath.go:1 internal/relay/bench.go:1"
 # A relay link is served by deliver callbacks and written with WriteAsync
 # on both clocks (DESIGN.md §13.1): no link writer of its own either.
 want "BatchWriter uses" 'BatchWriter' "internal/torclient internal/relay" ""
