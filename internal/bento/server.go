@@ -145,15 +145,10 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Policy == nil {
 		cfg.Policy = policy.DefaultMiddlebox()
 	}
-	ln, err := cfg.Host.Listen(Port)
-	if err != nil {
-		return nil, err
-	}
 	reg := cfg.Host.Network().Obs()
 	s := &Server{
 		cfg:        cfg,
 		sup:        sandbox.NewSupervisor(cfg.Policy, cfg.ExitPolicy, cfg.Platform, cfg.Stdout),
-		ln:         ln,
 		reg:        reg,
 		om:         newServerMetrics(reg),
 		functions:  make(map[string]*runningFunction),
@@ -165,12 +160,21 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Platform != nil {
 		rt, err := cfg.Platform.Launch(ServerImage, 8<<20)
 		if err != nil {
-			ln.Close()
 			return nil, fmt.Errorf("bento: launching runtime enclave: %w", err)
 		}
 		s.runtime = rt
 	}
-	cfg.Host.Clock().Go(s.acceptLoop)
+	// Each connection is served on a goroutine of its own (ROADMAP item 15).
+	ln, err := cfg.Host.ListenFunc(Port, func(conn simnet.LightConn) {
+		cfg.Host.Clock().Go(func() { s.serve(conn) })
+	})
+	if err != nil {
+		if s.runtime != nil {
+			s.runtime.Destroy()
+		}
+		return nil, err
+	}
+	s.ln = ln
 	return s, nil
 }
 
@@ -219,16 +223,6 @@ func (s *Server) FunctionMemoryEstimate() int64 {
 		rf.runMu.Unlock()
 	}
 	return total
-}
-
-func (s *Server) acceptLoop() {
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		s.cfg.Host.Clock().Go(func() { s.serve(conn) })
-	}
 }
 
 func (s *Server) serve(conn net.Conn) {

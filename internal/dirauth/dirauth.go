@@ -310,6 +310,9 @@ func (a *Authority) PublicKey() ed25519.PublicKey { return a.pub }
 // same nickname replaces the previous descriptor (as in Tor, descriptors
 // are refreshed).
 func (a *Authority) Publish(d *Descriptor) error {
+	if d == nil {
+		return fmt.Errorf("dirauth: publish without a descriptor")
+	}
 	if err := d.Verify(); err != nil {
 		return err
 	}

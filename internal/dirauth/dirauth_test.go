@@ -278,13 +278,23 @@ func TestServerOverSimnet(t *testing.T) {
 		t.Fatal("tampered descriptor accepted over the network")
 	}
 
-	// A request header announcing more than maxRequest gets the
-	// connection closed before any of the announced bytes are sent.
+	// A publish that names no descriptor is refused, and the server serves
+	// on.
 	conn, err := clientHost.Dial("dir:7000")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
+	if err := wire.WriteJSON(conn, &request{Op: "publish"}); err != nil {
+		t.Fatal(err)
+	}
+	var resp response
+	if err := wire.NewFrameDecoder(conn, maxPublishResponse, 0).Decode(&resp); err != nil || resp.OK {
+		t.Fatalf("publish without a descriptor answered %+v, %v; want a refusal", resp, err)
+	}
+
+	// A request header announcing more than maxRequest gets the
+	// connection closed before any of the announced bytes are sent.
 	var hdr [8]byte
 	binary.BigEndian.PutUint32(hdr[0:4], maxRequest+1)
 	if _, err := conn.Write(hdr[:]); err != nil {

@@ -3,6 +3,7 @@ package dirauth
 import (
 	"crypto/ed25519"
 	"fmt"
+	"io"
 	"net"
 
 	"github.com/bento-nfv/bento/internal/obs"
@@ -37,36 +38,25 @@ type Server struct {
 }
 
 // Serve starts a directory server on the given host. It returns once the
-// listener is accepting.
+// listener is accepting; it serves with no goroutine of its own.
 func Serve(host *simnet.Host, auth *Authority) (*Server, error) {
-	ln, err := host.Listen(DefaultPort)
-	if err != nil {
-		return nil, err
-	}
 	reg := host.Network().Obs()
 	s := &Server{
 		auth:            auth,
-		ln:              ln,
 		publishes:       reg.Counter("dirauth.publishes"),
 		publishRejects:  reg.Counter("dirauth.publish_rejects"),
 		consensusServes: reg.Counter("dirauth.consensus_serves"),
 	}
-	go s.acceptLoop()
+	ln, err := host.ServeRequests(DefaultPort, wire.SplitFrame(maxRequest), s.handle)
+	if err != nil {
+		return nil, err
+	}
+	s.ln = ln
 	return s, nil
 }
 
 // Close stops the server.
 func (s *Server) Close() error { return s.ln.Close() }
-
-func (s *Server) acceptLoop() {
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		go s.handle(conn)
-	}
-}
 
 // maxRequest bounds one request the server accepts. The largest, a
 // publish of one relay descriptor, is under 1 KiB.
@@ -84,40 +74,35 @@ const (
 	maxConsensusResponse = 8 << 20
 )
 
-func (s *Server) handle(conn net.Conn) {
-	defer conn.Close()
-	dec := wire.NewFrameDecoder(conn, maxRequest, 0) // reuse one read buffer across requests
-	for {
-		var req request
-		if err := dec.Decode(&req); err != nil {
-			return
-		}
-		var resp response
-		switch req.Op {
-		case "publish":
-			if err := s.auth.Publish(req.Descriptor); err != nil {
-				resp.Error = err.Error()
-				s.publishRejects.Inc()
-			} else {
-				resp.OK = true
-				s.publishes.Inc()
-			}
-		case "consensus":
-			c, err := s.auth.Consensus()
-			if err != nil {
-				resp.Error = err.Error()
-			} else {
-				resp.OK = true
-				resp.Consensus = c
-				s.consensusServes.Inc()
-			}
-		default:
-			resp.Error = fmt.Sprintf("unknown op %q", req.Op)
-		}
-		if err := wire.WriteJSON(conn, &resp); err != nil {
-			return
-		}
+// handle answers one request frame, in delivery context.
+func (s *Server) handle(frame []byte, w io.Writer) bool {
+	var req request
+	if err := wire.Unmarshal(frame, &req); err != nil {
+		return false
 	}
+	var resp response
+	switch req.Op {
+	case "publish":
+		if err := s.auth.Publish(req.Descriptor); err != nil {
+			resp.Error = err.Error()
+			s.publishRejects.Inc()
+		} else {
+			resp.OK = true
+			s.publishes.Inc()
+		}
+	case "consensus":
+		c, err := s.auth.Consensus()
+		if err != nil {
+			resp.Error = err.Error()
+		} else {
+			resp.OK = true
+			resp.Consensus = c
+			s.consensusServes.Inc()
+		}
+	default:
+		resp.Error = fmt.Sprintf("unknown op %q", req.Op)
+	}
+	return wire.WriteJSON(w, &resp) == nil
 }
 
 // Publish sends a descriptor to the directory server at dirAddr from the

@@ -306,7 +306,7 @@ type Service struct {
 
 	mu         sync.Mutex
 	introCircs []*torclient.Circuit
-	rendCircs  []*torclient.Circuit
+	rendCircs  map[*torclient.Circuit]struct{} // until each closes
 	closed     bool
 }
 
@@ -336,7 +336,7 @@ func launch(client *torclient.Client, ident *Identity, cfg ServiceConfig) (*Serv
 	if cfg.PoWBits < 0 || cfg.PoWBits > MaxPoWBits {
 		return nil, fmt.Errorf("hs: PoWBits %d out of range [0, %d]", cfg.PoWBits, MaxPoWBits)
 	}
-	s := &Service{ident: ident, client: client, cfg: cfg}
+	s := &Service{ident: ident, client: client, cfg: cfg, rendCircs: make(map[*torclient.Circuit]struct{})}
 
 	cons := client.Consensus()
 	pool := cons.Relays
@@ -412,15 +412,24 @@ func (s *Service) handleIntroduce2(data []byte) {
 		circ.Close()
 		return
 	}
-	s.rendCircs = append(s.rendCircs, circ)
+	s.rendCircs[circ] = struct{}{}
 	s.mu.Unlock()
+	// Outside mu: OnClose runs the func at once on a circuit already closed.
+	circ.OnClose(func() {
+		s.mu.Lock()
+		delete(s.rendCircs, circ)
+		s.mu.Unlock()
+	})
 }
 
 // Close tears down all of the service's circuits.
 func (s *Service) Close() error {
 	s.mu.Lock()
 	s.closed = true
-	circs := append(append([]*torclient.Circuit(nil), s.introCircs...), s.rendCircs...)
+	circs := append([]*torclient.Circuit(nil), s.introCircs...)
+	for c := range s.rendCircs {
+		circs = append(circs, c)
+	}
 	s.mu.Unlock()
 	for _, c := range circs {
 		c.Close()

@@ -241,6 +241,49 @@ func TestHiddenServiceMultipleClients(t *testing.T) {
 	}
 }
 
+// TestRendezvousCircuitsDropped: a service that serves its clients itself
+// keeps each rendezvous circuit only until it closes, so after five
+// clients that came and went it holds none.
+func TestRendezvousCircuitsDropped(t *testing.T) {
+	f := buildFixture(t, 5)
+	svcClient := torclient.New(f.net.AddHost("service-host", 0), f.cons, 80)
+	ident, _ := NewIdentity()
+	svc, err := Launch(svcClient, ident, ServiceConfig{
+		Handler: func(c net.Conn) {
+			defer c.Close()
+			io.Copy(c, c)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	cli := torclient.New(f.net.AddHost("client", 0), f.cons, 81)
+	for i := 0; i < 5; i++ {
+		conn, err := Dial(cli, svc.ServiceID())
+		if err != nil {
+			t.Fatalf("client %d dial: %v", i, err)
+		}
+		if _, err := conn.Write([]byte("ping")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(conn, make([]byte, 4)); err != nil {
+			t.Fatalf("client %d read: %v", i, err)
+		}
+		conn.Close()
+	}
+	rendCircs := func() int {
+		svc.mu.Lock()
+		defer svc.mu.Unlock()
+		return len(svc.rendCircs)
+	}
+	for deadline := time.Now().Add(10 * time.Second); rendCircs() != 0; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("service holds %d rendezvous circuits after its 5 clients closed", rendCircs())
+		}
+	}
+}
+
 func TestDelegatedIntroduce(t *testing.T) {
 	// The LoadBalancer pattern: the front service delegates each
 	// introduction to a replica that holds a copy of the identity.

@@ -2,7 +2,7 @@ package relay
 
 import (
 	"fmt"
-	"net"
+	"io"
 
 	"github.com/bento-nfv/bento/internal/simnet"
 	"github.com/bento-nfv/bento/internal/wire"
@@ -28,20 +28,10 @@ type hsdirResponse struct {
 // bytes; signature validation happens in the hs package, which owns the
 // descriptor format.
 func (r *Relay) ServeHSDir() error {
-	ln, err := r.host.Listen(HSDirPort)
+	ln, err := r.host.ServeRequests(HSDirPort, wire.SplitFrame(maxHSDirRequest), r.handleHSDir)
 	if err != nil {
 		return err
 	}
-	clock := r.host.Clock()
-	clock.Go(func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			clock.Go(func() { r.serveHSDirConn(conn) })
-		}
-	})
 	r.mu.Lock()
 	r.hsdirLn = ln
 	closed := r.closed
@@ -62,42 +52,37 @@ const maxHSDirRequest = 64 << 10
 // hostile HSDir cannot make the client read more.
 const maxHSDirResponse = 2 * maxHSDirRequest
 
-func (r *Relay) serveHSDirConn(conn net.Conn) {
-	defer conn.Close()
-	dec := wire.NewFrameDecoder(conn, maxHSDirRequest, 0) // reuse one read buffer across requests
-	for {
-		var req hsdirRequest
-		if err := dec.Decode(&req); err != nil {
-			return
-		}
-		var resp hsdirResponse
-		switch req.Op {
-		case "store":
-			if req.ServiceID == "" || len(req.Descriptor) == 0 {
-				resp.Error = "missing service ID or descriptor"
-				break
-			}
-			r.mu.Lock()
-			r.hsdir[req.ServiceID] = req.Descriptor
-			r.mu.Unlock()
-			resp.OK = true
-		case "fetch":
-			r.mu.Lock()
-			desc, ok := r.hsdir[req.ServiceID]
-			r.mu.Unlock()
-			if !ok {
-				resp.Error = "no descriptor for " + req.ServiceID
-				break
-			}
-			resp.OK = true
-			resp.Descriptor = desc
-		default:
-			resp.Error = fmt.Sprintf("unknown op %q", req.Op)
-		}
-		if err := wire.WriteJSON(conn, &resp); err != nil {
-			return
-		}
+// handleHSDir answers one request frame, in delivery context.
+func (r *Relay) handleHSDir(frame []byte, w io.Writer) bool {
+	var req hsdirRequest
+	if err := wire.Unmarshal(frame, &req); err != nil {
+		return false
 	}
+	var resp hsdirResponse
+	switch req.Op {
+	case "store":
+		if req.ServiceID == "" || len(req.Descriptor) == 0 {
+			resp.Error = "missing service ID or descriptor"
+			break
+		}
+		r.mu.Lock()
+		r.hsdir[req.ServiceID] = req.Descriptor
+		r.mu.Unlock()
+		resp.OK = true
+	case "fetch":
+		r.mu.Lock()
+		desc, ok := r.hsdir[req.ServiceID]
+		r.mu.Unlock()
+		if !ok {
+			resp.Error = "no descriptor for " + req.ServiceID
+			break
+		}
+		resp.OK = true
+		resp.Descriptor = desc
+	default:
+		resp.Error = fmt.Sprintf("unknown op %q", req.Op)
+	}
+	return wire.WriteJSON(w, &resp) == nil
 }
 
 // StoreHSDescriptor uploads a hidden-service descriptor to the HSDir at

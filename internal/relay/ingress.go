@@ -49,8 +49,8 @@ const (
 )
 
 // serve wires an accepted link into a new circuit and returns at once:
-// all further work for this link happens in deliver callbacks. Called
-// from the accept loop.
+// all further work for this link happens in deliver callbacks. It is the
+// ORPort's accept callback.
 func (r *Relay) serve(conn simnet.LightConn) {
 	c := &circuit{relay: r, conn: conn}
 	r.mu.Lock()

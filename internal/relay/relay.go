@@ -81,10 +81,6 @@ func New(host *simnet.Host, cfg Config) (*Relay, error) {
 	if err != nil {
 		return nil, err
 	}
-	ln, err := host.Listen(ORPort)
-	if err != nil {
-		return nil, err
-	}
 	reg := host.Network().Obs()
 	r := &Relay{
 		host:   host,
@@ -94,14 +90,15 @@ func New(host *simnet.Host, cfg Config) (*Relay, error) {
 		idPub:  idPub,
 		idPriv: idPriv,
 		onion:  onion,
-		ln:     ln,
 
 		circuits:   make(map[*circuit]struct{}),
 		rendezvous: make(map[string]*circuit),
 		intros:     make(map[string]*circuit),
 		hsdir:      make(map[string][]byte),
 	}
-	host.Clock().Go(r.acceptLoop)
+	if r.ln, err = host.ListenFunc(ORPort, r.serve); err != nil {
+		return nil, err
+	}
 	return r, nil
 }
 
@@ -175,15 +172,5 @@ func (r *Relay) Crash() {
 func (r *Relay) logf(format string, args ...any) {
 	if !r.cfg.Quiet {
 		log.Printf("relay %s: "+format, append([]any{r.cfg.Nickname}, args...)...)
-	}
-}
-
-func (r *Relay) acceptLoop() {
-	for {
-		conn, err := r.ln.Accept()
-		if err != nil {
-			return
-		}
-		r.serve(conn.(simnet.LightConn)) // every simnet conn is one
 	}
 }

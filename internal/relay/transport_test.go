@@ -9,7 +9,6 @@ import (
 	"io"
 	"net"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -230,16 +229,8 @@ func TestDestroyPropagates(t *testing.T) {
 }
 
 // relayGoroutines counts the goroutines with a frame in the relay's
-// non-test code, the accept loop aside.
-func relayGoroutines() int {
-	n := 0
-	for _, g := range stackscan.In("/internal/relay/") {
-		if !strings.Contains(g, "acceptLoop") {
-			n++
-		}
-	}
-	return n
-}
+// non-test code.
+func relayGoroutines() int { return len(stackscan.In("/internal/relay/")) }
 
 // TestTransportFollowsClock is the guard for what used to be a second
 // transport: on either clock a relay serves its links with deliver

@@ -158,8 +158,17 @@ func (h *Host) Clock() *Clock { return h.net.clock }
 // second; 0 = unlimited).
 func (h *Host) SetEgressRate(rate float64) { h.egress.SetRate(rate) }
 
-// Listen opens a listener on the given port.
-func (h *Host) Listen(port int) (net.Listener, error) {
+// Listen opens a listener on the given port, whose Accept parks for the
+// next connection.
+func (h *Host) Listen(port int) (net.Listener, error) { return h.ListenFunc(port, nil) }
+
+// ListenFunc opens a listener on the given port that holds no goroutine:
+// accept is handed each fresh server endpoint in the dial's timer
+// callback (on the dispatcher on the event clock), before the dialer's
+// callback runs, so it can install its deliver callback before the first
+// byte arrives. accept must not block. Nothing is queued for the
+// listener's Accept, which only waits for Close. A nil accept is Listen.
+func (h *Host) ListenFunc(port int, accept func(LightConn)) (net.Listener, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if _, ok := h.listeners[port]; ok {
@@ -168,7 +177,7 @@ func (h *Host) Listen(port int) (net.Listener, error) {
 	if h.listeners == nil {
 		h.listeners = make(map[int]*listener)
 	}
-	l := &listener{host: h, port: port}
+	l := &listener{host: h, port: port, accept: accept}
 	l.acceptors = Cond{L: &l.mu, clock: h.net.clock}
 	h.listeners[port] = l
 	return l, nil
@@ -303,8 +312,9 @@ func (h *Host) severAll() {
 }
 
 type listener struct {
-	host *Host
-	port int
+	host   *Host
+	port   int
+	accept func(LightConn) // ListenFunc's, or nil: queue for Accept
 
 	mu        sync.Mutex
 	backlog   []*conn
@@ -312,17 +322,23 @@ type listener struct {
 	closed    bool
 }
 
-// push hands the server endpoint of a fresh dial to the listener. It
-// never parks (it runs in a dial's timer callback) and reports false
-// when the listener closed first.
+// push hands the server endpoint of a fresh dial to the listener's
+// accept callback or its backlog. It never parks (it runs in a dial's
+// timer callback) and reports false when the listener closed first.
 func (l *listener) push(c *conn) bool {
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.closed {
+		l.mu.Unlock()
 		return false
 	}
-	l.backlog = append(l.backlog, c)
-	l.acceptors.Broadcast()
+	if l.accept == nil {
+		l.backlog = append(l.backlog, c)
+		l.acceptors.Broadcast()
+	}
+	l.mu.Unlock()
+	if l.accept != nil {
+		l.accept(c)
+	}
 	return true
 }
 

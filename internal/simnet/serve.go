@@ -1,0 +1,88 @@
+package simnet
+
+import (
+	"io"
+	"net"
+)
+
+// serveHighWater is the backlog, in bytes, past which a request server
+// stops reading a conn after an answer, until half of it has left: a
+// client that stops reading holds at most this and one answer in the
+// server. A client that waits for each answer never meets the pause.
+const serveHighWater = 64 << 10
+
+// ServeRequests serves port with no goroutine. A deliver callback
+// reassembles each conn's requests in a carry buffer: split returns the
+// length of the whole request at the front of buf, 0 while buf holds only
+// part of one, or an error once buf cannot start a request within the
+// server's bound. handle answers each request in delivery context, so it
+// must not block; req is valid only for the call, and w writes with
+// WriteAsync. The conn closes on EOF, on a split error, or when handle
+// returns false.
+func (h *Host) ServeRequests(port int, split func(buf []byte) (int, error), handle func(req []byte, w io.Writer) bool) (net.Listener, error) {
+	return h.ListenFunc(port, func(c LightConn) {
+		s := &requestConn{LightConn: c, split: split, handle: handle}
+		c.SetDeliverFunc(s.onDeliver)
+	})
+}
+
+type requestConn struct {
+	LightConn
+	split  func([]byte) (int, error)
+	handle func([]byte, io.Writer) bool
+	carry  []byte // a copy of what follows the last whole request
+}
+
+// Write is handle's writer.
+func (s *requestConn) Write(p []byte) (int, error) {
+	if err := s.WriteAsync(p); err != nil {
+		return 0, err
+	}
+	return len(p), nil
+}
+
+func (s *requestConn) onDeliver(data []byte, eof bool) {
+	if eof {
+		s.Close()
+	} else {
+		s.serve(data)
+	}
+}
+
+// serve answers every whole request in the carry and data, and carries
+// the rest. It reports false once it has closed or paused the conn, after
+// which its caller must do nothing more: the drain may resume the conn at
+// once, on another goroutine on a wall-backed clock.
+func (s *requestConn) serve(data []byte) bool {
+	buf := data
+	if len(s.carry) > 0 {
+		s.carry = append(s.carry, data...)
+		buf = s.carry
+	}
+	for len(buf) > 0 {
+		n, err := s.split(buf)
+		if n == 0 && err == nil {
+			break
+		}
+		if err != nil || !s.handle(buf[:n], s) {
+			s.Close()
+			return false
+		}
+		buf = buf[n:]
+		if s.Backlog() > serveHighWater {
+			s.carry = append(s.carry[:0], buf...)
+			s.SetDeliverFunc(nil)
+			s.OnDrain(s.resume)
+			return false
+		}
+	}
+	s.carry = append(s.carry[:0], buf...)
+	return true
+}
+
+// resume answers what was carried through a pause, then reads on.
+func (s *requestConn) resume() {
+	if s.serve(nil) {
+		s.SetDeliverFunc(s.onDeliver)
+	}
+}

@@ -8,15 +8,18 @@ package webfarm
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
+	"regexp"
 	"strconv"
 	"strings"
 	"sync"
 
 	"github.com/bento-nfv/bento/internal/simnet"
+	"github.com/bento-nfv/bento/internal/wire"
 )
 
 // Port is the farm's HTTP port.
@@ -162,65 +165,75 @@ type bodyKey struct {
 	path string
 }
 
-// Serve starts serving the given sites on the host's HTTP port.
+// Serve starts serving the given sites on the host's HTTP port, with no
+// goroutine of its own.
 func Serve(host *simnet.Host, sites ...*Site) (*Server, error) {
 	if len(sites) == 0 {
 		return nil, fmt.Errorf("webfarm: no sites")
 	}
-	ln, err := host.Listen(Port)
-	if err != nil {
-		return nil, err
-	}
-	srv := &Server{ln: ln, sites: make(map[string]*Site), first: sites[0], bodies: make(map[bodyKey][]byte)}
+	srv := &Server{sites: make(map[string]*Site), first: sites[0], bodies: make(map[bodyKey][]byte)}
 	for _, s := range sites {
 		srv.sites[s.Domain] = s
 	}
-	go srv.acceptLoop()
+	ln, err := host.ServeRequests(Port, splitRequest, srv.handle)
+	if err != nil {
+		return nil, err
+	}
+	srv.ln = ln
 	return srv, nil
 }
 
 // Close stops the server.
 func (s *Server) Close() error { return s.ln.Close() }
 
-func (s *Server) acceptLoop() {
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		go s.handle(conn)
+// maxRequestHead bounds a request's head: its request line and headers,
+// through the blank line that ends them. The fetcher's are under 100
+// bytes; 8 KiB is the limit common HTTP servers put on a request head.
+const maxRequestHead = 8 << 10
+
+// headEnd is the blank line (CRLF or LF) that ends a request's head.
+var headEnd = regexp.MustCompile("\n\r?\n")
+
+// splitRequest is the server's split (simnet.Host.ServeRequests): a GET
+// is its head alone.
+func splitRequest(buf []byte) (int, error) {
+	if end := headEnd.FindIndex(buf[:min(len(buf), maxRequestHead)]); end != nil {
+		return end[1], nil
 	}
+	if len(buf) >= maxRequestHead {
+		return 0, fmt.Errorf("webfarm: request head over %d bytes", maxRequestHead)
+	}
+	return 0, nil
 }
 
-func (s *Server) handle(conn net.Conn) {
-	defer conn.Close()
-	r := bufio.NewReader(conn)
-	for {
-		method, path, host, err := readRequest(r)
-		if err != nil {
-			return
-		}
-		site := s.first
-		if host != "" {
-			if st, ok := s.sites[host]; ok {
-				site = st
-			}
-		}
-		if method != "GET" {
-			writeResponse(conn, 405, nil)
-			return
-		}
-		body := s.body(site, path)
-		if body == nil {
-			if err := writeResponse(conn, 404, nil); err != nil {
-				return
-			}
-			continue
-		}
-		if err := writeResponse(conn, 200, body); err != nil {
-			return
+// handle answers one request, in delivery context: the status line and
+// headers in one write, then the body in another.
+func (s *Server) handle(req []byte, w io.Writer) bool {
+	lines := strings.Split(string(req), "\n")
+	fields := strings.Fields(lines[0])
+	if len(fields) < 2 {
+		return false
+	}
+	var host string
+	for _, h := range lines[1:] {
+		if v, ok := strings.CutPrefix(strings.TrimSpace(h), "Host: "); ok {
+			host = v
 		}
 	}
+	site, ok := s.sites[host]
+	if !ok {
+		site = s.first
+	}
+	if fields[0] != "GET" {
+		writeResponse(w, 405, nil)
+		return false
+	}
+	body := s.body(site, fields[1])
+	status := 200
+	if body == nil {
+		status = 404
+	}
+	return writeResponse(w, status, body) == nil
 }
 
 // body is site.Body(path), generated once and shared between requests.
@@ -236,31 +249,6 @@ func (s *Server) body(site *Site, path string) []byte {
 		}
 	}
 	return body
-}
-
-func readRequest(r *bufio.Reader) (method, path, host string, err error) {
-	line, err := r.ReadString('\n')
-	if err != nil {
-		return "", "", "", err
-	}
-	fields := strings.Fields(strings.TrimSpace(line))
-	if len(fields) < 2 {
-		return "", "", "", fmt.Errorf("webfarm: bad request line %q", line)
-	}
-	method, path = fields[0], fields[1]
-	for {
-		h, err := r.ReadString('\n')
-		if err != nil {
-			return "", "", "", err
-		}
-		h = strings.TrimSpace(h)
-		if h == "" {
-			return method, path, host, nil
-		}
-		if v, ok := strings.CutPrefix(h, "Host: "); ok {
-			host = v
-		}
-	}
 }
 
 func writeResponse(w io.Writer, status int, body []byte) error {
@@ -286,6 +274,11 @@ func Get(dial Dialer, domain, path string) ([]byte, error) {
 	return getOn(conn, domain, path)
 }
 
+// maxBody bounds a body the fetcher takes in. The farm's pages and
+// resources are under 300 KB; a fetch a tenant makes lands in its memory,
+// whose default limit this matches.
+const maxBody = 16 << 20
+
 func getOn(conn net.Conn, domain, path string) ([]byte, error) {
 	if _, err := fmt.Fprintf(conn, "GET %s HTTP/1.0\r\nHost: %s\r\n\r\n", path, domain); err != nil {
 		return nil, err
@@ -298,19 +291,21 @@ func getOn(conn net.Conn, domain, path string) ([]byte, error) {
 	if status != 200 {
 		return nil, fmt.Errorf("webfarm: GET %s%s: status %d", domain, path, status)
 	}
-	body := make([]byte, length)
-	if _, err := io.ReadFull(r, body); err != nil {
+	body, err := wire.ReadGrowing(r, nil, length)
+	if err != nil {
 		return nil, fmt.Errorf("webfarm: short body for %s%s: %w", domain, path, err)
 	}
 	return body, nil
 }
 
+// readResponseHeader reads the status line and headers, each line within
+// the reader's buffer.
 func readResponseHeader(r *bufio.Reader) (status, length int, err error) {
-	line, err := r.ReadString('\n')
+	line, err := r.ReadSlice('\n')
 	if err != nil {
 		return 0, 0, err
 	}
-	fields := strings.Fields(strings.TrimSpace(line))
+	fields := strings.Fields(string(line))
 	if len(fields) < 2 {
 		return 0, 0, fmt.Errorf("webfarm: bad status line %q", line)
 	}
@@ -319,16 +314,16 @@ func readResponseHeader(r *bufio.Reader) (status, length int, err error) {
 		return 0, 0, fmt.Errorf("webfarm: bad status %q", fields[1])
 	}
 	for {
-		h, err := r.ReadString('\n')
+		h, err := r.ReadSlice('\n')
 		if err != nil {
 			return 0, 0, err
 		}
-		h = strings.TrimSpace(h)
-		if h == "" {
+		h = bytes.TrimSpace(h)
+		if len(h) == 0 {
 			return status, length, nil
 		}
-		if v, ok := strings.CutPrefix(h, "Content-Length: "); ok {
-			if length, err = strconv.Atoi(v); err != nil {
+		if v, ok := bytes.CutPrefix(h, []byte("Content-Length: ")); ok {
+			if length, err = strconv.Atoi(string(v)); err != nil || length < 0 || length > maxBody {
 				return 0, 0, fmt.Errorf("webfarm: bad content length %q", v)
 			}
 		}

@@ -1,7 +1,10 @@
 package webfarm
 
 import (
+	"bufio"
 	"bytes"
+	"io"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -176,5 +179,59 @@ func TestBodyMemoised(t *testing.T) {
 	}
 	if len(srv.bodies) != 2 {
 		t.Fatalf("%d paths remembered, want 2", len(srv.bodies))
+	}
+}
+
+// TestRequestOverBoundClosed: a request line of 1 MiB with no newline gets
+// the connection closed once it passes maxRequestHead, not read on without
+// end.
+func TestRequestOverBoundClosed(t *testing.T) {
+	n := testNet(t)
+	srv, err := Serve(n.AddHost("example.web", 0), NamedSite("example.web", 5000, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := n.AddHost("client", 0).Dial("example.web:80")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	go conn.Write(bytes.Repeat([]byte("A"), 1<<20))
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		t.Fatalf("over-bound request answered with %v, want the connection closed", err)
+	}
+}
+
+// TestGetRefusesBadResponses: a server's Content-Length or header line
+// that the fetcher cannot hold is an error, not a panic or an allocation
+// of what the server names.
+func TestGetRefusesBadResponses(t *testing.T) {
+	for _, head := range []string{
+		"HTTP/1.0 200 OK\r\nContent-Length: -1\r\n\r\n",
+		"HTTP/1.0 200 OK\r\nContent-Length: 1000000000000\r\n\r\n",
+		"HTTP/1.0 200 OK\r\nX-Pad: " + strings.Repeat("p", 8000) + "\r\n\r\n",
+	} {
+		n := testNet(t)
+		ln, err := n.AddHost("bad.web", 0).Listen(Port)
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			r := bufio.NewReader(conn)
+			for line, err := r.ReadString('\n'); err == nil && line != "\r\n"; line, err = r.ReadString('\n') {
+			}
+			conn.Write([]byte(head))
+		}()
+		if body, err := Get(n.AddHost("client", 0).Dial, "bad.web", "/"); err == nil {
+			t.Errorf("response head %.60q: got %d bytes, want an error", head, len(body))
+		}
+		ln.Close()
 	}
 }

@@ -109,9 +109,9 @@ func (d *Decoder) Decode(v any) error {
 	if _, err := io.ReadFull(d.r, hdr[:]); err != nil {
 		return err
 	}
-	envelope, trailer := binary.BigEndian.Uint32(hdr[0:4]), binary.BigEndian.Uint32(hdr[4:8])
-	if envelope > d.maxEnvelope || trailer > d.maxTrailer {
-		return fmt.Errorf("wire: oversized frame (%d+%d bytes)", envelope, trailer)
+	envelope, trailer, err := frameLen(hdr[:], d.maxEnvelope, d.maxTrailer)
+	if err != nil {
+		return err
 	}
 	d.trailer = nil
 	body, err := d.read(envelope)
@@ -126,6 +126,40 @@ func (d *Decoder) Decode(v any) error {
 		return err
 	}
 	d.trailer = body
+	return nil
+}
+
+// frameLen reads a frame header's lengths and holds them to the bounds.
+func frameLen(hdr []byte, maxEnvelope, maxTrailer uint32) (envelope, trailer uint32, err error) {
+	envelope, trailer = binary.BigEndian.Uint32(hdr[0:4]), binary.BigEndian.Uint32(hdr[4:8])
+	if envelope > maxEnvelope || trailer > maxTrailer {
+		return 0, 0, fmt.Errorf("wire: oversized frame (%d+%d bytes)", envelope, trailer)
+	}
+	return envelope, trailer, nil
+}
+
+// SplitFrame returns a request server's split (simnet.Host.ServeRequests)
+// that cuts whole frames with no trailer, bounded as NewFrameDecoder(r,
+// maxEnvelope, 0) bounds them.
+func SplitFrame(maxEnvelope uint32) func(buf []byte) (int, error) {
+	return func(buf []byte) (int, error) {
+		if len(buf) < headerLen {
+			return 0, nil
+		}
+		envelope, _, err := frameLen(buf, maxEnvelope, 0)
+		if n := headerLen + int(envelope); err == nil && len(buf) >= n {
+			return n, nil
+		}
+		return 0, err
+	}
+}
+
+// Unmarshal decodes the envelope of frame, a whole frame as SplitFrame
+// cut it, into v.
+func Unmarshal(frame []byte, v any) error {
+	if err := json.Unmarshal(frame[headerLen:], v); err != nil {
+		return fmt.Errorf("wire: unmarshal: %w", err)
+	}
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"reflect"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -280,6 +281,31 @@ func FuzzDecoder(f *testing.F) {
 		}
 		if cap(d.buf) > maxTrailer {
 			t.Fatalf("decoder buffer grew to %d, past both bounds", cap(d.buf))
+		}
+		// SplitFrame cuts the frames a Decoder with no trailer reads, and
+		// refuses what it refuses; Unmarshal decodes a cut frame as Decode
+		// does.
+		split, r := SplitFrame(maxEnvelope), bytes.NewReader(data)
+		dec := NewFrameDecoder(r, maxEnvelope, 0)
+		for rest := data; ; {
+			n, splitErr := split(rest)
+			var want, got msg
+			decErr := dec.Decode(&want)
+			if n == 0 {
+				if decErr == nil {
+					t.Fatalf("split cut no frame (%v) from %d bytes a Decoder read one from", splitErr, len(rest))
+				}
+				break
+			}
+			if err := Unmarshal(rest[:n], &got); (err == nil) != (decErr == nil) {
+				t.Fatalf("Unmarshal of a cut frame: %v; Decode: %v", err, decErr)
+			}
+			if decErr != nil {
+				break
+			}
+			if rest = rest[n:]; !reflect.DeepEqual(got, want) || r.Len() != len(rest) {
+				t.Fatalf("cut %d bytes to %+v, Decoder read %+v and left %d bytes, not %d", n, got, want, r.Len(), len(rest))
+			}
 		}
 		// Whatever one frame of the input decodes to survives re-framing.
 		var first msg

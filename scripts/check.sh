@@ -59,23 +59,28 @@ want "parker sites" 'newParker\(' internal/simnet \
 want "channel sites" '\bchan\b' "internal/torclient internal/relay internal/fleet internal/bento
     internal/stemfw" ""
 # A client circuit reads its guard link in a deliver callback and writes it
-# directly (DESIGN.md §13.3); the relay's and the Bento server's accept
-# loops and connection handlers start through Clock.Go too (ROADMAP item
-# 1(b)); the Stem firewall and the function library start none. Allowed:
-# the workers of relay.RunParallelForwardBench, which run outside any
-# simulation (benchmark/'s probe), and functions.MultipathFetch's
-# per-path fetches, a client-side helper still on ROADMAP item 1(b)'s list.
+# directly (DESIGN.md §13.3); the relay, the directory authority and the
+# web farm accept with a callback and serve with deliver callbacks
+# (DESIGN.md "In-simulation servers"); the Bento server's connection
+# handlers start through Clock.Go (ROADMAP item 15); the Stem firewall and
+# the function library start none. Allowed: the workers of
+# relay.RunParallelForwardBench, which run outside any simulation
+# (benchmark/'s probe), and functions.MultipathFetch's per-path fetches, a
+# client-side helper still on ROADMAP item 1(b)'s list.
 want "go statements" '^[[:space:]]*go[[:space:]]' "internal/torclient internal/relay internal/bento
-    internal/stemfw internal/functions" \
+    internal/stemfw internal/functions internal/dirauth internal/webfarm" \
     "internal/functions/multipath.go:1 internal/relay/bench.go:1"
 # A relay link is served by deliver callbacks and written with WriteAsync
 # on both clocks (DESIGN.md §13.1): no link writer of its own either.
 want "BatchWriter uses" 'BatchWriter' "internal/torclient internal/relay" ""
 # No circuit has a goroutine: EXTEND and BEGIN finish in a dial's callback
-# (DESIGN.md §13.1). The relay starts goroutines only in its two accept
-# loops, the ORPort's and the HSDir's (and the HSDir's per-connection
-# handler).
-want "relay Clock.Go sites" '\.Go\(' internal/relay "internal/relay/hsdir.go:2 internal/relay/relay.go:1"
+# (DESIGN.md §13.1), and the ORPort and the HSDir accept with a callback
+# (DESIGN.md "In-simulation servers"). The relay starts no goroutine.
+want "relay Clock.Go sites" '\.Go\(' internal/relay ""
+# The Bento server starts a goroutine per accepted connection, and its
+# hidden-service splice one per rendezvous connection. ROADMAP item 15
+# moves both onto deliver callbacks and empties this list.
+want "bento Clock.Go sites" '\.Go\(' internal/bento "internal/bento/hidden.go:1 internal/bento/server.go:1"
 # A runtime timer outside the Clock is invisible to the event core, like
 # an unregistered goroutine (ROADMAP aim 3). Allowed: the wall core's timer
 # and its sleep, the settle's back-off (ROADMAP item 1 deletes it), the
