@@ -33,7 +33,7 @@ type circuit struct {
 	next       simnet.LightConn // toward the next hop, nil until an EXTEND's dial; guarded by mu
 	circID     uint32
 	nextCircID uint32     // guarded by mu
-	layer      *otr.Layer // nil until the CREATE handshake is done
+	layer      *otr.Layer // nil until the CREATE handshake is done; set under mu
 
 	destroyed atomic.Bool
 
@@ -97,15 +97,23 @@ func (c *circuit) create(wire []byte) bool {
 	if err != nil {
 		return false
 	}
-	c.establish(cell.WireCircID(wire), layer)
-	return c.sendLink(cell.CmdCreated, reply) == nil
+	return c.establish(cell.WireCircID(wire), layer) && c.sendLink(cell.CmdCreated, reply) == nil
 }
 
-// establish counts the circuit open once its handshake yielded layer.
-func (c *circuit) establish(circID uint32, layer *otr.Layer) {
+// establish counts the circuit open once its handshake yielded layer, and
+// reports whether it did. On a wall-backed clock a sever's EOF runs
+// teardown beside the delivery in progress; under mu, teardown either
+// finds the circuit counted or leaves it uncounted for good.
+func (c *circuit) establish(circID uint32, layer *otr.Layer) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.destroyed.Load() {
+		return false
+	}
 	c.circID, c.layer = circID, layer
 	c.relay.m.circCreated.Inc()
 	c.relay.m.openCircs.Add(1)
+	return true
 }
 
 // --- forward direction -------------------------------------------------------
@@ -654,9 +662,10 @@ func (c *circuit) teardown() {
 	joined, streams := c.joined, c.streams
 	c.joined, c.streams = nil, nil
 	cookie, introID := c.cookie, c.introID
+	counted := c.layer != nil
 	c.mu.Unlock()
 
-	if c.layer != nil {
+	if counted {
 		r.m.circDestroyed.Inc()
 		r.m.openCircs.Add(-1)
 	}

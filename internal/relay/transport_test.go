@@ -612,3 +612,39 @@ func TestCrashClosesEveryServedLink(t *testing.T) {
 		}
 	})
 }
+
+// TestCrashDuringCreate: on the wall-backed clock a sever's EOF runs
+// beside a delivery already in progress, so a host crash can tear a
+// circuit down while its CREATE is being answered. The open-circuit gauge
+// still returns to zero: a circuit is counted open only if no teardown
+// got there first.
+func TestCrashDuringCreate(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		n := simnet.NewNetwork(simnet.NewClock(0.001), time.Millisecond)
+		n.SetObs(obs.NewRegistry())
+		chaos := n.EnableChaos(int64(round))
+		relays, _ := buildNet(t, n, 1)
+		r := relays[0]
+		d, _ := r.Descriptor()
+		for i := 0; i < 20; i++ {
+			conn, err := n.AddHost(fmt.Sprintf("c%d", i), 0).Dial(fmt.Sprintf("%s:%d", r.Host().Name(), ORPort))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, msg, err := otr.NewClientHandshake([]byte(d.Fingerprint()), d.OnionKey)
+			if err != nil {
+				t.Fatal(err)
+			}
+			create := &cell.Cell{CircID: uint32(i + 1), Cmd: cell.CmdCreate}
+			copy(create.Payload[:], msg)
+			if err := cell.Write(conn, create); err != nil {
+				t.Fatal(err)
+			}
+		}
+		chaos.CrashHost(r.Host().Name())
+		eventually(t, "every circuit torn down", func() bool { return lenOf(r, r.circuits) == 0 })
+		if open := r.m.openCircs.Value(); open != 0 {
+			t.Fatalf("round %d: relay.open_circuits reads %d after Crash tore every circuit down", round, open)
+		}
+	}
+}

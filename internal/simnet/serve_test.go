@@ -115,8 +115,11 @@ func TestServeRequestsPausesOnBacklog(t *testing.T) {
 		if got, most := handled.Load(), int64((readBufMax+maxChunk+serveHighWater)/answer+1); got == 0 || got > most {
 			t.Fatalf("%d requests answered while the client read nothing, want 1..%d", got, most)
 		}
-		// No read deadline: on the event clock it could fire while this
-		// goroutine runs between Reads (ROADMAP item 1).
+		// A wall-time guard, not a read deadline: on the event clock a
+		// deadline could fire while this goroutine runs between Reads
+		// (ROADMAP item 1).
+		guard := time.AfterFunc(10*time.Second, func() { conn.Close() })
+		defer guard.Stop()
 		if _, err := io.ReadFull(conn, make([]byte, requests*answer)); err != nil {
 			t.Fatalf("reading every answer: %v (%d answered)", err, handled.Load())
 		}

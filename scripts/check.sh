@@ -141,8 +141,8 @@ stage "relay datapath stress under race (circuit teardown vs in-flight forwardin
     "the hop-level egress bound (a flood behind an EXTEND to a silent next hop included), idle circuits hold" \
     "nothing, run datapath vs per-cell reference on both clocks; owned HS registrations, sibling not stalled by" \
     "a silent next hop; a rendezvous cookie claimed once by concurrent RENDEZVOUS1s, Crash severing every" \
-    "served link, a host crash reaching a stalled or dial-paused feed)"
-go test -race -count=1 -run='TestTeardownForwardStress|TestBound|TestBurst|TestExtendThenCellsInOneBurst|TestIdleCircuitHoldsNoBurst|TestHSRegistrationsOwned|TestHelperBacklogBounded|TestSiblingNotStalledBySilentNextHop|TestTransportFollowsClock|TestRendezvousSplice|TestConnectedPrecedesDataAndEnd|TestRendezvous1ClaimedOnce|TestCrashClosesEveryServedLink|TestSeverDuringStall' ./internal/relay/
+    "served link, a host crash reaching a stalled or dial-paused feed or a CREATE being answered)"
+go test -race -count=1 -run='TestTeardownForwardStress|TestBound|TestBurst|TestExtendThenCellsInOneBurst|TestIdleCircuitHoldsNoBurst|TestHSRegistrationsOwned|TestHelperBacklogBounded|TestSiblingNotStalledBySilentNextHop|TestTransportFollowsClock|TestRendezvousSplice|TestConnectedPrecedesDataAndEnd|TestRendezvous1ClaimedOnce|TestCrashClosesEveryServedLink|TestSeverDuringStall|TestCrashDuringCreate' ./internal/relay/
 go test -race -count=1 -run='TestRun|TestTap|TestIdleCircuitHoldsNoGoroutines|TestDeliveryPassesParkedWriter' ./internal/torclient/
 
 stage "telemetry regression smoke (instrumented hot path and live sampler must not allocate)"
