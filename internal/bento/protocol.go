@@ -81,7 +81,7 @@ type request struct {
 	Args     []wireValu `json:"args,omitempty"`
 
 	trailer wire.Trailer   // sender: the code, then the long leaves of Args
-	code    []byte         // receiver: lent by the decoder until its next frame
+	code    []byte         // receiver: a view of the op's copy of the frame
 	args    []interp.Value // receiver: Args decoded against the trailer
 }
 

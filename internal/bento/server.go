@@ -1,6 +1,7 @@
 package bento
 
 import (
+	"bytes"
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/hex"
@@ -164,10 +165,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		}
 		s.runtime = rt
 	}
-	// Each connection is served on a goroutine of its own (ROADMAP item 15).
-	ln, err := cfg.Host.ListenFunc(Port, func(conn simnet.LightConn) {
-		cfg.Host.Clock().Go(func() { s.serve(conn) })
-	})
+	ln, err := cfg.Host.ServeRequests(Port, wire.SplitFrame(maxEnvelope, wire.MaxMessage), s.handle)
 	if err != nil {
 		if s.runtime != nil {
 			s.runtime.Destroy()
@@ -225,51 +223,48 @@ func (s *Server) FunctionMemoryEstimate() int64 {
 	return total
 }
 
-func (s *Server) serve(conn net.Conn) {
-	defer conn.Close()
-	var wmu sync.Mutex
-	send := func(r *response) error {
-		wmu.Lock()
-		defer wmu.Unlock()
-		return wire.WriteFrame(conn, r, r.trailer)
+// handle hands a request to a goroutine of its own, which holds the conn
+// until it has answered (simnet.Holder): an op may park, in a host call or
+// in the blocking Write that flow-controls api.send.
+func (s *Server) handle(req []byte, w io.Writer) bool {
+	frame := bytes.Clone(req) // req is lent for the call
+	w.(simnet.Holder).Hold(func(conn io.Writer) bool { return s.serve(frame, conn) })
+	return true
+}
+
+// serve answers one request frame; false closes the conn.
+func (s *Server) serve(frame []byte, conn io.Writer) bool {
+	send := func(r *response) error { return wire.WriteFrame(conn, r, r.trailer) }
+	var dec wire.Decoder
+	var req request
+	if dec.Unmarshal(frame, &req) != nil {
+		return false
 	}
-	dec := newDecoder(conn) // reuse one read buffer across requests
-	for {
-		var req request
-		if err := dec.Decode(&req); err != nil {
-			return
-		}
-		// Decode consumed the whole frame, so a request whose announced
-		// lengths do not add up is refused without losing frame sync.
-		if err := req.open(dec); err != nil {
-			if send(&response{Type: frameError, Error: err.Error()}) != nil {
-				return
-			}
-			continue
-		}
-		var err error
-		switch req.Op {
-		case opPolicy:
-			err = send(&response{Type: frameOK, Policy: s.cfg.Policy})
-		case opAttest:
-			err = s.handleAttest(&req, send)
-		case opChallenge:
-			err = s.handleChallenge(send)
-		case opSpawn:
-			err = s.handleSpawn(&req, send)
-		case opUpload:
-			err = s.handleUpload(&req, send)
-		case opInvoke:
-			err = s.handleInvoke(&req, send)
-		case opShutdown:
-			err = s.handleShutdown(&req, send)
-		default:
-			err = send(&response{Type: frameError, Error: fmt.Sprintf("unknown op %q", req.Op)})
-		}
-		if err != nil {
-			return
-		}
+	// The split cut the whole frame, so a request whose announced lengths
+	// do not add up is refused without losing frame sync.
+	if err := req.open(&dec); err != nil {
+		return send(&response{Type: frameError, Error: err.Error()}) == nil
 	}
+	var err error
+	switch req.Op {
+	case opPolicy:
+		err = send(&response{Type: frameOK, Policy: s.cfg.Policy})
+	case opAttest:
+		err = s.handleAttest(&req, send)
+	case opChallenge:
+		err = s.handleChallenge(send)
+	case opSpawn:
+		err = s.handleSpawn(&req, send)
+	case opUpload:
+		err = s.handleUpload(&req, send)
+	case opInvoke:
+		err = s.handleInvoke(&req, send)
+	case opShutdown:
+		err = s.handleShutdown(&req, send)
+	default:
+		err = send(&response{Type: frameError, Error: fmt.Sprintf("unknown op %q", req.Op)})
+	}
+	return err == nil
 }
 
 // handleAttest returns a fresh quote over the server runtime enclave,

@@ -47,7 +47,7 @@ func Serve(host *simnet.Host, auth *Authority) (*Server, error) {
 		publishRejects:  reg.Counter("dirauth.publish_rejects"),
 		consensusServes: reg.Counter("dirauth.consensus_serves"),
 	}
-	ln, err := host.ServeRequests(DefaultPort, wire.SplitFrame(maxRequest), s.handle)
+	ln, err := host.ServeRequests(DefaultPort, wire.SplitFrame(maxRequest, 0), s.handle)
 	if err != nil {
 		return nil, err
 	}
@@ -77,7 +77,7 @@ const (
 // handle answers one request frame, in delivery context.
 func (s *Server) handle(frame []byte, w io.Writer) bool {
 	var req request
-	if err := wire.Unmarshal(frame, &req); err != nil {
+	if err := new(wire.Decoder).Unmarshal(frame, &req); err != nil {
 		return false
 	}
 	var resp response

@@ -510,7 +510,7 @@ func (c *Controller) collectProbes() map[int]*probeReq {
 func (c *Controller) runProbes(probes map[int]*probeReq) {
 	left := len(probes)
 	for _, pr := range probes {
-		go func(pr *probeReq) {
+		c.clock.Go(func() {
 			c.om.probes.Inc()
 			if pr.healthFn != "" {
 				_, _, pr.err = pr.fn.Invoke(pr.healthFn)
@@ -521,7 +521,7 @@ func (c *Controller) runProbes(probes map[int]*probeReq) {
 			left--
 			c.mu.Unlock()
 			c.cond.Broadcast()
-		}(pr)
+		})
 	}
 	c.mu.Lock()
 	for left > 0 {
@@ -543,7 +543,7 @@ func (c *Controller) retireLocked(s *slot, now time.Duration, poison bool, reaso
 	node, man := s.node, s.man
 	key := spawnKey(c.spec.Name, s.id, s.incarnation)
 	if fn != nil {
-		go func() {
+		c.clock.Go(func() {
 			err := fn.Shutdown()
 			sess.Close()
 			if err != nil && !errors.Is(err, bento.ErrSessionClosed) {
@@ -551,9 +551,9 @@ func (c *Controller) retireLocked(s *slot, now time.Duration, poison bool, reaso
 				// the key so the container is reaped when the node heals.
 				c.addOrphan(node, key, man)
 			}
-		}()
+		})
 	} else if sess != nil {
-		go sess.Close()
+		c.clock.Go(func() { sess.Close() })
 	}
 
 	// Short-lived or poisoned replicas count toward the breaker; a
@@ -592,7 +592,7 @@ func (c *Controller) suspendLocked(s *slot, now time.Duration) {
 		c.suspects[s.node.Nickname] = now + suspectCooldown
 	}
 	if sess := s.sess; sess != nil {
-		go sess.Close()
+		c.clock.Go(func() { sess.Close() })
 	}
 	s.sess = nil
 	s.fn = nil
@@ -676,7 +676,8 @@ func (c *Controller) planPlacementsLocked(cons *dirauth.Consensus, now time.Dura
 		s.phase = PhaseStarting
 		s.busy = true
 		c.om.actions.Inc()
-		go c.runPlace(s.id, s.incarnation, c.gen, node, c.spec)
+		id, inc, gen, spec := s.id, s.incarnation, c.gen, c.spec
+		c.clock.Go(func() { c.runPlace(id, inc, gen, node, spec) })
 	}
 }
 
@@ -730,7 +731,8 @@ func (c *Controller) planUpgradeLocked(now time.Duration) {
 	s.phase = PhaseUpgrading
 	s.busy = true
 	c.om.actions.Inc()
-	go c.runUpgrade(s.id, s.incarnation, c.gen, s.fn, c.spec)
+	id, inc, gen, fn, spec := s.id, s.incarnation, c.gen, s.fn, c.spec
+	c.clock.Go(func() { c.runUpgrade(id, inc, gen, fn, spec) })
 }
 
 // runUpgrade re-uploads the spec source in place (cheap under the
@@ -803,15 +805,15 @@ func (c *Controller) handleResult(r result) {
 		}
 		c.mu.Unlock()
 		if r.fn != nil {
-			go func() {
+			c.clock.Go(func() {
 				err := r.fn.Shutdown()
 				r.sess.Close()
 				if err != nil && node != nil {
 					c.addOrphan(node, key, man)
 				}
-			}()
+			})
 		} else if r.sess != nil {
-			go r.sess.Close()
+			c.clock.Go(func() { r.sess.Close() })
 		}
 		return
 	}
@@ -831,7 +833,7 @@ func (c *Controller) handleResult(r result) {
 				}
 				s.phase = PhaseFailed
 				if r.sess != nil {
-					go r.sess.Close()
+					c.clock.Go(func() { r.sess.Close() })
 				}
 			} else if r.fn != nil {
 				// Spawn reached the server but the replica is bad
@@ -846,7 +848,7 @@ func (c *Controller) handleResult(r result) {
 				// (policy, PoW, spawn error): nothing to clean up.
 				s.phase = PhaseFailed
 				if r.sess != nil {
-					go r.sess.Close()
+					c.clock.Go(func() { r.sess.Close() })
 				}
 				s.breakerFails++
 				if s.breakerFails >= breakerThreshold && now >= s.breakerOpenUntil {
@@ -937,7 +939,7 @@ func (c *Controller) reapOrphansLocked(now time.Duration) {
 		}
 		o.busy = true
 		c.om.actions.Inc()
-		go c.runReap(o)
+		c.clock.Go(func() { c.runReap(o) })
 	}
 }
 

@@ -3,6 +3,7 @@ package relay
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"net"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"github.com/bento-nfv/bento/internal/cell"
 	"github.com/bento-nfv/bento/internal/otr"
 	"github.com/bento-nfv/bento/internal/policy"
+	"github.com/bento-nfv/bento/internal/simnet"
 )
 
 // Ordering tests for the run datapath. Each test hands the relay a burst
@@ -276,4 +278,71 @@ func TestIdleCircuitHoldsNoBurst(t *testing.T) {
 	if d := dialState(c); d != nil {
 		t.Fatalf("idle circuit holds a dial to %s with %d bytes behind it", d.target, len(d.rest))
 	}
+}
+
+// TestDestroyWaitsBehindDial: a DESTROY in the delivery that met a BEGIN
+// or an EXTEND is handled after the cells between them, in the order they
+// arrived: the destination gets the DATA, and the next hop the relay cell,
+// before the circuit closes.
+func TestDestroyWaitsBehindDial(t *testing.T) {
+	forEachTransport(t, func(t *testing.T, newNet func() *simnet.Network) {
+		t.Run("begin", func(t *testing.T) {
+			rg := newRigOn(t, newNet(), policy.AcceptAll())
+			ln, err := rg.net.AddHost("dest", 0).Listen(80)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			got := collect(ln, 1)
+			begin, _ := cell.EncodeControl(&cell.BeginPayload{Target: "dest:80"})
+			burst := rg.seal(t, cell.RelayHeader{StreamID: 1, Cmd: cell.RelayBegin}, begin)
+			burst = append(burst, rg.seal(t, cell.RelayHeader{StreamID: 1, Cmd: cell.RelayData}, []byte("before the close"))...)
+			destroy := linkFrame(rg.circ, cell.CmdDestroy, nil)
+			if _, err := rg.conn.Write(append(burst, destroy[:]...)); err != nil {
+				t.Fatal(err)
+			}
+			if b := recvWithin(t, got, "the destination's bytes"); string(b) != "before the close" {
+				t.Fatalf("destination got %q before its close", b)
+			}
+		})
+		t.Run("extend", func(t *testing.T) {
+			rg := newRigOn(t, newNet(), policy.AcceptAll())
+			ln, err := rg.net.AddHost("next", 0).Listen(ORPort)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			plain := bytes.Repeat([]byte{0x5a}, cell.PayloadLen)
+			seen := make(chan []byte, 1)
+			go func() {
+				c, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				defer c.Close()
+				var log []byte // each cell's command, and 1 for a relay cell carrying plain
+				for {
+					cc, err := cell.Read(c)
+					if err != nil {
+						break
+					}
+					log = append(log, byte(cc.Cmd))
+					if cc.Cmd == cell.CmdRelay && bytes.Equal(cc.Payload[:], plain) {
+						log = append(log, 1)
+					}
+				}
+				seen <- log
+			}()
+			ext, _ := cell.EncodeControl(&cell.ExtendPayload{Addr: fmt.Sprintf("next:%d", ORPort), Handshake: bytes.Repeat([]byte{7}, otr.PublicKeyLen)})
+			burst := append(rg.seal(t, cell.RelayHeader{Cmd: cell.RelayExtend}, ext), rg.opaque(plain)...)
+			destroy := linkFrame(rg.circ, cell.CmdDestroy, nil)
+			if _, err := rg.conn.Write(append(burst, destroy[:]...)); err != nil {
+				t.Fatal(err)
+			}
+			want := []byte{byte(cell.CmdCreate), byte(cell.CmdRelay), 1, byte(cell.CmdDestroy)}
+			if log := recvWithin(t, seen, "the next hop's cells"); !bytes.Equal(log, want) {
+				t.Fatalf("next hop saw %v, want CREATE, the relay cell, DESTROY (%v)", log, want)
+			}
+		})
+	})
 }

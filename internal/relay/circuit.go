@@ -57,12 +57,15 @@ type circuit struct {
 // (the stall's SetDeliverFunc(nil)), so nothing else arrives; rest keeps
 // what was left of the delivery behind the command, whole RELAY cells
 // still encrypted, and the dial's callback finishes them in order before
-// it resumes the link, which keeps decrypt order equal to wire order.
+// it resumes the link, which keeps decrypt order equal to wire order. A
+// DESTROY in that delivery waits behind them too: the callback tears the
+// circuit down instead of resuming the link.
 type dialing struct {
-	target  string
-	then    func(simnet.LightConn, error) bool // the command's second half; false kills the circuit
-	started bool                               // guarded by the circuit's mu
-	rest    []byte                             // guarded by the circuit's mu
+	target   string
+	then     func(simnet.LightConn, error) bool // the command's second half; false kills the circuit
+	started  bool                               // guarded by the circuit's mu
+	rest     []byte                             // guarded by the circuit's mu
+	teardown bool                               // owed after rest; guarded by the circuit's mu
 }
 
 // linkFrame builds one link-level cell.
@@ -267,9 +270,22 @@ func (c *circuit) await(d *dialing, rest []byte) {
 	c.mu.Lock()
 	if prev := c.dial; prev != nil {
 		d.rest, prev.rest = append(d.rest, prev.rest...), nil
+		d.teardown, prev.teardown = prev.teardown, false
 	}
 	c.dial = d
 	c.mu.Unlock()
+}
+
+// teardownBehindDial owes the circuit's teardown to the dial it awaits,
+// if one does, so the cells queued behind the dial go first, in the order
+// they arrived. It reports whether it did.
+func (c *circuit) teardownBehindDial() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.dial != nil {
+		c.dial.teardown = true
+	}
+	return c.dial != nil
 }
 
 // startDial pauses the client link and starts the dial a command awaits,
@@ -306,7 +322,7 @@ func (c *circuit) dialed(d *dialing, conn simnet.LightConn, err error) {
 	}
 	for !c.destroyed.Load() {
 		c.mu.Lock()
-		rest, latest := d.rest, c.dial
+		rest, latest, owed := d.rest, c.dial, d.teardown
 		d.rest = nil
 		if latest == d && len(rest) == 0 {
 			c.dial = nil
@@ -315,6 +331,9 @@ func (c *circuit) dialed(d *dialing, conn simnet.LightConn, err error) {
 		switch {
 		case latest != d: // a command in the rest awaits a dial of its own
 			c.startDial()
+			return
+		case len(rest) == 0 && owed:
+			c.teardown()
 			return
 		case len(rest) == 0:
 			c.conn.SetDeliverFunc(c.onDeliver)

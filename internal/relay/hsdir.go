@@ -28,7 +28,7 @@ type hsdirResponse struct {
 // bytes; signature validation happens in the hs package, which owns the
 // descriptor format.
 func (r *Relay) ServeHSDir() error {
-	ln, err := r.host.ServeRequests(HSDirPort, wire.SplitFrame(maxHSDirRequest), r.handleHSDir)
+	ln, err := r.host.ServeRequests(HSDirPort, wire.SplitFrame(maxHSDirRequest, 0), r.handleHSDir)
 	if err != nil {
 		return err
 	}
@@ -55,7 +55,7 @@ const maxHSDirResponse = 2 * maxHSDirRequest
 // handleHSDir answers one request frame, in delivery context.
 func (r *Relay) handleHSDir(frame []byte, w io.Writer) bool {
 	var req hsdirRequest
-	if err := wire.Unmarshal(frame, &req); err != nil {
+	if err := new(wire.Decoder).Unmarshal(frame, &req); err != nil {
 		return false
 	}
 	var resp hsdirResponse

@@ -139,7 +139,9 @@ func (c *circuit) onForward(frames []byte) bool {
 	if end != cell.CmdDestroy {
 		c.relay.logf("unexpected cell %v mid-circuit", end)
 	}
-	c.teardown()
+	if !c.teardownBehindDial() {
+		c.teardown()
+	}
 	return false
 }
 

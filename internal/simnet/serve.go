@@ -17,20 +17,35 @@ const serveHighWater = 64 << 10
 // part of one, or an error once buf cannot start a request within the
 // server's bound. handle answers each request in delivery context, so it
 // must not block; req is valid only for the call, and w writes with
-// WriteAsync. The conn closes on EOF, on a split error, or when handle
-// returns false.
+// WriteAsync. A request that must block is handed on through w's Hold.
+// The conn closes on EOF, on a split error, or when handle returns false.
 func (h *Host) ServeRequests(port int, split func(buf []byte) (int, error), handle func(req []byte, w io.Writer) bool) (net.Listener, error) {
 	return h.ListenFunc(port, func(c LightConn) {
-		s := &requestConn{LightConn: c, split: split, handle: handle}
+		s := &requestConn{LightConn: c, clock: h.Clock(), split: split, handle: handle}
 		c.SetDeliverFunc(s.onDeliver)
 	})
 }
 
+// Holder is implemented by the writer ServeRequests hands to handle, which
+// asserts it as a net/http handler asserts its ResponseWriter to a
+// Hijacker.
+type Holder interface {
+	// Hold runs op on a goroutine of its own (Clock.Go) once handle has
+	// returned, and holds the conn until op returns: nothing after the
+	// request is served meanwhile, and an EOF waits behind it. op writes
+	// through w, the conn's blocking Write. The conn closes if op returns
+	// false, and otherwise serves on in timer/dispatcher context. handle's
+	// req is not valid in op: handle copies what op needs.
+	Hold(op func(w io.Writer) bool)
+}
+
 type requestConn struct {
 	LightConn
+	clock  *Clock
 	split  func([]byte) (int, error)
 	handle func([]byte, io.Writer) bool
-	carry  []byte // a copy of what follows the last whole request
+	carry  []byte                 // a copy of what follows the last whole request
+	held   func(w io.Writer) bool // the op handle passed to Hold
 }
 
 // Write is handle's writer.
@@ -41,6 +56,9 @@ func (s *requestConn) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// Hold implements Holder.
+func (s *requestConn) Hold(op func(w io.Writer) bool) { s.held = op }
+
 func (s *requestConn) onDeliver(data []byte, eof bool) {
 	if eof {
 		s.Close()
@@ -50,9 +68,9 @@ func (s *requestConn) onDeliver(data []byte, eof bool) {
 }
 
 // serve answers every whole request in the carry and data, and carries
-// the rest. It reports false once it has closed or paused the conn, after
-// which its caller must do nothing more: the drain may resume the conn at
-// once, on another goroutine on a wall-backed clock.
+// the rest. It reports false once it has closed, held or paused the conn,
+// after which its caller must do nothing more: the op or the drain may
+// resume the conn at once, on another goroutine.
 func (s *requestConn) serve(data []byte) bool {
 	buf := data
 	if len(s.carry) > 0 {
@@ -69,10 +87,20 @@ func (s *requestConn) serve(data []byte) bool {
 			return false
 		}
 		buf = buf[n:]
-		if s.Backlog() > serveHighWater {
+		if op := s.held; op != nil || s.Backlog() > serveHighWater {
 			s.carry = append(s.carry[:0], buf...)
 			s.SetDeliverFunc(nil)
-			s.OnDrain(s.resume)
+			if s.held = nil; op == nil {
+				s.OnDrain(s.resume)
+			} else {
+				s.clock.Go(func() { // the hold ends: the conn closes, or serves on
+					if op(s.LightConn) {
+						s.clock.AfterFunc(0, s.resume)
+					} else {
+						s.Close()
+					}
+				})
+			}
 			return false
 		}
 	}
@@ -80,7 +108,8 @@ func (s *requestConn) serve(data []byte) bool {
 	return true
 }
 
-// resume answers what was carried through a pause, then reads on.
+// resume answers what was carried through a pause or a hold, then reads
+// on; an EOF owed meanwhile comes with the deliver callback.
 func (s *requestConn) resume() {
 	if s.serve(nil) {
 		s.SetDeliverFunc(s.onDeliver)

@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/bento-nfv/bento/internal/bento"
 	"github.com/bento-nfv/bento/internal/dirauth"
+	"github.com/bento-nfv/bento/internal/functions"
 	"github.com/bento-nfv/bento/internal/relay"
 	"github.com/bento-nfv/bento/internal/stackscan"
 	"github.com/bento-nfv/bento/internal/webfarm"
@@ -19,10 +21,10 @@ type keepOpen struct{ net.Conn }
 func (keepOpen) Close() error { return nil }
 
 // TestServersHoldNoGoroutines: the directory authority, the relays'
-// ORPorts and HSDirs and the web farm serve with deliver callbacks, so
-// connections left open and idle after a consensus fetch, an HSDir store
-// and fetch, and a page fetch hold no goroutine in those packages, on
-// either clock.
+// ORPorts and HSDirs, the web farm and the Bento server serve with deliver
+// callbacks, so connections left open and idle after a consensus fetch, an
+// HSDir store and fetch, a page fetch, and a Bento spawn, upload and invoke
+// hold no goroutine in those packages, on either clock.
 func TestServersHoldNoGoroutines(t *testing.T) {
 	for _, clock := range []struct {
 		name  string
@@ -30,7 +32,7 @@ func TestServersHoldNoGoroutines(t *testing.T) {
 	}{{"wall", false}, {"event", true}} {
 		t.Run(clock.name, func(t *testing.T) {
 			site := webfarm.NamedSite("idle.web", 20_000, []int{70_000, 3_000})
-			w, err := New(Config{Relays: 3, BentoNodes: 0, Sites: []*webfarm.Site{site}, EventClock: clock.event})
+			w, err := New(Config{Relays: 3, BentoNodes: 1, Sites: []*webfarm.Site{site}, EventClock: clock.event})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,7 +86,20 @@ func TestServersHoldNoGoroutines(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			for _, pkg := range []string{"/internal/dirauth/", "/internal/webfarm/", "/internal/relay/"} {
+			bc, err := dial(fmt.Sprintf("relay0:%d", bento.Port))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fn, err := functions.Deploy(bento.NewClient(nil, nil).AttachStream(bc),
+				functions.DefaultManifest("hello", "python"), "def hello():\n    api.send(b\"hi\")\n    return 1\n")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out, _, err := fn.Invoke("hello"); err != nil || string(out) != "hi" {
+				t.Fatalf("invoke: %q, %v", out, err)
+			}
+
+			for _, pkg := range []string{"/internal/dirauth/", "/internal/webfarm/", "/internal/relay/", "/internal/bento/"} {
 				var held []string
 				for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
 					if held = stackscan.In(pkg); len(held) == 0 {

@@ -78,9 +78,10 @@ func WriteFrame(w io.Writer, v any, t Trailer) error {
 }
 
 // Decoder reads frames from one reader through a single buffer, which
-// grows to the largest envelope or trailer seen and stays there. It
-// grows as bytes arrive, not to the length a header announces, so a
-// peer that announces a large frame and stalls holds only what it sent.
+// grows to the largest frame seen and stays there. It grows as bytes
+// arrive, not to the length a header announces, so a peer that announces
+// a large frame and stalls holds only what it sent. A zero Decoder has no
+// reader: it decodes frames already in memory (Unmarshal).
 //
 // A Decoder is not safe for concurrent use. json.Unmarshal copies every
 // byte it keeps, so decoded values survive the next Decode; trailer bytes
@@ -89,7 +90,7 @@ type Decoder struct {
 	r                       io.Reader
 	buf                     []byte
 	maxEnvelope, maxTrailer uint32
-	trailer                 []byte // unclaimed rest of the last frame's trailer; aliases buf
+	trailer                 []byte // unclaimed rest of the last frame's trailer; aliases the frame
 }
 
 // NewDecoder returns a Decoder for a protocol without trailers: envelopes
@@ -105,6 +106,7 @@ func NewFrameDecoder(r io.Reader, maxEnvelope, maxTrailer uint32) *Decoder {
 // Decode reads the next frame: its envelope into v, its trailer into the
 // Decoder for Take.
 func (d *Decoder) Decode(v any) error {
+	d.trailer = nil
 	var hdr [headerLen]byte
 	if _, err := io.ReadFull(d.r, hdr[:]); err != nil {
 		return err
@@ -113,19 +115,27 @@ func (d *Decoder) Decode(v any) error {
 	if err != nil {
 		return err
 	}
-	d.trailer = nil
-	body, err := d.read(envelope)
-	if err != nil {
+	body, err := ReadGrowing(d.r, d.buf, int(envelope)+int(trailer))
+	if d.buf = body; err != nil {
 		return err
 	}
-	if err := json.Unmarshal(body, v); err != nil {
+	return d.open(body, envelope, v)
+}
+
+// Unmarshal decodes frame, one whole frame as SplitFrame cut it: its
+// envelope into v, its trailer into d for Take, which lends out frame's
+// bytes.
+func (d *Decoder) Unmarshal(frame []byte, v any) error {
+	return d.open(frame[headerLen:], binary.BigEndian.Uint32(frame), v)
+}
+
+// open decodes a frame's body, whose first envelope bytes are the JSON.
+func (d *Decoder) open(body []byte, envelope uint32, v any) error {
+	d.trailer = nil
+	if err := json.Unmarshal(body[:envelope], v); err != nil {
 		return fmt.Errorf("wire: unmarshal: %w", err)
 	}
-	// The envelope has been copied out, so the trailer reuses its buffer.
-	if body, err = d.read(trailer); err != nil {
-		return err
-	}
-	d.trailer = body
+	d.trailer = body[envelope:]
 	return nil
 }
 
@@ -139,34 +149,19 @@ func frameLen(hdr []byte, maxEnvelope, maxTrailer uint32) (envelope, trailer uin
 }
 
 // SplitFrame returns a request server's split (simnet.Host.ServeRequests)
-// that cuts whole frames with no trailer, bounded as NewFrameDecoder(r,
-// maxEnvelope, 0) bounds them.
-func SplitFrame(maxEnvelope uint32) func(buf []byte) (int, error) {
+// that cuts whole frames, bounded as NewFrameDecoder(r, maxEnvelope,
+// maxTrailer) bounds them.
+func SplitFrame(maxEnvelope, maxTrailer uint32) func(buf []byte) (int, error) {
 	return func(buf []byte) (int, error) {
 		if len(buf) < headerLen {
 			return 0, nil
 		}
-		envelope, _, err := frameLen(buf, maxEnvelope, 0)
-		if n := headerLen + int(envelope); err == nil && len(buf) >= n {
+		envelope, trailer, err := frameLen(buf, maxEnvelope, maxTrailer)
+		if n := headerLen + int(envelope) + int(trailer); err == nil && len(buf) >= n {
 			return n, nil
 		}
 		return 0, err
 	}
-}
-
-// Unmarshal decodes the envelope of frame, a whole frame as SplitFrame
-// cut it, into v.
-func Unmarshal(frame []byte, v any) error {
-	if err := json.Unmarshal(frame[headerLen:], v); err != nil {
-		return fmt.Errorf("wire: unmarshal: %w", err)
-	}
-	return nil
-}
-
-func (d *Decoder) read(n uint32) ([]byte, error) {
-	buf, err := ReadGrowing(d.r, d.buf, int(n))
-	d.buf = buf
-	return buf, err
 }
 
 // growStep is the least a read grows the buffer by; past it the buffer

@@ -279,14 +279,14 @@ func FuzzDecoder(f *testing.F) {
 				t.Fatal("TrailerDone disagrees with the unclaimed rest")
 			}
 		}
-		if cap(d.buf) > maxTrailer {
-			t.Fatalf("decoder buffer grew to %d, past both bounds", cap(d.buf))
+		if cap(d.buf) > maxEnvelope+maxTrailer {
+			t.Fatalf("decoder buffer grew to %d, past the frame bound", cap(d.buf))
 		}
-		// SplitFrame cuts the frames a Decoder with no trailer reads, and
-		// refuses what it refuses; Unmarshal decodes a cut frame as Decode
-		// does.
-		split, r := SplitFrame(maxEnvelope), bytes.NewReader(data)
-		dec := NewFrameDecoder(r, maxEnvelope, 0)
+		// SplitFrame cuts the frames a Decoder with the same bounds reads,
+		// and refuses what it refuses; Unmarshal decodes a cut frame, its
+		// trailer included, as Decode does.
+		split, r := SplitFrame(maxEnvelope, maxTrailer), bytes.NewReader(data)
+		dec := NewFrameDecoder(r, maxEnvelope, maxTrailer)
 		for rest := data; ; {
 			n, splitErr := split(rest)
 			var want, got msg
@@ -297,14 +297,16 @@ func FuzzDecoder(f *testing.F) {
 				}
 				break
 			}
-			if err := Unmarshal(rest[:n], &got); (err == nil) != (decErr == nil) {
+			var cut Decoder
+			if err := cut.Unmarshal(rest[:n], &got); (err == nil) != (decErr == nil) {
 				t.Fatalf("Unmarshal of a cut frame: %v; Decode: %v", err, decErr)
 			}
 			if decErr != nil {
 				break
 			}
-			if rest = rest[n:]; !reflect.DeepEqual(got, want) || r.Len() != len(rest) {
-				t.Fatalf("cut %d bytes to %+v, Decoder read %+v and left %d bytes, not %d", n, got, want, r.Len(), len(rest))
+			if rest = rest[n:]; !reflect.DeepEqual(got, want) || !bytes.Equal(cut.trailer, dec.trailer) || r.Len() != len(rest) {
+				t.Fatalf("cut %d bytes to %+v, trailer %q; Decoder read %+v, trailer %q, and left %d bytes, not %d",
+					n, got, cut.trailer, want, dec.trailer, r.Len(), len(rest))
 			}
 		}
 		// Whatever one frame of the input decodes to survives re-framing.

@@ -59,16 +59,17 @@ want "parker sites" 'newParker\(' internal/simnet \
 want "channel sites" '\bchan\b' "internal/torclient internal/relay internal/fleet internal/bento
     internal/stemfw" ""
 # A client circuit reads its guard link in a deliver callback and writes it
-# directly (DESIGN.md §13.3); the relay, the directory authority and the
-# web farm accept with a callback and serve with deliver callbacks
-# (DESIGN.md "In-simulation servers"); the Bento server's connection
-# handlers start through Clock.Go (ROADMAP item 15); the Stem firewall and
-# the function library start none. Allowed: the workers of
-# relay.RunParallelForwardBench, which run outside any simulation
-# (benchmark/'s probe), and functions.MultipathFetch's per-path fetches, a
-# client-side helper still on ROADMAP item 1(b)'s list.
+# directly (DESIGN.md §13.3); the relay, the directory authority, the web
+# farm and the Bento server accept with a callback and serve with deliver
+# callbacks (DESIGN.md "In-simulation servers"), a Bento request's op
+# starting through Clock.Go in simnet's request server; the fleet
+# controller starts its probes, placements and teardowns through Clock.Go;
+# the Stem firewall and the function library start none. Allowed: the
+# workers of relay.RunParallelForwardBench, which run outside any
+# simulation (benchmark/'s probe), and functions.MultipathFetch's per-path
+# fetches, a client-side helper still on ROADMAP item 1(b)'s list.
 want "go statements" '^[[:space:]]*go[[:space:]]' "internal/torclient internal/relay internal/bento
-    internal/stemfw internal/functions internal/dirauth internal/webfarm" \
+    internal/stemfw internal/functions internal/dirauth internal/webfarm internal/fleet" \
     "internal/functions/multipath.go:1 internal/relay/bench.go:1"
 # A relay link is served by deliver callbacks and written with WriteAsync
 # on both clocks (DESIGN.md §13.1): no link writer of its own either.
@@ -77,10 +78,11 @@ want "BatchWriter uses" 'BatchWriter' "internal/torclient internal/relay" ""
 # (DESIGN.md §13.1), and the ORPort and the HSDir accept with a callback
 # (DESIGN.md "In-simulation servers"). The relay starts no goroutine.
 want "relay Clock.Go sites" '\.Go\(' internal/relay ""
-# The Bento server starts a goroutine per accepted connection, and its
-# hidden-service splice one per rendezvous connection. ROADMAP item 15
-# moves both onto deliver callbacks and empties this list.
-want "bento Clock.Go sites" '\.Go\(' internal/bento "internal/bento/hidden.go:1 internal/bento/server.go:1"
+# The Bento server starts none: simnet's request server starts each
+# request's op (simnet.Holder). Allowed: the hidden-service splice, one
+# copy goroutine per rendezvous connection, because a torclient stream
+# has no deliver callback to splice with yet (ROADMAP item 15).
+want "bento Clock.Go sites" '\.Go\(' internal/bento "internal/bento/hidden.go:1"
 # A runtime timer outside the Clock is invisible to the event core, like
 # an unregistered goroutine (ROADMAP aim 3). Allowed: the wall core's timer
 # and its sleep, the settle's back-off (ROADMAP item 1 deletes it), the
@@ -141,8 +143,11 @@ stage "relay datapath stress under race (circuit teardown vs in-flight forwardin
     "the hop-level egress bound (a flood behind an EXTEND to a silent next hop included), idle circuits hold" \
     "nothing, run datapath vs per-cell reference on both clocks; owned HS registrations, sibling not stalled by" \
     "a silent next hop; a rendezvous cookie claimed once by concurrent RENDEZVOUS1s, Crash severing every" \
-    "served link, a host crash reaching a stalled or dial-paused feed or a CREATE being answered)"
-go test -race -count=1 -run='TestTeardownForwardStress|TestBound|TestBurst|TestExtendThenCellsInOneBurst|TestIdleCircuitHoldsNoBurst|TestHSRegistrationsOwned|TestHelperBacklogBounded|TestSiblingNotStalledBySilentNextHop|TestTransportFollowsClock|TestRendezvousSplice|TestConnectedPrecedesDataAndEnd|TestRendezvous1ClaimedOnce|TestCrashClosesEveryServedLink|TestSeverDuringStall|TestCrashDuringCreate' ./internal/relay/
+    "served link, a host crash reaching a stalled or dial-paused feed or a CREATE being answered, a DESTROY" \
+    "waiting behind a dial's cells; the Bento server's held conn: pipelined ops answered in order, api.send" \
+    "flow-controlled, a close during an invoke)"
+go test -race -count=1 -run='TestTeardownForwardStress|TestBound|TestBurst|TestExtendThenCellsInOneBurst|TestIdleCircuitHoldsNoBurst|TestHSRegistrationsOwned|TestHelperBacklogBounded|TestSiblingNotStalledBySilentNextHop|TestTransportFollowsClock|TestRendezvousSplice|TestConnectedPrecedesDataAndEnd|TestRendezvous1ClaimedOnce|TestCrashClosesEveryServedLink|TestSeverDuringStall|TestCrashDuringCreate|TestDestroyWaitsBehindDial' ./internal/relay/
+go test -race -count=10 -run='TestServerAnswersPipelinedRequests|TestServerFlowControlsAPISend|TestCloseDuringInvoke' ./internal/bento/
 go test -race -count=1 -run='TestRun|TestTap|TestIdleCircuitHoldsNoGoroutines|TestDeliveryPassesParkedWriter' ./internal/torclient/
 
 stage "telemetry regression smoke (instrumented hot path and live sampler must not allocate)"
