@@ -223,12 +223,13 @@ func (s *Server) FunctionMemoryEstimate() int64 {
 	return total
 }
 
-// handle hands a request to a goroutine of its own, which holds the conn
-// until it has answered (simnet.Holder): an op may park, in a host call or
-// in the blocking Write that flow-controls api.send.
+// handle hands a request, through the request server's Hold
+// (simnet.Host.ServeRequests), to a goroutine of its own, which holds the
+// conn until it has answered: an op may park, in a host call or in the
+// blocking Write that flow-controls api.send.
 func (s *Server) handle(req []byte, w io.Writer) bool {
 	frame := bytes.Clone(req) // req is lent for the call
-	w.(simnet.Holder).Hold(func(conn io.Writer) bool { return s.serve(frame, conn) })
+	w.(interface{ Hold(func(io.Writer) bool) }).Hold(func(conn io.Writer) bool { return s.serve(frame, conn) })
 	return true
 }
 

@@ -17,26 +17,21 @@ const serveHighWater = 64 << 10
 // part of one, or an error once buf cannot start a request within the
 // server's bound. handle answers each request in delivery context, so it
 // must not block; req is valid only for the call, and w writes with
-// WriteAsync. A request that must block is handed on through w's Hold.
-// The conn closes on EOF, on a split error, or when handle returns false.
+// WriteAsync. The conn closes on EOF, on a split error, or when handle
+// returns false.
+//
+// A request that must block is handed on: w has a method Hold(op func(w
+// io.Writer) bool), and once a handle that calls it returns, op runs on a
+// goroutine of its own (Clock.Go) and holds the conn until it returns.
+// Nothing after the request is served meanwhile, and an EOF waits behind
+// it. op writes through w, the conn's blocking Write. The conn closes if
+// op returns false, and otherwise serves on in timer/dispatcher context.
+// req is not valid in op: handle copies what op needs.
 func (h *Host) ServeRequests(port int, split func(buf []byte) (int, error), handle func(req []byte, w io.Writer) bool) (net.Listener, error) {
 	return h.ListenFunc(port, func(c LightConn) {
 		s := &requestConn{LightConn: c, clock: h.Clock(), split: split, handle: handle}
 		c.SetDeliverFunc(s.onDeliver)
 	})
-}
-
-// Holder is implemented by the writer ServeRequests hands to handle, which
-// asserts it as a net/http handler asserts its ResponseWriter to a
-// Hijacker.
-type Holder interface {
-	// Hold runs op on a goroutine of its own (Clock.Go) once handle has
-	// returned, and holds the conn until op returns: nothing after the
-	// request is served meanwhile, and an EOF waits behind it. op writes
-	// through w, the conn's blocking Write. The conn closes if op returns
-	// false, and otherwise serves on in timer/dispatcher context. handle's
-	// req is not valid in op: handle copies what op needs.
-	Hold(op func(w io.Writer) bool)
 }
 
 type requestConn struct {
@@ -56,7 +51,7 @@ func (s *requestConn) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// Hold implements Holder.
+// Hold is handle's hand-off of a request to a goroutine.
 func (s *requestConn) Hold(op func(w io.Writer) bool) { s.held = op }
 
 func (s *requestConn) onDeliver(data []byte, eof bool) {

@@ -79,9 +79,10 @@ want "BatchWriter uses" 'BatchWriter' "internal/torclient internal/relay" ""
 # (DESIGN.md "In-simulation servers"). The relay starts no goroutine.
 want "relay Clock.Go sites" '\.Go\(' internal/relay ""
 # The Bento server starts none: simnet's request server starts each
-# request's op (simnet.Holder). Allowed: the hidden-service splice, one
-# copy goroutine per rendezvous connection, because a torclient stream
-# has no deliver callback to splice with yet (ROADMAP item 15).
+# request's op (Hold, simnet/serve.go). Allowed: the hidden-service
+# splice, one copy goroutine per rendezvous connection, because a
+# torclient stream has no deliver callback to splice with yet (ROADMAP
+# item 15).
 want "bento Clock.Go sites" '\.Go\(' internal/bento "internal/bento/hidden.go:1"
 # A runtime timer outside the Clock is invisible to the event core, like
 # an unregistered goroutine (ROADMAP aim 3). Allowed: the wall core's timer
