@@ -6,8 +6,8 @@
 //
 // The package also provides the zero-copy datapath primitives: wire-frame
 // accessors (WireCircID, WirePayload, ReadWire) for operating on raw
-// Size-byte buffers in place, pooled frames (GetWire/PutWire), and the
-// batched per-link writer (BatchWriter). Buffer ownership rules are
+// Size-byte buffers in place, the pooled origination run (Origin), and
+// the batched per-link writer (BatchWriter). Buffer ownership rules are
 // documented in pool.go and in DESIGN.md under "Datapath & buffer
 // ownership".
 package cell
@@ -154,7 +154,7 @@ func WirePayload(buf []byte) []byte { return buf[5:Size] }
 
 // ReadWire reads one wire frame into buf, which must be at least Size
 // bytes. It performs no allocation; buf is typically a per-connection
-// reused buffer or one drawn from GetWire.
+// reused buffer.
 func ReadWire(r io.Reader, buf []byte) error {
 	_, err := io.ReadFull(r, buf[:Size])
 	return err
@@ -173,10 +173,9 @@ func (c *Cell) EncodeInto(buf []byte) {
 // WriteTo writes the cell to w through a pooled buffer in a single Write
 // call. It implements io.WriterTo.
 func (c *Cell) WriteTo(w io.Writer) (int64, error) {
-	buf := GetWire()
-	c.EncodeInto(buf[:])
-	n, err := w.Write(buf[:])
-	PutWire(buf)
+	o := GetOrigin()
+	n, err := w.Write(o.Link(c.CircID, c.Cmd, c.Payload[:]))
+	PutOrigin(o)
 	return int64(n), err
 }
 
@@ -194,12 +193,13 @@ func UnmarshalInto(c *Cell, buf []byte) error {
 
 // ReadInto reads one cell from r into an existing Cell without allocating.
 func ReadInto(r io.Reader, c *Cell) error {
-	buf := GetWire()
-	defer PutWire(buf)
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
+	o := GetOrigin()
+	defer PutOrigin(o)
+	buf := o.frames[:Size]
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return err
 	}
-	return UnmarshalInto(c, buf[:])
+	return UnmarshalInto(c, buf)
 }
 
 // Marshal serializes the cell to a freshly allocated wire buffer. It is

@@ -1,33 +1,88 @@
 package cell
 
-import "sync"
+import (
+	"sync"
 
-// Pooled wire buffers for the zero-copy datapath.
-//
-// Ownership rules (see DESIGN.md "Datapath & buffer ownership"):
-//
-//   - GetWire transfers ownership of a Size-byte buffer to the caller.
-//     The caller must either PutWire it exactly once when done, or keep
-//     it for the lifetime of a connection (long-lived per-link read
-//     buffers never return to the pool; that is fine).
-//   - A buffer handed to a writer (net.Conn.Write, linkWriter enqueue)
-//     may be reused the moment the call returns: writers copy or
-//     serialize synchronously and never retain the slice.
-//   - Payload sub-slices obtained via WirePayload / ParseRelay alias the
-//     frame. They are valid only until the frame buffer is reused —
-//     consumers that need the data past the current cell (stream
-//     delivery, async control handling) must copy it out first.
-//   - Never PutWire a buffer twice, and never touch one after PutWire.
-//
-// The pools are warm-path optimizations: after startup, steady-state
-// forwarding performs zero allocations.
+	"github.com/bento-nfv/bento/internal/otr"
+)
 
-var wirePool = sync.Pool{
-	New: func() any { return new([Size]byte) },
+// Origination. Each end of a circuit originates relay cells in one place
+// (the client's Circuit.originate, the relay's circuit.originate), and
+// both work in an Origin taken from the pool: the cells of a run are
+// packed into contiguous frames, sealed and encrypted in place through
+// their payload views with one batched pass per layer (otr's *Batch
+// calls, byte-identical to cell-by-cell crypto), and written with one
+// call. The link-level cells the ends send (CREATE, CREATED, DESTROY) are
+// built in one too, so no circuit keeps a frame of its own.
+//
+// Ownership (see DESIGN.md "Datapath & buffer ownership"): an Origin is
+// the caller's from GetOrigin to PutOrigin. Its frames may be handed to a
+// writer and reused the moment the call returns (writers copy
+// synchronously); payload views alias the frames.
+
+// OriginCells is an Origin's capacity: as many cells as one simnet chunk
+// (32 KiB) carries.
+const OriginCells = 32 << 10 / Size
+
+// Origin is one run of cells being originated.
+type Origin struct {
+	n       int
+	frames  [OriginCells * Size]byte
+	views   [OriginCells][]byte
+	Scratch otr.CryptScratch // the keystream of the run's batched crypto
 }
 
-// GetWire returns a Size-byte wire buffer from the pool.
-func GetWire() *[Size]byte { return wirePool.Get().(*[Size]byte) }
+var origins = sync.Pool{New: func() any { return new(Origin) }}
 
-// PutWire returns a buffer obtained from GetWire to the pool.
-func PutWire(buf *[Size]byte) { wirePool.Put(buf) }
+// GetOrigin takes an Origin from the pool.
+func GetOrigin() *Origin { return origins.Get().(*Origin) }
+
+// PutOrigin returns o to the pool; the caller must not touch it again.
+func PutOrigin(o *Origin) { origins.Put(o) }
+
+// Pack fills o with relay cells of hdr on circuit circID, replacing what
+// it held, and returns how many bytes of data they carry. DATA is split
+// into cells of at most MaxRelayData, at most max of them (max ≤
+// OriginCells); any other command carries all of data in one cell, which
+// PackRelay refuses past MaxRelayData. At least one cell is packed.
+func (o *Origin) Pack(circID uint32, hdr RelayHeader, data []byte, max int) (int, error) {
+	used := 0
+	for o.n = 0; ; {
+		chunk := data[used:]
+		if hdr.Cmd == RelayData {
+			chunk = chunk[:min(len(chunk), MaxRelayData)]
+		}
+		frame := o.frames[o.n*Size : (o.n+1)*Size]
+		payload := WirePayload(frame)
+		if err := PackRelay(payload, hdr, chunk); err != nil {
+			o.n = 0
+			return 0, err
+		}
+		SetWireCircID(frame, circID)
+		SetWireCmd(frame, CmdRelay)
+		o.views[o.n] = payload
+		o.n++
+		if used += len(chunk); used == len(data) || o.n == max {
+			return used, nil
+		}
+	}
+}
+
+// Link fills o with one link-level cell, cmd on circuit circID carrying
+// payload zero-padded, and returns its frame.
+func (o *Origin) Link(circID uint32, cmd Command, payload []byte) []byte {
+	o.n = 1
+	frame := o.frames[:Size]
+	SetWireCircID(frame, circID)
+	SetWireCmd(frame, cmd)
+	p := WirePayload(frame)
+	clear(p[copy(p, payload):])
+	return frame
+}
+
+// Payloads returns the packed cells' payloads, to seal and encrypt in
+// place.
+func (o *Origin) Payloads() [][]byte { return o.views[:o.n] }
+
+// Frames returns the packed cells' wire frames, contiguous.
+func (o *Origin) Frames() []byte { return o.frames[:o.n*Size] }

@@ -131,13 +131,17 @@ func TestCircuitSurvivesMidStreamRelayCrash(t *testing.T) {
 	// Find a middle relay of the connection's circuit and kill it.
 	// (Connect's path ends at the Bento node; earlier hops are fair
 	// game.) We can't see the path directly, so kill all non-Bento
-	// relays' OR listeners — brutal, but the observable contract is the
+	// relays' hosts — brutal, but the observable contract is the
 	// same: pending operations fail rather than hang.
+	chaos := w.Net.Chaos()
+	if chaos == nil {
+		chaos = w.EnableChaos(1)
+	}
 	for i, r := range w.Relays {
 		if i == 0 {
 			continue // keep the Bento node itself
 		}
-		r.Crash()
+		chaos.CrashHost(r.Host().Name())
 	}
 	errCh := make(chan error, 1)
 	go func() {

@@ -7,6 +7,7 @@ import (
 	"github.com/bento-nfv/bento/internal/bento"
 	"github.com/bento-nfv/bento/internal/dirauth"
 	"github.com/bento-nfv/bento/internal/interp"
+	"github.com/bento-nfv/bento/internal/simnet"
 )
 
 // Multipath downloads (§9.4, "Multipath routing"): rather than modifying
@@ -47,50 +48,33 @@ func MultipathFetch(cli *bento.Client, nodes []*dirauth.Descriptor, url string, 
 		return nil, fmt.Errorf("functions: no Bento nodes provided")
 	}
 
-	type sliceResult struct {
-		index int
-		data  []byte
-		total int
-		err   error
-	}
+	// Each path runs on a simulation goroutine; the caller waits for the
+	// count of finished ones on the clock.
+	clock := cli.Tor.Clock()
 	results := make([]sliceResult, paths)
-	var wg sync.WaitGroup
+	var mu sync.Mutex
+	finished := 0
+	cond := simnet.NewCond(clock, &mu)
 	for i := 0; i < paths; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			node := nodes[i%len(nodes)]
-			conn, err := cli.Connect(node)
-			if err != nil {
-				results[i] = sliceResult{index: i, err: err}
-				return
-			}
-			defer conn.Close()
-			man := DefaultManifest("multipath-fetcher", "python")
-			man.Calls = []string{"net.dial", "tor.send"}
-			fn, err := Deploy(conn, man, MultipathFetcherSource)
-			if err != nil {
-				results[i] = sliceResult{index: i, err: err}
-				return
-			}
-			defer fn.Shutdown()
-			data, totalVal, err := fn.Invoke("fetch_slice",
-				interp.Str(url), interp.Int(i), interp.Int(paths))
-			if err != nil {
-				results[i] = sliceResult{index: i, err: err}
-				return
-			}
-			total, _ := totalVal.(interp.Int)
-			results[i] = sliceResult{index: i, data: data, total: int(total)}
-		}(i)
+		clock.Go(func() {
+			results[i] = fetchSlice(cli, nodes[i%len(nodes)], url, i, paths)
+			mu.Lock()
+			finished++
+			mu.Unlock()
+			cond.Broadcast()
+		})
 	}
-	wg.Wait()
+	mu.Lock()
+	for finished < paths {
+		cond.Wait()
+	}
+	mu.Unlock()
 
 	out := &MultipathResult{Paths: paths}
 	total := -1
-	for _, r := range results {
+	for i, r := range results {
 		if r.err != nil {
-			return nil, fmt.Errorf("functions: path %d: %w", r.index, r.err)
+			return nil, fmt.Errorf("functions: path %d: %w", i, r.err)
 		}
 		if total == -1 {
 			total = r.total
@@ -104,4 +88,34 @@ func MultipathFetch(cli *bento.Client, nodes []*dirauth.Descriptor, url string, 
 		return nil, fmt.Errorf("functions: reassembled %d bytes, expected %d", len(out.Data), total)
 	}
 	return out, nil
+}
+
+// sliceResult is one path's share of a multipath download.
+type sliceResult struct {
+	data  []byte
+	total int
+	err   error
+}
+
+// fetchSlice deploys a fetcher on node and has it send slice index of
+// total of url.
+func fetchSlice(cli *bento.Client, node *dirauth.Descriptor, url string, index, total int) sliceResult {
+	conn, err := cli.Connect(node)
+	if err != nil {
+		return sliceResult{err: err}
+	}
+	defer conn.Close()
+	man := DefaultManifest("multipath-fetcher", "python")
+	man.Calls = []string{"net.dial", "tor.send"}
+	fn, err := Deploy(conn, man, MultipathFetcherSource)
+	if err != nil {
+		return sliceResult{err: err}
+	}
+	defer fn.Shutdown()
+	data, totalVal, err := fn.Invoke("fetch_slice", interp.Str(url), interp.Int(index), interp.Int(total))
+	if err != nil {
+		return sliceResult{err: err}
+	}
+	size, _ := totalVal.(interp.Int)
+	return sliceResult{data: data, total: int(size)}
 }

@@ -81,15 +81,14 @@ func TestMiddleHopForwardAllocFree(t *testing.T) {
 	}
 }
 
-// TestCircuitSizeofPinned pins what one circuit costs — one allocation,
-// 514 B of it the inline backward scratch frame — at or below 704 B, what
-// it took once the relay's circuit table was keyed by the circuit itself
-// rather than by a serial held in it; the stream originate batch is
-// pooled, not held per circuit. The scale run's bytes per host is made of
-// these.
+// TestCircuitSizeofPinned pins what one circuit costs — one allocation —
+// at or below 192 B: every cell a hop originates is packed, sealed and
+// written in a pooled run (circuit.originate), so no circuit holds a frame
+// of its own, and the relay keeps no table of its circuits. The scale
+// run's bytes per host is made of these.
 func TestCircuitSizeofPinned(t *testing.T) {
-	if got := unsafe.Sizeof(circuit{}); got > 704 {
-		t.Fatalf("sizeof(circuit) = %d, want <= 704", got)
+	if got := unsafe.Sizeof(circuit{}); got > 192 {
+		t.Fatalf("sizeof(circuit) = %d, want <= 192", got)
 	}
 	t.Logf("circuit %d B", unsafe.Sizeof(circuit{}))
 }

@@ -50,6 +50,7 @@ func cappedRelay(t *testing.T, n *simnet.Network) *Relay {
 	if err != nil {
 		t.Fatal(err)
 	}
+	track(t, r)
 	t.Cleanup(func() { r.Close() })
 	return r
 }
@@ -448,7 +449,7 @@ func TestSeverDuringStall(t *testing.T) {
 				dialing.Store(d != nil && d.started)
 				ch.CrashHost("client")
 			})
-			eventually(t, "the circuit's teardown", func() bool { return lenOf(rg.relay, rg.relay.circuits) == 0 })
+			eventually(t, "the circuit's teardown", func() bool { return len(circuitsOf(rg.relay)) == 0 })
 			if !dialing.Load() {
 				t.Fatal("the client's host crashed outside the EXTEND's dial")
 			}

@@ -270,8 +270,8 @@ func TestIdleCircuitHoldsNoBurst(t *testing.T) {
 		echoed += len(d)
 	}
 	// The circuit and its stream are still up; nothing is moving.
-	if lenOf(rg.relay, rg.relay.circuits) != 1 {
-		t.Fatalf("circuit table has %d entries, want the idle circuit", lenOf(rg.relay, rg.relay.circuits))
+	if len(circuitsOf(rg.relay)) != 1 {
+		t.Fatalf("relay serves %d circuits, want the idle circuit", len(circuitsOf(rg.relay)))
 	}
 	c := theCircuit(t, rg.relay, func(*circuit) bool { return true })
 	eventually(t, "the idle circuit to hold nothing", func() bool { return held(c) == 0 })
@@ -297,7 +297,7 @@ func TestDestroyWaitsBehindDial(t *testing.T) {
 			begin, _ := cell.EncodeControl(&cell.BeginPayload{Target: "dest:80"})
 			burst := rg.seal(t, cell.RelayHeader{StreamID: 1, Cmd: cell.RelayBegin}, begin)
 			burst = append(burst, rg.seal(t, cell.RelayHeader{StreamID: 1, Cmd: cell.RelayData}, []byte("before the close"))...)
-			destroy := linkFrame(rg.circ, cell.CmdDestroy, nil)
+			destroy := (&cell.Cell{CircID: rg.circ, Cmd: cell.CmdDestroy}).Marshal()
 			if _, err := rg.conn.Write(append(burst, destroy[:]...)); err != nil {
 				t.Fatal(err)
 			}
@@ -335,7 +335,7 @@ func TestDestroyWaitsBehindDial(t *testing.T) {
 			}()
 			ext, _ := cell.EncodeControl(&cell.ExtendPayload{Addr: fmt.Sprintf("next:%d", ORPort), Handshake: bytes.Repeat([]byte{7}, otr.PublicKeyLen)})
 			burst := append(rg.seal(t, cell.RelayHeader{Cmd: cell.RelayExtend}, ext), rg.opaque(plain)...)
-			destroy := linkFrame(rg.circ, cell.CmdDestroy, nil)
+			destroy := (&cell.Cell{CircID: rg.circ, Cmd: cell.CmdDestroy}).Marshal()
 			if _, err := rg.conn.Write(append(burst, destroy[:]...)); err != nil {
 				t.Fatal(err)
 			}

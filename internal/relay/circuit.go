@@ -26,7 +26,8 @@ import (
 // The forward direction has one owner at a time — the client link's
 // deliver callback, or the callback of a dial it paused for — so forward
 // crypto needs no lock. The backward direction is serialized by bwMu,
-// held across seal/encrypt + write so keystream order equals wire order.
+// held across seal/encrypt + write so keystream order equals wire order;
+// the cells this hop originates go through originate, in a pooled run.
 type circuit struct {
 	relay      *Relay
 	conn       simnet.LightConn // inbound link, toward the circuit origin
@@ -45,8 +46,7 @@ type circuit struct {
 	cookie   string                      // rendezvous cookie (hex) this circuit registered
 	introID  string                      // service ID this circuit is the intro point for
 
-	bwMu   sync.Mutex
-	bwWire [cell.Size]byte // backward originate scratch, guarded by bwMu
+	bwMu sync.Mutex // the backward direction's crypto and writes
 
 	inBuf cell.FrameBuf // client-link chunk→cell reassembly (forward owner only)
 	bwBuf cell.FrameBuf // next-hop-link reassembly (its deliver callback only)
@@ -68,21 +68,20 @@ type dialing struct {
 	teardown bool                               // owed after rest; guarded by the circuit's mu
 }
 
-// linkFrame builds one link-level cell.
-func linkFrame(circID uint32, cmd cell.Command, payload []byte) (f [cell.Size]byte) {
-	cell.SetWireCircID(f[:], circID)
-	cell.SetWireCmd(f[:], cmd)
-	copy(cell.WirePayload(f[:]), payload)
-	return f
+// writeLink puts a link-level cell (CREATE, CREATED, DESTROY) on conn,
+// built in a pooled frame.
+func writeLink(conn simnet.LightConn, circID uint32, cmd cell.Command, payload []byte) error {
+	o := cell.GetOrigin()
+	defer cell.PutOrigin(o)
+	return conn.WriteAsync(o.Link(circID, cmd, payload))
 }
 
 // sendLink puts a link-level cell (CREATED, DESTROY) on the client link,
 // in order with the relay cells.
 func (c *circuit) sendLink(cmd cell.Command, payload []byte) error {
-	f := linkFrame(c.circID, cmd, payload)
 	c.bwMu.Lock()
 	defer c.bwMu.Unlock()
-	return c.conn.WriteAsync(f[:])
+	return writeLink(c.conn, c.circID, cmd, payload)
 }
 
 // create answers a link's first cell, which must be CREATE.
@@ -391,12 +390,11 @@ func (c *circuit) handleExtend(data []byte) (*dialing, bool) {
 	var id [4]byte
 	rand.Read(id[:])
 	nextID := binary.BigEndian.Uint32(id[:])
-	create := linkFrame(nextID, cell.CmdCreate, ext.Handshake)
 	sp := r.reg.StartSpan("relay.extend")
 	sp.Note(ext.Addr)
 	return &dialing{target: ext.Addr, then: func(next simnet.LightConn, err error) bool {
 		defer sp.End()
-		if err == nil && (next.WriteAsync(create[:]) != nil || !c.attachNext(next, nextID)) {
+		if err == nil && (writeLink(next, nextID, cell.CmdCreate, ext.Handshake) != nil || !c.attachNext(next, nextID)) {
 			next.Close()
 			err = net.ErrClosed
 		}
@@ -424,7 +422,7 @@ func (c *circuit) extendDone(wire []byte) bool {
 	extended, err := cell.EncodeControl(&cell.ExtendedPayload{
 		Reply: cell.WirePayload(wire)[:otr.PublicKeyLen+otr.AuthLen],
 	})
-	return err == nil && c.sendBackward(cell.RelayHeader{Cmd: cell.RelayExtended}, extended) == nil
+	return err == nil && c.originate(cell.RelayHeader{Cmd: cell.RelayExtended}, extended) == nil
 }
 
 // handleBegin opens an exit stream, enforcing the exit policy. The special
@@ -471,7 +469,7 @@ func (c *circuit) handleBegin(streamID uint16, data []byte) (*dialing, bool) {
 		// that answers and hangs up at once must not get its DATA or END
 		// onto the circuit ahead of it (the client would read "stream
 		// refused").
-		if c.sendBackward(cell.RelayHeader{StreamID: streamID, Cmd: cell.RelayConnected}, nil) != nil {
+		if c.originate(cell.RelayHeader{StreamID: streamID, Cmd: cell.RelayConnected}, nil) != nil {
 			c.closeStream(streamID)
 			return false
 		}
@@ -512,7 +510,7 @@ func (c *circuit) endStream(streamID uint16, reason string) bool {
 	if err != nil {
 		return false
 	}
-	return c.sendBackward(cell.RelayHeader{StreamID: streamID, Cmd: cell.RelayEnd}, end) == nil
+	return c.originate(cell.RelayHeader{StreamID: streamID, Cmd: cell.RelayEnd}, end) == nil
 }
 
 // --- backward direction ------------------------------------------------------
@@ -537,23 +535,39 @@ func (c *circuit) backwardRun(frames []byte) error {
 	return c.conn.WriteAsync(frames)
 }
 
-// sendBackward originates a backward relay cell at this hop (control
-// responses, stream ends): pack, seal with the backward digest, and
-// encrypt in the scratch frame, then write it toward the client. A
-// control cell that cannot even be queued means a dead client link.
-func (c *circuit) sendBackward(hdr cell.RelayHeader, data []byte) error {
-	c.relay.m.originated.Inc()
+// bwBatchCells is the longest run this hop originates: as many cells as
+// one simnet chunk (32 KiB) carries, so one delivery from an exit
+// destination (itself at most a chunk) leaves as one or two runs, each
+// sealed and encrypted in one crypto pass and sent in one write. Smaller
+// runs cost every hop behind the exit one delivery each.
+const bwBatchCells = cell.OriginCells
+
+// originate is the relay's one way to originate relay cells toward the
+// client: control replies, stream ends, and the DATA of an exit stream.
+// It packs hdr and data into a pooled run (DATA as up to bwBatchCells
+// cells a run, any other command as one cell), seals the run with the
+// backward digest, encrypts it with one keystream pass, and writes it
+// with one WriteAsync, until data is sent. A cell that cannot even be
+// queued means a dead client link.
+func (c *circuit) originate(hdr cell.RelayHeader, data []byte) error {
+	o := cell.GetOrigin()
+	defer cell.PutOrigin(o)
 	c.bwMu.Lock()
 	defer c.bwMu.Unlock()
-	payload := cell.WirePayload(c.bwWire[:])
-	if err := cell.PackRelay(payload, hdr, data); err != nil {
-		return err
+	for {
+		used, err := o.Pack(c.circID, hdr, data, bwBatchCells)
+		if err != nil {
+			return err
+		}
+		run := o.Payloads()
+		c.relay.m.originated.Add(int64(len(run)))
+		c.layer.SealBackwardBatch(run, cell.DigestOffset)
+		c.layer.ApplyBackwardBatch(run, &o.Scratch)
+		if err := c.conn.WriteAsync(o.Frames()); err != nil || used == len(data) {
+			return err
+		}
+		data = data[used:]
 	}
-	c.layer.SealBackward(payload, cell.DigestOffset)
-	c.layer.ApplyBackward(payload)
-	cell.SetWireCircID(c.bwWire[:], c.circID)
-	cell.SetWireCmd(c.bwWire[:], cell.CmdRelay)
-	return c.conn.WriteAsync(c.bwWire[:])
 }
 
 // --- hidden-service duties ---------------------------------------------------
@@ -588,7 +602,7 @@ func (c *circuit) handleEstablishIntro(data []byte) bool {
 	if !c.register(r.intros, &c.introID, est.ServiceID) {
 		return false
 	}
-	return c.sendBackward(cell.RelayHeader{Cmd: cell.RelayIntroEstablished}, nil) == nil
+	return c.originate(cell.RelayHeader{Cmd: cell.RelayIntroEstablished}, nil) == nil
 }
 
 func (c *circuit) handleIntroduce1(data []byte) bool {
@@ -605,11 +619,11 @@ func (c *circuit) handleIntroduce1(data []byte) bool {
 		return c.endStream(0, "no such service")
 	}
 	// Forward the opaque inner payload to the service as INTRODUCE2.
-	if err := svc.sendBackward(cell.RelayHeader{Cmd: cell.RelayIntroduce2}, intro.Inner); err != nil {
+	if err := svc.originate(cell.RelayHeader{Cmd: cell.RelayIntroduce2}, intro.Inner); err != nil {
 		return c.endStream(0, "service unreachable")
 	}
 	r.m.introsForwarded.Inc()
-	return c.sendBackward(cell.RelayHeader{Cmd: cell.RelayIntroduceAck}, nil) == nil
+	return c.originate(cell.RelayHeader{Cmd: cell.RelayIntroduceAck}, nil) == nil
 }
 
 func (c *circuit) handleEstablishRendezvous(data []byte) bool {
@@ -620,7 +634,7 @@ func (c *circuit) handleEstablishRendezvous(data []byte) bool {
 	if len(est.Cookie) < 8 || !c.register(c.relay.rendezvous, &c.cookie, hex.EncodeToString(est.Cookie)) {
 		return false
 	}
-	return c.sendBackward(cell.RelayHeader{Cmd: cell.RelayRendezvousEstablished}, nil) == nil
+	return c.originate(cell.RelayHeader{Cmd: cell.RelayRendezvousEstablished}, nil) == nil
 }
 
 func (c *circuit) handleRendezvous1(data []byte) bool {
@@ -653,7 +667,7 @@ func (c *circuit) handleRendezvous1(data []byte) bool {
 		return false
 	}
 	r.m.rendSplices.Inc()
-	return client.sendBackward(cell.RelayHeader{Cmd: cell.RelayRendezvous2}, reply) == nil
+	return client.originate(cell.RelayHeader{Cmd: cell.RelayRendezvous2}, reply) == nil
 }
 
 // verifyIntroSig checks an ESTABLISH_INTRO self-signature: the service
@@ -670,21 +684,20 @@ func verifyIntroSig(est cell.EstablishIntroPayload) bool {
 
 // teardown releases everything the circuit holds. It may run in a
 // deliver callback: nothing it does parks, and every link it closes
-// sends what was written to it first.
+// sends what was written to it first. The circuit is marked destroyed,
+// uncounted and unregistered in one hold of mu, so whoever sees it
+// destroyed under mu sees all three done.
 func (c *circuit) teardown() {
-	if !c.destroyed.CompareAndSwap(false, true) {
-		return
-	}
 	r := c.relay
 	c.mu.Lock()
+	if !c.destroyed.CompareAndSwap(false, true) {
+		c.mu.Unlock()
+		return
+	}
 	nextID, next := c.nextCircID, c.next
 	joined, streams := c.joined, c.streams
 	c.joined, c.streams = nil, nil
-	cookie, introID := c.cookie, c.introID
-	counted := c.layer != nil
-	c.mu.Unlock()
-
-	if counted {
+	if c.layer != nil {
 		r.m.circDestroyed.Inc()
 		r.m.openCircs.Add(-1)
 	}
@@ -693,20 +706,19 @@ func (c *circuit) teardown() {
 	// service that re-established on a new circuit keeps its registration
 	// when the old one goes.
 	r.mu.Lock()
-	delete(r.circuits, c)
-	if cookie != "" && r.rendezvous[cookie] == c {
-		delete(r.rendezvous, cookie)
+	if c.cookie != "" && r.rendezvous[c.cookie] == c {
+		delete(r.rendezvous, c.cookie)
 	}
-	if introID != "" && r.intros[introID] == c {
-		delete(r.intros, introID)
+	if c.introID != "" && r.intros[c.introID] == c {
+		delete(r.intros, c.introID)
 	}
 	r.mu.Unlock()
+	c.mu.Unlock()
 	for _, s := range streams {
 		s.Close()
 	}
 	if next != nil {
-		destroy := linkFrame(nextID, cell.CmdDestroy, nil)
-		next.WriteAsync(destroy[:])
+		writeLink(next, nextID, cell.CmdDestroy, nil)
 		next.Close()
 	}
 	c.conn.Close()

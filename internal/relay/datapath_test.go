@@ -191,6 +191,7 @@ func teardownForwardStress(t *testing.T, n *simnet.Network) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	track(t, r)
 	defer r.Close()
 
 	sink := &sinkState{counts: map[byte]int{}}
@@ -317,8 +318,8 @@ func teardownForwardStress(t *testing.T, n *simnet.Network) {
 			sc.conn.Close()
 		}
 	}
-	if !waitUntil(30*time.Second, func() bool { return lenOf(r, r.circuits) == 0 }) {
-		t.Errorf("circuit table not drained after teardown: %d live", lenOf(r, r.circuits))
+	if !waitUntil(30*time.Second, func() bool { return len(circuitsOf(r)) == 0 }) {
+		t.Errorf("circuits not torn down after their links closed: %d live", len(circuitsOf(r)))
 	}
 
 	sink.mu.Lock()

@@ -1,10 +1,7 @@
 package relay
 
 import (
-	"sync"
-
 	"github.com/bento-nfv/bento/internal/cell"
-	"github.com/bento-nfv/bento/internal/otr"
 	"github.com/bento-nfv/bento/internal/simnet"
 )
 
@@ -50,13 +47,11 @@ const (
 
 // serve wires an accepted link into a new circuit and returns at once:
 // all further work for this link happens in deliver callbacks. It is the
-// ORPort's accept callback.
-func (r *Relay) serve(conn simnet.LightConn) {
+// ORPort's accept callback; the relay keeps no table of its circuits.
+func (r *Relay) serve(conn simnet.LightConn) *circuit {
 	c := &circuit{relay: r, conn: conn}
-	r.mu.Lock()
-	r.circuits[c] = struct{}{}
-	r.mu.Unlock()
 	conn.SetDeliverFunc(c.onDeliver)
+	return c
 }
 
 // congested reports whether e holds more than the high-water mark of
@@ -202,7 +197,7 @@ func (c *circuit) attachNext(next simnet.LightConn, nextID uint32) bool {
 func (c *circuit) attachStream(streamID uint16, remote simnet.LightConn) {
 	var deliver func(data []byte, eof bool)
 	deliver = func(data []byte, eof bool) {
-		if len(data) > 0 && c.sendBackwardBatch(streamID, data) != nil {
+		if len(data) > 0 && c.originate(cell.RelayHeader{StreamID: streamID, Cmd: cell.RelayData}, data) != nil {
 			c.teardown()
 			return
 		}
@@ -214,56 +209,4 @@ func (c *circuit) attachStream(streamID uint16, remote simnet.LightConn) {
 		}
 	}
 	remote.SetDeliverFunc(deliver)
-}
-
-// bwBatchCells sizes the stream originate batch: as many cells as one
-// simnet chunk (32 KiB) carries, so one delivery from an exit destination
-// — itself at most a chunk — leaves as one or two runs, each sealed and
-// encrypted in one crypto pass and sent in one write. Smaller runs cost
-// every hop behind the exit one delivery each.
-const bwBatchCells = 32 << 10 / cell.Size
-
-// originBatch is sendBackwardBatch's scratch: contiguous frames, their
-// payload views, and the keystream scratch. It is pooled, not per
-// circuit: an exit circuit holds none between deliveries.
-type originBatch struct {
-	frames  [bwBatchCells * cell.Size]byte
-	views   [bwBatchCells][]byte
-	scratch otr.CryptScratch
-}
-
-var originBatches = sync.Pool{New: func() any { return new(originBatch) }}
-
-// sendBackwardBatch originates backward DATA cells for a stream from one
-// buffer, bwBatchCells at a time: pack the frames into the batch scratch,
-// fold the rolling digest over the run, generate one keystream for all of
-// it (byte-identical to per-cell sends), and write the run toward the
-// client in one WriteAsync. It is the one stream-origination path.
-func (c *circuit) sendBackwardBatch(streamID uint16, data []byte) error {
-	b := originBatches.Get().(*originBatch)
-	defer originBatches.Put(b)
-	c.bwMu.Lock()
-	defer c.bwMu.Unlock()
-	for len(data) > 0 {
-		n := 0
-		for ; len(data) > 0 && n < bwBatchCells; n++ {
-			chunk := data[:min(len(data), cell.MaxRelayData)]
-			frame := b.frames[n*cell.Size : (n+1)*cell.Size]
-			payload := cell.WirePayload(frame)
-			if err := cell.PackRelay(payload, cell.RelayHeader{StreamID: streamID, Cmd: cell.RelayData}, chunk); err != nil {
-				return err
-			}
-			cell.SetWireCircID(frame, c.circID)
-			cell.SetWireCmd(frame, cell.CmdRelay)
-			b.views[n] = payload
-			data = data[len(chunk):]
-		}
-		c.relay.m.originated.Add(int64(n))
-		c.layer.SealBackwardBatch(b.views[:n], cell.DigestOffset)
-		c.layer.ApplyBackwardBatch(b.views[:n], &b.scratch)
-		if err := c.conn.WriteAsync(b.frames[:n*cell.Size]); err != nil {
-			return err
-		}
-	}
-	return nil
 }

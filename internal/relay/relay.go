@@ -56,11 +56,9 @@ type Relay struct {
 	m      relayMetrics
 
 	mu sync.Mutex
-	// circuits holds every circuit from serve to teardown: what Crash
-	// severs. The other three are the hidden-service registrations.
-	// None of them is on the per-cell path: callbacks carry the circuit.
-	// mu is taken after a circuit's mu, never before it.
-	circuits   map[*circuit]struct{}
+	// The hidden-service registrations. No circuit is kept here for its
+	// own sake (callbacks carry it), and none of the tables is on the
+	// per-cell path. mu is taken after a circuit's mu, never before it.
 	rendezvous map[string]*circuit // cookie (hex) -> waiting client circuit
 	intros     map[string]*circuit // service ID -> intro circuit
 	hsdir      map[string][]byte   // service ID -> raw descriptor (HSDir duty)
@@ -91,12 +89,11 @@ func New(host *simnet.Host, cfg Config) (*Relay, error) {
 		idPriv: idPriv,
 		onion:  onion,
 
-		circuits:   make(map[*circuit]struct{}),
 		rendezvous: make(map[string]*circuit),
 		intros:     make(map[string]*circuit),
 		hsdir:      make(map[string][]byte),
 	}
-	if r.ln, err = host.ListenFunc(ORPort, r.serve); err != nil {
+	if r.ln, err = host.ListenFunc(ORPort, func(conn simnet.LightConn) { r.serve(conn) }); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -150,23 +147,6 @@ func (r *Relay) Close() error {
 		hsdir.Close()
 	}
 	return r.ln.Close()
-}
-
-// Crash simulates the relay's machine dying: the listener and every live
-// circuit link are severed immediately, so downstream and upstream
-// neighbors observe connection failures (the failure-injection primitive
-// behind "functions fate-share with the middlebox nodes they run on").
-func (r *Relay) Crash() {
-	r.Close()
-	r.mu.Lock()
-	conns := make([]net.Conn, 0, len(r.circuits))
-	for c := range r.circuits {
-		conns = append(conns, c.conn)
-	}
-	r.mu.Unlock()
-	for _, c := range conns {
-		c.Close()
-	}
 }
 
 func (r *Relay) logf(format string, args ...any) {

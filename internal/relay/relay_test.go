@@ -76,6 +76,7 @@ func newRigOn(t *testing.T, n *simnet.Network, exitPol *policy.ExitPolicy) *rig 
 	if err != nil {
 		t.Fatal(err)
 	}
+	track(t, r)
 	t.Cleanup(func() { r.Close() })
 	return dial(t, n, r, "client", 7)
 }

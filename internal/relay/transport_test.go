@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -68,6 +69,7 @@ func buildNet(t testing.TB, n *simnet.Network, nRelays int) ([]*Relay, *dirauth.
 			t.Fatal(err)
 		}
 		relays = append(relays, r)
+		track(t, r)
 		t.Cleanup(func() { r.Close() })
 	}
 	cons, err := auth.Consensus()
@@ -194,7 +196,7 @@ func TestRendezvousSplice(t *testing.T) {
 
 		cli.conn.Close()
 		svc.conn.Close()
-		eventually(t, "both circuits to be torn down", func() bool { return lenOf(r, r.circuits) == 0 })
+		eventually(t, "both circuits to be torn down", func() bool { return len(circuitsOf(r)) == 0 })
 		if lenOf(r, r.rendezvous) != 0 {
 			t.Fatalf("rendezvous table not cleaned: %d", lenOf(r, r.rendezvous))
 		}
@@ -219,7 +221,7 @@ func TestDestroyPropagates(t *testing.T) {
 
 		done := make(chan struct{})
 		circ.OnClose(func() { close(done) })
-		relays[1].Crash()
+		crashHost(n, relays[1])
 		select {
 		case <-done:
 		case <-time.After(10 * time.Second):
@@ -318,7 +320,7 @@ func TestHSRegistrationsOwned(t *testing.T) {
 		}
 		flood.expectDead(t, "second ESTABLISH_RENDEZVOUS on one circuit")
 		flood.conn.Close()
-		eventually(t, "the flooding circuit's teardown", func() bool { return lenOf(r, r.circuits) == 0 })
+		eventually(t, "the flooding circuit's teardown", func() bool { return len(circuitsOf(r)) == 0 })
 		if got := lenOf(r, r.rendezvous); got != 0 {
 			t.Fatalf("%d rendezvous entries left behind by a torn-down circuit", got)
 		}
@@ -337,7 +339,7 @@ func TestHSRegistrationsOwned(t *testing.T) {
 			t.Fatalf("ESTABLISH_INTRO on B: got %v", hdr.Cmd)
 		}
 		a.conn.Close()
-		eventually(t, "circuit A's teardown", func() bool { return lenOf(r, r.circuits) == 1 })
+		eventually(t, "circuit A's teardown", func() bool { return len(circuitsOf(r)) == 1 })
 
 		cli := dial(t, n, r, "cli", 43)
 		intro, _ := cell.EncodeControl(&cell.Introduce1Payload{ServiceID: hex.EncodeToString(pub), Inner: []byte("hello")})
@@ -350,7 +352,7 @@ func TestHSRegistrationsOwned(t *testing.T) {
 		}
 		b.conn.Close()
 		cli.conn.Close()
-		eventually(t, "the last circuits' teardown", func() bool { return lenOf(r, r.circuits) == 0 })
+		eventually(t, "the last circuits' teardown", func() bool { return len(circuitsOf(r)) == 0 })
 		if got := lenOf(r, r.intros); got != 0 {
 			t.Fatalf("%d intro entries left behind", got)
 		}
@@ -377,19 +379,73 @@ func silentListener(t *testing.T, h *simnet.Host) {
 	}()
 }
 
-// theCircuit returns the one circuit in r's table for which pick holds.
+// served holds every circuit each tracked relay has served: the relay
+// keeps no table of its circuits, so a test that looks at them keeps one.
+var served = struct {
+	sync.Mutex
+	circs map[*Relay][]*circuit
+}{circs: map[*Relay][]*circuit{}}
+
+// track re-listens r's ORPort through serve, so that every circuit r
+// serves from here on is in circuitsOf(r).
+func track(t testing.TB, r *Relay) {
+	t.Helper()
+	r.ln.Close()
+	ln, err := r.host.ListenFunc(ORPort, func(conn simnet.LightConn) {
+		c := r.serve(conn)
+		served.Lock()
+		served.circs[r] = append(served.circs[r], c)
+		served.Unlock()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.ln = ln
+	t.Cleanup(func() {
+		served.Lock()
+		delete(served.circs, r)
+		served.Unlock()
+	})
+}
+
+// circuitsOf returns the circuits a tracked r serves that are not torn
+// down. Destroyed is read under the circuit's mu, which teardown holds
+// until the circuit is uncounted and out of the HS tables.
+func circuitsOf(r *Relay) []*circuit {
+	served.Lock()
+	all := served.circs[r]
+	served.Unlock()
+	var live []*circuit
+	for _, c := range all {
+		c.mu.Lock()
+		if !c.destroyed.Load() {
+			live = append(live, c)
+		}
+		c.mu.Unlock()
+	}
+	return live
+}
+
+// crashHost crashes r's machine through the network's chaos controller.
+func crashHost(n *simnet.Network, r *Relay) {
+	ch := n.Chaos()
+	if ch == nil {
+		ch = n.EnableChaos(1)
+	}
+	ch.CrashHost(r.Host().Name())
+}
+
+// theCircuit returns the one circuit of r's for which pick holds.
 func theCircuit(t *testing.T, r *Relay, pick func(*circuit) bool) *circuit {
 	t.Helper()
 	var found *circuit
-	r.mu.Lock()
-	for c := range r.circuits {
+	for _, c := range circuitsOf(r) {
 		if pick(c) {
 			found = c
 		}
 	}
-	r.mu.Unlock()
 	if found == nil {
-		t.Fatal("no such circuit in the relay's table")
+		t.Fatal("no such circuit served by the relay")
 	}
 	return found
 }
@@ -588,9 +644,12 @@ func TestRendezvous1ClaimedOnce(t *testing.T) {
 	}
 }
 
-// TestCrashClosesEveryServedLink: Crash severs every link the relay
-// serves, from the moment it is accepted — an established circuit's and
-// one whose peer has not sent its CREATE yet. Both peers read EOF.
+// TestCrashClosesEveryServedLink: a crash of the relay's host severs
+// every link the relay serves, from the moment it is accepted — an
+// established circuit's and one whose peer has not sent its CREATE yet.
+// Both peers' reads fail at once (the sever closes their ends too, so
+// they read a closed conn, not EOF), and the relay tears both circuits
+// down.
 func TestCrashClosesEveryServedLink(t *testing.T) {
 	forEachTransport(t, func(t *testing.T, newNet func() *simnet.Network) {
 		n := newNet()
@@ -601,15 +660,17 @@ func TestCrashClosesEveryServedLink(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eventually(t, "both links to be served", func() bool { return lenOf(r, r.circuits) == 2 })
+		eventually(t, "both links to be served", func() bool { return len(circuitsOf(r)) == 2 })
 
-		r.Crash()
+		crashHost(n, r)
 		for what, conn := range map[string]net.Conn{"established circuit": established.conn, "idle link": idle} {
 			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-			if _, err := conn.Read(make([]byte, cell.Size)); err != io.EOF {
-				t.Fatalf("%s: read %v after Crash, want EOF", what, err)
+			_, err := conn.Read(make([]byte, cell.Size))
+			if ne, ok := err.(net.Error); err == nil || ok && ne.Timeout() {
+				t.Fatalf("%s: read %v after the crash, want the link severed", what, err)
 			}
 		}
+		eventually(t, "both circuits torn down", func() bool { return len(circuitsOf(r)) == 0 })
 	})
 }
 
@@ -642,7 +703,7 @@ func TestCrashDuringCreate(t *testing.T) {
 			}
 		}
 		chaos.CrashHost(r.Host().Name())
-		eventually(t, "every circuit torn down", func() bool { return lenOf(r, r.circuits) == 0 })
+		eventually(t, "every circuit torn down", func() bool { return len(circuitsOf(r)) == 0 })
 		if open := r.m.openCircs.Value(); open != 0 {
 			t.Fatalf("round %d: relay.open_circuits reads %d after Crash tore every circuit down", round, open)
 		}

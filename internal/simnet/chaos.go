@@ -46,10 +46,9 @@ type Chaos struct {
 
 	mu          sync.Mutex
 	seed        int64
-	rng         *rand.Rand // dial-level draws
-	defaults    Faults
-	links       map[[2]string]Faults // directed [from, to]
-	partitioned map[[2]string]bool   // directed [from, to]
+	rng         *rand.Rand         // dial-level draws
+	defaults    Faults             // on every link
+	partitioned map[[2]string]bool // directed [from, to]
 	// healWaiters holds the resume callbacks of transmit machines stalled
 	// on a partitioned link; Heal schedules them as events (no polling).
 	healWaiters map[[2]string][]func()
@@ -68,7 +67,6 @@ func (n *Network) EnableChaos(seed int64) *Chaos {
 		net:         n,
 		seed:        seed,
 		rng:         rand.New(rand.NewSource(seed)),
-		links:       make(map[[2]string]Faults),
 		partitioned: make(map[[2]string]bool),
 		healWaiters: make(map[[2]string][]func()),
 		down:        make(map[string]bool),
@@ -83,27 +81,11 @@ func (n *Network) EnableChaos(seed int64) *Chaos {
 // never enabled.
 func (n *Network) Chaos() *Chaos { return n.chaos.Load() }
 
-// SetDefaultFaults sets the faults applied to every link without an
-// explicit override.
+// SetDefaultFaults sets the faults applied to every link.
 func (c *Chaos) SetDefaultFaults(f Faults) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.defaults = f
-}
-
-// SetLinkFaults overrides the faults on the directed link a→b.
-func (c *Chaos) SetLinkFaults(a, b string, f Faults) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.links[[2]string{a, b}] = f
-}
-
-// SetLinkFaultsBoth overrides the faults on both directions of a link.
-func (c *Chaos) SetLinkFaultsBoth(a, b string, f Faults) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.links[[2]string{a, b}] = f
-	c.links[[2]string{b, a}] = f
 }
 
 // Partition blocks the directed link a→b: dials between the two hosts
@@ -216,14 +198,6 @@ func (c *Chaos) HostDown(name string) bool {
 	return c.down[name]
 }
 
-// faultsForLocked returns the faults on the directed link a→b.
-func (c *Chaos) faultsForLocked(a, b string) Faults {
-	if f, ok := c.links[[2]string{a, b}]; ok {
-		return f
-	}
-	return c.defaults
-}
-
 // dialErr reports why a dial from→to must fail, or nil to let it through.
 func (c *Chaos) dialErr(from, to string) error {
 	c.mu.Lock()
@@ -239,7 +213,7 @@ func (c *Chaos) dialErr(from, to string) error {
 		c.logLocked("dialfail-partition %s->%s", from, to)
 		return fmt.Errorf("simnet: network partition between %s and %s", from, to)
 	}
-	f := c.faultsForLocked(from, to)
+	f := c.defaults
 	if f.DialFailProb > 0 && c.rng.Float64() < f.DialFailProb {
 		c.logLocked("dialfail-chaos %s->%s", from, to)
 		return fmt.Errorf("simnet: connection lost dialing %s from %s (chaos)", to, from)
@@ -277,7 +251,7 @@ func (c *Chaos) chunkFaults(rng *rand.Rand, from, to string) (extra time.Duratio
 	m := c.net.metrics()
 	var losses, jitters bool
 	c.mu.Lock()
-	f := c.faultsForLocked(from, to)
+	f := c.defaults
 	if f.BreakProb > 0 && rng.Float64() < f.BreakProb {
 		c.logLocked("break %s->%s", from, to)
 		c.mu.Unlock()

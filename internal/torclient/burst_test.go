@@ -69,12 +69,11 @@ func newLinkCircuit(t *testing.T, n *simnet.Network, egress float64, layer *otr.
 	}
 	t.Cleanup(func() { far.Close() })
 	circ := &Circuit{
-		client:   New(clientHost, nil, 1),
-		conn:     link.(simnet.LightConn),
-		circID:   9,
-		sendWire: make([]byte, cell.Size),
-		layers:   []*otr.Layer{layer},
-		streams:  make(map[uint16]*Stream),
+		client:  New(clientHost, nil, 1),
+		conn:    link.(simnet.LightConn),
+		circID:  9,
+		layers:  []*otr.Layer{layer},
+		streams: make(map[uint16]*Stream),
 	}
 	circ.ctrlCond = simnet.NewCond(circ.client.Clock(), &circ.ctrlMu)
 	t.Cleanup(func() { circ.Close() })
@@ -82,7 +81,7 @@ func newLinkCircuit(t *testing.T, n *simnet.Network, egress float64, layer *otr.
 }
 
 func (rr *runRig) stream(id uint16) *Stream {
-	s := newStream(rr.circ, id, false)
+	s := newStream(rr.circ, id, hopEnd)
 	rr.circ.streams[id] = s
 	return s
 }

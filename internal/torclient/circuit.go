@@ -20,7 +20,6 @@ var ErrCircuitClosed = errors.New("torclient: circuit closed")
 
 // ctrlMsg is a control relay cell routed to a waiting operation.
 type ctrlMsg struct {
-	hop  int
 	hdr  cell.RelayHeader
 	data []byte
 }
@@ -31,8 +30,17 @@ type ctrlMsg struct {
 type serviceState struct {
 	layer    *otr.Layer
 	acceptor func(net.Conn)
-	streams  map[uint16]*Stream
 }
+
+// end is where a relay cell of the client's is originated to or
+// recognized at: a hop of the circuit (originated: the last one), or the
+// service layer of a rendezvous circuit this client serves.
+type end uint8
+
+const (
+	hopEnd end = iota
+	serviceEnd
+)
 
 // Circuit is a client-built onion circuit. A deliver callback reads its
 // guard link and senders write it directly, so an idle circuit holds no
@@ -44,21 +52,10 @@ type Circuit struct {
 	circID uint32
 
 	// sendMu orders what goes out on the guard link: forward crypto must
-	// advance in wire order, so sealing a cell and its conn.Write, which
-	// can park, happen under it. The deliver callback never takes it.
+	// advance in wire order, so sealing a run and its conn.Write, which
+	// can park, happen under it (originate). The deliver callback never
+	// takes it.
 	sendMu sync.Mutex
-	// sendWire is the reused outbound frame: every relay cell is packed,
-	// sealed, and onion-encrypted in place here and put on the wire with a
-	// single conn.Write (which copies synchronously).
-	sendWire []byte
-	// batchWire/batchViews/scratch are the reused buffers of the batched
-	// data path (sendData): up to clientBatchCells DATA cells packed into
-	// one contiguous run, onion-encrypted with a single keystream pass
-	// per layer, and written in one call. Lazily allocated — circuits
-	// that never carry bulk data never pay for them.
-	batchWire  []byte
-	batchViews [][]byte
-	scratch    otr.CryptScratch
 
 	// mu guards what the deliver callback touches and is never held
 	// across a park. layers, path and svc change under both locks, sendMu
@@ -66,7 +63,7 @@ type Circuit struct {
 	mu         sync.Mutex
 	layers     []*otr.Layer
 	path       []*dirauth.Descriptor
-	streams    map[uint16]*Stream
+	streams    map[uint16]*Stream // the client's, and the service's on a rendezvous circuit it serves
 	nextStream uint16
 	svc        *serviceState
 	onIntro2   func(data []byte)
@@ -119,12 +116,11 @@ func (c *Client) buildCircuit(path []*dirauth.Descriptor, sp *obs.SpanHandle) (*
 	conn := dialed.(simnet.LightConn) // every simnet conn is one
 	c.mu.Lock()
 	circ := &Circuit{
-		client:   c,
-		conn:     conn,
-		tap:      c.tap,
-		circID:   uint32(c.rng.Int63())<<1 | 1,
-		sendWire: make([]byte, cell.Size),
-		streams:  make(map[uint16]*Stream),
+		client:  c,
+		conn:    conn,
+		tap:     c.tap,
+		circID:  uint32(c.rng.Int63())<<1 | 1,
+		streams: make(map[uint16]*Stream),
 	}
 	c.mu.Unlock()
 	circ.ctrlCond = simnet.NewCond(c.host.Clock(), &circ.ctrlMu)
@@ -139,10 +135,10 @@ func (c *Client) buildCircuit(path []*dirauth.Descriptor, sp *obs.SpanHandle) (*
 		conn.Close()
 		return nil, err
 	}
-	create := cell.Cell{CircID: circ.circID, Cmd: cell.CmdCreate}
-	copy(create.Payload[:], msg)
-	create.EncodeInto(circ.sendWire)
-	if err := circ.write(circ.sendWire); err != nil {
+	o := cell.GetOrigin()
+	err = circ.write(o.Link(circ.circID, cell.CmdCreate, msg))
+	cell.PutOrigin(o)
+	if err != nil {
 		conn.Close()
 		guardSpan.Fail(err)
 		guardSpan.End()
@@ -259,7 +255,7 @@ func (circ *Circuit) extend(hop *dirauth.Descriptor) error {
 	if err != nil {
 		return err
 	}
-	if err := circ.send(cell.RelayHeader{Cmd: cell.RelayExtend}, data); err != nil {
+	if _, err := circ.originate(hopEnd, cell.RelayHeader{Cmd: cell.RelayExtend}, data); err != nil {
 		return err
 	}
 	msgIn, err := circ.awaitCtrl(cell.RelayExtended)
@@ -287,23 +283,48 @@ func (circ *Circuit) extend(hop *dirauth.Descriptor) error {
 	return nil
 }
 
-// send packs and onion-encrypts a relay cell addressed to the last hop.
-func (circ *Circuit) send(hdr cell.RelayHeader, data []byte) error {
+// clientBatchCells is the longest run the client originates: one
+// Stream.Write leaves as runs of up to this many DATA cells, each sealed
+// and encrypted in one crypto pass per layer.
+const clientBatchCells = 16
+
+// originate is the client's one way to put relay cells on the circuit.
+// It packs hdr and data into a pooled run (DATA as up to
+// clientBatchCells cells, any other command as one), seals and encrypts
+// the run for to, and writes it to the guard link in one call. At a hop
+// the run is sealed for the last hop and carries every layer's forward
+// keystream; at the service layer the service, the relay side of the
+// end-to-end layer, seals and encrypts it backward (the connecting client
+// peels that as its last layer) before the circuit's own layers go on. It
+// returns how much of data went out, so a writer can check its deadline
+// between runs.
+func (circ *Circuit) originate(to end, hdr cell.RelayHeader, data []byte) (int, error) {
+	o := cell.GetOrigin()
+	defer cell.PutOrigin(o)
 	circ.sendMu.Lock()
 	defer circ.sendMu.Unlock()
 	if circ.isClosed() {
-		return ErrCircuitClosed
+		return 0, ErrCircuitClosed
 	}
-	payload := cell.WirePayload(circ.sendWire)
-	if err := cell.PackRelay(payload, hdr, data); err != nil {
-		return err
+	used, err := o.Pack(circ.circID, hdr, data, clientBatchCells)
+	if err != nil {
+		return 0, err
 	}
-	target := len(circ.layers) - 1
-	otr.OnionEncrypt(circ.layers, target, payload, cell.DigestOffset)
-	cell.SetWireCircID(circ.sendWire, circ.circID)
-	cell.SetWireCmd(circ.sendWire, cell.CmdRelay)
-	circ.client.m.cellsSent.Inc()
-	return circ.write(circ.sendWire)
+	run := o.Payloads()
+	if to == serviceEnd {
+		circ.svc.layer.SealBackwardBatch(run, cell.DigestOffset)
+		circ.svc.layer.ApplyBackwardBatch(run, &o.Scratch)
+		for i := len(circ.layers) - 1; i >= 0; i-- {
+			circ.layers[i].ApplyForwardBatch(run, &o.Scratch)
+		}
+	} else {
+		otr.OnionCryptBatch(circ.layers, len(circ.layers)-1, run, cell.DigestOffset, &o.Scratch)
+	}
+	circ.client.m.cellsSent.Add(int64(len(run)))
+	if err := circ.write(o.Frames()); err != nil {
+		return 0, err
+	}
+	return used, nil
 }
 
 // write puts whole cells on the guard link and reports them to the tap.
@@ -325,56 +346,6 @@ func (circ *Circuit) tapCells(dir, n int) {
 	}
 }
 
-// clientBatchCells sizes the batched data path: one Stream.Write turns
-// into runs of up to this many DATA cells encrypted per crypto pass.
-// It matches the relay's backward batch so both directions amortize the
-// same way.
-const clientBatchCells = 16
-
-// sendData packs up to clientBatchCells DATA cells from p into the
-// reused contiguous batch buffer, onion-encrypts the whole run with one
-// batched keystream pass per layer (byte-identical to per-cell sends),
-// and writes it to the guard link in a single call. It consumes
-// at most one batch so callers can re-check write deadlines between
-// batches, and returns the number of bytes taken from p.
-func (circ *Circuit) sendData(streamID uint16, p []byte) (int, error) {
-	circ.sendMu.Lock()
-	defer circ.sendMu.Unlock()
-	if circ.isClosed() {
-		return 0, ErrCircuitClosed
-	}
-	if circ.batchWire == nil {
-		circ.batchWire = make([]byte, clientBatchCells*cell.Size)
-		circ.batchViews = make([][]byte, 0, clientBatchCells)
-	}
-	hdr := cell.RelayHeader{StreamID: streamID, Cmd: cell.RelayData}
-	views := circ.batchViews[:0]
-	n, used := 0, 0
-	for used < len(p) && n < clientBatchCells {
-		chunk := p[used:]
-		if len(chunk) > cell.MaxRelayData {
-			chunk = chunk[:cell.MaxRelayData]
-		}
-		frame := circ.batchWire[n*cell.Size : (n+1)*cell.Size]
-		payload := cell.WirePayload(frame)
-		if err := cell.PackRelay(payload, hdr, chunk); err != nil {
-			return 0, err
-		}
-		cell.SetWireCircID(frame, circ.circID)
-		cell.SetWireCmd(frame, cell.CmdRelay)
-		views = append(views, payload)
-		used += len(chunk)
-		n++
-	}
-	circ.batchViews = views
-	otr.OnionCryptBatch(circ.layers, len(circ.layers)-1, views, cell.DigestOffset, &circ.scratch)
-	circ.client.m.cellsSent.Add(int64(n))
-	if err := circ.write(circ.batchWire[:n*cell.Size]); err != nil {
-		return 0, err
-	}
-	return used, nil
-}
-
 // SendDrop sends a long-range padding cell addressed to the last hop,
 // carrying len junk bytes (capped at the cell data size). Used for
 // client-originated cover traffic.
@@ -382,7 +353,8 @@ func (circ *Circuit) SendDrop(junk []byte) error {
 	if len(junk) > cell.MaxRelayData {
 		junk = junk[:cell.MaxRelayData]
 	}
-	return circ.send(cell.RelayHeader{Cmd: cell.RelayDrop}, junk)
+	_, err := circ.originate(hopEnd, cell.RelayHeader{Cmd: cell.RelayDrop}, junk)
+	return err
 }
 
 func (circ *Circuit) isClosed() bool { return circ.closed.Load() }
@@ -413,22 +385,16 @@ func (circ *Circuit) closeWithReason(cause error) error {
 	// The relay's end of the link keeps this conn, and through the
 	// callback the circuit, reachable until it closes too.
 	circ.conn.SetDeliverFunc(nil)
-	var destroy [cell.Size]byte
-	cell.SetWireCircID(destroy[:], circ.circID)
-	cell.SetWireCmd(destroy[:], cell.CmdDestroy)
-	if circ.conn.WriteAsync(destroy[:]) == nil {
+	o := cell.GetOrigin()
+	if circ.conn.WriteAsync(o.Link(circ.circID, cell.CmdDestroy, nil)) == nil {
 		circ.tapCells(+1, cell.Size)
 	}
+	cell.PutOrigin(o)
 	circ.conn.Close()
 
 	circ.mu.Lock()
 	streams := circ.streams
 	circ.streams = map[uint16]*Stream{}
-	var svcStreams map[uint16]*Stream
-	if circ.svc != nil {
-		svcStreams = circ.svc.streams
-		circ.svc.streams = map[uint16]*Stream{}
-	}
 	circ.mu.Unlock()
 	streamErr := ErrCircuitClosed
 	if cause != nil {
@@ -437,9 +403,6 @@ func (circ *Circuit) closeWithReason(cause error) error {
 		circ.client.noteCircuitFailure(circ)
 	}
 	for _, s := range streams {
-		s.closeWithError(streamErr)
-	}
-	for _, s := range svcStreams {
 		s.closeWithError(streamErr)
 	}
 	for _, f := range onClose {
@@ -522,76 +485,93 @@ func (circ *Circuit) handleRun(run *cell.Burst) bool {
 }
 
 // handleRelay routes one inbound relay payload: cell k of the run pend
-// gathers from (the payload aliases it; valid only until return).
+// gathers from (the payload aliases it; valid only until return). A cell
+// is recognized at a hop or, on a rendezvous circuit this client serves,
+// at the service layer; from there on it takes one dispatch. At the
+// service layer only stream cells count: BEGIN, DATA, END and DROP. A
+// stream takes cells recognized at its own end only.
 func (circ *Circuit) handleRelay(payload []byte, k int, pend *streamData) {
 	circ.mu.Lock()
-	hop := otr.OnionDecrypt(circ.layers, payload, cell.RecognizedOffset, cell.DigestOffset)
-	if hop < 0 && circ.svc != nil {
-		// Possibly a cell at the service layer from a rendezvous client.
-		circ.svc.layer.ApplyForward(payload)
-		if cell.Recognized(payload) && circ.svc.layer.VerifyForward(payload, cell.DigestOffset) {
-			hdr, data, err := cell.ParseRelay(payload)
+	at := hopEnd
+	if otr.OnionDecrypt(circ.layers, payload, cell.RecognizedOffset, cell.DigestOffset) < 0 {
+		svc := circ.svc
+		if svc == nil {
 			circ.mu.Unlock()
-			if err == nil {
-				circ.handleServiceCell(hdr, data, k, pend)
-			}
+			return // garbled or stray cell; drop
+		}
+		// Possibly a cell at the service layer from a rendezvous client.
+		svc.layer.ApplyForward(payload)
+		if !cell.Recognized(payload) || !svc.layer.VerifyForward(payload, cell.DigestOffset) {
+			circ.mu.Unlock()
 			return
 		}
-	}
-	if hop < 0 {
-		circ.mu.Unlock()
-		return // garbled or stray cell; drop
+		at = serviceEnd
 	}
 	hdr, data, err := cell.ParseRelay(payload)
-	if err != nil {
+	if err != nil || at == serviceEnd && !serviceCmd(hdr.Cmd) {
 		circ.mu.Unlock()
 		return
 	}
-	if hdr.Cmd == cell.RelayData {
-		s := circ.streams[hdr.StreamID]
-		circ.mu.Unlock()
+	s := circ.streams[hdr.StreamID]
+	if s != nil && s.at != at {
+		s = nil
+	}
+	begun := false
+	switch {
+	case hdr.Cmd == cell.RelayEnd && s != nil:
+		delete(circ.streams, hdr.StreamID)
+	case hdr.Cmd == cell.RelayBegin && at == serviceEnd && circ.streams[hdr.StreamID] == nil:
+		s, begun = newStream(circ, hdr.StreamID, serviceEnd), true
+		s.open = true
+		circ.streams[hdr.StreamID] = s
+	}
+	svc, onIntro2 := circ.svc, circ.onIntro2
+	circ.mu.Unlock()
+	if hdr.Cmd != cell.RelayData {
+		pend.flush()
+	}
+	switch hdr.Cmd {
+	case cell.RelayData:
 		if s != nil {
 			pend.add(s, k, len(data))
 		}
-		return
-	}
-	circ.mu.Unlock()
-	pend.flush()
-	circ.mu.Lock()
-	switch hdr.Cmd {
+	case cell.RelayBegin:
+		if begun {
+			// A deliver callback never sends: CONNECTED goes out from
+			// the acceptor's goroutine, ahead of the acceptor.
+			circ.client.Clock().Go(func() {
+				if _, err := circ.originate(serviceEnd, cell.RelayHeader{StreamID: s.id, Cmd: cell.RelayConnected}, nil); err == nil {
+					svc.acceptor(s)
+				}
+			})
+		}
 	case cell.RelayEnd:
-		s := circ.streams[hdr.StreamID]
-		delete(circ.streams, hdr.StreamID)
-		circ.mu.Unlock()
 		if s != nil {
-			if hdr.StreamID != 0 {
-				s.deliverEOF()
-			}
-		} else if hdr.StreamID == 0 {
+			s.deliverEOF()
+		} else if hdr.StreamID == 0 && at == hopEnd {
 			// Control-level END (e.g. introduce failure): surface it.
-			circ.pushCtrl(ctrlMsg{hop: hop, hdr: hdr, data: bytes.Clone(data)})
+			circ.pushCtrl(ctrlMsg{hdr: hdr, data: bytes.Clone(data)})
 		}
 	case cell.RelayConnected:
-		s := circ.streams[hdr.StreamID]
-		circ.mu.Unlock()
 		if s != nil {
 			s.connected()
 		}
 	case cell.RelayIntroduce2:
-		cb := circ.onIntro2
-		circ.mu.Unlock()
-		if cb != nil {
-			// cb may send, and a deliver callback never does.
+		if onIntro2 != nil {
+			// onIntro2 may send, and a deliver callback never does.
 			data := bytes.Clone(data)
-			circ.client.Clock().Go(func() { cb(data) })
+			circ.client.Clock().Go(func() { onIntro2(data) })
 		}
 	case cell.RelayDrop:
-		circ.mu.Unlock()
-		// Inbound cover traffic: absorbed.
+		// Cover traffic: absorbed.
 	default:
-		circ.mu.Unlock()
-		circ.pushCtrl(ctrlMsg{hop: hop, hdr: hdr, data: bytes.Clone(data)})
+		circ.pushCtrl(ctrlMsg{hdr: hdr, data: bytes.Clone(data)})
 	}
+}
+
+// serviceCmd reports whether the service layer takes cmd.
+func serviceCmd(cmd cell.RelayCommand) bool {
+	return cmd == cell.RelayBegin || cmd == cell.RelayData || cmd == cell.RelayEnd || cmd == cell.RelayDrop
 }
 
 // pushCtrl queues a control cell for awaitCtrl. A full queue drops it

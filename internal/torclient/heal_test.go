@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/bento-nfv/bento/internal/dirauth"
+	"github.com/bento-nfv/bento/internal/relay"
 	"github.com/bento-nfv/bento/internal/simnet"
 )
 
@@ -104,7 +105,7 @@ func TestRelayCrashMidStreamHeals(t *testing.T) {
 
 	// Crash the middle relay while the stream is live.
 	crashed := circ.Path()[1]
-	tn.relays[relayIndex(t, crashed.Nickname)].Crash()
+	tn.crash(tn.relays[relayIndex(t, crashed.Nickname)])
 
 	// The stream must fail promptly — the guard relays a DESTROY as soon
 	// as its downstream link drops. The deadline is a generous upper
@@ -152,8 +153,8 @@ func TestDialResilientRoutesAroundCrashes(t *testing.T) {
 	tn.startEcho(t, "web", 80)
 	client := New(tn.net.AddHost("client", 0), tn.cons, 4)
 	client.SetCtrlTimeout(30 * time.Second) // virtual; speeds stall detection
-	tn.relays[0].Crash()
-	tn.relays[1].Crash()
+	tn.crash(tn.relays[0])
+	tn.crash(tn.relays[1])
 
 	conn, circ, err := client.DialResilient("web", 80, "web:80", 8)
 	if err != nil {
@@ -203,6 +204,15 @@ func TestStreamWriteDeadline(t *testing.T) {
 	if _, err := io.ReadAtLeast(conn, buf, 4); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// crash crashes r's machine through the network's chaos controller.
+func (tn *testNet) crash(r *relay.Relay) {
+	ch := tn.net.Chaos()
+	if ch == nil {
+		ch = tn.net.EnableChaos(1)
+	}
+	ch.CrashHost(r.Host().Name())
 }
 
 func relayIndex(t *testing.T, nickname string) int {

@@ -2,7 +2,6 @@ package torclient
 
 import (
 	"crypto/ed25519"
-	"fmt"
 	"net"
 
 	"github.com/bento-nfv/bento/internal/cell"
@@ -21,7 +20,7 @@ func (circ *Circuit) EstablishRendezvous(cookie []byte) error {
 	if err != nil {
 		return err
 	}
-	if err := circ.send(cell.RelayHeader{Cmd: cell.RelayEstablishRendezvous}, data); err != nil {
+	if _, err := circ.originate(hopEnd, cell.RelayHeader{Cmd: cell.RelayEstablishRendezvous}, data); err != nil {
 		return err
 	}
 	_, err = circ.awaitCtrl(cell.RelayRendezvousEstablished)
@@ -35,7 +34,7 @@ func (circ *Circuit) SendIntroduce1(serviceID string, inner []byte) error {
 	if err != nil {
 		return err
 	}
-	if err := circ.send(cell.RelayHeader{Cmd: cell.RelayIntroduce1}, data); err != nil {
+	if _, err := circ.originate(hopEnd, cell.RelayHeader{Cmd: cell.RelayIntroduce1}, data); err != nil {
 		return err
 	}
 	_, err = circ.awaitCtrl(cell.RelayIntroduceAck)
@@ -84,7 +83,7 @@ func (circ *Circuit) EstablishIntro(priv ed25519.PrivateKey, serviceID string, o
 	circ.mu.Lock()
 	circ.onIntro2 = onIntroduce2
 	circ.mu.Unlock()
-	if err := circ.send(cell.RelayHeader{Cmd: cell.RelayEstablishIntro}, data); err != nil {
+	if _, err := circ.originate(hopEnd, cell.RelayHeader{Cmd: cell.RelayEstablishIntro}, data); err != nil {
 		return err
 	}
 	_, err = circ.awaitCtrl(cell.RelayIntroEstablished)
@@ -99,7 +98,8 @@ func (circ *Circuit) SendRendezvous1(cookie, reply []byte) error {
 	if err != nil {
 		return err
 	}
-	return circ.send(cell.RelayHeader{Cmd: cell.RelayRendezvous1}, data)
+	_, err = circ.originate(hopEnd, cell.RelayHeader{Cmd: cell.RelayRendezvous1}, data)
+	return err
 }
 
 // AttachServiceLayer installs the hidden-service side of a completed
@@ -113,104 +113,8 @@ func (circ *Circuit) AttachServiceLayer(keys []byte, acceptor func(net.Conn)) er
 	}
 	circ.sendMu.Lock()
 	circ.mu.Lock()
-	circ.svc = &serviceState{
-		layer:    layer,
-		acceptor: acceptor,
-		streams:  make(map[uint16]*Stream),
-	}
+	circ.svc = &serviceState{layer: layer, acceptor: acceptor}
 	circ.mu.Unlock()
 	circ.sendMu.Unlock()
 	return nil
-}
-
-// handleServiceCell processes a relay cell recognized at the service
-// layer (called from the deliver callback with circ.mu released): cell k
-// of the run pend gathers stream data from. DATA joins pend; anything
-// else flushes it first.
-func (circ *Circuit) handleServiceCell(hdr cell.RelayHeader, data []byte, k int, pend *streamData) {
-	if hdr.Cmd != cell.RelayData {
-		pend.flush()
-	}
-	switch hdr.Cmd {
-	case cell.RelayBegin:
-		s := newStream(circ, hdr.StreamID, true)
-		s.connected()
-		circ.mu.Lock()
-		svc := circ.svc
-		if svc != nil {
-			svc.streams[hdr.StreamID] = s
-		}
-		circ.mu.Unlock()
-		if svc == nil {
-			return
-		}
-		// A deliver callback never sends: CONNECTED goes out from the
-		// acceptor's goroutine, ahead of the acceptor.
-		circ.client.Clock().Go(func() {
-			if circ.sendServiceCell(cell.RelayHeader{StreamID: hdr.StreamID, Cmd: cell.RelayConnected}, nil) == nil {
-				svc.acceptor(s)
-			}
-		})
-	case cell.RelayData:
-		circ.mu.Lock()
-		var s *Stream
-		if circ.svc != nil {
-			s = circ.svc.streams[hdr.StreamID]
-		}
-		circ.mu.Unlock()
-		if s != nil {
-			pend.add(s, k, len(data))
-		}
-	case cell.RelayEnd:
-		circ.mu.Lock()
-		var s *Stream
-		if circ.svc != nil {
-			s = circ.svc.streams[hdr.StreamID]
-			delete(circ.svc.streams, hdr.StreamID)
-		}
-		circ.mu.Unlock()
-		if s != nil {
-			s.deliverEOF()
-		}
-	case cell.RelayDrop:
-		// Cover traffic at the service layer: absorbed.
-	}
-}
-
-// sendServiceCell originates a cell at the service layer and pushes it
-// through the circuit toward the rendezvous point and on to the client.
-func (circ *Circuit) sendServiceCell(hdr cell.RelayHeader, data []byte) error {
-	circ.sendMu.Lock()
-	defer circ.sendMu.Unlock()
-	svc := circ.svc
-	if svc == nil {
-		return fmt.Errorf("torclient: no service layer attached")
-	}
-	payload := cell.WirePayload(circ.sendWire)
-	if err := cell.PackRelay(payload, hdr, data); err != nil {
-		return err
-	}
-	// The service is the "relay side" of the end-to-end layer: it seals
-	// and encrypts in the backward direction, which the client peels as
-	// its final onion layer.
-	svc.layer.SealBackward(payload, cell.DigestOffset)
-	svc.layer.ApplyBackward(payload)
-
-	if circ.isClosed() {
-		return ErrCircuitClosed
-	}
-	for i := len(circ.layers) - 1; i >= 0; i-- {
-		circ.layers[i].ApplyForward(payload)
-	}
-	cell.SetWireCircID(circ.sendWire, circ.circID)
-	cell.SetWireCmd(circ.sendWire, cell.CmdRelay)
-	return circ.write(circ.sendWire)
-}
-
-func (circ *Circuit) dropServiceStream(id uint16) {
-	circ.mu.Lock()
-	if circ.svc != nil {
-		delete(circ.svc.streams, id)
-	}
-	circ.mu.Unlock()
 }

@@ -109,7 +109,7 @@ func TestDeliveryPassesParkedWriter(t *testing.T) {
 	clientSide, relaySide := testLayers(t)
 	circ, far := newLinkCircuit(t, simnet.NewNetwork(clock, time.Millisecond), 0, clientSide)
 	circ.conn.SetDeliverFunc(circ.onDeliver)
-	s := newStream(circ, 1, false)
+	s := newStream(circ, 1, hopEnd)
 	s.connected()
 	circ.streams[1] = s
 

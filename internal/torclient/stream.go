@@ -13,13 +13,13 @@ import (
 )
 
 // Stream is an anonymous byte stream carried over a circuit. It implements
-// net.Conn. A stream belongs either to a client circuit (data addressed to
-// the last hop) or to a hidden service's session (data addressed at the
-// service layer).
+// net.Conn. A stream's cells go to and come from one end of the circuit:
+// the last hop for a stream the client opened, the service layer for one
+// a rendezvous client opened to this client's hidden service.
 type Stream struct {
-	circ    *Circuit
-	id      uint16
-	service bool // true when this is the HS side of a rendezvous session
+	circ *Circuit
+	id   uint16
+	at   end
 
 	mu   sync.Mutex
 	cond *simnet.Cond      // on mu: data, EOF, an error, CONNECTED, or a deadline
@@ -37,8 +37,8 @@ type Stream struct {
 	hasWDeadline bool
 }
 
-func newStream(circ *Circuit, id uint16, service bool) *Stream {
-	s := &Stream{circ: circ, id: id, service: service}
+func newStream(circ *Circuit, id uint16, at end) *Stream {
+	s := &Stream{circ: circ, id: id, at: at}
 	s.cond = simnet.NewCond(circ.client.Clock(), &s.mu)
 	return s
 }
@@ -63,9 +63,12 @@ func (circ *Circuit) OpenStream(target string) (net.Conn, error) {
 
 func (circ *Circuit) openStream(target string) (net.Conn, error) {
 	circ.mu.Lock()
-	circ.nextStream++
-	id := circ.nextStream
-	s := newStream(circ, id, false)
+	id := circ.nextStream + 1
+	for id == 0 || circ.streams[id] != nil {
+		id++ // the ID space is shared with a served rendezvous client's
+	}
+	circ.nextStream = id
+	s := newStream(circ, id, hopEnd)
 	circ.streams[id] = s
 	circ.mu.Unlock()
 
@@ -73,8 +76,8 @@ func (circ *Circuit) openStream(target string) (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := circ.send(cell.RelayHeader{StreamID: id, Cmd: cell.RelayBegin}, data); err != nil {
-		circ.dropStream(id)
+	if _, err := circ.originate(hopEnd, cell.RelayHeader{StreamID: id, Cmd: cell.RelayBegin}, data); err != nil {
+		circ.dropStream(s)
 		return nil, err
 	}
 	// Circuit teardown reaches the stream too (closeWithError), so the
@@ -99,13 +102,17 @@ func (circ *Circuit) openStream(target string) (net.Conn, error) {
 		err = fmt.Errorf("torclient: timeout opening stream to %s", target)
 		circ.closeWithReason(err)
 	}
-	circ.dropStream(id)
+	circ.dropStream(s)
 	return nil, err
 }
 
-func (circ *Circuit) dropStream(id uint16) {
+// dropStream takes s out of the stream table, unless its ID has been
+// reused since.
+func (circ *Circuit) dropStream(s *Stream) {
 	circ.mu.Lock()
-	delete(circ.streams, id)
+	if circ.streams[s.id] == s {
+		delete(circ.streams, s.id)
+	}
 	circ.mu.Unlock()
 }
 
@@ -163,13 +170,10 @@ func (s *Stream) Read(p []byte) (int, error) {
 	}
 }
 
-// Write implements net.Conn, chunking into DATA cells. Client streams
-// take the batched path: up to clientBatchCells cells packed, sealed,
-// and onion-encrypted per crypto pass (service streams stay per-cell —
-// the extra rendezvous layer is driven by the service handler, which
-// interleaves sends). The write deadline is checked before each batch:
-// a Write that straddles an expiring deadline reports the bytes already
-// sent alongside the timeout.
+// Write implements net.Conn, chunking into runs of up to
+// clientBatchCells DATA cells (originate). The write deadline is checked
+// before each run: a Write that straddles an expiring deadline reports
+// the bytes already sent alongside the timeout.
 func (s *Stream) Write(p []byte) (int, error) {
 	clock := s.circ.client.Clock()
 	total := 0
@@ -180,17 +184,7 @@ func (s *Stream) Write(p []byte) (int, error) {
 		if expired {
 			return total, errStreamTimeout
 		}
-		var n int
-		var err error
-		if s.service {
-			n = len(p)
-			if n > cell.MaxRelayData {
-				n = cell.MaxRelayData
-			}
-			err = s.circ.sendServiceCell(cell.RelayHeader{StreamID: s.id, Cmd: cell.RelayData}, p[:n])
-		} else {
-			n, err = s.circ.sendData(s.id, p)
-		}
+		n, err := s.circ.originate(s.at, cell.RelayHeader{StreamID: s.id, Cmd: cell.RelayData}, p)
 		if err != nil {
 			return total, err
 		}
@@ -203,14 +197,8 @@ func (s *Stream) Write(p []byte) (int, error) {
 // Close implements net.Conn, sending END upstream.
 func (s *Stream) Close() error {
 	data, _ := cell.EncodeControl(&cell.EndPayload{Reason: "closed"})
-	hdr := cell.RelayHeader{StreamID: s.id, Cmd: cell.RelayEnd}
-	if s.service {
-		s.circ.sendServiceCell(hdr, data)
-		s.circ.dropServiceStream(s.id)
-	} else {
-		s.circ.send(hdr, data)
-		s.circ.dropStream(s.id)
-	}
+	s.circ.originate(s.at, cell.RelayHeader{StreamID: s.id, Cmd: cell.RelayEnd}, data)
+	s.circ.dropStream(s)
 	s.mu.Lock()
 	s.eof = true
 	s.rdTimer.Stop()

@@ -39,8 +39,8 @@ func TestTapParityUnderCoalescing(t *testing.T) {
 	circ, far := newLinkCircuit(t, simnet.NewNetwork(simnet.NewClock(0.001), time.Millisecond), 0, layer)
 	circ.tap = tap
 
-	// Outbound: one sendData packs all n cells into a single link write.
-	if _, err := circ.sendData(1, make([]byte, n*cell.MaxRelayData)); err != nil {
+	// Outbound: one originated run packs all n cells into a single link write.
+	if _, err := circ.originate(hopEnd, cell.RelayHeader{StreamID: 1, Cmd: cell.RelayData}, make([]byte, n*cell.MaxRelayData)); err != nil {
 		t.Fatal(err)
 	}
 	wire := make([]byte, n*cell.Size)

@@ -64,13 +64,25 @@ want "channel sites" '\bchan\b' "internal/torclient internal/relay internal/flee
 # callbacks (DESIGN.md "In-simulation servers"), a Bento request's op
 # starting through Clock.Go in simnet's request server; the fleet
 # controller starts its probes, placements and teardowns through Clock.Go;
-# the Stem firewall and the function library start none. Allowed: the
-# workers of relay.RunParallelForwardBench, which run outside any
-# simulation (benchmark/'s probe), and functions.MultipathFetch's per-path
-# fetches, a client-side helper still on ROADMAP item 1(b)'s list.
+# the Stem firewall starts none, and the function library starts its
+# multipath fetches through Clock.Go. Allowed: the workers of
+# relay.RunParallelForwardBench, which run outside any simulation
+# (benchmark/'s probe).
 want "go statements" '^[[:space:]]*go[[:space:]]' "internal/torclient internal/relay internal/bento
     internal/stemfw internal/functions internal/dirauth internal/webfarm internal/fleet" \
-    "internal/functions/multipath.go:1 internal/relay/bench.go:1"
+    "internal/relay/bench.go:1"
+# Each end of a circuit originates relay cells in one function, where they
+# are sealed: the client's Circuit.originate and the relay's
+# circuit.originate (DESIGN.md §13). want_funcs is want with each match
+# named by the function it is in (file:function:count).
+want_funcs() {
+    found=$(find $3 -name '*.go' ! -name '*_test.go' | sort | PAT=$2 xargs awk '
+        /^func / { fn = $0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[(\[].*/, "", fn) }
+        $0 ~ ENVIRON["PAT"] && !/^[[:space:]]*\/\// { print FILENAME ":" fn }' | sort | uniq -c | awk '{printf "%s:%s ", $2, $1}')
+    [ "$found" = "${4:+$4 }" ] || { echo "$1 differ from the allowlist in scripts/check.sh: $found" >&2; exit 1; }
+}
+want_funcs "relay-cell seal sites" 'OnionEncrypt\(|OnionCryptBatch\(|Seal(Forward|Backward)(Batch)?\(' "internal/torclient internal/relay" \
+    "internal/relay/circuit.go:originate:1 internal/torclient/circuit.go:originate:2"
 # A relay link is served by deliver callbacks and written with WriteAsync
 # on both clocks (DESIGN.md §13.1): no link writer of its own either.
 want "BatchWriter uses" 'BatchWriter' "internal/torclient internal/relay" ""
@@ -143,13 +155,14 @@ go test -run='^$' -bench=. -benchtime=1x ./...
 stage "relay datapath stress under race (circuit teardown vs in-flight forwarding; burst ordering," \
     "the hop-level egress bound (a flood behind an EXTEND to a silent next hop included), idle circuits hold" \
     "nothing, run datapath vs per-cell reference on both clocks; owned HS registrations, sibling not stalled by" \
-    "a silent next hop; a rendezvous cookie claimed once by concurrent RENDEZVOUS1s, Crash severing every" \
-    "served link, a host crash reaching a stalled or dial-paused feed or a CREATE being answered, a DESTROY" \
+    "a silent next hop; a rendezvous cookie claimed once by concurrent RENDEZVOUS1s, a host crash severing" \
+    "every served link, a host crash reaching a stalled or dial-paused feed or a CREATE being answered, a DESTROY" \
     "waiting behind a dial's cells; the Bento server's held conn: pipelined ops answered in order, api.send" \
-    "flow-controlled, a close during an invoke)"
+    "flow-controlled, a close during an invoke; the client's run datapath, tap and parked writer, and a service" \
+    "stream's bytes against the per-cell reference, with non-stream cells at the service layer dropped)"
 go test -race -count=1 -run='TestTeardownForwardStress|TestBound|TestBurst|TestExtendThenCellsInOneBurst|TestIdleCircuitHoldsNoBurst|TestHSRegistrationsOwned|TestHelperBacklogBounded|TestSiblingNotStalledBySilentNextHop|TestTransportFollowsClock|TestRendezvousSplice|TestConnectedPrecedesDataAndEnd|TestRendezvous1ClaimedOnce|TestCrashClosesEveryServedLink|TestSeverDuringStall|TestCrashDuringCreate|TestDestroyWaitsBehindDial' ./internal/relay/
 go test -race -count=10 -run='TestServerAnswersPipelinedRequests|TestServerFlowControlsAPISend|TestCloseDuringInvoke' ./internal/bento/
-go test -race -count=1 -run='TestRun|TestTap|TestIdleCircuitHoldsNoGoroutines|TestDeliveryPassesParkedWriter' ./internal/torclient/
+go test -race -count=1 -run='TestRun|TestTap|TestIdleCircuitHoldsNoGoroutines|TestDeliveryPassesParkedWriter|TestServiceStreamWire|TestServiceLayerDropsNonStreamCells' ./internal/torclient/
 
 stage "telemetry regression smoke (instrumented hot path and live sampler must not allocate)"
 go test -count=1 -run='TestMiddleHopForwardAllocFree|TestCircuitSizeofPinned|TestIdleCircuitHoldsNoBurst|TestBurst' ./internal/relay/
