@@ -173,9 +173,10 @@ func (c *Cell) EncodeInto(buf []byte) {
 // WriteTo writes the cell to w through a pooled buffer in a single Write
 // call. It implements io.WriterTo.
 func (c *Cell) WriteTo(w io.Writer) (int64, error) {
-	o := GetOrigin()
-	n, err := w.Write(o.Link(c.CircID, c.Cmd, c.Payload[:]))
-	PutOrigin(o)
+	buf := wires.Get().(*[Size]byte)
+	c.EncodeInto(buf[:])
+	n, err := w.Write(buf[:])
+	wires.Put(buf)
 	return int64(n), err
 }
 
@@ -193,13 +194,12 @@ func UnmarshalInto(c *Cell, buf []byte) error {
 
 // ReadInto reads one cell from r into an existing Cell without allocating.
 func ReadInto(r io.Reader, c *Cell) error {
-	o := GetOrigin()
-	defer PutOrigin(o)
-	buf := o.frames[:Size]
-	if _, err := io.ReadFull(r, buf); err != nil {
+	buf := wires.Get().(*[Size]byte)
+	defer wires.Put(buf)
+	if _, err := io.ReadFull(r, buf[:]); err != nil {
 		return err
 	}
-	return UnmarshalInto(c, buf)
+	return UnmarshalInto(c, buf[:])
 }
 
 // Marshal serializes the cell to a freshly allocated wire buffer. It is

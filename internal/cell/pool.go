@@ -13,7 +13,9 @@ import (
 // their payload views with one batched pass per layer (otr's *Batch
 // calls, byte-identical to cell-by-cell crypto), and written with one
 // call. The link-level cells the ends send (CREATE, CREATED, DESTROY) are
-// built in one too, so no circuit keeps a frame of its own.
+// built in one too, so no circuit keeps a frame of its own. A frame that
+// is held across a park is a pooled single frame instead (the Cell codec,
+// below).
 //
 // Ownership (see DESIGN.md "Datapath & buffer ownership"): an Origin is
 // the caller's from GetOrigin to PutOrigin. Its frames may be handed to a
@@ -33,6 +35,11 @@ type Origin struct {
 }
 
 var origins = sync.Pool{New: func() any { return new(Origin) }}
+
+// wires holds the single frames of the Cell codec (WriteTo, ReadInto):
+// a caller may park in its Write or Read holding one, so it is a frame,
+// not an Origin.
+var wires = sync.Pool{New: func() any { return new([Size]byte) }}
 
 // GetOrigin takes an Origin from the pool.
 func GetOrigin() *Origin { return origins.Get().(*Origin) }
