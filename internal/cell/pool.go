@@ -12,10 +12,9 @@ import (
 // packed into contiguous frames, sealed and encrypted in place through
 // their payload views with one batched pass per layer (otr's *Batch
 // calls, byte-identical to cell-by-cell crypto), and written with one
-// call. The link-level cells the ends send (CREATE, CREATED, DESTROY) are
-// built in one too, so no circuit keeps a frame of its own. A frame that
-// is held across a park is a pooled single frame instead (the Cell codec,
-// below).
+// call. A link-level cell (CREATE, CREATED, DESTROY) is one frame, and
+// WriteLink builds it in a pooled single frame, as the Cell codec does;
+// so no circuit keeps a frame of its own.
 //
 // Ownership (see DESIGN.md "Datapath & buffer ownership"): an Origin is
 // the caller's from GetOrigin to PutOrigin. Its frames may be handed to a
@@ -36,9 +35,8 @@ type Origin struct {
 
 var origins = sync.Pool{New: func() any { return new(Origin) }}
 
-// wires holds the single frames of the Cell codec (WriteTo, ReadInto):
-// a caller may park in its Write or Read holding one, so it is a frame,
-// not an Origin.
+// wires holds the single frames of link-level cells and of the Cell
+// codec (WriteTo, ReadInto), whose callers may park holding one.
 var wires = sync.Pool{New: func() any { return new([Size]byte) }}
 
 // GetOrigin takes an Origin from the pool.
@@ -75,16 +73,17 @@ func (o *Origin) Pack(circID uint32, hdr RelayHeader, data []byte, max int) (int
 	}
 }
 
-// Link fills o with one link-level cell, cmd on circuit circID carrying
-// payload zero-padded, and returns its frame.
-func (o *Origin) Link(circID uint32, cmd Command, payload []byte) []byte {
-	o.n = 1
-	frame := o.frames[:Size]
-	SetWireCircID(frame, circID)
-	SetWireCmd(frame, cmd)
-	p := WirePayload(frame)
+// WriteLink builds a link-level cell, cmd on circuit circID carrying
+// payload zero-padded, in a pooled frame and hands it to write, which
+// must not keep it.
+func WriteLink(write func([]byte) error, circID uint32, cmd Command, payload []byte) error {
+	f := wires.Get().(*[Size]byte)
+	defer wires.Put(f)
+	SetWireCircID(f[:], circID)
+	SetWireCmd(f[:], cmd)
+	p := WirePayload(f[:])
 	clear(p[copy(p, payload):])
-	return frame
+	return write(f[:])
 }
 
 // Payloads returns the packed cells' payloads, to seal and encrypt in

@@ -68,20 +68,12 @@ type dialing struct {
 	teardown bool                               // owed after rest; guarded by the circuit's mu
 }
 
-// writeLink puts a link-level cell (CREATE, CREATED, DESTROY) on conn,
-// built in a pooled frame.
-func writeLink(conn simnet.LightConn, circID uint32, cmd cell.Command, payload []byte) error {
-	o := cell.GetOrigin()
-	defer cell.PutOrigin(o)
-	return conn.WriteAsync(o.Link(circID, cmd, payload))
-}
-
 // sendLink puts a link-level cell (CREATED, DESTROY) on the client link,
 // in order with the relay cells.
 func (c *circuit) sendLink(cmd cell.Command, payload []byte) error {
 	c.bwMu.Lock()
 	defer c.bwMu.Unlock()
-	return writeLink(c.conn, c.circID, cmd, payload)
+	return cell.WriteLink(c.conn.WriteAsync, c.circID, cmd, payload)
 }
 
 // create answers a link's first cell, which must be CREATE.
@@ -394,7 +386,7 @@ func (c *circuit) handleExtend(data []byte) (*dialing, bool) {
 	sp.Note(ext.Addr)
 	return &dialing{target: ext.Addr, then: func(next simnet.LightConn, err error) bool {
 		defer sp.End()
-		if err == nil && (writeLink(next, nextID, cell.CmdCreate, ext.Handshake) != nil || !c.attachNext(next, nextID)) {
+		if err == nil && (cell.WriteLink(next.WriteAsync, nextID, cell.CmdCreate, ext.Handshake) != nil || !c.attachNext(next, nextID)) {
 			next.Close()
 			err = net.ErrClosed
 		}
@@ -718,7 +710,7 @@ func (c *circuit) teardown() {
 		s.Close()
 	}
 	if next != nil {
-		writeLink(next, nextID, cell.CmdDestroy, nil)
+		cell.WriteLink(next.WriteAsync, nextID, cell.CmdDestroy, nil)
 		next.Close()
 	}
 	c.conn.Close()

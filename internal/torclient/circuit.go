@@ -135,10 +135,7 @@ func (c *Client) buildCircuit(path []*dirauth.Descriptor, sp *obs.SpanHandle) (*
 		conn.Close()
 		return nil, err
 	}
-	o := cell.GetOrigin()
-	err = circ.write(o.Link(circ.circID, cell.CmdCreate, msg))
-	cell.PutOrigin(o)
-	if err != nil {
+	if err := cell.WriteLink(circ.write, circ.circID, cell.CmdCreate, msg); err != nil {
 		conn.Close()
 		guardSpan.Fail(err)
 		guardSpan.End()
@@ -385,11 +382,9 @@ func (circ *Circuit) closeWithReason(cause error) error {
 	// The relay's end of the link keeps this conn, and through the
 	// callback the circuit, reachable until it closes too.
 	circ.conn.SetDeliverFunc(nil)
-	o := cell.GetOrigin()
-	if circ.conn.WriteAsync(o.Link(circ.circID, cell.CmdDestroy, nil)) == nil {
+	if cell.WriteLink(circ.conn.WriteAsync, circ.circID, cell.CmdDestroy, nil) == nil {
 		circ.tapCells(+1, cell.Size)
 	}
-	cell.PutOrigin(o)
 	circ.conn.Close()
 
 	circ.mu.Lock()
